@@ -241,21 +241,3 @@ class ModuleAST:
     imports: tuple[str, ...]
     decls: tuple[DeclAST, ...]
     import_spans: tuple[Span, ...] = ()
-
-
-def walk_spans(node) -> list[Span]:
-    """All spans in a subtree, parent first (used by containment checks)."""
-    out = []
-
-    def go(x):
-        if isinstance(x, Span):
-            out.append(x)
-        elif isinstance(x, (list, tuple)):
-            for item in x:
-                go(item)
-        elif hasattr(x, "__dataclass_fields__"):
-            for name in x.__dataclass_fields__:
-                go(getattr(x, name))
-
-    go(node)
-    return out

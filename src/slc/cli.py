@@ -81,11 +81,17 @@ def gather_sources(args) -> list[tuple[str, bytes]]:
     paths = list(args.files)
     if args.manifest:
         base = Path(args.manifest).parent
-        with open(args.manifest, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    paths.append(str((base / line)))
+        try:
+            with open(args.manifest, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except OSError as exc:
+            raise SystemExit2(f"cannot read {args.manifest}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise SystemExit2(f"cannot read {args.manifest}: not valid UTF-8")
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                paths.append(str((base / line)))
     if not paths:
         raise SystemExit2("no input files (pass paths or --manifest)")
     sources = []

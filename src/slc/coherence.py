@@ -11,6 +11,10 @@ Four strategies are supported:
                      one blanket model per concept.
   * scoped           models are named values; resolution is scope-stratified
                      and no global uniqueness is enforced.
+
+One pair engine serves every uniqueness policy: `conflicts` enumerates each
+same-concept pair once and `pair_conflict` judges it. Definition-site checks
+run it over a module's visible world; link runs it over the union world.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .types import (
     Var,
     freshen,
     is_ground,
-    match_many,
     normalize,
     render,
     unify_many,
@@ -94,12 +97,7 @@ def heads_overlap(m1: ModelDecl, m2: ModelDecl) -> OverlapWitness | None:
 def is_duplicate(m1: ModelDecl, m2: ModelDecl) -> bool:
     """Heads equal up to variable renaming; contexts never examined."""
     assert m1.concept == m2.concept
-    h1, _, _ = freshen(tuple(m1.head))
-    h2, _, _ = freshen(tuple(m2.head))
-    return (
-        match_many(list(zip(h1, h2))) is not None
-        and match_many(list(zip(h2, h1))) is not None
-    )
+    return m1.match(m2.head) is not None and m2.match(m1.head) is not None
 
 
 def _provable(goal: Conf, visible: ModelWorld, depth: int) -> bool:
@@ -110,13 +108,12 @@ def _provable(goal: Conf, visible: ModelWorld, depth: int) -> bool:
     if not all(is_ground(s) for s in subjects):
         return True
     for model in visible.models_of(goal.concept):
-        fresh_head, sub, _ = freshen(tuple(model.head))
-        match = match_many(list(zip(fresh_head, subjects)))
+        match = model.match(subjects)
         if match is None:
             continue
         ok = True
         for c in model.context:
-            inst = match.apply(sub.apply(c))
+            inst = match.apply(c)
             if isinstance(inst, Conf):
                 if not _provable(inst, visible, depth - 1):
                     ok = False
@@ -147,27 +144,55 @@ def disjoint_by_bounds(
     return False
 
 
-def _conflict_kind(policy_kind: str, m1: ModelDecl, m2: ModelDecl, visible: ModelWorld) -> str | None:
-    """Shared pairwise rule, used per module at definition sites and globally at link."""
-    if m1.concept != m2.concept:
-        return None
+def pair_conflict(
+    policy_kind: str, m1: ModelDecl, m2: ModelDecl, world: ModelWorld
+) -> tuple[str, str] | None:
+    """The pairwise uniqueness rule for two models of one concept.
+
+    Returns the definition-site code and the reason, or None. Link reports
+    the same reason as E-LINK-CONFLICT.
+    """
     if policy_kind == "use-site":
         if is_duplicate(m1, m2):
-            return "duplicate heads (identical up to renaming)"
-        return None
-    if policy_kind == "def-site-strict":
+            return "E-DUPLICATE", "duplicate heads (identical up to renaming)"
+    elif policy_kind == "def-site-strict":
         c1, c2 = outermost_con(m1.head[0]), outermost_con(m2.head[0])
         if c1 is not None and c1 == c2:
-            return f"second model for ({_short(m1.concept)}, {c1.name})"
-        return None
-    if policy_kind == "def-site-disjoint":
+            return "E-CONSTRUCTOR-DUP", f"second model for ({_short(m1.concept)}, {c1.name})"
+    elif policy_kind == "def-site-disjoint":
         if is_blanket_self(m1) and is_blanket_self(m2):
-            return "more than one blanket model"
+            return "E-BLANKET-DUP", "more than one blanket model"
         w = heads_overlap(m1, m2)
-        if w is not None and not disjoint_by_bounds(w, m1, m2, visible):
-            return "overlapping heads with satisfiable bounds"
-        return None
+        if w is not None and not disjoint_by_bounds(w, m1, m2, world):
+            return "E-OVERLAP", "overlapping heads with satisfiable bounds"
     return None
+
+
+def conflicts(
+    models: list[ModelDecl],
+    world: ModelWorld,
+    policy_kind: str,
+    same_module: bool = True,
+):
+    """The pair engine: every conflict among same-concept pairs of `world`
+    that have a member in `models`.
+
+    Each unordered pair is checked once, as (m, other) with m from `models`;
+    a pair inside `models` comes in list order. With `same_module=False`,
+    pairs declared in one module are not checked. Yields
+    (m, other, code, reason).
+    """
+    position = {id(m): i for i, m in enumerate(models)}
+    for i, m in enumerate(models):
+        for other in world.models_of(m.concept):
+            j = position.get(id(other))
+            if j is not None and j <= i:
+                continue  # m itself, or a pair already checked from the other side
+            if not same_module and other.module == m.module:
+                continue
+            found = pair_conflict(policy_kind, m, other, world)
+            if found is not None:
+                yield m, other, *found
 
 
 def _short(concept_id: str) -> str:
@@ -179,20 +204,6 @@ def check_def_site(
 ) -> list[Diagnostic]:
     """Definition-site obligations of `module`'s models under `policy`."""
     diags: list[Diagnostic] = []
-    own = {(m.module, m.index) for m in module.models}
-
-    def pair_diag(code: str, m: ModelDecl, other: ModelDecl, why: str):
-        newer = m if (m.module, m.index) in own else other
-        elder = other if newer is m else m
-        diags.append(
-            Diagnostic(
-                code,
-                f"model {newer.display} conflicts with {elder.display}: {why}",
-                newer.span,
-                module=module.name,
-                related=(Related(elder.span, f"conflicting model {elder.display}"),),
-            )
-        )
 
     # Per-model shape rules first.
     for m in module.models:
@@ -222,29 +233,18 @@ def check_def_site(
     if policy.kind == "scoped":
         return diags
 
-    # Pairwise rules over the visible world, touching this module.
-    seen: set[tuple] = set()
-    for m in module.models:
-        for other in visible.models_of(m.concept):
-            if (other.module, other.index) == (m.module, m.index):
-                continue
-            key = tuple(sorted([m.uid, other.uid]))
-            if key in seen:
-                continue
-            seen.add(key)
-            if policy.kind == "def-site-strict" and (is_blanket_self(m) or is_blanket_self(other)):
-                continue  # already rejected as blanket Self
-            why = _conflict_kind(policy.kind, m, other, visible)
-            if why is None:
-                continue
-            code = {
-                "use-site": "E-DUPLICATE",
-                "def-site-strict": "E-CONSTRUCTOR-DUP",
-                "def-site-disjoint": (
-                    "E-BLANKET-DUP" if "blanket" in why else "E-OVERLAP"
-                ),
-            }[policy.kind]
-            pair_diag(code, m, other, why)
+    # Pairwise rules over the visible world, touching this module. The model
+    # of this module is blamed; within the module, the earlier-declared one.
+    for m, other, code, why in conflicts(module.models, visible, policy.kind):
+        diags.append(
+            Diagnostic(
+                code,
+                f"model {m.display} conflicts with {other.display}: {why}",
+                m.span,
+                module=module.name,
+                related=(Related(other.span, f"conflicting model {other.display}"),),
+            )
+        )
     return diags
 
 

@@ -13,6 +13,7 @@ from .types import (
     freshen,
     match_many,
     render,
+    render_constraint,
 )
 
 
@@ -71,6 +72,19 @@ class ModelDecl:
     @property
     def display(self) -> str:
         return self.path or f"{self.module}.<model {self.index}>"
+
+    def match(self, targets) -> Substitution | None:
+        """Match a fresh copy of the head onto `targets`, by head only.
+
+        The result maps the model's own variables, so it applies directly to
+        `context`, `vars` and `assoc`. Targets may mention those variables:
+        `Substitution.apply` makes one pass, so a ↦ Option[a] stays that.
+        """
+        fresh_head, sub, _ = freshen(tuple(self.head), self.vars)
+        found = match_many(list(zip(fresh_head, targets)))
+        if found is None:
+            return None
+        return Substitution({v.uid: found.apply(sub.apply(v)) for v in self.vars})
 
 
 @dataclass
@@ -145,7 +159,7 @@ class CheckedModule:
         parts = [f"module {self.name} imports={','.join(sorted(self.imports))}"]
         for cid in sorted(self.concepts):
             c = self.concepts[cid]
-            sups = ";".join(sorted(render_constraint_c(s) for s in c.supers))
+            sups = ";".join(sorted(render_constraint(s) for s in c.supers))
             reqs = ";".join(
                 f"{r}:{_sig_digest(c.requirements[r])}" for r in c.req_order
             )
@@ -154,7 +168,7 @@ class CheckedModule:
                 f" supers[{sups}] assoc[{','.join(c.assoc_names)}] reqs[{reqs}]"
             )
         for m in self.models:
-            ctx = ";".join(render_constraint_c(c) for c in m.context)
+            ctx = ";".join(render_constraint(c) for c in m.context)
             binds = ";".join(f"{k}={render(v)}" for k, v in sorted(m.assoc.items()))
             parts.append(
                 f"model {m.name or '_'}:{m.concept}[{','.join(render(h) for h in m.head)}]"
@@ -162,7 +176,7 @@ class CheckedModule:
             )
         for fname in sorted(self.funs):
             f = self.funs[fname]
-            ctx = ";".join(render_constraint_c(c) for c in f.context)
+            ctx = ";".join(render_constraint(c) for c in f.context)
             params = ",".join(render(t) for _, t in f.params)
             parts.append(
                 f"fn {f.name}[{','.join(v.name for v in f.typarams)}]({params})"
@@ -175,12 +189,6 @@ class CheckedModule:
             )
             parts.append(f"data {d.name}[{','.join(v.name for v in d.params)}] {ctors}")
         return "\n".join(parts)
-
-
-def render_constraint_c(c: ConstraintTerm) -> str:
-    from .types import render_constraint
-
-    return render_constraint(c)
 
 
 def _sig_digest(sig: ReqSig) -> str:
@@ -204,13 +212,9 @@ class ModelWorld:
         self._by_concept: dict[str, list[ModelDecl]] = {}
         for m in self.models:
             self._by_concept.setdefault(m.concept, []).append(m)
-        self._by_path = {m.path: m for m in self.models if m.path}
 
     def models_of(self, concept: str) -> list[ModelDecl]:
         return self._by_concept.get(concept, [])
-
-    def find_by_path(self, path: str) -> ModelDecl | None:
-        return self._by_path.get(path)
 
     def scope_level(self, m: ModelDecl) -> int:
         if self.home is not None and m.module == self.home:
@@ -225,11 +229,9 @@ class ModelWorld:
                 continue
             if member not in m.assoc:
                 continue
-            fresh, sub, _ = freshen((tuple(m.head), m.assoc[member]))
-            fresh_head, fresh_bind = fresh
-            match = match_many(list(zip(fresh_head, subjects)))
+            match = m.match(subjects)
             if match is not None:
-                hits.append(match.apply(fresh_bind))
+                hits.append(match.apply(m.assoc[member]))
         if len(hits) == 1:
             return hits[0]
         return None

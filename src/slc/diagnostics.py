@@ -76,11 +76,6 @@ class Span:
         return f"{self.file}:{self.start[0]}:{self.start[1]}"
 
 
-def span_of(file: str) -> Span:
-    """Placeholder span for file-level diagnostics."""
-    return Span(file, (1, 1), (1, 1))
-
-
 @dataclass(frozen=True)
 class Related:
     """A secondary location attached to a diagnostic (e.g. the other model)."""
@@ -143,11 +138,3 @@ def sort_diagnostics(diags: list[Diagnostic], topo_index: dict[str, int]) -> lis
 
 def has_errors(diags) -> bool:
     return any(d.severity == "error" for d in diags)
-
-
-class DiagnosticError(Exception):
-    """Raised by stages that abort on their first unrecoverable diagnostic."""
-
-    def __init__(self, diags):
-        self.diagnostics = list(diags)
-        super().__init__("; ".join(d.message for d in self.diagnostics))

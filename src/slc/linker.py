@@ -2,11 +2,11 @@
 global coherence.
 
 Per-module definition-site checks see a module's own models plus its
-transitive imports. Linking re-runs the active policy's pairwise check over
-the union of all models, so a conflict between sibling modules that never
-import each other still surfaces — as E-LINK-CONFLICT naming both origins.
-The scoped policy skips the global check entirely: all models coexist under
-their names.
+transitive imports. Linking runs the same pair engine,
+`coherence.conflicts`, over the union of all models, on cross-module pairs
+only, so a conflict between sibling modules that never import each other
+still surfaces — as E-LINK-CONFLICT naming both origins. The scoped policy
+skips the global check entirely: all models coexist under their names.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from . import ast as A
-from .coherence import CoherencePolicy, _conflict_kind, check_def_site
+from .coherence import CoherencePolicy, check_def_site, conflicts
 from .decls import CheckedModule, ModelWorld
 from .diagnostics import Diagnostic, Related, has_errors, sort_diagnostics
 from .parser import parse_module_bytes
@@ -41,15 +41,6 @@ class LinkedProgram:
     world: ModelWorld  # union world
     entry: tuple[str, str] | None  # (module, function)
     policy: CoherencePolicy
-
-    @property
-    def topo_index(self) -> dict[str, int]:
-        return self.graph.topo_index
-
-    def world_for(self, module: str) -> ModelWorld:
-        visible = set(transitive_imports(self.graph, module)) | {module}
-        models = [m for m in self.world.models if m.module in visible]
-        return ModelWorld(models, home=module)
 
     def concepts_table(self) -> dict:
         table = {}
@@ -144,40 +135,25 @@ def link(
 ) -> tuple[LinkedProgram | None, list[Diagnostic]]:
     """Assemble checked modules; global pairwise check under uniqueness policies."""
     diags: list[Diagnostic] = []
-    index = graph.topo_index
-    union_models = [
-        m for name in graph.order for m in checked[name].models
-    ]
+    union_models = [m for name in graph.order for m in checked[name].models]
     world = ModelWorld(union_models)
 
+    # Models come in topological order, so `later` is in the later module.
     if policy.is_uniqueness:
-        by_concept: dict[str, list] = {}
-        for m in union_models:
-            by_concept.setdefault(m.concept, []).append(m)
-        for concept, models in sorted(by_concept.items()):
-            for i in range(len(models)):
-                for j in range(i + 1, len(models)):
-                    m1, m2 = models[i], models[j]
-                    if m1.module == m2.module:
-                        continue  # a definition-site concern, reported there
-                    why = _conflict_kind(policy.kind, m1, m2, world)
-                    if why is None:
-                        continue
-                    later = m2 if index[m2.module] >= index[m1.module] else m1
-                    earlier = m1 if later is m2 else m2
-                    diags.append(
-                        Diagnostic(
-                            "E-LINK-CONFLICT",
-                            f"linking the whole program violates model uniqueness: "
-                            f"{later.display} (module {later.module}) conflicts with "
-                            f"{earlier.display} (module {earlier.module}): {why}",
-                            later.span,
-                            module=later.module,
-                            related=(
-                                Related(earlier.span, f"conflicting model {earlier.display}"),
-                            ),
-                        )
-                    )
+        for earlier, later, _, why in conflicts(
+            union_models, world, policy.kind, same_module=False
+        ):
+            diags.append(
+                Diagnostic(
+                    "E-LINK-CONFLICT",
+                    f"linking the whole program violates model uniqueness: "
+                    f"{later.display} (module {later.module}) conflicts with "
+                    f"{earlier.display} (module {earlier.module}): {why}",
+                    later.span,
+                    module=later.module,
+                    related=(Related(earlier.span, f"conflicting model {earlier.display}"),),
+                )
+            )
 
     # Entry points: at most one `fn main() -> Unit` across the program.
     mains: list[tuple[str, str]] = []
@@ -266,7 +242,6 @@ def check_sources(
     if has_errors(diags):
         return CheckResult(sort_diagnostics(diags, topo), None, checked, graph)
 
-    union: list = []
     for name in graph.order:
         visible_names = set(transitive_imports(graph, name)) | {name}
         visible_models = [
@@ -284,10 +259,3 @@ def check_sources(
     diags.extend(link_diags)
     return CheckResult(sort_diagnostics(diags, topo), program, checked, graph)
 
-
-def read_sources(paths: list[str]) -> list[tuple[str, bytes]]:
-    out = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            out.append((path, handle.read()))
-    return out

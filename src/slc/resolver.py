@@ -28,8 +28,6 @@ from .types import (
     Substitution,
     TypeTerm,
     free_vars,
-    freshen,
-    match_many,
     normalize,
     render,
     render_constraint,
@@ -126,13 +124,12 @@ def close_givens(
 @dataclass
 class Candidate:
     model: ModelDecl
-    subst: Substitution  # over the freshened head copy
     type_args: list[TypeTerm]
     inst_context: list[ConstraintTerm]
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
-    """Models whose freshened head matches the goal's subjects, by head only.
+    """Models whose head matches the goal's subjects, by head only.
 
     Order is deterministic: module topological order, then declaration order
     (that is the order models were registered into the world).
@@ -141,19 +138,14 @@ def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
     subjects = goal.constraint.subjects
     found: list[Candidate] = []
     for model in scope.models_of(goal.constraint.concept):
-        fresh, sub, fresh_vars = freshen(
-            (tuple(model.head), tuple(model.context)), model.vars
-        )
-        fresh_head, fresh_context = fresh
-        match = match_many(list(zip(fresh_head, subjects)))
+        match = model.match(subjects)
         if match is None:
             continue
         found.append(
             Candidate(
                 model=model,
-                subst=match,
-                type_args=[match.apply(v) for v in fresh_vars],
-                inst_context=[match.apply(c) for c in fresh_context],
+                type_args=[match.apply(v) for v in model.vars],
+                inst_context=[match.apply(c) for c in model.context],
             )
         )
     return found
@@ -161,10 +153,8 @@ def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
 
 def _strictly_more_specific(a: Candidate, b: Candidate) -> bool:
     """a's head instantiates b's head but not the other way round."""
-    a_head, _, _ = freshen(tuple(a.model.head), a.model.vars)
-    b_head, _, _ = freshen(tuple(b.model.head), b.model.vars)
-    b_onto_a = match_many(list(zip(b_head, tuple(a.model.head)))) is not None
-    a_onto_b = match_many(list(zip(a_head, tuple(b.model.head)))) is not None
+    b_onto_a = b.model.match(a.model.head) is not None
+    a_onto_b = a.model.match(b.model.head) is not None
     return b_onto_a and not a_onto_b
 
 

@@ -775,18 +775,11 @@ class ModuleChecker:
             return term
         if self.world is None or not all(is_ground(s) for s in term.subjects):
             return term
-        named = [
+        matching = [
             m
             for m in self.world.models_of(term.concept)
-            if m.name and term.member in m.assoc
+            if m.name and term.member in m.assoc and m.match(term.subjects) is not None
         ]
-        matching = []
-        from .types import match_many
-
-        for m in named:
-            fresh_head, _, _ = freshen(tuple(m.head), m.vars)
-            if match_many(list(zip(fresh_head, term.subjects))) is not None:
-                matching.append(m)
         if not matching:
             return term
         best = min(self.world.scope_level(m) for m in matching)

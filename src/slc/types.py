@@ -200,10 +200,6 @@ def is_ground(t: TypeTerm) -> bool:
     return not free_vars(t)
 
 
-def contains_var(t: TypeTerm, uid: int) -> bool:
-    return any(v.uid == uid for v in free_vars(t))
-
-
 # ---------------------------------------------------------------- substitution
 
 

@@ -74,6 +74,21 @@ def test_manifest_input():
     assert all(d["code"] in ("E-AMBIGUOUS",) for d in diags)
 
 
+def test_missing_manifest_is_usage_error(tmp_path):
+    missing = tmp_path / "missing.manifest"
+    proc = sl("check", "--manifest", str(missing))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot read {missing}: No such file or directory\n"
+
+
+def test_non_utf8_manifest_is_usage_error(tmp_path):
+    manifest = tmp_path / "bad.manifest"
+    manifest.write_bytes(b"iter_lib.sl\n\xff\xfe\n")
+    proc = sl("check", "--manifest", str(manifest))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot read {manifest}: not valid UTF-8\n"
+
+
 def test_json_diagnostic_schema():
     proc = sl("check", "--json", *corpus("show_lib.sl", "option_show.sl"))
     diags = json.loads(proc.stdout)

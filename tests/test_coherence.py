@@ -1,6 +1,6 @@
 """Definition-site checks: overlap, duplicates, disjointness, orphan rules."""
 
-from conftest import check_inline, codes
+from conftest import check_inline, codes, corpus_sources
 
 SHOW_PLUS_OPTION_MODELS = """\
 module m
@@ -308,3 +308,99 @@ model C[U64] { fn f(x: U64) -> U64 { x } }
     world = ModelWorld(module.models, home="m")
     diags = check_def_site(module, world, CoherencePolicy("scoped"))
     assert [d.code for d in diags] == ["E-NEEDS-NAME"]
+
+
+# ---------------------------------------------------------------- pair blame
+
+TO_TEXT_U64 = 'model {name}: ToText[U64] {{ fn toText(x: U64) -> String {{ "{name}" }} }}\n'
+
+
+def test_in_module_duplicate_blames_the_earlier_model():
+    from slc.coherence import CoherencePolicy
+    from slc.linker import check_sources
+
+    result = check_sources(corpus_sources("show_lib.sl", "dup_instances.sl"), CoherencePolicy())
+    [dup] = result.diagnostics
+    assert dup.code == "E-DUPLICATE"
+    assert (dup.module, dup.span.start) == ("dup_instances", (9, 1))
+    assert "textShown conflicts with dup_instances.textNested" in dup.message
+    assert dup.related[0].span.start == (13, 1)
+
+
+def test_link_conflict_blames_the_later_module():
+    from slc.coherence import CoherencePolicy
+    from slc.linker import check_sources
+
+    names = ["base", "point", "left", "right", "top"]
+    sources = corpus_sources(*(f"diamond_{n}.sl" for n in names))
+    result = check_sources(sources, CoherencePolicy())
+    [conflict] = result.diagnostics
+    assert conflict.code == "E-LINK-CONFLICT"
+    assert (conflict.module, conflict.span.start) == ("diamond_right", (6, 1))
+    assert conflict.related[0].span.file.endswith("diamond_left.sl")
+    assert conflict.related[0].span.start == (6, 1)
+
+
+def test_cross_module_constructor_dup_blames_the_importer():
+    a = "module a\nconcept ToText[Self] { fn toText(x: Self) -> String }\n"
+    a += TO_TEXT_U64.format(name="textA")
+    b = "module b\nimport a\n" + TO_TEXT_U64.format(name="textB")
+    result = check_inline("def-site-strict", a=a, b=b)
+    [dup] = result.diagnostics
+    assert dup.code == "E-CONSTRUCTOR-DUP"
+    assert (dup.module, dup.span.file, dup.span.start) == ("b", "b.sl", (3, 1))
+    assert (dup.related[0].span.file, dup.related[0].span.start) == ("a.sl", (3, 1))
+
+
+def test_strict_blanket_self_is_not_also_a_constructor_dup():
+    src = """\
+module m
+concept ToText[Self] { fn toText(x: Self) -> String }
+model textAny: ToText[a] { fn toText(x: a) -> String { "any" } }
+"""
+    result = check_inline("def-site-strict", m=src + TO_TEXT_U64.format(name="textU64"))
+    assert codes(result) == ["E-BLANKET-SELF"]
+
+
+# ---------------------------------------------------------------- ModelDecl.match
+
+
+def _model(head, vars_, context=()):
+    from slc.decls import ModelDecl
+    from slc.diagnostics import Span
+
+    span = Span("m.sl", (1, 1), (1, 1))
+    return ModelDecl("m", 0, None, "m.C", list(head), list(vars_), list(context), {}, span)
+
+
+def test_match_maps_the_models_own_variables_onto_targets_mentioning_them():
+    from slc.types import PAIR, App, Conf, Var, fresh_uid, option_type
+
+    a = Var("a", fresh_uid())
+    model = _model([App(PAIR, (a, a))], [a], [Conf("m.Show", (a,))])
+    target = option_type(a)
+    sub = model.match([App(PAIR, (target, target))])
+    assert sub is not None
+    assert sub.bindings == {a.uid: target}
+    assert sub.apply(model.context) == [Conf("m.Show", (target,))]
+
+
+def test_match_non_linear_mismatch_is_none():
+    from slc.types import PAIR, U8, U64, App, Var, fresh_uid
+
+    a = Var("a", fresh_uid())
+    model = _model([App(PAIR, (a, a))], [a])
+    assert model.match([App(PAIR, (U64, U8))]) is None
+    assert model.match([App(PAIR, (U64, U64))]).bindings == {a.uid: U64}
+
+
+def test_is_duplicate_both_ways_on_renamed_heads():
+    from slc.coherence import is_duplicate
+    from slc.types import PAIR, U64, App, Var, fresh_uid
+
+    a, b, c = (Var(n, fresh_uid()) for n in "abc")
+    left = _model([App(PAIR, (a, b))], [a, b])
+    right = _model([App(PAIR, (c, a))], [c, a])
+    assert is_duplicate(left, right) and is_duplicate(right, left)
+    narrower = _model([App(PAIR, (a, U64))], [a])
+    assert not is_duplicate(left, narrower) and not is_duplicate(narrower, left)
