@@ -15,6 +15,14 @@ Four strategies are supported:
 One pair engine serves every uniqueness policy: `conflicts` enumerates each
 same-concept pair once and `pair_conflict` judges it. Definition-site checks
 run it over a module's visible world; link runs it over the union world.
+
+Pairs are drawn from `ModelWorld.models_like`, which indexes models by the
+rough key of their Self head, its outermost constructor. Two models whose
+Self constructors differ never match or unify and never share a
+def-site-strict constructor, so they are never paired. A model whose Self
+is a variable or a projection has no key: it sits in its concept's wildcard
+bucket and is paired with every model of the concept, which keeps the
+blanket rules (E-BLANKET-DUP, overlap with a blanket) exact.
 """
 
 from __future__ import annotations
@@ -24,16 +32,14 @@ from dataclasses import dataclass
 from .decls import CheckedModule, ModelDecl, ModelWorld
 from .diagnostics import Diagnostic, Related
 from .types import (
-    App,
-    Con,
     Conf,
     Eq,
     Substitution,
-    TypeTerm,
     Var,
     freshen,
     is_ground,
     normalize,
+    outermost_con,
     render,
     unify_many,
 )
@@ -64,14 +70,6 @@ class OverlapWitness:
     subst: Substitution  # over the freshened heads
     inst_context1: list
     inst_context2: list
-
-
-def outermost_con(t: TypeTerm) -> Con | None:
-    if isinstance(t, Con):
-        return t
-    if isinstance(t, App) and isinstance(t.head, Con):
-        return t.head
-    return None
 
 
 def is_blanket_self(m: ModelDecl) -> bool:
@@ -107,7 +105,7 @@ def _provable(goal: Conf, visible: ModelWorld, depth: int) -> bool:
     subjects = tuple(normalize(s, (), visible) for s in goal.subjects)
     if not all(is_ground(s) for s in subjects):
         return True
-    for model in visible.models_of(goal.concept):
+    for model in visible.models_like(goal.concept, subjects[0]):
         match = model.match(subjects)
         if match is None:
             continue
@@ -175,7 +173,8 @@ def conflicts(
     same_module: bool = True,
 ):
     """The pair engine: every conflict among same-concept pairs of `world`
-    that have a member in `models`.
+    that have a member in `models`. Pairs whose Self heads have distinct
+    outermost constructors cannot conflict and are never formed.
 
     Each unordered pair is checked once, as (m, other) with m from `models`;
     a pair inside `models` comes in list order. With `same_module=False`,
@@ -184,7 +183,7 @@ def conflicts(
     """
     position = {id(m): i for i, m in enumerate(models)}
     for i, m in enumerate(models):
-        for other in world.models_of(m.concept):
+        for other in world.models_like(m.concept, m.head[0]):
             j = position.get(id(other))
             if j is not None and j <= i:
                 continue  # m itself, or a pair already checked from the other side

@@ -6,12 +6,14 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Span
 from .types import (
+    Con,
     ConstraintTerm,
     Substitution,
     TypeTerm,
     Var,
     freshen,
     match_many,
+    outermost_con,
     render,
     render_constraint,
 )
@@ -204,17 +206,48 @@ class ModelWorld:
     Order is (module topological index, declaration index). When `home` is
     set, models declared in that module form the inner scope for the scoped
     policy; every import sits in the single outer scope.
+
+    Models are also indexed by (concept, rough key), the key being the
+    outermost constructor of the model's Self head (`outermost_con`). A
+    model whose Self is a variable or a projection has no key and goes in
+    its concept's wildcard bucket, which every lookup includes.
     """
 
     def __init__(self, models: list[ModelDecl], home: str | None = None):
         self.models = list(models)
         self.home = home
         self._by_concept: dict[str, list[ModelDecl]] = {}
-        for m in self.models:
+        self._by_key: dict[tuple[str, Con], list[ModelDecl]] = {}
+        self._wildcards: dict[str, list[ModelDecl]] = {}
+        self._position: dict[int, int] = {}
+        self._like: dict[tuple[str, Con], list[ModelDecl]] = {}
+        for i, m in enumerate(self.models):
             self._by_concept.setdefault(m.concept, []).append(m)
+            self._position[id(m)] = i
+            key = outermost_con(m.head[0])
+            if key is None:
+                self._wildcards.setdefault(m.concept, []).append(m)
+            else:
+                self._by_key.setdefault((m.concept, key), []).append(m)
 
     def models_of(self, concept: str) -> list[ModelDecl]:
         return self._by_concept.get(concept, [])
+
+    def models_like(self, concept: str, self_type: TypeTerm) -> list[ModelDecl]:
+        """The models of `concept` whose head could match or unify with a
+        head whose Self is `self_type`, in world order. Only models whose
+        Self constructor differs from `self_type`'s are left out."""
+        key = outermost_con(self_type)
+        if key is None:
+            return self.models_of(concept)
+        like = self._like.get((concept, key))
+        if like is None:
+            like = self._by_key.get((concept, key), [])
+            wildcards = self._wildcards.get(concept)
+            if wildcards:
+                like = sorted(like + wildcards, key=lambda m: self._position[id(m)])
+            self._like[(concept, key)] = like
+        return like
 
     def scope_level(self, m: ModelDecl) -> int:
         if self.home is not None and m.module == self.home:
@@ -224,7 +257,7 @@ class ModelWorld:
     def assoc_binding(self, concept, member, subjects, path):
         """Unique-model associated-type lookup used by the normalizer."""
         hits = []
-        for m in self.models_of(concept):
+        for m in self.models_like(concept, subjects[0]):
             if path is not None and m.path != path:
                 continue
             if member not in m.assoc:

@@ -115,6 +115,17 @@ class VBuiltin:
     name: str
 
 
+# Literal kind -> value of the literal's payload.
+LITERALS = {
+    "u64": lambda v: VU64(v & MASK64),
+    "u8": lambda v: VU8(v & MASK8),
+    "bool": VBool,
+    "string": VStr,
+    "f64": VF64,
+    "unit": lambda _v: VUnit(),
+}
+
+
 class Interp:
     def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
@@ -173,14 +184,7 @@ class Interp:
         if isinstance(e, CBuiltin):
             return VBuiltin(e.name)
         if isinstance(e, CLit):
-            return {
-                "u64": lambda v: VU64(v & MASK64),
-                "u8": lambda v: VU8(v & MASK8),
-                "bool": VBool,
-                "string": VStr,
-                "f64": VF64,
-                "unit": lambda _v: VUnit(),
-            }[e.kind](e.value)
+            return LITERALS[e.kind](e.value)
         if isinstance(e, CLam):
             return VClosure([n for n, _ in e.params], e.body, env)
         if isinstance(e, (CTyLam,)):

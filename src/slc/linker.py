@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import ast as A
 from .coherence import CoherencePolicy, check_def_site, conflicts
@@ -29,7 +30,7 @@ class ModuleGraph:
     order: list[str]  # topological, deterministic
     asts: dict[str, A.ModuleAST]
 
-    @property
+    @cached_property
     def topo_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.order)}
 
@@ -233,9 +234,10 @@ def check_sources(
         return CheckResult(sort_diagnostics(diags, {}), None)
     topo = graph.topo_index
 
+    closure = {name: transitive_imports(graph, name) for name in graph.order}
     checked: dict[str, CheckedModule] = {}
     for name in graph.order:
-        imports = [checked[i] for i in transitive_imports(graph, name)]
+        imports = [checked[i] for i in closure[name]]
         module, module_diags = check_module(graph.asts[name], imports, policy, depth)
         checked[name] = module
         diags.extend(module_diags)
@@ -243,13 +245,9 @@ def check_sources(
         return CheckResult(sort_diagnostics(diags, topo), None, checked, graph)
 
     for name in graph.order:
-        visible_names = set(transitive_imports(graph, name)) | {name}
-        visible_models = [
-            m
-            for other in graph.order
-            if other in visible_names
-            for m in checked[other].models
-        ]
+        # The closure is in topological order and every import precedes
+        # `name`, so the visible world keeps the (module, declaration) order.
+        visible_models = [m for other in closure[name] + [name] for m in checked[other].models]
         world = ModelWorld(visible_models, home=name)
         diags.extend(check_def_site(checked[name], world, policy))
     if has_errors(diags):

@@ -132,12 +132,13 @@ def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
     """Models whose head matches the goal's subjects, by head only.
 
     Order is deterministic: module topological order, then declaration order
-    (that is the order models were registered into the world).
+    (that is the order models were registered into the world). Models whose
+    Self constructor differs from the goal's are skipped unexamined.
     """
     assert isinstance(goal.constraint, Conf)
     subjects = goal.constraint.subjects
     found: list[Candidate] = []
-    for model in scope.models_of(goal.constraint.concept):
+    for model in scope.models_like(goal.constraint.concept, subjects[0]):
         match = model.match(subjects)
         if match is None:
             continue

@@ -777,7 +777,7 @@ class ModuleChecker:
             return term
         matching = [
             m
-            for m in self.world.models_of(term.concept)
+            for m in self.world.models_like(term.concept, term.subjects[0])
             if m.name and term.member in m.assoc and m.match(term.subjects) is not None
         ]
         if not matching:

@@ -107,6 +107,17 @@ def list_type(a: TypeTerm) -> TypeTerm:
     return App(LIST, (a,))
 
 
+def outermost_con(t: TypeTerm) -> Con | None:
+    """The constructor of a `Con` or `App(Con, ...)` term; None for a
+    variable or a projection. Terms whose outermost constructors differ
+    never match or unify, so this is the rough key of a model index."""
+    if isinstance(t, Con):
+        return t
+    if isinstance(t, App) and isinstance(t.head, Con):
+        return t.head
+    return None
+
+
 # ---------------------------------------------------------------- constraints
 
 

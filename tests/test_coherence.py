@@ -404,3 +404,126 @@ def test_is_duplicate_both_ways_on_renamed_heads():
     assert is_duplicate(left, right) and is_duplicate(right, left)
     narrower = _model([App(PAIR, (a, U64))], [a])
     assert not is_duplicate(left, narrower) and not is_duplicate(narrower, left)
+
+
+# ---------------------------------------------------------------- constructor index
+# Pairs are formed from `ModelWorld.models_like`; these pin that a wildcard
+# (blanket) model is still paired with keyed models and with other wildcards.
+
+C_WITH_BLANKET = """\
+module base
+concept C[Self] { fn c(x: Self) -> String }
+model cAny: C[a] { fn c(x: a) -> String { "any" } }
+"""
+
+
+def _diag_summary(result):
+    return [
+        (d.code, d.module, d.span.file, d.span.start, d.message,
+         [(r.span.file, r.span.start) for r in d.related])
+        for d in result.diagnostics
+    ]
+
+
+def test_index_pairs_blanket_with_keyed_model_of_importer():
+    sib = """\
+module sib
+import base
+data Loc { MkLoc }
+model cLoc: C[Loc] { fn c(x: Loc) -> String { "loc" } }
+"""
+    result = check_inline("def-site-disjoint", base=C_WITH_BLANKET, sib=sib)
+    assert _diag_summary(result) == [
+        ("E-OVERLAP", "sib", "sib.sl", (4, 1),
+         "model sib.cLoc conflicts with base.cAny: overlapping heads with satisfiable bounds",
+         [("base.sl", (3, 1))]),
+    ]
+
+
+def test_index_pairs_blanket_with_builtin_keyed_model():
+    sib = """\
+module sib
+import base
+model cU64: C[U64] { fn c(x: U64) -> String { "u64" } }
+"""
+    result = check_inline("def-site-disjoint", base=C_WITH_BLANKET, sib=sib)
+    assert [(code, module, start) for code, module, _, start, _, _ in _diag_summary(result)] == [
+        ("E-ORPHAN", "sib", (3, 1)),
+        ("E-OVERLAP", "sib", (3, 1)),
+    ]
+    assert result.diagnostics[1].message == (
+        "model sib.cU64 conflicts with base.cAny: overlapping heads with satisfiable bounds"
+    )
+
+
+def test_index_pairs_two_blankets_across_modules():
+    other = """\
+module other
+import base
+model cAll: C[b] { fn c(x: b) -> String { "all" } }
+"""
+    result = check_inline("def-site-disjoint", base=C_WITH_BLANKET, other=other)
+    summary = _diag_summary(result)
+    assert [(code, module, start) for code, module, _, start, _, _ in summary] == [
+        ("E-BLANKET-DUP", "other", (3, 1)),
+        ("E-ORPHAN", "other", (3, 1)),
+    ]
+    assert summary[0][4] == "model other.cAll conflicts with base.cAny: more than one blanket model"
+    assert summary[0][5] == [("base.sl", (3, 1))]
+
+
+def test_index_links_two_blankets_in_sibling_modules():
+    base = "module base\nconcept C[Self] { fn c(x: Self) -> String }\n"
+    left = 'module left\nimport base\nmodel cLeft: C[a] { fn c(x: a) -> String { "left" } }\n'
+    right = 'module right\nimport base\nmodel cRight: C[b] { fn c(x: b) -> String { "right" } }\n'
+    result = check_inline("use-site", base=base, left=left, right=right)
+    assert _diag_summary(result) == [
+        ("E-LINK-CONFLICT", "right", "right.sl", (3, 1),
+         "linking the whole program violates model uniqueness: right.cRight (module right) "
+         "conflicts with left.cLeft (module left): duplicate heads (identical up to renaming)",
+         [("left.sl", (3, 1))]),
+    ]
+
+
+TWO_PARAM = """\
+module m
+concept Conv[Self, T] { fn conv(x: Self) -> T }
+model toU8: Conv[U64, U8] { fn conv(x: U64) -> U8 { trunc8(x) } }
+model toText: Conv[U64, String] { fn conv(x: U64) -> String { show64(x) } }
+fn narrow() -> U8 { conv(300:U64):U8 }
+fn text() -> String { conv(7:U64):String }
+"""
+
+
+def test_index_two_parameter_models_sharing_self_constructor():
+    # Same Self constructor, different second argument: one bucket, so
+    # def-site-strict still sees the pair; disjoint and use-site accept it.
+    strict = check_inline("def-site-strict", m=TWO_PARAM)
+    assert _diag_summary(strict) == [
+        ("E-CONSTRUCTOR-DUP", "m", "m.sl", (3, 1),
+         "model m.toU8 conflicts with m.toText: second model for (Conv, U64)",
+         [("m.sl", (4, 1))]),
+    ]
+    assert check_inline("def-site-disjoint", m=TWO_PARAM).ok
+    assert check_inline("use-site", m=TWO_PARAM).ok
+
+
+def test_models_like_keeps_world_order_and_includes_wildcards():
+    from slc.decls import ModelWorld
+    from slc.types import OPTION, U8, U64, Assoc, Var, fresh_uid, option_type
+
+    a = Var("a", fresh_uid())
+    keyed_u8 = _model([U8], [])
+    keyed_opt = _model([option_type(U64)], [])
+    blanket = _model([a], [a])
+    keyed_opt_any = _model([option_type(a)], [a])
+    world = ModelWorld([keyed_u8, keyed_opt, blanket, keyed_opt_any])
+    assert world.models_like("m.C", option_type(U64)) == [keyed_opt, blanket, keyed_opt_any]
+    assert world.models_like("m.C", OPTION) == [keyed_opt, blanket, keyed_opt_any]
+    assert world.models_like("m.C", U8) == [keyed_u8, blanket]
+    assert world.models_like("m.C", U64) == [blanket]
+    # A variable or a projection has no key: the whole concept, as is.
+    assert world.models_like("m.C", a) is world.models_of("m.C")
+    assert world.models_like("m.C", Assoc("m.C", "K", (U64,))) is world.models_of("m.C")
+    assert world.models_like("m.Other", U8) == []
+    assert ModelWorld([keyed_u8, keyed_opt]).models_like("m.C", U8) == [keyed_u8]

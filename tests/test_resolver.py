@@ -383,3 +383,134 @@ fn main() -> Unit { print(show8(fold(0x2a2a:U64, 0:U8, add8))) }
     call = find_fold_call(result.modules["m"].funs["main"].body)
     assert call is not None
     assert call.tyargs == [U64, U8]
+
+
+# ---------------------------------------------------------------- constructor index
+
+BLANKET_AND_KEYED = """\
+module m
+concept D[Self] { fn d(x: Self) -> String }
+concept C[Self] { fn c(x: Self) -> String }
+concept Iter[Self] {
+  type Element
+  fn first(x: Self) -> Self.Element
+}
+model cU64: C[U64] { fn c(x: U64) -> String { "u64" } }
+model cAny: C[a] where D[a] { fn c(x: a) -> String { d(x) } }
+model cOpt: C[Option[a]] { fn c(x: Option[a]) -> String { "opt" } }
+fn viaParam[T](x: T) -> String where D[T] { c(x) }
+fn viaProjection[I](it: I) -> String where Iter[I], D[I.Element] { c(first(it)) }
+"""
+
+
+def _c_goals(result, fun):
+    records = result.modules["m"].funs[fun].goal_records
+    return [
+        (r.trace.goal, r.trace.outcome, r.trace.picked, [c["model"] for c in r.trace.candidates])
+        for r in records
+        if r.trace.goal.startswith("C[")
+    ]
+
+
+def test_rigid_self_goal_resolved_by_blanket_model():
+    result = check_inline("use-site", m=BLANKET_AND_KEYED)
+    assert result.ok, result.diagnostics
+    assert _c_goals(result, "viaParam") == [("C[T]", "committed", "m.cAny", ["m.cAny"])]
+
+
+def test_projection_self_goal_resolved_by_blanket_model():
+    result = check_inline("use-site", m=BLANKET_AND_KEYED)
+    assert result.ok, result.diagnostics
+    assert _c_goals(result, "viaProjection") == [
+        ("C[I.Element]", "committed", "m.cAny", ["m.cAny"])
+    ]
+
+
+def _ambiguity(result):
+    [amb] = result.diagnostics
+    assert amb.code == "E-AMBIGUOUS"
+    return amb.module, amb.span.start, amb.message, [(r.span.file, r.span.start) for r in amb.related]
+
+
+def test_ambiguous_candidates_keep_world_order_around_a_wildcard():
+    src = """\
+module m
+concept C[Self] { fn c(x: Self) -> String }
+model cU8: C[U8] { fn c(x: U8) -> String { "u8" } }
+model cOptU64: C[Option[U64]] { fn c(x: Option[U64]) -> String { "exact" } }
+model cAny: C[a] { fn c(x: a) -> String { "any" } }
+model cOptAny: C[Option[a]] { fn c(x: Option[a]) -> String { "opt" } }
+fn use() -> String { c(Some(1:U64)) }
+"""
+    assert _ambiguity(check_inline("use-site", m=src)) == (
+        "m",
+        (7, 22),
+        "ambiguous resolution for C[Option[U64]]: 3 candidates apply "
+        "(m.cOptU64, m.cAny, m.cOptAny)",
+        [("m.sl", (4, 1)), ("m.sl", (5, 1)), ("m.sl", (6, 1))],
+    )
+
+
+def test_ambiguous_candidates_keep_world_order_across_modules():
+    base = """\
+module base
+concept C[Self] { fn c(x: Self) -> String }
+model cU8: C[U8] { fn c(x: U8) -> String { "u8" } }
+model cOptU64: C[Option[U64]] { fn c(x: Option[U64]) -> String { "exact" } }
+"""
+    mid = 'module mid\nimport base\nmodel cAny: C[a] { fn c(x: a) -> String { "any" } }\n'
+    top = """\
+module top
+import mid
+model cOptAny: C[Option[a]] { fn c(x: Option[a]) -> String { "opt" } }
+fn use() -> String { c(Some(1:U64)) }
+"""
+    assert _ambiguity(check_inline("use-site", top=top, base=base, mid=mid)) == (
+        "top",
+        (4, 22),
+        "ambiguous resolution for C[Option[U64]]: 3 candidates apply "
+        "(base.cOptU64, mid.cAny, top.cOptAny)",
+        [("base.sl", (4, 1)), ("mid.sl", (3, 1)), ("top.sl", (3, 1))],
+    )
+
+
+def test_blanket_and_sibling_keyed_model_are_ambiguous_at_use_site():
+    base = """\
+module base
+concept C[Self] { fn c(x: Self) -> String }
+model cAny: C[a] { fn c(x: a) -> String { "any" } }
+"""
+    sib = """\
+module sib
+import base
+model cU64: C[U64] { fn c(x: U64) -> String { "u64" } }
+fn use() -> String { c(1:U64) }
+"""
+    assert _ambiguity(check_inline("use-site", base=base, sib=sib)) == (
+        "sib",
+        (4, 22),
+        "ambiguous resolution for C[U64]: 2 candidates apply (base.cAny, sib.cU64)",
+        [("base.sl", (3, 1)), ("sib.sl", (3, 1))],
+    )
+
+
+def test_two_parameter_goals_pick_by_second_argument():
+    src = """\
+module m
+concept Conv[Self, T] { fn conv(x: Self) -> T }
+model toU8: Conv[U64, U8] { fn conv(x: U64) -> U8 { trunc8(x) } }
+model toText: Conv[U64, String] { fn conv(x: U64) -> String { show64(x) } }
+fn narrow() -> U8 { conv(300:U64):U8 }
+fn text() -> String { conv(7:U64):String }
+"""
+    result = check_inline("use-site", m=src)
+    assert result.ok, result.diagnostics
+    picks = {
+        name: [(r.trace.goal, r.trace.picked, [c["model"] for c in r.trace.candidates])
+               for r in result.modules["m"].funs[name].goal_records]
+        for name in ("narrow", "text")
+    }
+    assert picks == {
+        "narrow": [("Conv[U64, U8]", "m.toU8", ["m.toU8"])],
+        "text": [("Conv[U64, String]", "m.toText", ["m.toText"])],
+    }

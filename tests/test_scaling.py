@@ -1,0 +1,80 @@
+"""Scaling guard: on a wide program of sibling modules, the constructor index
+keeps coherence pair checks at the planted conflict and head matches linear
+in the number of modules."""
+
+import pytest
+from conftest import check_inline
+
+from slc import coherence
+from slc.decls import ModelDecl
+
+LOCAL_TYPES = 10
+
+
+def wide_program(siblings: int) -> dict[str, str]:
+    """A base module with `Show`, a shared type and `Show[Option[a]]`, plus
+    `siblings` modules that each import only the base, define local types
+    with `Show` models and use them. Siblings 1 and `siblings - 2` both
+    model the shared type."""
+    files = {
+        "base": """\
+module base
+concept Show[Self] { fn show(x: Self) -> String }
+data Shared { MkShared }
+model Show[Option[a]] where Show[a] {
+  fn show(o: Option[a]) -> String { match o { Some(x) => concat("some ", show(x)), None => "none" } }
+}
+"""
+    }
+    planted = {1, siblings - 2}
+    for k in range(siblings):
+        lines = [f"module s{k:02d}", "import base"]
+        for j in range(LOCAL_TYPES):
+            lines += [
+                f"data T{k:02d}x{j} {{ C{k:02d}x{j} }}",
+                f'model Show[T{k:02d}x{j}] {{ fn show(x: T{k:02d}x{j}) -> String {{ "t{j}" }} }}',
+            ]
+        if k in planted:
+            lines.append(f'model Show[Shared] {{ fn show(x: Shared) -> String {{ "shared {k}" }} }}')
+        body = '""'
+        for j in range(LOCAL_TYPES):
+            body = f"concat({body}, concat(show(C{k:02d}x{j}), show(Some(C{k:02d}x{j}))))"
+        lines.append(f"fn use{k:02d}() -> String {{ {body} }}")
+        files[f"s{k:02d}"] = "\n".join(lines) + "\n"
+    return files
+
+
+def counted_check(monkeypatch, siblings: int) -> tuple[int, int]:
+    """(pair_conflict calls, ModelDecl.match calls) for one check."""
+    calls = {"pair": 0, "match": 0}
+    pair_conflict, match = coherence.pair_conflict, ModelDecl.match
+
+    def counted_pair(*args):
+        calls["pair"] += 1
+        return pair_conflict(*args)
+
+    def counted_match(self, targets):
+        calls["match"] += 1
+        return match(self, targets)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coherence, "pair_conflict", counted_pair)
+        patch.setattr(ModelDecl, "match", counted_match)
+        result = check_inline("use-site", **wide_program(siblings))
+    [conflict] = result.diagnostics
+    assert conflict.code == "E-LINK-CONFLICT"
+    assert conflict.module == f"s{siblings - 2:02d}"
+    assert "s01.<model 10>" in conflict.message
+    return calls["pair"], calls["match"]
+
+
+@pytest.mark.parametrize("siblings", [4, 12])
+def test_only_the_planted_pair_is_checked(monkeypatch, siblings):
+    pairs, _ = counted_check(monkeypatch, siblings)
+    assert pairs == 1
+
+
+def test_head_matches_grow_linearly_with_modules(monkeypatch):
+    _, small = counted_check(monkeypatch, 4)
+    _, large = counted_check(monkeypatch, 12)
+    assert large <= 3 * small, (small, large)
