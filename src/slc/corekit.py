@@ -483,11 +483,11 @@ class CoreChecker:
                 d = self.program.defs[name]
                 self.eq_rules = list(d.eq_rules)
                 got = self.infer(d.expr, {})
-                self.require(
-                    self.equal(got, d.type),
-                    f"definition {name}: declared {render(d.type)}, "
-                    f"elaborated body has {render(got)}",
-                )
+                if not self.equal(got, d.type):
+                    self.fail(
+                        f"definition {name}: declared {render(d.type)}, "
+                        f"elaborated body has {render(got)}"
+                    )
         except CoreIllTyped as exc:
             return [
                 Diagnostic(
@@ -573,10 +573,10 @@ class CoreChecker:
             self.require(len(e.args) == len(cdecl.fields), f"{e.ctor}: wrong arity")
             for arg, ftype in zip(e.args, cdecl.fields):
                 got = self.infer(arg, env)
-                self.require(
-                    self.equal(got, sub.apply(ftype)),
-                    f"{e.ctor}: field expects {render(sub.apply(ftype))}, got {render(got)}",
-                )
+                if not self.equal(got, sub.apply(ftype)):
+                    self.fail(
+                        f"{e.ctor}: field expects {render(sub.apply(ftype))}, got {render(got)}"
+                    )
             data_ty = Con(data.name, 0, data.module) if not data.params else App(
                 Con(data.name, len(data.params), data.module), tuple(e.tyargs)
             )
@@ -598,10 +598,8 @@ class CoreChecker:
             self.require(self.equal(self.infer(e.cond, env), BOOL), "if condition not Bool")
             t_then = self.infer(e.then, env)
             t_else = self.infer(e.orelse, env)
-            self.require(
-                self.equal(t_then, t_else),
-                f"if branches disagree: {render(t_then)} vs {render(t_else)}",
-            )
+            if not self.equal(t_then, t_else):
+                self.fail(f"if branches disagree: {render(t_then)} vs {render(t_else)}")
             return t_then
         raise AssertionError(type(e))
 
@@ -628,10 +626,8 @@ class CoreChecker:
         )
         for arg, want in zip(e.args, params):
             got = self.infer(arg, env)
-            self.require(
-                self.equal(got, want),
-                f"argument expects {render(want)}, got {render(got)}",
-            )
+            if not self.equal(got, want):
+                self.fail(f"argument expects {render(want)}, got {render(got)}")
         return ret
 
     def _infer_dict(self, e: CDict, env) -> TypeTerm:
@@ -641,19 +637,19 @@ class CoreChecker:
         subjects = tuple(e.subjects)
         expected = concept_field_types(concept, subjects, self.program.concepts)
         expected_names = [name for name, _, _ in expected]
-        self.require(
-            sorted(e.fields) == sorted(expected_names),
-            f"dictionary for {e.concept} has fields {sorted(e.fields)}, "
-            f"wants {sorted(expected_names)}",
-        )
+        if sorted(e.fields) != sorted(expected_names):
+            self.fail(
+                f"dictionary for {e.concept} has fields {sorted(e.fields)}, "
+                f"wants {sorted(expected_names)}"
+            )
         for fname, ftype, _ in expected:
             want = bind_assocs(e.concept, subjects, e.bindings, ftype)
             got = self.infer(e.fields[fname], env)
-            self.require(
-                self.equal(got, want),
-                f"dictionary field {fname} of {e.concept}: expected "
-                f"{render(want)}, got {render(got)}",
-            )
+            if not self.equal(got, want):
+                self.fail(
+                    f"dictionary field {fname} of {e.concept}: expected "
+                    f"{render(want)}, got {render(got)}"
+                )
         return dict_type(concept, subjects)
 
     def _infer_match(self, e: CMatch, env) -> TypeTerm:
@@ -682,11 +678,8 @@ class CoreChecker:
             got = self.infer(body, inner)
             if result is None:
                 result = got
-            else:
-                self.require(
-                    self.equal(got, result),
-                    f"match arms disagree: {render(result)} vs {render(got)}",
-                )
+            elif not self.equal(got, result):
+                self.fail(f"match arms disagree: {render(result)} vs {render(got)}")
         assert result is not None
         return result
 

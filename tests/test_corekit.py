@@ -1,12 +1,17 @@
 """Elaboration to the dictionary-passing core and its type checker."""
 
+import pytest
 from conftest import check_inline
 
 from slc.corekit import (
     CApp,
+    CCtor,
     CDict,
     CGlobal,
+    CIf,
     CLam,
+    CLit,
+    CMatch,
     CProj,
     CVar,
     core_check,
@@ -14,6 +19,7 @@ from slc.corekit import (
     elaborate,
 )
 from slc.evaluator import run_program
+from slc.types import U64
 
 ITER = """\
 module iter
@@ -290,3 +296,52 @@ def test_erasure_leaves_no_constraint_residue():
 
     text = json.dumps(core_to_json(core))
     assert "Conf" not in text and "GivenLeaf" not in text and "ModelNode" not in text
+
+
+ILLTYPED = "core program does not type check (elaborator bug): "
+IDENTITY = """\
+module m
+fn f(x: U64) -> U64 { x }
+fn main() -> Unit { print(show64(f(1:U64))) }
+"""
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (CLit("u8", 1), "definition m.f: declared (U64) -> U64, elaborated body has (U64) -> U8"),
+        (CIf(CLit("bool", True), CLit("u64", 1), CLit("u8", 1)), "if branches disagree: U64 vs U8"),
+        (CApp(CGlobal("m.f"), [CLit("u8", 1)]), "argument expects U64, got U8"),
+        (
+            CMatch(
+                CCtor("std.Option", "None", [U64], []),
+                [("Some", ["y"], CVar("y")), ("None", [], CLit("u8", 0))],
+            ),
+            "match arms disagree: U64 vs U8",
+        ),
+        (
+            CMatch(CCtor("std.Option", "Some", [U64], [CLit("u8", 1)]), [(None, [], CVar("x"))]),
+            "Some: field expects U64, got U8",
+        ),
+    ],
+)
+def test_core_check_messages(body, message):
+    core = build(m=IDENTITY)
+    core.defs["m.f"].expr = CLam([("x", U64)], body)
+    assert [(d.code, d.message) for d in core_check(core)] == [
+        ("E-CORE-ILLTYPED", ILLTYPED + message)
+    ]
+
+
+def test_core_check_dictionary_messages():
+    core = build(iter=ITER)
+    record = core.defs["dict$iter.bytes64"].expr
+    record.fields["next"] = CLam([("it", U64)], CLit("u8", 0))
+    assert [d.message for d in core_check(core)] == [
+        ILLTYPED + "dictionary field next of iter.Iterator: expected "
+        "(U64) -> Option[(U8, U64)], got (U64) -> U8"
+    ]
+    del record.fields["next"]
+    assert [d.message for d in core_check(core)] == [
+        ILLTYPED + "dictionary for iter.Iterator has fields [], wants ['next']"
+    ]
