@@ -198,25 +198,16 @@ def _short(concept_id: str) -> str:
     return concept_id.split(".")[-1]
 
 
-def check_def_site(
-    module: CheckedModule, visible: ModelWorld, policy: CoherencePolicy
-) -> list[Diagnostic]:
-    """Definition-site obligations of `module`'s models under `policy`."""
+def check_def_site(module: CheckedModule, policy: CoherencePolicy) -> list[Diagnostic]:
+    """Definition-site obligations of `module`'s models under `policy`, in
+    the world sema built for it: its own models and its imports'. The
+    scoped policy has none (sema already requires every model to be named)."""
+    if policy.kind == "scoped":
+        return []
     diags: list[Diagnostic] = []
 
     # Per-model shape rules first.
     for m in module.models:
-        if policy.kind == "scoped":
-            if m.name is None:
-                diags.append(
-                    Diagnostic(
-                        "E-NEEDS-NAME",
-                        "the scoped policy requires every model to be named",
-                        m.span,
-                        module=module.name,
-                    )
-                )
-            continue
         if policy.kind == "def-site-strict" and is_blanket_self(m):
             diags.append(
                 Diagnostic(
@@ -227,14 +218,11 @@ def check_def_site(
                 )
             )
         if policy.kind == "def-site-disjoint":
-            diags.extend(check_orphan(m, visible, module.name))
-
-    if policy.kind == "scoped":
-        return diags
+            diags.extend(check_orphan(m))
 
     # Pairwise rules over the visible world, touching this module. The model
     # of this module is blamed; within the module, the earlier-declared one.
-    for m, other, code, why in conflicts(module.models, visible, policy.kind):
+    for m, other, code, why in conflicts(module.models, module.world, policy.kind):
         diags.append(
             Diagnostic(
                 code,
@@ -247,7 +235,7 @@ def check_def_site(
     return diags
 
 
-def check_orphan(m: ModelDecl, visible: ModelWorld, module_name: str) -> list[Diagnostic]:
+def check_orphan(m: ModelDecl) -> list[Diagnostic]:
     """Locality of a model: its concept or an early head constructor is local.
 
     Scanning Self first and then the concept arguments in order, the model is
@@ -267,7 +255,7 @@ def check_orphan(m: ModelDecl, visible: ModelWorld, module_name: str) -> list[Di
                     f"{where} is a bare type variable before any local type "
                     f"({render(head)} could be instantiated by any downstream module)",
                     m.span,
-                    module=module_name,
+                    module=m.module,
                 )
             ]
         con = outermost_con(head)
@@ -281,6 +269,6 @@ def check_orphan(m: ModelDecl, visible: ModelWorld, module_name: str) -> list[Di
             f"nor any outermost head constructor of [{heads}] is defined in "
             f"module {m.module}",
             m.span,
-            module=module_name,
+            module=m.module,
         )
     ]

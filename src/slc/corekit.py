@@ -36,6 +36,7 @@ from .decls import (
     TReqCall,
     TTuple,
     TVarRef,
+    bind_assocs,
 )
 from .diagnostics import Diagnostic, Span
 from .linker import LinkedProgram
@@ -43,7 +44,6 @@ from .resolver import EqLeaf, GivenLeaf, ModelNode
 from .std import BUILTIN_SIGS
 from .types import (
     App,
-    Assoc,
     Con,
     Conf,
     ConstraintTerm,
@@ -198,20 +198,6 @@ def fun_def_name(module: str, name: str) -> str:
 
 def model_def_name(model: ModelDecl) -> str:
     return f"dict${model.module}.{model.name or model.index}"
-
-
-def bind_assocs(
-    concept_id: str, subjects: tuple, bindings: dict[str, TypeTerm], t: TypeTerm
-) -> TypeTerm:
-    """Replace `subjects.member` projections with the model's bindings."""
-    if isinstance(t, Assoc):
-        inner = tuple(bind_assocs(concept_id, subjects, bindings, s) for s in t.subjects)
-        if t.concept == concept_id and inner == subjects and t.member in bindings:
-            return bindings[t.member]
-        return Assoc(t.concept, t.member, inner, t.model_path)
-    if isinstance(t, App):
-        return App(t.head, tuple(bind_assocs(concept_id, subjects, bindings, a) for a in t.args))
-    return t
 
 
 def concept_field_types(

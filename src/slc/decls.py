@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Span
 from .types import (
+    App,
+    Assoc,
     Con,
     ConstraintTerm,
     Substitution,
@@ -155,6 +157,7 @@ class CheckedModule:
     datas: dict[str, DataDecl] = field(default_factory=dict)
     goal_log: list[GoalRecord] = field(default_factory=list)
     span: Span | None = None
+    world: ModelWorld | None = None  # the models visible here, its own last; set by sema
 
     def signature_digest(self) -> str:
         """Canonical rendering used to compare re-checked modules."""
@@ -195,6 +198,27 @@ class CheckedModule:
 
 def _sig_digest(sig: ReqSig) -> str:
     return f"({','.join(render(t) for _, t in sig.params)})->{render(sig.ret)}"
+
+
+def bind_assocs(
+    concept: str, subjects: tuple, bindings: dict[str, TypeTerm], t: TypeTerm
+) -> TypeTerm:
+    """Replace the projections `subjects.member` of `concept` in `t` with
+    `bindings[member]`. A projection already tagged with a model path names
+    its model and is left alone."""
+    if isinstance(t, Assoc):
+        inner = tuple(bind_assocs(concept, subjects, bindings, s) for s in t.subjects)
+        if (
+            t.concept == concept
+            and t.model_path is None
+            and inner == subjects
+            and t.member in bindings
+        ):
+            return bindings[t.member]
+        return Assoc(t.concept, t.member, inner, t.model_path)
+    if isinstance(t, App):
+        return App(t.head, tuple(bind_assocs(concept, subjects, bindings, a) for a in t.args))
+    return t
 
 
 # ---------------------------------------------------------------- model world

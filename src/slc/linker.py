@@ -245,11 +245,7 @@ def check_sources(
         return CheckResult(sort_diagnostics(diags, topo), None, checked, graph)
 
     for name in graph.order:
-        # The closure is in topological order and every import precedes
-        # `name`, so the visible world keeps the (module, declaration) order.
-        visible_models = [m for other in closure[name] + [name] for m in checked[other].models]
-        world = ModelWorld(visible_models, home=name)
-        diags.extend(check_def_site(checked[name], world, policy))
+        diags.extend(check_def_site(checked[name], policy))
     if has_errors(diags):
         return CheckResult(sort_diagnostics(diags, topo), None, checked, graph)
 

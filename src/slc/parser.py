@@ -25,6 +25,12 @@ from . import ast as A
 from .diagnostics import Diagnostic, Span
 from .lexer import LexError, Token, tokenize
 
+# The deepest nesting of expressions and types the parser accepts. One level
+# costs at most four Python frames (parse_expr -> parse_annotated ->
+# parse_app -> parse_atom -> parse_expr), so at this limit the parser stays
+# far below the interpreter's recursion limit; past it, E-PARSE.
+MAX_NESTING = 12_000
+
 
 class ParseError(Exception):
     def __init__(self, diag: Diagnostic):
@@ -37,6 +43,7 @@ class Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.depth = 0  # open parse_expr and parse_type calls
 
     # ------------------------------------------------------------- plumbing
 
@@ -62,6 +69,15 @@ class Parser:
 
     def fail(self, msg: str, span: Span):
         raise ParseError(Diagnostic("E-PARSE", msg, span, module=""))
+
+    def nest(self) -> Token:
+        """Open one nesting level at the next token, which is blamed past
+        MAX_NESTING. Callers close it on success; a failure ends the parse."""
+        tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
+        return tok
 
     def span_from(self, start: Span) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
@@ -296,6 +312,12 @@ class Parser:
     # ------------------------------------------------------------- types
 
     def parse_type(self) -> A.TypeExprAST:
+        self.nest()
+        t = self.parse_type_inner()
+        self.depth -= 1
+        return t
+
+    def parse_type_inner(self) -> A.TypeExprAST:
         start = self.peek().span
         if self.at("("):
             self.advance()
@@ -382,14 +404,17 @@ class Parser:
         return result
 
     def parse_expr(self) -> A.ExprAST:
-        tok = self.peek()
+        tok = self.nest()
         if tok.kind == "fn":
-            return self.parse_lambda()
-        if tok.kind == "match":
-            return self.parse_match()
-        if tok.kind == "if":
-            return self.parse_if()
-        return self.parse_annotated()
+            expr = self.parse_lambda()
+        elif tok.kind == "match":
+            expr = self.parse_match()
+        elif tok.kind == "if":
+            expr = self.parse_if()
+        else:
+            expr = self.parse_annotated()
+        self.depth -= 1
+        return expr
 
     def parse_lambda(self) -> A.ExprAST:
         start = self.expect("fn").span
@@ -452,10 +477,8 @@ class Parser:
         cond = self.parse_expr()
         then = self.parse_block()
         self.expect("else")
-        if self.at("if"):
-            orelse = self.parse_if()
-        else:
-            orelse = self.parse_block()
+        # `else if` goes through parse_expr, so a long chain counts as nesting
+        orelse = self.parse_expr() if self.at("if") else self.parse_block()
         return A.EIf(self.span_from(start), cond, then, orelse)
 
     def parse_annotated(self) -> A.ExprAST:

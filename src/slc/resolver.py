@@ -99,25 +99,31 @@ class ClosedGiven:
 def close_givens(
     givens: list[ConstraintTerm], concepts: dict[str, ConceptDecl]
 ) -> list[ClosedGiven]:
-    """Declared constraints plus everything reachable through refinement."""
+    """Declared constraints plus everything reachable through refinement.
+
+    Each constraint is kept once, at its first path: `Resolver.resolve`
+    takes the first given that matches, so a later copy is never chosen. A
+    path stops at a concept it has already passed through, so cyclic
+    refinement (already an E-NAME), even one that grows its subjects as in
+    `concept G[Self] where G[Option[Self]]`, ends.
+    """
     out: list[ClosedGiven] = []
     seen: set = set()
 
-    def push(c: ConstraintTerm, index: int, via: tuple[int, ...]):
-        key = (repr(c), index, via)
-        if key in seen:
+    def push(c: ConstraintTerm, index: int, via: tuple[int, ...], passed: tuple[str, ...]):
+        if c in seen:
             return
-        seen.add(key)
+        seen.add(c)
         out.append(ClosedGiven(c, index, via))
-        if isinstance(c, Conf) and c.concept in concepts:
+        if isinstance(c, Conf) and c.concept in concepts and c.concept not in passed:
             decl = concepts[c.concept]
             inst = decl.instantiate(c.subjects)
             for j, sup in enumerate(decl.supers):
                 if isinstance(sup, Conf):
-                    push(inst.apply(sup), index, via + (j,))
+                    push(inst.apply(sup), index, via + (j,), passed + (c.concept,))
 
     for i, g in enumerate(givens):
-        push(g, i, ())
+        push(g, i, (), ())
     return out
 
 
@@ -174,13 +180,14 @@ class Resolver:
 
     # ----------------------------------------------------------- helpers
 
-    def _normalize(self, t, givens):
-        return normalize(t, [g.constraint for g in givens if isinstance(g.constraint, Eq)], self.scope)
+    def _normalize(self, t, givens, trace=None):
+        eq_rules = [g.constraint for g in givens if isinstance(g.constraint, Eq)]
+        return normalize(t, eq_rules, self.scope, trace=trace)
 
-    def _norm_constraint(self, c: ConstraintTerm, givens) -> ConstraintTerm:
+    def _norm_constraint(self, c: ConstraintTerm, givens, trace=None) -> ConstraintTerm:
         if isinstance(c, Conf):
             return Conf(c.concept, tuple(self._normalize(s, givens) for s in c.subjects))
-        return Eq(self._normalize(c.lhs, givens), self._normalize(c.rhs, givens))
+        return Eq(self._normalize(c.lhs, givens, trace), self._normalize(c.rhs, givens, trace))
 
     # ----------------------------------------------------------- the engine
 
@@ -191,8 +198,9 @@ class Resolver:
         depth: int | None = None,
     ) -> tuple[Resolution | None, TraceNode, list[Diagnostic]]:
         depth = self.depth if depth is None else depth
+        steps: list[str] = []  # the rewrites that prove an Eq goal, for the trace
         try:
-            wanted = self._norm_constraint(goal.constraint, givens)
+            wanted = self._norm_constraint(goal.constraint, givens, steps)
         except NormDiverge as exc:
             trace = TraceNode(render_constraint(goal.constraint), "norm-diverge", note=str(exc))
             return None, trace, [
@@ -217,15 +225,6 @@ class Resolver:
                 return GivenLeaf(cg.index, cg.via, cg.constraint), trace, []
 
         if isinstance(wanted, Eq):
-            steps: list[str] = []
-            if isinstance(goal.constraint, Eq):
-                # replay the normalization for the trace
-                eq_rules = [g.constraint for g in givens if isinstance(g.constraint, Eq)]
-                try:
-                    normalize(goal.constraint.lhs, eq_rules, self.scope, trace=steps)
-                    normalize(goal.constraint.rhs, eq_rules, self.scope, trace=steps)
-                except NormDiverge:
-                    pass
             lhs = wanted.lhs
             rhs = wanted.rhs
             if lhs == rhs:

@@ -41,6 +41,7 @@ from .decls import (
     TReqCall,
     TTuple,
     TVarRef,
+    bind_assocs,
 )
 from .diagnostics import Diagnostic, Related, Span
 from .resolver import DEFAULT_DEPTH, Goal, Resolver, close_givens
@@ -82,28 +83,6 @@ class SemaAbort(Exception):
     def __init__(self, diag: Diagnostic):
         self.diagnostic = diag
         super().__init__(diag.message)
-
-
-def _bind_own_assocs(model: ModelDecl, t: TypeTerm) -> TypeTerm:
-    """Replace projections on the model's own head with its bindings.
-
-    Requirement signatures instantiate `Self.Member` to a projection over the
-    head as written; inside the model's own bodies that projection means the
-    model's binding, even when the head is generic.
-    """
-    if isinstance(t, Assoc):
-        subjects = tuple(_bind_own_assocs(model, s) for s in t.subjects)
-        if (
-            t.concept == model.concept
-            and t.model_path is None
-            and subjects == tuple(model.head)
-            and t.member in model.assoc
-        ):
-            return model.assoc[t.member]
-        return Assoc(t.concept, t.member, subjects, t.model_path)
-    if isinstance(t, App):
-        return App(t.head, tuple(_bind_own_assocs(model, a) for a in t.args))
-    return t
 
 
 def check_module(
@@ -195,16 +174,16 @@ class ModuleChecker:
         self._check_refinement_cycles(concept_decls)
 
         for index, mast in enumerate(model_asts):
-            model = self._build_model_header(mast, index)
+            model = self.attempt(self._build_model_header, mast, index)
             if model is not None:
                 self.module.models.append(model)
                 if model.name:
                     self.model_names.setdefault(model.name, []).append(model)
 
         world_models = [m for mod in self.visible for m in mod.models] + self.module.models
-        self.world = ModelWorld(world_models, home=self.module.name)
+        self.world = self.module.world = ModelWorld(world_models, home=self.module.name)
 
-        fun_decls: list[FunDecl | None] = [self._build_fun_header(f) for f in fun_asts]
+        fun_decls = [self.attempt(self._build_fun_header, f) for f in fun_asts]
         for decl in fun_decls:
             if decl is not None:
                 self.module.funs[decl.name] = decl
@@ -215,50 +194,55 @@ class ModuleChecker:
 
         for decl, fast in zip(fun_decls, fun_asts):
             if decl is not None:
-                self._check_fun_body(decl, fast)
+                self.attempt(self._check_fun_body, decl, fast)
 
         return self.module, self.diags
 
     def _check_local_name_clashes(self, concepts, datas, funs):
-        seen_types: dict[str, Span] = {}
-        for d in list(concepts) + list(datas):
-            if d.name in seen_types:
-                self.diags.append(
-                    Diagnostic(
+        for decls, what in ((list(concepts) + list(datas), "type-level"), (funs, "function")):
+            seen: dict[str, Span] = {}
+            for d in decls:
+                if d.name in seen:
+                    self.report(
                         "E-NAME",
-                        f"duplicate type-level name '{d.name}' in module {self.ast.name}",
+                        f"duplicate {what} name '{d.name}' in module {self.ast.name}",
                         d.span,
-                        module=self.ast.name,
-                        related=(Related(seen_types[d.name], "first declaration"),),
+                        related=(Related(seen[d.name], "first declaration"),),
                     )
-                )
-            seen_types[d.name] = d.span
-        seen_values: dict[str, Span] = {}
-        for f in funs:
-            if f.name in seen_values:
-                self.diags.append(
-                    Diagnostic(
-                        "E-NAME",
-                        f"duplicate function name '{f.name}' in module {self.ast.name}",
-                        f.span,
-                        module=self.ast.name,
-                        related=(Related(seen_values[f.name], "first declaration"),),
-                    )
-                )
-            seen_values[f.name] = f.span
+                seen[d.name] = d.span
+
+    # ------------------------------------------------------------ diagnostics
+
+    def diag(self, code: str, msg: str, span: Span, related=()) -> Diagnostic:
+        """The one constructor of sema diagnostics: each blames this module."""
+        return Diagnostic(code, msg, span, module=self.ast.name, related=related)
+
+    def report(self, code: str, msg: str, span: Span, related=()):
+        self.diags.append(self.diag(code, msg, span, related))
+
+    def abort(self, code: str, msg: str, span: Span):
+        raise SemaAbort(self.diag(code, msg, span))
+
+    def attempt(self, build, *args):
+        """`build(*args)`, or None once its SemaAbort diagnostic is recorded."""
+        try:
+            return build(*args)
+        except SemaAbort as exc:
+            self.diags.append(exc.diagnostic)
+            return None
 
     # ------------------------------------------------------------ declarations
 
     def _predeclare_data(self, dast: A.DataAST) -> DataDecl:
         params = [Var(p, fresh_uid()) for p in dast.params]
-        decl = DataDecl(self.ast.name, dast.name, params, [], dast.span)
+        decl = DataDecl(self.module.name, dast.name, params, [], dast.span)
         self._index_data(decl)
         return decl
 
     def _predeclare_concept(self, cast: A.ConceptAST) -> ConceptDecl:
         params = [Var(p, fresh_uid()) for p in cast.params]
         decl = ConceptDecl(
-            module=self.ast.name,
+            module=self.module.name,
             name=cast.name,
             params=params,
             supers=[],
@@ -275,20 +259,11 @@ class ModuleChecker:
         seen = set()
         for ctor in dast.ctors:
             if ctor.name in seen:
-                self.diags.append(
-                    Diagnostic(
-                        "E-NAME",
-                        f"duplicate constructor '{ctor.name}'",
-                        ctor.span,
-                        module=self.ast.name,
-                    )
-                )
+                self.report("E-NAME", f"duplicate constructor '{ctor.name}'", ctor.span)
                 continue
             seen.add(ctor.name)
-            try:
-                fields = [self.resolve_type(f, tyvars) for f in ctor.fields]
-            except SemaAbort as exc:
-                self.diags.append(exc.diagnostic)
+            fields = self.attempt(lambda: [self.resolve_type(f, tyvars) for f in ctor.fields])
+            if fields is None:
                 continue
             decl.ctors.append(CtorDecl(ctor.name, fields, ctor.span))
             self.ctor_names.setdefault(ctor.name, []).append((decl, decl.ctors[-1]))
@@ -296,10 +271,8 @@ class ModuleChecker:
     def _fill_concept(self, decl: ConceptDecl, cast: A.ConceptAST):
         tyvars = {v.name: v for v in decl.params}
         for sup in cast.supers:
-            try:
-                constraint = self.resolve_constraint(sup, tyvars)
-            except SemaAbort as exc:
-                self.diags.append(exc.diagnostic)
+            constraint = self.attempt(self.resolve_constraint, sup, tyvars)
+            if constraint is None:
                 continue
             if isinstance(constraint, Conf):
                 extra = [
@@ -308,49 +281,38 @@ class ModuleChecker:
                     if v.uid not in {p.uid for p in decl.params}
                 ]
                 if extra:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-NAME",
-                            "superclass constraints may mention only the concept's parameters",
-                            sup.span,
-                            module=self.ast.name,
-                        )
+                    self.report(
+                        "E-NAME",
+                        "superclass constraints may mention only the concept's parameters",
+                        sup.span,
                     )
                     continue
             decl.supers.append(constraint)
         seen_assoc = set()
         for member in cast.assoc_names:
             if member in seen_assoc:
-                self.diags.append(
-                    Diagnostic(
-                        "E-NAME",
-                        f"duplicate associated type '{member}' in concept {decl.name}",
-                        cast.span,
-                        module=self.ast.name,
-                    )
+                self.report(
+                    "E-NAME",
+                    f"duplicate associated type '{member}' in concept {decl.name}",
+                    cast.span,
                 )
             seen_assoc.add(member)
         for req in cast.requirements:
             if req.name in decl.requirements:
-                self.diags.append(
-                    Diagnostic(
-                        "E-NAME",
-                        f"duplicate requirement '{req.name}' in concept {decl.name}",
-                        req.span,
-                        module=self.ast.name,
-                    )
+                self.report(
+                    "E-NAME", f"duplicate requirement '{req.name}' in concept {decl.name}", req.span
                 )
                 continue
-            try:
-                params = [(n, self.resolve_type(t, tyvars)) for n, t in req.params]
-                ret = self.resolve_type(req.ret, tyvars)
-            except SemaAbort as exc:
-                self.diags.append(exc.diagnostic)
+            sig = self.attempt(self._req_sig, req, tyvars)
+            if sig is None:
                 continue
-            sig = ReqSig(req.name, params, ret, req.span)
             decl.requirements[req.name] = sig
             decl.req_order.append(req.name)
             self.req_names.setdefault(req.name, []).append((decl, sig))
+
+    def _req_sig(self, req: A.ReqSigAST, tyvars: dict[str, Var]) -> ReqSig:
+        params = [(n, self.resolve_type(t, tyvars)) for n, t in req.params]
+        return ReqSig(req.name, params, self.resolve_type(req.ret, tyvars), req.span)
 
     def _check_refinement_cycles(self, local_concepts: list[ConceptDecl]):
         def supers_of(cid: str) -> list[str]:
@@ -365,13 +327,8 @@ class ModuleChecker:
                 cid = stack.pop()
                 for nxt in supers_of(cid):
                     if nxt == start.id:
-                        self.diags.append(
-                            Diagnostic(
-                                "E-NAME",
-                                f"cyclic concept refinement through {start.name}",
-                                start.span,
-                                module=self.ast.name,
-                            )
+                        self.report(
+                            "E-NAME", f"cyclic concept refinement through {start.name}", start.span
                         )
                         stack = []
                         break
@@ -379,162 +336,111 @@ class ModuleChecker:
                         visited.add(nxt)
                         stack.append(nxt)
 
-    def _build_model_header(self, mast: A.ModelAST, index: int) -> ModelDecl | None:
-        try:
-            concept = self.lookup_concept(mast.concept, mast.span)
-            if len(mast.head) != len(concept.params):
-                raise SemaAbort(
-                    Diagnostic(
-                        "E-ARITY",
-                        f"concept {concept.name} expects {len(concept.params)} head types, "
-                        f"got {len(mast.head)}",
-                        mast.span,
-                        module=self.ast.name,
-                    )
-                )
-            implicit: dict[str, Var] = {}
-            head = [self.resolve_type(t, {}, implicit) for t in mast.head]
-            head_vars = list(implicit.values())
-            context = [self.resolve_constraint(c, {}, implicit) for c in mast.context]
-            model = ModelDecl(
-                module=self.ast.name,
-                index=index,
-                name=mast.name,
-                concept=concept.id,
-                head=head,
-                vars=head_vars,
-                context=context,
-                assoc={},
-                span=mast.span,
+    def _build_model_header(self, mast: A.ModelAST, index: int) -> ModelDecl:
+        concept = self.lookup_concept(mast.concept, mast.span)
+        if len(mast.head) != len(concept.params):
+            self.abort(
+                "E-ARITY",
+                f"concept {concept.name} expects {len(concept.params)} head types, "
+                f"got {len(mast.head)}",
+                mast.span,
             )
-            if self.policy.kind == "scoped" and model.name is None:
-                self.diags.append(
-                    Diagnostic(
-                        "E-NEEDS-NAME",
-                        "the scoped policy requires every model to be named",
+        implicit: dict[str, Var] = {}
+        head = [self.resolve_type(t, {}, implicit) for t in mast.head]
+        head_vars = list(implicit.values())
+        context = [self.resolve_constraint(c, {}, implicit) for c in mast.context]
+        model = ModelDecl(
+            module=self.module.name,
+            index=index,
+            name=mast.name,
+            concept=concept.id,
+            head=head,
+            vars=head_vars,
+            context=context,
+            assoc={},
+            span=mast.span,
+        )
+        if self.policy.kind == "scoped" and model.name is None:
+            self.report(
+                "E-NEEDS-NAME", "the scoped policy requires every model to be named", mast.span
+            )
+        head_uids = {v.uid for v in head_vars}
+        for c in context:
+            for v in free_vars(c):
+                if v.uid not in head_uids:
+                    self.report(
+                        "E-NAME",
+                        f"constraint variable '{v.name}' does not occur in the model head",
                         mast.span,
-                        module=self.ast.name,
                     )
+        # Associated-type bindings: each declared member exactly once.
+        bound = set()
+        for bind in mast.assoc_binds:
+            if bind.member not in concept.assoc_names:
+                self.report(
+                    "E-NAME",
+                    f"concept {concept.name} has no associated type '{bind.member}'",
+                    bind.span,
                 )
-            head_uids = {v.uid for v in head_vars}
-            for c in context:
-                for v in free_vars(c):
-                    if v.uid not in head_uids:
-                        self.diags.append(
-                            Diagnostic(
-                                "E-NAME",
-                                f"constraint variable '{v.name}' does not occur in the model head",
-                                mast.span,
-                                module=self.ast.name,
-                            )
-                        )
-            # Associated-type bindings: each declared member exactly once.
-            bound = set()
-            for bind in mast.assoc_binds:
-                if bind.member not in concept.assoc_names:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-NAME",
-                            f"concept {concept.name} has no associated type '{bind.member}'",
-                            bind.span,
-                            module=self.ast.name,
-                        )
+                continue
+            if bind.member in bound:
+                self.report("E-NAME", f"associated type '{bind.member}' bound twice", bind.span)
+                continue
+            bound.add(bind.member)
+            rhs = self.resolve_type(bind.rhs, {v.name: v for v in model.vars})
+            for v in free_vars(rhs):
+                if v.uid not in head_uids:
+                    self.report(
+                        "E-NAME",
+                        f"binding variable '{v.name}' does not occur in the model head",
+                        bind.span,
                     )
-                    continue
-                if bind.member in bound:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-NAME",
-                            f"associated type '{bind.member}' bound twice",
-                            bind.span,
-                            module=self.ast.name,
-                        )
-                    )
-                    continue
-                bound.add(bind.member)
-                rhs = self.resolve_type(bind.rhs, {v.name: v for v in model.vars})
-                for v in free_vars(rhs):
-                    if v.uid not in head_uids:
-                        self.diags.append(
-                            Diagnostic(
-                                "E-NAME",
-                                f"binding variable '{v.name}' does not occur in the model head",
-                                bind.span,
-                                module=self.ast.name,
-                            )
-                        )
-                model.assoc[bind.member] = rhs
-            for member in concept.assoc_names:
-                if member not in bound:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-UNBOUND-ASSOC",
-                            f"model {model.display} leaves associated type "
-                            f"'{member}' of {concept.name} unbound",
-                            mast.span,
-                            module=self.ast.name,
-                        )
-                    )
-            # Requirement coverage by name.
-            given = {b.name for b in mast.bodies}
-            for req in concept.req_order:
-                if req not in given:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-MISSING-REQ",
-                            f"model {model.display} does not implement requirement "
-                            f"'{req}' of {concept.name}",
-                            mast.span,
-                            module=self.ast.name,
-                        )
-                    )
-            for b in mast.bodies:
-                if b.name not in concept.requirements:
-                    self.diags.append(
-                        Diagnostic(
-                            "E-NAME",
-                            f"concept {concept.name} has no requirement '{b.name}'",
-                            b.span,
-                            module=self.ast.name,
-                        )
-                    )
-            return model
-        except SemaAbort as exc:
-            self.diags.append(exc.diagnostic)
-            return None
+            model.assoc[bind.member] = rhs
+        for member in concept.assoc_names:
+            if member not in bound:
+                self.report(
+                    "E-UNBOUND-ASSOC",
+                    f"model {model.display} leaves associated type "
+                    f"'{member}' of {concept.name} unbound",
+                    mast.span,
+                )
+        # Requirement coverage by name.
+        given = {b.name for b in mast.bodies}
+        for req in concept.req_order:
+            if req not in given:
+                self.report(
+                    "E-MISSING-REQ",
+                    f"model {model.display} does not implement requirement "
+                    f"'{req}' of {concept.name}",
+                    mast.span,
+                )
+        for b in mast.bodies:
+            if b.name not in concept.requirements:
+                msg = f"concept {concept.name} has no requirement '{b.name}'"
+                self.report("E-NAME", msg, b.span)
+        return model
 
-    def _build_fun_header(self, fast: A.FunAST) -> FunDecl | None:
-        try:
-            seen = set()
-            typarams = []
-            for p in fast.typarams:
-                if p in seen:
-                    raise SemaAbort(
-                        Diagnostic(
-                            "E-NAME",
-                            f"duplicate type parameter '{p}'",
-                            fast.span,
-                            module=self.ast.name,
-                        )
-                    )
-                seen.add(p)
-                typarams.append(Var(p, fresh_uid()))
-            tyvars = {v.name: v for v in typarams}
-            params = [(n, self.resolve_type(t, tyvars)) for n, t in fast.params]
-            ret = self.resolve_type(fast.ret, tyvars)
-            context = [self.resolve_constraint(c, tyvars) for c in fast.context]
-            return FunDecl(
-                module=self.ast.name,
-                name=fast.name,
-                typarams=typarams,
-                params=params,
-                ret=ret,
-                context=context,
-                span=fast.span,
-            )
-        except SemaAbort as exc:
-            self.diags.append(exc.diagnostic)
-            return None
+    def _build_fun_header(self, fast: A.FunAST) -> FunDecl:
+        seen = set()
+        typarams = []
+        for p in fast.typarams:
+            if p in seen:
+                self.abort("E-NAME", f"duplicate type parameter '{p}'", fast.span)
+            seen.add(p)
+            typarams.append(Var(p, fresh_uid()))
+        tyvars = {v.name: v for v in typarams}
+        params = [(n, self.resolve_type(t, tyvars)) for n, t in fast.params]
+        ret = self.resolve_type(fast.ret, tyvars)
+        context = [self.resolve_constraint(c, tyvars) for c in fast.context]
+        return FunDecl(
+            module=self.module.name,
+            name=fast.name,
+            typarams=typarams,
+            params=params,
+            ret=ret,
+            context=context,
+            span=fast.span,
+        )
 
     # ------------------------------------------------------------ obligations
 
@@ -564,19 +470,17 @@ class ModuleChecker:
             sig = concept.requirements.get(body.name)
             if sig is None:
                 continue  # already reported
+            # Inside the model's own bodies, `Self.Member` over the head as
+            # written means the model's binding, even when the head is generic.
+            own = tuple(model.head)
             inst_params = [
-                (n, _bind_own_assocs(model, inst.apply(t))) for n, t in sig.params
+                (n, bind_assocs(model.concept, own, model.assoc, inst.apply(t)))
+                for n, t in sig.params
             ]
-            inst_ret = _bind_own_assocs(model, inst.apply(sig.ret))
+            inst_ret = bind_assocs(model.concept, own, model.assoc, inst.apply(sig.ret))
             if len(body.params) != len(inst_params):
-                self.diags.append(
-                    Diagnostic(
-                        "E-ARITY",
-                        f"requirement '{body.name}' takes {len(inst_params)} parameters",
-                        body.span,
-                        module=self.ast.name,
-                    )
-                )
+                msg = f"requirement '{body.name}' takes {len(inst_params)} parameters"
+                self.report("E-ARITY", msg, body.span)
                 continue
             try:
                 checker = ExprChecker(
@@ -600,40 +504,25 @@ class ModuleChecker:
                 self.diags.append(exc.diagnostic)
 
     def _check_fun_body(self, decl: FunDecl, fast: A.FunAST):
-        tyvars = {v.name: v for v in decl.typarams}
-        rigid = frozenset(v.uid for v in decl.typarams)
-        try:
-            checker = ExprChecker(
-                self,
-                tyvars=tyvars,
-                rigid=rigid,
-                givens=list(decl.context),
-                owner=f"fn:{decl.name}",
-            )
-            env = {n: t for n, t in decl.params}
-            decl.body = checker.check(fast.body, decl.ret, env)
-            decl.goal_records = checker.records
-        except SemaAbort as exc:
-            self.diags.append(exc.diagnostic)
+        checker = ExprChecker(
+            self,
+            tyvars={v.name: v for v in decl.typarams},
+            rigid=frozenset(v.uid for v in decl.typarams),
+            givens=list(decl.context),
+            owner=f"fn:{decl.name}",
+        )
+        decl.body = checker.check(fast.body, decl.ret, dict(decl.params))
+        decl.goal_records = checker.records
 
     # ------------------------------------------------------------ lookups
 
     def lookup_concept(self, name: str, span: Span) -> ConceptDecl:
         hits = self.concept_names.get(name, [])
         if not hits:
-            raise SemaAbort(
-                Diagnostic("E-NAME", f"unknown concept '{name}'", span, module=self.ast.name)
-            )
+            self.abort("E-NAME", f"unknown concept '{name}'", span)
         if len(hits) > 1:
             mods = ", ".join(sorted(c.module for c in hits))
-            raise SemaAbort(
-                Diagnostic(
-                    "E-NAME",
-                    f"concept name '{name}' is ambiguous (declared in {mods})",
-                    span,
-                    module=self.ast.name,
-                )
-            )
+            self.abort("E-NAME", f"concept name '{name}' is ambiguous (declared in {mods})", span)
         return hits[0]
 
     def _unique(self, table: dict, name: str, what: str, span: Span):
@@ -641,11 +530,7 @@ class ModuleChecker:
         if not hits:
             return None
         if len(hits) > 1:
-            raise SemaAbort(
-                Diagnostic(
-                    "E-NAME", f"{what} name '{name}' is ambiguous", span, module=self.ast.name
-                )
-            )
+            self.abort("E-NAME", f"{what} name '{name}' is ambiguous", span)
         return hits[0]
 
     # ------------------------------------------------------------ types
@@ -681,14 +566,8 @@ class ModuleChecker:
         name = t.base
         if name in tyvars:
             if t.args:
-                raise SemaAbort(
-                    Diagnostic(
-                        "E-ARITY",
-                        f"type variable '{name}' cannot be applied to arguments",
-                        t.span,
-                        module=self.ast.name,
-                    )
-                )
+                msg = f"type variable '{name}' cannot be applied to arguments"
+                self.abort("E-ARITY", msg, t.span)
             return tyvars[name]
         con = BUILTIN_CONS.get(name)
         if con is None:
@@ -698,14 +577,10 @@ class ModuleChecker:
         if con is not None:
             args = [self.resolve_type(a, tyvars, implicit) for a in t.args]
             if len(args) != con.arity:
-                raise SemaAbort(
-                    Diagnostic(
-                        "E-ARITY",
-                        f"type constructor {con.name} expects {con.arity} arguments, "
-                        f"got {len(args)}",
-                        t.span,
-                        module=self.ast.name,
-                    )
+                self.abort(
+                    "E-ARITY",
+                    f"type constructor {con.name} expects {con.arity} arguments, got {len(args)}",
+                    t.span,
                 )
             return App(con, tuple(args)) if args else con
         # A named model as a projection path (scoped policy syntax).
@@ -715,55 +590,29 @@ class ModuleChecker:
                 concept = self.concepts[model.concept]
                 member = t.projections[0]
                 if member not in concept.assoc_names:
-                    raise SemaAbort(
-                        Diagnostic(
-                            "E-NAME",
-                            f"concept {concept.name} has no associated type '{member}'",
-                            t.span,
-                            module=self.ast.name,
-                        )
-                    )
+                    msg = f"concept {concept.name} has no associated type '{member}'"
+                    self.abort("E-NAME", msg, t.span)
                 base = Assoc(concept.id, member, tuple(model.head), model.path)
                 for extra in t.projections[1:]:
                     base = self.make_assoc(base, extra, t.span)
                 return base
         if implicit is not None:
             if t.args:
-                raise SemaAbort(
-                    Diagnostic(
-                        "E-NAME", f"unknown type constructor '{name}'", t.span, module=self.ast.name
-                    )
-                )
+                self.abort("E-NAME", f"unknown type constructor '{name}'", t.span)
             if name not in implicit:
                 implicit[name] = Var(name, fresh_uid())
             return implicit[name]
-        raise SemaAbort(
-            Diagnostic("E-NAME", f"unknown type '{name}'", t.span, module=self.ast.name)
-        )
+        self.abort("E-NAME", f"unknown type '{name}'", t.span)
 
     def make_assoc(self, subject: TypeTerm, member: str, span: Span) -> TypeTerm:
         owners = [
             c for c in self.assoc_names.get(member, []) if len(c.params) == 1
         ]
         if not owners:
-            raise SemaAbort(
-                Diagnostic(
-                    "E-NAME",
-                    f"no visible concept declares an associated type '{member}'",
-                    span,
-                    module=self.ast.name,
-                )
-            )
+            self.abort("E-NAME", f"no visible concept declares an associated type '{member}'", span)
         if len(owners) > 1:
             names = ", ".join(sorted(c.id for c in owners))
-            raise SemaAbort(
-                Diagnostic(
-                    "E-NAME",
-                    f"associated type '{member}' is ambiguous between {names}",
-                    span,
-                    module=self.ast.name,
-                )
-            )
+            self.abort("E-NAME", f"associated type '{member}' is ambiguous between {names}", span)
         concept = owners[0]
         term = Assoc(concept.id, member, (subject,))
         return self._tag_scoped_assoc(term)
@@ -802,14 +651,10 @@ class ModuleChecker:
         assert isinstance(c, A.ConfAST)
         concept = self.lookup_concept(c.concept, c.span)
         if len(c.args) != len(concept.params):
-            raise SemaAbort(
-                Diagnostic(
-                    "E-ARITY",
-                    f"concept {concept.name} takes {len(concept.params)} subjects, "
-                    f"got {len(c.args)}",
-                    c.span,
-                    module=self.ast.name,
-                )
+            self.abort(
+                "E-ARITY",
+                f"concept {concept.name} takes {len(concept.params)} subjects, got {len(c.args)}",
+                c.span,
             )
         subjects = tuple(self.resolve_type(a, tyvars, implicit) for a in c.args)
         return Conf(concept.id, subjects)
@@ -824,26 +669,19 @@ class ModuleChecker:
         span: Span,
         what: str,
     ) -> list[Diagnostic]:
-        """Resolution failures on rigid subjects are missing assumptions."""
-        out = []
+        """Blame this module; resolution failures on rigid subjects are
+        missing assumptions."""
         involves_rigid = any(v.uid in rigid for v in free_vars(constraint))
+        out = []
         for d in diags:
-            if d.code == "E-NO-MODEL" and involves_rigid:
-                out.append(
-                    Diagnostic(
-                        "E-TYPE-MISMATCH",
-                        f"{d.message}; the constraint "
-                        f"{render_constraint(constraint)} is not entailed by the "
-                        f"context of {what}",
-                        d.span,
-                        module=self.ast.name,
-                        related=d.related,
-                    )
+            code, msg = d.code, d.message
+            if code == "E-NO-MODEL" and involves_rigid:
+                code = "E-TYPE-MISMATCH"
+                msg += (
+                    f"; the constraint {render_constraint(constraint)} is not entailed by the "
+                    f"context of {what}"
                 )
-            else:
-                out.append(
-                    Diagnostic(d.code, d.message, d.span, module=self.ast.name, related=d.related)
-                )
+            out.append(self.diag(code, msg, d.span, d.related))
         return out
 
 
@@ -858,9 +696,7 @@ class CalleeSig:
     params: list[TypeTerm]
     ret: TypeTerm
     context: list[ConstraintTerm]
-    target: tuple
-    concept_id: str | None = None
-    member: str | None = None
+    target: tuple  # fun: (module, name); requirement: (concept id, name); as TCall otherwise
 
 
 class ExprChecker:
@@ -883,9 +719,6 @@ class ExprChecker:
 
     # ------------------------------------------------------------- utilities
 
-    def abort(self, code: str, msg: str, span: Span):
-        raise SemaAbort(Diagnostic(code, msg, span, module=self.mc.module.name))
-
     def fn_type_of(self, params, ret) -> TypeTerm:
         return fn_type([t for _, t in params], ret)
 
@@ -893,7 +726,7 @@ class ExprChecker:
         try:
             return normalize(t, [g for g in self.givens if isinstance(g, Eq)], self.mc.world)
         except NormDiverge:
-            self.abort(
+            self.mc.abort(
                 "E-NORM-DIVERGE",
                 f"normalization of {render(t)} did not terminate",
                 span,
@@ -902,17 +735,18 @@ class ExprChecker:
     def require_equal(self, found: TypeTerm, expected: TypeTerm, span: Span, what: str):
         found_n = self.norm(found, span)
         expected_n = self.norm(expected, span)
-        if found_n == expected_n:
-            return
-        e_txt = render(expected)
-        if expected_n != expected:
-            e_txt += f" (= {render(expected_n)})"
-        f_txt = render(found)
-        if found_n != found:
-            f_txt += f" (= {render(found_n)})"
-        self.abort(
+        if found_n != expected_n:
+            self.mismatch(what, (expected, expected_n), (found, found_n), span)
+
+    def mismatch(self, what: str, expected: tuple, found: tuple, span: Span):
+        """E-TYPE-MISMATCH; `expected` and `found` are (type, normal form)."""
+
+        def show(t: TypeTerm, t_n: TypeTerm) -> str:
+            return render(t) if t_n == t else f"{render(t)} (= {render(t_n)})"
+
+        self.mc.abort(
             "E-TYPE-MISMATCH",
-            f"type mismatch in {what}: expected {e_txt}, found {f_txt}",
+            f"type mismatch in {what}: expected {show(*expected)}, found {show(*found)}",
             span,
         )
 
@@ -931,80 +765,39 @@ class ExprChecker:
     # ------------------------------------------------------------- callables
 
     def _callee_sig(self, name: str, span: Span) -> CalleeSig | None:
+        """The signature of the callee `name`, over fresh type variables."""
         mc = self.mc
         fun = mc._unique(mc.fun_names, name, "function", span)
         req = mc._unique(mc.req_names, name, "requirement", span)
         ctor = mc._unique(mc.ctor_names, name, "constructor", span)
         hits = [x for x in (fun, req, ctor) if x is not None]
         if len(hits) > 1:
-            self.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
-        builtin = BUILTIN_SIGS.get(name) if not hits else None
+            self.mc.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
         if fun is not None:
-            fresh, _, fresh_vars = freshen(
-                (tuple(t for _, t in fun.params), fun.ret, tuple(fun.context)), fun.typarams
-            )
-            fparams, fret, fctx = fresh
-            return CalleeSig(
-                kind="fun",
-                display=fun.name,
-                tyvars=fresh_vars,
-                params=list(fparams),
-                ret=fret,
-                context=list(fctx),
-                target=(fun.module, fun.name),
-            )
-        if req is not None:
+            kind, display, target = "fun", fun.name, (fun.module, fun.name)
+            tyvars, params = fun.typarams, [t for _, t in fun.params]
+            ret, context = fun.ret, fun.context
+        elif req is not None:
             concept, sig = req
-            fresh, _, fresh_vars = freshen(
-                (tuple(t for _, t in sig.params), sig.ret, tuple(concept.params)),
-                concept.params,
-            )
-            fparams, fret, fsubjects = fresh
-            return CalleeSig(
-                kind="requirement",
-                display=f"{concept.name}.{sig.name}",
-                tyvars=fresh_vars,
-                params=list(fparams),
-                ret=fret,
-                context=[Conf(concept.id, tuple(fsubjects))],
-                target=(concept.id, sig.name),
-                concept_id=concept.id,
-                member=sig.name,
-            )
-        if ctor is not None:
+            kind, target = "requirement", (concept.id, sig.name)
+            display = f"{concept.name}.{sig.name}"
+            tyvars, params, ret = concept.params, [t for _, t in sig.params], sig.ret
+            context = [Conf(concept.id, tuple(concept.params))]
+        elif ctor is not None:
             data, cdecl = ctor
-            data_ty = (
-                App(Con(data.name, len(data.params), data.module), tuple(data.params))
-                if data.params
-                else Con(data.name, 0, data.module)
-            )
-            fresh, _, fresh_vars = freshen(
-                (tuple(cdecl.fields), data_ty), data.params
-            )
-            ffields, fdata = fresh
-            return CalleeSig(
-                kind="ctor",
-                display=cdecl.name,
-                tyvars=fresh_vars,
-                params=list(ffields),
-                ret=fdata,
-                context=[],
-                target=(data.id, cdecl.name),
-            )
-        if builtin is not None:
-            typs, params, ret = builtin
-            fresh, _, fresh_vars = freshen((tuple(params), ret), typs)
-            fparams, fret = fresh
-            return CalleeSig(
-                kind="builtin",
-                display=name,
-                tyvars=fresh_vars,
-                params=list(fparams),
-                ret=fret,
-                context=[],
-                target=(name,),
-            )
-        return None
+            con = Con(data.name, len(data.params), data.module)
+            kind, display, target = "ctor", cdecl.name, (data.id, cdecl.name)
+            tyvars, params, context = data.params, cdecl.fields, []
+            ret = App(con, tuple(data.params)) if data.params else con
+        elif name in BUILTIN_SIGS:
+            kind, display, target = "builtin", name, (name,)
+            tyvars, params, ret = BUILTIN_SIGS[name]
+            context = []
+        else:
+            return None
+        fresh, _, fresh_vars = freshen((tuple(params), ret, tuple(context)), tyvars)
+        params, ret, context = fresh
+        return CalleeSig(kind, display, fresh_vars, list(params), ret, list(context), target)
 
     def _is_deferred(self, e: A.ExprAST) -> bool:
         if isinstance(e, (A.ELambda, A.EMatch, A.EIf, A.ELet)):
@@ -1063,7 +856,7 @@ class ExprChecker:
         expected: TypeTerm | None,
     ) -> TExpr:
         if len(args) != len(sig.params):
-            self.abort(
+            self.mc.abort(
                 "E-ARITY",
                 f"{sig.display} takes {len(sig.params)} arguments, got {len(args)}",
                 span,
@@ -1076,19 +869,8 @@ class ExprChecker:
         def absorb(pattern: TypeTerm, target: TypeTerm, where: Span, what: str):
             if not self._match_lenient(pattern, target, binding, flexible, where):
                 pat = binding.apply(pattern)
-                e_txt = render(pat)
-                pat_n = self.norm(pat, where)
-                if pat_n != pat:
-                    e_txt += f" (= {render(pat_n)})"
-                f_txt = render(target)
-                tgt_n = self.norm(target, where)
-                if tgt_n != target:
-                    f_txt += f" (= {render(tgt_n)})"
-                self.abort(
-                    "E-TYPE-MISMATCH",
-                    f"type mismatch in {what}: expected {e_txt}, found {f_txt}",
-                    where,
-                )
+                expected = (pat, self.norm(pat, where))
+                self.mismatch(what, expected, (target, self.norm(target, where)), where)
 
         def undetermined(t: TypeTerm) -> bool:
             return any(v.uid in flexible for v in free_vars(binding.apply(t)))
@@ -1105,7 +887,7 @@ class ExprChecker:
         unbound = [v for v in sig.tyvars if v.uid not in binding.bindings]
         if unbound:
             names = ", ".join(v.name for v in unbound)
-            self.abort(
+            self.mc.abort(
                 "E-CANNOT-INFER",
                 f"cannot infer type parameter(s) {names} of {sig.display}; "
                 f"add an annotation",
@@ -1129,21 +911,10 @@ class ExprChecker:
         result = binding.apply(sig.ret)
         tyargs = [binding.apply(v) for v in sig.tyvars]
         if sig.kind == "requirement":
-            subjects = list(tyargs)
-            return TReqCall(
-                span,
-                result,
-                sig.concept_id,
-                sig.member,
-                subjects,
-                resolutions[0],
-                list(checked),
-            )
-        if sig.kind == "fun":
-            return TCall(span, result, "fun", sig.target, tyargs, resolutions, list(checked))
-        if sig.kind == "ctor":
-            return TCall(span, result, "ctor", sig.target, tyargs, [], list(checked))
-        return TCall(span, result, "builtin", sig.target, tyargs, [], list(checked))
+            concept_id, member = sig.target
+            return TReqCall(span, result, concept_id, member, tyargs, resolutions[0], list(checked))
+        # constructors and builtins have no context, so no resolutions
+        return TCall(span, result, sig.kind, sig.target, tyargs, resolutions, list(checked))
 
     # ------------------------------------------------------------- synthesis
 
@@ -1154,7 +925,7 @@ class ExprChecker:
             return self._synth_global(e, env)
         if isinstance(e, A.EInt):
             if e.width is None:
-                self.abort(
+                self.mc.abort(
                     "E-CANNOT-INFER",
                     "integer literal needs a width (write e.g. `0:U64` or `0:U8`)",
                     e.span,
@@ -1179,20 +950,14 @@ class ExprChecker:
         if isinstance(e, A.EAnnot):
             ty = self.mc.resolve_type(e.annot, self.tyvars)
             return ty, self.check(e.expr, ty, env)
-        if isinstance(e, A.ELet):
-            return self._synth_let(e, env)
-        if isinstance(e, A.EIf):
-            cond = self.check(e.cond, BOOL, env)
-            t_then, x_then = self.synth(e.then, env)
-            x_else = self.check(e.orelse, t_then, env)
-            return t_then, TIf(e.span, t_then, cond, x_then, x_else)
-        if isinstance(e, A.EMatch):
-            return self._synth_match(e, env)
+        if isinstance(e, (A.ELet, A.EIf, A.EMatch)):
+            tex = self._branching(e, env, None)
+            return tex.type, tex
         if isinstance(e, A.ELambda):
             params = []
             for name, annot in e.params:
                 if annot is None:
-                    self.abort(
+                    self.mc.abort(
                         "E-CANNOT-INFER",
                         f"lambda parameter '{name}' needs a type annotation here",
                         e.span,
@@ -1212,13 +977,13 @@ class ExprChecker:
         if ctor is not None:
             data, cdecl = ctor
             if cdecl.fields:
-                self.abort(
+                self.mc.abort(
                     "E-ARITY",
                     f"constructor {name} takes {len(cdecl.fields)} arguments; apply it",
                     e.span,
                 )
             if data.params:
-                self.abort(
+                self.mc.abort(
                     "E-CANNOT-INFER",
                     f"cannot infer the type arguments of {name}; annotate it",
                     e.span,
@@ -1228,7 +993,7 @@ class ExprChecker:
         fun = mc._unique(mc.fun_names, name, "function", e.span)
         if fun is not None:
             if fun.is_generic:
-                self.abort(
+                self.mc.abort(
                     "E-CANNOT-INFER",
                     f"generic function {name} can only be used fully applied",
                     e.span,
@@ -1239,7 +1004,7 @@ class ExprChecker:
         if builtin is not None:
             typs, params, ret = builtin
             if typs:
-                self.abort(
+                self.mc.abort(
                     "E-CANNOT-INFER",
                     f"builtin {name} is generic and must be applied directly",
                     e.span,
@@ -1247,12 +1012,12 @@ class ExprChecker:
             ty = fn_type(list(params), ret)
             return ty, TBuiltinRef(e.span, ty, name)
         if mc.req_names.get(name):
-            self.abort(
+            self.mc.abort(
                 "E-NAME",
                 f"requirement '{name}' must be applied to arguments",
                 e.span,
             )
-        self.abort("E-NAME", f"unknown name '{name}'", e.span)
+        self.mc.abort("E-NAME", f"unknown name '{name}'", e.span)
 
     def _synth_app(
         self, e: A.EApp, env, expected: TypeTerm | None
@@ -1260,21 +1025,21 @@ class ExprChecker:
         if isinstance(e.fn, A.EVar) and e.fn.name not in env:
             sig = self._callee_sig(e.fn.name, e.fn.span)
             if sig is None:
-                self.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
+                self.mc.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
             tex = self._apply_sig(sig, e.span, list(e.args), env, expected)
             return tex.type, tex
         t_fn, x_fn = self.synth(e.fn, env)
         t_fn_n = self.norm(t_fn, e.span)
         split = split_fn_type(t_fn_n)
         if split is None:
-            self.abort(
+            self.mc.abort(
                 "E-TYPE-MISMATCH",
                 f"expression of type {render(t_fn)} is not callable",
                 e.span,
             )
         params, ret = split
         if len(params) != len(e.args):
-            self.abort(
+            self.mc.abort(
                 "E-ARITY",
                 f"function expects {len(params)} arguments, got {len(e.args)}",
                 e.span,
@@ -1282,19 +1047,41 @@ class ExprChecker:
         args = [self.check(a, p, env) for a, p in zip(e.args, params)]
         return ret, TCallExpr(e.span, ret, x_fn, args)
 
-    def _synth_let(self, e: A.ELet, env) -> tuple[TypeTerm, TExpr]:
-        bound_t, bound_x = self._check_let_bound(e, env)
+    def _branching(self, e: A.ELet | A.EIf | A.EMatch, env, expected: TypeTerm | None) -> TExpr:
+        """Check a let, if or match against `expected`. When `expected` is
+        None, the first branch's type is synthesized (the let body, the
+        then-block, the first arm) and the other branches are checked
+        against it."""
+
+        def branch(body: A.ExprAST, env) -> TExpr:
+            nonlocal expected
+            if expected is None:
+                expected, tex = self.synth(body, env)
+                return tex
+            return self.check(body, expected, env)
+
+        if isinstance(e, A.EIf):
+            cond = self.check(e.cond, BOOL, env)
+            x_then = branch(e.then, env)
+            return TIf(e.span, expected, cond, x_then, branch(e.orelse, env))
+        if isinstance(e, A.EMatch):
+            t_scrut, x_scrut = self.synth(e.scrutinee, env)
+            data, inst = self._scrutinee_data(t_scrut, e.scrutinee.span)
+            arms: list[TArm] = []
+            for arm in e.arms:
+                arm_env, (ctor_key, binders, btypes) = self._bind_arm(arm, data, inst, env)
+                arms.append(TArm(ctor_key, binders, btypes, branch(arm.body, arm_env)))
+            return TMatch(e.span, expected, x_scrut, arms)
+        if e.annot is not None:
+            bound_t = self.mc.resolve_type(e.annot, self.tyvars)
+            bound_x = self.check(e.bound, bound_t, env)
+        else:
+            bound_t, bound_x = self.synth(e.bound, env)
         inner = dict(env)
         if e.name != "_":
             inner[e.name] = bound_t
-        t_body, x_body = self.synth(e.body, inner)
-        return t_body, TLet(e.span, t_body, e.name, bound_x, x_body)
-
-    def _check_let_bound(self, e: A.ELet, env) -> tuple[TypeTerm, TExpr]:
-        if e.annot is not None:
-            ty = self.mc.resolve_type(e.annot, self.tyvars)
-            return ty, self.check(e.bound, ty, env)
-        return self.synth(e.bound, env)
+        x_body = branch(e.body, inner)
+        return TLet(e.span, expected, e.name, bound_x, x_body)
 
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
@@ -1310,40 +1097,24 @@ class ExprChecker:
             if data is not None:
                 inst = Substitution({v.uid: a for v, a in zip(data.params, args)})
                 return data, inst
-        self.abort(
+        self.mc.abort(
             "E-TYPE-MISMATCH",
             f"match scrutinee has type {render(t)}, which is not a sum type",
             span,
         )
-
-    def _synth_match(self, e: A.EMatch, env) -> tuple[TypeTerm, TExpr]:
-        t_scrut, x_scrut = self.synth(e.scrutinee, env)
-        data, inst = self._scrutinee_data(t_scrut, e.scrutinee.span)
-        result_t: TypeTerm | None = None
-        arms: list[TArm] = []
-        for arm in e.arms:
-            arm_env, tarm_info = self._bind_arm(arm, data, inst, env)
-            if result_t is None:
-                result_t, x_body = self.synth(arm.body, arm_env)
-            else:
-                x_body = self.check(arm.body, result_t, arm_env)
-            ctor_key, binders, btypes = tarm_info
-            arms.append(TArm(ctor_key, binders, btypes, x_body))
-        assert result_t is not None
-        return result_t, TMatch(e.span, result_t, x_scrut, arms)
 
     def _bind_arm(self, arm: A.EMatchArm, data: DataDecl, inst: Substitution, env):
         if arm.ctor is None:
             return dict(env), (None, [], [])
         cdecl = data.ctor(arm.ctor)
         if cdecl is None:
-            self.abort(
+            self.mc.abort(
                 "E-NAME",
                 f"'{arm.ctor}' is not a constructor of {data.name}",
                 arm.span,
             )
         if len(arm.binders) != len(cdecl.fields):
-            self.abort(
+            self.mc.abort(
                 "E-ARITY",
                 f"constructor {arm.ctor} has {len(cdecl.fields)} fields, "
                 f"pattern binds {len(arm.binders)}",
@@ -1363,37 +1134,17 @@ class ExprChecker:
     def check(self, e: A.ExprAST, expected: TypeTerm, env: dict[str, TypeTerm]) -> TExpr:
         if isinstance(e, A.ELambda):
             return self._check_lambda(e, expected, env)
-        if isinstance(e, A.EMatch):
-            t_scrut, x_scrut = self.synth(e.scrutinee, env)
-            data, inst = self._scrutinee_data(t_scrut, e.scrutinee.span)
-            arms = []
-            for arm in e.arms:
-                arm_env, info = self._bind_arm(arm, data, inst, env)
-                x_body = self.check(arm.body, expected, arm_env)
-                ctor_key, binders, btypes = info
-                arms.append(TArm(ctor_key, binders, btypes, x_body))
-            return TMatch(e.span, expected, x_scrut, arms)
-        if isinstance(e, A.EIf):
-            cond = self.check(e.cond, BOOL, env)
-            x_then = self.check(e.then, expected, env)
-            x_else = self.check(e.orelse, expected, env)
-            return TIf(e.span, expected, cond, x_then, x_else)
-        if isinstance(e, A.ELet):
-            bound_t, bound_x = self._check_let_bound(e, env)
-            inner = dict(env)
-            if e.name != "_":
-                inner[e.name] = bound_t
-            x_body = self.check(e.body, expected, inner)
-            return TLet(e.span, expected, e.name, bound_x, x_body)
+        if isinstance(e, (A.ELet, A.EIf, A.EMatch)):
+            return self._branching(e, env, expected)
         if isinstance(e, A.EInt) and e.width is None:
             expected_n = self.norm(expected, e.span)
             if expected_n == U64:
                 return TLit(e.span, U64, "u64", e.value)
             if expected_n == U8:
                 if e.value >= 2**8:
-                    self.abort("E-TYPE-MISMATCH", "literal out of range for U8", e.span)
+                    self.mc.abort("E-TYPE-MISMATCH", "literal out of range for U8", e.span)
                 return TLit(e.span, U8, "u8", e.value)
-            self.abort(
+            self.mc.abort(
                 "E-TYPE-MISMATCH",
                 f"integer literal cannot have type {render(expected)}",
                 e.span,
@@ -1411,7 +1162,7 @@ class ExprChecker:
         if isinstance(e, A.EApp) and isinstance(e.fn, A.EVar) and e.fn.name not in env:
             sig = self._callee_sig(e.fn.name, e.fn.span)
             if sig is None:
-                self.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
+                self.mc.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
             tex = self._apply_sig(sig, e.span, list(e.args), env, expected)
             self.require_equal(tex.type, expected, e.span, "this expression")
             return tex
@@ -1434,14 +1185,14 @@ class ExprChecker:
         expected_n = self.norm(expected, e.span)
         split = split_fn_type(expected_n)
         if split is None:
-            self.abort(
+            self.mc.abort(
                 "E-TYPE-MISMATCH",
                 f"lambda cannot have non-function type {render(expected)}",
                 e.span,
             )
         want_params, want_ret = split
         if len(want_params) != len(e.params):
-            self.abort(
+            self.mc.abort(
                 "E-ARITY",
                 f"lambda takes {len(e.params)} parameters but its type wants "
                 f"{len(want_params)}",

@@ -294,22 +294,6 @@ model wrapped: SC[Wrap[a]] where SC[a] { fn sc(x: Wrap[a]) -> String { "w" } }
     assert not is_duplicate(models["blanket"], models["concrete"])
 
 
-def test_check_def_site_scoped_requires_names_directly():
-    from slc.coherence import CoherencePolicy, check_def_site
-    from slc.decls import ModelWorld
-
-    result = check_inline("use-site", m="""\
-module m
-concept C[Self] { fn f(x: Self) -> Self }
-model C[U64] { fn f(x: U64) -> U64 { x } }
-""")
-    assert result.ok
-    module = result.modules["m"]
-    world = ModelWorld(module.models, home="m")
-    diags = check_def_site(module, world, CoherencePolicy("scoped"))
-    assert [d.code for d in diags] == ["E-NEEDS-NAME"]
-
-
 # ---------------------------------------------------------------- pair blame
 
 TO_TEXT_U64 = 'model {name}: ToText[U64] {{ fn toText(x: U64) -> String {{ "{name}" }} }}\n'

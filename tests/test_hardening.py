@@ -267,3 +267,118 @@ fn appKeyOf() -> U64.Key { 7:U8 }
     app_fn = result.modules["app"].funs["appKeyOf"]
     assert render(lib_fn.ret) == "lib.libKey.Key"
     assert render(app_fn.ret) == "app.appKey.Key"  # inner model shadows the import
+
+
+CYCLIC_REFINEMENT = {
+    "self": (
+        "concept S[Self] where S[Self] { fn s(x: Self) -> Self }\n"
+        "fn g[t](x: t) -> t where S[t] { x }\n",
+        ["E-NAME"],
+    ),
+    "two-concept": (
+        "concept A[Self] where B[Self] { fn a(x: Self) -> Self }\n"
+        "concept B[Self] where A[Self] { fn b(x: Self) -> Self }\n"
+        "fn f[t](x: t) -> t where A[t] { x }\n",
+        ["E-NAME", "E-NAME"],
+    ),
+    "growing": (
+        "concept G[Self] where G[Option[Self]] { fn s(x: Self) -> Self }\n"
+        "fn g[t](x: t) -> t where G[t] { x }\n",
+        ["E-NAME"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLIC_REFINEMENT))
+def test_cyclic_refinement_stops_at_its_diagnostics(case, tmp_path):
+    """Closing a `where` clause under a cyclic refinement terminates. The
+    child runs under a 1 GB address-space cap and a 20 s timeout, so a
+    regression fails here instead of exhausting memory."""
+    import json
+    import resource
+    import subprocess
+    import sys
+
+    from conftest import slc_env
+
+    body, expected = CYCLIC_REFINEMENT[case]
+    path = tmp_path / "cyc.sl"
+    path.write_text("module cyc\n" + body)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "slc", "check", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        env=slc_env(),
+        preexec_fn=cap_memory,
+        timeout=20,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    diags = json.loads(proc.stdout)
+    assert [d["code"] for d in diags] == expected
+    assert all("cyclic concept refinement" in d["message"] for d in diags)
+
+
+def _nested_parens(levels: int) -> str:
+    return (
+        "module deep\n"
+        "fn main() -> Unit { print(show64(" + "(" * levels + "1:U64" + ")" * levels + ")) }\n"
+    )
+
+
+def test_nesting_past_the_parser_limit_is_a_parse_error(tmp_path, capsys):
+    """30,000 nested parentheses once escaped `slc.cli.main` as a
+    RecursionError; the parser's nesting limit reports E-PARSE instead."""
+    import json
+
+    from slc.cli import main
+
+    path = tmp_path / "deep.sl"
+    path.write_text(_nested_parens(30_000))
+    assert main(["check", "--json", str(path)]) == 1
+    [diag] = json.loads(capsys.readouterr().out)
+    assert diag["code"] == "E-PARSE"
+    assert "nesting exceeds the parser limit" in diag["message"]
+    assert diag["span"]["start"][0] == 2  # on an opening parenthesis of line 2
+
+
+def test_ten_thousand_nested_parentheses_still_check(tmp_path, capsys):
+    from slc.cli import main
+    from slc.parser import MAX_NESTING
+
+    assert MAX_NESTING >= 10_000
+    path = tmp_path / "deep.sl"
+    path.write_text(_nested_parens(10_000))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+# Every way to nest, one level past a lowered limit; names need not resolve,
+# the parser alone is under test. At the real limit the costliest construct
+# in Python frames, parentheses, is the 30,000-level test above.
+NESTING_CONSTRUCTS = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "call": lambda n: "f(" * n + "x" + ")" * n,
+    "lambda": lambda n: "fn(x)=>" * n + "x",
+    "else-if": lambda n: "if a {b} else " * n + "{b}",
+    "if-block": lambda n: "if a {" * n + "b" + "} else {b}" * n,
+    "match": lambda n: "match x {_=>" * n + "x" + "}" * n,
+    "type-args": lambda n: "x:" + "O[" * n + "U" + "]" * n,
+    "type-parens": lambda n: "x:" + "(" * n + "U" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("construct", sorted(NESTING_CONSTRUCTS))
+def test_every_nesting_construct_counts_towards_the_limit(construct, monkeypatch):
+    from slc import parser
+
+    monkeypatch.setattr(parser, "MAX_NESTING", 200)
+    make = NESTING_CONSTRUCTS[construct]
+    assert not isinstance(parse_module(f"module m\nfn f() -> U {{ {make(150)} }}", "m.sl"), list)
+    result = parse_module(f"module m\nfn f() -> U {{ {make(201)} }}", "m.sl")
+    assert isinstance(result, list)
+    assert [d.code for d in result] == ["E-PARSE"]
+    assert result[0].message == "nesting exceeds the parser limit of 200 levels"

@@ -282,3 +282,23 @@ fn main() -> Unit { let x = convert(5:U64); print("?") }
     result = check_inline(m=src)
     assert not result.ok
     assert "E-CANNOT-INFER" in codes(result)
+
+
+def test_bind_assocs_binds_own_projections_and_leaves_tagged_ones_alone():
+    from slc.decls import bind_assocs
+    from slc.types import OPTION, STRING, U64, App, Assoc, Var, fresh_uid
+
+    t = Var("t", fresh_uid())
+    own = (App(OPTION, (t,)),)
+    bindings = {"Item": U64}
+    projection = Assoc("m.C", "Item", own)
+    # `Self.Item` over the head as written becomes the binding, also nested
+    assert bind_assocs("m.C", own, bindings, App(OPTION, (projection,))) == App(OPTION, (U64,))
+    # a projection tagged with a model path names its own model
+    tagged = Assoc("m.C", "Item", own, "m.named")
+    assert bind_assocs("m.C", own, bindings, tagged) == tagged
+    # another concept, other subjects or an unbound member stay projections
+    for other in (Assoc("m.D", "Item", own), Assoc("m.C", "Item", (t,)), STRING):
+        assert bind_assocs("m.C", own, bindings, other) == other
+    unbound = Assoc("m.C", "Other", (projection,))
+    assert bind_assocs("m.C", own, bindings, unbound) == Assoc("m.C", "Other", (U64,))
