@@ -120,7 +120,6 @@ class ModuleChecker:
         self.req_names: dict[str, list[tuple[ConceptDecl, ReqSig]]] = {}
         self.assoc_names: dict[str, list[ConceptDecl]] = {}
         self.model_names: dict[str, list[ModelDecl]] = {}
-        self.world: ModelWorld | None = None
 
         for mod in self.visible:
             self._index_module(mod)
@@ -181,7 +180,7 @@ class ModuleChecker:
                     self.model_names.setdefault(model.name, []).append(model)
 
         world_models = [m for mod in self.visible for m in mod.models] + self.module.models
-        self.world = self.module.world = ModelWorld(world_models, home=self.module.name)
+        self.module.world = ModelWorld(world_models, home=self.module.name)
 
         fun_decls = [self.attempt(self._build_fun_header, f) for f in fun_asts]
         for decl in fun_decls:
@@ -450,7 +449,7 @@ class ModuleChecker:
         inst_supers = [inst.apply(s) for s in concept.supers]
         givens = list(model.context) + inst_supers
         rigid = frozenset(v.uid for v in model.vars)
-        resolver = Resolver(self.world, self.concepts, self.policy, self.depth)
+        resolver = Resolver(self.module.world, self.concepts, self.policy, self.depth)
         closed = close_givens(list(model.context), self.concepts)
 
         for sup in inst_supers:
@@ -622,17 +621,18 @@ class ModuleChecker:
         unique named model in scope."""
         if self.policy.kind != "scoped" or term.model_path is not None:
             return term
-        if self.world is None or not all(is_ground(s) for s in term.subjects):
+        world = self.module.world  # None while model headers are built
+        if world is None or not all(is_ground(s) for s in term.subjects):
             return term
         matching = [
             m
-            for m in self.world.models_like(term.concept, term.subjects[0])
+            for m in world.models_like(term.concept, term.subjects[0])
             if m.name and term.member in m.assoc and m.match(term.subjects) is not None
         ]
         if not matching:
             return term
-        best = min(self.world.scope_level(m) for m in matching)
-        level = [m for m in matching if self.world.scope_level(m) == best]
+        best = min(world.scope_level(m) for m in matching)
+        level = [m for m in matching if world.scope_level(m) == best]
         if len(level) == 1:
             return Assoc(term.concept, term.member, term.subjects, level[0].path)
         return term
@@ -715,7 +715,7 @@ class ExprChecker:
         self.closed = close_givens(list(givens), mc.concepts)
         self.owner = owner
         self.records: list[GoalRecord] = []
-        self.resolver = Resolver(mc.world, mc.concepts, mc.policy, mc.depth)
+        self.resolver = Resolver(mc.module.world, mc.concepts, mc.policy, mc.depth)
 
     # ------------------------------------------------------------- utilities
 
@@ -724,7 +724,7 @@ class ExprChecker:
 
     def norm(self, t: TypeTerm, span: Span) -> TypeTerm:
         try:
-            return normalize(t, [g for g in self.givens if isinstance(g, Eq)], self.mc.world)
+            return normalize(t, [g for g in self.givens if isinstance(g, Eq)], self.mc.module.world)
         except NormDiverge:
             self.mc.abort(
                 "E-NORM-DIVERGE",
