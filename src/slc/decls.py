@@ -206,19 +206,16 @@ def bind_assocs(
     """Replace the projections `subjects.member` of `concept` in `t` with
     `bindings[member]`. A projection already tagged with a model path names
     its model and is left alone."""
-    if isinstance(t, Assoc):
-        inner = tuple(bind_assocs(concept, subjects, bindings, s) for s in t.subjects)
-        if (
-            t.concept == concept
-            and t.model_path is None
-            and inner == subjects
-            and t.member in bindings
-        ):
-            return bindings[t.member]
-        return Assoc(t.concept, t.member, inner, t.model_path)
-    if isinstance(t, App):
-        return App(t.head, tuple(bind_assocs(concept, subjects, bindings, a) for a in t.args))
-    return t
+
+    def go(x: TypeTerm) -> TypeTerm:
+        if not x.has_assoc:
+            return x
+        x = x.map(go)
+        if isinstance(x, Assoc) and (x.concept, x.subjects, x.model_path) == (concept, subjects, None):
+            return bindings.get(x.member, x)
+        return x
+
+    return go(t)
 
 
 # ---------------------------------------------------------------- model world

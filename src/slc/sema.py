@@ -44,7 +44,7 @@ from .decls import (
     bind_assocs,
 )
 from .diagnostics import Diagnostic, Related, Span
-from .resolver import DEFAULT_DEPTH, Goal, Resolver, close_givens
+from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver, close_givens
 from .std import BUILTIN_SIGS, STD_MODULE
 from .types import (
     BOOL,
@@ -68,7 +68,6 @@ from .types import (
     free_vars,
     fresh_uid,
     freshen,
-    is_ground,
     normalize,
     pair_type,
     render,
@@ -276,7 +275,7 @@ class ModuleChecker:
             if isinstance(constraint, Conf):
                 extra = [
                     v
-                    for v in free_vars(constraint)
+                    for v in constraint.fvs
                     if v.uid not in {p.uid for p in decl.params}
                 ]
                 if extra:
@@ -365,7 +364,7 @@ class ModuleChecker:
             )
         head_uids = {v.uid for v in head_vars}
         for c in context:
-            for v in free_vars(c):
+            for v in c.fvs:
                 if v.uid not in head_uids:
                     self.report(
                         "E-NAME",
@@ -387,7 +386,7 @@ class ModuleChecker:
                 continue
             bound.add(bind.member)
             rhs = self.resolve_type(bind.rhs, {v.name: v for v in model.vars})
-            for v in free_vars(rhs):
+            for v in rhs.fvs:
                 if v.uid not in head_uids:
                     self.report(
                         "E-NAME",
@@ -456,12 +455,7 @@ class ModuleChecker:
             res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span), closed)
             record = GoalRecord(model.span, sup, trace, res, f"model:{model.uid}")
             self.module.goal_log.append(record)
-            if res is None:
-                self.diags.extend(
-                    self._map_goal_diags(diags, sup, rigid, model.span, concept.name)
-                )
-            else:
-                self.diags.extend(d for d in diags if d.severity == "warning")
+            self.report_goal(res, diags, sup, rigid, model.span, concept.name)
             model.superclass_resolutions.append(res)
 
         tyvars = {v.name: v for v in model.vars}
@@ -622,7 +616,7 @@ class ModuleChecker:
         if self.policy.kind != "scoped" or term.model_path is not None:
             return term
         world = self.module.world  # None while model headers are built
-        if world is None or not all(is_ground(s) for s in term.subjects):
+        if world is None or term.fvs:
             return term
         matching = [
             m
@@ -661,19 +655,22 @@ class ModuleChecker:
 
     # ------------------------------------------------------------ goal plumbing
 
-    def _map_goal_diags(
+    def report_goal(
         self,
+        res: Resolution | None,
         diags: list[Diagnostic],
         constraint: ConstraintTerm,
         rigid: frozenset[int],
         span: Span,
         what: str,
-    ) -> list[Diagnostic]:
-        """Blame this module; resolution failures on rigid subjects are
-        missing assumptions."""
-        involves_rigid = any(v.uid in rigid for v in free_vars(constraint))
-        out = []
+    ):
+        """Report a goal's diagnostics, blaming this module: all of them when
+        the goal failed, its warnings when it resolved. Resolution failures
+        on rigid subjects are missing assumptions."""
+        involves_rigid = any(v.uid in rigid for v in constraint.fvs)
         for d in diags:
+            if res is not None and d.severity != "warning":
+                continue
             code, msg = d.code, d.message
             if code == "E-NO-MODEL" and involves_rigid:
                 code = "E-TYPE-MISMATCH"
@@ -681,8 +678,7 @@ class ModuleChecker:
                     f"; the constraint {render_constraint(constraint)} is not entailed by the "
                     f"context of {what}"
                 )
-            out.append(self.diag(code, msg, d.span, d.related))
-        return out
+            self.report(code, msg, d.span, d.related)
 
 
 # ---------------------------------------------------------------- expressions
@@ -755,11 +751,7 @@ class ExprChecker:
         record = GoalRecord(span, constraint, trace, res, self.owner)
         self.records.append(record)
         self.mc.module.goal_log.append(record)
-        mapped = self.mc._map_goal_diags(diags, constraint, self.rigid, span, self.owner)
-        if res is None:
-            self.mc.diags.extend(mapped)
-        else:
-            self.mc.diags.extend(d for d in mapped if d.severity == "warning")
+        self.mc.report_goal(res, diags, constraint, self.rigid, span, self.owner)
         return res
 
     # ------------------------------------------------------------- callables
@@ -827,7 +819,7 @@ class ExprChecker:
         type parameter is known.
         """
         pat = binding.apply(pat)
-        if not any(v.uid in flexible for v in free_vars(pat)):
+        if not any(v.uid in flexible for v in pat.fvs):
             return self.norm(pat, span) == self.norm(tgt, span)
         if isinstance(pat, Var):
             binding.bind(pat.uid, tgt)  # keep the target's original form
@@ -873,7 +865,7 @@ class ExprChecker:
                 self.mismatch(what, expected, (target, self.norm(target, where)), where)
 
         def undetermined(t: TypeTerm) -> bool:
-            return any(v.uid in flexible for v in free_vars(binding.apply(t)))
+            return any(v.uid in flexible for v in binding.apply(t).fvs)
 
         if expected is not None and undetermined(sig.ret):
             absorb(sig.ret, expected, span, f"result of {sig.display}")
@@ -1221,6 +1213,6 @@ def infer_expr(
 ) -> tuple[TypeTerm, TExpr]:
     """Infer one expression inside an already-checked module context."""
     rigid = frozenset(v.uid for v in free_vars(list(givens) + list(env.values())))
-    tyvars = {v.name: v for t in env.values() for v in free_vars(t)}
+    tyvars = {v.name: v for t in env.values() for v in t.fvs}
     checker = ExprChecker(mc, tyvars=tyvars, rigid=rigid, givens=givens, owner=owner)
     return checker.synth(e, dict(env))

@@ -9,6 +9,7 @@ model paths never unify.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 _uid_counter = itertools.count(1)
@@ -19,49 +20,109 @@ def fresh_uid() -> int:
 
 
 # ---------------------------------------------------------------- terms
+#
+# Terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+# Hash-Consing", ML Workshop 2006): each distinct term is built once, through
+# a table of weak references keyed by (class, fields), so `==` and `hash` are
+# identity. Each node caches `fvs`, its free variables in first-occurrence
+# order, and `has_assoc`, whether it contains a projection. `map(f)` rebuilds
+# the same former over `f` of each child; a leaf returns itself.
+
+_terms: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
+def _intern(cls, *fields):
+    """The one node of `cls` over `fields`, which fill the first slots of
+    `cls` in order; it is built, and its facts cached, on first use."""
+    key = (cls, *fields)
+    node = _terms.get(key)
+    if node is None:
+        node = _terms[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        node._cache_facts()
+    return node
+
+
+def _union_fvs(parts) -> tuple:
+    """The free variables of `parts` (terms, constraints or sequences of
+    them), in order of first occurrence."""
+    out = ()
+    for part in parts:
+        more = _union_fvs(part) if isinstance(part, (list, tuple)) else part.fvs
+        if not out:
+            out = more
+        elif more and more is not out:
+            out += tuple(v for v in more if v not in out)
+    return out
+
+
 class TypeTerm:
-    pass
+    __slots__ = ("__weakref__",)
+    fvs: tuple = ()
+    has_assoc = False
+
+    def _cache_facts(self):
+        pass
+
+    def map(self, f) -> TypeTerm:
+        return self
+
+    def __repr__(self):
+        return f"{type(self).__name__}({render(self)})"
 
 
-@dataclass(frozen=True)
 class Var(TypeTerm):
-    name: str
-    uid: int
+    __slots__ = ("name", "uid")
+
+    def __new__(cls, name: str, uid: int):
+        return _intern(cls, name, uid)
+
+    @property
+    def fvs(self) -> tuple:
+        return (self,)
 
     def __repr__(self):
         return f"Var({self.name}#{self.uid})"
 
 
-@dataclass(frozen=True)
 class Con(TypeTerm):
-    name: str
-    arity: int
-    origin: str  # defining module
+    __slots__ = ("name", "arity", "origin")  # origin: the defining module
 
-    def __repr__(self):
-        return f"Con({self.name})"
+    def __new__(cls, name: str, arity: int, origin: str):
+        return _intern(cls, name, arity, origin)
 
 
-@dataclass(frozen=True)
 class App(TypeTerm):
-    head: TypeTerm  # Con (first-order: no Var heads in practice)
-    args: tuple[TypeTerm, ...]
+    __slots__ = ("head", "args", "fvs", "has_assoc")  # head: a Con in practice
 
-    def __post_init__(self):
-        assert self.args, "App has at least one argument"
-        if isinstance(self.head, Con):
-            assert self.head.arity == len(self.args), (self.head, self.args)
+    def __new__(cls, head: TypeTerm, args: tuple[TypeTerm, ...]):
+        assert args, "App has at least one argument"
+        assert not isinstance(head, Con) or head.arity == len(args), (head, args)
+        return _intern(cls, head, args)
+
+    def _cache_facts(self):
+        self.fvs = _union_fvs(self.args)
+        self.has_assoc = any(a.has_assoc for a in self.args)
+
+    def map(self, f) -> TypeTerm:
+        return App(f(self.head), tuple([f(a) for a in self.args]))
 
 
-@dataclass(frozen=True)
 class Assoc(TypeTerm):
-    concept: str  # concept id ("module.Name")
-    member: str
-    subjects: tuple[TypeTerm, ...]
-    model_path: str | None = None  # "module.modelname" under the scoped policy
+    # concept: a concept id ("module.Name"); model_path: the named model
+    # ("module.modelname") it selects from under the scoped policy.
+    __slots__ = ("concept", "member", "subjects", "model_path", "fvs")
+    has_assoc = True
+
+    def __new__(cls, concept: str, member: str, subjects: tuple, model_path: str | None = None):
+        return _intern(cls, concept, member, subjects, model_path)
+
+    def _cache_facts(self):
+        self.fvs = _union_fvs(self.subjects)
+
+    def map(self, f) -> TypeTerm:
+        return Assoc(self.concept, self.member, tuple([f(s) for s in self.subjects]), self.model_path)
 
 
 # Builtin constructors all originate from the synthetic `std` module.
@@ -134,27 +195,39 @@ class Conf(ConstraintTerm):
     def __post_init__(self):
         assert self.subjects
 
+    @property
+    def fvs(self) -> tuple:
+        return _union_fvs(self.subjects)
+
+    def map(self, f) -> Conf:
+        return Conf(self.concept, tuple([f(s) for s in self.subjects]))
+
 
 @dataclass(frozen=True)
 class Eq(ConstraintTerm):
     lhs: TypeTerm
     rhs: TypeTerm
 
+    @property
+    def fvs(self) -> tuple:
+        return _union_fvs((self.lhs, self.rhs))
+
+    def map(self, f) -> Eq:
+        return Eq(f(self.lhs), f(self.rhs))
+
 
 # ---------------------------------------------------------------- rendering
 
 
 def render(t: TypeTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Con):
+    if isinstance(t, (Var, Con)):
         return t.name
     if isinstance(t, App):
         fn = split_fn_type(t)
         if fn is not None:
             params, ret = fn
             return f"({', '.join(render(p) for p in params)}) -> {render(ret)}"
-        if isinstance(t.head, Con) and t.head == PAIR:
+        if t.head is PAIR:
             return f"({render(t.args[0])}, {render(t.args[1])})"
         return f"{render(t.head)}[{', '.join(render(a) for a in t.args)}]"
     if isinstance(t, Assoc):
@@ -180,35 +253,13 @@ def render_constraint(c: ConstraintTerm) -> str:
 
 
 def free_vars(t) -> list[Var]:
-    """Free variables in declaration order of first occurrence."""
-    seen: dict[int, Var] = {}
-
-    def go(x):
-        if isinstance(x, Var):
-            seen.setdefault(x.uid, x)
-        elif isinstance(x, App):
-            go(x.head)
-            for a in x.args:
-                go(a)
-        elif isinstance(x, Assoc):
-            for s in x.subjects:
-                go(s)
-        elif isinstance(x, Conf):
-            for s in x.subjects:
-                go(s)
-        elif isinstance(x, Eq):
-            go(x.lhs)
-            go(x.rhs)
-        elif isinstance(x, (list, tuple)):
-            for item in x:
-                go(item)
-
-    go(t)
-    return list(seen.values())
+    """Free variables of a term, a constraint or a sequence of them, in
+    order of first occurrence."""
+    return list(_union_fvs((t,)))
 
 
 def is_ground(t: TypeTerm) -> bool:
-    return not free_vars(t)
+    return not t.fvs
 
 
 # ---------------------------------------------------------------- substitution
@@ -221,23 +272,15 @@ class Substitution:
         self.bindings: dict[int, TypeTerm] = dict(bindings or {})
 
     def apply(self, t):
-        if isinstance(t, Var):
-            return self.bindings.get(t.uid, t)
-        if isinstance(t, Con):
-            return t
-        if isinstance(t, App):
-            return App(self.apply(t.head), tuple(self.apply(a) for a in t.args))
-        if isinstance(t, Assoc):
-            return Assoc(
-                t.concept, t.member, tuple(self.apply(s) for s in t.subjects), t.model_path
-            )
-        if isinstance(t, Conf):
-            return Conf(t.concept, tuple(self.apply(s) for s in t.subjects))
-        if isinstance(t, Eq):
-            return Eq(self.apply(t.lhs), self.apply(t.rhs))
+        """`t` under this substitution; `t` is a term, a constraint or a list
+        or tuple of them."""
         if isinstance(t, (list, tuple)):
             return type(t)(self.apply(x) for x in t)
-        raise AssertionError(type(t))
+        if not t.fvs:
+            return t
+        if isinstance(t, Var):
+            return self.bindings.get(t.uid, t)
+        return t.map(self.apply)
 
     def bind(self, uid: int, term: TypeTerm):
         self.bindings[uid] = term
@@ -257,6 +300,14 @@ class Substitution:
 # ---------------------------------------------------------------- unification
 
 
+def _same_projection(a: Assoc, b: Assoc) -> bool:
+    """Same concept, member, model path and number of subjects; projections
+    with distinct model paths never unify."""
+    return (a.concept, a.member, a.model_path, len(a.subjects)) == (
+        b.concept, b.member, b.model_path, len(b.subjects)
+    )
+
+
 def unify(t1: TypeTerm, t2: TypeTerm) -> Substitution | None:
     """Most general unifier of two terms, or None.
 
@@ -272,25 +323,16 @@ def unify(t1: TypeTerm, t2: TypeTerm) -> Substitution | None:
 
     def resolve(t: TypeTerm) -> TypeTerm:
         t = walk(t)
-        if isinstance(t, App):
-            return App(resolve(t.head), tuple(resolve(a) for a in t.args))
-        if isinstance(t, Assoc):
-            return Assoc(t.concept, t.member, tuple(resolve(s) for s in t.subjects), t.model_path)
-        return t
+        return t.map(resolve) if t.fvs else t
 
     def occurs(uid: int, t: TypeTerm) -> bool:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t.uid == uid
-        if isinstance(t, App):
-            return occurs(uid, t.head) or any(occurs(uid, a) for a in t.args)
-        if isinstance(t, Assoc):
-            return any(occurs(uid, s) for s in t.subjects)
-        return False
+        return any(
+            v.uid == uid or (v.uid in binding and occurs(uid, binding[v.uid])) for v in t.fvs
+        )
 
     def go(a: TypeTerm, b: TypeTerm) -> bool:
         a, b = walk(a), walk(b)
-        if isinstance(a, Var) and isinstance(b, Var) and a.uid == b.uid:
+        if a is b:
             return True
         if isinstance(a, Var):
             if occurs(a.uid, b):
@@ -302,19 +344,9 @@ def unify(t1: TypeTerm, t2: TypeTerm) -> Substitution | None:
                 return False
             binding[b.uid] = a
             return True
-        if isinstance(a, Con) and isinstance(b, Con):
-            return a == b
-        if isinstance(a, App) and isinstance(b, App):
-            if len(a.args) != len(b.args):
-                return False
-            if not go(a.head, b.head):
-                return False
-            return all(go(x, y) for x, y in zip(a.args, b.args))
-        if isinstance(a, Assoc) and isinstance(b, Assoc):
-            if (a.concept, a.member, a.model_path) != (b.concept, b.member, b.model_path):
-                return False
-            if len(a.subjects) != len(b.subjects):
-                return False
+        if isinstance(a, App) and isinstance(b, App) and len(a.args) == len(b.args):
+            return go(a.head, b.head) and all(go(x, y) for x, y in zip(a.args, b.args))
+        if isinstance(a, Assoc) and isinstance(b, Assoc) and _same_projection(a, b):
             return all(go(x, y) for x, y in zip(a.subjects, b.subjects))
         return False
 
@@ -353,15 +385,9 @@ def match_one_way(pattern: TypeTerm, target: TypeTerm) -> Substitution | None:
             return False  # rigid; only a pattern var could have absorbed it
         if isinstance(p, Con) and isinstance(t, Con):
             return p == t
-        if isinstance(p, App) and isinstance(t, App):
-            if len(p.args) != len(t.args):
-                return False
+        if isinstance(p, App) and isinstance(t, App) and len(p.args) == len(t.args):
             return go(p.head, t.head) and all(go(x, y) for x, y in zip(p.args, t.args))
-        if isinstance(p, Assoc) and isinstance(t, Assoc):
-            if (p.concept, p.member, p.model_path) != (t.concept, t.member, t.model_path):
-                return False
-            if len(p.subjects) != len(t.subjects):
-                return False
+        if isinstance(p, Assoc) and isinstance(t, Assoc) and _same_projection(p, t):
             return all(go(x, y) for x, y in zip(p.subjects, t.subjects))
         return False
 
@@ -423,53 +449,36 @@ def normalize(
     `world` only needs an `assoc_binding(concept, member, subjects, path)`
     method returning the bound term or None.
     """
-    eq_rules = [(g.lhs, g.rhs) for g in givens if isinstance(g, Eq)]
+    rules: dict[TypeTerm, TypeTerm] = {}  # the first given for each left side
+    for g in givens:
+        if isinstance(g, Eq):
+            rules.setdefault(g.lhs, g.rhs)
+    if not rules and not t.has_assoc:
+        return t
     steps = 0
 
-    def budget():
+    def pass_once(term: TypeTerm) -> TypeTerm:
         nonlocal steps
+        if not rules and not term.has_assoc:
+            return term
+        term = term.map(pass_once)
+        replaced = rules.get(term)
+        if replaced is None and isinstance(term, Assoc) and world is not None and not term.fvs:
+            replaced = world.assoc_binding(term.concept, term.member, term.subjects, term.model_path)
+        if replaced is None or replaced is term:
+            return term
         steps += 1
         if steps > NORMALIZE_STEP_LIMIT:
             raise NormDiverge(t)
+        if trace is not None:
+            trace.append(f"{render(term)} => {render(replaced)}")
+        return replaced
 
-    def rewrite_head(term: TypeTerm) -> TypeTerm | None:
-        for lhs, rhs in eq_rules:
-            if term == lhs:
-                return rhs
-        if isinstance(term, Assoc) and world is not None:
-            if all(is_ground(s) for s in term.subjects):
-                bound = world.assoc_binding(term.concept, term.member, term.subjects, term.model_path)
-                if bound is not None:
-                    return bound
-        return None
-
-    def pass_once(term: TypeTerm) -> tuple[TypeTerm, bool]:
-        changed = False
-        if isinstance(term, App):
-            new_args = []
-            for a in term.args:
-                na, ch = pass_once(a)
-                changed = changed or ch
-                new_args.append(na)
-            term = App(term.head, tuple(new_args))
-        elif isinstance(term, Assoc):
-            new_subjects = []
-            for s in term.subjects:
-                ns, ch = pass_once(s)
-                changed = changed or ch
-                new_subjects.append(ns)
-            term = Assoc(term.concept, term.member, tuple(new_subjects), term.model_path)
-        replaced = rewrite_head(term)
-        if replaced is not None and replaced != term:
-            budget()
-            if trace is not None:
-                trace.append(f"{render(term)} => {render(replaced)}")
-            return replaced, True
-        return term, changed
-
+    # A pass that rewrote nothing leaves the steps as they were; a pass that
+    # rewrote back to its input did not reach a normal form.
     current = t
     while True:
-        nxt, changed = pass_once(current)
-        if not changed:
+        before = steps
+        current = pass_once(current)
+        if steps == before:
             return current
-        current = nxt

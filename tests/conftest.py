@@ -5,9 +5,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
+from hypothesis import settings
 
 from slc.coherence import CoherencePolicy
 from slc.linker import check_sources
+
+# One hypothesis profile for every property test: the same examples on each
+# run, no wall-clock deadline on a loaded machine, and a budget that keeps the
+# suite quick.
+settings.register_profile("sl", derandomize=True, deadline=None, database=None, max_examples=50)
+settings.load_profile("sl")
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 SRC = Path(__file__).resolve().parents[1] / "src"

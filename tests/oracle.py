@@ -3,6 +3,7 @@
 Everything here is deliberately written without reusing the production
 search/unification paths it is checking:
 
+  * a substitution and a free-variable walker over the term fields;
   * a tiny structural matcher used to verify most-general-unifier claims;
   * an enumerator of ground types over a constructor universe;
   * an exhaustive backtracking derivation counter for conformance goals.
@@ -25,6 +26,29 @@ def subst_apply(bindings: dict, t: TypeTerm) -> TypeTerm:
     if isinstance(t, Assoc):
         return Assoc(t.concept, t.member, tuple(subst_apply(bindings, s) for s in t.subjects), t.model_path)
     raise AssertionError(type(t))
+
+
+def walk_free_vars(t) -> list[Var]:
+    """Free variables of a term or a tuple of terms, in order of first
+    occurrence, found by walking every field."""
+    seen: dict[int, Var] = {}
+
+    def go(x):
+        if isinstance(x, Var):
+            seen.setdefault(x.uid, x)
+        elif isinstance(x, App):
+            go(x.head)
+            for a in x.args:
+                go(a)
+        elif isinstance(x, Assoc):
+            for s in x.subjects:
+                go(s)
+        elif isinstance(x, tuple):
+            for item in x:
+                go(item)
+
+    go(t)
+    return list(seen.values())
 
 
 def plain_match(pattern: TypeTerm, target: TypeTerm, binding: dict) -> bool:
@@ -79,9 +103,7 @@ def enumerate_types(cons: list[Con], vars_: list[Var], depth: int) -> list[TypeT
 
 def enumerated_unifiers(t1: TypeTerm, t2: TypeTerm, universe: list[TypeTerm]) -> list[dict]:
     """Every substitution over the finite universe that equates t1 and t2."""
-    from slc.types import free_vars
-
-    vs = free_vars((t1, t2))
+    vs = walk_free_vars((t1, t2))
     found = []
     for values in itertools.product(universe, repeat=len(vs)):
         binding = {v.uid: val for v, val in zip(vs, values)}
@@ -97,10 +119,8 @@ def factors_through(mgu: Substitution, binding: dict, t1: TypeTerm, t2: TypeTerm
     found by enumeration must be reachable from the unifier under test by a
     further substitution.
     """
-    from slc.types import free_vars
-
     residual: dict = {}
-    for v in free_vars((t1, t2)):
+    for v in walk_free_vars((t1, t2)):
         image = mgu.apply(v)
         want = subst_apply(binding, v)
         if not plain_match(image, want, residual):

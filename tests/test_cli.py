@@ -211,3 +211,22 @@ def test_fuel_flag(tmp_path):
     proc = sl("run", str(src), "--fuel", "2000")
     assert proc.returncode == 1
     assert "E-RT-FUEL" in proc.stderr
+
+
+def test_superclass_obligation_warning_blames_its_module(tmp_path):
+    """A W-INCOHERENT met while resolving a model's superclass obligation
+    names the module being checked, as one met at a use site does."""
+    (tmp_path / "m.sl").write_text(
+        "module m\n"
+        "concept A[Self] { fn a(x: Self) -> U64 }\n"
+        "concept B[Self] where A[Self] { fn b(x: Self) -> U64 }\n"
+        "data Box[t] { MkBox(t) }\n"
+        "model A[Box[t]] { fn a(x: Box[t]) -> U64 { 1:U64 } }\n"
+        "model A[Box[U64]] { fn a(x: Box[U64]) -> U64 { 2:U64 } }\n"
+        "model B[Box[U64]] { fn b(x: Box[U64]) -> U64 { 3:U64 } }\n"
+    )
+    proc = sl("check", "--incoherent-ok", "--json", "m.sl", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    [diag] = json.loads(proc.stdout)
+    assert diag["code"] == "W-INCOHERENT"
+    assert diag["module"] == "m"

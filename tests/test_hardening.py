@@ -289,26 +289,20 @@ CYCLIC_REFINEMENT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CYCLIC_REFINEMENT))
-def test_cyclic_refinement_stops_at_its_diagnostics(case, tmp_path):
-    """Closing a `where` clause under a cyclic refinement terminates. The
-    child runs under a 1 GB address-space cap and a 20 s timeout, so a
-    regression fails here instead of exhausting memory."""
-    import json
+def _check_capped(path):
+    """`sl check --json path` in a child under a 1 GB address-space cap and
+    a 20 s timeout, so a regression fails the test instead of exhausting
+    memory or hanging."""
     import resource
     import subprocess
     import sys
 
     from conftest import slc_env
 
-    body, expected = CYCLIC_REFINEMENT[case]
-    path = tmp_path / "cyc.sl"
-    path.write_text("module cyc\n" + body)
-
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "slc", "check", "--json", str(path)],
         capture_output=True,
         text=True,
@@ -316,10 +310,36 @@ def test_cyclic_refinement_stops_at_its_diagnostics(case, tmp_path):
         preexec_fn=cap_memory,
         timeout=20,
     )
+
+
+@pytest.mark.parametrize("case", sorted(CYCLIC_REFINEMENT))
+def test_cyclic_refinement_stops_at_its_diagnostics(case, tmp_path):
+    """Closing a `where` clause under a cyclic refinement terminates."""
+    import json
+
+    body, expected = CYCLIC_REFINEMENT[case]
+    path = tmp_path / "cyc.sl"
+    path.write_text("module cyc\n" + body)
+    proc = _check_capped(path)
     assert proc.returncode == 1, proc.stderr[-2000:]
     diags = json.loads(proc.stdout)
     assert [d["code"] for d in diags] == expected
     assert all("cyclic concept refinement" in d["message"] for d in diags)
+
+
+def test_three_thousand_nested_option_types_check(tmp_path):
+    """Checking stays near-linear in type depth: each level of the return
+    type and of the body is matched and normalized once, not re-walked."""
+    levels = 3_000
+    path = tmp_path / "deep.sl"
+    path.write_text(
+        "module deep\n"
+        f"fn f() -> {'Option[' * levels}U64{']' * levels} "
+        f"{{ {'Some(' * levels}1:U64{')' * levels} }}\n"
+    )
+    proc = _check_capped(path)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"
 
 
 def _nested_parens(levels: int) -> str:

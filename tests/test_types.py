@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slc.types import (
     OPTION,
@@ -13,16 +15,25 @@ from slc.types import (
     Assoc,
     Eq,
     NormDiverge,
+    Substitution,
     Var,
+    free_vars,
     fresh_uid,
     match_one_way,
     normalize,
     option_type,
+    pair_type,
     render,
     unify,
 )
 
-from oracle import enumerate_types, enumerated_unifiers, factors_through
+from oracle import (
+    enumerate_types,
+    enumerated_unifiers,
+    factors_through,
+    subst_apply,
+    walk_free_vars,
+)
 
 
 def v(name):
@@ -175,3 +186,66 @@ def test_distinct_model_paths_never_unify():
     assert unify(left, right) is None
     assert unify(left, Assoc("m.Keyed", "Key", (U64,), "left.l")) is not None
     assert match_one_way(left, right) is None
+
+
+def test_normalize_diverges_on_a_rewrite_cycle_that_returns_to_its_input():
+    """`a => b` inside `Option[b] => Option[a]` gives back the input after a
+    pass that did rewrite; the rules still apply, so that is divergence, not
+    a normal form."""
+    a, b = v("a"), v("b")
+    givens = [Eq(a, b), Eq(option_type(b), option_type(a))]
+    with pytest.raises(NormDiverge):
+        normalize(option_type(a), givens, None)
+
+
+# ---------------------------------------------------------------- the term layer, by property
+
+TERM_VARS = (v("a"), v("b"), v("c"))
+KEYED = TableWorld(
+    [
+        ("m.Keyed", "Key", [U64], U8, None),
+        ("m.Keyed", "Key", [option_type(TERM_VARS[0])], pair_type(TERM_VARS[0], U64), None),
+    ]
+)
+
+
+def terms(depth: int = 8, assoc: bool = True):
+    """Terms up to `depth` levels over U64, Option, Pair, three variables
+    and, when `assoc`, the projection `Keyed.Key`."""
+    leaves = st.sampled_from((U64,) + TERM_VARS)
+    if depth == 0:
+        return leaves
+    sub = terms(depth - 1, assoc)
+    formers = [leaves, sub.map(option_type), st.tuples(sub, sub).map(lambda p: pair_type(*p))]
+    if assoc:
+        formers.append(sub.map(lambda s: Assoc("m.Keyed", "Key", (s,))))
+    return st.one_of(formers)
+
+
+@given(terms())
+def test_building_a_term_twice_gives_the_same_object(t):
+    rebuilt = subst_apply({}, t)  # every node rebuilt from its fields
+    assert rebuilt is t
+    assert rebuilt == t and hash(rebuilt) == hash(t)
+
+
+@given(terms())
+def test_free_vars_agree_with_a_walker(t):
+    assert free_vars(t) == walk_free_vars(t)
+    assert list(t.fvs) == walk_free_vars(t)
+
+
+@given(terms(), st.dictionaries(st.sampled_from([x.uid for x in TERM_VARS]), terms(3)))
+def test_substitution_agrees_with_the_oracle(t, bindings):
+    assert Substitution(bindings).apply(t) is subst_apply(bindings, t)
+
+
+@given(terms(assoc=False))
+def test_normalize_returns_a_term_without_projections_as_is(t):
+    assert normalize(t, (), KEYED) is t
+
+
+@given(terms())
+def test_normalize_is_idempotent(t):
+    once = normalize(t, (), KEYED)
+    assert normalize(once, (), KEYED) is once
