@@ -55,6 +55,7 @@ from .types import (
     freshen,
     match_many,
     normalize,
+    outermost_con,
     render,
     split_fn_type,
 )
@@ -99,12 +100,6 @@ class CLam(CoreExpr):
 class CApp(CoreExpr):
     fn: CoreExpr
     args: list[CoreExpr]
-
-
-@dataclass
-class CTyLam(CoreExpr):
-    vars: list[Var]
-    body: CoreExpr
 
 
 @dataclass
@@ -640,12 +635,8 @@ class CoreChecker:
 
     def _infer_match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
-        con = scrut if isinstance(scrut, Con) else (
-            scrut.head if isinstance(scrut, App) and isinstance(scrut.head, Con) else None
-        )
-        if con is None:
-            self.fail(f"match on non-data type {render(scrut)}")
-        data = self.program.datas.get(f"{con.origin}.{con.name}")
+        con = outermost_con(scrut)
+        data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
         if data is None:
             self.fail(f"match on non-data type {render(scrut)}")
         args = scrut.args if isinstance(scrut, App) else ()
@@ -700,8 +691,6 @@ def core_to_json(program: CoreProgram) -> dict:
             }
         if isinstance(e, CApp):
             return {"app": go(e.fn), "args": [go(a) for a in e.args]}
-        if isinstance(e, CTyLam):
-            return {"tylam": [v.name for v in e.vars], "body": go(e.body)}
         if isinstance(e, CTyApp):
             return {"tyapp": go(e.fn), "types": [ty(t) for t in e.args]}
         if isinstance(e, CDict):

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Span
 from .types import (
-    App,
     Assoc,
     Con,
     ConstraintTerm,
@@ -61,7 +60,6 @@ class ModelDecl:
     assoc: dict[str, TypeTerm]
     span: Span
     bodies: dict[str, "TExpr"] = field(default_factory=dict)
-    body_sigs: dict[str, ReqSig] = field(default_factory=dict)
     superclass_resolutions: list = field(default_factory=list)
     body_goal_records: dict[str, list] = field(default_factory=dict)
 
@@ -360,7 +358,6 @@ class TLam(TExpr):
 class TArm:
     ctor: tuple[str, str] | None  # (data id, ctor name); None for wildcard
     binders: list[str]
-    binder_types: list[TypeTerm]
     body: TExpr
 
 

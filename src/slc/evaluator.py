@@ -35,7 +35,6 @@ from .corekit import (
     CProj,
     CTuple,
     CTyApp,
-    CTyLam,
     CVar,
 )
 from .diagnostics import Diagnostic, Span
@@ -548,7 +547,6 @@ COMPILERS = {
     CBuiltin: Interp._builtin,
     CLit: Interp._lit,
     CLam: Interp._lam,
-    CTyLam: lambda self, e, tail: self._through(e.body, tail),
     CTyApp: lambda self, e, tail: self._through(e.fn, tail),
     CApp: Interp._app,
     CDict: Interp._dict,

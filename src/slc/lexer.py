@@ -1,27 +1,42 @@
-"""Hand-written lexer for `.sl` sources.
+"""Lexer for `.sl` sources: one master regular expression matched at
+successive offsets (the "Writing a Tokenizer" recipe of the `re` docs).
 
-Tokens carry 1-based line/column spans. `--` starts a line comment.
+Tokens carry 1-based (line, column) spans, found by bisecting the offsets at
+which lines start; only `\\n` ends a line. `--` starts a line comment.
+Identifiers start with a letter (`str.isalpha`) or `_` and go on with `\\w`;
+numbers are `\\d` digits, the decimal digits `int()` accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Span
 
-KEYWORDS = {
+KEYWORDS = frozenset({
     "module", "import", "concept", "model", "fn", "type", "data",
     "where", "match", "let", "if", "else", "true", "false",
-}
+})
 
-PUNCT = [
-    "==", "=>", "->", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "=", "_",
-]
+# The string group stops before the closing quote, or at the first fault: a
+# newline, a bad escape or the end of the file.
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]|--[^\n]*)+)
+  | (?P<string>"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*)
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<float>\d+\.\d+)
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<punct>==|=>|->|[()\[\]{},;:.=])
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "float" | "string" | keyword | punctuation | "eof"
+class Token(NamedTuple):
+    kind: str  # "ident" | "int" | "float" | "string" | keyword | punctuation | "_" | "eof"
     text: str
     span: Span
     value: object = None
@@ -33,118 +48,53 @@ class LexError(Exception):
         super().__init__(diag.message)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 def tokenize(text: str, file: str) -> list[Token]:
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def at(offset: int) -> tuple[int, int]:
+        line = bisect_right(starts, offset)
+        return (line, offset - starts[line - 1] + 1)
+
+    def fail(msg: str, begin: int, end: int):
+        raise LexError(Diagnostic("E-PARSE", msg, Span(file, at(begin), at(end))))
+
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def here() -> tuple[int, int]:
-        return (line, col)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def fail(msg: str, start: tuple[int, int]):
-        raise LexError(
-            Diagnostic("E-PARSE", msg, Span(file, start, here() if here() >= start else start))
-        )
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
+    pos, n = 0, len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            fail(f"unexpected character {text[pos]!r}", pos, pos)
+        kind, lexeme, end = m.lastgroup, m.group(), m.end()
+        if kind == "skip":
+            pos = end
             continue
-        if c == "-" and text[i : i + 2] == "--":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start = here()
-        if c == '"':
-            advance()
-            buf = []
-            while i < n and text[i] != '"':
-                ch = text[i]
-                if ch == "\n":
-                    fail("unterminated string literal", start)
-                if ch == "\\":
-                    advance()
-                    if i >= n:
-                        fail("unterminated string escape", start)
-                    esc = text[i]
-                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-                    if mapped is None:
-                        fail(f"unknown string escape '\\{esc}'", start)
-                    buf.append(mapped)
-                    advance()
-                else:
-                    buf.append(ch)
-                    advance()
-            if i >= n:
-                fail("unterminated string literal", start)
-            advance()  # closing quote
-            end = (line, col - 1)
-            tokens.append(Token("string", "".join(buf), Span(file, start, end), "".join(buf)))
-            continue
-        if c.isdigit():
-            j = i
-            if text[i : i + 2] in ("0x", "0X"):
-                advance(2)
-                if i >= n or text[i] not in "0123456789abcdefABCDEF":
-                    fail("malformed hexadecimal literal", start)
-                while i < n and text[i] in "0123456789abcdefABCDEF":
-                    advance()
-                lexeme = text[j:i]
-                tokens.append(Token("int", lexeme, Span(file, start, (line, col - 1)), int(lexeme, 16)))
-                continue
-            while i < n and text[i].isdigit():
-                advance()
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                advance()
-                while i < n and text[i].isdigit():
-                    advance()
-                lexeme = text[j:i]
-                tokens.append(Token("float", lexeme, Span(file, start, (line, col - 1)), lexeme))
-                continue
-            lexeme = text[j:i]
-            tokens.append(Token("int", lexeme, Span(file, start, (line, col - 1)), int(lexeme)))
-            continue
-        if _is_ident_start(c):
-            j = i
-            while i < n and _is_ident(text[i]):
-                advance()
-            word = text[j:i]
-            span = Span(file, start, (line, col - 1))
-            if word == "_":
-                tokens.append(Token("_", word, span))
-            elif word in KEYWORDS:
-                tokens.append(Token(word, word, span))
-            else:
-                tokens.append(Token("ident", word, span))
-            continue
-        matched = None
-        for p in PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            fail(f"unexpected character {c!r}", start)
-        advance(len(matched))
-        tokens.append(Token(matched, matched, Span(file, start, (line, col - 1))))
-
-    tokens.append(Token("eof", "", Span(file, here(), here())))
+        value = None
+        if kind == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                fail(f"unexpected character {lexeme[0]!r}", pos, pos)
+            kind = lexeme if lexeme in KEYWORDS or lexeme == "_" else "ident"
+        elif kind == "punct":
+            kind = lexeme
+        elif kind == "string":
+            if text.startswith("\\", end):
+                if end + 1 == n:
+                    fail("unterminated string escape", pos, n)
+                fail(f"unknown string escape '\\{text[end + 1]}'", pos, end + 1)
+            if not text.startswith('"', end):
+                fail("unterminated string literal", pos, end)
+            value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:])
+            end += 1
+        elif kind == "hex":
+            if end - pos == 2:
+                fail("malformed hexadecimal literal", pos, end)
+            kind, value = "int", int(lexeme, 16)
+        elif kind == "int":
+            value = int(lexeme)
+        else:
+            value = lexeme  # float
+        line, col = at(pos)
+        tokens.append(Token(kind, lexeme, Span(file, (line, col), (line, col + end - pos - 1)), value))
+        pos = end
+    eof = at(n)
+    tokens.append(Token("eof", "", Span(file, eof, eof)))
     return tokens

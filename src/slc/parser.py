@@ -79,6 +79,27 @@ class Parser:
             self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
         return tok
 
+    def comma_list(self, item) -> list:
+        """`item ("," item)*`: one or more items."""
+        out = [item()]
+        while self.at(","):
+            self.advance()
+            out.append(item())
+        return out
+
+    def comma_list_until(self, close: str, item) -> list:
+        """Zero or more comma-separated items, then the `close` token."""
+        out = []
+        while not self.at(close):
+            if out:
+                self.expect(",")
+            out.append(item())
+        self.advance()
+        return out
+
+    def type_param(self) -> str:
+        return self.expect("ident", "type parameter").text
+
     def span_from(self, start: Span) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
         end = prev.span.end if prev.span.end >= start.start else start.end
@@ -130,13 +151,11 @@ class Parser:
         start = self.expect("concept").span
         name = self.expect("ident", "concept name").text
         self.expect("[")
-        first = self.expect("ident", "'Self'")
-        if first.text != "Self":
+        first = self.peek()
+        if not (first.kind == "ident" and first.text == "Self"):
+            self.expect("ident", "'Self'")
             self.fail("first concept parameter must be 'Self'", first.span)
-        params = [first.text]
-        while self.at(","):
-            self.advance()
-            params.append(self.expect("ident", "type parameter").text)
+        params = self.comma_list(self.type_param)
         self.expect("]")
         supers = self.parse_where_clause()
         self.expect("{")
@@ -151,7 +170,6 @@ class Parser:
                 rname = self.expect("ident", "requirement name").text
                 self.expect("(")
                 rparams = self.parse_typed_params()
-                self.expect(")")
                 self.expect("->")
                 ret = self.parse_type()
                 reqs.append(
@@ -179,10 +197,7 @@ class Parser:
             self.advance()
         concept = self.expect("ident", "concept name").text
         self.expect("[")
-        head = [self.parse_type()]
-        while self.at(","):
-            self.advance()
-            head.append(self.parse_type())
+        head = self.comma_list(self.parse_type)
         self.expect("]")
         context = self.parse_where_clause()
         self.expect("{")
@@ -220,14 +235,10 @@ class Parser:
             if not allow_typarams:
                 self.fail("requirement bodies take no type parameters", self.peek().span)
             self.advance()
-            typarams.append(self.expect("ident", "type parameter").text)
-            while self.at(","):
-                self.advance()
-                typarams.append(self.expect("ident", "type parameter").text)
+            typarams = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("(")
         params = self.parse_typed_params()
-        self.expect(")")
         self.expect("->")
         ret = self.parse_type()
         context = self.parse_where_clause()
@@ -243,14 +254,14 @@ class Parser:
         )
 
     def parse_typed_params(self) -> list[tuple[str, A.TypeExprAST]]:
-        params: list[tuple[str, A.TypeExprAST]] = []
-        while not self.at(")"):
-            if params:
-                self.expect(",")
+        """Parameters `name: T` up to and including the closing ')'."""
+
+        def param():
             pname = self.expect("ident", "parameter name").text
             self.expect(":")
-            params.append((pname, self.parse_type()))
-        return params
+            return (pname, self.parse_type())
+
+        return self.comma_list_until(")", param)
 
     def parse_data(self) -> A.DataAST:
         start = self.expect("data").span
@@ -258,10 +269,7 @@ class Parser:
         params: list[str] = []
         if self.at("["):
             self.advance()
-            params.append(self.expect("ident", "type parameter").text)
-            while self.at(","):
-                self.advance()
-                params.append(self.expect("ident", "type parameter").text)
+            params = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("{")
         ctors: list[A.CtorAST] = []
@@ -275,10 +283,7 @@ class Parser:
             fields: list[A.TypeExprAST] = []
             if self.at("("):
                 self.advance()
-                fields.append(self.parse_type())
-                while self.at(","):
-                    self.advance()
-                    fields.append(self.parse_type())
+                fields = self.comma_list(self.parse_type)
                 self.expect(")")
             ctors.append(A.CtorAST(self.span_from(cstart), cname, tuple(fields)))
         self.expect("}")
@@ -292,11 +297,7 @@ class Parser:
         if not self.at("where"):
             return []
         self.advance()
-        out = [self.parse_constraint()]
-        while self.at(","):
-            self.advance()
-            out.append(self.parse_constraint())
-        return out
+        return self.comma_list(self.parse_constraint)
 
     def parse_constraint(self) -> A.ConstraintAST:
         start = self.peek().span
@@ -328,10 +329,7 @@ class Parser:
                     ret = self.parse_type()
                     return A.TFn(self.span_from(start), (), ret)
                 return A.TUnit(self.span_from(start))
-            items = [self.parse_type()]
-            while self.at(","):
-                self.advance()
-                items.append(self.parse_type())
+            items = self.comma_list(self.parse_type)
             self.expect(")")
             if self.at("->"):
                 self.advance()
@@ -348,12 +346,8 @@ class Parser:
         args: tuple[A.TypeExprAST, ...] = ()
         if self.at("["):
             self.advance()
-            parsed = [self.parse_type()]
-            while self.at(","):
-                self.advance()
-                parsed.append(self.parse_type())
+            args = tuple(self.comma_list(self.parse_type))
             self.expect("]")
-            args = tuple(parsed)
         projections: list[str] = []
         while self.at(".") and self.peek(1).kind == "ident":
             self.advance()
@@ -419,17 +413,16 @@ class Parser:
     def parse_lambda(self) -> A.ExprAST:
         start = self.expect("fn").span
         self.expect("(")
-        params: list[tuple[str, A.TypeExprAST | None]] = []
-        while not self.at(")"):
-            if params:
-                self.expect(",")
+
+        def param():
             pname = self.expect("ident", "parameter name").text
             annot = None
             if self.at(":"):
                 self.advance()
                 annot = self.parse_type()
-            params.append((pname, annot))
-        self.expect(")")
+            return (pname, annot)
+
+        params = self.comma_list_until(")", param)
         self.expect("=>")
         body = self.parse_expr()
         return A.ELambda(self.span_from(start), tuple(params), body)
@@ -454,15 +447,7 @@ class Parser:
                 names: list[str] = []
                 if self.at("("):
                     self.advance()
-                    while not self.at(")"):
-                        if names:
-                            self.expect(",")
-                        if self.at("_"):
-                            self.advance()
-                            names.append("_")
-                        else:
-                            names.append(self.expect("ident", "pattern binder").text)
-                    self.expect(")")
+                    names = self.comma_list_until(")", self.parse_binder)
                 binders = tuple(names)
             self.expect("=>")
             body = self.parse_expr()
@@ -471,6 +456,11 @@ class Parser:
         if not arms:
             self.fail("match needs at least one arm", self.span_from(start))
         return A.EMatch(self.span_from(start), scrutinee, tuple(arms))
+
+    def parse_binder(self) -> str:
+        if self.at("_"):
+            return self.advance().text
+        return self.expect("ident", "pattern binder").text
 
     def parse_if(self) -> A.ExprAST:
         start = self.expect("if").span
@@ -503,12 +493,7 @@ class Parser:
         expr = self.parse_atom()
         while self.at("("):
             self.advance()
-            args: list[A.ExprAST] = []
-            while not self.at(")"):
-                if args:
-                    self.expect(",")
-                args.append(self.parse_expr())
-            self.expect(")")
+            args = self.comma_list_until(")", self.parse_expr)
             expr = A.EApp(self.span_from(start), expr, tuple(args))
         return expr
 
@@ -534,10 +519,7 @@ class Parser:
             if self.at(")"):
                 self.advance()
                 return A.EUnit(self.span_from(start))
-            items = [self.parse_expr()]
-            while self.at(","):
-                self.advance()
-                items.append(self.parse_expr())
+            items = self.comma_list(self.parse_expr)
             self.expect(")")
             if len(items) == 1:
                 return items[0]

@@ -69,6 +69,7 @@ from .types import (
     fresh_uid,
     freshen,
     normalize,
+    outermost_con,
     pair_type,
     render,
     render_constraint,
@@ -491,7 +492,6 @@ class ModuleChecker:
                 env = {n: t for n, t in declared}
                 checked = checker.check(body.body, declared_ret, env)
                 model.bodies[body.name] = TLam(body.span, checker.fn_type_of(declared, declared_ret), declared, checked)
-                model.body_sigs[body.name] = ReqSig(body.name, declared, declared_ret, body.span)
                 model.body_goal_records[body.name] = checker.records
             except SemaAbort as exc:
                 self.diags.append(exc.diagnostic)
@@ -1061,8 +1061,8 @@ class ExprChecker:
             data, inst = self._scrutinee_data(t_scrut, e.scrutinee.span)
             arms: list[TArm] = []
             for arm in e.arms:
-                arm_env, (ctor_key, binders, btypes) = self._bind_arm(arm, data, inst, env)
-                arms.append(TArm(ctor_key, binders, btypes, branch(arm.body, arm_env)))
+                arm_env, ctor_key = self._bind_arm(arm, data, inst, env)
+                arms.append(TArm(ctor_key, list(arm.binders), branch(arm.body, arm_env)))
             return TMatch(e.span, expected, x_scrut, arms)
         if e.annot is not None:
             bound_t = self.mc.resolve_type(e.annot, self.tyvars)
@@ -1077,18 +1077,11 @@ class ExprChecker:
 
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
-        con = None
-        args: tuple[TypeTerm, ...] = ()
-        if isinstance(t_n, Con):
-            con = t_n
-        elif isinstance(t_n, App) and isinstance(t_n.head, Con):
-            con = t_n.head
-            args = t_n.args
-        if con is not None:
-            data = self.mc.datas.get(f"{con.origin}.{con.name}")
-            if data is not None:
-                inst = Substitution({v.uid: a for v, a in zip(data.params, args)})
-                return data, inst
+        con = outermost_con(t_n)
+        data = None if con is None else self.mc.datas.get(f"{con.origin}.{con.name}")
+        if data is not None:
+            args = t_n.args if isinstance(t_n, App) else ()
+            return data, Substitution({v.uid: a for v, a in zip(data.params, args)})
         self.mc.abort(
             "E-TYPE-MISMATCH",
             f"match scrutinee has type {render(t)}, which is not a sum type",
@@ -1097,7 +1090,7 @@ class ExprChecker:
 
     def _bind_arm(self, arm: A.EMatchArm, data: DataDecl, inst: Substitution, env):
         if arm.ctor is None:
-            return dict(env), (None, [], [])
+            return dict(env), None
         cdecl = data.ctor(arm.ctor)
         if cdecl is None:
             self.mc.abort(
@@ -1113,13 +1106,10 @@ class ExprChecker:
                 arm.span,
             )
         arm_env = dict(env)
-        btypes = []
         for binder, field_t in zip(arm.binders, cdecl.fields):
-            ty = inst.apply(field_t)
-            btypes.append(ty)
             if binder != "_":
-                arm_env[binder] = ty
-        return arm_env, ((data.id, arm.ctor), list(arm.binders), btypes)
+                arm_env[binder] = inst.apply(field_t)
+        return arm_env, (data.id, arm.ctor)
 
     # ------------------------------------------------------------- checking
 
@@ -1130,12 +1120,12 @@ class ExprChecker:
             return self._branching(e, env, expected)
         if isinstance(e, A.EInt) and e.width is None:
             expected_n = self.norm(expected, e.span)
-            if expected_n == U64:
-                return TLit(e.span, U64, "u64", e.value)
-            if expected_n == U8:
-                if e.value >= 2**8:
-                    self.mc.abort("E-TYPE-MISMATCH", "literal out of range for U8", e.span)
-                return TLit(e.span, U8, "u8", e.value)
+            bits = {U64: 64, U8: 8}.get(expected_n)
+            if bits is not None:
+                width = expected_n.name
+                if e.value >= 2**bits:
+                    self.mc.abort("E-TYPE-MISMATCH", f"literal out of range for {width}", e.span)
+                return TLit(e.span, expected_n, width.lower(), e.value)
             self.mc.abort(
                 "E-TYPE-MISMATCH",
                 f"integer literal cannot have type {render(expected)}",

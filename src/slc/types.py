@@ -285,13 +285,6 @@ class Substitution:
     def bind(self, uid: int, term: TypeTerm):
         self.bindings[uid] = term
 
-    def to_json(self, var_names: dict[int, str] | None = None) -> dict:
-        names = var_names or {}
-        out = {}
-        for uid in sorted(self.bindings):
-            out[names.get(uid, f"${uid}")] = render(self.bindings[uid])
-        return out
-
     def __repr__(self):
         inner = ", ".join(f"{u}->{render(t)}" for u, t in sorted(self.bindings.items()))
         return f"Subst({inner})"

@@ -26,6 +26,8 @@ from slc.parser import parse_module
         "module m\nfn f() -> U64 { \"unterminated }",
         "module m\nfn f() -> U64 { 0x:U64 }",
         "module m\n@",
+        "module m\nfn f() -> U64 { 1² }",
+        "module m\n²",
         "module m\nfn f() -> U64 { let x = 1:U64 }",
     ],
 )

@@ -1,5 +1,7 @@
 """Module checking: name resolution, bodies, constraints, obligations."""
 
+import pytest
+
 from conftest import check_inline, codes
 
 ITER = """\
@@ -64,6 +66,17 @@ def test_unannotated_literal_in_generic_position():
     result = check_inline(iter=src)
     assert not result.ok
     assert "E-CANNOT-INFER" in codes(result)
+
+
+@pytest.mark.parametrize("width, limit", [("U64", 2**64), ("U8", 2**8)])
+def test_unannotated_literal_range_follows_the_expected_width(width, limit):
+    def checked(value):
+        return check_inline(m=f"module m\nfn f() -> {width} {{ let x: {width} = {value}; x }}\n")
+
+    assert checked(limit - 1).ok
+    result = checked(limit)
+    assert codes(result) == ["E-TYPE-MISMATCH"]
+    assert result.diagnostics[0].message == f"literal out of range for {width}"
 
 
 def test_missing_requirement():

@@ -1,9 +1,12 @@
 """Parsing, printing, and round-trip behavior of the surface syntax."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slc import ast as A
-from slc.parser import parse_module
+from slc.lexer import LexError
+from slc.parser import parse_module, tokenize
 from slc.printer import ast_equal, pretty_print
 
 ITER_SRC = """\
@@ -155,3 +158,62 @@ def test_self_must_come_first():
     result = parse_module("module m\nconcept C[T] { }\n", "x.sl")
     assert isinstance(result, list)
     assert "Self" in result[0].message
+
+
+@pytest.mark.parametrize(
+    "src, message, start, end",
+    [
+        ('"ab\ncd"', "unterminated string literal", (1, 1), (1, 4)),
+        ('"ab', "unterminated string literal", (1, 1), (1, 4)),
+        ('"a\\', "unterminated string escape", (1, 1), (1, 4)),
+        ('"a\\q"', "unknown string escape '\\q'", (1, 1), (1, 4)),
+        ('"a\\\nb"', "unknown string escape '\\\n'", (1, 1), (1, 4)),
+        ("0x", "malformed hexadecimal literal", (1, 1), (1, 3)),
+        ("0xg", "malformed hexadecimal literal", (1, 1), (1, 3)),
+        ("x @", "unexpected character '@'", (1, 3), (1, 3)),
+        ("²", "unexpected character '²'", (1, 1), (1, 1)),
+        ("x 1²", "unexpected character '²'", (1, 4), (1, 4)),
+    ],
+)
+def test_lex_errors_pin_message_and_span(src, message, start, end):
+    with pytest.raises(LexError) as caught:
+        tokenize(src, "f.sl")
+    diag = caught.value.diagnostic
+    assert (diag.code, diag.message, diag.span.start, diag.span.end) == ("E-PARSE", message, start, end)
+
+
+def test_tokens_carry_kind_text_span_and_value():
+    tokens = tokenize('\n  "x\\n\\t\\"\\\\" 3.5 0XfF ٣ _ _a', "f.sl")
+    assert [(t.kind, t.text, t.span.start, t.span.end, t.value) for t in tokens] == [
+        ("string", 'x\n\t"\\', (2, 3), (2, 13), 'x\n\t"\\'),
+        ("float", "3.5", (2, 15), (2, 17), "3.5"),
+        ("int", "0XfF", (2, 19), (2, 22), 255),
+        ("int", "٣", (2, 24), (2, 24), 3),
+        ("_", "_", (2, 26), (2, 26), None),
+        ("ident", "_a", (2, 28), (2, 29), None),
+        ("eof", "", (2, 30), (2, 30), None),
+    ]
+
+
+LEX_FRAGMENTS = [
+    "module", "m", "fn", "_", "x1", "U64", "42", "0x1F", "3.14", "٣", '"a\\tb"',
+    "==", "=>", "->", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "=",
+    " ", "\t", "\n", "-- note\n",
+    '"', "\\q", "0x", "@", "²", "é", "\r",
+]
+
+
+@given(st.lists(st.sampled_from(LEX_FRAGMENTS), max_size=20).map("".join))
+def test_tokenize_is_total_and_spans_cover_token_text(src):
+    try:
+        tokens = tokenize(src, "p.sl")
+    except LexError as exc:
+        assert exc.diagnostic.code == "E-PARSE"
+        return
+    assert tokens[-1].kind == "eof"
+    lines = src.split("\n")
+    for tok in tokens[:-1]:
+        (line, first), (end_line, last) = tok.span.start, tok.span.end
+        assert line == end_line
+        if tok.kind != "string":
+            assert lines[line - 1][first - 1 : last] == tok.text
