@@ -7,237 +7,239 @@ shape exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .diagnostics import Record, Span
 
-from .diagnostics import Span
+
+class Node(Record):
+    """A syntax node, compared by value; its first slot is its source span."""
+
+    __slots__ = ("span",)
+    def __init__(self, span: Span):
+        self.span = span
 
 
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class TypeExprAST:
-    span: Span
+class TypeExprAST(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TName(TypeExprAST):
     """A possibly projected name: `U64`, `a`, `A.Element`, `mb.Key`."""
 
-    base: str
-    args: tuple[TypeExprAST, ...]  # applied type arguments on the base
-    projections: tuple[str, ...]  # trailing `.Member` selections
+    # args: applied type arguments on the base; projections: trailing `.Member` selections
+    __slots__ = ("base", "args", "projections")
+    def __init__(self, span: Span, base: str, args: tuple[TypeExprAST, ...],
+                 projections: tuple[str, ...]):
+        self.span, self.base, self.args, self.projections = span, base, args, projections
 
 
-@dataclass(frozen=True)
 class TTuple(TypeExprAST):
-    items: tuple[TypeExprAST, ...]  # exactly two; pairs only
+    # items: exactly two; pairs only
+    __slots__ = ("items",)
+    def __init__(self, span: Span, items: tuple[TypeExprAST, ...]):
+        self.span, self.items = span, items
 
 
-@dataclass(frozen=True)
 class TUnit(TypeExprAST):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TFn(TypeExprAST):
-    params: tuple[TypeExprAST, ...]
-    ret: TypeExprAST
+    __slots__ = ("params", "ret")
+    def __init__(self, span: Span, params: tuple[TypeExprAST, ...], ret: TypeExprAST):
+        self.span, self.params, self.ret = span, params, ret
 
 
-@dataclass(frozen=True)
 class TProj(TypeExprAST):
     """Projection on a non-name base, e.g. `Option[a].Member`."""
 
-    base: TypeExprAST
-    member: str
+    __slots__ = ("base", "member")
+    def __init__(self, span: Span, base: TypeExprAST, member: str):
+        self.span, self.base, self.member = span, base, member
 
 
 # ---------------------------------------------------------------- constraints
 
 
-@dataclass(frozen=True)
-class ConstraintAST:
-    span: Span
+class ConstraintAST(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConfAST(ConstraintAST):
-    concept: str
-    args: tuple[TypeExprAST, ...]
+    __slots__ = ("concept", "args")
+    def __init__(self, span: Span, concept: str, args: tuple[TypeExprAST, ...]):
+        self.span, self.concept, self.args = span, concept, args
 
 
-@dataclass(frozen=True)
 class EqAST(ConstraintAST):
-    lhs: TypeExprAST
-    rhs: TypeExprAST
+    __slots__ = ("lhs", "rhs")
+    def __init__(self, span: Span, lhs: TypeExprAST, rhs: TypeExprAST):
+        self.span, self.lhs, self.rhs = span, lhs, rhs
 
 
 # ---------------------------------------------------------------- expressions
 
 
-@dataclass(frozen=True)
-class ExprAST:
-    span: Span
+class ExprAST(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EVar(ExprAST):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, span: Span, name: str):
+        self.span, self.name = span, name
 
 
-@dataclass(frozen=True)
 class EInt(ExprAST):
-    value: int
-    width: str | None  # "U64" | "U8" | None when unannotated
-    lexeme: str
+    # width: "U64" | "U8" | None when unannotated
+    __slots__ = ("value", "width", "lexeme")
+    def __init__(self, span: Span, value: int, width: str | None, lexeme: str):
+        self.span, self.value, self.width, self.lexeme = span, value, width, lexeme
 
 
-@dataclass(frozen=True)
 class EFloat(ExprAST):
-    lexeme: str  # opaque; only ever carried around and shown
+    # lexeme: opaque; only ever carried around and shown
+    __slots__ = ("lexeme",)
+    def __init__(self, span: Span, lexeme: str):
+        self.span, self.lexeme = span, lexeme
 
 
-@dataclass(frozen=True)
 class EString(ExprAST):
-    value: str
+    __slots__ = ("value",)
+    def __init__(self, span: Span, value: str):
+        self.span, self.value = span, value
 
 
-@dataclass(frozen=True)
 class EBool(ExprAST):
-    value: bool
+    __slots__ = ("value",)
+    def __init__(self, span: Span, value: bool):
+        self.span, self.value = span, value
 
 
-@dataclass(frozen=True)
 class EUnit(ExprAST):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EApp(ExprAST):
-    fn: ExprAST
-    args: tuple[ExprAST, ...]
+    __slots__ = ("fn", "args")
+    def __init__(self, span: Span, fn: ExprAST, args: tuple[ExprAST, ...]):
+        self.span, self.fn, self.args = span, fn, args
 
 
-@dataclass(frozen=True)
 class ELambda(ExprAST):
-    params: tuple[tuple[str, TypeExprAST | None], ...]
-    body: ExprAST
+    __slots__ = ("params", "body")
+    def __init__(self, span: Span, params: tuple[tuple[str, TypeExprAST | None], ...],
+                 body: ExprAST):
+        self.span, self.params, self.body = span, params, body
 
 
-@dataclass(frozen=True)
-class EMatchArm:
-    span: Span
-    ctor: str | None  # None is the `_` wildcard
-    binders: tuple[str, ...]
-    body: ExprAST
+class EMatchArm(Node):
+    # ctor: None is the `_` wildcard
+    __slots__ = ("ctor", "binders", "body")
+    def __init__(self, span: Span, ctor: str | None, binders: tuple[str, ...], body: ExprAST):
+        self.span, self.ctor, self.binders, self.body = span, ctor, binders, body
 
 
-@dataclass(frozen=True)
 class EMatch(ExprAST):
-    scrutinee: ExprAST
-    arms: tuple[EMatchArm, ...]
+    __slots__ = ("scrutinee", "arms")
+    def __init__(self, span: Span, scrutinee: ExprAST, arms: tuple[EMatchArm, ...]):
+        self.span, self.scrutinee, self.arms = span, scrutinee, arms
+        assert arms, "match arms non-empty"
 
-    def __post_init__(self):
-        assert self.arms, "match arms non-empty"
 
-
-@dataclass(frozen=True)
 class ELet(ExprAST):
-    name: str  # "_" for expression statements
-    annot: TypeExprAST | None
-    bound: ExprAST
-    body: ExprAST
+    # name: "_" for expression statements
+    __slots__ = ("name", "annot", "bound", "body")
+    def __init__(self, span: Span, name: str, annot: TypeExprAST | None, bound: ExprAST,
+                 body: ExprAST):
+        self.span, self.name, self.annot, self.bound, self.body = span, name, annot, bound, body
 
 
-@dataclass(frozen=True)
 class ETuple(ExprAST):
-    items: tuple[ExprAST, ...]  # exactly two
+    # items: exactly two
+    __slots__ = ("items",)
+    def __init__(self, span: Span, items: tuple[ExprAST, ...]):
+        self.span, self.items = span, items
 
 
-@dataclass(frozen=True)
 class EIf(ExprAST):
-    cond: ExprAST
-    then: ExprAST
-    orelse: ExprAST
+    __slots__ = ("cond", "then", "orelse")
+    def __init__(self, span: Span, cond: ExprAST, then: ExprAST, orelse: ExprAST):
+        self.span, self.cond, self.then, self.orelse = span, cond, then, orelse
 
 
-@dataclass(frozen=True)
 class EAnnot(ExprAST):
-    expr: ExprAST
-    annot: TypeExprAST
+    __slots__ = ("expr", "annot")
+    def __init__(self, span: Span, expr: ExprAST, annot: TypeExprAST):
+        self.span, self.expr, self.annot = span, expr, annot
 
 
 # ---------------------------------------------------------------- declarations
 
 
-@dataclass(frozen=True)
-class ReqSigAST:
-    span: Span
-    name: str
-    params: tuple[tuple[str, TypeExprAST], ...]
-    ret: TypeExprAST
+class ReqSigAST(Node):
+    __slots__ = ("name", "params", "ret")
+    def __init__(self, span: Span, name: str, params: tuple[tuple[str, TypeExprAST], ...],
+                 ret: TypeExprAST):
+        self.span, self.name, self.params, self.ret = span, name, params, ret
 
 
-@dataclass(frozen=True)
-class DeclAST:
-    span: Span
+class DeclAST(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConceptAST(DeclAST):
-    name: str
-    params: tuple[str, ...]  # Self first, parser-enforced
-    supers: tuple[ConstraintAST, ...]
-    assoc_names: tuple[str, ...]
-    requirements: tuple[ReqSigAST, ...]
+    # params: Self first, parser-enforced
+    __slots__ = ("name", "params", "supers", "assoc_names", "requirements")
+    def __init__(self, span: Span, name: str, params: tuple[str, ...],
+                 supers: tuple[ConstraintAST, ...], assoc_names: tuple[str, ...],
+                 requirements: tuple[ReqSigAST, ...]):
+        self.span, self.name, self.params, self.supers = span, name, params, supers
+        self.assoc_names, self.requirements = assoc_names, requirements
 
 
-@dataclass(frozen=True)
-class AssocBindAST:
-    span: Span
-    member: str
-    rhs: TypeExprAST
+class AssocBindAST(Node):
+    __slots__ = ("member", "rhs")
+    def __init__(self, span: Span, member: str, rhs: TypeExprAST):
+        self.span, self.member, self.rhs = span, member, rhs
 
 
-@dataclass(frozen=True)
 class FunAST(DeclAST):
-    name: str
-    typarams: tuple[str, ...]
-    params: tuple[tuple[str, TypeExprAST], ...]
-    ret: TypeExprAST
-    context: tuple[ConstraintAST, ...]
-    body: ExprAST
+    __slots__ = ("name", "typarams", "params", "ret", "context", "body")
+    def __init__(self, span: Span, name: str, typarams: tuple[str, ...],
+                 params: tuple[tuple[str, TypeExprAST], ...], ret: TypeExprAST,
+                 context: tuple[ConstraintAST, ...], body: ExprAST):
+        self.span, self.name, self.typarams, self.params = span, name, typarams, params
+        self.ret, self.context, self.body = ret, context, body
 
 
-@dataclass(frozen=True)
 class ModelAST(DeclAST):
-    name: str | None
-    concept: str
-    head: tuple[TypeExprAST, ...]
-    context: tuple[ConstraintAST, ...]
-    assoc_binds: tuple[AssocBindAST, ...]
-    bodies: tuple[FunAST, ...]  # requirement implementations, no typarams
+    # bodies: requirement implementations, no typarams
+    __slots__ = ("name", "concept", "head", "context", "assoc_binds", "bodies")
+    def __init__(self, span: Span, name: str | None, concept: str, head: tuple[TypeExprAST, ...],
+                 context: tuple[ConstraintAST, ...], assoc_binds: tuple[AssocBindAST, ...],
+                 bodies: tuple[FunAST, ...]):
+        self.span, self.name, self.concept, self.head = span, name, concept, head
+        self.context, self.assoc_binds, self.bodies = context, assoc_binds, bodies
 
 
-@dataclass(frozen=True)
-class CtorAST:
-    span: Span
-    name: str
-    fields: tuple[TypeExprAST, ...]
+class CtorAST(Node):
+    __slots__ = ("name", "fields")
+    def __init__(self, span: Span, name: str, fields: tuple[TypeExprAST, ...]):
+        self.span, self.name, self.fields = span, name, fields
 
 
-@dataclass(frozen=True)
 class DataAST(DeclAST):
-    name: str
-    params: tuple[str, ...]
-    ctors: tuple[CtorAST, ...]
+    __slots__ = ("name", "params", "ctors")
+    def __init__(self, span: Span, name: str, params: tuple[str, ...], ctors: tuple[CtorAST, ...]):
+        self.span, self.name, self.params, self.ctors = span, name, params, ctors
 
 
-@dataclass(frozen=True)
-class ModuleAST:
-    span: Span
-    name: str
-    imports: tuple[str, ...]
-    decls: tuple[DeclAST, ...]
-    import_spans: tuple[Span, ...] = ()
+class ModuleAST(Node):
+    __slots__ = ("name", "imports", "decls", "import_spans")
+    def __init__(self, span: Span, name: str, imports: tuple[str, ...], decls: tuple[DeclAST, ...],
+                 import_spans: tuple[Span, ...] = ()):
+        self.span, self.name, self.imports, self.decls = span, name, imports, decls
+        self.import_spans = import_spans

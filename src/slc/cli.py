@@ -27,6 +27,13 @@ def _color_enabled() -> bool:
     return os.environ.get("SL_COLOR", "0") == "1"
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl",
@@ -55,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="use-site only: on ambiguity pick the first candidate in "
             "declaration order and warn",
         )
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="resolution depth limit")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="evaluation step budget")
+        p.add_argument("--depth", type=count, default=DEFAULT_DEPTH, help="resolution depth limit")
+        p.add_argument("--fuel", type=count, default=DEFAULT_FUEL, help="evaluation step budget")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--manifest", help="file listing source paths, one per line")
 

@@ -27,8 +27,6 @@ blanket rules (E-BLANKET-DUP, overlap with a blanket) exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decls import CheckedModule, ModelDecl, ModelWorld
 from .diagnostics import Diagnostic, Related
 from .types import (
@@ -47,13 +45,12 @@ from .types import (
 POLICY_KINDS = ("use-site", "def-site-strict", "def-site-disjoint", "scoped")
 
 
-@dataclass(frozen=True)
 class CoherencePolicy:
-    kind: str = "use-site"
-    prioritize_specific: bool = False
-    incoherent_ok: bool = False
-
-    def __post_init__(self):
+    __slots__ = ("kind", "prioritize_specific", "incoherent_ok")
+    def __init__(self, kind: str = "use-site", prioritize_specific: bool = False,
+                 incoherent_ok: bool = False):
+        self.kind, self.prioritize_specific = kind, prioritize_specific
+        self.incoherent_ok = incoherent_ok
         assert self.kind in POLICY_KINDS, self.kind
 
     @property
@@ -64,12 +61,13 @@ class CoherencePolicy:
         return CoherencePolicy(self.kind)
 
 
-@dataclass
 class OverlapWitness:
-    models: tuple[str, str]  # uids
-    subst: Substitution  # over the freshened heads
-    inst_context1: list
-    inst_context2: list
+    # models: uids; subst: over the freshened heads
+    __slots__ = ("models", "subst", "inst_context1", "inst_context2")
+    def __init__(self, models: tuple[str, str], subst: Substitution, inst_context1: list,
+                 inst_context2: list):
+        self.models, self.subst, self.inst_context1 = models, subst, inst_context1
+        self.inst_context2 = inst_context2
 
 
 def is_blanket_self(m: ModelDecl) -> bool:

@@ -15,8 +15,6 @@ elaborator bugs, so any failure is reported as E-CORE-ILLTYPED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .decls import (
     ConceptDecl,
     DataDecl,
@@ -64,119 +62,119 @@ from .types import (
 # ---------------------------------------------------------------- core terms
 
 
-@dataclass
 class CoreExpr:
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class CVar(CoreExpr):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class CGlobal(CoreExpr):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class CBuiltin(CoreExpr):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class CLit(CoreExpr):
-    kind: str  # u64 | u8 | bool | string | unit | f64
-    value: object
+    # kind: u64 | u8 | bool | string | unit | f64
+    __slots__ = ("kind", "value")
+    def __init__(self, kind: str, value: object):
+        self.kind, self.value = kind, value
 
 
-@dataclass
 class CLam(CoreExpr):
-    params: list[tuple[str, TypeTerm]]
-    body: CoreExpr
+    __slots__ = ("params", "body")
+    def __init__(self, params: list[tuple[str, TypeTerm]], body: CoreExpr):
+        self.params, self.body = params, body
 
 
-@dataclass
 class CApp(CoreExpr):
-    fn: CoreExpr
-    args: list[CoreExpr]
+    __slots__ = ("fn", "args")
+    def __init__(self, fn: CoreExpr, args: list[CoreExpr]):
+        self.fn, self.args = fn, args
 
 
-@dataclass
 class CTyApp(CoreExpr):
-    fn: CoreExpr
-    args: list[TypeTerm]
+    __slots__ = ("fn", "args")
+    def __init__(self, fn: CoreExpr, args: list[TypeTerm]):
+        self.fn, self.args = fn, args
 
 
-@dataclass
 class CDict(CoreExpr):
     """A concept dictionary: superclass dictionaries then requirement fields."""
 
-    concept: str
-    subjects: list[TypeTerm]
-    bindings: dict[str, TypeTerm]  # associated types chosen by this model
-    fields: dict[str, CoreExpr]
-    tag: str  # the originating model, for dictionary identity
+    # bindings: associated types chosen by this model
+    # tag: the originating model, for dictionary identity
+    __slots__ = ("concept", "subjects", "bindings", "fields", "tag")
+    def __init__(self, concept: str, subjects: list[TypeTerm], bindings: dict[str, TypeTerm],
+                 fields: dict[str, CoreExpr], tag: str):
+        self.concept, self.subjects, self.bindings = concept, subjects, bindings
+        self.fields, self.tag = fields, tag
 
 
-@dataclass
 class CProj(CoreExpr):
-    record: CoreExpr
-    field: str
+    __slots__ = ("record", "field")
+    def __init__(self, record: CoreExpr, field: str):
+        self.record, self.field = record, field
 
 
-@dataclass
 class CCtor(CoreExpr):
-    data: str  # data id
-    ctor: str
-    tyargs: list[TypeTerm]
-    args: list[CoreExpr]
+    # data: data id
+    __slots__ = ("data", "ctor", "tyargs", "args")
+    def __init__(self, data: str, ctor: str, tyargs: list[TypeTerm], args: list[CoreExpr]):
+        self.data, self.ctor, self.tyargs, self.args = data, ctor, tyargs, args
 
 
-@dataclass
 class CMatch(CoreExpr):
-    scrutinee: CoreExpr
-    arms: list[tuple[str | None, list[str], CoreExpr]]  # (ctor | wildcard, binders, body)
+    # arms: (ctor | wildcard, binders, body)
+    __slots__ = ("scrutinee", "arms")
+    def __init__(self, scrutinee: CoreExpr, arms: list[tuple[str | None, list[str], CoreExpr]]):
+        self.scrutinee, self.arms = scrutinee, arms
 
 
-@dataclass
 class CLet(CoreExpr):
-    name: str
-    bound: CoreExpr
-    body: CoreExpr
+    __slots__ = ("name", "bound", "body")
+    def __init__(self, name: str, bound: CoreExpr, body: CoreExpr):
+        self.name, self.bound, self.body = name, bound, body
 
 
-@dataclass
 class CTuple(CoreExpr):
-    first: CoreExpr
-    second: CoreExpr
+    __slots__ = ("first", "second")
+    def __init__(self, first: CoreExpr, second: CoreExpr):
+        self.first, self.second = first, second
 
 
-@dataclass
 class CIf(CoreExpr):
-    cond: CoreExpr
-    then: CoreExpr
-    orelse: CoreExpr
+    __slots__ = ("cond", "then", "orelse")
+    def __init__(self, cond: CoreExpr, then: CoreExpr, orelse: CoreExpr):
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass
 class CoreDef:
-    name: str
-    tyvars: list[Var]
-    type: TypeTerm  # type of `expr` with tyvars held rigid
-    expr: CoreExpr
-    eq_rules: list[Eq] = field(default_factory=list)  # erased equality givens
+    # type: type of `expr` with tyvars held rigid; eq_rules: erased equality givens
+    __slots__ = ("name", "tyvars", "type", "expr", "eq_rules")
+    def __init__(self, name: str, tyvars: list[Var], type: TypeTerm, expr: CoreExpr,
+                 eq_rules: list[Eq] | None = None):
+        self.name, self.tyvars, self.type, self.expr = name, tyvars, type, expr
+        self.eq_rules = [] if eq_rules is None else eq_rules
 
 
-@dataclass
 class CoreProgram:
-    defs: dict[str, CoreDef]
-    order: list[str]
-    entry: str | None
-    concepts: dict[str, ConceptDecl]
-    datas: dict[str, DataDecl]
-    models: dict[str, ModelDecl]
-    world: ModelWorld
+    __slots__ = ("defs", "order", "entry", "concepts", "datas", "models", "world")
+    def __init__(self, defs: dict[str, CoreDef], order: list[str], entry: str | None,
+                 concepts: dict[str, ConceptDecl], datas: dict[str, DataDecl],
+                 models: dict[str, ModelDecl], world: ModelWorld):
+        self.defs, self.order, self.entry, self.concepts = defs, order, entry, concepts
+        self.datas, self.models, self.world = datas, models, world
 
 
 def dict_con(concept: ConceptDecl) -> Con:

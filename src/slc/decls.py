@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Span
 from .types import (
     Assoc,
@@ -20,24 +18,23 @@ from .types import (
 )
 
 
-@dataclass
 class ReqSig:
-    name: str
-    params: list[tuple[str, TypeTerm]]
-    ret: TypeTerm
-    span: Span
+    __slots__ = ("name", "params", "ret", "span")
+    def __init__(self, name: str, params: list[tuple[str, TypeTerm]], ret: TypeTerm, span: Span):
+        self.name, self.params, self.ret, self.span = name, params, ret, span
 
 
-@dataclass
 class ConceptDecl:
-    module: str
-    name: str
-    params: list[Var]  # Self first
-    supers: list[ConstraintTerm]  # over params
-    assoc_names: list[str]
-    requirements: dict[str, ReqSig]
-    req_order: list[str]
-    span: Span
+    # params: Self first; supers: over params
+    __slots__ = (
+        "module", "name", "params", "supers", "assoc_names", "requirements", "req_order", "span",
+    )
+    def __init__(self, module: str, name: str, params: list[Var], supers: list[ConstraintTerm],
+                 assoc_names: list[str], requirements: dict[str, ReqSig], req_order: list[str],
+                 span: Span):
+        self.module, self.name, self.params, self.supers = module, name, params, supers
+        self.assoc_names, self.requirements, self.req_order = assoc_names, requirements, req_order
+        self.span = span
 
     @property
     def id(self) -> str:
@@ -48,20 +45,19 @@ class ConceptDecl:
         return Substitution({v.uid: s for v, s in zip(self.params, subjects)})
 
 
-@dataclass
 class ModelDecl:
-    module: str
-    index: int  # position among the module's models, in declaration order
-    name: str | None
-    concept: str  # concept id
-    head: list[TypeTerm]
-    vars: list[Var]  # head variables, first-occurrence order
-    context: list[ConstraintTerm]
-    assoc: dict[str, TypeTerm]
-    span: Span
-    bodies: dict[str, "TExpr"] = field(default_factory=dict)
-    superclass_resolutions: list = field(default_factory=list)
-    body_goal_records: dict[str, list] = field(default_factory=dict)
+    # index: position among the module's models, in declaration order; concept: concept id
+    # vars: head variables, first-occurrence order
+    __slots__ = (
+        "module", "index", "name", "concept", "head", "vars", "context", "assoc", "span", "bodies",
+        "superclass_resolutions", "body_goal_records",
+    )
+    def __init__(self, module: str, index: int, name: str | None, concept: str,
+                 head: list[TypeTerm], vars: list[Var], context: list[ConstraintTerm],
+                 assoc: dict[str, TypeTerm], span: Span):
+        self.module, self.index, self.name, self.concept = module, index, name, concept
+        self.head, self.vars, self.context, self.assoc, self.span = head, vars, context, assoc, span
+        self.bodies, self.superclass_resolutions, self.body_goal_records = {}, [], {}
 
     @property
     def uid(self) -> str:
@@ -89,26 +85,25 @@ class ModelDecl:
         return Substitution({v.uid: found.apply(sub.apply(v)) for v in self.vars})
 
 
-@dataclass
 class GoalRecord:
-    site: Span
-    constraint: ConstraintTerm
-    trace: object  # resolver TraceNode
-    resolution: object | None
-    owner: str | None  # "fn:name" | "model:uid.req" | None
+    # trace: resolver TraceNode; owner: "fn:name" | "model:uid.req" | None
+    __slots__ = ("site", "constraint", "trace", "resolution", "owner")
+    def __init__(self, site: Span, constraint: ConstraintTerm, trace: object,
+                 resolution: object | None, owner: str | None):
+        self.site, self.constraint, self.trace = site, constraint, trace
+        self.resolution, self.owner = resolution, owner
 
 
-@dataclass
 class FunDecl:
-    module: str
-    name: str
-    typarams: list[Var]
-    params: list[tuple[str, TypeTerm]]
-    ret: TypeTerm
-    context: list[ConstraintTerm]
-    span: Span
-    body: "TExpr | None" = None
-    goal_records: list[GoalRecord] = field(default_factory=list)
+    __slots__ = (
+        "module", "name", "typarams", "params", "ret", "context", "span", "body", "goal_records",
+    )
+    def __init__(self, module: str, name: str, typarams: list[Var],
+                 params: list[tuple[str, TypeTerm]], ret: TypeTerm, context: list[ConstraintTerm],
+                 span: Span, body: "TExpr | None" = None):
+        self.module, self.name, self.typarams, self.params = module, name, typarams, params
+        self.ret, self.context, self.span, self.body = ret, context, span, body
+        self.goal_records = []
 
     @property
     def id(self) -> str:
@@ -119,20 +114,18 @@ class FunDecl:
         return bool(self.typarams) or bool(self.context)
 
 
-@dataclass
 class CtorDecl:
-    name: str
-    fields: list[TypeTerm]
-    span: Span
+    __slots__ = ("name", "fields", "span")
+    def __init__(self, name: str, fields: list[TypeTerm], span: Span):
+        self.name, self.fields, self.span = name, fields, span
 
 
-@dataclass
 class DataDecl:
-    module: str
-    name: str
-    params: list[Var]
-    ctors: list[CtorDecl]
-    span: Span
+    __slots__ = ("module", "name", "params", "ctors", "span")
+    def __init__(self, module: str, name: str, params: list[Var], ctors: list[CtorDecl],
+                 span: Span):
+        self.module, self.name, self.params, self.ctors = module, name, params, ctors
+        self.span = span
 
     @property
     def id(self) -> str:
@@ -145,17 +138,15 @@ class DataDecl:
         return None
 
 
-@dataclass
 class CheckedModule:
-    name: str
-    imports: list[str]
-    concepts: dict[str, ConceptDecl] = field(default_factory=dict)
-    models: list[ModelDecl] = field(default_factory=list)
-    funs: dict[str, FunDecl] = field(default_factory=dict)
-    datas: dict[str, DataDecl] = field(default_factory=dict)
-    goal_log: list[GoalRecord] = field(default_factory=list)
-    span: Span | None = None
-    world: ModelWorld | None = None  # the models visible here, its own last; set by sema
+    # world: the models visible here, its own last; set by sema
+    __slots__ = (
+        "name", "imports", "concepts", "models", "funs", "datas", "goal_log", "span", "world",
+    )
+    def __init__(self, name: str, imports: list[str], span: Span | None = None,
+                 world: ModelWorld | None = None):
+        self.name, self.imports, self.concepts, self.models, self.funs = name, imports, {}, [], {}
+        self.datas, self.goal_log, self.span, self.world = {}, [], span, world
 
     def signature_digest(self) -> str:
         """Canonical rendering used to compare re-checked modules."""
@@ -292,96 +283,96 @@ class ModelWorld:
 # ---------------------------------------------------------------- typed IR
 
 
-@dataclass
 class TExpr:
-    span: Span
-    type: TypeTerm
+    __slots__ = ("span", "type")
 
 
-@dataclass
 class TVarRef(TExpr):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, span: Span, type: TypeTerm, name: str):
+        self.span, self.type, self.name = span, type, name
 
 
-@dataclass
 class TGlobalFun(TExpr):
-    module: str
-    name: str
+    __slots__ = ("module", "name")
+    def __init__(self, span: Span, type: TypeTerm, module: str, name: str):
+        self.span, self.type, self.module, self.name = span, type, module, name
 
 
-@dataclass
 class TBuiltinRef(TExpr):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, span: Span, type: TypeTerm, name: str):
+        self.span, self.type, self.name = span, type, name
 
 
-@dataclass
 class TLit(TExpr):
-    kind: str  # u64 | u8 | bool | string | unit | f64
-    value: object
+    # kind: u64 | u8 | bool | string | unit | f64
+    __slots__ = ("kind", "value")
+    def __init__(self, span: Span, type: TypeTerm, kind: str, value: object):
+        self.span, self.type, self.kind, self.value = span, type, kind, value
 
 
-@dataclass
 class TCall(TExpr):
     """Application of a global function, builtin, or data constructor."""
 
-    kind: str  # "fun" | "builtin" | "ctor"
-    target: tuple  # fun: (module, name); builtin: (name,); ctor: (data_id, ctor)
-    tyargs: list[TypeTerm]
-    dict_args: list  # one Resolution per Conf constraint of the callee
-    args: list[TExpr]
+    # kind: "fun" | "builtin" | "ctor"
+    # target: fun: (module, name); builtin: (name,); ctor: (data_id, ctor)
+    # dict_args: one Resolution per Conf constraint of the callee
+    __slots__ = ("kind", "target", "tyargs", "dict_args", "args")
+    def __init__(self, span: Span, type: TypeTerm, kind: str, target: tuple, tyargs: list[TypeTerm],
+                 dict_args: list, args: list[TExpr]):
+        self.span, self.type, self.kind, self.target, self.tyargs = span, type, kind, target, tyargs
+        self.dict_args, self.args = dict_args, args
 
 
-@dataclass
 class TCallExpr(TExpr):
     """First-class application: the callee is an evaluated expression."""
 
-    fn: TExpr
-    args: list[TExpr]
+    __slots__ = ("fn", "args")
+    def __init__(self, span: Span, type: TypeTerm, fn: TExpr, args: list[TExpr]):
+        self.span, self.type, self.fn, self.args = span, type, fn, args
 
 
-@dataclass
 class TReqCall(TExpr):
-    concept: str
-    member: str
-    subjects: list[TypeTerm]
-    resolution: object
-    args: list[TExpr]
+    __slots__ = ("concept", "member", "subjects", "resolution", "args")
+    def __init__(self, span: Span, type: TypeTerm, concept: str, member: str,
+                 subjects: list[TypeTerm], resolution: object, args: list[TExpr]):
+        self.span, self.type, self.concept, self.member = span, type, concept, member
+        self.subjects, self.resolution, self.args = subjects, resolution, args
 
 
-@dataclass
 class TLam(TExpr):
-    params: list[tuple[str, TypeTerm]]
-    body: TExpr
+    __slots__ = ("params", "body")
+    def __init__(self, span: Span, type: TypeTerm, params: list[tuple[str, TypeTerm]], body: TExpr):
+        self.span, self.type, self.params, self.body = span, type, params, body
 
 
-@dataclass
 class TArm:
-    ctor: tuple[str, str] | None  # (data id, ctor name); None for wildcard
-    binders: list[str]
-    body: TExpr
+    # ctor: (data id, ctor name); None for wildcard
+    __slots__ = ("ctor", "binders", "body")
+    def __init__(self, ctor: tuple[str, str] | None, binders: list[str], body: TExpr):
+        self.ctor, self.binders, self.body = ctor, binders, body
 
 
-@dataclass
 class TMatch(TExpr):
-    scrutinee: TExpr
-    arms: list[TArm]
+    __slots__ = ("scrutinee", "arms")
+    def __init__(self, span: Span, type: TypeTerm, scrutinee: TExpr, arms: list[TArm]):
+        self.span, self.type, self.scrutinee, self.arms = span, type, scrutinee, arms
 
 
-@dataclass
 class TLet(TExpr):
-    name: str
-    bound: TExpr
-    body: TExpr
+    __slots__ = ("name", "bound", "body")
+    def __init__(self, span: Span, type: TypeTerm, name: str, bound: TExpr, body: TExpr):
+        self.span, self.type, self.name, self.bound, self.body = span, type, name, bound, body
 
 
-@dataclass
 class TTuple(TExpr):
-    first: TExpr
-    second: TExpr
+    __slots__ = ("first", "second")
+    def __init__(self, span: Span, type: TypeTerm, first: TExpr, second: TExpr):
+        self.span, self.type, self.first, self.second = span, type, first, second
 
 
-@dataclass
 class TIf(TExpr):
-    cond: TExpr
-    then: TExpr
-    orelse: TExpr
+    __slots__ = ("cond", "then", "orelse")
+    def __init__(self, span: Span, type: TypeTerm, cond: TExpr, then: TExpr, orelse: TExpr):
+        self.span, self.type, self.cond, self.then, self.orelse = span, type, cond, then, orelse

@@ -6,8 +6,6 @@ other codes are ever emitted and that output ordering is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 # Every code the toolchain may emit, with its default severity.
 CATALOG = {
@@ -43,24 +41,36 @@ CATALOG = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+def slot_names(record) -> tuple[str, ...]:
+    """The `__slots__` of `record`'s class and its bases, bases first."""
+    return tuple(n for c in reversed(type(record).__mro__) for n in vars(c).get("__slots__", ()))
+
+
+class Record:
+    """A `__slots__` class compared and hashed by its type and slot values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in slot_names(self)
+        )
+
+    def __hash__(self):
+        return hash((type(self), *[getattr(self, name) for name in slot_names(self)]))
+
+
+class Span(Record):
     """A half-open source region, 1-based (line, col) endpoints inclusive."""
 
-    file: str
-    start: tuple[int, int]
-    end: tuple[int, int]
-
-    def __post_init__(self):
-        assert self.start <= self.end, (self.start, self.end)
-        assert self.start[0] >= 1 and self.start[1] >= 1
+    __slots__ = ("file", "start", "end")
+    def __init__(self, file: str, start: tuple[int, int], end: tuple[int, int]):
+        self.file, self.start, self.end = file, start, end
+        assert start <= end, (start, end)
+        assert start[0] >= 1 and start[1] >= 1
 
     def contains(self, other: "Span") -> bool:
-        return (
-            self.file == other.file
-            and self.start <= other.start
-            and other.end <= self.end
-        )
+        return self.file == other.file and self.start <= other.start and other.end <= self.end
 
     def covers(self, line: int, col: int) -> bool:
         return self.start <= (line, col) <= self.end
@@ -76,26 +86,23 @@ class Span:
         return f"{self.file}:{self.start[0]}:{self.start[1]}"
 
 
-@dataclass(frozen=True)
 class Related:
     """A secondary location attached to a diagnostic (e.g. the other model)."""
 
-    span: Span
-    note: str = ""
+    __slots__ = ("span", "note")
+    def __init__(self, span: Span, note: str = ""):
+        self.span, self.note = span, note
 
     def to_json(self) -> dict:
         return {"span": self.span.to_json(), "note": self.note}
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    code: str
-    message: str
-    span: Span
-    module: str = ""
-    related: tuple[Related, ...] = ()
-
-    def __post_init__(self):
+    __slots__ = ("code", "message", "span", "module", "related")
+    def __init__(self, code: str, message: str, span: Span, module: str = "",
+                 related: tuple[Related, ...] = ()):
+        self.code, self.message, self.span, self.module = code, message, span, module
+        self.related = related
         assert self.code in CATALOG, self.code
 
     @property
@@ -131,7 +138,8 @@ def sort_diagnostics(diags: list[Diagnostic], topo_index: dict[str, int]) -> lis
     """Canonical ordering: (module topological index, span, code)."""
 
     def key(d: Diagnostic):
-        return (topo_index.get(d.module, -1), d.span, d.code, d.message)
+        span = d.span
+        return (topo_index.get(d.module, -1), span.file, span.start, span.end, d.code, d.message)
 
     return sorted(diags, key=key)
 

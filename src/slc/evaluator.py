@@ -16,7 +16,6 @@ total for callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .corekit import (
@@ -37,7 +36,7 @@ from .corekit import (
     CTyApp,
     CVar,
 )
-from .diagnostics import Diagnostic, Span
+from .diagnostics import Diagnostic, Record, Span
 
 MASK64 = (1 << 64) - 1
 MASK8 = (1 << 8) - 1
@@ -61,72 +60,78 @@ class RuntimeFailure(Exception):
         return Diagnostic(self.code, self.message, Span("<runtime>", (1, 1), (1, 1)))
 
 
-@dataclass(slots=True)
-class VU64:
-    value: int
+# Data values compare by value; closures, dictionaries and builtins by identity.
+class VU64(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
-class VU8:
-    value: int
+class VU8(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
-class VBool:
-    value: bool
+class VBool(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True)
-class VStr:
-    value: str
+class VStr(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(slots=True)
-class VF64:
-    lexeme: str  # opaque; never computed with
+class VF64(Record):
+    # lexeme: opaque; never computed with
+    __slots__ = ("lexeme",)
+    def __init__(self, lexeme: str):
+        self.lexeme = lexeme
 
 
-@dataclass(slots=True)
-class VUnit:
-    pass
+class VUnit(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class VTuple:
-    first: object
-    second: object
+class VTuple(Record):
+    __slots__ = ("first", "second")
+    def __init__(self, first: object, second: object):
+        self.first, self.second = first, second
 
 
-@dataclass(slots=True)
-class VCtor:
-    data: str
-    name: str
-    args: list
+class VCtor(Record):
+    __slots__ = ("data", "name", "args")
+    def __init__(self, data: str, name: str, args: list):
+        self.data, self.name, self.args = data, name, args
 
 
-@dataclass(slots=True)
 class VClosure:
-    params: list[str]
-    body: Lazy  # compiled in tail mode
-    env: dict
+    # body: compiled in tail mode
+    __slots__ = ("params", "body", "env")
+    def __init__(self, params: list[str], body: Lazy, env: dict):
+        self.params, self.body, self.env = params, body, env
 
     def __repr__(self):
         return f"<closure/{len(self.params)}>"
 
 
-@dataclass(slots=True)
 class VDict:
-    tag: str  # originating model; distinct models yield distinct dictionaries
-    fields: dict
+    # tag: originating model; distinct models yield distinct dictionaries
+    __slots__ = ("tag", "fields")
+    def __init__(self, tag: str, fields: dict):
+        self.tag, self.fields = tag, fields
 
     def __repr__(self):
         return f"<dict {self.tag}>"
 
 
-@dataclass(slots=True)
 class VBuiltin:
-    name: str
-    run: Callable[[list, list[str]], object]
+    __slots__ = ("name", "run")
+    def __init__(self, name: str, run: Callable[[list, list[str]], object]):
+        self.name, self.run = name, run
 
 
 # Literal kind -> value of the literal's payload.

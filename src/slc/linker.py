@@ -12,8 +12,6 @@ skips the global check entirely: all models coexist under their names.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import ast as A
 from .coherence import CoherencePolicy, check_def_site, conflicts
@@ -25,23 +23,21 @@ from .sema import check_module
 from .types import UNIT
 
 
-@dataclass
 class ModuleGraph:
-    order: list[str]  # topological, deterministic
-    asts: dict[str, A.ModuleAST]
+    # order: topological, deterministic; topo_index: each name's position in it
+    __slots__ = ("order", "asts", "topo_index")
+    def __init__(self, order: list[str], asts: dict[str, A.ModuleAST]):
+        self.order, self.asts = order, asts
+        self.topo_index = {name: i for i, name in enumerate(order)}
 
-    @cached_property
-    def topo_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.order)}
 
-
-@dataclass
 class LinkedProgram:
-    graph: ModuleGraph
-    modules: dict[str, CheckedModule]
-    world: ModelWorld  # union world
-    entry: tuple[str, str] | None  # (module, function)
-    policy: CoherencePolicy
+    # world: union world; entry: (module, function)
+    __slots__ = ("graph", "modules", "world", "entry", "policy")
+    def __init__(self, graph: ModuleGraph, modules: dict[str, CheckedModule], world: ModelWorld,
+                 entry: tuple[str, str] | None, policy: CoherencePolicy):
+        self.graph, self.modules, self.world, self.entry = graph, modules, world, entry
+        self.policy = policy
 
     def concepts_table(self) -> dict:
         table = {}
@@ -195,12 +191,12 @@ def link(
 # ---------------------------------------------------------------- pipeline
 
 
-@dataclass
 class CheckResult:
-    diagnostics: list[Diagnostic]
-    program: LinkedProgram | None
-    modules: dict[str, CheckedModule] = field(default_factory=dict)
-    graph: ModuleGraph | None = None
+    __slots__ = ("diagnostics", "program", "modules", "graph")
+    def __init__(self, diagnostics: list[Diagnostic], program: LinkedProgram | None,
+                 modules: dict[str, CheckedModule] | None = None, graph: ModuleGraph | None = None):
+        self.diagnostics, self.program, self.graph = diagnostics, program, graph
+        self.modules = {} if modules is None else modules
 
     @property
     def ok(self) -> bool:

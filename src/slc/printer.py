@@ -7,7 +7,7 @@ spans; `ast_equal` implements that comparison.
 from __future__ import annotations
 
 from . import ast as A
-from .diagnostics import Span
+from .diagnostics import Record, Span, slot_names
 
 INDENT = "  "
 
@@ -180,8 +180,6 @@ def ast_equal(a, b) -> bool:
         return False
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
-    if hasattr(a, "__dataclass_fields__"):
-        return all(
-            ast_equal(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__
-        )
+    if isinstance(a, Record):
+        return all(ast_equal(getattr(a, f), getattr(b, f)) for f in slot_names(a))
     return a == b

@@ -15,8 +15,6 @@ Every step is logged into a replayable trace for the `explain` command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coherence import CoherencePolicy
 from .decls import ConceptDecl, FunDecl, ModelDecl, ModelWorld
 from .diagnostics import Diagnostic, Related, Span
@@ -36,46 +34,45 @@ from .types import (
 DEFAULT_DEPTH = 64
 
 
-@dataclass(frozen=True)
 class Goal:
-    constraint: ConstraintTerm
-    rigid: frozenset[int]  # uids of the enclosing declaration's type params
-    site: Span
+    # rigid: uids of the enclosing declaration's type params
+    __slots__ = ("constraint", "rigid", "site")
+    def __init__(self, constraint: ConstraintTerm, rigid: frozenset[int], site: Span):
+        self.constraint, self.rigid, self.site = constraint, rigid, site
 
 
-@dataclass
 class ModelNode:
-    model: str  # ModelDecl uid
-    type_args: list[TypeTerm]  # per the model's head variables, in order
-    children: list  # one Resolution per context constraint
+    # model: ModelDecl uid; type_args: per the model's head variables, in order
+    # children: one Resolution per context constraint
+    __slots__ = ("model", "type_args", "children")
+    def __init__(self, model: str, type_args: list[TypeTerm], children: list):
+        self.model, self.type_args, self.children = model, type_args, children
 
 
-@dataclass
 class GivenLeaf:
-    index: int  # index into the enclosing declared context
-    via: tuple[int, ...]  # refinement path: superclass indices to project
-    constraint: ConstraintTerm
+    # index: index into the enclosing declared context
+    # via: refinement path: superclass indices to project
+    __slots__ = ("index", "via", "constraint")
+    def __init__(self, index: int, via: tuple[int, ...], constraint: ConstraintTerm):
+        self.index, self.via, self.constraint = index, via, constraint
 
 
-@dataclass
 class EqLeaf:
-    lhs: TypeTerm
-    rhs: TypeTerm
-    steps: list[str]
+    __slots__ = ("lhs", "rhs", "steps")
+    def __init__(self, lhs: TypeTerm, rhs: TypeTerm, steps: list[str]):
+        self.lhs, self.rhs, self.steps = lhs, rhs, steps
 
 
 Resolution = object  # ModelNode | GivenLeaf | EqLeaf
 
 
-@dataclass
 class TraceNode:
-    goal: str
-    outcome: str  # committed | given | equality | ambiguous | no-model | depth | norm-diverge | eq-failed
-    candidates: list[dict] = field(default_factory=list)
-    picked: str | None = None
-    given: str | None = None
-    children: list["TraceNode"] = field(default_factory=list)
-    note: str = ""
+    # outcome: committed | given | equality | ambiguous | no-model | depth | norm-diverge | eq-failed
+    __slots__ = ("goal", "outcome", "candidates", "picked", "given", "children", "note")
+    def __init__(self, goal: str, outcome: str, picked: str | None = None, given: str | None = None,
+                 note: str = ""):
+        self.goal, self.outcome, self.candidates, self.picked = goal, outcome, [], picked
+        self.given, self.children, self.note = given, [], note
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +86,10 @@ class TraceNode:
         }
 
 
-@dataclass
 class ClosedGiven:
-    constraint: ConstraintTerm
-    index: int
-    via: tuple[int, ...]
+    __slots__ = ("constraint", "index", "via")
+    def __init__(self, constraint: ConstraintTerm, index: int, via: tuple[int, ...]):
+        self.constraint, self.index, self.via = constraint, index, via
 
 
 def close_givens(
@@ -127,11 +123,11 @@ def close_givens(
     return out
 
 
-@dataclass
 class Candidate:
-    model: ModelDecl
-    type_args: list[TypeTerm]
-    inst_context: list[ConstraintTerm]
+    __slots__ = ("model", "type_args", "inst_context")
+    def __init__(self, model: ModelDecl, type_args: list[TypeTerm],
+                 inst_context: list[ConstraintTerm]):
+        self.model, self.type_args, self.inst_context = model, type_args, inst_context
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
@@ -380,19 +376,17 @@ def entails(
 # ---------------------------------------------------------------- stability
 
 
-@dataclass
 class StabilityEntry:
-    site: Span
-    goal: str
-    stable: bool
-    detail: str
+    __slots__ = ("site", "goal", "stable", "detail")
+    def __init__(self, site: Span, goal: str, stable: bool, detail: str):
+        self.site, self.goal, self.stable, self.detail = site, goal, stable, detail
 
 
-@dataclass
 class StabilityReport:
-    fun: str
-    assignment: dict[str, str]  # type param name -> rendered type
-    entries: list[StabilityEntry]
+    # assignment: type param name -> rendered type
+    __slots__ = ("fun", "assignment", "entries")
+    def __init__(self, fun: str, assignment: dict[str, str], entries: list[StabilityEntry]):
+        self.fun, self.assignment, self.entries = fun, assignment, entries
 
     @property
     def unstable(self) -> list[StabilityEntry]:

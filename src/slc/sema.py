@@ -13,8 +13,6 @@ dictionary-passing elaboration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast as A
 from .coherence import CoherencePolicy
 from .decls import (
@@ -684,15 +682,14 @@ class ModuleChecker:
 # ---------------------------------------------------------------- expressions
 
 
-@dataclass
 class CalleeSig:
-    kind: str  # fun | builtin | ctor | requirement
-    display: str
-    tyvars: list[Var]
-    params: list[TypeTerm]
-    ret: TypeTerm
-    context: list[ConstraintTerm]
-    target: tuple  # fun: (module, name); requirement: (concept id, name); as TCall otherwise
+    # kind: fun | builtin | ctor | requirement
+    # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
+    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target")
+    def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
+                 ret: TypeTerm, context: list[ConstraintTerm], target: tuple):
+        self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
+        self.ret, self.context, self.target = ret, context, target
 
 
 class ExprChecker:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from functools import partial
 
 _uid_counter = itertools.count(1)
 
@@ -21,26 +21,34 @@ def fresh_uid() -> int:
 
 # ---------------------------------------------------------------- terms
 #
-# Terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-# Hash-Consing", ML Workshop 2006): each distinct term is built once, through
-# a table of weak references keyed by (class, fields), so `==` and `hash` are
-# identity. Each node caches `fvs`, its free variables in first-occurrence
-# order, and `has_assoc`, whether it contains a projection. `map(f)` rebuilds
-# the same former over `f` of each child; a leaf returns itself.
+# Terms and constraints are hash-consed (Filliâtre & Conchon, "Type-Safe
+# Modular Hash-Consing", ML Workshop 2006): each distinct one is built once,
+# through a table of weak references keyed by (class, fields), so `==` and
+# `hash` are identity. Each node caches `fvs`, its free variables in order of
+# first occurrence, and a term `has_assoc`, whether it contains a projection.
+# `map(f)` rebuilds the same former over `f` of each child; a leaf returns it.
 
-_terms: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_terms: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key, ref):
+    """Drop a dead node's entry, unless `key` was interned again since."""
+    if _terms.get(key) is ref:
+        del _terms[key]
 
 
 def _intern(cls, *fields):
     """The one node of `cls` over `fields`, which fill the first slots of
     `cls` in order; it is built, and its facts cached, on first use."""
     key = (cls, *fields)
-    node = _terms.get(key)
+    ref = _terms.get(key)
+    node = ref() if ref is not None else None
     if node is None:
-        node = _terms[key] = object.__new__(cls)
+        node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
         node._cache_facts()
+        _terms[key] = weakref.ref(node, partial(_forget, key))
     return node
 
 
@@ -182,35 +190,32 @@ def outermost_con(t: TypeTerm) -> Con | None:
 # ---------------------------------------------------------------- constraints
 
 
-@dataclass(frozen=True)
 class ConstraintTerm:
-    pass
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True)
 class Conf(ConstraintTerm):
-    concept: str
-    subjects: tuple[TypeTerm, ...]
+    __slots__ = ("concept", "subjects", "fvs")
 
-    def __post_init__(self):
-        assert self.subjects
+    def __new__(cls, concept: str, subjects: tuple[TypeTerm, ...]):
+        assert subjects
+        return _intern(cls, concept, subjects)
 
-    @property
-    def fvs(self) -> tuple:
-        return _union_fvs(self.subjects)
+    def _cache_facts(self):
+        self.fvs = _union_fvs(self.subjects)
 
     def map(self, f) -> Conf:
         return Conf(self.concept, tuple([f(s) for s in self.subjects]))
 
 
-@dataclass(frozen=True)
 class Eq(ConstraintTerm):
-    lhs: TypeTerm
-    rhs: TypeTerm
+    __slots__ = ("lhs", "rhs", "fvs")
 
-    @property
-    def fvs(self) -> tuple:
-        return _union_fvs((self.lhs, self.rhs))
+    def __new__(cls, lhs: TypeTerm, rhs: TypeTerm):
+        return _intern(cls, lhs, rhs)
+
+    def _cache_facts(self):
+        self.fvs = _union_fvs((self.lhs, self.rhs))
 
     def map(self, f) -> Eq:
         return Eq(f(self.lhs), f(self.rhs))

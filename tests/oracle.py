@@ -6,7 +6,8 @@ search/unification paths it is checking:
   * a substitution and a free-variable walker over the term fields;
   * a tiny structural matcher used to verify most-general-unifier claims;
   * an enumerator of ground types over a constructor universe;
-  * an exhaustive backtracking derivation counter for conformance goals.
+  * an exhaustive backtracking derivation counter for conformance goals;
+  * a structural walker over the `__slots__` of program objects.
 """
 
 from __future__ import annotations
@@ -179,3 +180,26 @@ def exhaustive_derivations(goal, world, depth: int = 8) -> list[tuple]:
             seen.add(tree)
             unique.append(tree)
     return unique
+
+
+def children(node) -> list:
+    """The program objects held in `node`'s slots, its bases' slots first,
+    looking through lists, tuples and dict values. An object counts when its
+    class declares `__slots__`: syntax, typed and core nodes, spans, terms."""
+    out = []
+
+    def add(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                add(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                add(item)
+        elif hasattr(type(value), "__slots__"):
+            out.append(value)
+
+    for klass in reversed(type(node).__mro__):
+        for name in klass.__dict__.get("__slots__", ()):
+            if not name.startswith("__"):
+                add(getattr(node, name))
+    return out

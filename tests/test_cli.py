@@ -213,6 +213,20 @@ def test_fuel_flag(tmp_path):
     assert "E-RT-FUEL" in proc.stderr
 
 
+def test_negative_limits_are_usage_errors():
+    """`--fuel` and `--depth` take counts: a negative one is a usage problem
+    (exit 2, argparse's message, no diagnostics); 0 is a real limit."""
+    files = corpus("show_lib.sl", "option_show_ok.sl")
+    for command, flag, code in (("run", "--fuel", "E-RT-FUEL"), ("check", "--depth", "E-DEPTH")):
+        proc = sl(command, flag, "-1", *files)
+        assert proc.returncode == 2
+        assert f"argument {flag}: must be 0 or more, got -1" in proc.stderr
+        assert proc.stdout == "" and code not in proc.stderr
+        proc = sl(command, flag, "0", *files)
+        assert proc.returncode == 1
+        assert code in proc.stdout + proc.stderr
+
+
 def test_superclass_obligation_warning_blames_its_module(tmp_path):
     """A W-INCOHERENT met while resolving a model's superclass obligation
     names the module being checked, as one met at a use site does."""

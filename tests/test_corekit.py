@@ -2,6 +2,7 @@
 
 import pytest
 from conftest import check_inline
+from oracle import children
 
 from slc.corekit import (
     CApp,
@@ -66,18 +67,7 @@ def test_fold_gains_one_dictionary_parameter():
     def find_proj(e):
         if isinstance(e, CProj):
             return e
-        for attr in getattr(e, "__dataclass_fields__", {}):
-            v = getattr(e, attr)
-            if isinstance(v, list):
-                for item in v:
-                    found = find_proj(item if not isinstance(item, tuple) else item[-1])
-                    if found:
-                        return found
-            elif hasattr(v, "__dataclass_fields__"):
-                found = find_proj(v)
-                if found:
-                    return found
-        return None
+        return next(filter(None, map(find_proj, children(e))), None)
 
     proj = find_proj(fold.expr.body)
     assert proj is not None
@@ -139,19 +129,7 @@ fn main() -> Unit { print(show64(count(UpTo(1:U64, 4:U64)))) }
             and e.fn.fn.name == "dict$m.ranges"
         ):
             return e
-        for attr in getattr(e, "__dataclass_fields__", {}):
-            v = getattr(e, attr)
-            if isinstance(v, list):
-                for item in v:
-                    target = item if not isinstance(item, tuple) else item[-1]
-                    found = find_dict_app(target)
-                    if found:
-                        return found
-            elif hasattr(v, "__dataclass_fields__"):
-                found = find_dict_app(v)
-                if found:
-                    return found
-        return None
+        return next(filter(None, map(find_dict_app, children(e))), None)
 
     assert find_dict_app(count.expr) is not None
 
@@ -177,16 +155,7 @@ def test_hand_built_bad_projection_fails_core_check():
         if isinstance(e, CProj):
             e.field = "missing"
             return True
-        for attr in getattr(e, "__dataclass_fields__", {}):
-            v = getattr(e, attr)
-            if isinstance(v, list):
-                for item in v:
-                    target = item if not isinstance(item, tuple) else item[-1]
-                    if hasattr(target, "__dataclass_fields__") and corrupt(target):
-                        return True
-            elif hasattr(v, "__dataclass_fields__") and corrupt(v):
-                return True
-        return False
+        return any(corrupt(child) for child in children(e))
 
     assert corrupt(body)
     diags = core_check(core)

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, check_inline
+from oracle import children
 
+from slc.ast import ExprAST, FunAST, ModelAST
 from slc.parser import parse_module
 from slc.printer import ast_equal, pretty_print
 
@@ -34,20 +36,22 @@ def test_corpus_span_containment(path: Path):
     module = parse_module(path.read_text(), str(path))
     assert not isinstance(module, list)
 
+    exprs: set[int] = set()  # ids of the expression nodes checked
+
     def check(node, parent_span):
         if hasattr(node, "span"):
             assert parent_span.contains(node.span), (node.span, parent_span)
             parent_span = node.span
-        if hasattr(node, "__dataclass_fields__"):
-            for name in node.__dataclass_fields__:
-                value = getattr(node, name)
-                items = value if isinstance(value, tuple) else (value,)
-                for item in items:
-                    if hasattr(item, "__dataclass_fields__"):
-                        check(item, parent_span)
+        if isinstance(node, ExprAST):
+            exprs.add(id(node))
+        for child in children(node):
+            check(child, parent_span)
 
     for decl in module.decls:
         check(decl, module.span)
+    funs = [d for d in module.decls if isinstance(d, FunAST)]
+    funs += [f for d in module.decls if isinstance(d, ModelAST) for f in d.bodies]
+    assert all(id(f.body) in exprs for f in funs), "a function body was never checked"
 
 
 ENTAILS_SRC = """\

@@ -1,10 +1,15 @@
-"""Dead-name guard: every function, class and method `src/slc/` defines is
-named somewhere else in `src/` or `tests/`."""
+"""Hygiene guards: every function, class and method `src/slc/` defines is
+named somewhere else in `src/` or `tests/`, and start-up imports nothing
+that only code generation needs."""
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from conftest import slc_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +47,14 @@ def test_every_defined_name_is_used_somewhere():
     definitions = Counter(name for _, name in names)
     dead = sorted(f"{file}: {name}" for file, name in names if words[name] <= definitions[name])
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+def test_startup_imports_no_code_generation_modules():
+    """`import slc.cli` is what every `sl` process pays before any work.
+    `dataclasses` builds each class by generating and `exec`ing code, and
+    pulls in `inspect` for it; start-up needs neither."""
+    probe = "import sys, slc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), check=True
+    )
+    assert proc.stdout == "[]\n", proc.stdout

@@ -1,6 +1,7 @@
 """Resolution: candidates, commitment, policy arbitration, stability."""
 
 from conftest import check_inline, check_inline_policy, codes
+from oracle import children
 
 from slc.coherence import CoherencePolicy
 from slc.resolver import GivenLeaf, ModelNode, Goal, candidates
@@ -370,15 +371,7 @@ fn main() -> Unit { print(show8(fold(0x2a2a:U64, 0:U8, add8))) }
     def find_fold_call(e):
         if isinstance(e, TCall) and e.kind == "fun" and e.target == ("m", "fold"):
             return e
-        for attr in getattr(e, "__dataclass_fields__", {}):
-            v = getattr(e, attr)
-            items = v if isinstance(v, list) else [v]
-            for item in items:
-                if hasattr(item, "__dataclass_fields__"):
-                    found = find_fold_call(item)
-                    if found:
-                        return found
-        return None
+        return next(filter(None, map(find_fold_call, children(e))), None)
 
     call = find_fold_call(result.modules["m"].funs["main"].body)
     assert call is not None

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle import children
 
 from slc import ast as A
 from slc.lexer import LexError
@@ -132,15 +133,8 @@ def test_span_containment():
         if hasattr(node, "span"):
             assert parent_span.contains(node.span), (node, parent_span)
             parent_span = node.span
-        if hasattr(node, "__dataclass_fields__"):
-            for name in node.__dataclass_fields__:
-                value = getattr(node, name)
-                if isinstance(value, tuple):
-                    for item in value:
-                        if hasattr(item, "__dataclass_fields__"):
-                            check(item, parent_span)
-                elif hasattr(value, "__dataclass_fields__"):
-                    check(value, parent_span)
+        for child in children(node):
+            check(child, parent_span)
 
     for decl in m.decls:
         check(decl, m.span)

@@ -13,6 +13,7 @@ from slc.types import (
     U8,
     App,
     Assoc,
+    Conf,
     Eq,
     NormDiverge,
     Substitution,
@@ -227,6 +228,33 @@ def test_building_a_term_twice_gives_the_same_object(t):
     rebuilt = subst_apply({}, t)  # every node rebuilt from its fields
     assert rebuilt is t
     assert rebuilt == t and hash(rebuilt) == hash(t)
+
+
+def test_a_dropped_term_leaves_the_table_and_is_rebuilt_with_its_facts():
+    from slc import types
+
+    a = v("a")
+
+    def build():
+        return App(PAIR, (Assoc("m.K", "Key", (a,)), option_type(a)))
+
+    t = build()
+    key = (App, PAIR, t.args)  # keeps the children alive, not `t`
+    assert types._terms[key]() is t
+    facts = (t.fvs, t.has_assoc)
+    assert facts == ((a,), True)
+    del t
+    assert key not in types._terms
+    again = build()
+    assert types._terms[key]() is again
+    assert (again.fvs, again.has_assoc) == facts
+
+
+def test_constraints_are_interned():
+    a = v("a")
+    assert Conf("m.C", (option_type(a),)) is Conf("m.C", (option_type(a),))
+    assert Eq(a, U64) is Eq(a, U64) and Eq(a, U64) is not Eq(U64, a)
+    assert Conf("m.C", (a, U8)).fvs == (a,) and Eq(U8, option_type(a)).fvs == (a,)
 
 
 @given(terms())
