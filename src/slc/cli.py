@@ -42,9 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_files=True):
-        if with_files:
-            p.add_argument("files", nargs="*", help="SL source files (.sl)")
+    def common(p: argparse.ArgumentParser):
+        p.add_argument("files", nargs="*", help="SL source files (.sl)")
         p.add_argument(
             "--policy",
             choices=["use-site", "def-site-strict", "def-site-disjoint", "scoped"],

@@ -34,7 +34,6 @@ from .types import (
     Eq,
     Substitution,
     Var,
-    freshen,
     is_ground,
     normalize,
     outermost_con,
@@ -62,7 +61,7 @@ class CoherencePolicy:
 
 
 class OverlapWitness:
-    # models: uids; subst: over the freshened heads
+    # models: uids; subst: over the two models' own head variables
     __slots__ = ("models", "subst", "inst_context1", "inst_context2")
     def __init__(self, models: tuple[str, str], subst: Substitution, inst_context1: list,
                  inst_context2: list):
@@ -75,18 +74,20 @@ def is_blanket_self(m: ModelDecl) -> bool:
 
 
 def heads_overlap(m1: ModelDecl, m2: ModelDecl) -> OverlapWitness | None:
-    """MGU of the two head vectors, contexts ignored."""
-    assert m1.concept == m2.concept
-    (h1, c1), _, _ = freshen((tuple(m1.head), tuple(m1.context)))
-    (h2, c2), _, _ = freshen((tuple(m2.head), tuple(m2.context)))
-    mgu = unify_many(list(zip(h1, h2)))
+    """MGU of the two head vectors as declared, contexts ignored.
+
+    Sema gives every model variables of its own, so two distinct models
+    share none and their heads unify without renaming.
+    """
+    assert m1.concept == m2.concept and m1 is not m2
+    mgu = unify_many(list(zip(m1.head, m2.head)))
     if mgu is None:
         return None
     return OverlapWitness(
         (m1.uid, m2.uid),
         mgu,
-        [mgu.apply(c) for c in c1],
-        [mgu.apply(c) for c in c2],
+        [mgu.apply(c) for c in m1.context],
+        [mgu.apply(c) for c in m2.context],
     )
 
 

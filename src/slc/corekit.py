@@ -39,8 +39,14 @@ from .decls import (
 from .diagnostics import Diagnostic, Span
 from .linker import LinkedProgram
 from .resolver import EqLeaf, GivenLeaf, ModelNode
-from .std import BUILTIN_SIGS
+from .std import BUILTIN_SIGS, STD_MODULE
 from .types import (
+    BOOL,
+    F64,
+    STRING,
+    U64,
+    U8,
+    UNIT,
     App,
     Con,
     Conf,
@@ -50,10 +56,10 @@ from .types import (
     TypeTerm,
     Var,
     fn_type,
-    freshen,
     match_many,
     normalize,
     outermost_con,
+    pair_type,
     render,
     split_fn_type,
 )
@@ -227,8 +233,6 @@ class Elaborator:
             m.uid: m for m in program.world.models
         }
         self.datas: dict[str, DataDecl] = {}
-        from .std import STD_MODULE
-
         for mod in [STD_MODULE] + [program.modules[n] for n in program.graph.order]:
             for d in mod.datas.values():
                 self.datas[d.id] = d
@@ -506,8 +510,6 @@ class CoreChecker:
             self.require(not typs, f"generic builtin {e.name} must be applied")
             return fn_type(list(params), ret)
         if isinstance(e, CLit):
-            from .types import BOOL, F64, STRING, U64, U8, UNIT
-
             return {
                 "u64": U64,
                 "u8": U8,
@@ -568,12 +570,8 @@ class CoreChecker:
             inner[e.name] = bound
             return self.infer(e.body, inner)
         if isinstance(e, CTuple):
-            from .types import pair_type
-
             return pair_type(self.infer(e.first, env), self.infer(e.second, env))
         if isinstance(e, CIf):
-            from .types import BOOL
-
             self.require(self.equal(self.infer(e.cond, env), BOOL), "if condition not Bool")
             t_then = self.infer(e.then, env)
             t_else = self.infer(e.orelse, env)
@@ -584,16 +582,14 @@ class CoreChecker:
 
     def _infer_app(self, e: CApp, env) -> TypeTerm:
         if isinstance(e.fn, CBuiltin):
-            typs, params, ret = BUILTIN_SIGS[e.fn.name]
+            _, params, ret = BUILTIN_SIGS[e.fn.name]
             self.require(len(params) == len(e.args), f"{e.fn.name}: wrong arity")
-            fresh, _, _ = freshen((tuple(params), ret), typs)
-            fparams, fret = fresh
             arg_types = [self.norm(self.infer(a, env)) for a in e.args]
-            m = match_many(list(zip(fparams, arg_types)))
+            m = match_many(zip(params, arg_types))
             if m is None:
                 shown = ", ".join(render(t) for t in arg_types)
                 self.fail(f"builtin {e.fn.name} cannot accept ({shown})")
-            return m.apply(fret)
+            return m.apply(ret)
         fn_t = self.norm(self.infer(e.fn, env))
         split = split_fn_type(fn_t)
         if split is None:

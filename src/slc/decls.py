@@ -10,7 +10,6 @@ from .types import (
     Substitution,
     TypeTerm,
     Var,
-    freshen,
     match_many,
     outermost_con,
     render,
@@ -72,17 +71,14 @@ class ModelDecl:
         return self.path or f"{self.module}.<model {self.index}>"
 
     def match(self, targets) -> Substitution | None:
-        """Match a fresh copy of the head onto `targets`, by head only.
+        """Match the head as declared onto `targets`, by head only.
 
         The result maps the model's own variables, so it applies directly to
-        `context`, `vars` and `assoc`. Targets may mention those variables:
-        `Substitution.apply` makes one pass, so a ↦ Option[a] stays that.
+        `context`, `vars` and `assoc`. Targets may mention those variables;
+        they stay rigid there, and `Substitution.apply` makes one pass, so
+        a ↦ Option[a] stays that.
         """
-        fresh_head, sub, _ = freshen(tuple(self.head), self.vars)
-        found = match_many(list(zip(fresh_head, targets)))
-        if found is None:
-            return None
-        return Substitution({v.uid: found.apply(sub.apply(v)) for v in self.vars})
+        return match_many(zip(self.head, targets))
 
 
 class GoalRecord:

@@ -162,41 +162,51 @@ def _strictly_more_specific(a: Candidate, b: Candidate) -> bool:
 
 
 class Resolver:
+    """Resolution of the goals of one declaration, whose declared
+    constraints are `givens`. They are closed under refinement, and each is
+    normalized, once, here; a given whose normalization diverges is never
+    chosen."""
+
     def __init__(
         self,
         scope: ModelWorld,
         concepts: dict[str, ConceptDecl],
         policy: CoherencePolicy,
         depth: int = DEFAULT_DEPTH,
+        givens: list[ConstraintTerm] | tuple = (),
     ):
         self.scope = scope
         self.concepts = concepts
         self.policy = policy
         self.depth = depth
+        closed = close_givens(list(givens), concepts)
+        self.eq_rules = [g.constraint for g in closed if isinstance(g.constraint, Eq)]
+        self.normal_givens: list[tuple[ConstraintTerm, ClosedGiven]] = []
+        for cg in closed:
+            try:
+                self.normal_givens.append((self._norm_constraint(cg.constraint), cg))
+            except NormDiverge:
+                continue
 
     # ----------------------------------------------------------- helpers
 
-    def _normalize(self, t, givens, trace=None):
-        eq_rules = [g.constraint for g in givens if isinstance(g.constraint, Eq)]
-        return normalize(t, eq_rules, self.scope, trace=trace)
+    def _normalize(self, t, trace=None):
+        return normalize(t, self.eq_rules, self.scope, trace=trace)
 
-    def _norm_constraint(self, c: ConstraintTerm, givens, trace=None) -> ConstraintTerm:
+    def _norm_constraint(self, c: ConstraintTerm, trace=None) -> ConstraintTerm:
         if isinstance(c, Conf):
-            return Conf(c.concept, tuple(self._normalize(s, givens) for s in c.subjects))
-        return Eq(self._normalize(c.lhs, givens, trace), self._normalize(c.rhs, givens, trace))
+            return Conf(c.concept, tuple(self._normalize(s) for s in c.subjects))
+        return Eq(self._normalize(c.lhs, trace), self._normalize(c.rhs, trace))
 
     # ----------------------------------------------------------- the engine
 
     def resolve(
-        self,
-        goal: Goal,
-        givens: list[ClosedGiven],
-        depth: int | None = None,
+        self, goal: Goal, depth: int | None = None
     ) -> tuple[Resolution | None, TraceNode, list[Diagnostic]]:
         depth = self.depth if depth is None else depth
         steps: list[str] = []  # the rewrites that prove an Eq goal, for the trace
         try:
-            wanted = self._norm_constraint(goal.constraint, givens, steps)
+            wanted = self._norm_constraint(goal.constraint, steps)
         except NormDiverge as exc:
             trace = TraceNode(render_constraint(goal.constraint), "norm-diverge", note=str(exc))
             return None, trace, [
@@ -210,11 +220,7 @@ class Resolver:
         trace = TraceNode(render_constraint(wanted), "pending")
 
         # Givens shadow models under every policy.
-        for cg in givens:
-            try:
-                norm_given = self._norm_constraint(cg.constraint, givens)
-            except NormDiverge:
-                continue
+        for norm_given, cg in self.normal_givens:
             if norm_given == wanted:
                 trace.outcome = "given"
                 trace.given = render_constraint(cg.constraint)
@@ -268,7 +274,7 @@ class Resolver:
         children: list[Resolution] = []
         for constraint in chosen.inst_context:
             child_goal = Goal(constraint, goal.rigid, goal.site)
-            child_res, child_trace, child_diags = self.resolve(child_goal, givens, depth - 1)
+            child_res, child_trace, child_diags = self.resolve(child_goal, depth - 1)
             trace.children.append(child_trace)
             diags = diags + child_diags
             if child_res is None:
@@ -367,9 +373,8 @@ def entails(
     site = site or Span("<entails>", (1, 1), (1, 1))
     if rigid is None:
         rigid = frozenset(v.uid for v in free_vars(list(givens) + [wanted]))
-    resolver = Resolver(scope, concepts, policy, depth)
-    closed = close_givens(list(givens), concepts)
-    res, _, _ = resolver.resolve(Goal(wanted, rigid, site), closed)
+    resolver = Resolver(scope, concepts, policy, depth, givens)
+    res, _, _ = resolver.resolve(Goal(wanted, rigid, site))
     return res
 
 
@@ -421,7 +426,7 @@ def check_stability(
 
     def fresh_of(constraint: ConstraintTerm, site: Span):
         goal = Goal(subst.apply(constraint), frozenset(), site)
-        res, _, diags = fresh_resolver.resolve(goal, [])
+        res, _, diags = fresh_resolver.resolve(goal)
         return res, diags
 
     def graft(res: Resolution, site: Span):

@@ -42,7 +42,7 @@ from .decls import (
     bind_assocs,
 )
 from .diagnostics import Diagnostic, Related, Span
-from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver, close_givens
+from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver
 from .std import BUILTIN_SIGS, STD_MODULE
 from .types import (
     BOOL,
@@ -65,7 +65,6 @@ from .types import (
     fn_type,
     free_vars,
     fresh_uid,
-    freshen,
     normalize,
     outermost_con,
     pair_type,
@@ -447,11 +446,10 @@ class ModuleChecker:
         inst_supers = [inst.apply(s) for s in concept.supers]
         givens = list(model.context) + inst_supers
         rigid = frozenset(v.uid for v in model.vars)
-        resolver = Resolver(self.module.world, self.concepts, self.policy, self.depth)
-        closed = close_givens(list(model.context), self.concepts)
+        resolver = Resolver(self.module.world, self.concepts, self.policy, self.depth, model.context)
 
         for sup in inst_supers:
-            res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span), closed)
+            res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span))
             record = GoalRecord(model.span, sup, trace, res, f"model:{model.uid}")
             self.module.goal_log.append(record)
             self.report_goal(res, diags, sup, rigid, model.span, concept.name)
@@ -692,6 +690,13 @@ class CalleeSig:
         self.ret, self.context, self.target = ret, context, target
 
 
+def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bool:
+    """Whether `t` has a flexible variable that `binding` does not bind yet.
+    Bound values are not looked into: a recursive call may bind its own
+    variable T to a type of the caller that mentions the rigid T."""
+    return any(v.uid in flexible and v.uid not in binding.bindings for v in t.fvs)
+
+
 class ExprChecker:
     def __init__(
         self,
@@ -704,11 +709,9 @@ class ExprChecker:
         self.mc = mc
         self.tyvars = tyvars
         self.rigid = rigid
-        self.givens = givens
-        self.closed = close_givens(list(givens), mc.concepts)
         self.owner = owner
         self.records: list[GoalRecord] = []
-        self.resolver = Resolver(mc.module.world, mc.concepts, mc.policy, mc.depth)
+        self.resolver = Resolver(mc.module.world, mc.concepts, mc.policy, mc.depth, givens)
 
     # ------------------------------------------------------------- utilities
 
@@ -717,7 +720,7 @@ class ExprChecker:
 
     def norm(self, t: TypeTerm, span: Span) -> TypeTerm:
         try:
-            return normalize(t, [g for g in self.givens if isinstance(g, Eq)], self.mc.module.world)
+            return normalize(t, self.resolver.eq_rules, self.mc.module.world)
         except NormDiverge:
             self.mc.abort(
                 "E-NORM-DIVERGE",
@@ -744,7 +747,7 @@ class ExprChecker:
         )
 
     def discharge(self, constraint: ConstraintTerm, span: Span):
-        res, trace, diags = self.resolver.resolve(Goal(constraint, self.rigid, span), self.closed)
+        res, trace, diags = self.resolver.resolve(Goal(constraint, self.rigid, span))
         record = GoalRecord(span, constraint, trace, res, self.owner)
         self.records.append(record)
         self.mc.module.goal_log.append(record)
@@ -754,7 +757,9 @@ class ExprChecker:
     # ------------------------------------------------------------- callables
 
     def _callee_sig(self, name: str, span: Span) -> CalleeSig | None:
-        """The signature of the callee `name`, over fresh type variables."""
+        """The signature of the callee `name`, over its declared type
+        variables. A recursive call meets its own variables in the caller's
+        types too; `_apply_sig` keeps those rigid."""
         mc = self.mc
         fun = mc._unique(mc.fun_names, name, "function", span)
         req = mc._unique(mc.req_names, name, "requirement", span)
@@ -784,9 +789,7 @@ class ExprChecker:
             context = []
         else:
             return None
-        fresh, _, fresh_vars = freshen((tuple(params), ret, tuple(context)), tyvars)
-        params, ret, context = fresh
-        return CalleeSig(kind, display, fresh_vars, list(params), ret, list(context), target)
+        return CalleeSig(kind, display, list(tyvars), list(params), ret, list(context), target)
 
     def _is_deferred(self, e: A.ExprAST) -> bool:
         if isinstance(e, (A.ELambda, A.EMatch, A.EIf, A.ELet)):
@@ -811,13 +814,13 @@ class ExprChecker:
     ) -> bool:
         """Absorb type information from an argument into the binding.
 
-        Projections whose subjects are still undetermined yield no
-        information yet; a later validation pass checks them once every
-        type parameter is known.
+        `pat` is walked as declared; the binding is applied only to compare
+        a part with no unbound flexible variable left. Projections whose
+        subjects are still undetermined yield no information yet; a later
+        validation pass checks them once every type parameter is known.
         """
-        pat = binding.apply(pat)
-        if not any(v.uid in flexible for v in pat.fvs):
-            return self.norm(pat, span) == self.norm(tgt, span)
+        if not _unbound(pat, binding, flexible):
+            return self.norm(binding.apply(pat), span) == self.norm(tgt, span)
         if isinstance(pat, Var):
             binding.bind(pat.uid, tgt)  # keep the target's original form
             return True
@@ -861,13 +864,10 @@ class ExprChecker:
                 expected = (pat, self.norm(pat, where))
                 self.mismatch(what, expected, (target, self.norm(target, where)), where)
 
-        def undetermined(t: TypeTerm) -> bool:
-            return any(v.uid in flexible for v in binding.apply(t).fvs)
-
-        if expected is not None and undetermined(sig.ret):
+        if expected is not None and _unbound(sig.ret, binding, flexible):
             absorb(sig.ret, expected, span, f"result of {sig.display}")
         for i, arg in enumerate(args):
-            if self._is_deferred(arg) or not undetermined(sig.params[i]):
+            if self._is_deferred(arg) or not _unbound(sig.params[i], binding, flexible):
                 continue
             t_arg, tex = self.synth(arg, env)
             checked[i] = tex

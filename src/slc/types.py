@@ -271,7 +271,13 @@ def is_ground(t: TypeTerm) -> bool:
 
 
 class Substitution:
-    """An idempotent finite map from Var uids to terms."""
+    """A finite map from Var uids to terms, applied in one pass.
+
+    A bound term may mention a bound variable (matching a model head onto
+    its own variables gives `a ↦ Option[a]`); `apply` replaces each variable
+    once and does not rewrite what it put in, so the map need not be
+    idempotent.
+    """
 
     def __init__(self, bindings: dict[int, TypeTerm] | None = None):
         self.bindings: dict[int, TypeTerm] = dict(bindings or {})
@@ -364,11 +370,15 @@ def unify_many(pairs) -> Substitution | None:
     return unify(App(probe, tuple(lhs)), App(probe, tuple(rhs)))
 
 
-def match_one_way(pattern: TypeTerm, target: TypeTerm) -> Substitution | None:
-    """Match `pattern` onto `target`, instantiating only pattern variables.
+def match_many(pairs) -> Substitution | None:
+    """Match each pattern onto its target under one binding of the pattern
+    variables, or None.
 
-    Variables occurring in the target are rigid: they match themselves only.
-    The caller guarantees the two sides share no variables.
+    Only pattern variables are instantiated. Every variable of a target is
+    rigid, even one that is also a pattern variable: a pattern variable may
+    bind to it, nothing else matches it. The binding is never applied to a
+    pattern or a target, so a pattern variable bound once must meet the
+    same target wherever it recurs.
     """
     binding: dict[int, TypeTerm] = {}
 
@@ -389,30 +399,9 @@ def match_one_way(pattern: TypeTerm, target: TypeTerm) -> Substitution | None:
             return all(go(x, y) for x, y in zip(p.subjects, t.subjects))
         return False
 
-    if not go(pattern, target):
+    if not all(go(pattern, target) for pattern, target in pairs):
         return None
     return Substitution(binding)
-
-
-def match_many(pairs) -> Substitution | None:
-    binding = Substitution()
-    for pattern, target in pairs:
-        step = match_one_way(binding.apply(pattern), target)
-        if step is None:
-            return None
-        binding.bindings.update(step.bindings)
-    return binding
-
-
-def freshen(terms, vars_in_order: list[Var] | None = None):
-    """Copy terms with all variables replaced by fresh ones.
-
-    Returns (renamed terms, substitution used, fresh vars in order).
-    """
-    vs = vars_in_order if vars_in_order is not None else free_vars(terms)
-    sub = Substitution({v.uid: Var(v.name, fresh_uid()) for v in vs})
-    fresh_vars = [sub.bindings[v.uid] for v in vs]
-    return sub.apply(terms), sub, fresh_vars
 
 
 # ---------------------------------------------------------------- normalization

@@ -136,7 +136,7 @@ def exhaustive_derivations(goal, world, depth: int = 8) -> list[tuple]:
     contexts; it exists to certify the believed-unique derivations really are
     unique. Trees are nested tuples of model ids.
     """
-    from slc.types import Conf, match_many, freshen, normalize, is_ground
+    from slc.types import Conf, match_many, normalize, is_ground
 
     assert isinstance(goal, Conf)
     subjects = tuple(normalize(s, (), world) for s in goal.subjects)
@@ -146,11 +146,10 @@ def exhaustive_derivations(goal, world, depth: int = 8) -> list[tuple]:
         return []
     trees: list[tuple] = []
     for model in world.models_of(goal.concept):
-        fresh_head, sub, _ = freshen(tuple(model.head))
-        m = match_many(list(zip(fresh_head, subjects)))
+        m = match_many(zip(model.head, subjects))
         if m is None:
             continue
-        inst_context = [m.apply(sub.apply(c)) for c in model.context]
+        inst_context = [m.apply(c) for c in model.context]
         child_options: list[list[tuple]] = []
         ok = True
         for c in inst_context:

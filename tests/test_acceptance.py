@@ -323,7 +323,7 @@ def test_criterion_11_stability():
                     satisfied = True
                     for c in fun.context:
                         goal = Goal(subst.apply(c), frozenset(), fun.span)
-                        res, _, _ = resolver.resolve(goal, [])
+                        res, _, _ = resolver.resolve(goal)
                         if res is None:
                             satisfied = False
                             break

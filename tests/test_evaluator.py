@@ -36,7 +36,7 @@ from slc.evaluator import (
     eval_expr,
     run_program,
 )
-from slc.types import U64
+from slc.types import U64, render_constraint
 
 ITER = """\
 module iter
@@ -216,6 +216,54 @@ fn main() -> Unit { print(show64(fold(Some(42:U64), 0:U64, add64))) }
 def test_conditional_range_iterator_prints_6():
     value, transcript = run(iter=ITER_LIB, range_iter=RANGE_ITER)
     assert transcript == ["6"]
+
+
+DEEPEN = """\
+module deep
+concept Show[Self] { fn show(x: Self) -> String }
+model showU64: Show[U64] { fn show(x: U64) -> String { show64(x) } }
+model showOption: Show[Option[a]] where Show[a] {
+  fn show(o: Option[a]) -> String {
+    match o { Some(x) => concat("Some(", concat(show(x), ")")), None => "None" }
+  }
+}
+fn deepen[T](x: T, n: U64) -> String where Show[T] {
+  if eq64(n, 0:U64) { show(x) } else { deepen(Some(x), sub64(n, 1:U64)) }
+}
+fn main() -> Unit { print(deepen(7:U64, 3:U64)) }
+"""
+
+
+def test_polymorphic_recursion_checks_and_runs():
+    """The recursive call instantiates deepen's own T at Option[T]: the
+    binding T ↦ Option[T] mentions the caller's rigid T."""
+    value, transcript = run(deep=DEEPEN)
+    assert transcript == ["Some(Some(Some(7)))"]
+    goals = check_inline(deep=DEEPEN).modules["deep"].funs["deepen"].goal_records
+    assert [render_constraint(g.constraint) for g in goals] == ["Show[T]", "Show[Option[T]]"]
+
+
+@pytest.mark.parametrize(
+    "fun, diagnostics",
+    [
+        ("fn f[T, U](x: T, y: U) -> U64 { f(y, x) }", []),
+        (
+            "fn f1[T](x: T) -> T { f1(5:U64) }",
+            [("E-TYPE-MISMATCH", "type mismatch in this expression: expected T, found U64")],
+        ),
+        (
+            "fn f2[T](x: T, y: T) -> U64 { f2(Some(x), x) }",
+            [("E-TYPE-MISMATCH", "type mismatch in this expression: expected Option[T], found T")],
+        ),
+        (
+            "fn f3[T](x: T) -> U64 { f3(None) }",
+            [("E-CANNOT-INFER", "cannot infer type parameter(s) T of f3; add an annotation")],
+        ),
+    ],
+)
+def test_recursive_call_diagnostics(fun, diagnostics):
+    result = check_inline(m=f"module m\n{fun}\n")
+    assert [(d.code, d.message) for d in result.diagnostics] == diagnostics
 
 
 def test_eval_expr_single_expression():

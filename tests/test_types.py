@@ -20,7 +20,7 @@ from slc.types import (
     Var,
     free_vars,
     fresh_uid,
-    match_one_way,
+    match_many,
     normalize,
     option_type,
     pair_type,
@@ -68,12 +68,24 @@ def test_constructor_clash():
 def test_match_one_way_rigid_target():
     a = v("a")
     rigid = v("x")
-    assert match_one_way(option_type(U64), option_type(rigid)) is None
-    s = match_one_way(option_type(a), option_type(U64))
+    assert match_many([(option_type(U64), option_type(rigid))]) is None
+    s = match_many([(option_type(a), option_type(U64))])
     assert s is not None and s.apply(a) == U64
     # a pattern variable may absorb a rigid target variable
-    s2 = match_one_way(option_type(a), option_type(rigid))
+    s2 = match_many([(option_type(a), option_type(rigid))])
     assert s2 is not None and s2.apply(a) == rigid
+
+
+def test_match_many_keeps_one_binding_when_targets_mention_pattern_vars():
+    """A target variable that is also a pattern variable stays rigid: the
+    binding a ↦ Option[a] is checked against the second pair as is, not
+    applied to it."""
+    a, b = v("a"), v("b")
+    s = match_many([(a, option_type(a)), (pair_type(a, b), pair_type(option_type(a), U64))])
+    assert s is not None
+    assert s.bindings == {a.uid: option_type(a), b.uid: U64}
+    assert s.apply(pair_type(a, b)) == pair_type(option_type(a), U64)
+    assert match_many([(a, option_type(a)), (a, a)]) is None
 
 
 def test_substitution_idempotent():
@@ -111,19 +123,15 @@ class TableWorld:
         self.rows = rows
 
     def assoc_binding(self, concept, member, subjects, path):
-        from slc.types import freshen, match_many
-
         hits = []
         for row_concept, row_member, heads, binding, row_path in self.rows:
             if (row_concept, row_member) != (concept, member):
                 continue
             if path is not None and row_path != path:
                 continue
-            fresh, sub, _ = freshen((tuple(heads), binding))
-            fresh_heads, fresh_binding = fresh
-            m = match_many(list(zip(fresh_heads, subjects)))
+            m = match_many(zip(heads, subjects))
             if m is not None:
-                hits.append(m.apply(fresh_binding))
+                hits.append(m.apply(binding))
         if len(hits) == 1:
             return hits[0]
         return None
@@ -186,7 +194,7 @@ def test_distinct_model_paths_never_unify():
     right = Assoc("m.Keyed", "Key", (U64,), "right.r")
     assert unify(left, right) is None
     assert unify(left, Assoc("m.Keyed", "Key", (U64,), "left.l")) is not None
-    assert match_one_way(left, right) is None
+    assert match_many([(left, right)]) is None
 
 
 def test_normalize_diverges_on_a_rewrite_cycle_that_returns_to_its_input():
