@@ -207,24 +207,25 @@ def find_goal(result: CheckResult, file: str, line: int, col: int):
     return best
 
 
-def render_trace(node, depth=0) -> list[str]:
+def render_trace(node: dict, depth=0) -> list[str]:
+    """Text lines of a trace, from its `TraceNode.to_json()` form."""
     pad = "  " * depth
-    lines = [f"{pad}goal {node.goal}"]
-    for cand in node.candidates:
+    lines = [f"{pad}goal {node['goal']}"]
+    for cand in node["candidates"]:
         inst = ", ".join(cand["instantiation"])
         suffix = f" via [{inst}]" if inst else ""
         lines.append(f"{pad}  candidate {cand['model']} (head {cand['head']}){suffix}")
-    if node.outcome == "committed":
-        lines.append(f"{pad}  committed: {node.picked}")
-    elif node.outcome == "given":
-        lines.append(f"{pad}  from the context: {node.given}")
-    elif node.outcome == "equality":
+    if node["outcome"] == "committed":
+        lines.append(f"{pad}  committed: {node['picked']}")
+    elif node["outcome"] == "given":
+        lines.append(f"{pad}  from the context: {node['given']}")
+    elif node["outcome"] == "equality":
         lines.append(f"{pad}  proved by normalization")
     else:
-        lines.append(f"{pad}  outcome: {node.outcome}")
-    if node.note:
-        lines.append(f"{pad}  note: {node.note}")
-    for child in node.children:
+        lines.append(f"{pad}  outcome: {node['outcome']}")
+    if node["note"]:
+        lines.append(f"{pad}  note: {node['note']}")
+    for child in node["children"]:
         lines.extend(render_trace(child, depth + 1))
     return lines
 
@@ -243,15 +244,13 @@ def cmd_explain(args) -> int:
         )
         emit_diagnostics([diag], args.json, stream=sys.stderr)
         return 1
+    trace = record.trace.to_json()
     if args.json:
-        payload = {
-            "site": record.site.to_json(),
-            "trace": record.trace.to_json(),
-        }
+        payload = {"site": record.site.to_json(), "trace": trace}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(f"resolution at {record.site}\n")
-        sys.stdout.write("\n".join(render_trace(record.trace)) + "\n")
+        sys.stdout.write("\n".join(render_trace(trace)) + "\n")
     return 0
 
 

@@ -175,12 +175,11 @@ class CoreDef:
 
 
 class CoreProgram:
-    __slots__ = ("defs", "order", "entry", "concepts", "datas", "models", "world")
+    __slots__ = ("defs", "order", "entry", "concepts", "datas", "world")
     def __init__(self, defs: dict[str, CoreDef], order: list[str], entry: str | None,
-                 concepts: dict[str, ConceptDecl], datas: dict[str, DataDecl],
-                 models: dict[str, ModelDecl], world: ModelWorld):
+                 concepts: dict[str, ConceptDecl], datas: dict[str, DataDecl], world: ModelWorld):
         self.defs, self.order, self.entry, self.concepts = defs, order, entry, concepts
-        self.datas, self.models, self.world = datas, models, world
+        self.datas, self.world = datas, world
 
 
 def dict_con(concept: ConceptDecl) -> Con:
@@ -229,9 +228,6 @@ class Elaborator:
         self.program = program
         self.concepts = program.concepts_table()
         self.world = program.world
-        self.models: dict[str, ModelDecl] = {
-            m.uid: m for m in program.world.models
-        }
         self.datas: dict[str, DataDecl] = {}
         for mod in [STD_MODULE] + [program.modules[n] for n in program.graph.order]:
             for d in mod.datas.values():
@@ -266,7 +262,6 @@ class Elaborator:
             entry=entry,
             concepts=self.concepts,
             datas=self.datas,
-            models=self.models,
             world=self.world,
         )
 
@@ -352,10 +347,10 @@ class Elaborator:
 
     def dict_expr(self, res) -> CoreExpr:
         if isinstance(res, ModelNode):
-            model = self.models[res.model]
+            model = res.picked.model
             base: CoreExpr = CGlobal(model_def_name(model))
             if model.vars:
-                base = CTyApp(base, [self.ty(t) for t in res.type_args])
+                base = CTyApp(base, [self.ty(t) for t in res.picked.type_args])
             dict_children = [
                 self.dict_expr(child)
                 for child, ctx in zip(res.children, model.context)

@@ -10,7 +10,11 @@ Resolution of a conformance goal proceeds in three layers:
      instantiated context recursively. A failing context is an error, not a
      backtracking point.
 
-Every step is logged into a replayable trace for the `explain` command.
+Each goal gets one node, holding terms and candidates, never strings. The
+node of a resolved goal (a `ModelNode`, `GivenLeaf` or `EqLeaf`) is also its
+resolution, which elaboration turns into a dictionary; a failed goal's node
+is a plain `TraceNode`. `TraceNode.to_json` renders a tree for the `explain`
+command and is the only place a trace is rendered.
 """
 
 from __future__ import annotations
@@ -41,60 +45,87 @@ class Goal:
         self.constraint, self.rigid, self.site = constraint, rigid, site
 
 
-class ModelNode:
-    # model: ModelDecl uid; type_args: per the model's head variables, in order
-    # children: one Resolution per context constraint
-    __slots__ = ("model", "type_args", "children")
-    def __init__(self, model: str, type_args: list[TypeTerm], children: list):
-        self.model, self.type_args, self.children = model, type_args, children
-
-
-class GivenLeaf:
-    # index: index into the enclosing declared context
-    # via: refinement path: superclass indices to project
-    __slots__ = ("index", "via", "constraint")
-    def __init__(self, index: int, via: tuple[int, ...], constraint: ConstraintTerm):
-        self.index, self.via, self.constraint = index, via, constraint
-
-
-class EqLeaf:
-    __slots__ = ("lhs", "rhs", "steps")
-    def __init__(self, lhs: TypeTerm, rhs: TypeTerm, steps: list[str]):
-        self.lhs, self.rhs, self.steps = lhs, rhs, steps
-
-
-Resolution = object  # ModelNode | GivenLeaf | EqLeaf
+class Candidate:
+    __slots__ = ("model", "type_args", "inst_context")
+    def __init__(self, model: ModelDecl, type_args: list[TypeTerm],
+                 inst_context: list[ConstraintTerm]):
+        self.model, self.type_args, self.inst_context = model, type_args, inst_context
 
 
 class TraceNode:
+    # goal: the goal's normal form, or the goal as posed when normalizing it diverged
     # outcome: committed | given | equality | ambiguous | no-model | depth | norm-diverge | eq-failed
-    __slots__ = ("goal", "outcome", "candidates", "picked", "given", "children", "note")
-    def __init__(self, goal: str, outcome: str, picked: str | None = None, given: str | None = None,
-                 note: str = ""):
-        self.goal, self.outcome, self.candidates, self.picked = goal, outcome, [], picked
-        self.given, self.children, self.note = given, [], note
+    # candidates: the matching models in order; picked: the one committed to
+    # children: one node per context constraint of `picked` resolved so far
+    __slots__ = ("goal", "outcome", "candidates", "picked", "children", "note")
+    def __init__(self, goal: ConstraintTerm, outcome: str, candidates: list[Candidate] = (),
+                 picked: Candidate | None = None, children: list[TraceNode] = (), note: str = ""):
+        self.goal, self.outcome, self.candidates, self.picked = goal, outcome, candidates, picked
+        self.children, self.note = children, note
 
     def to_json(self) -> dict:
         return {
-            "goal": self.goal,
+            "goal": render_constraint(self.goal),
             "outcome": self.outcome,
-            "candidates": self.candidates,
-            "picked": self.picked,
-            "given": self.given,
+            "candidates": [
+                {
+                    "model": c.model.display,
+                    "head": ", ".join(render(h) for h in c.model.head),
+                    "instantiation": [render(t) for t in c.type_args],
+                }
+                for c in self.candidates
+            ],
+            "picked": self.picked.model.display if self.picked is not None else None,
+            "given": None,
             "note": self.note,
             "children": [c.to_json() for c in self.children],
         }
 
 
-class ClosedGiven:
-    __slots__ = ("constraint", "index", "via")
+class ModelNode(TraceNode):
+    """A goal resolved by committing to `picked`; its children resolve the
+    picked model's instantiated context, in order."""
+    __slots__ = ()
+
+    @property
+    def model(self) -> str:
+        return self.picked.model.uid
+
+
+class GivenLeaf(TraceNode):
+    """A goal discharged by a given. index: into the enclosing declared
+    context; via: the superclass indices to project along refinement."""
+    __slots__ = ("index", "via", "constraint")
     def __init__(self, constraint: ConstraintTerm, index: int, via: tuple[int, ...]):
-        self.constraint, self.index, self.via = constraint, index, via
+        super().__init__(constraint, "given")
+        self.index, self.via, self.constraint = index, via, constraint
+
+    def to_json(self) -> dict:
+        out = super().to_json()
+        out["given"] = render_constraint(self.constraint)
+        return out
+
+
+class EqLeaf(TraceNode):
+    """An equality goal whose sides normalize to the same term through
+    `steps`, the (term, rewritten) pairs of that normalization."""
+    __slots__ = ("steps",)
+    def __init__(self, goal: Eq, steps: list[tuple[TypeTerm, TypeTerm]]):
+        super().__init__(goal, "equality")
+        self.steps = steps
+
+    def to_json(self) -> dict:
+        out = super().to_json()
+        out["note"] = "; ".join(f"{render(a)} => {render(b)}" for a, b in self.steps)
+        return out
+
+
+Resolution = object  # ModelNode | GivenLeaf | EqLeaf
 
 
 def close_givens(
     givens: list[ConstraintTerm], concepts: dict[str, ConceptDecl]
-) -> list[ClosedGiven]:
+) -> list[GivenLeaf]:
     """Declared constraints plus everything reachable through refinement.
 
     Each constraint is kept once, at its first path: `Resolver.resolve`
@@ -103,14 +134,14 @@ def close_givens(
     refinement (already an E-NAME), even one that grows its subjects as in
     `concept G[Self] where G[Option[Self]]`, ends.
     """
-    out: list[ClosedGiven] = []
+    out: list[GivenLeaf] = []
     seen: set = set()
 
     def push(c: ConstraintTerm, index: int, via: tuple[int, ...], passed: tuple[str, ...]):
         if c in seen:
             return
         seen.add(c)
-        out.append(ClosedGiven(c, index, via))
+        out.append(GivenLeaf(c, index, via))
         if isinstance(c, Conf) and c.concept in concepts and c.concept not in passed:
             decl = concepts[c.concept]
             inst = decl.instantiate(c.subjects)
@@ -121,13 +152,6 @@ def close_givens(
     for i, g in enumerate(givens):
         push(g, i, (), ())
     return out
-
-
-class Candidate:
-    __slots__ = ("model", "type_args", "inst_context")
-    def __init__(self, model: ModelDecl, type_args: list[TypeTerm],
-                 inst_context: list[ConstraintTerm]):
-        self.model, self.type_args, self.inst_context = model, type_args, inst_context
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
@@ -163,9 +187,9 @@ def _strictly_more_specific(a: Candidate, b: Candidate) -> bool:
 
 class Resolver:
     """Resolution of the goals of one declaration, whose declared
-    constraints are `givens`. They are closed under refinement, and each is
-    normalized, once, here; a given whose normalization diverges is never
-    chosen."""
+    constraints are `givens`. They are closed under refinement, and each
+    leaf's goal is its constraint normalized, once, here; a given whose
+    normalization diverges is never chosen."""
 
     def __init__(
         self,
@@ -176,40 +200,40 @@ class Resolver:
         givens: list[ConstraintTerm] | tuple = (),
     ):
         self.scope = scope
-        self.concepts = concepts
         self.policy = policy
         self.depth = depth
         closed = close_givens(list(givens), concepts)
         self.eq_rules = [g.constraint for g in closed if isinstance(g.constraint, Eq)]
-        self.normal_givens: list[tuple[ConstraintTerm, ClosedGiven]] = []
-        for cg in closed:
+        self.givens: list[GivenLeaf] = []
+        for leaf in closed:
             try:
-                self.normal_givens.append((self._norm_constraint(cg.constraint), cg))
+                leaf.goal = self._norm_constraint(leaf.constraint)
             except NormDiverge:
                 continue
+            self.givens.append(leaf)
 
     # ----------------------------------------------------------- helpers
 
-    def _normalize(self, t, trace=None):
-        return normalize(t, self.eq_rules, self.scope, trace=trace)
-
-    def _norm_constraint(self, c: ConstraintTerm, trace=None) -> ConstraintTerm:
+    def _norm_constraint(self, c: ConstraintTerm, trace: list | None = None) -> ConstraintTerm:
+        """`c` over normal forms; the rewrites of an Eq's sides go to `trace`."""
+        rules, world = self.eq_rules, self.scope
         if isinstance(c, Conf):
-            return Conf(c.concept, tuple(self._normalize(s) for s in c.subjects))
-        return Eq(self._normalize(c.lhs, trace), self._normalize(c.rhs, trace))
+            return Conf(c.concept, tuple(normalize(s, rules, world) for s in c.subjects))
+        return Eq(normalize(c.lhs, rules, world, trace), normalize(c.rhs, rules, world, trace))
 
     # ----------------------------------------------------------- the engine
 
     def resolve(
         self, goal: Goal, depth: int | None = None
     ) -> tuple[Resolution | None, TraceNode, list[Diagnostic]]:
+        """The goal's resolution (None when it failed), its node, which is
+        the resolution when there is one, and its diagnostics."""
         depth = self.depth if depth is None else depth
-        steps: list[str] = []  # the rewrites that prove an Eq goal, for the trace
+        steps: list = []  # the rewrites that prove an Eq goal
         try:
             wanted = self._norm_constraint(goal.constraint, steps)
         except NormDiverge as exc:
-            trace = TraceNode(render_constraint(goal.constraint), "norm-diverge", note=str(exc))
-            return None, trace, [
+            return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
                 Diagnostic(
                     "E-NORM-DIVERGE",
                     f"normalization did not terminate while solving "
@@ -217,50 +241,32 @@ class Resolver:
                     goal.site,
                 )
             ]
-        trace = TraceNode(render_constraint(wanted), "pending")
 
         # Givens shadow models under every policy.
-        for norm_given, cg in self.normal_givens:
-            if norm_given == wanted:
-                trace.outcome = "given"
-                trace.given = render_constraint(cg.constraint)
-                return GivenLeaf(cg.index, cg.via, cg.constraint), trace, []
+        for leaf in self.givens:
+            if leaf.goal == wanted:
+                return leaf, leaf, []
 
         if isinstance(wanted, Eq):
-            lhs = wanted.lhs
-            rhs = wanted.rhs
-            if lhs == rhs:
-                trace.outcome = "equality"
-                trace.note = "; ".join(steps)
-                return EqLeaf(lhs, rhs, steps), trace, []
-            trace.outcome = "eq-failed"
-            return None, trace, [
+            if wanted.lhs == wanted.rhs:
+                leaf = EqLeaf(wanted, steps)
+                return leaf, leaf, []
+            return None, TraceNode(wanted, "eq-failed"), [
                 Diagnostic(
                     "E-TYPE-MISMATCH",
                     f"cannot prove {render_constraint(goal.constraint)} "
-                    f"(normal forms {render(lhs)} and {render(rhs)} differ)",
+                    f"(normal forms {render(wanted.lhs)} and {render(wanted.rhs)} differ)",
                     goal.site,
                 )
             ]
 
-        goal_n = Goal(wanted, goal.rigid, goal.site)
-        cands = candidates(goal_n, self.scope)
-        trace.candidates = [
-            {
-                "model": c.model.display,
-                "head": ", ".join(render(h) for h in c.model.head),
-                "instantiation": [render(t) for t in c.type_args],
-            }
-            for c in cands
-        ]
-
-        chosen, diags = self._select(goal_n, cands, trace)
+        cands = candidates(Goal(wanted, goal.rigid, goal.site), self.scope)
+        chosen, diags, note = self._select(wanted, goal.site, cands)
         if chosen is None:
-            return None, trace, diags
+            return None, TraceNode(wanted, "ambiguous" if cands else "no-model", cands), diags
 
         if depth <= 0:
-            trace.outcome = "depth"
-            return None, trace, [
+            return None, TraceNode(wanted, "depth", cands, note=note), [
                 Diagnostic(
                     "E-DEPTH",
                     f"resolution depth exhausted while solving "
@@ -269,66 +275,55 @@ class Resolver:
                 )
             ]
 
-        trace.outcome = "committed"
-        trace.picked = chosen.model.display
-        children: list[Resolution] = []
+        children: list[TraceNode] = []
         for constraint in chosen.inst_context:
-            child_goal = Goal(constraint, goal.rigid, goal.site)
-            child_res, child_trace, child_diags = self.resolve(child_goal, depth - 1)
-            trace.children.append(child_trace)
+            child, child_node, child_diags = self.resolve(
+                Goal(constraint, goal.rigid, goal.site), depth - 1
+            )
+            children.append(child_node)
             diags = diags + child_diags
-            if child_res is None:
+            if child is None:
                 # committed-to context failed: surface it, never backtrack
-                return None, trace, diags
-            children.append(child_res)
-        return (
-            ModelNode(chosen.model.uid, chosen.type_args, children),
-            trace,
-            diags,
-        )
+                return None, TraceNode(wanted, "committed", cands, chosen, children, note), diags
+        node = ModelNode(wanted, "committed", cands, chosen, children, note)
+        return node, node, diags
 
     def _select(
-        self, goal: Goal, cands: list[Candidate], trace: TraceNode
-    ) -> tuple[Candidate | None, list[Diagnostic]]:
-        concept = goal.constraint.concept.split(".")[-1]
-        subjects = ", ".join(render(s) for s in goal.constraint.subjects)
+        self, wanted: Conf, site: Span, cands: list[Candidate]
+    ) -> tuple[Candidate | None, list[Diagnostic], str]:
+        """The candidate the policy commits to (None when there is none), the
+        diagnostics of that choice, and the trace's note on it."""
 
-        def ambiguous() -> list[Diagnostic]:
-            trace.outcome = "ambiguous"
-            related = tuple(
-                Related(c.model.span, f"candidate {c.model.display}") for c in cands
-            )
-            return [
-                Diagnostic(
-                    "E-AMBIGUOUS",
-                    f"ambiguous resolution for {concept}[{subjects}]: "
-                    f"{len(cands)} candidates apply "
-                    f"({', '.join(c.model.display for c in cands)})",
-                    goal.site,
-                    related=related,
-                )
-            ]
+        def named() -> str:
+            subjects = ", ".join(render(s) for s in wanted.subjects)
+            return f"{wanted.concept.split('.')[-1]}[{subjects}]"
 
-        if not cands:
-            trace.outcome = "no-model"
+        def related(among: list[Candidate]) -> tuple[Related, ...]:
+            return tuple(Related(c.model.span, f"candidate {c.model.display}") for c in among)
+
+        def ambiguous(among: list[Candidate]):
             return None, [
                 Diagnostic(
-                    "E-NO-MODEL",
-                    f"no model found for {concept}[{subjects}]",
-                    goal.site,
+                    "E-AMBIGUOUS",
+                    f"ambiguous resolution for {named()}: {len(among)} candidates apply "
+                    f"({', '.join(c.model.display for c in among)})",
+                    site,
+                    related=related(among),
                 )
-            ]
+            ], ""
+
+        if not cands:
+            return None, [Diagnostic("E-NO-MODEL", f"no model found for {named()}", site)], ""
 
         if self.policy.kind == "scoped":
             best_level = min(self.scope.scope_level(c.model) for c in cands)
             level_cands = [c for c in cands if self.scope.scope_level(c.model) == best_level]
             if len(level_cands) > 1:
-                cands = level_cands
-                return None, ambiguous()
-            return level_cands[0], []
+                return ambiguous(level_cands)
+            return level_cands[0], [], ""
 
         if len(cands) == 1:
-            return cands[0], []
+            return cands[0], [], ""
 
         if self.policy.prioritize_specific:
             specific = [
@@ -339,24 +334,20 @@ class Resolver:
                 )
             ]
             if len(specific) == 1:
-                trace.note = "selected the strictly more specific candidate"
-                return specific[0], []
+                return specific[0], [], "selected the strictly more specific candidate"
 
         if self.policy.incoherent_ok:
             pick = cands[0]
             warning = Diagnostic(
                 "W-INCOHERENT",
-                f"incoherent pick for {concept}[{subjects}]: chose {pick.model.display} "
+                f"incoherent pick for {named()}: chose {pick.model.display} "
                 f"out of {len(cands)} candidates by declaration order",
-                goal.site,
-                related=tuple(
-                    Related(c.model.span, f"candidate {c.model.display}") for c in cands
-                ),
+                site,
+                related=related(cands),
             )
-            trace.note = "incoherent-ok picked the first candidate in declaration order"
-            return pick, [warning]
+            return pick, [warning], "incoherent-ok picked the first candidate in declaration order"
 
-        return None, ambiguous()
+        return ambiguous(cands)
 
 
 def entails(
@@ -398,14 +389,6 @@ class StabilityReport:
         return [e for e in self.entries if not e.stable]
 
 
-def _model_tree(res: Resolution):
-    if isinstance(res, ModelNode):
-        return ("model", res.model, tuple(_model_tree(c) for c in res.children))
-    if isinstance(res, EqLeaf):
-        return ("eq",)
-    raise AssertionError("given leaves must be grafted before comparison")
-
-
 def check_stability(
     fun: FunDecl,
     assignment: dict[int, TypeTerm],
@@ -429,21 +412,22 @@ def check_stability(
         res, _, diags = fresh_resolver.resolve(goal)
         return res, diags
 
-    def graft(res: Resolution, site: Span):
-        if isinstance(res, ModelNode):
-            kids = []
-            for child in res.children:
-                g = graft(child, site)
-                if g is None:
-                    return None
-                kids.append(g)
-            return ModelNode(res.model, [subst.apply(t) for t in res.type_args], kids)
+    def shape(res: Resolution, site: Span):
+        """The models `res` commits to, as a nested tuple, each given leaf
+        replaced by its ground re-resolution; None when one of those fails."""
         if isinstance(res, GivenLeaf):
-            fresh, _ = fresh_of(res.constraint, site)
-            return fresh
+            res, _ = fresh_of(res.constraint, site)
+            if res is None:
+                return None
         if isinstance(res, EqLeaf):
-            return res
-        raise AssertionError(type(res))
+            return ("eq",)
+        kids = []
+        for child in res.children:
+            kid = shape(child, site)
+            if kid is None:
+                return None
+            kids.append(kid)
+        return ("model", res.model, tuple(kids))
 
     entries: list[StabilityEntry] = []
     for record in fun.goal_records:
@@ -467,7 +451,7 @@ def check_stability(
                 )
             )
             continue
-        grounded = graft(record.resolution, record.site)
+        grounded = shape(record.resolution, record.site)
         if grounded is None:
             entries.append(
                 StabilityEntry(
@@ -475,7 +459,7 @@ def check_stability(
                 )
             )
             continue
-        if _model_tree(grounded) == _model_tree(fresh):
+        if grounded == shape(fresh, record.site):
             entries.append(StabilityEntry(record.site, goal_str, True, "identical model trees"))
         else:
             entries.append(

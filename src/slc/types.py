@@ -421,7 +421,7 @@ def normalize(
     t: TypeTerm,
     givens=(),
     world=None,
-    trace: list[str] | None = None,
+    trace: list[tuple[TypeTerm, TypeTerm]] | None = None,
 ) -> TypeTerm:
     """Rewrite to a fixpoint.
 
@@ -433,6 +433,7 @@ def normalize(
         right side, in source order.
 
     Stops after NORMALIZE_STEP_LIMIT rewrites and raises NormDiverge.
+    Each rewrite is appended to `trace`, when given, as (term, rewritten).
     `world` only needs an `assoc_binding(concept, member, subjects, path)`
     method returning the bound term or None.
     """
@@ -458,7 +459,7 @@ def normalize(
         if steps > NORMALIZE_STEP_LIMIT:
             raise NormDiverge(t)
         if trace is not None:
-            trace.append(f"{render(term)} => {render(replaced)}")
+            trace.append((term, replaced))
         return replaced
 
     # A pass that rewrote nothing leaves the steps as they were; a pass that

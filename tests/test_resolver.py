@@ -1,6 +1,6 @@
 """Resolution: candidates, commitment, policy arbitration, stability."""
 
-from conftest import check_inline, check_inline_policy, codes
+from conftest import CORPUS, check_inline, check_inline_policy, codes, corpus_sources
 from oracle import children
 
 from slc.coherence import CoherencePolicy
@@ -202,6 +202,40 @@ def test_resolution_traces_are_replayable():
     assert log1 == log2
 
 
+def test_resolution_renders_nothing_until_a_trace_is_shown(monkeypatch):
+    """Checking builds every goal's node without rendering a term or a
+    constraint; `explain`'s renderer turns those nodes into the same text
+    as nodes built with rendering allowed."""
+    import slc.resolver
+    from slc.cli import main, render_trace
+    from slc.linker import check_sources
+
+    names = ("elements_equal.sl", "eq_concepts.sl", "iter_lib.sl")
+    paths = [str(CORPUS / n) for n in names]
+
+    def refuse(*_):
+        raise AssertionError("rendered while resolving")
+
+    def shown(result) -> list[str]:
+        return [
+            "\n".join(render_trace(r.trace.to_json()))
+            for module in result.modules.values()
+            for r in module.goal_log
+        ]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(slc.resolver, "render", refuse)
+        patch.setattr(slc.resolver, "render_constraint", refuse)
+        assert main(["check", *paths]) == 0
+        quiet = check_sources(corpus_sources(*names), CoherencePolicy("use-site"))
+    assert quiet.ok
+    loud = check_sources(corpus_sources(*names), CoherencePolicy("use-site"))
+    text = shown(quiet)
+    assert text == shown(loud)
+    outcomes = {line.split(":")[0].strip() for t in text for line in t.splitlines()}
+    assert {"committed", "from the context", "proved by normalization"} <= outcomes
+
+
 def test_resolutions_are_closed():
     """Every ModelNode's children cover exactly its instantiated context."""
     result = check_inline(
@@ -397,11 +431,11 @@ fn viaProjection[I](it: I) -> String where Iter[I], D[I.Element] { c(first(it)) 
 
 
 def _c_goals(result, fun):
-    records = result.modules["m"].funs[fun].goal_records
+    traces = [r.trace.to_json() for r in result.modules["m"].funs[fun].goal_records]
     return [
-        (r.trace.goal, r.trace.outcome, r.trace.picked, [c["model"] for c in r.trace.candidates])
-        for r in records
-        if r.trace.goal.startswith("C[")
+        (t["goal"], t["outcome"], t["picked"], [c["model"] for c in t["candidates"]])
+        for t in traces
+        if t["goal"].startswith("C[")
     ]
 
 
@@ -498,10 +532,13 @@ fn text() -> String { conv(7:U64):String }
 """
     result = check_inline("use-site", m=src)
     assert result.ok, result.diagnostics
-    picks = {
-        name: [(r.trace.goal, r.trace.picked, [c["model"] for c in r.trace.candidates])
-               for r in result.modules["m"].funs[name].goal_records]
+    traces = {
+        name: [r.trace.to_json() for r in result.modules["m"].funs[name].goal_records]
         for name in ("narrow", "text")
+    }
+    picks = {
+        name: [(t["goal"], t["picked"], [c["model"] for c in t["candidates"]]) for t in ts]
+        for name, ts in traces.items()
     }
     assert picks == {
         "narrow": [("Conv[U64, U8]", "m.toU8", ["m.toU8"])],
