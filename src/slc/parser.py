@@ -47,17 +47,17 @@ class Parser:
 
     # ------------------------------------------------------------- plumbing
 
+    # Token access needs no bound check: `tokenize` ends every list with an
+    # `eof` token, which no rule consumes or looks past.
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + ahead]
 
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:

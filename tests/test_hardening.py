@@ -4,6 +4,7 @@ import pytest
 
 from conftest import check_inline, codes
 
+from slc import ast as A
 from slc.parser import parse_module
 
 
@@ -35,6 +36,19 @@ def test_malformed_inputs_are_diagnosed_not_crashes(src):
     result = parse_module(src, "bad.sl")
     assert isinstance(result, list)
     assert result and result[0].code == "E-PARSE"
+
+
+def test_every_prefix_of_every_corpus_file_parses_or_is_diagnosed(corpus_dir):
+    """A file cut off anywhere, inside a token or a comment too, gives an AST
+    or E-PARSE diagnostics; the parser never reads past `eof`."""
+    for path in sorted(corpus_dir.glob("*.sl")):
+        text = path.read_text(encoding="utf-8")
+        for end in range(len(text) + 1):
+            out = parse_module(text[:end], path.name)
+            if isinstance(out, list):
+                assert out and all(d.code == "E-PARSE" for d in out), (path.name, end)
+            else:
+                assert isinstance(out, A.ModuleAST), (path.name, end)
 
 
 def test_refinement_chain_projects_through_two_levels():
