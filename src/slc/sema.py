@@ -858,21 +858,27 @@ class ExprChecker:
         checked: list[TExpr | None] = [None] * len(args)
         synthed: list[TypeTerm | None] = [None] * len(args)
 
-        def absorb(pattern: TypeTerm, target: TypeTerm, where: Span, what: str):
+        def absorb(pattern: TypeTerm, target: TypeTerm, where: Span, what: str,
+                   pattern_expected: bool):
+            """Match the callee's `pattern` onto `target`, extending `binding`.
+            On a mismatch the expected side is the parameter's type against
+            an argument and the context's type against the result."""
             if not self._match_lenient(pattern, target, binding, flexible, where):
                 pat = binding.apply(pattern)
-                expected = (pat, self.norm(pat, where))
-                self.mismatch(what, expected, (target, self.norm(target, where)), where)
+                sides = [(pat, self.norm(pat, where)), (target, self.norm(target, where))]
+                if not pattern_expected:
+                    sides.reverse()
+                self.mismatch(what, *sides, where)
 
         if expected is not None and _unbound(sig.ret, binding, flexible):
-            absorb(sig.ret, expected, span, f"result of {sig.display}")
+            absorb(sig.ret, expected, span, f"result of {sig.display}", False)
         for i, arg in enumerate(args):
             if self._is_deferred(arg) or not _unbound(sig.params[i], binding, flexible):
                 continue
             t_arg, tex = self.synth(arg, env)
             checked[i] = tex
             synthed[i] = t_arg
-            absorb(sig.params[i], t_arg, arg.span, f"argument {i + 1} of {sig.display}")
+            absorb(sig.params[i], t_arg, arg.span, f"argument {i + 1} of {sig.display}", True)
         unbound = [v for v in sig.tyvars if v.uid not in binding.bindings]
         if unbound:
             names = ", ".join(v.name for v in unbound)

@@ -111,6 +111,26 @@ def test_arity_error():
     assert "E-ARITY" in codes(result)
 
 
+@pytest.mark.parametrize(
+    "fun, message",
+    [
+        (
+            "fn wrap(x: U64) -> U64 { Some(x) }",
+            "type mismatch in result of Some: expected U64, found Option[a]",
+        ),
+        (
+            "fn first[T](x: Option[T]) -> U64 { 0:U64 }\nfn h(x: U64) -> U64 { first(x) }",
+            "type mismatch in argument 1 of first: expected Option[T], found U64",
+        ),
+    ],
+)
+def test_generic_call_mismatch_expects_the_declared_side(fun, message):
+    """A call's result is checked against the type its context declares, an
+    argument against the callee's parameter type."""
+    result = check_inline(m=f"module m\n{fun}\n")
+    assert [(d.code, d.message) for d in result.diagnostics] == [("E-TYPE-MISMATCH", message)]
+
+
 def test_superclass_obligation_missing():
     src = """\
 module m
