@@ -11,23 +11,4 @@ import sys
 if sys.getrecursionlimit() < 100_000:
     sys.setrecursionlimit(100_000)
 
-from .coherence import CoherencePolicy
-from .corekit import core_check, elaborate
-from .evaluator import eval_expr, run_program
-from .linker import check_sources
-from .parser import parse_module
-from .printer import pretty_print
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoherencePolicy",
-    "check_sources",
-    "core_check",
-    "elaborate",
-    "eval_expr",
-    "parse_module",
-    "pretty_print",
-    "run_program",
-    "__version__",
-]

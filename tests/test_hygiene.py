@@ -52,8 +52,12 @@ def test_every_defined_name_is_used_somewhere():
 def test_startup_imports_no_code_generation_modules():
     """`import slc.cli` is what every `sl` process pays before any work.
     `dataclasses` builds each class by generating and `exec`ing code, and
-    pulls in `inspect` for it; start-up needs neither."""
-    probe = "import sys, slc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    pulls in `inspect` for it; start-up needs neither, nor the pretty
+    printer, which no command uses."""
+    probe = (
+        "import sys, slc.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'slc.printer'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), check=True
     )
