@@ -7,18 +7,21 @@ ordered and byte-stable across runs.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from pathlib import Path
-
+# The package's own modules come first: compiled from source, they peak
+# lower in memory while argparse, json and pathlib are not yet loaded.
 from .coherence import CoherencePolicy
 from .corekit import core_check, core_to_json, elaborate
 from .diagnostics import Diagnostic, Span
 from .evaluator import DEFAULT_FUEL, run_program
 from .linker import CheckResult, check_sources
 from .resolver import DEFAULT_DEPTH
+
+import argparse
+import gc
+import json
+import os
+import sys
+from pathlib import Path
 
 USAGE_EXIT = 2
 
@@ -255,6 +258,11 @@ def cmd_explain(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The imported modules live as long as the process. Freezing them, once
+    # per process, keeps each full collection during a command from
+    # rescanning them.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

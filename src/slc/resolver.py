@@ -45,13 +45,6 @@ class Goal:
         self.constraint, self.rigid, self.site = constraint, rigid, site
 
 
-class Candidate:
-    __slots__ = ("model", "type_args", "inst_context")
-    def __init__(self, model: ModelDecl, type_args: list[TypeTerm],
-                 inst_context: list[ConstraintTerm]):
-        self.model, self.type_args, self.inst_context = model, type_args, inst_context
-
-
 class TraceNode:
     # goal: the goal's normal form, or the goal as posed when normalizing it diverged
     # outcome: committed | given | equality | ambiguous | no-model | depth | norm-diverge | eq-failed
@@ -152,6 +145,13 @@ def close_givens(
     for i, g in enumerate(givens):
         push(g, i, (), ())
     return out
+
+
+class Candidate:
+    __slots__ = ("model", "type_args", "inst_context")
+    def __init__(self, model: ModelDecl, type_args: list[TypeTerm],
+                 inst_context: list[ConstraintTerm]):
+        self.model, self.type_args, self.inst_context = model, type_args, inst_context
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
