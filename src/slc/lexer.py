@@ -1,16 +1,17 @@
-"""Lexer for `.sl` sources: one master regular expression matched at
-successive offsets (the "Writing a Tokenizer" recipe of the `re` docs).
-
-Tokens carry 1-based (line, column) spans, found by bisecting the offsets at
-which lines start; only `\\n` ends a line. `--` starts a line comment.
-Identifiers start with a letter (`str.isalpha`) or `_` and go on with `\\w`;
-numbers are `\\d` digits, the decimal digits `int()` accepts.
+"""Lexer for `.sl` sources: one regular expression, matched once over the
+text, gives (gap, lexeme) pairs, the gap being the blanks and comments before
+the lexeme. Keywords and punctuation come from one table, other kinds from the
+lexeme's first character. Tokens hold plain ints, a line and the columns of
+their first and last characters, carried through the newlines of each gap;
+only `\\n` ends a line. `Token.span` builds a `Span` on request, for a syntax
+node or a diagnostic. `--` starts a line comment. Identifiers start with a
+letter (`str.isalpha`) or `_` and go on with `\\w`; numbers are `\\d` digits,
+the decimal digits `int()` accepts.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Span
@@ -19,18 +20,16 @@ KEYWORDS = frozenset({
     "module", "import", "concept", "model", "fn", "type", "data",
     "where", "match", "let", "if", "else", "true", "false",
 })
+_KINDS = {k: k for k in (*KEYWORDS, "_", "==", "=>", "->", *"()[]{},;:.=")}
 
-# The string group stops before the closing quote, or at the first fault: a
-# newline, a bad escape or the end of the file.
-_TOKEN = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]|--[^\n]*)+)
-  | (?P<string>"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*)
-  | (?P<hex>0[xX][0-9a-fA-F]*)
-  | (?P<float>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<word>\w+)
-  | (?P<punct>==|=>|->|[()\[\]{},;:.=])
-""", re.VERBOSE)
+# A string up to its closing quote, or up to its first fault: a newline, a
+# bad escape or the end of the file.
+_STRING = r'"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
+# A lone `"` is a string that faults. `.` also takes any unexpected character,
+# so every match starts where the last one ended, and `\Z` ends the text
+# (findall reports it twice after a trailing gap).
+_TOKEN = re.compile(r"""((?:[ \t\r\n]+|--[^\n]*)*)
+    (%s" | 0[xX][0-9a-fA-F]* | \d+\.\d+ | \d+ | \w+ | ==|=>|-> | . | \Z)""" % _STRING, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
@@ -38,8 +37,15 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 class Token(NamedTuple):
     kind: str  # "ident" | "int" | "float" | "string" | keyword | punctuation | "_" | "eof"
     text: str
-    span: Span
-    value: object = None
+    line: int
+    col: int  # of the first character
+    last: int  # column of the last character; no token spans lines
+    value: object
+    file: str
+
+    @property
+    def span(self) -> Span:
+        return Span(self.file, (self.line, self.col), (self.line, self.last))
 
 
 class LexError(Exception):
@@ -49,52 +55,50 @@ class LexError(Exception):
 
 
 def tokenize(text: str, file: str) -> list[Token]:
-    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    def fail(msg: str, line: int, first: int, last: int):
+        raise LexError(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
 
-    def at(offset: int) -> tuple[int, int]:
-        line = bisect_right(starts, offset)
-        return (line, offset - starts[line - 1] + 1)
-
-    def fail(msg: str, begin: int, end: int):
-        raise LexError(Diagnostic("E-PARSE", msg, Span(file, at(begin), at(end))))
-
+    new = tuple.__new__  # Token(...) without the Python-level __new__
     tokens: list[Token] = []
-    pos, n = 0, len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            fail(f"unexpected character {text[pos]!r}", pos, pos)
-        kind, lexeme, end = m.lastgroup, m.group(), m.end()
-        if kind == "skip":
-            pos = end
-            continue
-        value = None
-        if kind == "word":
-            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                fail(f"unexpected character {lexeme[0]!r}", pos, pos)
-            kind = lexeme if lexeme in KEYWORDS or lexeme == "_" else "ident"
-        elif kind == "punct":
-            kind = lexeme
-        elif kind == "string":
-            if text.startswith("\\", end):
-                if end + 1 == n:
-                    fail("unterminated string escape", pos, n)
-                fail(f"unknown string escape '\\{text[end + 1]}'", pos, end + 1)
-            if not text.startswith('"', end):
-                fail("unterminated string literal", pos, end)
-            value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:])
-            end += 1
-        elif kind == "hex":
-            if end - pos == 2:
-                fail("malformed hexadecimal literal", pos, end)
-            kind, value = "int", int(lexeme, 16)
-        elif kind == "int":
-            value = int(lexeme)
-        else:
-            value = lexeme  # float
-        line, col = at(pos)
-        tokens.append(Token(kind, lexeme, Span(file, (line, col), (line, col + end - pos - 1)), value))
-        pos = end
-    eof = at(n)
-    tokens.append(Token("eof", "", Span(file, eof, eof)))
+    line = col = 1
+    for gap, lexeme in _TOKEN.findall(text):
+        if gap:
+            if "\n" in gap:
+                line += gap.count("\n")
+                col = len(gap) - gap.rindex("\n")
+            else:
+                col += len(gap)
+        end = col + len(lexeme)
+        kind, value = _KINDS.get(lexeme), None
+        if kind is None:
+            if not lexeme:
+                break
+            c = lexeme[0]
+            if c.isalpha() or c == "_":
+                kind = "ident"
+            elif c.isdecimal():
+                if lexeme[1:2] in ("x", "X"):
+                    if len(lexeme) == 2:
+                        fail("malformed hexadecimal literal", line, col, end)
+                    kind, value = "int", int(lexeme, 16)
+                elif "." in lexeme:
+                    kind, value = "float", lexeme
+                else:
+                    kind, value = "int", int(lexeme)
+            elif c == '"' and len(lexeme) > 1:
+                kind = "string"
+                value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
+            elif c == '"':  # a string that faults before its closing quote
+                rest = text.split("\n", line - 1)[-1][col - 1 :]
+                n = len(re.match(_STRING, rest)[0])
+                fault, stop = rest[n : n + 2], col + n
+                if fault[:1] != "\\":
+                    fail("unterminated string literal", line, col, stop)
+                what = f"unknown string escape '{fault}'" if fault[1:] else "unterminated string escape"
+                fail(what, line, col, stop + 1)
+            else:
+                fail(f"unexpected character {c!r}", line, col, col)
+        tokens.append(new(Token, (kind, lexeme, line, col, end - 1, value, file)))
+        col = end
+    tokens.append(new(Token, ("eof", "", line, col, col, None, file)))
     return tokens

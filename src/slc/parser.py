@@ -49,11 +49,15 @@ class Parser:
 
     # Token access needs no bound check: `tokenize` ends every list with an
     # `eof` token, which no rule consumes or looks past.
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is a `kind`."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -61,11 +65,12 @@ class Parser:
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             expected = what or f"'{kind}'"
             self.fail(f"expected {expected}, found '{tok.text or 'end of file'}'", tok.span)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def fail(self, msg: str, span: Span):
         raise ParseError(Diagnostic("E-PARSE", msg, span, module=""))
@@ -73,7 +78,7 @@ class Parser:
     def nest(self) -> Token:
         """Open one nesting level at the next token, which is blamed past
         MAX_NESTING. Callers close it on success; a failure ends the parse."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
@@ -82,8 +87,7 @@ class Parser:
     def comma_list(self, item) -> list:
         """`item ("," item)*`: one or more items."""
         out = [item()]
-        while self.at(","):
-            self.advance()
+        while self.accept(","):
             out.append(item())
         return out
 
@@ -100,23 +104,23 @@ class Parser:
     def type_param(self) -> str:
         return self.expect("ident", "type parameter").text
 
-    def span_from(self, start: Span) -> Span:
-        prev = self.tokens[max(self.pos - 1, 0)]
-        end = prev.span.end if prev.span.end >= start.start else start.end
-        return Span(self.file, start.start, end)
+    def span_from(self, start: Token) -> Span:
+        """From `start` to the last token consumed, which is never before it."""
+        prev = self.tokens[self.pos - 1]
+        return Span(self.file, (start.line, start.col), (prev.line, prev.last))
 
     # ------------------------------------------------------------- module
 
     def parse_module(self) -> A.ModuleAST:
-        first = self.peek()
+        first = self.tokens[0]
         if first.kind == "eof":
             self.fail("expected module header", first.span)
-        start = self.expect("module", "module header").span
+        start = self.expect("module", "module header")
         name = self.expect("ident", "module name").text
         imports: list[str] = []
         import_spans: list[Span] = []
         while self.at("import"):
-            isp = self.advance().span
+            isp = self.advance()
             imp = self.expect("ident", "module name").text
             if imp in imports:
                 self.fail(f"duplicate import of '{imp}'", self.span_from(isp))
@@ -134,7 +138,7 @@ class Parser:
         )
 
     def parse_decl(self) -> A.DeclAST:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "concept":
             return self.parse_concept()
         if tok.kind == "model":
@@ -148,10 +152,10 @@ class Parser:
     # ------------------------------------------------------------- concept
 
     def parse_concept(self) -> A.ConceptAST:
-        start = self.expect("concept").span
+        start = self.expect("concept")
         name = self.expect("ident", "concept name").text
         self.expect("[")
-        first = self.peek()
+        first = self.tokens[self.pos]
         if not (first.kind == "ident" and first.text == "Self"):
             self.expect("ident", "'Self'")
             self.fail("first concept parameter must be 'Self'", first.span)
@@ -162,11 +166,10 @@ class Parser:
         assoc: list[str] = []
         reqs: list[A.ReqSigAST] = []
         while not self.at("}"):
-            if self.at("type"):
-                self.advance()
+            if self.accept("type"):
                 assoc.append(self.expect("ident", "associated type name").text)
             elif self.at("fn"):
-                rstart = self.advance().span
+                rstart = self.advance()
                 rname = self.expect("ident", "requirement name").text
                 self.expect("(")
                 rparams = self.parse_typed_params()
@@ -176,7 +179,7 @@ class Parser:
                     A.ReqSigAST(self.span_from(rstart), rname, tuple(rparams), ret)
                 )
             else:
-                self.fail("expected 'type' or 'fn' inside concept", self.peek().span)
+                self.fail("expected 'type' or 'fn' inside concept", self.tokens[self.pos].span)
         self.expect("}")
         return A.ConceptAST(
             span=self.span_from(start),
@@ -190,9 +193,9 @@ class Parser:
     # ------------------------------------------------------------- model
 
     def parse_model(self) -> A.ModelAST:
-        start = self.expect("model").span
+        start = self.expect("model")
         name = None
-        if self.peek().kind == "ident" and self.peek(1).kind == ":":
+        if self.at("ident") and self.tokens[self.pos + 1].kind == ":":
             name = self.advance().text
             self.advance()
         concept = self.expect("ident", "concept name").text
@@ -205,7 +208,7 @@ class Parser:
         bodies: list[A.FunAST] = []
         while not self.at("}"):
             if self.at("type"):
-                bstart = self.advance().span
+                bstart = self.advance()
                 member = self.expect("ident", "associated type name").text
                 self.expect("=")
                 rhs = self.parse_type()
@@ -213,7 +216,7 @@ class Parser:
             elif self.at("fn"):
                 bodies.append(self.parse_fun(allow_typarams=False))
             else:
-                self.fail("expected 'type' binding or 'fn' body inside model", self.peek().span)
+                self.fail("expected 'type' binding or 'fn' body inside model", self.tokens[self.pos].span)
         self.expect("}")
         return A.ModelAST(
             span=self.span_from(start),
@@ -228,12 +231,12 @@ class Parser:
     # ------------------------------------------------------------- fn / data
 
     def parse_fun(self, allow_typarams: bool) -> A.FunAST:
-        start = self.expect("fn").span
+        start = self.expect("fn")
         name = self.expect("ident", "function name").text
         typarams: list[str] = []
         if self.at("["):
             if not allow_typarams:
-                self.fail("requirement bodies take no type parameters", self.peek().span)
+                self.fail("requirement bodies take no type parameters", self.tokens[self.pos].span)
             self.advance()
             typarams = self.comma_list(self.type_param)
             self.expect("]")
@@ -264,11 +267,10 @@ class Parser:
         return self.comma_list_until(")", param)
 
     def parse_data(self) -> A.DataAST:
-        start = self.expect("data").span
+        start = self.expect("data")
         name = self.expect("ident", "data type name").text
         params: list[str] = []
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             params = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("{")
@@ -278,11 +280,10 @@ class Parser:
                 self.expect(",")
                 if self.at("}"):
                     break
-            cstart = self.peek().span
+            cstart = self.tokens[self.pos]
             cname = self.expect("ident", "constructor name").text
             fields: list[A.TypeExprAST] = []
-            if self.at("("):
-                self.advance()
+            if self.accept("("):
                 fields = self.comma_list(self.parse_type)
                 self.expect(")")
             ctors.append(A.CtorAST(self.span_from(cstart), cname, tuple(fields)))
@@ -300,15 +301,14 @@ class Parser:
         return self.comma_list(self.parse_constraint)
 
     def parse_constraint(self) -> A.ConstraintAST:
-        start = self.peek().span
+        start = self.tokens[self.pos]
         lhs = self.parse_type()
-        if self.at("=="):
-            self.advance()
+        if self.accept("=="):
             rhs = self.parse_type()
             return A.EqAST(self.span_from(start), lhs, rhs)
         if not (isinstance(lhs, A.TName) and lhs.args and not lhs.projections):
             self.fail("expected a conformance constraint `Concept[T, ...]`", self.span_from(start))
-        return A.ConfAST(self.span_from(start), lhs.base, lhs.args)
+        return A.ConfAST(lhs.span, lhs.base, lhs.args)  # the same tokens as `lhs`
 
     # ------------------------------------------------------------- types
 
@@ -319,20 +319,16 @@ class Parser:
         return t
 
     def parse_type_inner(self) -> A.TypeExprAST:
-        start = self.peek().span
-        if self.at("("):
-            self.advance()
-            if self.at(")"):
-                self.advance()
-                if self.at("->"):
-                    self.advance()
+        start = self.tokens[self.pos]
+        if self.accept("("):
+            if self.accept(")"):
+                if self.accept("->"):
                     ret = self.parse_type()
                     return A.TFn(self.span_from(start), (), ret)
                 return A.TUnit(self.span_from(start))
             items = self.comma_list(self.parse_type)
             self.expect(")")
-            if self.at("->"):
-                self.advance()
+            if self.accept("->"):
                 ret = self.parse_type()
                 return A.TFn(self.span_from(start), tuple(items), ret)
             if len(items) == 1:
@@ -344,57 +340,51 @@ class Parser:
             return self.parse_projections(base, start)
         name = self.expect("ident", "a type").text
         args: tuple[A.TypeExprAST, ...] = ()
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             args = tuple(self.comma_list(self.parse_type))
             self.expect("]")
         projections: list[str] = []
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.advance()
-            projections.append(self.advance().text)
+        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":
+            projections.append(self.tokens[self.pos + 1].text)
+            self.pos += 2
         return A.TName(self.span_from(start), name, args, tuple(projections))
 
-    def parse_projections(self, base: A.TypeExprAST, start: Span) -> A.TypeExprAST:
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.advance()
-            member = self.advance().text
-            base = A.TProj(self.span_from(start), base, member)
+    def parse_projections(self, base: A.TypeExprAST, start: Token) -> A.TypeExprAST:
+        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":
+            self.pos += 2
+            base = A.TProj(self.span_from(start), base, self.tokens[self.pos - 1].text)
         return base
 
     # ------------------------------------------------------------- expressions
 
     def parse_block(self) -> A.ExprAST:
-        start = self.expect("{").span
-        stmts: list[tuple] = []  # (kind, name, annot, expr, span)
+        start = self.expect("{")
+        stmts: list[tuple] = []  # (name, annot, expr, start position)
         tail: A.ExprAST | None = None
         while not self.at("}"):
             if self.at("let"):
-                lstart = self.advance().span
+                lstart = self.advance()
                 lname = self.expect("ident", "binding name").text
                 annot = None
-                if self.at(":"):
-                    self.advance()
+                if self.accept(":"):
                     annot = self.parse_type()
                 self.expect("=")
                 bound = self.parse_expr()
                 self.expect(";")
-                stmts.append(("let", lname, annot, bound, self.span_from(lstart)))
+                stmts.append((lname, annot, bound, (lstart.line, lstart.col)))
                 continue
             expr = self.parse_expr()
-            if self.at(";"):
-                self.advance()
-                stmts.append(("seq", "_", None, expr, expr.span))
+            if self.accept(";"):
+                stmts.append(("_", None, expr, expr.span.start))
                 continue
             tail = expr
             break
-        end = self.expect("}", "'}' closing block").span
+        self.expect("}", "'}' closing block")
         if tail is None:
-            self.fail("block must end with an expression", Span(self.file, start.start, end.end))
+            self.fail("block must end with an expression", self.span_from(start))
         result = tail
-        for kind, name, annot, bound, sp in reversed(stmts):
-            result = A.ELet(
-                Span(self.file, sp.start, result.span.end), name, annot, bound, result
-            )
+        for name, annot, bound, first in reversed(stmts):
+            result = A.ELet(Span(self.file, first, result.span.end), name, annot, bound, result)
         return result
 
     def parse_expr(self) -> A.ExprAST:
@@ -411,14 +401,13 @@ class Parser:
         return expr
 
     def parse_lambda(self) -> A.ExprAST:
-        start = self.expect("fn").span
+        start = self.expect("fn")
         self.expect("(")
 
         def param():
             pname = self.expect("ident", "parameter name").text
             annot = None
-            if self.at(":"):
-                self.advance()
+            if self.accept(":"):
                 annot = self.parse_type()
             return (pname, annot)
 
@@ -428,7 +417,7 @@ class Parser:
         return A.ELambda(self.span_from(start), tuple(params), body)
 
     def parse_match(self) -> A.ExprAST:
-        start = self.expect("match").span
+        start = self.expect("match")
         scrutinee = self.parse_expr()
         self.expect("{")
         arms: list[A.EMatchArm] = []
@@ -437,16 +426,14 @@ class Parser:
                 self.expect(",")
                 if self.at("}"):
                     break
-            astart = self.peek().span
-            if self.at("_"):
-                self.advance()
+            astart = self.tokens[self.pos]
+            if self.accept("_"):
                 ctor = None
                 binders: tuple[str, ...] = ()
             else:
                 ctor = self.expect("ident", "constructor pattern").text
                 names: list[str] = []
-                if self.at("("):
-                    self.advance()
+                if self.accept("("):
                     names = self.comma_list_until(")", self.parse_binder)
                 binders = tuple(names)
             self.expect("=>")
@@ -463,7 +450,7 @@ class Parser:
         return self.expect("ident", "pattern binder").text
 
     def parse_if(self) -> A.ExprAST:
-        start = self.expect("if").span
+        start = self.expect("if")
         cond = self.parse_expr()
         then = self.parse_block()
         self.expect("else")
@@ -472,33 +459,42 @@ class Parser:
         return A.EIf(self.span_from(start), cond, then, orelse)
 
     def parse_annotated(self) -> A.ExprAST:
-        start = self.peek().span
+        toks, i = self.tokens, self.pos
+        start = toks[i]
+        # `1:U64` and `1:U8` are read as one node: no node, and so no span, is
+        # built for the bare literal or its type only to be dropped
+        if start.kind == "int" and toks[i + 1].kind == ":" and self.depth < MAX_NESTING:
+            width, after = toks[i + 2], toks[i + 3 : i + 5]
+            if width.kind == "ident" and width.text in ("U64", "U8") and not (
+                after[0].kind == "[" or after[0].kind == "." and after[1].kind == "ident"
+            ):
+                self.pos += 3
+                return self.narrow(start, start.value, width.text, start.text)
         expr = self.parse_app()
-        if self.at(":"):
-            self.advance()
-            annot = self.parse_type()
-            if isinstance(expr, A.EInt) and expr.width is None and isinstance(annot, A.TName):
-                if annot.base in ("U64", "U8") and not annot.args and not annot.projections:
-                    limit = 2**64 if annot.base == "U64" else 2**8
-                    if expr.value >= limit:
-                        self.fail(
-                            f"literal out of range for {annot.base}", self.span_from(start)
-                        )
-                    return A.EInt(self.span_from(start), expr.value, annot.base, expr.lexeme)
-            return A.EAnnot(self.span_from(start), expr, annot)
-        return expr
+        if not self.accept(":"):
+            return expr
+        annot = self.parse_type()
+        if isinstance(expr, A.EInt) and expr.width is None and isinstance(annot, A.TName):
+            if annot.base in ("U64", "U8") and not annot.args and not annot.projections:
+                return self.narrow(start, expr.value, annot.base, expr.lexeme)
+        return A.EAnnot(self.span_from(start), expr, annot)
+
+    def narrow(self, start: Token, value: int, width: str, lexeme: str) -> A.EInt:
+        """The literal from `start` to the last token consumed, of type `width`."""
+        if value >= (2**64 if width == "U64" else 2**8):
+            self.fail(f"literal out of range for {width}", self.span_from(start))
+        return A.EInt(self.span_from(start), value, width, lexeme)
 
     def parse_app(self) -> A.ExprAST:
-        start = self.peek().span
+        start = self.tokens[self.pos]
         expr = self.parse_atom()
-        while self.at("("):
-            self.advance()
+        while self.accept("("):
             args = self.comma_list_until(")", self.parse_expr)
             expr = A.EApp(self.span_from(start), expr, tuple(args))
         return expr
 
     def parse_atom(self) -> A.ExprAST:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "ident":
             self.advance()
             return A.EVar(tok.span, tok.text)
@@ -515,9 +511,8 @@ class Parser:
             self.advance()
             return A.EBool(tok.span, tok.kind == "true")
         if tok.kind == "(":
-            start = self.advance().span
-            if self.at(")"):
-                self.advance()
+            start = self.advance()
+            if self.accept(")"):
                 return A.EUnit(self.span_from(start))
             items = self.comma_list(self.parse_expr)
             self.expect(")")

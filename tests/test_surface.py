@@ -1,11 +1,14 @@
 """Parsing, printing, and round-trip behavior of the surface syntax."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracle import children
 
 from slc import ast as A
+from slc.diagnostics import Span
 from slc.lexer import LexError
 from slc.parser import parse_module, tokenize
 from slc.printer import ast_equal, pretty_print
@@ -211,3 +214,46 @@ def test_tokenize_is_total_and_spans_cover_token_text(src):
         assert line == end_line
         if tok.kind != "string":
             assert lines[line - 1][first - 1 : last] == tok.text
+
+
+@given(st.lists(st.sampled_from(LEX_FRAGMENTS), max_size=20).map("".join))
+def test_string_spans_cover_their_quotes_and_eof_follows_the_text(src):
+    try:
+        tokens = tokenize(src, "p.sl")
+    except LexError:
+        return
+    lines = src.split("\n")
+    for tok in tokens:
+        if tok.kind == "string":
+            (line, first), (end_line, last) = tok.span.start, tok.span.end
+            quoted = lines[line - 1][first - 1 : last]
+            assert line == end_line and len(quoted) >= 2
+            assert quoted[0] == quoted[-1] == '"'
+            assert json.loads(quoted, strict=False) == tok.text  # same escapes as JSON
+    eof = (len(lines), len(lines[-1]) + 1)
+    assert (tokens[-1].kind, tokens[-1].span.start, tokens[-1].span.end) == ("eof", eof, eof)
+
+
+def test_spans_are_built_for_syntax_nodes_not_tokens(corpus_dir, monkeypatch):
+    """Tokens carry plain positions; the parser builds a span only for a
+    node it returns (or a diagnostic), never one it throws away."""
+    built = []
+    init = Span.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    for path in sorted(corpus_dir.glob("*.sl")):
+        text = path.read_text(encoding="utf-8")
+        tokenize(text, path.name)
+        assert built == [], path.name
+        held, stack = set(), [parse_ok(text, path.name)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Span):
+                held.add(id(node))
+            stack.extend(children(node))
+        assert 0 < len(built) <= len(held), path.name
+        built.clear()
