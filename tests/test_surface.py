@@ -257,3 +257,18 @@ def test_spans_are_built_for_syntax_nodes_not_tokens(corpus_dir, monkeypatch):
             stack.extend(children(node))
         assert 0 < len(built) <= len(held), path.name
         built.clear()
+
+
+@pytest.mark.parametrize("literal", ["255:U8", "255 : U8", "(255):U8", "((255)):U8", "0xff:U8"])
+def test_annotated_literals_narrow_to_one_node(literal):
+    body = parse_ok(f"module m\nfn f() -> U8 {{ {literal} }}\n").decls[0].body
+    assert (type(body), body.value, body.width) == (A.EInt, 255, "U8")
+    assert (body.span.start, body.span.end) == ((2, 16), (2, 15 + len(literal)))
+
+
+@pytest.mark.parametrize("literal", ["256:U8", "(256):U8", "18446744073709551616:U64"])
+def test_annotated_literals_out_of_range_are_parse_errors(literal):
+    [diag] = parse_module(f"module m\nfn f() -> U8 {{ {literal} }}\n", "m.sl")
+    width = literal.rpartition(":")[2]
+    assert (diag.code, diag.message) == ("E-PARSE", f"literal out of range for {width}")
+    assert (diag.span.start, diag.span.end) == ((2, 16), (2, 15 + len(literal)))
