@@ -461,8 +461,8 @@ class Parser:
     def parse_annotated(self) -> A.ExprAST:
         toks, i = self.tokens, self.pos
         start = toks[i]
-        # `1:U64` and `1:U8` are read as one node: no node, and so no span, is
-        # built for the bare literal or its type only to be dropped
+        # `1:U64` and `1:U8` are one node, with no node or span built for the
+        # bare literal or its type; at the nesting limit the path below fails
         if start.kind == "int" and toks[i + 1].kind == ":" and self.depth < MAX_NESTING:
             width, after = toks[i + 2], toks[i + 3 : i + 5]
             if width.kind == "ident" and width.text in ("U64", "U8") and not (
