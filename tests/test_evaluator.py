@@ -1,5 +1,6 @@
 """Evaluation: fixed-width semantics, transcripts, fuel."""
 
+import json
 import random
 
 import pytest
@@ -15,13 +16,16 @@ from slc.corekit import (
     CLit,
     CMatch,
     CProj,
+    CTuple,
     CVar,
     core_check,
     elaborate,
 )
+from slc import cli
 from slc.diagnostics import Diagnostic
 from slc.evaluator import (
     DEFAULT_FUEL,
+    DEPTH_EXCEEDED,
     MASK64,
     Interp,
     RuntimeFailure,
@@ -90,6 +94,21 @@ model rangeIter: Iterator[Range[a]] where Stepped[a] {
 }
 fn main() -> Unit { print(show64(fold(UpTo(1:U64, 4:U64), 0:U64, add64))) }
 """
+
+
+SUM = """\
+module m
+fn sum(n: U64) -> U64 {{ if eq64(n, 0:U64) {{ 0:U64 }} else {{ add64(n, sum(sub64(n, 1:U64))) }} }}
+fn main() -> Unit {{ print(show64(sum({n}:U64))) }}
+"""
+
+
+def range_fold(n: int) -> str:
+    """`RANGE_ITER` with a `main` that folds `add64` over `0..n`."""
+    main = f"fn main() -> Unit {{ print(show64(fold(UpTo(0:U64, {n}:U64), 0:U64, add64))) }}"
+    return RANGE_ITER.replace(
+        "fn main() -> Unit { print(show64(fold(UpTo(1:U64, 4:U64), 0:U64, add64))) }", main
+    )
 
 
 def run(policy="use-site", fuel=10_000_000, **files):
@@ -284,26 +303,90 @@ def test_eval_expr_single_expression():
 
 # ---------------------------------------------------------------- step accounting
 
+# The steps of every `run --json` row of `test_cli_bytes` that exits 0: the
+# row's words after `run --json`, and the fewest steps that finish it.
+RUN_STEPS = [
+    ('--policy use-site iter_fold.sl iter_lib.sl', 99),
+    ('--policy use-site iter_lib.sl option_iter.sl', 51),
+    ('--policy use-site iter_lib.sl range_iter.sl', 175),
+    ('--policy use-site option_show_ok.sl show_lib.sl', 25),
+    ('--policy use-site convert_pair.sl', 28),
+    ('--policy def-site-disjoint convert_pair.sl', 28),
+    ('--policy scoped convert_pair.sl', 28),
+    ('--policy use-site --prioritize-specific convert_pair.sl', 28),
+    ('--policy use-site --incoherent-ok convert_pair.sl', 28),
+    ('--policy scoped diamond_base.sl diamond_left.sl diamond_point.sl diamond_right.sl diamond_top.sl', 23),
+    ('--policy use-site elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy def-site-strict elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy def-site-disjoint elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy scoped elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy use-site --prioritize-specific elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy use-site --incoherent-ok elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
+    ('--policy def-site-strict iter_fold.sl iter_lib.sl', 99),
+    ('--policy def-site-disjoint iter_fold.sl iter_lib.sl', 99),
+    ('--policy scoped iter_fold.sl iter_lib.sl', 99),
+    ('--policy use-site --prioritize-specific iter_fold.sl iter_lib.sl', 99),
+    ('--policy use-site --incoherent-ok iter_fold.sl iter_lib.sl', 99),
+    ('--policy def-site-strict iter_lib.sl option_iter.sl', 51),
+    ('--policy scoped iter_lib.sl option_iter.sl', 51),
+    ('--policy use-site --prioritize-specific iter_lib.sl option_iter.sl', 51),
+    ('--policy use-site --incoherent-ok iter_lib.sl option_iter.sl', 51),
+    ('--policy use-site --prioritize-specific option_show.sl show_lib.sl', 40),
+    ('--policy use-site --incoherent-ok option_show.sl show_lib.sl', 49),
+    ('--policy scoped option_show_ok.sl show_lib.sl', 25),
+    ('--policy use-site --prioritize-specific option_show_ok.sl show_lib.sl', 25),
+    ('--policy use-site --incoherent-ok option_show_ok.sl show_lib.sl', 25),
+    ('--policy def-site-strict iter_lib.sl range_iter.sl', 175),
+    ('--policy def-site-disjoint iter_lib.sl range_iter.sl', 175),
+    ('--policy scoped iter_lib.sl range_iter.sl', 175),
+    ('--policy use-site --prioritize-specific iter_lib.sl range_iter.sl', 175),
+    ('--policy use-site --incoherent-ok iter_lib.sl range_iter.sl', 175),
+    ('--policy use-site --prioritize-specific iter_lib.sl string_conv.sl string_conv_overlap.sl', 12),
+    ('--policy use-site --incoherent-ok iter_lib.sl string_conv.sl string_conv_overlap.sl', 142),
+    ('--policy use-site --prioritize-specific iter_lib.sl string_conv.sl unstable_log.sl', 149),
+    ('--policy use-site --incoherent-ok iter_lib.sl string_conv.sl unstable_log.sl', 149),
+]
+
+
+@pytest.mark.parametrize("modules, steps", [(tuple(row.split()), n) for row, n in RUN_STEPS])
+def test_fuel_counts_one_step_per_core_node(modules, steps, corpus_dir, monkeypatch, capsys):
+    monkeypatch.chdir(corpus_dir)
+    assert cli.main(["run", "--json", "--fuel", str(steps), *modules]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--json", "--fuel", str(steps - 1), *modules]) == 1
+    err = capsys.readouterr().err  # text warnings, if any, come first
+    [diag] = json.loads(err[err.index("[\n") :])
+    assert (diag["code"], diag["message"]) == ("E-RT-FUEL", "evaluation step budget exceeded")
+
+
+def test_fuel_counts_the_steps_of_a_long_fold():
+    core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(7000)).program)
+    assert run_program(core, 308_043)[1] == ["24496500"]
+    short = run_program(core, 308_042)
+    assert (short.code, short.message) == ("E-RT-FUEL", "evaluation step budget exceeded")
+
+
+PICK = """\
+module m
+fn pick(o: Option[U64]) -> U64 { match o { Some(x) => x } }
+fn g(o: Option[U64], y: U64) -> U64 { add64(pick(o), y) }
+fn main() -> Unit { print(show64(g(None:Option[U64], 1:U64))) }
+"""
+
 
 @pytest.mark.parametrize(
-    "modules, steps",
+    "source, fuel, code, message",
     [
-        (("iter_lib", "iter_fold"), 99),
-        (("iter_lib", "option_iter"), 51),
-        (("iter_lib", "range_iter"), 175),
-        (("show_lib", "option_show_ok"), 25),
+        (PICK, 17, "E-RT-FUEL", "evaluation step budget exceeded"),
+        (PICK, 18, "E-RT-MATCH", "non-exhaustive match: no arm for None"),
+        (SUM.format(n=1_000_000), 139_994, "E-RT-FUEL", "evaluation step budget exceeded"),
+        (SUM.format(n=1_000_000), 139_995, "E-RT-FUEL", DEPTH_EXCEEDED),
     ],
 )
-def test_fuel_counts_one_step_per_core_node(modules, steps):
-    result = check_sources(
-        corpus_sources(*(f"{m}.sl" for m in modules)), CoherencePolicy("use-site")
-    )
-    assert result.ok, result.diagnostics
-    core = elaborate(result.program)
-    assert not isinstance(run_program(core, steps), Diagnostic)
-    short = run_program(core, steps - 1)
-    assert isinstance(short, Diagnostic) and short.code == "E-RT-FUEL"
-    assert short.message == "evaluation step budget exceeded"
+def test_first_failure_at_the_fuel_boundary(source, fuel, code, message):
+    """The step that runs out is the step the failure would have come after."""
+    outcome = run_program(elaborate(check_inline(m=source).program), fuel)
+    assert (outcome.code, outcome.message) == (code, message)
 
 
 # ---------------------------------------------------------------- tail calls and depth
@@ -311,11 +394,7 @@ def test_fuel_counts_one_step_per_core_node(modules, steps):
 
 def test_long_range_fold_runs_in_constant_stack():
     n = 30_000
-    main = f"fn main() -> Unit {{ print(show64(fold(UpTo(0:U64, {n}:U64), 0:U64, add64))) }}"
-    source = RANGE_ITER.replace(
-        "fn main() -> Unit { print(show64(fold(UpTo(1:U64, 4:U64), 0:U64, add64))) }", main
-    )
-    _, transcript = run(iter=ITER_LIB, range_iter=source)
+    _, transcript = run(iter=ITER_LIB, range_iter=range_fold(n))
     assert transcript == [str(n * (n - 1) // 2)]
 
 
@@ -329,13 +408,6 @@ fn main() -> Unit { let x = spin(0:U64); print("unreachable") }
     outcome = run_program(core, 5000)
     assert isinstance(outcome, Diagnostic) and outcome.code == "E-RT-FUEL"
     assert outcome.message == "evaluation step budget exceeded"
-
-
-SUM = """\
-module m
-fn sum(n: U64) -> U64 {{ if eq64(n, 0:U64) {{ 0:U64 }} else {{ add64(n, sum(sub64(n, 1:U64))) }} }}
-fn main() -> Unit {{ print(show64(sum({n}:U64))) }}
-"""
 
 
 def test_non_tail_recursion_within_the_depth_guard():
@@ -394,6 +466,9 @@ def test_branches_never_taken_are_never_run():
         ),
         (CApp(CLit("u64", 1), []), "application of a non-function value"),
         (CApp(CBuiltin("nosuch"), []), "unknown builtin nosuch"),
+        (CApp(CBuiltin("add64"), [CVar("ghost"), CLit("u64", 1)]), "unbound variable ghost"),
+        (CCtor("std.Option", "Some", [U64], [CVar("ghost")]), "unbound variable ghost"),
+        (CTuple(CVar("ghost"), CLit("u64", 1)), "unbound variable ghost"),
     ],
 )
 def test_runtime_match_failures_keep_their_messages(expr, message):
