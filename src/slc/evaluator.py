@@ -7,16 +7,25 @@ Each core node is compiled into a Python closure the first time it is
 evaluated (closure compilation after Feeley & Lapalme, "Using Closures for
 Code Generation", 1987); branches and lambda bodies that never run are never
 compiled. An application in tail position returns a pending `TailCall` that
-`Interp.apply` runs in its own loop, so tail recursion such as `fold` runs
-in constant Python stack. Fuel counts steps, one per core node evaluated;
-a separate guard counts nested non-tail applications. Exhausting either
+`Interp.call` runs in its own loop, so tail recursion such as `fold` runs
+in constant Python stack.
+
+Fuel counts steps, one per core node evaluated; a variable that leads the
+operands of its node is read in place, its step spent with the node's.
+Closures only spend fuel. The budget is compared where `Interp.call` enters
+a function, which every loop passes, and by `Interp.settle` when a run ends.
+Each step is spent where a compare at every node would spend it, so a run
+that ends or fails overspent met that compare first and reports E-RT-FUEL.
+A separate guard counts nested non-tail applications. Exhausting either
 reports E-RT-FUEL, naming which one ran out, so divergent programs stay
 total for callers.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
+from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, or_, rshift, sub
 
 from .corekit import (
     CApp,
@@ -104,7 +113,7 @@ class VTuple(Record):
 
 class VCtor(Record):
     __slots__ = ("data", "name", "args")
-    def __init__(self, data: str, name: str, args: list):
+    def __init__(self, data: str, name: str, *args):
         self.data, self.name, self.args = data, name, args
 
 
@@ -129,9 +138,10 @@ class VDict:
 
 
 class VBuiltin:
-    __slots__ = ("name", "run")
-    def __init__(self, name: str, run: Callable[[list, list[str]], object]):
-        self.name, self.run = name, run
+    # op: a function of `arity` values, or None for an unknown name
+    __slots__ = ("name", "arity", "op")
+    def __init__(self, name: str, arity: int, op):
+        self.name, self.arity, self.op = name, arity, op
 
 
 # Literal kind -> value of the literal's payload.
@@ -147,67 +157,62 @@ LITERALS = {
 
 # ---------------------------------------------------------------- builtins
 #
-# Each builtin takes its argument values and the transcript `print` appends to.
+# Each builtin is a function of its argument values, kept with its arity;
+# `print`, which appends to a transcript, is bound by each `Interp`.
 
 EXPECTED = {VU64: "a U64", VU8: "a U8", VBool: "a Bool", VF64: "an F64", VTuple: "a pair"}
 
 
+def _binary(name: str, kind: type, op, wrap=None):
+    """`op` of the payloads of two `kind` values: wrapped by `wrap`, or else
+    masked to the width of `kind`."""
+    mask = MASK64 if kind is VU64 else MASK8
+
+    def run(a, b):
+        if type(a) is not kind or type(b) is not kind:
+            raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
+        if wrap is None:
+            return kind(op(a.value, b.value) & mask)
+        return wrap(op(a.value, b.value))
+
+    return 2, run
+
+
 def _unary(name: str, kind: type, op):
-    def run(args, out):
-        v = args[0]
-        if not isinstance(v, kind):
+    def run(v):
+        if type(v) is not kind:
             raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
         return op(v)
 
-    return run
+    return 1, run
 
 
-def _binary(name: str, kind: type, op):
-    """`op` takes the two payloads."""
-
-    def run(args, out):
-        a, b = args[0], args[1]
-        if not (isinstance(a, kind) and isinstance(b, kind)):
-            raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
-        return op(a.value, b.value)
-
-    return run
-
-
-def _concat(args, out):
-    a, b = args
-    if not (isinstance(a, VStr) and isinstance(b, VStr)):
+def _concat(a, b):
+    if type(a) is not VStr or type(b) is not VStr:
         raise RuntimeFailure("E-RT-MATCH", "concat: expected strings")
     return VStr(a.value + b.value)
 
 
-def _print(args, out):
-    if not isinstance(args[0], VStr):
-        raise RuntimeFailure("E-RT-MATCH", "print: expected a String")
-    out.append(args[0].value)
-    return VUnit()
-
-
 BUILTINS = {
     **{
-        name: _binary(name, kind, op)
-        for name, kind, op in (
-            ("band", VU64, lambda a, b: VU64(a & b)),
-            ("bor", VU64, lambda a, b: VU64(a | b)),
-            ("shl", VU64, lambda a, b: VU64((a << b) & MASK64 if b < 64 else 0)),
-            ("shr", VU64, lambda a, b: VU64(a >> b if b < 64 else 0)),
-            ("add64", VU64, lambda a, b: VU64((a + b) & MASK64)),
-            ("sub64", VU64, lambda a, b: VU64((a - b) & MASK64)),
-            ("mul64", VU64, lambda a, b: VU64((a * b) & MASK64)),
-            ("add8", VU8, lambda a, b: VU8((a + b) & MASK8)),
-            ("sub8", VU8, lambda a, b: VU8((a - b) & MASK8)),
-            ("mul8", VU8, lambda a, b: VU8((a * b) & MASK8)),
-            ("eq64", VU64, lambda a, b: VBool(a == b)),
-            ("lt64", VU64, lambda a, b: VBool(a < b)),
-            ("le64", VU64, lambda a, b: VBool(a <= b)),
-            ("eq8", VU8, lambda a, b: VBool(a == b)),
-            ("lt8", VU8, lambda a, b: VBool(a < b)),
-            ("le8", VU8, lambda a, b: VBool(a <= b)),
+        name: _binary(name, *rest)
+        for name, *rest in (
+            ("band", VU64, and_),
+            ("bor", VU64, or_),
+            ("shl", VU64, lambda a, b: a << b if b < 64 else 0),
+            ("shr", VU64, rshift),
+            ("add64", VU64, add),
+            ("sub64", VU64, sub),
+            ("mul64", VU64, mul),
+            ("add8", VU8, add),
+            ("sub8", VU8, sub),
+            ("mul8", VU8, mul),
+            ("eq64", VU64, eq, VBool),
+            ("lt64", VU64, lt, VBool),
+            ("le64", VU64, le, VBool),
+            ("eq8", VU8, eq, VBool),
+            ("lt8", VU8, lt, VBool),
+            ("le8", VU8, le, VBool),
         )
     },
     **{
@@ -220,35 +225,23 @@ BUILTINS = {
             ("showbool", VBool, lambda v: VStr("true" if v.value else "false")),
             ("showf64", VF64, lambda v: VStr(v.lexeme)),
             ("not", VBool, lambda v: VBool(not v.value)),
-            ("fst", VTuple, lambda v: v.first),
-            ("snd", VTuple, lambda v: v.second),
+            ("fst", VTuple, attrgetter("first")),
+            ("snd", VTuple, attrgetter("second")),
         )
     },
-    "concat": _concat,
-    "print": _print,
+    "concat": (2, _concat),
 }
-
-
-def builtin_op(name: str):
-    """The table entry for `name`; an unknown name fails when applied."""
-    op = BUILTINS.get(name)
-    if op is None:
-
-        def op(args, out):
-            raise RuntimeFailure("E-RT-MATCH", f"unknown builtin {name}")
-
-    return op
 
 
 # ---------------------------------------------------------------- compiled code
 
 
 class TailCall:
-    """An application in tail position, left for `Interp.apply` to run."""
+    """An application in tail position, left for `Interp.call` to run."""
 
     __slots__ = ("fn", "args")
 
-    def __init__(self, fn, args: list):
+    def __init__(self, fn, *args):
         self.fn = fn
         self.args = args
 
@@ -268,6 +261,13 @@ class Interp:
         self.transcript: list[str] = []
         self.globals: dict[str, object] = {}
         self._forcing: set[str] = set()
+        self.builtins = {**BUILTINS, "print": (1, self._print)}
+
+    def _print(self, s):
+        if type(s) is not VStr:
+            raise RuntimeFailure("E-RT-MATCH", "print: expected a String")
+        self.transcript.append(s.value)
+        return VUnit()
 
     # ------------------------------------------------------------- plumbing
 
@@ -292,23 +292,47 @@ class Interp:
     def eval(self, e: CoreExpr, env: dict):
         return self._compile(e, False)(env)
 
+    def settle(self, run: Callable[[], object]):
+        """`run()`, unless it overspent the step budget: then whatever it
+        returned or raised is reported as the budget running out."""
+        try:
+            value = run()
+        except (RuntimeFailure, RecursionError):
+            if self.fuel >= 0:
+                raise
+        if self.fuel < 0:
+            raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
+        return value
+
     def apply(self, fn, args: list):
+        return self.call(fn, *args)
+
+    def call(self, fn, *args):
         if self.depth >= MAX_EVAL_DEPTH:
             raise RuntimeFailure("E-RT-FUEL", DEPTH_EXCEEDED)
         self.depth += 1
         try:
             while True:
+                if self.fuel < 0:
+                    raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
                 if type(fn) is not VClosure:
-                    if type(fn) is VBuiltin:
-                        return fn.run(args, self.transcript)
-                    raise RuntimeFailure("E-RT-MATCH", "application of a non-function value")
+                    if type(fn) is not VBuiltin:
+                        raise RuntimeFailure("E-RT-MATCH", "application of a non-function value")
+                    if fn.op is None:
+                        raise RuntimeFailure("E-RT-MATCH", f"unknown builtin {fn.name}")
+                    if len(args) != fn.arity:
+                        raise RuntimeFailure(
+                            "E-RT-MATCH", f"{fn.name} expects {fn.arity} arguments, got {len(args)}"
+                        )
+                    return fn.op(*args)
                 if len(fn.params) != len(args):
                     raise RuntimeFailure(
                         "E-RT-MATCH",
                         f"closure expects {len(fn.params)} arguments, got {len(args)}",
                     )
-                env = dict(fn.env)
-                env.update(zip(fn.params, args))
+                env = fn.env.copy()
+                for param, arg in zip(fn.params, args):
+                    env[param] = arg
                 result = fn.body.run(env)
                 if type(result) is not TailCall:
                     return result
@@ -317,14 +341,14 @@ class Interp:
             self.depth -= 1
 
     def builtin(self, name: str, args: list):
-        return builtin_op(name)(args, self.transcript)
+        return self.apply(VBuiltin(name, *self.builtins.get(name, (0, None))), args)
 
     # ------------------------------------------------------------- compilation
     #
-    # Every compiled closure burns one unit of fuel on entry, then runs its
+    # Every compiled closure spends its step on entry, then runs its
     # children in evaluation order. `tail` marks a node whose value is the
     # value of the enclosing closure body: an application there returns a
-    # TailCall instead of nesting `apply`.
+    # TailCall instead of nesting `call`.
 
     def _compile(self, e: CoreExpr, tail: bool):
         return COMPILERS[type(e)](self, e, tail)
@@ -339,27 +363,43 @@ class Interp:
         slot.run = first
         return slot
 
+    def _operands(self, es: list[CoreExpr]):
+        """The names of the variables that lead `es`, and code for each of
+        `es`. A leading variable's code is a getter that spends no step: its
+        node spends it up front, which is exact because nothing else runs
+        between the node's step and the variable's."""
+        names = []
+        for e in es:
+            if type(e) is not CVar:
+                break
+            names.append(e.name)
+        codes = [self._compile(e, False) for e in es[len(names) :]]
+        return tuple(names), [itemgetter(name) for name in names] + codes
+
+    def _unbound(self, names: tuple, env: dict) -> RuntimeFailure:
+        """The failure of reading `names` from `env`, which lacks one of
+        them; the steps spent up front on the names after it are returned."""
+        i = next(i for i, name in enumerate(names) if name not in env)
+        self.fuel += len(names) - 1 - i
+        return RuntimeFailure("E-RT-MATCH", f"unbound variable {names[i]}")
+
     def _var(self, e: CVar, tail: bool):
         name = e.name
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             try:
                 return env[name]
             except KeyError:
-                raise RuntimeFailure("E-RT-MATCH", f"unbound variable {name}") from None
+                raise self._unbound((name,), env) from None
 
         return run
 
-    def _global(self, e: CGlobal, tail: bool):
+    def _global(self, e: CGlobal, tail: bool, steps: int = 1):
         name, values = e.name, self.globals
 
         def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
+            self.fuel -= steps
             value = values.get(name)
             return value if value is not None else self.global_value(name)
 
@@ -368,14 +408,12 @@ class Interp:
     def _constant(self, value):
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             return value
 
         return run
 
     def _builtin(self, e: CBuiltin, tail: bool):
-        return self._constant(VBuiltin(e.name, builtin_op(e.name)))
+        return self._constant(VBuiltin(e.name, *self.builtins.get(e.name, (0, None))))
 
     def _lit(self, e: CLit, tail: bool):
         return self._constant(LITERALS[e.kind](e.value))
@@ -386,48 +424,77 @@ class Interp:
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             return VClosure(params, body, env)
 
         return run
 
     def _through(self, inner: CoreExpr, tail: bool):
         """A type abstraction or application: one step, then `inner`."""
+        if type(inner) is CGlobal:
+            return self._global(inner, tail, 2)
         code = self._compile(inner, tail)
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             return code(env)
 
         return run
 
-    def _app(self, e: CApp, tail: bool):
-        args = [self._compile(a, False) for a in e.args]
-        if isinstance(e.fn, CBuiltin):
-            # The builtin is known here: one step for the application, one
-            # for the builtin node, and no pending call (builtins return).
-            op, out = builtin_op(e.fn.name), self.transcript
+    def _call(self, op, steps: int, operands: list[CoreExpr]):
+        """Code that spends `steps`, then calls `op` on the values of
+        `operands` in order."""
+        names, codes = self._operands(operands)
+        steps += len(names)
+        unbound = self._unbound
+        if len(codes) == 1:
+            (a,) = codes
 
-            def run_builtin(env):
-                self.fuel -= 2
-                if self.fuel < 0:
-                    raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-                return op([a(env) for a in args], out)
+            def run(env):
+                self.fuel -= steps
+                try:
+                    return op(a(env))
+                except KeyError:
+                    raise unbound(names, env) from None
 
-            return run_builtin
-        fn = self._compile(e.fn, False)
-        call = TailCall if tail else self.apply
+        elif len(codes) == 2:
+            a, b = codes
 
-        def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-            return call(fn(env), [a(env) for a in args])
+            def run(env):
+                self.fuel -= steps
+                try:
+                    return op(a(env), b(env))
+                except KeyError:
+                    raise unbound(names, env) from None
+
+        elif len(codes) == 3:
+            a, b, c = codes
+
+            def run(env):
+                self.fuel -= steps
+                try:
+                    return op(a(env), b(env), c(env))
+                except KeyError:
+                    raise unbound(names, env) from None
+
+        else:
+
+            def run(env):
+                self.fuel -= steps
+                try:
+                    return op(*[code(env) for code in codes])
+                except KeyError:
+                    raise unbound(names, env) from None
 
         return run
+
+    def _app(self, e: CApp, tail: bool):
+        if type(e.fn) is CBuiltin:
+            arity, op = self.builtins.get(e.fn.name, (None, None))
+            if arity == len(e.args):
+                # The builtin is known here: one step for the application, one
+                # for the builtin node, and no pending call (builtins return).
+                return self._call(op, 2, e.args)
+        return self._call(TailCall if tail else self.call, 1, [e.fn, *e.args])
 
     def _dict(self, e: CDict, tail: bool):
         tag = e.tag
@@ -435,21 +502,21 @@ class Interp:
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             return VDict(tag, {name: code(env) for name, code in fields})
 
         return run
 
     def _proj(self, e: CProj, tail: bool):
-        record, field = self._compile(e.record, False), e.field
+        names, (record,) = self._operands([e.record])
+        steps, field = 1 + len(names), e.field
 
         def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-            rec = record(env)
-            if isinstance(rec, VDict):
+            self.fuel -= steps
+            try:
+                rec = record(env)
+            except KeyError:
+                raise self._unbound(names, env) from None
+            if type(rec) is VDict:
                 value = rec.fields.get(field)
                 if value is not None:
                     return value
@@ -458,19 +525,11 @@ class Interp:
         return run
 
     def _ctor(self, e: CCtor, tail: bool):
-        data, ctor = e.data, e.ctor
-        args = [self._compile(a, False) for a in e.args]
-
-        def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-            return VCtor(data, ctor, [a(env) for a in args])
-
-        return run
+        return self._call(partial(VCtor, e.data, e.ctor), 1, e.args)
 
     def _match(self, e: CMatch, tail: bool):
-        scrutinee = self._compile(e.scrutinee, False)
+        names, (scrutinee,) = self._operands([e.scrutinee])
+        steps = 1 + len(names)
         # Constructor -> (binders or None, body) of the first arm that takes
         # it; arms after a wildcard are unreachable.
         arms: dict[str, tuple] = {}
@@ -484,11 +543,12 @@ class Interp:
                 arms[ctor] = (binds, self._lazy(body, tail))
 
         def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-            scrut = scrutinee(env)
-            if not isinstance(scrut, VCtor):
+            self.fuel -= steps
+            try:
+                scrut = scrutinee(env)
+            except KeyError:
+                raise self._unbound(names, env) from None
+            if type(scrut) is not VCtor:
                 raise RuntimeFailure("E-RT-MATCH", "match on a non-constructor value")
             arm = arms.get(scrut.name, default)
             if arm is None:
@@ -498,7 +558,7 @@ class Interp:
             binds, body = arm
             if binds is None:
                 return body.run(env)
-            inner = dict(env)
+            inner = env.copy()
             for b, v in zip(binds, scrut.args):
                 if b != "_":
                     inner[b] = v
@@ -512,23 +572,13 @@ class Interp:
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             value = bound(env)
             return body(env if name == "_" else {**env, name: value})
 
         return run
 
     def _tuple(self, e: CTuple, tail: bool):
-        first, second = self._compile(e.first, False), self._compile(e.second, False)
-
-        def run(env):
-            self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-            return VTuple(first(env), second(env))
-
-        return run
+        return self._call(VTuple, 1, [e.first, e.second])
 
     def _if(self, e: CIf, tail: bool):
         cond = self._compile(e.cond, False)
@@ -536,10 +586,8 @@ class Interp:
 
         def run(env):
             self.fuel -= 1
-            if self.fuel < 0:
-                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
             c = cond(env)
-            if not isinstance(c, VBool):
+            if type(c) is not VBool:
                 raise RuntimeFailure("E-RT-MATCH", "if condition is not a boolean")
             return then.run(env) if c.value else orelse.run(env)
 
@@ -567,7 +615,7 @@ COMPILERS = {
 def eval_expr(e: CoreExpr, env: dict, program: CoreProgram, fuel: int = DEFAULT_FUEL):
     """Evaluate a single core expression in an environment."""
     interp = Interp(program, fuel)
-    value = interp.eval(e, env)
+    value = interp.settle(lambda: interp.eval(e, env))
     return value, interp.transcript
 
 
@@ -583,8 +631,7 @@ def run_program(
         )
     interp = Interp(program, fuel)
     try:
-        main = interp.global_value(program.entry)
-        value = interp.apply(main, [])
+        value = interp.settle(lambda: interp.call(interp.global_value(program.entry)))
     except RuntimeFailure as failure:
         return failure.to_diagnostic()
     except RecursionError:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 from conftest import check_inline, check_sources, corpus_sources
@@ -366,6 +367,30 @@ def test_fuel_counts_the_steps_of_a_long_fold():
     assert (short.code, short.message) == ("E-RT-FUEL", "evaluation step budget exceeded")
 
 
+def test_python_calls_per_fold_element():
+    """The closures a fold runs make few Python calls per element: each
+    variable that leads its node's operands is read in place, and builtins
+    and applications take their operands positionally. The list-taking
+    evaluator this replaced made 72."""
+
+    def calls(n: int) -> int:
+        core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            run_program(core)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert (calls(2000) - calls(1000)) / 1000 <= 44
+
+
 PICK = """\
 module m
 fn pick(o: Option[U64]) -> U64 { match o { Some(x) => x } }
@@ -469,6 +494,8 @@ def test_branches_never_taken_are_never_run():
         (CApp(CBuiltin("add64"), [CVar("ghost"), CLit("u64", 1)]), "unbound variable ghost"),
         (CCtor("std.Option", "Some", [U64], [CVar("ghost")]), "unbound variable ghost"),
         (CTuple(CVar("ghost"), CLit("u64", 1)), "unbound variable ghost"),
+        (CApp(CBuiltin("add64"), [CLit("u64", 1)]), "add64 expects 2 arguments, got 1"),
+        (CApp(CBuiltin("concat"), []), "concat expects 2 arguments, got 0"),
     ],
 )
 def test_runtime_match_failures_keep_their_messages(expr, message):
