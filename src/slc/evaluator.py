@@ -7,12 +7,12 @@ Each core node is compiled into a Python closure the first time it is
 evaluated (closure compilation after Feeley & Lapalme, "Using Closures for
 Code Generation", 1987); branches and lambda bodies that never run are never
 compiled. An application in tail position returns a pending `TailCall` that
-`Interp.call` runs in its own loop, so tail recursion such as `fold` runs
+`Interp.apply` runs in its own loop, so tail recursion such as `fold` runs
 in constant Python stack.
 
 Fuel counts steps, one per core node evaluated; a variable that leads the
 operands of its node is read in place, its step spent with the node's.
-Closures only spend fuel. The budget is compared where `Interp.call` enters
+Closures only spend fuel. The budget is compared where `Interp.apply` enters
 a function, which every loop passes, and by `Interp.settle` when a run ends.
 Each step is spent where a compare at every node would spend it, so a run
 that ends or fails overspent met that compare first and reports E-RT-FUEL.
@@ -237,7 +237,7 @@ BUILTINS = {
 
 
 class TailCall:
-    """An application in tail position, left for `Interp.call` to run."""
+    """An application in tail position, left for `Interp.apply` to run."""
 
     __slots__ = ("fn", "args")
 
@@ -304,10 +304,9 @@ class Interp:
             raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
         return value
 
-    def apply(self, fn, args: list):
-        return self.call(fn, *args)
-
-    def call(self, fn, *args):
+    def apply(self, fn, *args):
+        """`fn` applied to `args`; tail calls run in this loop, which compares
+        the step budget once per function it enters."""
         if self.depth >= MAX_EVAL_DEPTH:
             raise RuntimeFailure("E-RT-FUEL", DEPTH_EXCEEDED)
         self.depth += 1
@@ -341,14 +340,14 @@ class Interp:
             self.depth -= 1
 
     def builtin(self, name: str, args: list):
-        return self.apply(VBuiltin(name, *self.builtins.get(name, (0, None))), args)
+        return self.apply(VBuiltin(name, *self.builtins.get(name, (0, None))), *args)
 
     # ------------------------------------------------------------- compilation
     #
     # Every compiled closure spends its step on entry, then runs its
     # children in evaluation order. `tail` marks a node whose value is the
     # value of the enclosing closure body: an application there returns a
-    # TailCall instead of nesting `call`.
+    # TailCall instead of nesting `apply`.
 
     def _compile(self, e: CoreExpr, tail: bool):
         return COMPILERS[type(e)](self, e, tail)
@@ -366,8 +365,9 @@ class Interp:
     def _operands(self, es: list[CoreExpr]):
         """The names of the variables that lead `es`, and code for each of
         `es`. A leading variable's code is a getter that spends no step: its
-        node spends it up front, which is exact because nothing else runs
-        between the node's step and the variable's."""
+        node spends it up front. Only the reads of the names before it run
+        in between, and `_unbound` gives back the steps of the names after
+        one that fails, so the count stays exact."""
         names = []
         for e in es:
             if type(e) is not CVar:
@@ -494,7 +494,7 @@ class Interp:
                 # The builtin is known here: one step for the application, one
                 # for the builtin node, and no pending call (builtins return).
                 return self._call(op, 2, e.args)
-        return self._call(TailCall if tail else self.call, 1, [e.fn, *e.args])
+        return self._call(TailCall if tail else self.apply, 1, [e.fn, *e.args])
 
     def _dict(self, e: CDict, tail: bool):
         tag = e.tag
@@ -631,7 +631,7 @@ def run_program(
         )
     interp = Interp(program, fuel)
     try:
-        value = interp.settle(lambda: interp.call(interp.global_value(program.entry)))
+        value = interp.settle(lambda: interp.apply(interp.global_value(program.entry)))
     except RuntimeFailure as failure:
         return failure.to_diagnostic()
     except RecursionError:

@@ -133,9 +133,9 @@ def test_next_projection_on_zero_is_none():
     interp = Interp(core)
     dict_v = interp.global_value("dict$iter.bytes64")
     next_fn = dict_v.fields["next"]
-    out = interp.apply(next_fn, [VU64(0)])
+    out = interp.apply(next_fn, VU64(0))
     assert isinstance(out, VCtor) and out.name == "None"
-    out2 = interp.apply(next_fn, [VU64(0x2A2A)])
+    out2 = interp.apply(next_fn, VU64(0x2A2A))
     assert isinstance(out2, VCtor) and out2.name == "Some"
 
 
@@ -448,7 +448,7 @@ def test_non_tail_recursion_past_the_depth_guard():
     # the step budget is spent, and unwinding restores the depth count.
     interp = Interp(core)
     with pytest.raises(RuntimeFailure) as failure:
-        interp.apply(interp.global_value(core.entry), [])
+        interp.apply(interp.global_value(core.entry))
     assert failure.value.message == outcome.message
     assert DEFAULT_FUEL - interp.fuel < DEFAULT_FUEL // 10
     assert interp.depth == 0
