@@ -24,6 +24,7 @@ total for callers.
 from __future__ import annotations
 
 from functools import partial
+from itertools import takewhile
 from typing import Callable
 from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, or_, rshift, sub
 
@@ -349,7 +350,7 @@ class Interp:
     # value of the enclosing closure body: an application there returns a
     # TailCall instead of nesting `apply`.
 
-    def _compile(self, e: CoreExpr, tail: bool):
+    def _compile(self, e: CoreExpr, tail: bool = False):
         return COMPILERS[type(e)](self, e, tail)
 
     def _lazy(self, e: CoreExpr, tail: bool) -> Lazy:
@@ -362,26 +363,14 @@ class Interp:
         slot.run = first
         return slot
 
-    def _operands(self, es: list[CoreExpr]):
-        """The names of the variables that lead `es`, and code for each of
-        `es`. A leading variable's code is a getter that spends no step: its
-        node spends it up front. Only the reads of the names before it run
-        in between, and `_unbound` gives back the steps of the names after
-        one that fails, so the count stays exact."""
-        names = []
-        for e in es:
-            if type(e) is not CVar:
-                break
-            names.append(e.name)
-        codes = [self._compile(e, False) for e in es[len(names) :]]
-        return tuple(names), [itemgetter(name) for name in names] + codes
-
-    def _unbound(self, names: tuple, env: dict) -> RuntimeFailure:
-        """The failure of reading `names` from `env`, which lacks one of
-        them; the steps spent up front on the names after it are returned."""
-        i = next(i for i, name in enumerate(names) if name not in env)
-        self.fuel += len(names) - 1 - i
-        return RuntimeFailure("E-RT-MATCH", f"unbound variable {names[i]}")
+    def _unbound(self, operands: list[CoreExpr], env: dict) -> RuntimeFailure:
+        """The failure of reading the variables that lead `operands` from
+        `env`, which lacks one; the steps spent up front on the variables
+        after it are given back."""
+        lead = [e.name for e in takewhile(lambda e: type(e) is CVar, operands)]
+        i = next(i for i, name in enumerate(lead) if name not in env)
+        self.fuel += len(lead) - 1 - i
+        return RuntimeFailure("E-RT-MATCH", f"unbound variable {lead[i]}")
 
     def _var(self, e: CVar, tail: bool):
         name = e.name
@@ -391,7 +380,7 @@ class Interp:
             try:
                 return env[name]
             except KeyError:
-                raise self._unbound((name,), env) from None
+                raise self._unbound([e], env) from None
 
         return run
 
@@ -442,11 +431,19 @@ class Interp:
 
     def _call(self, op, steps: int, operands: list[CoreExpr]):
         """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order."""
-        names, codes = self._operands(operands)
-        steps += len(names)
-        unbound = self._unbound
-        if len(codes) == 1:
+        `operands` in order. Variables that lead the operands are read in
+        place by getters and their steps spent up front; that is exact, as
+        `_unbound` gives back the steps of those after one that fails."""
+        codes, lead = [], 0
+        for e in operands:
+            if type(e) is CVar and lead == len(codes):
+                lead += 1
+                codes.append(itemgetter(e.name))
+            else:
+                codes.append(self._compile(e))
+        steps += lead
+        n = len(codes)
+        if n == 1:
             (a,) = codes
 
             def run(env):
@@ -454,9 +451,9 @@ class Interp:
                 try:
                     return op(a(env))
                 except KeyError:
-                    raise unbound(names, env) from None
+                    raise self._unbound(operands, env) from None
 
-        elif len(codes) == 2:
+        elif n == 2:
             a, b = codes
 
             def run(env):
@@ -464,9 +461,9 @@ class Interp:
                 try:
                     return op(a(env), b(env))
                 except KeyError:
-                    raise unbound(names, env) from None
+                    raise self._unbound(operands, env) from None
 
-        elif len(codes) == 3:
+        elif n == 3:
             a, b, c = codes
 
             def run(env):
@@ -474,27 +471,29 @@ class Interp:
                 try:
                     return op(a(env), b(env), c(env))
                 except KeyError:
-                    raise unbound(names, env) from None
+                    raise self._unbound(operands, env) from None
 
         else:
+            a = codes
 
             def run(env):
                 self.fuel -= steps
                 try:
-                    return op(*[code(env) for code in codes])
+                    return op(*[code(env) for code in a])
                 except KeyError:
-                    raise unbound(names, env) from None
+                    raise self._unbound(operands, env) from None
 
         return run
 
     def _app(self, e: CApp, tail: bool):
-        if type(e.fn) is CBuiltin:
-            arity, op = self.builtins.get(e.fn.name, (None, None))
+        fn = e.fn
+        if type(fn) is CBuiltin:
+            arity, op = self.builtins.get(fn.name, (None, None))
             if arity == len(e.args):
                 # The builtin is known here: one step for the application, one
                 # for the builtin node, and no pending call (builtins return).
                 return self._call(op, 2, e.args)
-        return self._call(TailCall if tail else self.apply, 1, [e.fn, *e.args])
+        return self._call(TailCall if tail else self.apply, 1, [fn, *e.args])
 
     def _dict(self, e: CDict, tail: bool):
         tag = e.tag
@@ -507,15 +506,16 @@ class Interp:
         return run
 
     def _proj(self, e: CProj, tail: bool):
-        names, (record,) = self._operands([e.record])
-        steps, field = 1 + len(names), e.field
+        lead = type(e.record) is CVar
+        record = itemgetter(e.record.name) if lead else self._compile(e.record)
+        steps, field, operands = 1 + lead, e.field, [e.record]
 
         def run(env):
             self.fuel -= steps
             try:
                 rec = record(env)
             except KeyError:
-                raise self._unbound(names, env) from None
+                raise self._unbound(operands, env) from None
             if type(rec) is VDict:
                 value = rec.fields.get(field)
                 if value is not None:
@@ -528,8 +528,9 @@ class Interp:
         return self._call(partial(VCtor, e.data, e.ctor), 1, e.args)
 
     def _match(self, e: CMatch, tail: bool):
-        names, (scrutinee,) = self._operands([e.scrutinee])
-        steps = 1 + len(names)
+        lead = type(e.scrutinee) is CVar
+        scrutinee = itemgetter(e.scrutinee.name) if lead else self._compile(e.scrutinee)
+        steps, operands = 1 + lead, [e.scrutinee]
         # Constructor -> (binders or None, body) of the first arm that takes
         # it; arms after a wildcard are unreachable.
         arms: dict[str, tuple] = {}
@@ -547,7 +548,7 @@ class Interp:
             try:
                 scrut = scrutinee(env)
             except KeyError:
-                raise self._unbound(names, env) from None
+                raise self._unbound(operands, env) from None
             if type(scrut) is not VCtor:
                 raise RuntimeFailure("E-RT-MATCH", "match on a non-constructor value")
             arm = arms.get(scrut.name, default)

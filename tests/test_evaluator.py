@@ -506,6 +506,24 @@ def test_runtime_match_failures_keep_their_messages(expr, message):
 
 
 @pytest.mark.parametrize(
+    "args, fuel, code",
+    [
+        ([CVar("ghost"), CVar("y")], 2, "E-RT-FUEL"),
+        ([CVar("ghost"), CVar("y")], 3, "E-RT-MATCH"),
+        ([CVar("y"), CVar("ghost")], 3, "E-RT-FUEL"),
+        ([CVar("y"), CVar("ghost")], 4, "E-RT-MATCH"),
+    ],
+)
+def test_unbound_leading_variable_at_the_fuel_boundary(args, fuel, code):
+    """An unbound variable fails after the steps of the variables before it,
+    not after those of the variables beside it."""
+    core = elaborate(check_inline(iter=ITER).program)
+    with pytest.raises(RuntimeFailure) as failure:
+        eval_expr(CApp(CBuiltin("add64"), args), {"y": VU64(1)}, core, fuel)
+    assert failure.value.code == code
+
+
+@pytest.mark.parametrize(
     "name, args, message",
     [
         ("add64", [VU64(1), VU8(1)], "add64: expected a U64"),
