@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import takewhile
-from typing import Callable
 from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, or_, rshift, sub
+from typing import Callable
 
 from .corekit import (
     CApp,

@@ -5,9 +5,8 @@ import random
 import sys
 
 import pytest
-from conftest import check_inline, check_sources, corpus_sources
+from conftest import check_inline
 
-from slc.coherence import CoherencePolicy
 from slc.corekit import (
     CApp,
     CBuiltin,
