@@ -7,6 +7,7 @@ import sys
 import pytest
 from conftest import check_inline
 
+from slc import cli
 from slc.corekit import (
     CApp,
     CBuiltin,
@@ -21,7 +22,6 @@ from slc.corekit import (
     core_check,
     elaborate,
 )
-from slc import cli
 from slc.diagnostics import Diagnostic
 from slc.evaluator import (
     DEFAULT_FUEL,
@@ -306,45 +306,45 @@ def test_eval_expr_single_expression():
 # The steps of every `run --json` row of `test_cli_bytes` that exits 0: the
 # row's words after `run --json`, and the fewest steps that finish it.
 RUN_STEPS = [
-    ('--policy use-site iter_fold.sl iter_lib.sl', 99),
-    ('--policy use-site iter_lib.sl option_iter.sl', 51),
-    ('--policy use-site iter_lib.sl range_iter.sl', 175),
-    ('--policy use-site option_show_ok.sl show_lib.sl', 25),
-    ('--policy use-site convert_pair.sl', 28),
-    ('--policy def-site-disjoint convert_pair.sl', 28),
-    ('--policy scoped convert_pair.sl', 28),
-    ('--policy use-site --prioritize-specific convert_pair.sl', 28),
-    ('--policy use-site --incoherent-ok convert_pair.sl', 28),
-    ('--policy scoped diamond_base.sl diamond_left.sl diamond_point.sl diamond_right.sl diamond_top.sl', 23),
-    ('--policy use-site elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy def-site-strict elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy def-site-disjoint elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy scoped elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy use-site --prioritize-specific elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy use-site --incoherent-ok elements_equal.sl eq_concepts.sl iter_lib.sl', 209),
-    ('--policy def-site-strict iter_fold.sl iter_lib.sl', 99),
-    ('--policy def-site-disjoint iter_fold.sl iter_lib.sl', 99),
-    ('--policy scoped iter_fold.sl iter_lib.sl', 99),
-    ('--policy use-site --prioritize-specific iter_fold.sl iter_lib.sl', 99),
-    ('--policy use-site --incoherent-ok iter_fold.sl iter_lib.sl', 99),
-    ('--policy def-site-strict iter_lib.sl option_iter.sl', 51),
-    ('--policy scoped iter_lib.sl option_iter.sl', 51),
-    ('--policy use-site --prioritize-specific iter_lib.sl option_iter.sl', 51),
-    ('--policy use-site --incoherent-ok iter_lib.sl option_iter.sl', 51),
-    ('--policy use-site --prioritize-specific option_show.sl show_lib.sl', 40),
-    ('--policy use-site --incoherent-ok option_show.sl show_lib.sl', 49),
-    ('--policy scoped option_show_ok.sl show_lib.sl', 25),
-    ('--policy use-site --prioritize-specific option_show_ok.sl show_lib.sl', 25),
-    ('--policy use-site --incoherent-ok option_show_ok.sl show_lib.sl', 25),
-    ('--policy def-site-strict iter_lib.sl range_iter.sl', 175),
-    ('--policy def-site-disjoint iter_lib.sl range_iter.sl', 175),
-    ('--policy scoped iter_lib.sl range_iter.sl', 175),
-    ('--policy use-site --prioritize-specific iter_lib.sl range_iter.sl', 175),
-    ('--policy use-site --incoherent-ok iter_lib.sl range_iter.sl', 175),
-    ('--policy use-site --prioritize-specific iter_lib.sl string_conv.sl string_conv_overlap.sl', 12),
-    ('--policy use-site --incoherent-ok iter_lib.sl string_conv.sl string_conv_overlap.sl', 142),
-    ('--policy use-site --prioritize-specific iter_lib.sl string_conv.sl unstable_log.sl', 149),
-    ('--policy use-site --incoherent-ok iter_lib.sl string_conv.sl unstable_log.sl', 149),
+    ("--policy use-site iter_fold.sl iter_lib.sl", 99),
+    ("--policy use-site iter_lib.sl option_iter.sl", 51),
+    ("--policy use-site iter_lib.sl range_iter.sl", 175),
+    ("--policy use-site option_show_ok.sl show_lib.sl", 25),
+    ("--policy use-site convert_pair.sl", 28),
+    ("--policy def-site-disjoint convert_pair.sl", 28),
+    ("--policy scoped convert_pair.sl", 28),
+    ("--policy use-site --prioritize-specific convert_pair.sl", 28),
+    ("--policy use-site --incoherent-ok convert_pair.sl", 28),
+    ("--policy scoped diamond_base.sl diamond_left.sl diamond_point.sl diamond_right.sl diamond_top.sl", 23),
+    ("--policy use-site elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy def-site-strict elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy def-site-disjoint elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy scoped elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy use-site --prioritize-specific elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy use-site --incoherent-ok elements_equal.sl eq_concepts.sl iter_lib.sl", 209),
+    ("--policy def-site-strict iter_fold.sl iter_lib.sl", 99),
+    ("--policy def-site-disjoint iter_fold.sl iter_lib.sl", 99),
+    ("--policy scoped iter_fold.sl iter_lib.sl", 99),
+    ("--policy use-site --prioritize-specific iter_fold.sl iter_lib.sl", 99),
+    ("--policy use-site --incoherent-ok iter_fold.sl iter_lib.sl", 99),
+    ("--policy def-site-strict iter_lib.sl option_iter.sl", 51),
+    ("--policy scoped iter_lib.sl option_iter.sl", 51),
+    ("--policy use-site --prioritize-specific iter_lib.sl option_iter.sl", 51),
+    ("--policy use-site --incoherent-ok iter_lib.sl option_iter.sl", 51),
+    ("--policy use-site --prioritize-specific option_show.sl show_lib.sl", 40),
+    ("--policy use-site --incoherent-ok option_show.sl show_lib.sl", 49),
+    ("--policy scoped option_show_ok.sl show_lib.sl", 25),
+    ("--policy use-site --prioritize-specific option_show_ok.sl show_lib.sl", 25),
+    ("--policy use-site --incoherent-ok option_show_ok.sl show_lib.sl", 25),
+    ("--policy def-site-strict iter_lib.sl range_iter.sl", 175),
+    ("--policy def-site-disjoint iter_lib.sl range_iter.sl", 175),
+    ("--policy scoped iter_lib.sl range_iter.sl", 175),
+    ("--policy use-site --prioritize-specific iter_lib.sl range_iter.sl", 175),
+    ("--policy use-site --incoherent-ok iter_lib.sl range_iter.sl", 175),
+    ("--policy use-site --prioritize-specific iter_lib.sl string_conv.sl string_conv_overlap.sl", 12),
+    ("--policy use-site --incoherent-ok iter_lib.sl string_conv.sl string_conv_overlap.sl", 142),
+    ("--policy use-site --prioritize-specific iter_lib.sl string_conv.sl unstable_log.sl", 149),
+    ("--policy use-site --incoherent-ok iter_lib.sl string_conv.sl unstable_log.sl", 149),
 ]
 
 
@@ -368,9 +368,9 @@ def test_fuel_counts_the_steps_of_a_long_fold():
 
 def test_python_calls_per_fold_element():
     """The closures a fold runs make few Python calls per element: each
-    variable that leads its node's operands is read in place, and builtins
-    and applications take their operands positionally. The list-taking
-    evaluator this replaced made 72."""
+    variable that leads its node's operands is read in place, and builtins,
+    applications, constructors and tuples take their operands positionally,
+    so a step that costs one more call shows here."""
 
     def calls(n: int) -> int:
         core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
@@ -408,7 +408,8 @@ fn main() -> Unit { print(show64(g(None:Option[U64], 1:U64))) }
     ],
 )
 def test_first_failure_at_the_fuel_boundary(source, fuel, code, message):
-    """The step that runs out is the step the failure would have come after."""
+    """One step less than the run needs to reach a failure reports the
+    budget instead, as a check after every step would."""
     outcome = run_program(elaborate(check_inline(m=source).program), fuel)
     assert (outcome.code, outcome.message) == (code, message)
 
