@@ -14,6 +14,7 @@ from slc.corekit import (
     CCtor,
     CIf,
     CLam,
+    CLet,
     CLit,
     CMatch,
     CProj,
@@ -301,6 +302,69 @@ def test_eval_expr_single_expression():
     assert shifted.value == 0x2A
 
 
+# ---------------------------------------------------------------- scoping
+
+
+def u64(n: int) -> CLit:
+    return CLit("u64", n)
+
+
+SOME_2 = CCtor("std.Option", "Some", [U64], [u64(2)])
+PAIR = CCtor("m.Pair", "Pair", [], [u64(1), u64(2)])
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        pytest.param(
+            CApp(CLam([("x", U64)], CLet("x", u64(2), CVar("x"))), [u64(1)]),
+            VU64(2),
+            id="let-shadows-parameter",
+        ),
+        pytest.param(
+            CLet("x", u64(1), CMatch(SOME_2, [("Some", ["x"], CVar("x"))])),
+            VU64(2),
+            id="binder-shadows-let",
+        ),
+        pytest.param(
+            CLet("x", u64(1), CLet("y", u64(3), CApp(
+                CLam([("x", U64)], CTuple(CVar("x"), CVar("y"))), [u64(2)]
+            ))),
+            VTuple(VU64(2), VU64(3)),
+            id="parameter-shadows-captured",
+        ),
+        pytest.param(
+            CApp(CLam([("x", U64), ("x", U64)], CVar("x")), [u64(1), u64(2)]),
+            VU64(2),
+            id="duplicate-parameters-last-wins",
+        ),
+        pytest.param(
+            CMatch(PAIR, [("Pair", ["x", "x"], CVar("x"))]),
+            VU64(2),
+            id="duplicate-binders-last-wins",
+        ),
+        pytest.param(
+            CLet("x", u64(1), CLet("_", u64(2), CVar("x"))),
+            VU64(1),
+            id="let-underscore-binds-nothing",
+        ),
+    ],
+)
+def test_inner_bindings_shadow_outer_ones(expr, value):
+    core = elaborate(check_inline(iter=ITER).program)
+    assert eval_expr(expr, {}, core)[0] == value
+
+
+def test_eval_expr_reads_a_dict_environment():
+    core = elaborate(check_inline(iter=ITER).program)
+    env = {"a": VU64(1), "b": VU64(2)}
+    assert eval_expr(CTuple(CVar("a"), CVar("b")), env, core)[0] == VTuple(VU64(1), VU64(2))
+    body = CTuple(CVar("a"), CTuple(CVar("b"), CVar("z")))
+    closure, _ = eval_expr(CLam([("z", U64)], body), env, core)
+    value = Interp(core).apply(closure, VU64(3))
+    assert value == VTuple(VU64(1), VTuple(VU64(2), VU64(3)))
+
+
 # ---------------------------------------------------------------- step accounting
 
 # The steps of every `run --json` row of `test_cli_bytes` that exits 0: the
@@ -478,6 +542,8 @@ def test_branches_never_taken_are_never_run():
     "expr, message",
     [
         (CVar("ghost"), "unbound variable ghost"),
+        (CLet("_", CLit("u64", 1), CVar("_")), "unbound variable _"),
+        (CMatch(PAIR, [("Pair", ["x", "_"], CVar("_"))]), "unbound variable _"),
         (CProj(CLit("u64", 1), "next"), "bad projection .next"),
         (CMatch(CLit("u64", 1), [(None, [], CLit("u64", 0))]), "match on a non-constructor value"),
         (
