@@ -10,6 +10,14 @@ compiled. An application in tail position returns a pending `TailCall` that
 `Interp.apply` runs in its own loop, so tail recursion such as `fold` runs
 in constant Python stack.
 
+Variables are resolved to slots when their node is compiled (lexical
+addressing, after Cardelli, "Compiling a Functional Language", 1984). A node
+is compiled in a scope, the tuple of names bound around it, and runs on a
+frame, the tuple of their values; a name reads its last slot, so inner
+bindings shadow outer ones. A closure runs on its defining frame plus its
+arguments, a match arm with binders on the frame plus the constructor's
+fields, and a `let` body on the frame plus the bound value.
+
 Fuel counts steps, one per core node evaluated; a variable that leads the
 operands of its node is read in place, its step spent with the node's.
 Closures only spend fuel. The budget is compared where `Interp.apply` enters
@@ -24,7 +32,6 @@ total for callers.
 from __future__ import annotations
 
 from functools import partial
-from itertools import takewhile
 from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, or_, rshift, sub
 from typing import Callable
 
@@ -119,13 +126,13 @@ class VCtor(Record):
 
 
 class VClosure:
-    # body: compiled in tail mode
-    __slots__ = ("params", "body", "env")
-    def __init__(self, params: list[str], body: Lazy, env: dict):
-        self.params, self.body, self.env = params, body, env
+    # body: compiled in tail mode, in the scope of `env` plus `arity` parameters
+    __slots__ = ("arity", "body", "env")
+    def __init__(self, arity: int, body: Lazy, env: tuple):
+        self.arity, self.body, self.env = arity, body, env
 
     def __repr__(self):
-        return f"<closure/{len(self.params)}>"
+        return f"<closure/{self.arity}>"
 
 
 class VDict:
@@ -254,6 +261,14 @@ class Lazy:
     __slots__ = ("run",)
 
 
+def _slot(scope: tuple, e: CoreExpr) -> int | None:
+    """The frame index a variable `e` reads: the last occurrence of its name
+    in `scope`. None if `e` is no variable or is unbound."""
+    if type(e) is CVar and e.name in scope:
+        return len(scope) - 1 - scope[::-1].index(e.name)
+    return None
+
+
 class Interp:
     def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
@@ -291,7 +306,7 @@ class Interp:
     # ------------------------------------------------------------- evaluation
 
     def eval(self, e: CoreExpr, env: dict):
-        return self._compile(e, False)(env)
+        return self._compile(e, tuple(env))(tuple(env.values()))
 
     def settle(self, run: Callable[[], object]):
         """`run()`, unless it overspent the step budget: then whatever it
@@ -325,15 +340,11 @@ class Interp:
                             "E-RT-MATCH", f"{fn.name} expects {fn.arity} arguments, got {len(args)}"
                         )
                     return fn.op(*args)
-                if len(fn.params) != len(args):
+                if fn.arity != len(args):
                     raise RuntimeFailure(
-                        "E-RT-MATCH",
-                        f"closure expects {len(fn.params)} arguments, got {len(args)}",
+                        "E-RT-MATCH", f"closure expects {fn.arity} arguments, got {len(args)}"
                     )
-                env = fn.env.copy()
-                for param, arg in zip(fn.params, args):
-                    env[param] = arg
-                result = fn.body.run(env)
+                result = fn.body.run(fn.env + args)
                 if type(result) is not TailCall:
                     return result
                 fn, args = result.fn, result.args
@@ -346,45 +357,42 @@ class Interp:
     # ------------------------------------------------------------- compilation
     #
     # Every compiled closure spends its step on entry, then runs its
-    # children in evaluation order. `tail` marks a node whose value is the
-    # value of the enclosing closure body: an application there returns a
-    # TailCall instead of nesting `apply`.
+    # children in evaluation order. `scope` names the slots of the frame the
+    # code runs on. `tail` marks a node whose value is the value of the
+    # enclosing closure body: an application there returns a TailCall
+    # instead of nesting `apply`.
 
-    def _compile(self, e: CoreExpr, tail: bool = False):
-        return COMPILERS[type(e)](self, e, tail)
+    def _compile(self, e: CoreExpr, scope: tuple, tail: bool = False):
+        return COMPILERS[type(e)](self, e, scope, tail)
 
-    def _lazy(self, e: CoreExpr, tail: bool) -> Lazy:
+    def _lazy(self, e: CoreExpr, scope: tuple, tail: bool) -> Lazy:
         slot = Lazy()
 
         def first(env):
-            slot.run = self._compile(e, tail)
+            slot.run = self._compile(e, scope, tail)
             return slot.run(env)
 
         slot.run = first
         return slot
 
-    def _unbound(self, operands: list[CoreExpr], env: dict) -> RuntimeFailure:
-        """The failure of reading the variables that lead `operands` from
-        `env`, which lacks one; the steps spent up front on the variables
-        after it are given back."""
-        lead = [e.name for e in takewhile(lambda e: type(e) is CVar, operands)]
-        i = next(i for i, name in enumerate(lead) if name not in env)
-        self.fuel += len(lead) - 1 - i
-        return RuntimeFailure("E-RT-MATCH", f"unbound variable {lead[i]}")
+    def _var(self, e: CVar, scope: tuple, tail: bool):
+        i = _slot(scope, e)
+        if i is None:  # bound nowhere in scope: spends its step, then fails
+            message = f"unbound variable {e.name}"
 
-    def _var(self, e: CVar, tail: bool):
-        name = e.name
+            def run(env):
+                self.fuel -= 1
+                raise RuntimeFailure("E-RT-MATCH", message)
 
-        def run(env):
-            self.fuel -= 1
-            try:
-                return env[name]
-            except KeyError:
-                raise self._unbound([e], env) from None
+        else:
+
+            def run(env):
+                self.fuel -= 1
+                return env[i]
 
         return run
 
-    def _global(self, e: CGlobal, tail: bool, steps: int = 1):
+    def _global(self, e: CGlobal, scope: tuple, tail: bool, steps: int = 1):
         name, values = e.name, self.globals
 
         def run(env):
@@ -401,27 +409,27 @@ class Interp:
 
         return run
 
-    def _builtin(self, e: CBuiltin, tail: bool):
+    def _builtin(self, e: CBuiltin, scope: tuple, tail: bool):
         return self._constant(VBuiltin(e.name, *self.builtins.get(e.name, (0, None))))
 
-    def _lit(self, e: CLit, tail: bool):
+    def _lit(self, e: CLit, scope: tuple, tail: bool):
         return self._constant(LITERALS[e.kind](e.value))
 
-    def _lam(self, e: CLam, tail: bool):
-        params = [n for n, _ in e.params]
-        body = self._lazy(e.body, True)
+    def _lam(self, e: CLam, scope: tuple, tail: bool):
+        arity = len(e.params)
+        body = self._lazy(e.body, scope + tuple(n for n, _ in e.params), True)
 
         def run(env):
             self.fuel -= 1
-            return VClosure(params, body, env)
+            return VClosure(arity, body, env)
 
         return run
 
-    def _through(self, inner: CoreExpr, tail: bool):
+    def _through(self, inner: CoreExpr, scope: tuple, tail: bool):
         """A type abstraction or application: one step, then `inner`."""
         if type(inner) is CGlobal:
-            return self._global(inner, tail, 2)
-        code = self._compile(inner, tail)
+            return self._global(inner, scope, tail, 2)
+        code = self._compile(inner, scope, tail)
 
         def run(env):
             self.fuel -= 1
@@ -429,18 +437,19 @@ class Interp:
 
         return run
 
-    def _call(self, op, steps: int, operands: list[CoreExpr]):
+    def _call(self, op, steps: int, operands: list[CoreExpr], scope: tuple):
         """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order. Variables that lead the operands are read in
-        place by getters and their steps spent up front; that is exact, as
-        `_unbound` gives back the steps of those after one that fails."""
+        `operands` in order. Bound variables that lead the operands are read
+        in place by getters and their steps spent up front; an unbound one
+        ends the lead and spends its own step when it fails."""
         codes, lead = [], 0
         for e in operands:
-            if type(e) is CVar and lead == len(codes):
-                lead += 1
-                codes.append(itemgetter(e.name))
+            i = _slot(scope, e) if lead == len(codes) else None
+            if i is None:
+                codes.append(self._compile(e, scope))
             else:
-                codes.append(self._compile(e))
+                lead += 1
+                codes.append(itemgetter(i))
         steps += lead
         n = len(codes)
         if n == 1:
@@ -448,56 +457,50 @@ class Interp:
 
             def run(env):
                 self.fuel -= steps
-                try:
-                    return op(a(env))
-                except KeyError:
-                    raise self._unbound(operands, env) from None
+                return op(a(env))
 
         elif n == 2:
             a, b = codes
 
             def run(env):
                 self.fuel -= steps
-                try:
-                    return op(a(env), b(env))
-                except KeyError:
-                    raise self._unbound(operands, env) from None
+                return op(a(env), b(env))
 
         elif n == 3:
             a, b, c = codes
 
             def run(env):
                 self.fuel -= steps
-                try:
-                    return op(a(env), b(env), c(env))
-                except KeyError:
-                    raise self._unbound(operands, env) from None
+                return op(a(env), b(env), c(env))
 
         else:
             a = codes
 
             def run(env):
                 self.fuel -= steps
-                try:
-                    return op(*[code(env) for code in a])
-                except KeyError:
-                    raise self._unbound(operands, env) from None
+                return op(*[code(env) for code in a])
 
         return run
 
-    def _app(self, e: CApp, tail: bool):
+    def _operand(self, e: CoreExpr, scope: tuple):
+        """Code for the sole operand `e` of a node, and the steps the node
+        spends up front: with a bound variable's read in place, two."""
+        i = _slot(scope, e)
+        return (self._compile(e, scope), 1) if i is None else (itemgetter(i), 2)
+
+    def _app(self, e: CApp, scope: tuple, tail: bool):
         fn = e.fn
         if type(fn) is CBuiltin:
             arity, op = self.builtins.get(fn.name, (None, None))
             if arity == len(e.args):
                 # The builtin is known here: one step for the application, one
                 # for the builtin node, and no pending call (builtins return).
-                return self._call(op, 2, e.args)
-        return self._call(TailCall if tail else self.apply, 1, [fn, *e.args])
+                return self._call(op, 2, e.args, scope)
+        return self._call(TailCall if tail else self.apply, 1, [fn, *e.args], scope)
 
-    def _dict(self, e: CDict, tail: bool):
+    def _dict(self, e: CDict, scope: tuple, tail: bool):
         tag = e.tag
-        fields = [(name, self._compile(x, False)) for name, x in e.fields.items()]
+        fields = [(name, self._compile(x, scope)) for name, x in e.fields.items()]
 
         def run(env):
             self.fuel -= 1
@@ -505,17 +508,13 @@ class Interp:
 
         return run
 
-    def _proj(self, e: CProj, tail: bool):
-        lead = type(e.record) is CVar
-        record = itemgetter(e.record.name) if lead else self._compile(e.record)
-        steps, field, operands = 1 + lead, e.field, [e.record]
+    def _proj(self, e: CProj, scope: tuple, tail: bool):
+        record, steps = self._operand(e.record, scope)
+        field = e.field
 
         def run(env):
             self.fuel -= steps
-            try:
-                rec = record(env)
-            except KeyError:
-                raise self._unbound(operands, env) from None
+            rec = record(env)
             if type(rec) is VDict:
                 value = rec.fields.get(field)
                 if value is not None:
@@ -524,31 +523,28 @@ class Interp:
 
         return run
 
-    def _ctor(self, e: CCtor, tail: bool):
-        return self._call(partial(VCtor, e.data, e.ctor), 1, e.args)
+    def _ctor(self, e: CCtor, scope: tuple, tail: bool):
+        return self._call(partial(VCtor, e.data, e.ctor), 1, e.args, scope)
 
-    def _match(self, e: CMatch, tail: bool):
-        lead = type(e.scrutinee) is CVar
-        scrutinee = itemgetter(e.scrutinee.name) if lead else self._compile(e.scrutinee)
-        steps, operands = 1 + lead, [e.scrutinee]
-        # Constructor -> (binders or None, body) of the first arm that takes
-        # it; arms after a wildcard are unreachable.
+    def _match(self, e: CMatch, scope: tuple, tail: bool):
+        scrutinee, steps = self._operand(e.scrutinee, scope)
+        # Constructor -> (number of binders, or None if none binds, body) of
+        # the first arm that takes it; arms after a wildcard are unreachable.
+        # A `_` binder takes a slot that no name reads.
         arms: dict[str, tuple] = {}
         default = None
         for ctor, binders, body in e.arms:
-            binds = binders if any(b != "_" for b in binders) else None
             if ctor is None:
-                default = (None, self._lazy(body, tail))
+                default = (None, self._lazy(body, scope, tail))
                 break
             if ctor not in arms:
-                arms[ctor] = (binds, self._lazy(body, tail))
+                names = tuple(None if b == "_" else b for b in binders)
+                binds = len(names) if any(names) else None
+                arms[ctor] = (binds, self._lazy(body, scope + names if binds else scope, tail))
 
         def run(env):
             self.fuel -= steps
-            try:
-                scrut = scrutinee(env)
-            except KeyError:
-                raise self._unbound(operands, env) from None
+            scrut = scrutinee(env)
             if type(scrut) is not VCtor:
                 raise RuntimeFailure("E-RT-MATCH", "match on a non-constructor value")
             arm = arms.get(scrut.name, default)
@@ -559,31 +555,32 @@ class Interp:
             binds, body = arm
             if binds is None:
                 return body.run(env)
-            inner = env.copy()
-            for b, v in zip(binds, scrut.args):
-                if b != "_":
-                    inner[b] = v
-            return body.run(inner)
+            args = scrut.args
+            if len(args) != binds:
+                message = f"pattern arity: {scrut.name} has {len(args)} fields, the arm binds {binds}"
+                raise RuntimeFailure("E-RT-MATCH", message)
+            return body.run(env + args)
 
         return run
 
-    def _let(self, e: CLet, tail: bool):
-        name = e.name
-        bound, body = self._compile(e.bound, False), self._compile(e.body, tail)
+    def _let(self, e: CLet, scope: tuple, tail: bool):
+        bind = e.name != "_"
+        bound = self._compile(e.bound, scope)
+        body = self._compile(e.body, scope + (e.name,) if bind else scope, tail)
 
         def run(env):
             self.fuel -= 1
             value = bound(env)
-            return body(env if name == "_" else {**env, name: value})
+            return body(env + (value,) if bind else env)
 
         return run
 
-    def _tuple(self, e: CTuple, tail: bool):
-        return self._call(VTuple, 1, [e.first, e.second])
+    def _tuple(self, e: CTuple, scope: tuple, tail: bool):
+        return self._call(VTuple, 1, [e.first, e.second], scope)
 
-    def _if(self, e: CIf, tail: bool):
-        cond = self._compile(e.cond, False)
-        then, orelse = self._lazy(e.then, tail), self._lazy(e.orelse, tail)
+    def _if(self, e: CIf, scope: tuple, tail: bool):
+        cond = self._compile(e.cond, scope)
+        then, orelse = self._lazy(e.then, scope, tail), self._lazy(e.orelse, scope, tail)
 
         def run(env):
             self.fuel -= 1
@@ -601,7 +598,7 @@ COMPILERS = {
     CBuiltin: Interp._builtin,
     CLit: Interp._lit,
     CLam: Interp._lam,
-    CTyApp: lambda self, e, tail: self._through(e.fn, tail),
+    CTyApp: lambda self, e, scope, tail: self._through(e.fn, scope, tail),
     CApp: Interp._app,
     CDict: Interp._dict,
     CProj: Interp._proj,

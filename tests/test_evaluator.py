@@ -309,6 +309,8 @@ def u64(n: int) -> CLit:
     return CLit("u64", n)
 
 
+SOME_1 = CCtor("std.Option", "Some", [U64], [u64(1)])
+SOME_1_2 = CCtor("std.Option", "Some", [U64], [u64(1), u64(2)])
 SOME_2 = CCtor("std.Option", "Some", [U64], [u64(2)])
 PAIR = CCtor("m.Pair", "Pair", [], [u64(1), u64(2)])
 
@@ -454,6 +456,31 @@ def test_python_calls_per_fold_element():
     assert (calls(2000) - calls(1000)) / 1000 <= 44
 
 
+def test_opcodes_per_fold_element():
+    """A fold element runs few bytecodes: variables read fixed slots of
+    tuple frames, so entering a closure or a match arm copies no
+    environment."""
+
+    def opcodes(n: int) -> int:
+        core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            frame.f_trace_opcodes = True
+            count += event == "opcode"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            run_program(core)
+        finally:
+            sys.settrace(None)
+        return count
+
+    assert (opcodes(2000) - opcodes(1000)) / 1000 <= 1100
+
+
 PICK = """\
 module m
 fn pick(o: Option[U64]) -> U64 { match o { Some(x) => x } }
@@ -562,6 +589,24 @@ def test_branches_never_taken_are_never_run():
         (CTuple(CVar("ghost"), CLit("u64", 1)), "unbound variable ghost"),
         (CApp(CBuiltin("add64"), [CLit("u64", 1)]), "add64 expects 2 arguments, got 1"),
         (CApp(CBuiltin("concat"), []), "concat expects 2 arguments, got 0"),
+        # Pattern arity that `core_check` would reject: a binding arm meets
+        # a value with another number of fields.
+        (
+            CMatch(SOME_1, [("Some", ["x", "y"], CVar("x"))]),
+            "pattern arity: Some has 1 fields, the arm binds 2",
+        ),
+        (
+            CMatch(SOME_1, [("Some", ["x", "y"], CVar("y"))]),
+            "pattern arity: Some has 1 fields, the arm binds 2",
+        ),
+        (
+            CLet("z", u64(9), CMatch(SOME_1_2, [("Some", ["x"], CTuple(CVar("x"), CVar("z")))])),
+            "pattern arity: Some has 2 fields, the arm binds 1",
+        ),
+        (
+            CMatch(SOME_1_2, [("Some", ["x"], CLet("w", u64(5), CVar("w")))]),
+            "pattern arity: Some has 2 fields, the arm binds 1",
+        ),
     ],
 )
 def test_runtime_match_failures_keep_their_messages(expr, message):
