@@ -483,8 +483,9 @@ class Interp:
         return run
 
     def _operand(self, e: CoreExpr, scope: tuple):
-        """Code for the sole operand `e` of a node, and the steps the node
-        spends up front: with a bound variable's read in place, two."""
+        """Code for `e`, the one operand of a projection or match, and the
+        steps its node spends up front: two if `e` is a bound variable, read
+        in place, else one."""
         i = _slot(scope, e)
         return (self._compile(e, scope), 1) if i is None else (itemgetter(i), 2)
 
