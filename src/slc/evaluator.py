@@ -484,8 +484,7 @@ class Interp:
 
     def _operand(self, e: CoreExpr, scope: tuple):
         """Code for `e`, the one operand of a projection or match, and the
-        steps its node spends up front: two if `e` is a bound variable, read
-        in place, else one."""
+        steps its node spends up front: two if `e` is read in place."""
         i = _slot(scope, e)
         return (self._compile(e, scope), 1) if i is None else (itemgetter(i), 2)
 
