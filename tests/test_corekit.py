@@ -6,6 +6,7 @@ from oracle import children
 
 from slc.corekit import (
     CApp,
+    CBuiltin,
     CCtor,
     CDict,
     CGlobal,
@@ -14,13 +15,14 @@ from slc.corekit import (
     CLit,
     CMatch,
     CProj,
+    CTyApp,
     CVar,
     core_check,
     core_to_json,
     elaborate,
 )
 from slc.evaluator import run_program
-from slc.types import U64
+from slc.types import U64, App, Con
 
 ITER = """\
 module iter
@@ -313,4 +315,52 @@ def test_core_check_dictionary_messages():
     del record.fields["next"]
     assert [d.message for d in core_check(core)] == [
         ILLTYPED + "dictionary for iter.Iterator has fields [], wants ['next']"
+    ]
+
+
+SHOWN = """\
+module m
+concept Show[Self] { fn show(x: Self) -> String }
+model showU64: Show[U64] { fn show(x: U64) -> String { show64(x) } }
+fn f(x: U64) -> U64 { x }
+fn g[T](x: T) -> T { x }
+fn main() -> Unit { print(show64(f(1:U64))) }
+"""
+NO_DICT = App(Con("Dict$m.Nope", 1, "m"), (U64,))
+NONE = CCtor("std.Option", "None", [U64], [])
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (CVar("y"), "unbound core variable y"),
+        (CGlobal("m.nosuch"), "unknown global m.nosuch"),
+        (CGlobal("m.g"), "generic global m.g used without type arguments"),
+        (CTyApp(CVar("x"), [U64]), "type application to a non-global"),
+        (CTyApp(CGlobal("m.nosuch"), [U64]), "unknown global m.nosuch"),
+        (CTyApp(CGlobal("m.g"), [U64, U64]), "m.g expects 1 type arguments"),
+        (CBuiltin("fst"), "generic builtin fst must be applied"),
+        (CProj(CVar("x"), "show"), "projection .show from non-dictionary type U64"),
+        (CLam([("d", NO_DICT)], CProj(CVar("d"), "show")), "unknown concept dictionary m.Nope"),
+        (CProj(CGlobal("dict$m.showU64"), "nope"), "dictionary m.Show has no field nope"),
+        (CCtor("m.Nope", "X", [], []), "unknown data type m.Nope"),
+        (CCtor("std.Option", "Nope", [U64], []), "std.Option has no constructor Nope"),
+        (CCtor("std.Option", "None", [], []), "None: wrong number of type arguments"),
+        (CCtor("std.Option", "Some", [U64], []), "Some: wrong arity"),
+        (CApp(CBuiltin("add64"), [CVar("x")]), "add64: wrong arity"),
+        (CApp(CBuiltin("add64"), [CVar("x"), CLit("u8", 1)]), "builtin add64 cannot accept (U64, U8)"),
+        (CApp(CVar("x"), []), "application of non-function type U64"),
+        (CApp(CGlobal("m.f"), []), "arity mismatch: 1 vs 0"),
+        (CDict("m.Nope", [U64], {}, {}, "t"), "unknown concept m.Nope"),
+        (CMatch(CVar("x"), [(None, [], CVar("x"))]), "match on non-data type U64"),
+        (CMatch(NONE, [("Nope", [], CVar("x"))]), "Option has no constructor Nope"),
+        (CMatch(NONE, [("Some", [], CVar("x"))]), "Some: pattern arity"),
+        (CIf(CVar("x"), CVar("x"), CVar("x")), "if condition not Bool"),
+    ],
+)
+def test_core_check_rejects(body, message):
+    core = build(m=SHOWN)
+    core.defs["m.f"].expr = CLam([("x", U64)], body)
+    assert [(d.code, d.message) for d in core_check(core)] == [
+        ("E-CORE-ILLTYPED", ILLTYPED + message)
     ]
