@@ -397,8 +397,10 @@ class Interp:
 
         def run(env):
             self.fuel -= steps
-            value = values.get(name)
-            return value if value is not None else self.global_value(name)
+            try:
+                return values[name]
+            except KeyError:  # not forced yet
+                return self.global_value(name)
 
         return run
 
@@ -472,6 +474,20 @@ class Interp:
             def run(env):
                 self.fuel -= steps
                 return op(a(env), b(env), c(env))
+
+        elif n == 4:
+            a, b, c, d = codes
+
+            def run(env):
+                self.fuel -= steps
+                return op(a(env), b(env), c(env), d(env))
+
+        elif n == 5:
+            a, b, c, d, f = codes
+
+            def run(env):
+                self.fuel -= steps
+                return op(a(env), b(env), c(env), d(env), f(env))
 
         else:
             a = codes
