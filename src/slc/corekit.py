@@ -200,23 +200,21 @@ def model_def_name(model: ModelDecl) -> str:
 
 def concept_field_types(
     concept: ConceptDecl, subjects: tuple, concepts: dict[str, ConceptDecl]
-) -> list[tuple[str, TypeTerm, str]]:
+) -> dict[str, TypeTerm]:
     """Dictionary fields of a concept at the given subjects.
 
-    Returns (field name, type, kind) with superclass fields first; kind is
-    "super" or "requirement". Types are not normalized here.
+    Maps each field name to its type, superclass fields ("super$j") first,
+    then requirements. Types are not normalized here.
     """
     inst = concept.instantiate(list(subjects))
-    fields: list[tuple[str, TypeTerm, str]] = []
+    fields: dict[str, TypeTerm] = {}
     for j, sup in enumerate(concept.supers):
         if isinstance(sup, Conf):
-            sup_decl = concepts[sup.concept]
             sup_subjects = tuple(inst.apply(s) for s in sup.subjects)
-            fields.append((f"super${j}", dict_type(sup_decl, sup_subjects), "super"))
+            fields[f"super${j}"] = dict_type(concepts[sup.concept], sup_subjects)
     for req_name in concept.req_order:
         sig = concept.requirements[req_name]
-        params = [inst.apply(t) for _, t in sig.params]
-        fields.append((req_name, fn_type(params, inst.apply(sig.ret)), "requirement"))
+        fields[req_name] = fn_type([inst.apply(t) for _, t in sig.params], inst.apply(sig.ret))
     return fields
 
 
@@ -241,8 +239,11 @@ class Elaborator:
     # ------------------------------------------------------------- types
 
     def ty(self, t: TypeTerm) -> TypeTerm:
-        """Canonicalize a type under the current equality givens."""
-        return normalize(t, self.eq_givens, self.world)
+        """Canonicalize a type under the current equality givens; a type
+        without projections is canonical when there are none."""
+        if self.eq_givens or t.has_assoc:
+            return normalize(t, self.eq_givens, self.world)
+        return t
 
     # ------------------------------------------------------------- driver
 
@@ -272,38 +273,35 @@ class Elaborator:
 
     # ------------------------------------------------------------- declarations
 
-    def _conf_entries(self, context: list[ConstraintTerm]) -> list[tuple[int, Conf]]:
-        return [(i, c) for i, c in enumerate(context) if isinstance(c, Conf)]
-
-    def _dict_param(self, index: int, c: Conf) -> tuple[str, TypeTerm]:
-        concept = self.concepts[c.concept]
-        return (f"$d{index}", self.ty(dict_type(concept, c.subjects)))
+    def _enter(self, context: list[ConstraintTerm]) -> list[tuple[str, TypeTerm]]:
+        """Take `context` as the givens of the next declaration; returns its
+        dictionary parameters, one per conformance constraint."""
+        self.eq_givens = [c for c in context if isinstance(c, Eq)]
+        self.given_env = {}
+        params = []
+        for i, c in enumerate(context):
+            if isinstance(c, Conf):
+                self.given_env[i] = CVar(f"$d{i}")
+                params.append((f"$d{i}", self.ty(dict_type(self.concepts[c.concept], c.subjects))))
+        return params
 
     def elaborate_fun(self, fun: FunDecl) -> CoreDef:
-        self.eq_givens = [c for c in fun.context if isinstance(c, Eq)]
-        self.given_env = {
-            i: CVar(f"$d{i}") for i, _ in self._conf_entries(fun.context)
-        }
-        dict_params = [self._dict_param(i, c) for i, c in self._conf_entries(fun.context)]
+        dict_params = self._enter(fun.context)
         value_params = [(n, self.ty(t)) for n, t in fun.params]
         ret = self.ty(fun.ret)
         assert fun.body is not None, f"unchecked body reached elaboration: {fun.id}"
-        body = self.expr(fun.body)
         params = dict_params + value_params
-        expr: CoreExpr = CLam(params, body) if params else CLam([], body)
         return CoreDef(
             name=fun_def_name(fun.module, fun.name),
             tyvars=list(fun.typarams),
             type=fn_type([t for _, t in params], ret),
-            expr=expr,
+            expr=CLam(params, self.expr(fun.body)),
             eq_rules=list(self.eq_givens),
         )
 
     def elaborate_model(self, model: ModelDecl) -> CoreDef:
         concept = self.concepts[model.concept]
-        self.eq_givens = [c for c in model.context if isinstance(c, Eq)]
-        conf_entries = self._conf_entries(model.context)
-        self.given_env = {i: CVar(f"$d{i}") for i, _ in conf_entries}
+        dict_params = self._enter(model.context)
         # superclass givens sit after the context in the givens list
         base = len(model.context)
         for j, res in enumerate(model.superclass_resolutions):
@@ -322,24 +320,18 @@ class Elaborator:
             fields[req_name] = self.expr(body)
 
         record = CDict(
-            concept=concept.id,
-            subjects=[self.ty(h) for h in model.head],
+            concept=model.concept,
+            subjects=list(map(self.ty, model.head)),
             bindings={k: self.ty(v) for k, v in model.assoc.items()},
             fields=fields,
             tag=model.uid,
         )
-        dict_params = [self._dict_param(i, c) for i, c in conf_entries]
-        expr: CoreExpr = CLam(dict_params, record) if dict_params else record
-        ty = (
-            fn_type([t for _, t in dict_params], self.ty(dict_type(concept, model.head)))
-            if dict_params
-            else self.ty(dict_type(concept, model.head))
-        )
+        dict_t = self.ty(dict_type(concept, model.head))
         return CoreDef(
             name=model_def_name(model),
             tyvars=list(model.vars),
-            type=ty,
-            expr=expr,
+            type=fn_type([t for _, t in dict_params], dict_t) if dict_params else dict_t,
+            expr=CLam(dict_params, record) if dict_params else record,
             eq_rules=list(self.eq_givens),
         )
 
@@ -350,14 +342,15 @@ class Elaborator:
             model = res.picked.model
             base: CoreExpr = CGlobal(model_def_name(model))
             if model.vars:
-                base = CTyApp(base, [self.ty(t) for t in res.picked.type_args])
-            dict_children = [
-                self.dict_expr(child)
-                for child, ctx in zip(res.children, model.context)
-                if isinstance(ctx, Conf)
-            ]
-            if dict_children:
-                base = CApp(base, dict_children)
+                base = CTyApp(base, list(map(self.ty, res.picked.type_args)))
+            if model.context:
+                dict_children = [
+                    self.dict_expr(child)
+                    for child, ctx in zip(res.children, model.context)
+                    if isinstance(ctx, Conf)
+                ]
+                if dict_children:
+                    base = CApp(base, dict_children)
             return base
         if isinstance(res, GivenLeaf):
             expr = self.given_env.get(res.index)
@@ -370,40 +363,11 @@ class Elaborator:
     # ------------------------------------------------------------- expressions
 
     def expr(self, e: TExpr) -> CoreExpr:
-        if isinstance(e, TVarRef):
-            return CVar(e.name)
-        if isinstance(e, TGlobalFun):
-            return CGlobal(fun_def_name(e.module, e.name))
-        if isinstance(e, TBuiltinRef):
-            return CBuiltin(e.name)
-        if isinstance(e, TLit):
-            return CLit(e.kind, e.value)
-        if isinstance(e, TCall):
-            return self._call(e)
-        if isinstance(e, TCallExpr):
-            return CApp(self.expr(e.fn), [self.expr(a) for a in e.args])
-        if isinstance(e, TReqCall):
-            dict_e = self.dict_expr(e.resolution)
-            return CApp(CProj(dict_e, e.member), [self.expr(a) for a in e.args])
-        if isinstance(e, TLam):
-            return CLam([(n, self.ty(t)) for n, t in e.params], self.expr(e.body))
-        if isinstance(e, TMatch):
-            arms = []
-            for arm in e.arms:
-                ctor = arm.ctor[1] if arm.ctor is not None else None
-                arms.append((ctor, list(arm.binders), self.expr(arm.body)))
-            return CMatch(self.expr(e.scrutinee), arms)
-        if isinstance(e, TLet):
-            return CLet(e.name, self.expr(e.bound), self.expr(e.body))
-        if isinstance(e, TTuple):
-            return CTuple(self.expr(e.first), self.expr(e.second))
-        if isinstance(e, TIf):
-            return CIf(self.expr(e.cond), self.expr(e.then), self.expr(e.orelse))
-        raise AssertionError(type(e))
+        return ELABORATORS[type(e)](self, e)
 
     def _call(self, e: TCall) -> CoreExpr:
-        tyargs = [self.ty(t) for t in e.tyargs]
-        args = [self.expr(a) for a in e.args]
+        tyargs = list(map(self.ty, e.tyargs))
+        args = list(map(self.expr, e.args))
         if e.kind == "builtin":
             return CApp(CBuiltin(e.target[0]), args)
         if e.kind == "ctor":
@@ -422,6 +386,34 @@ class Elaborator:
         ]
         return CApp(base, dict_args + args)
 
+    def _req_call(self, e: TReqCall) -> CoreExpr:
+        dict_e = self.dict_expr(e.resolution)
+        return CApp(CProj(dict_e, e.member), list(map(self.expr, e.args)))
+
+    def _match(self, e: TMatch) -> CoreExpr:
+        arms = []
+        for arm in e.arms:
+            ctor = arm.ctor[1] if arm.ctor is not None else None
+            arms.append((ctor, list(arm.binders), self.expr(arm.body)))
+        return CMatch(self.expr(e.scrutinee), arms)
+
+
+# Typed expression class -> the core term elaborated from one of its nodes.
+ELABORATORS = {
+    TVarRef: lambda self, e: CVar(e.name),
+    TGlobalFun: lambda self, e: CGlobal(fun_def_name(e.module, e.name)),
+    TBuiltinRef: lambda self, e: CBuiltin(e.name),
+    TLit: lambda self, e: CLit(e.kind, e.value),
+    TCall: Elaborator._call,
+    TCallExpr: lambda self, e: CApp(self.expr(e.fn), list(map(self.expr, e.args))),
+    TReqCall: Elaborator._req_call,
+    TLam: lambda self, e: CLam([(n, self.ty(t)) for n, t in e.params], self.expr(e.body)),
+    TMatch: Elaborator._match,
+    TLet: lambda self, e: CLet(e.name, self.expr(e.bound), self.expr(e.body)),
+    TTuple: lambda self, e: CTuple(self.expr(e.first), self.expr(e.second)),
+    TIf: lambda self, e: CIf(self.expr(e.cond), self.expr(e.then), self.expr(e.orelse)),
+}
+
 
 def elaborate(program: LinkedProgram) -> CoreProgram:
     """Dictionary-passing elaboration of a fully checked program."""
@@ -437,29 +429,48 @@ class CoreIllTyped(Exception):
         super().__init__(msg)
 
 
+# Literal kind -> the type of its literals.
+LITERAL_TYPES = {"u64": U64, "u8": U8, "bool": BOOL, "string": STRING, "unit": UNIT, "f64": F64}
+
+
 class CoreChecker:
+    """Infers the type of every core node, one rule per node class
+    (`CHECKERS`), and fails at the first ill-typed one.
+
+    Instantiations are built once per run, in tables keyed on interned
+    terms: a table entry is stored only after every check on its key has
+    passed, so a later node with the same key skips only checks that
+    passed already.
+    """
+
     def __init__(self, program: CoreProgram):
         self.program = program
         self.eq_rules: list[Eq] = []  # the current definition's erased givens
+        self.tyapps: dict[tuple, TypeTerm] = {}  # (global, *type args) -> its type
+        self.ctors: dict[tuple, tuple] = {}  # (data, ctor, *type args) -> (field types, data type)
+        self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
+        self.records: dict[TypeTerm, dict] = {}  # dictionary type -> field types
+        self.scrutinees: dict[TypeTerm, DataDecl] = {}  # scrutinee type -> its data
+        self.arms: dict[tuple, list] = {}  # (scrutinee type, ctor) -> field types
+        self.splits: dict[TypeTerm, tuple] = {}  # function type -> (params, result)
+        self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
 
     def norm(self, t: TypeTerm) -> TypeTerm:
-        return normalize(t, self.eq_rules, self.program.world)
+        if self.eq_rules or t.has_assoc:
+            return normalize(t, self.eq_rules, self.program.world)
+        return t
 
     def equal(self, a: TypeTerm, b: TypeTerm) -> bool:
-        return self.norm(a) == self.norm(b)
+        return a is b or self.norm(a) is self.norm(b)
 
     def fail(self, msg: str):
         raise CoreIllTyped(msg)
-
-    def require(self, cond: bool, msg: str):
-        if not cond:
-            self.fail(msg)
 
     def check_program(self) -> list[Diagnostic]:
         try:
             for name in self.program.order:
                 d = self.program.defs[name]
-                self.eq_rules = list(d.eq_rules)
+                self.eq_rules = d.eq_rules
                 got = self.infer(d.expr, {})
                 if not self.equal(got, d.type):
                     self.fail(
@@ -479,140 +490,119 @@ class CoreChecker:
     # ------------------------------------------------------------- inference
 
     def infer(self, e: CoreExpr, env: dict[str, TypeTerm]) -> TypeTerm:
-        if isinstance(e, CVar):
-            if e.name not in env:
-                self.fail(f"unbound core variable {e.name}")
+        try:
+            rule = CHECKERS[type(e)]
+        except KeyError:
+            self.fail(f"unknown core node {type(e).__name__}")
+        return rule(self, e, env)
+
+    def _var(self, e: CVar, env) -> TypeTerm:
+        try:
             return env[e.name]
-        if isinstance(e, CGlobal):
-            d = self.program.defs.get(e.name)
-            if d is None:
-                self.fail(f"unknown global {e.name}")
-            self.require(not d.tyvars, f"generic global {e.name} used without type arguments")
-            return d.type
-        if isinstance(e, CTyApp):
-            self.require(isinstance(e.fn, CGlobal), "type application to a non-global")
+        except KeyError:
+            self.fail(f"unbound core variable {e.name}")
+
+    def _global(self, e: CGlobal, env) -> TypeTerm:
+        d = self.program.defs.get(e.name)
+        if d is None:
+            self.fail(f"unknown global {e.name}")
+        if d.tyvars:
+            self.fail(f"generic global {e.name} used without type arguments")
+        return d.type
+
+    def _tyapp(self, e: CTyApp, env) -> TypeTerm:
+        if not isinstance(e.fn, CGlobal):
+            self.fail("type application to a non-global")
+        key = (e.fn.name, *e.args)
+        t = self.tyapps.get(key)
+        if t is None:
             d = self.program.defs.get(e.fn.name)
             if d is None:
                 self.fail(f"unknown global {e.fn.name}")
-            self.require(
-                len(d.tyvars) == len(e.args),
-                f"{e.fn.name} expects {len(d.tyvars)} type arguments",
-            )
-            sub = Substitution({v.uid: t for v, t in zip(d.tyvars, e.args)})
-            return sub.apply(d.type)
-        if isinstance(e, CBuiltin):
-            typs, params, ret = BUILTIN_SIGS[e.name]
-            self.require(not typs, f"generic builtin {e.name} must be applied")
-            return fn_type(list(params), ret)
-        if isinstance(e, CLit):
-            return {
-                "u64": U64,
-                "u8": U8,
-                "bool": BOOL,
-                "string": STRING,
-                "unit": UNIT,
-                "f64": F64,
-            }[e.kind]
-        if isinstance(e, CLam):
-            inner = dict(env)
-            inner.update(e.params)
-            ret = self.infer(e.body, inner)
-            return fn_type([t for _, t in e.params], ret)
-        if isinstance(e, CApp):
-            return self._infer_app(e, env)
-        if isinstance(e, CDict):
-            return self._infer_dict(e, env)
-        if isinstance(e, CProj):
-            rec_t = self.norm(self.infer(e.record, env))
-            if not (isinstance(rec_t, App) and isinstance(rec_t.head, Con) and rec_t.head.name.startswith("Dict$")):
-                self.fail(f"projection .{e.field} from non-dictionary type {render(rec_t)}")
-            concept_id = rec_t.head.name[len("Dict$"):]
-            concept = self.program.concepts.get(concept_id)
-            if concept is None:
-                self.fail(f"unknown concept dictionary {concept_id}")
-            for fname, ftype, _ in concept_field_types(concept, rec_t.args, self.program.concepts):
-                if fname == e.field:
-                    return ftype
-            self.fail(f"dictionary {concept_id} has no field {e.field}")
-        if isinstance(e, CCtor):
-            data = self.program.datas.get(e.data)
-            if data is None:
-                self.fail(f"unknown data type {e.data}")
-            cdecl = data.ctor(e.ctor)
-            if cdecl is None:
-                self.fail(f"{e.data} has no constructor {e.ctor}")
-            self.require(
-                len(e.tyargs) == len(data.params),
-                f"{e.ctor}: wrong number of type arguments",
-            )
-            sub = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)})
-            self.require(len(e.args) == len(cdecl.fields), f"{e.ctor}: wrong arity")
-            for arg, ftype in zip(e.args, cdecl.fields):
-                got = self.infer(arg, env)
-                if not self.equal(got, sub.apply(ftype)):
-                    self.fail(
-                        f"{e.ctor}: field expects {render(sub.apply(ftype))}, got {render(got)}"
-                    )
-            data_ty = Con(data.name, 0, data.module) if not data.params else App(
-                Con(data.name, len(data.params), data.module), tuple(e.tyargs)
-            )
-            return data_ty
-        if isinstance(e, CMatch):
-            return self._infer_match(e, env)
-        if isinstance(e, CLet):
-            bound = self.infer(e.bound, env)
-            inner = dict(env)
-            inner[e.name] = bound
-            return self.infer(e.body, inner)
-        if isinstance(e, CTuple):
-            return pair_type(self.infer(e.first, env), self.infer(e.second, env))
-        if isinstance(e, CIf):
-            self.require(self.equal(self.infer(e.cond, env), BOOL), "if condition not Bool")
-            t_then = self.infer(e.then, env)
-            t_else = self.infer(e.orelse, env)
-            if not self.equal(t_then, t_else):
-                self.fail(f"if branches disagree: {render(t_then)} vs {render(t_else)}")
-            return t_then
-        raise AssertionError(type(e))
+            if len(d.tyvars) != len(e.args):
+                self.fail(f"{e.fn.name} expects {len(d.tyvars)} type arguments")
+            sub = Substitution({v.uid: a for v, a in zip(d.tyvars, e.args)})
+            t = self.tyapps[key] = sub.apply(d.type)
+        return t
 
-    def _infer_app(self, e: CApp, env) -> TypeTerm:
+    def _builtin_sig(self, name: str) -> tuple:
+        sig = BUILTIN_SIGS.get(name)
+        if sig is None:
+            self.fail(f"unknown builtin {name}")
+        return sig
+
+    def _builtin(self, e: CBuiltin, env) -> TypeTerm:
+        typs, params, ret = self._builtin_sig(e.name)
+        if typs:
+            self.fail(f"generic builtin {e.name} must be applied")
+        return fn_type(params, ret)
+
+    def _lit(self, e: CLit, env) -> TypeTerm:
+        try:
+            return LITERAL_TYPES[e.kind]
+        except KeyError:
+            self.fail(f"unknown literal kind {e.kind}")
+
+    def _lam(self, e: CLam, env) -> TypeTerm:
+        inner = dict(env)
+        inner.update(e.params)
+        ret = self.infer(e.body, inner)
+        return fn_type([t for _, t in e.params], ret)
+
+    def _app(self, e: CApp, env) -> TypeTerm:
         if isinstance(e.fn, CBuiltin):
-            _, params, ret = BUILTIN_SIGS[e.fn.name]
-            self.require(len(params) == len(e.args), f"{e.fn.name}: wrong arity")
-            arg_types = [self.norm(self.infer(a, env)) for a in e.args]
-            m = match_many(zip(params, arg_types))
-            if m is None:
-                shown = ", ".join(render(t) for t in arg_types)
-                self.fail(f"builtin {e.fn.name} cannot accept ({shown})")
-            return m.apply(ret)
+            return self._builtin_app(e.fn.name, e.args, env)
         fn_t = self.norm(self.infer(e.fn, env))
-        split = split_fn_type(fn_t)
+        split = self.splits.get(fn_t)
         if split is None:
-            self.fail(f"application of non-function type {render(fn_t)}")
+            split = split_fn_type(fn_t)
+            if split is None:
+                self.fail(f"application of non-function type {render(fn_t)}")
+            self.splits[fn_t] = split
         params, ret = split
-        self.require(
-            len(params) == len(e.args),
-            f"arity mismatch: {len(params)} vs {len(e.args)}",
-        )
+        if len(params) != len(e.args):
+            self.fail(f"arity mismatch: {len(params)} vs {len(e.args)}")
         for arg, want in zip(e.args, params):
             got = self.infer(arg, env)
             if not self.equal(got, want):
                 self.fail(f"argument expects {render(want)}, got {render(got)}")
         return ret
 
-    def _infer_dict(self, e: CDict, env) -> TypeTerm:
+    def _builtin_app(self, name: str, args: list[CoreExpr], env) -> TypeTerm:
+        _, params, ret = self._builtin_sig(name)
+        if len(params) != len(args):
+            self.fail(f"{name}: wrong arity")
+        arg_types = [self.norm(self.infer(a, env)) for a in args]
+        key = (name, *arg_types)
+        result = self.builtin_apps.get(key)
+        if result is None:
+            m = match_many(zip(params, arg_types))
+            if m is None:
+                shown = ", ".join(render(t) for t in arg_types)
+                self.fail(f"builtin {name} cannot accept ({shown})")
+            result = self.builtin_apps[key] = m.apply(ret)
+        return result
+
+    def _dictionary(self, concept_id: str, concept: ConceptDecl, subjects: tuple) -> dict:
+        """Field name -> type of the dictionary of `concept` at `subjects`."""
+        key = (concept_id, subjects)
+        fields = self.dicts.get(key)
+        if fields is None:
+            fields = self.dicts[key] = concept_field_types(concept, subjects, self.program.concepts)
+        return fields
+
+    def _dict(self, e: CDict, env) -> TypeTerm:
         concept = self.program.concepts.get(e.concept)
         if concept is None:
             self.fail(f"unknown concept {e.concept}")
         subjects = tuple(e.subjects)
-        expected = concept_field_types(concept, subjects, self.program.concepts)
-        expected_names = [name for name, _, _ in expected]
-        if sorted(e.fields) != sorted(expected_names):
+        expected = self._dictionary(e.concept, concept, subjects)
+        if e.fields.keys() != expected.keys():
             self.fail(
                 f"dictionary for {e.concept} has fields {sorted(e.fields)}, "
-                f"wants {sorted(expected_names)}"
+                f"wants {sorted(expected)}"
             )
-        for fname, ftype, _ in expected:
+        for fname, ftype in expected.items():
             want = bind_assocs(e.concept, subjects, e.bindings, ftype)
             got = self.infer(e.fields[fname], env)
             if not self.equal(got, want):
@@ -622,32 +612,120 @@ class CoreChecker:
                 )
         return dict_type(concept, subjects)
 
-    def _infer_match(self, e: CMatch, env) -> TypeTerm:
+    def _proj(self, e: CProj, env) -> TypeTerm:
+        rec_t = self.norm(self.infer(e.record, env))
+        fields = self.records.get(rec_t)
+        if fields is None:
+            head = rec_t.head if isinstance(rec_t, App) else None
+            if not (isinstance(head, Con) and head.name.startswith("Dict$")):
+                self.fail(f"projection .{e.field} from non-dictionary type {render(rec_t)}")
+            concept_id = head.name[len("Dict$"):]
+            concept = self.program.concepts.get(concept_id)
+            if concept is None:
+                self.fail(f"unknown concept dictionary {concept_id}")
+            fields = self.records[rec_t] = self._dictionary(concept_id, concept, rec_t.args)
+        ftype = fields.get(e.field)
+        if ftype is None:
+            self.fail(f"dictionary {rec_t.head.name[len('Dict$'):]} has no field {e.field}")
+        return ftype
+
+    def _ctor(self, e: CCtor, env) -> TypeTerm:
+        key = (e.data, e.ctor, *e.tyargs)
+        entry = self.ctors.get(key)
+        if entry is None:
+            data = self.program.datas.get(e.data)
+            if data is None:
+                self.fail(f"unknown data type {e.data}")
+            cdecl = data.ctor(e.ctor)
+            if cdecl is None:
+                self.fail(f"{e.data} has no constructor {e.ctor}")
+            if len(e.tyargs) != len(data.params):
+                self.fail(f"{e.ctor}: wrong number of type arguments")
+            if data.params:
+                sub = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)})
+                con = Con(data.name, len(data.params), data.module)
+                entry = (sub.apply(cdecl.fields), App(con, tuple(e.tyargs)))
+            else:
+                entry = (cdecl.fields, Con(data.name, 0, data.module))
+            self.ctors[key] = entry
+        fields, data_ty = entry
+        if len(e.args) != len(fields):
+            self.fail(f"{e.ctor}: wrong arity")
+        for arg, want in zip(e.args, fields):
+            got = self.infer(arg, env)
+            if not self.equal(got, want):
+                self.fail(f"{e.ctor}: field expects {render(want)}, got {render(got)}")
+        return data_ty
+
+    def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
-        con = outermost_con(scrut)
-        data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
+        data = self.scrutinees.get(scrut)
         if data is None:
-            self.fail(f"match on non-data type {render(scrut)}")
-        args = scrut.args if isinstance(scrut, App) else ()
-        sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
+            con = outermost_con(scrut)
+            data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
+            if data is None:
+                self.fail(f"match on non-data type {render(scrut)}")
+            self.scrutinees[scrut] = data
         result: TypeTerm | None = None
         for ctor_name, binders, body in e.arms:
-            inner = dict(env)
+            inner = env
             if ctor_name is not None:
-                cdecl = data.ctor(ctor_name)
-                if cdecl is None:
-                    self.fail(f"{data.name} has no constructor {ctor_name}")
-                self.require(len(binders) == len(cdecl.fields), f"{ctor_name}: pattern arity")
-                for b, ftype in zip(binders, cdecl.fields):
-                    if b != "_":
-                        inner[b] = sub.apply(ftype)
+                fields = self.arms.get((scrut, ctor_name))
+                if fields is None:
+                    cdecl = data.ctor(ctor_name)
+                    if cdecl is None:
+                        self.fail(f"{data.name} has no constructor {ctor_name}")
+                    args = scrut.args if isinstance(scrut, App) else ()
+                    sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
+                    fields = self.arms[scrut, ctor_name] = sub.apply(cdecl.fields)
+                if len(binders) != len(fields):
+                    self.fail(f"{ctor_name}: pattern arity")
+                if binders:
+                    inner = dict(env)
+                    for b, ftype in zip(binders, fields):
+                        if b != "_":
+                            inner[b] = ftype
             got = self.infer(body, inner)
             if result is None:
                 result = got
             elif not self.equal(got, result):
                 self.fail(f"match arms disagree: {render(result)} vs {render(got)}")
-        assert result is not None
+        if result is None:
+            self.fail("match with no arms")
         return result
+
+    def _let(self, e: CLet, env) -> TypeTerm:
+        inner = dict(env)
+        inner[e.name] = self.infer(e.bound, env)
+        return self.infer(e.body, inner)
+
+    def _if(self, e: CIf, env) -> TypeTerm:
+        if not self.equal(self.infer(e.cond, env), BOOL):
+            self.fail("if condition not Bool")
+        t_then = self.infer(e.then, env)
+        t_else = self.infer(e.orelse, env)
+        if not self.equal(t_then, t_else):
+            self.fail(f"if branches disagree: {render(t_then)} vs {render(t_else)}")
+        return t_then
+
+
+# Core node class -> the rule that infers the type of one of its nodes.
+CHECKERS = {
+    CVar: CoreChecker._var,
+    CGlobal: CoreChecker._global,
+    CBuiltin: CoreChecker._builtin,
+    CLit: CoreChecker._lit,
+    CLam: CoreChecker._lam,
+    CTyApp: CoreChecker._tyapp,
+    CApp: CoreChecker._app,
+    CDict: CoreChecker._dict,
+    CProj: CoreChecker._proj,
+    CCtor: CoreChecker._ctor,
+    CMatch: CoreChecker._match,
+    CLet: CoreChecker._let,
+    CTuple: lambda self, e, env: pair_type(self.infer(e.first, env), self.infer(e.second, env)),
+    CIf: CoreChecker._if,
+}
 
 
 def core_check(program: CoreProgram) -> list[Diagnostic]:

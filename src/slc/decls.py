@@ -191,6 +191,8 @@ def bind_assocs(
     """Replace the projections `subjects.member` of `concept` in `t` with
     `bindings[member]`. A projection already tagged with a model path names
     its model and is left alone."""
+    if not t.has_assoc:
+        return t
 
     def go(x: TypeTerm) -> TypeTerm:
         if not x.has_assoc:

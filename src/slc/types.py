@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from functools import partial
+from functools import cache, partial
+from operator import attrgetter
 
 _uid_counter = itertools.count(1)
 
@@ -65,6 +66,9 @@ def _union_fvs(parts) -> tuple:
     return out
 
 
+_HAS_ASSOC = attrgetter("has_assoc")
+
+
 class TypeTerm:
     __slots__ = ("__weakref__",)
     fvs: tuple = ()
@@ -111,10 +115,10 @@ class App(TypeTerm):
 
     def _cache_facts(self):
         self.fvs = _union_fvs(self.args)
-        self.has_assoc = any(a.has_assoc for a in self.args)
+        self.has_assoc = any(map(_HAS_ASSOC, self.args))
 
     def map(self, f) -> TypeTerm:
-        return App(f(self.head), tuple([f(a) for a in self.args]))
+        return App(f(self.head), tuple(map(f, self.args)))
 
 
 class Assoc(TypeTerm):
@@ -148,19 +152,30 @@ LIST = Con("List", 1, STD)
 BUILTIN_CONS = {c.name: c for c in (U64, U8, BOOL, STRING, UNIT, F64, OPTION, PAIR, LIST)}
 
 
+@cache
 def fn_con(n_params: int) -> Con:
+    """The constructor of functions of `n_params` parameters, built once per
+    arity and kept for the life of the process."""
     return Con(f"Fn{n_params}", n_params + 1, STD)
 
 
 def fn_type(params: tuple[TypeTerm, ...] | list[TypeTerm], ret: TypeTerm) -> TypeTerm:
-    return App(fn_con(len(params)), tuple(params) + (ret,))
+    # `fn_con(n)` takes n + 1 arguments, so `App`'s checks would hold
+    return _intern(App, fn_con(len(params)), (*params, ret))
 
 
 def split_fn_type(t: TypeTerm) -> tuple[tuple[TypeTerm, ...], TypeTerm] | None:
-    if isinstance(t, App) and isinstance(t.head, Con) and t.head.name.startswith("Fn"):
-        tail = t.head.name[2:]
-        if tail.isdigit() and int(tail) == len(t.args) - 1:
-            return t.args[:-1], t.args[-1]
+    if not isinstance(t, App):
+        return None
+    head = t.head
+    # `fn_con` made nearly every function head: it is found without reading the name
+    if head is fn_con(len(t.args) - 1) or (
+        isinstance(head, Con)
+        and head.name.startswith("Fn")
+        and head.name[2:].isdigit()
+        and int(head.name[2:]) == len(t.args) - 1
+    ):
+        return t.args[:-1], t.args[-1]
     return None
 
 
@@ -286,11 +301,19 @@ class Substitution:
         """`t` under this substitution; `t` is a term, a constraint or a list
         or tuple of them."""
         if isinstance(t, (list, tuple)):
-            return type(t)(self.apply(x) for x in t)
-        if not t.fvs:
-            return t
-        if isinstance(t, Var):
+            return type(t)(map(self.apply, t))
+        return self._subst(t) if t.fvs else t
+
+    def _subst(self, t):
+        """`apply` of a term or constraint that has free variables. An
+        application is rebuilt over its own head, a constructor, with as
+        many arguments as before, so it is interned directly, past the checks
+        of `App`."""
+        if type(t) is Var:
             return self.bindings.get(t.uid, t)
+        if type(t) is App:
+            subst = self._subst
+            return _intern(App, t.head, tuple([subst(a) if a.fvs else a for a in t.args]))
         return t.map(self.apply)
 
     def bind(self, uid: int, term: TypeTerm):

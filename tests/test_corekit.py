@@ -14,6 +14,7 @@ from slc.corekit import (
     CLam,
     CLit,
     CMatch,
+    CoreExpr,
     CProj,
     CTyApp,
     CVar,
@@ -359,6 +360,32 @@ NONE = CCtor("std.Option", "None", [U64], [])
     ],
 )
 def test_core_check_rejects(body, message):
+    core = build(m=SHOWN)
+    core.defs["m.f"].expr = CLam([("x", U64)], body)
+    assert [(d.code, d.message) for d in core_check(core)] == [
+        ("E-CORE-ILLTYPED", ILLTYPED + message)
+    ]
+
+
+class CUnknown(CoreExpr):
+    """A node kind no pass knows."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (CBuiltin("nosuch"), "unknown builtin nosuch"),
+        (CApp(CBuiltin("nosuch"), [CVar("x")]), "unknown builtin nosuch"),
+        (CLit("u16", 1), "unknown literal kind u16"),
+        (CUnknown(), "unknown core node CUnknown"),
+        (CMatch(NONE, []), "match with no arms"),
+    ],
+)
+def test_core_check_reports_what_it_cannot_type(body, message):
+    """Hand-built core the checker has no rule for is reported as one
+    E-CORE-ILLTYPED diagnostic, never raised."""
     core = build(m=SHOWN)
     core.defs["m.f"].expr = CLam([("x", U64)], body)
     assert [(d.code, d.message) for d in core_check(core)] == [

@@ -1,6 +1,6 @@
 """Hygiene guards: every function, class and method `src/slc/` defines is
-named somewhere else in `src/` or `tests/`, and start-up imports nothing
-that only code generation needs."""
+named somewhere else in `src/` or `tests/`, start-up imports nothing that
+only code generation needs, and every node kind has a rule in every pass."""
 
 import ast
 import re
@@ -10,6 +10,32 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import slc_env
+
+from slc import corekit, decls
+from slc.corekit import (
+    CHECKERS,
+    ELABORATORS,
+    CApp,
+    CBuiltin,
+    CCtor,
+    CDict,
+    CGlobal,
+    CIf,
+    CLam,
+    CLet,
+    CLit,
+    CMatch,
+    CoreDef,
+    CoreExpr,
+    CoreProgram,
+    CProj,
+    CTuple,
+    CTyApp,
+    CVar,
+    core_to_json,
+)
+from slc.evaluator import COMPILERS
+from slc.types import U64
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +88,35 @@ def test_startup_imports_no_code_generation_modules():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), check=True
     )
     assert proc.stdout == "[]\n", proc.stdout
+
+
+def test_every_node_kind_has_a_rule_in_every_pass():
+    """A new core node kind must be compiled, checked and serialized, and a
+    new typed expression kind elaborated: no pass falls back on a chain of
+    type tests that could miss it."""
+    samples = [
+        CVar("x"),
+        CGlobal("g"),
+        CBuiltin("add64"),
+        CLit("u64", 1),
+        CLam([("x", U64)], CVar("x")),
+        CApp(CVar("f"), [CVar("x")]),
+        CTyApp(CGlobal("g"), [U64]),
+        CDict("m.C", [U64], {}, {"f": CVar("x")}, "m#0"),
+        CProj(CVar("d"), "f"),
+        CCtor("std.Option", "Some", [U64], [CVar("x")]),
+        CMatch(CVar("o"), [("Some", ["y"], CVar("y")), (None, [], CVar("x"))]),
+        CLet("y", CVar("x"), CVar("y")),
+        CTuple(CVar("x"), CVar("x")),
+        CIf(CVar("b"), CVar("x"), CVar("x")),
+    ]
+    kinds = {cls for cls in CoreExpr.__subclasses__() if cls.__module__ == corekit.__name__}
+    assert {type(e) for e in samples} == kinds
+    assert kinds <= COMPILERS.keys() and kinds <= CHECKERS.keys()
+    names = [f"d{i}" for i in range(len(samples))]
+    defs = {name: CoreDef(name, [], U64, e) for name, e in zip(names, samples)}
+    program = CoreProgram(defs, names, None, {}, {}, None)
+    shown = core_to_json(program)["defs"]  # raises on a kind it does not know
+    assert [d["name"] for d in shown] == names
+    typed = {cls for cls in decls.TExpr.__subclasses__() if cls.__module__ == decls.__name__}
+    assert typed == ELABORATORS.keys()

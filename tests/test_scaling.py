@@ -1,11 +1,15 @@
 """Scaling guard: on a wide program of sibling modules, the constructor index
 keeps coherence pair checks at the planted conflict and head matches linear
-in the number of modules."""
+in the number of modules, and the core pass costs a fixed number of opcodes
+per module."""
+
+import sys
 
 import pytest
 from conftest import check_inline
 
 from slc import coherence
+from slc.corekit import core_check, elaborate
 from slc.decls import ModelDecl
 
 LOCAL_TYPES = 10
@@ -78,3 +82,37 @@ def test_head_matches_grow_linearly_with_modules(monkeypatch):
     _, small = counted_check(monkeypatch, 4)
     _, large = counted_check(monkeypatch, 12)
     assert large <= 3 * small, (small, large)
+
+
+def core_pass_opcodes(siblings: int) -> int:
+    """Opcodes `elaborate` and `core_check` run on `wide_program` with the
+    second planted `Show[Shared]` model dropped, so that it links."""
+    files = wide_program(siblings)
+    planted = f"s{siblings - 2:02d}"
+    files[planted] = "".join(
+        line for line in files[planted].splitlines(keepends=True) if "Shared" not in line
+    )
+    result = check_inline("use-site", **files)
+    assert result.ok, result.diagnostics
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        diagnostics = core_check(elaborate(result.program))
+    finally:
+        sys.settrace(None)
+    assert diagnostics == []
+    return count
+
+
+def test_core_pass_opcodes_per_module():
+    """Each sibling adds ten models, their dictionaries and a use of each:
+    every core node is elaborated and checked at a small fixed cost, and
+    each instantiation is built once."""
+    assert (core_pass_opcodes(12) - core_pass_opcodes(4)) / 8 <= 57_000
