@@ -367,7 +367,7 @@ class Elaborator:
 
     def _call(self, e: TCall) -> CoreExpr:
         tyargs = list(map(self.ty, e.tyargs))
-        args = list(map(self.expr, e.args))
+        args = [self.expr(a) for a in e.args]
         if e.kind == "builtin":
             return CApp(CBuiltin(e.target[0]), args)
         if e.kind == "ctor":
@@ -388,7 +388,7 @@ class Elaborator:
 
     def _req_call(self, e: TReqCall) -> CoreExpr:
         dict_e = self.dict_expr(e.resolution)
-        return CApp(CProj(dict_e, e.member), list(map(self.expr, e.args)))
+        return CApp(CProj(dict_e, e.member), [self.expr(a) for a in e.args])
 
     def _match(self, e: TMatch) -> CoreExpr:
         arms = []
@@ -405,7 +405,7 @@ ELABORATORS = {
     TBuiltinRef: lambda self, e: CBuiltin(e.name),
     TLit: lambda self, e: CLit(e.kind, e.value),
     TCall: Elaborator._call,
-    TCallExpr: lambda self, e: CApp(self.expr(e.fn), list(map(self.expr, e.args))),
+    TCallExpr: lambda self, e: CApp(self.expr(e.fn), [self.expr(a) for a in e.args]),
     TReqCall: Elaborator._req_call,
     TLam: lambda self, e: CLam([(n, self.ty(t)) for n, t in e.params], self.expr(e.body)),
     TMatch: Elaborator._match,
@@ -451,7 +451,7 @@ class CoreChecker:
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
         self.records: dict[TypeTerm, dict] = {}  # dictionary type -> field types
         self.scrutinees: dict[TypeTerm, DataDecl] = {}  # scrutinee type -> its data
-        self.arms: dict[tuple, list] = {}  # (scrutinee type, ctor) -> field types
+        self.arms: dict[tuple, tuple] = {}  # (scrutinee type, ctor) -> field types
         self.splits: dict[TypeTerm, tuple] = {}  # function type -> (params, result)
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
 
@@ -633,21 +633,7 @@ class CoreChecker:
         key = (e.data, e.ctor, *e.tyargs)
         entry = self.ctors.get(key)
         if entry is None:
-            data = self.program.datas.get(e.data)
-            if data is None:
-                self.fail(f"unknown data type {e.data}")
-            cdecl = data.ctor(e.ctor)
-            if cdecl is None:
-                self.fail(f"{e.data} has no constructor {e.ctor}")
-            if len(e.tyargs) != len(data.params):
-                self.fail(f"{e.ctor}: wrong number of type arguments")
-            if data.params:
-                sub = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)})
-                con = Con(data.name, len(data.params), data.module)
-                entry = (sub.apply(cdecl.fields), App(con, tuple(e.tyargs)))
-            else:
-                entry = (cdecl.fields, Con(data.name, 0, data.module))
-            self.ctors[key] = entry
+            entry = self.ctors[key] = self._instantiate_ctor(e)
         fields, data_ty = entry
         if len(e.args) != len(fields):
             self.fail(f"{e.ctor}: wrong arity")
@@ -656,6 +642,23 @@ class CoreChecker:
             if not self.equal(got, want):
                 self.fail(f"{e.ctor}: field expects {render(want)}, got {render(got)}")
         return data_ty
+
+    def _instantiate_ctor(self, e: CCtor) -> tuple:
+        """(field types, data type) of the constructor `e` names at its type
+        arguments."""
+        data = self.program.datas.get(e.data)
+        if data is None:
+            self.fail(f"unknown data type {e.data}")
+        cdecl = data.ctor(e.ctor)
+        if cdecl is None:
+            self.fail(f"{e.data} has no constructor {e.ctor}")
+        if len(e.tyargs) != len(data.params):
+            self.fail(f"{e.ctor}: wrong number of type arguments")
+        if not data.params:
+            return tuple(cdecl.fields), Con(data.name, 0, data.module)
+        sub = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)})
+        con = Con(data.name, len(data.params), data.module)
+        return sub.apply(tuple(cdecl.fields)), App(con, tuple(e.tyargs))
 
     def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
@@ -672,12 +675,7 @@ class CoreChecker:
             if ctor_name is not None:
                 fields = self.arms.get((scrut, ctor_name))
                 if fields is None:
-                    cdecl = data.ctor(ctor_name)
-                    if cdecl is None:
-                        self.fail(f"{data.name} has no constructor {ctor_name}")
-                    args = scrut.args if isinstance(scrut, App) else ()
-                    sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
-                    fields = self.arms[scrut, ctor_name] = sub.apply(cdecl.fields)
+                    fields = self.arms[scrut, ctor_name] = self._arm_fields(scrut, data, ctor_name)
                 if len(binders) != len(fields):
                     self.fail(f"{ctor_name}: pattern arity")
                 if binders:
@@ -693,6 +691,16 @@ class CoreChecker:
         if result is None:
             self.fail("match with no arms")
         return result
+
+    def _arm_fields(self, scrut: TypeTerm, data: DataDecl, ctor_name: str) -> tuple:
+        """The field types of constructor `ctor_name` of `data`, the data
+        type of `scrut`."""
+        cdecl = data.ctor(ctor_name)
+        if cdecl is None:
+            self.fail(f"{data.name} has no constructor {ctor_name}")
+        args = scrut.args if isinstance(scrut, App) else ()
+        sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
+        return sub.apply(tuple(cdecl.fields))
 
     def _let(self, e: CLet, env) -> TypeTerm:
         inner = dict(env)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import cache, partial
-from operator import attrgetter
 
 _uid_counter = itertools.count(1)
 
@@ -66,9 +65,6 @@ def _union_fvs(parts) -> tuple:
     return out
 
 
-_HAS_ASSOC = attrgetter("has_assoc")
-
-
 class TypeTerm:
     __slots__ = ("__weakref__",)
     fvs: tuple = ()
@@ -115,10 +111,10 @@ class App(TypeTerm):
 
     def _cache_facts(self):
         self.fvs = _union_fvs(self.args)
-        self.has_assoc = any(map(_HAS_ASSOC, self.args))
+        self.has_assoc = any(a.has_assoc for a in self.args)
 
     def map(self, f) -> TypeTerm:
-        return App(f(self.head), tuple(map(f, self.args)))
+        return App(f(self.head), tuple([f(a) for a in self.args]))
 
 
 class Assoc(TypeTerm):
