@@ -588,6 +588,9 @@ class CoreChecker:
         key = (concept_id, subjects)
         fields = self.dicts.get(key)
         if fields is None:
+            if len(subjects) != len(concept.params):
+                wants = len(concept.params)
+                self.fail(f"dictionary of {concept_id} at {len(subjects)} subjects, wants {wants}")
             fields = self.dicts[key] = concept_field_types(concept, subjects, self.program.concepts)
         return fields
 

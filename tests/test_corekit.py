@@ -349,7 +349,10 @@ NONE = CCtor("std.Option", "None", [U64], [])
         (CCtor("std.Option", "None", [], []), "None: wrong number of type arguments"),
         (CCtor("std.Option", "Some", [U64], []), "Some: wrong arity"),
         (CApp(CBuiltin("add64"), [CVar("x")]), "add64: wrong arity"),
-        (CApp(CBuiltin("add64"), [CVar("x"), CLit("u8", 1)]), "builtin add64 cannot accept (U64, U8)"),
+        (
+            CApp(CBuiltin("add64"), [CVar("x"), CLit("u8", 1)]),
+            "builtin add64 cannot accept (U64, U8)",
+        ),
         (CApp(CVar("x"), []), "application of non-function type U64"),
         (CApp(CGlobal("m.f"), []), "arity mismatch: 1 vs 0"),
         (CDict("m.Nope", [U64], {}, {}, "t"), "unknown concept m.Nope"),
@@ -381,6 +384,14 @@ class CUnknown(CoreExpr):
         (CLit("u16", 1), "unknown literal kind u16"),
         (CUnknown(), "unknown core node CUnknown"),
         (CMatch(NONE, []), "match with no arms"),
+        (
+            CDict("m.Show", [U64, U64], {}, {}, "t"),
+            "dictionary of m.Show at 2 subjects, wants 1",
+        ),
+        (
+            CLam([("d", App(Con("Dict$m.Show", 2, "m"), (U64, U64)))], CProj(CVar("d"), "show")),
+            "dictionary of m.Show at 2 subjects, wants 1",
+        ),
     ],
 )
 def test_core_check_reports_what_it_cannot_type(body, message):
