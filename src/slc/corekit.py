@@ -449,9 +449,6 @@ class CoreChecker:
         self.tyapps: dict[tuple, TypeTerm] = {}  # (global, *type args) -> its type
         self.ctors: dict[tuple, tuple] = {}  # (data, ctor, *type args) -> (field types, data type)
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
-        self.records: dict[TypeTerm, dict] = {}  # dictionary type -> field types
-        self.scrutinees: dict[TypeTerm, DataDecl] = {}  # scrutinee type -> its data
-        self.arms: dict[tuple, tuple] = {}  # (scrutinee type, ctor) -> field types
         self.splits: dict[TypeTerm, tuple] = {}  # function type -> (params, result)
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
 
@@ -617,19 +614,16 @@ class CoreChecker:
 
     def _proj(self, e: CProj, env) -> TypeTerm:
         rec_t = self.norm(self.infer(e.record, env))
-        fields = self.records.get(rec_t)
-        if fields is None:
-            head = rec_t.head if isinstance(rec_t, App) else None
-            if not (isinstance(head, Con) and head.name.startswith("Dict$")):
-                self.fail(f"projection .{e.field} from non-dictionary type {render(rec_t)}")
-            concept_id = head.name[len("Dict$"):]
-            concept = self.program.concepts.get(concept_id)
-            if concept is None:
-                self.fail(f"unknown concept dictionary {concept_id}")
-            fields = self.records[rec_t] = self._dictionary(concept_id, concept, rec_t.args)
-        ftype = fields.get(e.field)
+        head = rec_t.head if isinstance(rec_t, App) else None
+        if not (isinstance(head, Con) and head.name.startswith("Dict$")):
+            self.fail(f"projection .{e.field} from non-dictionary type {render(rec_t)}")
+        concept_id = head.name[len("Dict$"):]
+        concept = self.program.concepts.get(concept_id)
+        if concept is None:
+            self.fail(f"unknown concept dictionary {concept_id}")
+        ftype = self._dictionary(concept_id, concept, rec_t.args).get(e.field)
         if ftype is None:
-            self.fail(f"dictionary {rec_t.head.name[len('Dict$'):]} has no field {e.field}")
+            self.fail(f"dictionary {concept_id} has no field {e.field}")
         return ftype
 
     def _ctor(self, e: CCtor, env) -> TypeTerm:
@@ -665,27 +659,25 @@ class CoreChecker:
 
     def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
-        data = self.scrutinees.get(scrut)
+        con = outermost_con(scrut)
+        data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
         if data is None:
-            con = outermost_con(scrut)
-            data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
-            if data is None:
-                self.fail(f"match on non-data type {render(scrut)}")
-            self.scrutinees[scrut] = data
+            self.fail(f"match on non-data type {render(scrut)}")
+        args = scrut.args if isinstance(scrut, App) else ()
+        sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
         result: TypeTerm | None = None
         for ctor_name, binders, body in e.arms:
             inner = env
             if ctor_name is not None:
-                fields = self.arms.get((scrut, ctor_name))
-                if fields is None:
-                    fields = self.arms[scrut, ctor_name] = self._arm_fields(scrut, data, ctor_name)
-                if len(binders) != len(fields):
+                cdecl = data.ctor(ctor_name)
+                if cdecl is None:
+                    self.fail(f"{data.name} has no constructor {ctor_name}")
+                if len(binders) != len(cdecl.fields):
                     self.fail(f"{ctor_name}: pattern arity")
-                if binders:
-                    inner = dict(env)
-                    for b, ftype in zip(binders, fields):
-                        if b != "_":
-                            inner[b] = ftype
+                inner = dict(env)
+                for b, ftype in zip(binders, cdecl.fields):
+                    if b != "_":
+                        inner[b] = sub.apply(ftype)
             got = self.infer(body, inner)
             if result is None:
                 result = got
@@ -694,16 +686,6 @@ class CoreChecker:
         if result is None:
             self.fail("match with no arms")
         return result
-
-    def _arm_fields(self, scrut: TypeTerm, data: DataDecl, ctor_name: str) -> tuple:
-        """The field types of constructor `ctor_name` of `data`, the data
-        type of `scrut`."""
-        cdecl = data.ctor(ctor_name)
-        if cdecl is None:
-            self.fail(f"{data.name} has no constructor {ctor_name}")
-        args = scrut.args if isinstance(scrut, App) else ()
-        sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
-        return sub.apply(tuple(cdecl.fields))
 
     def _let(self, e: CLet, env) -> TypeTerm:
         inner = dict(env)
