@@ -239,11 +239,8 @@ class Elaborator:
     # ------------------------------------------------------------- types
 
     def ty(self, t: TypeTerm) -> TypeTerm:
-        """Canonicalize a type under the current equality givens; a type
-        without projections is canonical when there are none."""
-        if self.eq_givens or t.has_assoc:
-            return normalize(t, self.eq_givens, self.world)
-        return t
+        """Canonicalize a type under the current equality givens."""
+        return normalize(t, self.eq_givens, self.world)
 
     # ------------------------------------------------------------- driver
 
@@ -437,8 +434,8 @@ class CoreChecker:
     """Infers the type of every core node, one rule per node class
     (`CHECKERS`), and fails at the first ill-typed one.
 
-    Instantiations are built once per run, in tables keyed on interned
-    terms: a table entry is stored only after every check on its key has
+    Constructor, dictionary and builtin instantiations are built once per
+    run, in tables keyed on interned terms: a table entry is stored only after every check on its key has
     passed, so a later node with the same key skips only checks that
     passed already.
     """
@@ -446,16 +443,12 @@ class CoreChecker:
     def __init__(self, program: CoreProgram):
         self.program = program
         self.eq_rules: list[Eq] = []  # the current definition's erased givens
-        self.tyapps: dict[tuple, TypeTerm] = {}  # (global, *type args) -> its type
         self.ctors: dict[tuple, tuple] = {}  # (data, ctor, *type args) -> (field types, data type)
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
-        self.splits: dict[TypeTerm, tuple] = {}  # function type -> (params, result)
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
 
     def norm(self, t: TypeTerm) -> TypeTerm:
-        if self.eq_rules or t.has_assoc:
-            return normalize(t, self.eq_rules, self.program.world)
-        return t
+        return normalize(t, self.eq_rules, self.program.world)
 
     def equal(self, a: TypeTerm, b: TypeTerm) -> bool:
         return a is b or self.norm(a) is self.norm(b)
@@ -510,17 +503,13 @@ class CoreChecker:
     def _tyapp(self, e: CTyApp, env) -> TypeTerm:
         if not isinstance(e.fn, CGlobal):
             self.fail("type application to a non-global")
-        key = (e.fn.name, *e.args)
-        t = self.tyapps.get(key)
-        if t is None:
-            d = self.program.defs.get(e.fn.name)
-            if d is None:
-                self.fail(f"unknown global {e.fn.name}")
-            if len(d.tyvars) != len(e.args):
-                self.fail(f"{e.fn.name} expects {len(d.tyvars)} type arguments")
-            sub = Substitution({v.uid: a for v, a in zip(d.tyvars, e.args)})
-            t = self.tyapps[key] = sub.apply(d.type)
-        return t
+        d = self.program.defs.get(e.fn.name)
+        if d is None:
+            self.fail(f"unknown global {e.fn.name}")
+        if len(d.tyvars) != len(e.args):
+            self.fail(f"{e.fn.name} expects {len(d.tyvars)} type arguments")
+        sub = Substitution({v.uid: a for v, a in zip(d.tyvars, e.args)})
+        return sub.apply(d.type)
 
     def _builtin_sig(self, name: str) -> tuple:
         sig = BUILTIN_SIGS.get(name)
@@ -550,12 +539,9 @@ class CoreChecker:
         if isinstance(e.fn, CBuiltin):
             return self._builtin_app(e.fn.name, e.args, env)
         fn_t = self.norm(self.infer(e.fn, env))
-        split = self.splits.get(fn_t)
+        split = split_fn_type(fn_t)
         if split is None:
-            split = split_fn_type(fn_t)
-            if split is None:
-                self.fail(f"application of non-function type {render(fn_t)}")
-            self.splits[fn_t] = split
+            self.fail(f"application of non-function type {render(fn_t)}")
         params, ret = split
         if len(params) != len(e.args):
             self.fail(f"arity mismatch: {len(params)} vs {len(e.args)}")

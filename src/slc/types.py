@@ -161,16 +161,8 @@ def fn_type(params: tuple[TypeTerm, ...] | list[TypeTerm], ret: TypeTerm) -> Typ
 
 
 def split_fn_type(t: TypeTerm) -> tuple[tuple[TypeTerm, ...], TypeTerm] | None:
-    if not isinstance(t, App):
-        return None
-    head = t.head
-    # `fn_con` made nearly every function head: it is found without reading the name
-    if head is fn_con(len(t.args) - 1) or (
-        isinstance(head, Con)
-        and head.name.startswith("Fn")
-        and head.name[2:].isdigit()
-        and int(head.name[2:]) == len(t.args) - 1
-    ):
+    # terms are interned, so every function head is the `fn_con` of its arity
+    if isinstance(t, App) and t.head is fn_con(len(t.args) - 1):
         return t.args[:-1], t.args[-1]
     return None
 
@@ -456,6 +448,8 @@ def normalize(
     `world` only needs an `assoc_binding(concept, member, subjects, path)`
     method returning the bound term or None.
     """
+    if not givens and not t.has_assoc:
+        return t
     rules: dict[TypeTerm, TypeTerm] = {}  # the first given for each left side
     for g in givens:
         if isinstance(g, Eq):

@@ -41,6 +41,19 @@ def test_iterator_module_checks():
     assert module.models[0].assoc["Element"].name == "U8"
 
 
+def test_user_type_named_like_a_function_is_not_callable():
+    result = check_inline(
+        m="""module m
+
+data Fn1[A, B] { MkFn1(A, B) }
+
+fn f(x: Fn1[U64, U64]) -> U64 { x(1) }
+"""
+    )
+    assert codes(result) == ["E-TYPE-MISMATCH"]
+    assert "Fn1[U64, U64] is not callable" in result.diagnostics[0].message
+
+
 def test_fold_call_instantiates_type_params():
     result = check_inline(iter=ITER)
     main = result.modules["iter"].funs["main"]

@@ -13,11 +13,13 @@ from slc.types import (
     U8,
     App,
     Assoc,
+    Con,
     Conf,
     Eq,
     NormDiverge,
     Substitution,
     Var,
+    fn_type,
     free_vars,
     fresh_uid,
     match_many,
@@ -25,6 +27,7 @@ from slc.types import (
     option_type,
     pair_type,
     render,
+    split_fn_type,
     unify,
 )
 
@@ -285,3 +288,12 @@ def test_normalize_returns_a_term_without_projections_as_is(t):
 def test_normalize_is_idempotent(t):
     once = normalize(t, (), KEYED)
     assert normalize(once, (), KEYED) is once
+
+
+def test_split_fn_type_knows_functions_by_their_head():
+    assert split_fn_type(fn_type((U64, U8), U8)) == ((U64, U8), U8)
+    assert split_fn_type(fn_type((), U8)) == ((), U8)
+    # a user type that only shares the name of a function constructor
+    assert split_fn_type(App(Con("Fn1", 2, "m"), (U64, U8))) is None
+    assert split_fn_type(pair_type(U64, U8)) is None
+    assert split_fn_type(U64) is None
