@@ -348,3 +348,121 @@ def test_bind_assocs_binds_own_projections_and_leaves_tagged_ones_alone():
         assert bind_assocs("m.C", own, bindings, other) == other
     unbound = Assoc("m.C", "Other", (projection,))
     assert bind_assocs("m.C", own, bindings, unbound) == Assoc("m.C", "Other", (U64,))
+
+
+ID = "fn id[T](x: T) -> T { x }\n"
+REQ = "concept C[Self] { fn g(x: Self) -> Self }\n"
+
+
+@pytest.mark.parametrize(
+    "decls, code, message",
+    [
+        # E-CANNOT-INFER
+        (
+            "fn f() -> U64 { let x = 1; x }",
+            "E-CANNOT-INFER",
+            "integer literal needs a width (write e.g. `0:U64` or `0:U8`)",
+        ),
+        (
+            "fn f() -> U64 { let x = None; 0:U64 }",
+            "E-CANNOT-INFER",
+            "cannot infer the type arguments of None; annotate it",
+        ),
+        (
+            ID + "fn f() -> U64 { let g = id; 0:U64 }",
+            "E-CANNOT-INFER",
+            "generic function id can only be used fully applied",
+        ),
+        (
+            "fn f() -> U64 { let g = fst; 0:U64 }",
+            "E-CANNOT-INFER",
+            "builtin fst is generic and must be applied directly",
+        ),
+        (
+            "fn f() -> U64 { let g = fn(x) => x; 0:U64 }",
+            "E-CANNOT-INFER",
+            "lambda parameter 'x' needs a type annotation here",
+        ),
+        (
+            ID + "fn f() -> U64 { let x = id(None); 0:U64 }",
+            "E-CANNOT-INFER",
+            "cannot infer type parameter(s) T of id; add an annotation",
+        ),
+        # E-ARITY
+        (
+            "fn f() -> U64 { let x = Some; 0:U64 }",
+            "E-ARITY",
+            "constructor Some takes 1 arguments; apply it",
+        ),
+        (
+            "fn f() -> Option[U64] { Some }",
+            "E-ARITY",
+            "constructor Some takes 1 arguments; apply it",
+        ),
+        (
+            "fn f() -> U64 { let g: (U64) -> U64 = fn(x, y) => x; 0:U64 }",
+            "E-ARITY",
+            "lambda takes 2 parameters but its type wants 1",
+        ),
+        (
+            "fn f(g: (U64) -> U64) -> U64 { g(1:U64, 2:U64) }",
+            "E-ARITY",
+            "function expects 1 arguments, got 2",
+        ),
+        ("fn f() -> U64 { add64(1:U64) }", "E-ARITY", "add64 takes 2 arguments, got 1"),
+        # E-TYPE-MISMATCH
+        ("fn f() -> U8 { 256 }", "E-TYPE-MISMATCH", "literal out of range for U8"),
+        ("fn f() -> Bool { 1 }", "E-TYPE-MISMATCH", "integer literal cannot have type Bool"),
+        (
+            "fn f() -> U64 { fn(x) => x }",
+            "E-TYPE-MISMATCH",
+            "lambda cannot have non-function type U64",
+        ),
+        (
+            "fn f() -> (U64) -> U64 { fn(x: U8) => 1:U64 }",
+            "E-TYPE-MISMATCH",
+            "type mismatch in lambda parameter 'x': expected U64, found U8",
+        ),
+        (
+            "fn f(x: U64) -> U64 { x(1:U64) }",
+            "E-TYPE-MISMATCH",
+            "expression of type U64 is not callable",
+        ),
+        (
+            "fn f() -> U64 { (true : Bool) }",
+            "E-TYPE-MISMATCH",
+            "type mismatch in annotated expression: expected U64, found Bool",
+        ),
+        (
+            "fn f() -> U64 { (true, 1:U64) }",
+            "E-TYPE-MISMATCH",
+            "type mismatch in this expression: expected U64, found (Bool, U64)",
+        ),
+        (
+            "fn f() -> (U64, Bool) { (true, 1:U64) }",
+            "E-TYPE-MISMATCH",
+            "type mismatch in this expression: expected U64, found Bool",
+        ),
+        (
+            "fn f() -> Option[U64] { Nil }",
+            "E-TYPE-MISMATCH",
+            "type mismatch in result of Nil: expected Option[U64], found List[a]",
+        ),
+        # E-NAME
+        ("fn f() -> U64 { nonsense(1:U64) }", "E-NAME", "unknown name 'nonsense'"),
+        ("fn f() -> U64 { let x = nonsense; 0:U64 }", "E-NAME", "unknown name 'nonsense'"),
+        (
+            REQ + "fn f() -> U64 { let h = g; 0:U64 }",
+            "E-NAME",
+            "requirement 'g' must be applied to arguments",
+        ),
+        (
+            "data D { f }\nfn f() -> U64 { f() }",
+            "E-NAME",
+            "name 'f' is ambiguous in this scope",
+        ),
+    ],
+)
+def test_first_failure_message_of_each_expression_rule(decls, code, message):
+    result = check_inline(m=f"module m\n{decls}\n")
+    assert [(d.code, d.message) for d in result.diagnostics][:1] == [(code, message)]
