@@ -105,10 +105,6 @@ class FunDecl:
     def id(self) -> str:
         return f"{self.module}.{self.name}"
 
-    @property
-    def is_generic(self) -> bool:
-        return bool(self.typarams) or bool(self.context)
-
 
 class CtorDecl:
     __slots__ = ("name", "fields", "span")

@@ -1,10 +1,13 @@
 """Name resolution, declaration well-formedness, and type checking.
 
 Checking is bidirectional and deliberately local: generics exist only at
-declaration heads, applications synthesize, lambdas and match expressions
-check against expected types, and type arguments of generic calls are found
-by one-way matching of parameter types against argument types with
-annotations filling the rest.
+declaration heads, and type arguments of generic calls are found by one-way
+matching of parameter types against argument types, with annotations and the
+expected result type filling the rest. Each expression class has one rule
+(`RULES`) that takes the type its context expects, or None to synthesize one;
+checking is that rule followed by one comparison with the expected type.
+A global name is looked up once per module (`ModuleChecker.callee`), the same
+way whether it is called or not.
 
 Every constraint discharged inside a body is recorded with its resolution
 trace; the records feed the `explain` command, the stability analysis, and
@@ -59,6 +62,7 @@ from .types import (
     ConstraintTerm,
     Eq,
     NormDiverge,
+    PAIR,
     Substitution,
     TypeTerm,
     Var,
@@ -117,6 +121,7 @@ class ModuleChecker:
         self.req_names: dict[str, list[tuple[ConceptDecl, ReqSig]]] = {}
         self.assoc_names: dict[str, list[ConceptDecl]] = {}
         self.model_names: dict[str, list[ModelDecl]] = {}
+        self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
 
         for mod in self.visible:
             self._index_module(mod)
@@ -522,6 +527,42 @@ class ModuleChecker:
             self.abort("E-NAME", f"{what} name '{name}' is ambiguous", span)
         return hits[0]
 
+    def callee(self, name: str, span: Span) -> CalleeSig:
+        """The signature of the global `name`, over its declared type
+        variables, built once per module. Only bodies ask, once every header
+        is indexed; an ambiguous or unknown name aborts at each use. A
+        recursive call meets its own variables in the caller's types too;
+        `ExprChecker._apply_sig` keeps those rigid."""
+        sig = self.callees.get(name)
+        if sig is None:
+            sig = self.callees[name] = self._callee(name, span)
+        return sig
+
+    def _callee(self, name: str, span: Span) -> CalleeSig:
+        fun = self._unique(self.fun_names, name, "function", span)
+        req = self._unique(self.req_names, name, "requirement", span)
+        ctor = self._unique(self.ctor_names, name, "constructor", span)
+        if (fun is not None) + (req is not None) + (ctor is not None) > 1:
+            self.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
+        if fun is not None:
+            params = [t for _, t in fun.params]
+            return CalleeSig("fun", name, fun.typarams, params, fun.ret, fun.context,
+                             (fun.module, name))
+        if req is not None:
+            concept, sig = req
+            return CalleeSig("requirement", f"{concept.name}.{name}", concept.params,
+                             [t for _, t in sig.params], sig.ret,
+                             [Conf(concept.id, tuple(concept.params))], (concept.id, name))
+        if ctor is not None:
+            data, cdecl = ctor
+            con = Con(data.name, len(data.params), data.module)
+            ret = App(con, tuple(data.params)) if data.params else con
+            return CalleeSig("ctor", name, data.params, cdecl.fields, ret, [], (data.id, name))
+        if name in BUILTIN_SIGS:
+            tyvars, params, ret = BUILTIN_SIGS[name]
+            return CalleeSig("builtin", name, tyvars, params, ret, [], (name,))
+        self.abort("E-NAME", f"unknown name '{name}'", span)
+
     # ------------------------------------------------------------ types
 
     def resolve_type(
@@ -683,11 +724,13 @@ class ModuleChecker:
 class CalleeSig:
     # kind: fun | builtin | ctor | requirement
     # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
-    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target")
+    # flexible: the uids of `tyvars`, which a call binds
+    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "flexible")
     def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
                  ret: TypeTerm, context: list[ConstraintTerm], target: tuple):
         self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
         self.ret, self.context, self.target = ret, context, target
+        self.flexible = frozenset(v.uid for v in tyvars)
 
 
 def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bool:
@@ -698,6 +741,9 @@ def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bo
 
 
 class ExprChecker:
+    """Checks one body. Each expression class has one rule in `RULES`,
+    called with the type the context expects, or None to synthesize one."""
+
     def __init__(
         self,
         mc: ModuleChecker,
@@ -712,6 +758,22 @@ class ExprChecker:
         self.owner = owner
         self.records: list[GoalRecord] = []
         self.resolver = Resolver(mc.module.world, mc.concepts, mc.policy, mc.depth, givens)
+
+    def synth(self, e: A.ExprAST, env: dict[str, TypeTerm]) -> TExpr:
+        return RULES[type(e)](self, e, env, None)
+
+    def check(self, e: A.ExprAST, expected: TypeTerm, env: dict[str, TypeTerm]) -> TExpr:
+        tex = RULES[type(e)](self, e, env, expected)
+        self.require_equal(tex.type, expected, e.span, "this expression")
+        return tex
+
+    def _branch(self, e: A.ExprAST, env, expected: TypeTerm | None) -> tuple[TExpr, TypeTerm]:
+        """`e` checked against `expected`, or synthesized when that is None,
+        and the type the branches after it are checked against."""
+        if expected is None:
+            tex = self.synth(e, env)
+            return tex, tex.type
+        return self.check(e, expected, env), expected
 
     # ------------------------------------------------------------- utilities
 
@@ -754,54 +816,18 @@ class ExprChecker:
         self.mc.report_goal(res, diags, constraint, self.rigid, span, self.owner)
         return res
 
-    # ------------------------------------------------------------- callables
+    # ------------------------------------------------------------- calls
 
-    def _callee_sig(self, name: str, span: Span) -> CalleeSig | None:
-        """The signature of the callee `name`, over its declared type
-        variables. A recursive call meets its own variables in the caller's
-        types too; `_apply_sig` keeps those rigid."""
-        mc = self.mc
-        fun = mc._unique(mc.fun_names, name, "function", span)
-        req = mc._unique(mc.req_names, name, "requirement", span)
-        ctor = mc._unique(mc.ctor_names, name, "constructor", span)
-        hits = [x for x in (fun, req, ctor) if x is not None]
-        if len(hits) > 1:
-            self.mc.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
-        if fun is not None:
-            kind, display, target = "fun", fun.name, (fun.module, fun.name)
-            tyvars, params = fun.typarams, [t for _, t in fun.params]
-            ret, context = fun.ret, fun.context
-        elif req is not None:
-            concept, sig = req
-            kind, target = "requirement", (concept.id, sig.name)
-            display = f"{concept.name}.{sig.name}"
-            tyvars, params, ret = concept.params, [t for _, t in sig.params], sig.ret
-            context = [Conf(concept.id, tuple(concept.params))]
-        elif ctor is not None:
-            data, cdecl = ctor
-            con = Con(data.name, len(data.params), data.module)
-            kind, display, target = "ctor", cdecl.name, (data.id, cdecl.name)
-            tyvars, params, context = data.params, cdecl.fields, []
-            ret = App(con, tuple(data.params)) if data.params else con
-        elif name in BUILTIN_SIGS:
-            kind, display, target = "builtin", name, (name,)
-            tyvars, params, ret = BUILTIN_SIGS[name]
-            context = []
-        else:
-            return None
-        return CalleeSig(kind, display, list(tyvars), list(params), ret, list(context), target)
-
-    def _is_deferred(self, e: A.ExprAST) -> bool:
+    def _is_deferred(self, e: A.ExprAST, env) -> bool:
+        """Whether argument `e` needs its parameter's type to be checked, so
+        that it waits until the other arguments have bound it."""
         if isinstance(e, (A.ELambda, A.EMatch, A.EIf, A.ELet)):
             return True
-        if isinstance(e, A.EInt) and e.width is None:
-            return True
-        if isinstance(e, A.EVar):
-            ctor = self.mc.ctor_names.get(e.name)
-            if ctor and len(ctor) == 1:
-                data, cdecl = ctor[0]
-                if not cdecl.fields and data.params:
-                    return True
+        if isinstance(e, A.EInt):
+            return e.width is None
+        if isinstance(e, A.EVar) and e.name not in env:
+            sig = self.mc.callee(e.name, e.span)
+            return sig.kind == "ctor" and not sig.params and bool(sig.tyvars)
         return False
 
     def _match_lenient(
@@ -839,11 +865,23 @@ class ExprChecker:
                     )
         return False
 
+    def _absorb(self, sig: CalleeSig, binding: Substitution, pattern: TypeTerm,
+                target: TypeTerm, where: Span, what: str, pattern_expected: bool):
+        """Match the callee's `pattern` onto `target`, extending `binding`.
+        On a mismatch the expected side is the parameter's type against an
+        argument and the context's type against the result."""
+        if not self._match_lenient(pattern, target, binding, sig.flexible, where):
+            pat = binding.apply(pattern)
+            sides = [(pat, self.norm(pat, where)), (target, self.norm(target, where))]
+            if not pattern_expected:
+                sides.reverse()
+            self.mismatch(what, *sides, where)
+
     def _apply_sig(
         self,
         sig: CalleeSig,
         span: Span,
-        args: list[A.ExprAST],
+        args: tuple[A.ExprAST, ...],
         env: dict[str, TypeTerm],
         expected: TypeTerm | None,
     ) -> TExpr:
@@ -854,31 +892,16 @@ class ExprChecker:
                 span,
             )
         binding = Substitution()
-        flexible = frozenset(v.uid for v in sig.tyvars)
         checked: list[TExpr | None] = [None] * len(args)
-        synthed: list[TypeTerm | None] = [None] * len(args)
-
-        def absorb(pattern: TypeTerm, target: TypeTerm, where: Span, what: str,
-                   pattern_expected: bool):
-            """Match the callee's `pattern` onto `target`, extending `binding`.
-            On a mismatch the expected side is the parameter's type against
-            an argument and the context's type against the result."""
-            if not self._match_lenient(pattern, target, binding, flexible, where):
-                pat = binding.apply(pattern)
-                sides = [(pat, self.norm(pat, where)), (target, self.norm(target, where))]
-                if not pattern_expected:
-                    sides.reverse()
-                self.mismatch(what, *sides, where)
-
-        if expected is not None and _unbound(sig.ret, binding, flexible):
-            absorb(sig.ret, expected, span, f"result of {sig.display}", False)
+        if expected is not None and _unbound(sig.ret, binding, sig.flexible):
+            self._absorb(sig, binding, sig.ret, expected, span, f"result of {sig.display}", False)
         for i, arg in enumerate(args):
-            if self._is_deferred(arg) or not _unbound(sig.params[i], binding, flexible):
+            # a name is looked up here only where synthesis would look it up
+            if not _unbound(sig.params[i], binding, sig.flexible) or self._is_deferred(arg, env):
                 continue
-            t_arg, tex = self.synth(arg, env)
-            checked[i] = tex
-            synthed[i] = t_arg
-            absorb(sig.params[i], t_arg, arg.span, f"argument {i + 1} of {sig.display}", True)
+            checked[i] = self.synth(arg, env)
+            what = f"argument {i + 1} of {sig.display}"
+            self._absorb(sig, binding, sig.params[i], checked[i].type, arg.span, what, True)
         unbound = [v for v in sig.tyvars if v.uid not in binding.bindings]
         if unbound:
             names = ", ".join(v.name for v in unbound)
@@ -894,142 +917,87 @@ class ExprChecker:
             else:
                 # validates projections that were undetermined during matching
                 self.require_equal(
-                    synthed[i],
+                    checked[i].type,
                     binding.apply(sig.params[i]),
                     arg.span,
                     f"argument {i + 1} of {sig.display}",
                 )
-        resolutions = []
-        for c in sig.context:
-            inst = binding.apply(c)
-            resolutions.append(self.discharge(inst, span))
+        resolutions = [self.discharge(binding.apply(c), span) for c in sig.context]
         result = binding.apply(sig.ret)
         tyargs = [binding.apply(v) for v in sig.tyvars]
         if sig.kind == "requirement":
             concept_id, member = sig.target
-            return TReqCall(span, result, concept_id, member, tyargs, resolutions[0], list(checked))
+            return TReqCall(span, result, concept_id, member, tyargs, resolutions[0], checked)
         # constructors and builtins have no context, so no resolutions
-        return TCall(span, result, sig.kind, sig.target, tyargs, resolutions, list(checked))
+        return TCall(span, result, sig.kind, sig.target, tyargs, resolutions, checked)
 
-    # ------------------------------------------------------------- synthesis
+    # ------------------------------------------------------------- rules
 
-    def synth(self, e: A.ExprAST, env: dict[str, TypeTerm]) -> tuple[TypeTerm, TExpr]:
-        if isinstance(e, A.EVar):
-            if e.name in env:
-                return env[e.name], TVarRef(e.span, env[e.name], e.name)
-            return self._synth_global(e, env)
-        if isinstance(e, A.EInt):
-            if e.width is None:
-                self.mc.abort(
-                    "E-CANNOT-INFER",
-                    "integer literal needs a width (write e.g. `0:U64` or `0:U8`)",
-                    e.span,
-                )
-            ty = U64 if e.width == "U64" else U8
-            return ty, TLit(e.span, ty, "u64" if e.width == "U64" else "u8", e.value)
-        if isinstance(e, A.EFloat):
-            return F64, TLit(e.span, F64, "f64", e.lexeme)
-        if isinstance(e, A.EString):
-            return STRING, TLit(e.span, STRING, "string", e.value)
-        if isinstance(e, A.EBool):
-            return BOOL, TLit(e.span, BOOL, "bool", e.value)
-        if isinstance(e, A.EUnit):
-            return UNIT, TLit(e.span, UNIT, "unit", ())
-        if isinstance(e, A.EApp):
-            return self._synth_app(e, env, expected=None)
-        if isinstance(e, A.ETuple):
-            t1, x1 = self.synth(e.items[0], env)
-            t2, x2 = self.synth(e.items[1], env)
-            ty = pair_type(t1, t2)
-            return ty, TTuple(e.span, ty, x1, x2)
-        if isinstance(e, A.EAnnot):
-            ty = self.mc.resolve_type(e.annot, self.tyvars)
-            return ty, self.check(e.expr, ty, env)
-        if isinstance(e, (A.ELet, A.EIf, A.EMatch)):
-            tex = self._branching(e, env, None)
-            return tex.type, tex
-        if isinstance(e, A.ELambda):
-            params = []
-            for name, annot in e.params:
-                if annot is None:
-                    self.mc.abort(
-                        "E-CANNOT-INFER",
-                        f"lambda parameter '{name}' needs a type annotation here",
-                        e.span,
-                    )
-                params.append((name, self.mc.resolve_type(annot, self.tyvars)))
-            inner = dict(env)
-            inner.update(params)
-            t_body, x_body = self.synth(e.body, inner)
-            ty = fn_type([t for _, t in params], t_body)
-            return ty, TLam(e.span, ty, params, x_body)
-        raise AssertionError(type(e))
-
-    def _synth_global(self, e: A.EVar, env) -> tuple[TypeTerm, TExpr]:
-        mc = self.mc
-        name = e.name
-        ctor = mc._unique(mc.ctor_names, name, "constructor", e.span)
-        if ctor is not None:
-            data, cdecl = ctor
-            if cdecl.fields:
+    def _var(self, e: A.EVar, env, expected: TypeTerm | None) -> TExpr:
+        if e.name in env:
+            return TVarRef(e.span, env[e.name], e.name)
+        sig = self.mc.callee(e.name, e.span)
+        if sig.kind == "ctor":
+            if sig.params:
                 self.mc.abort(
                     "E-ARITY",
-                    f"constructor {name} takes {len(cdecl.fields)} arguments; apply it",
+                    f"constructor {e.name} takes {len(sig.params)} arguments; apply it",
                     e.span,
                 )
-            if data.params:
+            if expected is None and sig.tyvars:
                 self.mc.abort(
                     "E-CANNOT-INFER",
-                    f"cannot infer the type arguments of {name}; annotate it",
+                    f"cannot infer the type arguments of {e.name}; annotate it",
                     e.span,
                 )
-            ty = Con(data.name, 0, data.module)
-            return ty, TCall(e.span, ty, "ctor", (data.id, cdecl.name), [], [], [])
-        fun = mc._unique(mc.fun_names, name, "function", e.span)
-        if fun is not None:
-            if fun.is_generic:
-                self.mc.abort(
-                    "E-CANNOT-INFER",
-                    f"generic function {name} can only be used fully applied",
-                    e.span,
-                )
-            ty = fn_type([t for _, t in fun.params], fun.ret)
-            return ty, TGlobalFun(e.span, ty, fun.module, fun.name)
-        builtin = BUILTIN_SIGS.get(name)
-        if builtin is not None:
-            typs, params, ret = builtin
-            if typs:
-                self.mc.abort(
-                    "E-CANNOT-INFER",
-                    f"builtin {name} is generic and must be applied directly",
-                    e.span,
-                )
-            ty = fn_type(list(params), ret)
-            return ty, TBuiltinRef(e.span, ty, name)
-        if mc.req_names.get(name):
+            return self._apply_sig(sig, e.span, (), env, expected)
+        if sig.kind == "requirement":
+            self.mc.abort("E-NAME", f"requirement '{e.name}' must be applied to arguments", e.span)
+        if sig.tyvars or sig.context:
             self.mc.abort(
-                "E-NAME",
-                f"requirement '{name}' must be applied to arguments",
+                "E-CANNOT-INFER",
+                f"generic function {e.name} can only be used fully applied"
+                if sig.kind == "fun"
+                else f"builtin {e.name} is generic and must be applied directly",
                 e.span,
             )
-        self.mc.abort("E-NAME", f"unknown name '{name}'", e.span)
+        ty = fn_type(sig.params, sig.ret)
+        if sig.kind == "fun":
+            return TGlobalFun(e.span, ty, *sig.target)
+        return TBuiltinRef(e.span, ty, e.name)
 
-    def _synth_app(
-        self, e: A.EApp, env, expected: TypeTerm | None
-    ) -> tuple[TypeTerm, TExpr]:
+    def _int(self, e: A.EInt, env, expected: TypeTerm | None) -> TExpr:
+        if e.width is not None:
+            ty = U64 if e.width == "U64" else U8
+        elif expected is None:
+            self.mc.abort(
+                "E-CANNOT-INFER",
+                "integer literal needs a width (write e.g. `0:U64` or `0:U8`)",
+                e.span,
+            )
+        else:
+            ty = self.norm(expected, e.span)
+            bits = {U64: 64, U8: 8}.get(ty)
+            if bits is None:
+                self.mc.abort(
+                    "E-TYPE-MISMATCH",
+                    f"integer literal cannot have type {render(expected)}",
+                    e.span,
+                )
+            if e.value >= 2**bits:
+                self.mc.abort("E-TYPE-MISMATCH", f"literal out of range for {ty.name}", e.span)
+        return TLit(e.span, ty, ty.name.lower(), e.value)
+
+    def _app(self, e: A.EApp, env, expected: TypeTerm | None) -> TExpr:
         if isinstance(e.fn, A.EVar) and e.fn.name not in env:
-            sig = self._callee_sig(e.fn.name, e.fn.span)
-            if sig is None:
-                self.mc.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
-            tex = self._apply_sig(sig, e.span, list(e.args), env, expected)
-            return tex.type, tex
-        t_fn, x_fn = self.synth(e.fn, env)
-        t_fn_n = self.norm(t_fn, e.span)
-        split = split_fn_type(t_fn_n)
+            sig = self.mc.callee(e.fn.name, e.fn.span)
+            return self._apply_sig(sig, e.span, e.args, env, expected)
+        x_fn = self.synth(e.fn, env)
+        split = split_fn_type(self.norm(x_fn.type, e.span))
         if split is None:
             self.mc.abort(
                 "E-TYPE-MISMATCH",
-                f"expression of type {render(t_fn)} is not callable",
+                f"expression of type {render(x_fn.type)} is not callable",
                 e.span,
             )
         params, ret = split
@@ -1040,43 +1008,90 @@ class ExprChecker:
                 e.span,
             )
         args = [self.check(a, p, env) for a, p in zip(e.args, params)]
-        return ret, TCallExpr(e.span, ret, x_fn, args)
+        return TCallExpr(e.span, ret, x_fn, args)
 
-    def _branching(self, e: A.ELet | A.EIf | A.EMatch, env, expected: TypeTerm | None) -> TExpr:
-        """Check a let, if or match against `expected`. When `expected` is
-        None, the first branch's type is synthesized (the let body, the
-        then-block, the first arm) and the other branches are checked
-        against it."""
+    def _tuple(self, e: A.ETuple, env, expected: TypeTerm | None) -> TExpr:
+        wants = (None, None)
+        if expected is not None:
+            expected_n = self.norm(expected, e.span)
+            if isinstance(expected_n, App) and expected_n.head is PAIR:
+                wants = expected_n.args
+        x1, t1 = self._branch(e.items[0], env, wants[0])
+        x2, t2 = self._branch(e.items[1], env, wants[1])
+        return TTuple(e.span, pair_type(t1, t2), x1, x2)
 
-        def branch(body: A.ExprAST, env) -> TExpr:
-            nonlocal expected
-            if expected is None:
-                expected, tex = self.synth(body, env)
-                return tex
-            return self.check(body, expected, env)
+    def _annot(self, e: A.EAnnot, env, expected: TypeTerm | None) -> TExpr:
+        ty = self.mc.resolve_type(e.annot, self.tyvars)
+        if expected is not None:
+            self.require_equal(ty, expected, e.span, "annotated expression")
+        tex = self.check(e.expr, ty, env)
+        tex.type = ty  # the annotated expression has the type as written
+        return tex
 
-        if isinstance(e, A.EIf):
-            cond = self.check(e.cond, BOOL, env)
-            x_then = branch(e.then, env)
-            return TIf(e.span, expected, cond, x_then, branch(e.orelse, env))
-        if isinstance(e, A.EMatch):
-            t_scrut, x_scrut = self.synth(e.scrutinee, env)
-            data, inst = self._scrutinee_data(t_scrut, e.scrutinee.span)
-            arms: list[TArm] = []
-            for arm in e.arms:
-                arm_env, ctor_key = self._bind_arm(arm, data, inst, env)
-                arms.append(TArm(ctor_key, list(arm.binders), branch(arm.body, arm_env)))
-            return TMatch(e.span, expected, x_scrut, arms)
-        if e.annot is not None:
-            bound_t = self.mc.resolve_type(e.annot, self.tyvars)
-            bound_x = self.check(e.bound, bound_t, env)
-        else:
-            bound_t, bound_x = self.synth(e.bound, env)
+    def _lambda(self, e: A.ELambda, env, expected: TypeTerm | None) -> TExpr:
+        want_params, want_ret = [None] * len(e.params), None
+        if expected is not None:
+            expected_n = self.norm(expected, e.span)
+            split = split_fn_type(expected_n)
+            if split is None:
+                self.mc.abort(
+                    "E-TYPE-MISMATCH",
+                    f"lambda cannot have non-function type {render(expected)}",
+                    e.span,
+                )
+            want_params, want_ret = split
+            if len(want_params) != len(e.params):
+                self.mc.abort(
+                    "E-ARITY",
+                    f"lambda takes {len(e.params)} parameters but its type wants "
+                    f"{len(want_params)}",
+                    e.span,
+                )
+        params = []
+        for (name, annot), want in zip(e.params, want_params):
+            if annot is None:
+                if want is None:
+                    self.mc.abort(
+                        "E-CANNOT-INFER",
+                        f"lambda parameter '{name}' needs a type annotation here",
+                        e.span,
+                    )
+                params.append((name, want))
+                continue
+            declared = self.mc.resolve_type(annot, self.tyvars)
+            if want is not None:
+                self.require_equal(declared, want, e.span, f"lambda parameter '{name}'")
+            params.append((name, declared))
+        inner = dict(env)
+        inner.update(params)
+        x_body, t_body = self._branch(e.body, inner, want_ret)
+        ty = self.fn_type_of(params, t_body) if expected is None else expected_n
+        return TLam(e.span, ty, params, x_body)
+
+    def _let(self, e: A.ELet, env, expected: TypeTerm | None) -> TExpr:
+        annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
+        bound_x, bound_t = self._branch(e.bound, env, annot)
         inner = dict(env)
         if e.name != "_":
             inner[e.name] = bound_t
-        x_body = branch(e.body, inner)
+        x_body, expected = self._branch(e.body, inner, expected)
         return TLet(e.span, expected, e.name, bound_x, x_body)
+
+    def _if(self, e: A.EIf, env, expected: TypeTerm | None) -> TExpr:
+        cond = self.check(e.cond, BOOL, env)
+        x_then, expected = self._branch(e.then, env, expected)
+        x_else, _ = self._branch(e.orelse, env, expected)
+        return TIf(e.span, expected, cond, x_then, x_else)
+
+    def _match(self, e: A.EMatch, env, expected: TypeTerm | None) -> TExpr:
+        x_scrut = self.synth(e.scrutinee, env)
+        data, inst = self._scrutinee_data(x_scrut.type, e.scrutinee.span)
+        arms: list[TArm] = []
+        for arm in e.arms:
+            arm_env, ctor_key = self._bind_arm(arm, data, inst, env)
+            x_body, expected = self._branch(arm.body, arm_env, expected)
+            arms.append(TArm(ctor_key, list(arm.binders), x_body))
+        return TMatch(e.span, expected, x_scrut, arms)
 
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
@@ -1114,87 +1129,24 @@ class ExprChecker:
                 arm_env[binder] = inst.apply(field_t)
         return arm_env, (data.id, arm.ctor)
 
-    # ------------------------------------------------------------- checking
 
-    def check(self, e: A.ExprAST, expected: TypeTerm, env: dict[str, TypeTerm]) -> TExpr:
-        if isinstance(e, A.ELambda):
-            return self._check_lambda(e, expected, env)
-        if isinstance(e, (A.ELet, A.EIf, A.EMatch)):
-            return self._branching(e, env, expected)
-        if isinstance(e, A.EInt) and e.width is None:
-            expected_n = self.norm(expected, e.span)
-            bits = {U64: 64, U8: 8}.get(expected_n)
-            if bits is not None:
-                width = expected_n.name
-                if e.value >= 2**bits:
-                    self.mc.abort("E-TYPE-MISMATCH", f"literal out of range for {width}", e.span)
-                return TLit(e.span, expected_n, width.lower(), e.value)
-            self.mc.abort(
-                "E-TYPE-MISMATCH",
-                f"integer literal cannot have type {render(expected)}",
-                e.span,
-            )
-        if isinstance(e, A.ETuple):
-            expected_n = self.norm(expected, e.span)
-            if (
-                isinstance(expected_n, App)
-                and isinstance(expected_n.head, Con)
-                and expected_n.head.name == "Pair"
-            ):
-                x1 = self.check(e.items[0], expected_n.args[0], env)
-                x2 = self.check(e.items[1], expected_n.args[1], env)
-                return TTuple(e.span, expected_n, x1, x2)
-        if isinstance(e, A.EApp) and isinstance(e.fn, A.EVar) and e.fn.name not in env:
-            sig = self._callee_sig(e.fn.name, e.fn.span)
-            if sig is None:
-                self.mc.abort("E-NAME", f"unknown name '{e.fn.name}'", e.fn.span)
-            tex = self._apply_sig(sig, e.span, list(e.args), env, expected)
-            self.require_equal(tex.type, expected, e.span, "this expression")
-            return tex
-        if isinstance(e, A.EVar) and e.name not in env:
-            ctor = self.mc.ctor_names.get(e.name)
-            if ctor and len(ctor) == 1 and not ctor[0][1].fields:
-                sig = self._callee_sig(e.name, e.span)
-                tex = self._apply_sig(sig, e.span, [], {}, expected)
-                self.require_equal(tex.type, expected, e.span, "this expression")
-                return tex
-        if isinstance(e, A.EAnnot):
-            ty = self.mc.resolve_type(e.annot, self.tyvars)
-            self.require_equal(ty, expected, e.span, "annotated expression")
-            return self.check(e.expr, ty, env)
-        t_found, tex = self.synth(e, env)
-        self.require_equal(t_found, expected, e.span, "this expression")
-        return tex
-
-    def _check_lambda(self, e: A.ELambda, expected: TypeTerm, env) -> TExpr:
-        expected_n = self.norm(expected, e.span)
-        split = split_fn_type(expected_n)
-        if split is None:
-            self.mc.abort(
-                "E-TYPE-MISMATCH",
-                f"lambda cannot have non-function type {render(expected)}",
-                e.span,
-            )
-        want_params, want_ret = split
-        if len(want_params) != len(e.params):
-            self.mc.abort(
-                "E-ARITY",
-                f"lambda takes {len(e.params)} parameters but its type wants "
-                f"{len(want_params)}",
-                e.span,
-            )
-        params = []
-        inner = dict(env)
-        for (name, annot), want in zip(e.params, want_params):
-            ty = want
-            if annot is not None:
-                declared = self.mc.resolve_type(annot, self.tyvars)
-                self.require_equal(declared, want, e.span, f"lambda parameter '{name}'")
-                ty = declared
-            params.append((name, ty))
-            inner[name] = ty
-        x_body = self.check(e.body, want_ret, inner)
-        return TLam(e.span, expected_n, params, x_body)
+# Expression class -> its rule: (checker, node, env, expected type or None to
+# synthesize) -> the typed node.
+RULES = {
+    A.EVar: ExprChecker._var,
+    A.EInt: ExprChecker._int,
+    A.EFloat: lambda self, e, env, expected: TLit(e.span, F64, "f64", e.lexeme),
+    A.EString: lambda self, e, env, expected: TLit(e.span, STRING, "string", e.value),
+    A.EBool: lambda self, e, env, expected: TLit(e.span, BOOL, "bool", e.value),
+    A.EUnit: lambda self, e, env, expected: TLit(e.span, UNIT, "unit", ()),
+    A.EApp: ExprChecker._app,
+    A.ETuple: ExprChecker._tuple,
+    A.EAnnot: ExprChecker._annot,
+    A.ELambda: ExprChecker._lambda,
+    A.ELet: ExprChecker._let,
+    A.EIf: ExprChecker._if,
+    A.EMatch: ExprChecker._match,
+}
 
 
 def infer_expr(
@@ -1208,4 +1160,5 @@ def infer_expr(
     rigid = frozenset(v.uid for v in free_vars(list(givens) + list(env.values())))
     tyvars = {v.name: v for t in env.values() for v in t.fvs}
     checker = ExprChecker(mc, tyvars=tyvars, rigid=rigid, givens=givens, owner=owner)
-    return checker.synth(e, dict(env))
+    tex = checker.synth(e, dict(env))
+    return tex.type, tex

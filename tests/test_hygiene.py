@@ -11,7 +11,8 @@ from pathlib import Path
 
 from conftest import slc_env
 
-from slc import corekit, decls
+from slc import ast as slc_ast
+from slc import corekit, decls, sema
 from slc.corekit import (
     CHECKERS,
     ELABORATORS,
@@ -91,9 +92,9 @@ def test_startup_imports_no_code_generation_modules():
 
 
 def test_every_node_kind_has_a_rule_in_every_pass():
-    """A new core node kind must be compiled, checked and serialized, and a
-    new typed expression kind elaborated: no pass falls back on a chain of
-    type tests that could miss it."""
+    """A new core node kind must be compiled, checked and serialized, a new
+    typed expression kind elaborated, and a new expression kind checked: no
+    pass falls back on a chain of type tests that could miss it."""
     samples = [
         CVar("x"),
         CGlobal("g"),
@@ -120,3 +121,5 @@ def test_every_node_kind_has_a_rule_in_every_pass():
     assert [d["name"] for d in shown] == names
     typed = {cls for cls in decls.TExpr.__subclasses__() if cls.__module__ == decls.__name__}
     assert typed == ELABORATORS.keys()
+    exprs = {cls for cls in slc_ast.ExprAST.__subclasses__() if cls.__module__ == slc_ast.__name__}
+    assert set(sema.RULES) == exprs

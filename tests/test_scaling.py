@@ -1,7 +1,7 @@
 """Scaling guard: on a wide program of sibling modules, the constructor index
 keeps coherence pair checks at the planted conflict and head matches linear
-in the number of modules, and the core pass costs a fixed number of opcodes
-per module."""
+in the number of modules, and checking and the core pass each cost a fixed
+number of opcodes per module."""
 
 import sys
 
@@ -84,16 +84,8 @@ def test_head_matches_grow_linearly_with_modules(monkeypatch):
     assert large <= 3 * small, (small, large)
 
 
-def core_pass_opcodes(siblings: int) -> int:
-    """Opcodes `elaborate` and `core_check` run on `wide_program` with the
-    second planted `Show[Shared]` model dropped, so that it links."""
-    files = wide_program(siblings)
-    planted = f"s{siblings - 2:02d}"
-    files[planted] = "".join(
-        line for line in files[planted].splitlines(keepends=True) if "Shared" not in line
-    )
-    result = check_inline("use-site", **files)
-    assert result.ok, result.diagnostics
+def opcodes(run) -> int:
+    """Opcodes Python executes in `run()`, counted with `sys.settrace`."""
     count = 0
 
     def trace(frame, event, arg):
@@ -104,11 +96,32 @@ def core_pass_opcodes(siblings: int) -> int:
 
     sys.settrace(trace)
     try:
-        diagnostics = core_check(elaborate(result.program))
+        run()
     finally:
         sys.settrace(None)
+    return count
+
+
+def core_pass_opcodes(siblings: int) -> int:
+    """Opcodes `elaborate` and `core_check` run on `wide_program` with the
+    second planted `Show[Shared]` model dropped, so that it links."""
+    files = wide_program(siblings)
+    planted = f"s{siblings - 2:02d}"
+    files[planted] = "".join(
+        line for line in files[planted].splitlines(keepends=True) if "Shared" not in line
+    )
+    result = check_inline("use-site", **files)
+    assert result.ok, result.diagnostics
+    diagnostics = []
+    count = opcodes(lambda: diagnostics.extend(core_check(elaborate(result.program))))
     assert diagnostics == []
     return count
+
+
+def check_opcodes(siblings: int) -> int:
+    """Opcodes `check_sources` runs on `wide_program`, planted conflict included."""
+    files = wide_program(siblings)
+    return opcodes(lambda: check_inline("use-site", **files))
 
 
 def test_core_pass_opcodes_per_module():
@@ -116,3 +129,10 @@ def test_core_pass_opcodes_per_module():
     every core node is elaborated and checked at a small fixed cost, and
     each instantiation is built once."""
     assert (core_pass_opcodes(12) - core_pass_opcodes(4)) / 8 <= 57_000
+
+
+def test_check_opcodes_per_module():
+    """Each sibling adds ten data types, their models and a function that
+    uses each: sema checks every expression through one rule and looks each
+    global name up once per module. 166,172 opcodes per sibling when set."""
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 175_000

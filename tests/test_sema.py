@@ -466,3 +466,35 @@ REQ = "concept C[Self] { fn g(x: Self) -> Self }\n"
 def test_first_failure_message_of_each_expression_rule(decls, code, message):
     result = check_inline(m=f"module m\n{decls}\n")
     assert [(d.code, d.message) for d in result.diagnostics][:1] == [(code, message)]
+
+
+@pytest.mark.parametrize(
+    "decls, name",
+    [("data D { f }\nfn f() -> U64 { 0:U64 }", "f"), (REQ + "fn g() -> U64 { 0:U64 }", "g")],
+)
+def test_bare_global_name_is_checked_for_ambiguity(decls, name):
+    """A bare name is looked up as a callee is: a constructor, function or
+    requirement that share it are ambiguous whether the name is called or
+    not."""
+    for use in (f"let x = {name}; 0:U64", f"{name}()"):
+        result = check_inline(m=f"module m\n{decls}\nfn h() -> U64 {{ {use} }}\n")
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E-NAME", f"name '{name}' is ambiguous in this scope")
+        ]
+
+
+def test_requirement_shadows_a_builtin_also_when_not_applied():
+    src = "module m\nconcept C[Self] { fn print(x: Self) -> Unit }\n"
+    result = check_inline(m=src + "fn h() -> Unit { let p = print; () }\n")
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E-NAME", "requirement 'print' must be applied to arguments")
+    ]
+
+
+def test_a_local_named_like_a_constructor_is_not_deferred():
+    """An argument that names a bound local has that local's type, even when
+    a generic constructor has the same name."""
+    for param in ("y", "None"):
+        src = f"module m\n{ID}fn g({param}: U64) -> U64 {{ let z = id({param}); z }}\n"
+        result = check_inline(m=src)
+        assert result.ok, result.diagnostics
