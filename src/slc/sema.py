@@ -896,7 +896,7 @@ class ExprChecker:
         if expected is not None and _unbound(sig.ret, binding, sig.flexible):
             self._absorb(sig, binding, sig.ret, expected, span, f"result of {sig.display}", False)
         for i, arg in enumerate(args):
-            # a name is looked up here only where synthesis would look it up
+            # a bare name is looked up only when it would be synthesized next
             if not _unbound(sig.params[i], binding, sig.flexible) or self._is_deferred(arg, env):
                 continue
             checked[i] = self.synth(arg, env)
