@@ -156,7 +156,9 @@ def cmd_run(args) -> int:
         emit_diagnostics(result.diagnostics, args.json, stream=sys.stderr)
         return 1
     emit_diagnostics(result.diagnostics, False, stream=sys.stderr)  # warnings
-    core = elaborate(result.program)
+    # `--emit-core` prints every definition; a run needs only what main reaches.
+    entry = result.program.entry
+    core = elaborate(result.program, None if args.emit_core else [entry] if entry else [])
     core_diags = core_check(core)
     if core_diags:
         emit_diagnostics(core_diags, args.json, stream=sys.stderr)

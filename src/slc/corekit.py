@@ -231,7 +231,8 @@ class Elaborator:
             for d in mod.datas.values():
                 self.datas[d.id] = d
         self.defs: dict[str, CoreDef] = {}
-        self.order: list[str] = []
+        self.decls: dict[str, FunDecl | ModelDecl] = {}  # every name referenced so far
+        self.order: list[str] = []  # their names, in the order they are elaborated
         # per-declaration elaboration state
         self.eq_givens: list[Eq] = []
         self.given_env: dict[int, CoreExpr] = {}
@@ -244,29 +245,32 @@ class Elaborator:
 
     # ------------------------------------------------------------- driver
 
-    def run(self) -> CoreProgram:
-        for name in self.program.graph.order:
-            module = self.program.modules[name]
-            for model in module.models:
-                self._emit(self.elaborate_model(model))
-            for fun in module.funs.values():
-                self._emit(self.elaborate_fun(fun))
-        entry = None
-        if self.program.entry is not None:
-            entry = fun_def_name(*self.program.entry)
-        return CoreProgram(
-            defs=self.defs,
-            order=self.order,
-            entry=entry,
-            concepts=self.concepts,
-            datas=self.datas,
-            world=self.world,
-        )
+    def run(self, roots: list[tuple[str, str]] | None) -> CoreProgram:
+        """Elaborate what the (module, function) pairs `roots` reach through
+        `CGlobal` references; with None, every model and function in
+        declaration order."""
+        program = self.program
+        if roots is None:
+            for module in map(program.modules.get, program.graph.order):
+                for model in module.models:
+                    self.global_ref(model_def_name(model), model)
+                for fun in module.funs.values():
+                    self.global_ref(fun_def_name(fun.module, fun.name), fun)
+        for module, name in roots or ():
+            self.global_ref(fun_def_name(module, name), program.modules[module].funs[name])
+        for name in self.order:  # visits the names queued while it runs too
+            decl = self.decls[name]
+            model = isinstance(decl, ModelDecl)
+            self.defs[name] = self.elaborate_model(decl) if model else self.elaborate_fun(decl)
+        entry = None if program.entry is None else fun_def_name(*program.entry)
+        return CoreProgram(self.defs, self.order, entry, self.concepts, self.datas, self.world)
 
-    def _emit(self, d: CoreDef):
-        assert d.name not in self.defs, d.name
-        self.defs[d.name] = d
-        self.order.append(d.name)
+    def global_ref(self, name: str, decl: FunDecl | ModelDecl) -> CGlobal:
+        """The reference to the definition of `decl`; the first one queues it."""
+        if name not in self.decls:
+            self.decls[name] = decl
+            self.order.append(name)
+        return CGlobal(name)
 
     # ------------------------------------------------------------- declarations
 
@@ -337,7 +341,7 @@ class Elaborator:
     def dict_expr(self, res) -> CoreExpr:
         if isinstance(res, ModelNode):
             model = res.picked.model
-            base: CoreExpr = CGlobal(model_def_name(model))
+            base: CoreExpr = self.global_ref(model_def_name(model), model)
             if model.vars:
                 base = CTyApp(base, list(map(self.ty, res.picked.type_args)))
             if model.context:
@@ -373,7 +377,7 @@ class Elaborator:
         assert e.kind == "fun"
         module, name = e.target
         fun = self.program.modules[module].funs[name]
-        base: CoreExpr = CGlobal(fun_def_name(module, name))
+        base: CoreExpr = self.global_ref(fun_def_name(module, name), fun)
         if fun.typarams:
             base = CTyApp(base, tyargs)
         dict_args = [
@@ -398,7 +402,9 @@ class Elaborator:
 # Typed expression class -> the core term elaborated from one of its nodes.
 ELABORATORS = {
     TVarRef: lambda self, e: CVar(e.name),
-    TGlobalFun: lambda self, e: CGlobal(fun_def_name(e.module, e.name)),
+    TGlobalFun: lambda self, e: self.global_ref(
+        fun_def_name(e.module, e.name), self.program.modules[e.module].funs[e.name]
+    ),
     TBuiltinRef: lambda self, e: CBuiltin(e.name),
     TLit: lambda self, e: CLit(e.kind, e.value),
     TCall: Elaborator._call,
@@ -412,9 +418,10 @@ ELABORATORS = {
 }
 
 
-def elaborate(program: LinkedProgram) -> CoreProgram:
-    """Dictionary-passing elaboration of a fully checked program."""
-    return Elaborator(program).run()
+def elaborate(program: LinkedProgram, roots: list[tuple[str, str]] | None = None) -> CoreProgram:
+    """Dictionary-passing elaboration of a fully checked program: of every
+    definition, or with `roots` of only those the given functions reach."""
+    return Elaborator(program).run(roots)
 
 
 # ---------------------------------------------------------------- core checking
@@ -434,16 +441,15 @@ class CoreChecker:
     """Infers the type of every core node, one rule per node class
     (`CHECKERS`), and fails at the first ill-typed one.
 
-    Constructor, dictionary and builtin instantiations are built once per
-    run, in tables keyed on interned terms: a table entry is stored only after every check on its key has
-    passed, so a later node with the same key skips only checks that
-    passed already.
+    Dictionary field types and builtin results are built once per run, in
+    tables keyed on interned terms: a table entry is stored only after every
+    check on its key has passed, so a later node with the same key skips
+    only checks that passed already.
     """
 
     def __init__(self, program: CoreProgram):
         self.program = program
         self.eq_rules: list[Eq] = []  # the current definition's erased givens
-        self.ctors: dict[tuple, tuple] = {}  # (data, ctor, *type args) -> (field types, data type)
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
 
@@ -613,22 +619,6 @@ class CoreChecker:
         return ftype
 
     def _ctor(self, e: CCtor, env) -> TypeTerm:
-        key = (e.data, e.ctor, *e.tyargs)
-        entry = self.ctors.get(key)
-        if entry is None:
-            entry = self.ctors[key] = self._instantiate_ctor(e)
-        fields, data_ty = entry
-        if len(e.args) != len(fields):
-            self.fail(f"{e.ctor}: wrong arity")
-        for arg, want in zip(e.args, fields):
-            got = self.infer(arg, env)
-            if not self.equal(got, want):
-                self.fail(f"{e.ctor}: field expects {render(want)}, got {render(got)}")
-        return data_ty
-
-    def _instantiate_ctor(self, e: CCtor) -> tuple:
-        """(field types, data type) of the constructor `e` names at its type
-        arguments."""
         data = self.program.datas.get(e.data)
         if data is None:
             self.fail(f"unknown data type {e.data}")
@@ -637,11 +627,17 @@ class CoreChecker:
             self.fail(f"{e.data} has no constructor {e.ctor}")
         if len(e.tyargs) != len(data.params):
             self.fail(f"{e.ctor}: wrong number of type arguments")
-        if not data.params:
-            return tuple(cdecl.fields), Con(data.name, 0, data.module)
-        sub = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)})
-        con = Con(data.name, len(data.params), data.module)
-        return sub.apply(tuple(cdecl.fields)), App(con, tuple(e.tyargs))
+        if len(e.args) != len(cdecl.fields):
+            self.fail(f"{e.ctor}: wrong arity")
+        fields, data_ty = cdecl.fields, Con(data.name, len(data.params), data.module)
+        if data.params:
+            fields = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)}).apply(fields)
+            data_ty = App(data_ty, tuple(e.tyargs))
+        for arg, want in zip(e.args, fields):
+            got = self.infer(arg, env)
+            if not self.equal(got, want):
+                self.fail(f"{e.ctor}: field expects {render(want)}, got {render(got)}")
+        return data_ty
 
     def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))

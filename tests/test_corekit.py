@@ -1,9 +1,11 @@
 """Elaboration to the dictionary-passing core and its type checker."""
 
 import pytest
-from conftest import check_inline
+from conftest import CORPUS, check_inline, corpus_sources
 from oracle import children
 
+from slc import cli
+from slc.coherence import CoherencePolicy
 from slc.corekit import (
     CApp,
     CBuiltin,
@@ -23,6 +25,7 @@ from slc.corekit import (
     elaborate,
 )
 from slc.evaluator import run_program
+from slc.linker import check_sources
 from slc.types import U64, App, Con
 
 ITER = """\
@@ -402,3 +405,108 @@ def test_core_check_reports_what_it_cannot_type(body, message):
     assert [(d.code, d.message) for d in core_check(core)] == [
         ("E-CORE-ILLTYPED", ILLTYPED + message)
     ]
+
+
+# ---------------------------------------------------------------- what `run` elaborates
+
+
+def cglobal_closure(core, root: str) -> set[str]:
+    """Names of the definitions of `core` that `root` reaches through `CGlobal` nodes."""
+    seen, names = set(), [root]
+    while names:
+        name = names.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        nodes = [core.defs[name].expr]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, CGlobal):
+                names.append(node.name)
+            nodes.extend(c for c in children(node) if isinstance(c, CoreExpr))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "policy, files",
+    [
+        ("use-site", ["show_lib.sl", "option_show_ok.sl"]),
+        ("use-site", ["iter_lib.sl", "range_iter.sl"]),
+        ("use-site", ["iter_lib.sl", "eq_concepts.sl", "elements_equal.sl"]),
+        ("scoped", [f"diamond_{m}.sl" for m in ("base", "point", "left", "right", "top")]),
+    ],
+)
+def test_run_elaborates_exactly_what_main_reaches(policy, files):
+    """Seeded with the entry, elaboration yields the `CGlobal` closure of
+    `main` in the whole program, each definition as the whole program has it."""
+    result = check_sources(corpus_sources(*files), CoherencePolicy(policy))
+    assert result.ok, result.diagnostics
+    whole = elaborate(result.program)
+    run = elaborate(result.program, roots=[result.program.entry])
+    closure = cglobal_closure(whole, whole.entry)
+    assert set(run.order) == set(run.defs) == closure
+    assert len(run.order) == len(closure) < len(whole.order)
+    assert run.entry == whole.entry
+    shared = [d for d in core_to_json(whole)["defs"] if d["name"] in closure]
+    assert sorted(core_to_json(run)["defs"], key=lambda d: d["name"]) == sorted(
+        shared, key=lambda d: d["name"]
+    )
+    assert core_check(run) == []
+
+
+REACH = """\
+module m
+concept Equatable[Self] { fn equal(x: Self, y: Self) -> Bool }
+concept Ordered[Self] where Equatable[Self] { fn less(x: Self, y: Self) -> Bool }
+concept Show[Self] { fn show(x: Self) -> String }
+model e1: Equatable[U64] { fn equal(x: U64, y: U64) -> Bool { eq64(x, y) } }
+model o1: Ordered[U64] { fn less(x: U64, y: U64) -> Bool { lt64(x, y) } }
+model unusedShow: Show[Bool] { fn show(x: Bool) -> String { showbool(x) } }
+fn unusedGeneric[T](x: T) -> String where Show[T] { show(x) }
+fn isEven(n: U64) -> Bool { if eq64(n, 0:U64) { true } else { isOdd(sub64(n, 1:U64)) } }
+fn isOdd(n: U64) -> Bool { if eq64(n, 0:U64) { false } else { isEven(sub64(n, 1:U64)) } }
+fn atMost[T](x: T, y: T) -> Bool where Ordered[T] { if less(x, y) { true } else { equal(x, y) } }
+fn main() -> Unit { print(showbool(if isOdd(3:U64) { atMost(2:U64, 2:U64) } else { false })) }
+"""
+
+
+def test_run_collects_mutual_recursion_and_superclass_models():
+    """`isEven` is reached only from `isOdd`, and `e1` only as the superclass
+    dictionary inside `o1`; neither the unused model nor the unused generic
+    function is elaborated."""
+    result = check_inline(m=REACH)
+    assert result.ok, result.diagnostics
+    core = elaborate(result.program, roots=[result.program.entry])
+    assert sorted(core.defs) == [
+        "dict$m.e1", "dict$m.o1", "m.atMost", "m.isEven", "m.isOdd", "m.main"
+    ]
+    assert {"dict$m.unusedShow", "m.unusedGeneric"} <= set(elaborate(result.program).defs)
+    assert core_check(core) == []
+    assert run_program(core)[1] == ["true"]
+
+
+NO_ENTRY = (
+    "<runtime>:1:1: error[E-NO-ENTRY]: program has no entry point "
+    "(define exactly one `fn main() -> Unit`)\n"
+)
+
+
+def test_run_without_main_elaborates_nothing(monkeypatch, capsys):
+    """A program with models and functions but no `main`: `run` elaborates
+    no definition and reports E-NO-ENTRY as before; `--emit-core` still
+    elaborates all four."""
+    made = []
+
+    def recording(program, roots=None):
+        made.append(elaborate(program, roots))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "elaborate", recording)
+    monkeypatch.delenv("SL_COLOR", raising=False)
+    monkeypatch.chdir(CORPUS)
+    assert cli.main(["run", "eq_concepts.sl"]) == 1
+    [core] = made
+    assert core.order == [] and core.defs == {} and core.entry is None
+    assert capsys.readouterr() == ("", NO_ENTRY)
+    assert cli.main(["run", "--emit-core", "eq_concepts.sl"]) == 0
+    assert len(made[-1].defs) == 4  # three models and `nondecreasing`
