@@ -1,17 +1,20 @@
 """Lexer for `.sl` sources: one regular expression, matched once over the
 text, gives (gap, lexeme) pairs, the gap being the blanks and comments before
-the lexeme. Keywords and punctuation come from one table, other kinds from the
-lexeme's first character. Tokens hold plain ints, a line and the columns of
-their first and last characters, carried through the newlines of each gap;
-only `\\n` ends a line. `Token.span` builds a `Span` on request, for a syntax
-node or a diagnostic. `--` starts a line comment. Identifiers start with a
-letter (`str.isalpha`) or `_` and go on with `\\w`; numbers are `\\d` digits,
-the decimal digits `int()` accepts.
+the lexeme on its line; a newline is a lexeme of its own, so only `\\n` ends
+a line. One loop turns the pairs into tokens: a lexeme it has seen as a
+keyword, punctuation or identifier is looked up in one table, any other is
+classified by its first character, and an identifier then joins the table.
+Tokens hold plain ints, a line and the columns of their first and last
+characters; `Token.span` builds a `Span` on request, for a syntax node or a
+diagnostic. `--` starts a line comment. Identifiers start with a letter
+(`str.isalpha`) or `_` and go on with `\\w`; numbers are `\\d` digits, the
+decimal digits `int()` accepts.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Span
@@ -25,11 +28,14 @@ _KINDS = {k: k for k in (*KEYWORDS, "_", "==", "=>", "->", *"()[]{},;:.=")}
 # A string up to its closing quote, or up to its first fault: a newline, a
 # bad escape or the end of the file.
 _STRING = r'"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
-# A lone `"` is a string that faults. `.` also takes any unexpected character,
-# so every match starts where the last one ended, and `\Z` ends the text
-# (findall reports it twice after a trailing gap).
-_TOKEN = re.compile(r"""((?:[ \t\r\n]+|--[^\n]*)*)
-    (%s" | 0[xX][0-9a-fA-F]* | \d+\.\d+ | \d+ | \w+ | ==|=>|-> | . | \Z)""" % _STRING, re.VERBOSE)
+# A word that does not start with a digit comes first, as the commonest
+# lexeme. A lone `"` is a string that faults. `.` also takes any unexpected
+# character, so every match starts where the last one ended, and `\Z` ends the
+# text (findall reports it twice after a trailing gap). A comment runs to the
+# end of its line, so nothing follows it in a gap.
+_TOKEN = re.compile(r"""([ \t\r]*(?:--[^\n]*)?)
+    ([^\W\d]\w* | [()\[\]{},;:] | \n | ==|=>|-> | %s" | 0[xX][0-9a-fA-F]* | \d+\.\d+ | \d+ | . | \Z)
+    """ % _STRING, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
@@ -58,47 +64,50 @@ def tokenize(text: str, file: str) -> list[Token]:
     def fail(msg: str, line: int, first: int, last: int):
         raise LexError(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
 
-    new = tuple.__new__  # Token(...) without the Python-level __new__
-    tokens: list[Token] = []
+    kinds = dict(_KINDS)
+    raw: list[tuple] = []  # the tokens' fields
+    append = raw.append
     line = col = 1
     for gap, lexeme in _TOKEN.findall(text):
         if gap:
-            if "\n" in gap:
-                line += gap.count("\n")
-                col = len(gap) - gap.rindex("\n")
-            else:
-                col += len(gap)
+            col += len(gap)
         end = col + len(lexeme)
-        kind, value = _KINDS.get(lexeme), None
-        if kind is None:
-            if not lexeme:
-                break
-            c = lexeme[0]
-            if c.isalpha() or c == "_":
-                kind = "ident"
-            elif c.isdecimal():
-                if lexeme[1:2] in ("x", "X"):
-                    if len(lexeme) == 2:
-                        fail("malformed hexadecimal literal", line, col, end)
-                    kind, value = "int", int(lexeme, 16)
-                elif "." in lexeme:
-                    kind, value = "float", lexeme
-                else:
-                    kind, value = "int", int(lexeme)
-            elif c == '"' and len(lexeme) > 1:
-                kind = "string"
-                value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
-            elif c == '"':  # a string that faults before its closing quote
-                rest = text.split("\n", line - 1)[-1][col - 1 :]
-                n = len(re.match(_STRING, rest)[0])
-                fault, stop = rest[n : n + 2], col + n
-                if fault[:1] != "\\":
-                    fail("unterminated string literal", line, col, stop)
-                what = f"unknown string escape '{fault}'" if fault[1:] else "unterminated string escape"
-                fail(what, line, col, stop + 1)
+        kind = kinds.get(lexeme)
+        if kind is not None:
+            append((kind, lexeme, line, col, end - 1, None, file))
+            col = end
+            continue
+        if lexeme == "\n":
+            line, col = line + 1, 1
+            continue
+        if not lexeme:
+            break
+        c, value = lexeme[0], None
+        if c.isalpha() or c == "_":
+            kind = kinds[lexeme] = "ident"
+        elif c.isdecimal():
+            if lexeme[1:2] in ("x", "X"):
+                if len(lexeme) == 2:
+                    fail("malformed hexadecimal literal", line, col, end)
+                kind, value = "int", int(lexeme, 16)
+            elif "." in lexeme:
+                kind, value = "float", lexeme
             else:
-                fail(f"unexpected character {c!r}", line, col, col)
-        tokens.append(new(Token, (kind, lexeme, line, col, end - 1, value, file)))
+                kind, value = "int", int(lexeme)
+        elif c == '"' and len(lexeme) > 1:
+            kind = "string"
+            value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
+        elif c == '"':  # a string that faults before its closing quote
+            rest = text.split("\n", line - 1)[-1][col - 1 :]
+            n = len(re.match(_STRING, rest)[0])
+            fault, stop = rest[n : n + 2], col + n
+            if fault[:1] != "\\":
+                fail("unterminated string literal", line, col, stop)
+            what = f"unknown string escape '{fault}'" if fault[1:] else "unterminated string escape"
+            fail(what, line, col, stop + 1)
+        else:
+            fail(f"unexpected character {c!r}", line, col, col)
+        append((kind, lexeme, line, col, end - 1, value, file))
         col = end
-    tokens.append(new(Token, ("eof", "", line, col, col, None, file)))
-    return tokens
+    append(("eof", "", line, col, col, None, file))
+    return list(map(tuple.__new__, repeat(Token), raw))  # Token(...) without its __new__

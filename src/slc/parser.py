@@ -16,7 +16,14 @@ Grammar sketch (see README for the full version):
 
 Expressions are bidirectional-checker friendly: blocks are sequences of
 `let`/expression statements ending in a value expression, lambdas are written
-`fn(x, y) => e`, and `e : T` ascribes a type at call precedence.
+`fn(x, y) => e`, and `e : T` ascribes a type at call precedence:
+
+    expr     ::= lambda | match | if | app (":" type)?
+    app      ::= atom ("(" (expr ("," expr)*)? ")")*
+
+`parse_expr` parses an `expr` in one frame, reading `self.tokens[self.pos]`
+itself, and `parse_type` a type the same way; a one-token node's span comes
+from its token's line and columns.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from .diagnostics import Diagnostic, Span
 from .lexer import LexError, Token, tokenize
 
 # The deepest nesting of expressions and types the parser accepts. One level
-# costs at most four Python frames (parse_expr -> parse_annotated ->
-# parse_app -> parse_atom -> parse_expr), so at this limit the parser stays
-# far below the interpreter's recursion limit; past it, E-PARSE.
+# costs at most two Python frames (parse_expr -> parse_parens -> parse_expr),
+# so at this limit the parser stays far below the interpreter's recursion
+# limit; past it, E-PARSE.
 MAX_NESTING = 12_000
 
 
@@ -49,9 +56,6 @@ class Parser:
 
     # Token access needs no bound check: `tokenize` ends every list with an
     # `eof` token, which no rule consumes or looks past.
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
-
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is a `kind`."""
         if self.tokens[self.pos].kind != kind:
@@ -75,30 +79,28 @@ class Parser:
     def fail(self, msg: str, span: Span):
         raise ParseError(Diagnostic("E-PARSE", msg, span, module=""))
 
-    def nest(self) -> Token:
-        """Open one nesting level at the next token, which is blamed past
-        MAX_NESTING. Callers close it on success; a failure ends the parse."""
-        tok = self.tokens[self.pos]
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
-        return tok
+    def too_deep(self, tok: Token):
+        """`parse_expr` and `parse_type` each open one nesting level at their
+        first token and close it on success; past MAX_NESTING this blames
+        that token, and the parse ends."""
+        self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
 
     def comma_list(self, item) -> list:
         """`item ("," item)*`: one or more items."""
         out = [item()]
-        while self.accept(","):
+        while self.tokens[self.pos].kind == ",":
+            self.pos += 1
             out.append(item())
         return out
 
     def comma_list_until(self, close: str, item) -> list:
         """Zero or more comma-separated items, then the `close` token."""
         out = []
-        while not self.at(close):
+        while self.tokens[self.pos].kind != close:
             if out:
                 self.expect(",")
             out.append(item())
-        self.advance()
+        self.pos += 1
         return out
 
     def type_param(self) -> str:
@@ -119,7 +121,7 @@ class Parser:
         name = self.expect("ident", "module name").text
         imports: list[str] = []
         import_spans: list[Span] = []
-        while self.at("import"):
+        while self.tokens[self.pos].kind == "import":
             isp = self.advance()
             imp = self.expect("ident", "module name").text
             if imp in imports:
@@ -127,15 +129,9 @@ class Parser:
             imports.append(imp)
             import_spans.append(self.span_from(isp))
         decls: list[A.DeclAST] = []
-        while not self.at("eof"):
+        while self.tokens[self.pos].kind != "eof":
             decls.append(self.parse_decl())
-        return A.ModuleAST(
-            span=self.span_from(start),
-            name=name,
-            imports=tuple(imports),
-            decls=tuple(decls),
-            import_spans=tuple(import_spans),
-        )
+        return A.ModuleAST(self.span_from(start), name, tuple(imports), tuple(decls), tuple(import_spans))
 
     def parse_decl(self) -> A.DeclAST:
         tok = self.tokens[self.pos]
@@ -165,37 +161,28 @@ class Parser:
         self.expect("{")
         assoc: list[str] = []
         reqs: list[A.ReqSigAST] = []
-        while not self.at("}"):
+        while self.tokens[self.pos].kind != "}":
             if self.accept("type"):
                 assoc.append(self.expect("ident", "associated type name").text)
-            elif self.at("fn"):
+            elif self.tokens[self.pos].kind == "fn":
                 rstart = self.advance()
                 rname = self.expect("ident", "requirement name").text
                 self.expect("(")
-                rparams = self.parse_typed_params()
+                rparams = self.comma_list_until(")", self.parse_param)
                 self.expect("->")
                 ret = self.parse_type()
-                reqs.append(
-                    A.ReqSigAST(self.span_from(rstart), rname, tuple(rparams), ret)
-                )
+                reqs.append(A.ReqSigAST(self.span_from(rstart), rname, tuple(rparams), ret))
             else:
                 self.fail("expected 'type' or 'fn' inside concept", self.tokens[self.pos].span)
         self.expect("}")
-        return A.ConceptAST(
-            span=self.span_from(start),
-            name=name,
-            params=tuple(params),
-            supers=tuple(supers),
-            assoc_names=tuple(assoc),
-            requirements=tuple(reqs),
-        )
+        return A.ConceptAST(self.span_from(start), name, tuple(params), tuple(supers), tuple(assoc), tuple(reqs))
 
     # ------------------------------------------------------------- model
 
     def parse_model(self) -> A.ModelAST:
         start = self.expect("model")
         name = None
-        if self.at("ident") and self.tokens[self.pos + 1].kind == ":":
+        if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].kind == ":":
             name = self.advance().text
             self.advance()
         concept = self.expect("ident", "concept name").text
@@ -206,27 +193,21 @@ class Parser:
         self.expect("{")
         binds: list[A.AssocBindAST] = []
         bodies: list[A.FunAST] = []
-        while not self.at("}"):
-            if self.at("type"):
+        toks = self.tokens
+        while toks[self.pos].kind != "}":
+            if toks[self.pos].kind == "type":
                 bstart = self.advance()
                 member = self.expect("ident", "associated type name").text
                 self.expect("=")
                 rhs = self.parse_type()
                 binds.append(A.AssocBindAST(self.span_from(bstart), member, rhs))
-            elif self.at("fn"):
+            elif toks[self.pos].kind == "fn":
                 bodies.append(self.parse_fun(allow_typarams=False))
             else:
                 self.fail("expected 'type' binding or 'fn' body inside model", self.tokens[self.pos].span)
         self.expect("}")
-        return A.ModelAST(
-            span=self.span_from(start),
-            name=name,
-            concept=concept,
-            head=tuple(head),
-            context=tuple(context),
-            assoc_binds=tuple(binds),
-            bodies=tuple(bodies),
-        )
+        return A.ModelAST(self.span_from(start), name, concept, tuple(head), tuple(context), tuple(binds),
+                          tuple(bodies))
 
     # ------------------------------------------------------------- fn / data
 
@@ -234,37 +215,27 @@ class Parser:
         start = self.expect("fn")
         name = self.expect("ident", "function name").text
         typarams: list[str] = []
-        if self.at("["):
+        if self.tokens[self.pos].kind == "[":
             if not allow_typarams:
                 self.fail("requirement bodies take no type parameters", self.tokens[self.pos].span)
             self.advance()
             typarams = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("(")
-        params = self.parse_typed_params()
+        params = self.comma_list_until(")", self.parse_param)
         self.expect("->")
         ret = self.parse_type()
         context = self.parse_where_clause()
         body = self.parse_block()
-        return A.FunAST(
-            span=self.span_from(start),
-            name=name,
-            typarams=tuple(typarams),
-            params=tuple(params),
-            ret=ret,
-            context=tuple(context),
-            body=body,
-        )
+        return A.FunAST(self.span_from(start), name, tuple(typarams), tuple(params), ret, tuple(context), body)
 
-    def parse_typed_params(self) -> list[tuple[str, A.TypeExprAST]]:
-        """Parameters `name: T` up to and including the closing ')'."""
-
-        def param():
-            pname = self.expect("ident", "parameter name").text
-            self.expect(":")
-            return (pname, self.parse_type())
-
-        return self.comma_list_until(")", param)
+    def parse_param(self, typed: bool = True) -> tuple[str, A.TypeExprAST | None]:
+        """`name: T`, or in a lambda `name` with an optional `: T`."""
+        pname = self.expect("ident", "parameter name").text
+        if not typed and self.tokens[self.pos].kind != ":":
+            return (pname, None)
+        self.expect(":")
+        return (pname, self.parse_type())
 
     def parse_data(self) -> A.DataAST:
         start = self.expect("data")
@@ -275,10 +246,10 @@ class Parser:
             self.expect("]")
         self.expect("{")
         ctors: list[A.CtorAST] = []
-        while not self.at("}"):
+        while self.tokens[self.pos].kind != "}":
             if ctors:
                 self.expect(",")
-                if self.at("}"):
+                if self.tokens[self.pos].kind == "}":
                     break
             cstart = self.tokens[self.pos]
             cname = self.expect("ident", "constructor name").text
@@ -295,9 +266,9 @@ class Parser:
     # ------------------------------------------------------------- constraints
 
     def parse_where_clause(self) -> list[A.ConstraintAST]:
-        if not self.at("where"):
+        if self.tokens[self.pos].kind != "where":
             return []
-        self.advance()
+        self.pos += 1
         return self.comma_list(self.parse_constraint)
 
     def parse_constraint(self) -> A.ConstraintAST:
@@ -313,44 +284,55 @@ class Parser:
     # ------------------------------------------------------------- types
 
     def parse_type(self) -> A.TypeExprAST:
-        self.nest()
-        t = self.parse_type_inner()
-        self.depth -= 1
+        toks, depth = self.tokens, self.depth
+        start = toks[self.pos]
+        if depth >= MAX_NESTING:
+            self.too_deep(start)
+        self.depth = depth + 1
+        if start.kind == "(":
+            t = self.parse_paren_type(start)
+        else:
+            if start.kind != "ident":
+                self.expect("ident", "a type")  # fails
+            self.pos += 1
+            args: tuple[A.TypeExprAST, ...] = ()
+            if toks[self.pos].kind == "[":
+                self.pos += 1
+                args = tuple(self.comma_list(self.parse_type))
+                self.expect("]")
+            projections: tuple[str, ...] = ()
+            while toks[self.pos].kind == "." and toks[self.pos + 1].kind == "ident":
+                projections += (toks[self.pos + 1].text,)
+                self.pos += 2
+            end = toks[self.pos - 1]
+            span = Span(self.file, (start.line, start.col), (end.line, end.last))
+            t = A.TName(span, start.text, args, projections)
+        self.depth = depth
         return t
 
-    def parse_type_inner(self) -> A.TypeExprAST:
-        start = self.tokens[self.pos]
-        if self.accept("("):
-            if self.accept(")"):
-                if self.accept("->"):
-                    ret = self.parse_type()
-                    return A.TFn(self.span_from(start), (), ret)
-                return A.TUnit(self.span_from(start))
-            items = self.comma_list(self.parse_type)
-            self.expect(")")
+    def parse_paren_type(self, start: Token) -> A.TypeExprAST:
+        """A unit, function, tuple or parenthesised type, from its "("."""
+        self.pos += 1
+        if self.accept(")"):
             if self.accept("->"):
                 ret = self.parse_type()
-                return A.TFn(self.span_from(start), tuple(items), ret)
-            if len(items) == 1:
-                base = items[0]
-            elif len(items) == 2:
-                base = A.TTuple(self.span_from(start), tuple(items))
-            else:
-                self.fail("tuple types have exactly two components", self.span_from(start))
-            return self.parse_projections(base, start)
-        name = self.expect("ident", "a type").text
-        args: tuple[A.TypeExprAST, ...] = ()
-        if self.accept("["):
-            args = tuple(self.comma_list(self.parse_type))
-            self.expect("]")
-        projections: list[str] = []
-        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":
-            projections.append(self.tokens[self.pos + 1].text)
-            self.pos += 2
-        return A.TName(self.span_from(start), name, args, tuple(projections))
+                return A.TFn(self.span_from(start), (), ret)
+            return A.TUnit(self.span_from(start))
+        items = self.comma_list(self.parse_type)
+        self.expect(")")
+        if self.accept("->"):
+            ret = self.parse_type()
+            return A.TFn(self.span_from(start), tuple(items), ret)
+        if len(items) == 1:
+            base = items[0]
+        elif len(items) == 2:
+            base = A.TTuple(self.span_from(start), tuple(items))
+        else:
+            self.fail("tuple types have exactly two components", self.span_from(start))
+        return self.parse_projections(base, start)
 
     def parse_projections(self, base: A.TypeExprAST, start: Token) -> A.TypeExprAST:
-        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":
+        while self.tokens[self.pos].kind == "." and self.tokens[self.pos + 1].kind == "ident":
             self.pos += 2
             base = A.TProj(self.span_from(start), base, self.tokens[self.pos - 1].text)
         return base
@@ -361,8 +343,8 @@ class Parser:
         start = self.expect("{")
         stmts: list[tuple] = []  # (name, annot, expr, start position)
         tail: A.ExprAST | None = None
-        while not self.at("}"):
-            if self.at("let"):
+        while self.tokens[self.pos].kind != "}":
+            if self.tokens[self.pos].kind == "let":
                 lstart = self.advance()
                 lname = self.expect("ident", "binding name").text
                 annot = None
@@ -388,30 +370,77 @@ class Parser:
         return result
 
     def parse_expr(self) -> A.ExprAST:
-        tok = self.nest()
-        if tok.kind == "fn":
-            expr = self.parse_lambda()
-        elif tok.kind == "match":
-            expr = self.parse_match()
-        elif tok.kind == "if":
-            expr = self.parse_if()
+        toks, pos, depth = self.tokens, self.pos, self.depth
+        start = toks[pos]
+        if depth >= MAX_NESTING:
+            self.too_deep(start)
+        self.depth = depth + 1
+        kind = start.kind
+        if kind == "ident":  # the commonest start, tested first
+            expr = A.EVar(Span(self.file, (start.line, start.col), (start.line, start.last)), start.text)
+            self.pos = pos + 1
+        elif kind in ("fn", "match", "if"):
+            parse = self.parse_lambda if kind == "fn" else self.parse_match if kind == "match" else self.parse_if
+            expr = parse()
+            self.depth = depth
+            return expr
+        elif kind == "(":
+            expr = self.parse_parens(start)
         else:
-            expr = self.parse_annotated()
-        self.depth -= 1
+            # `1:U64` and `1:U8` are one node, with no node or span built for
+            # the bare literal or its type; at the nesting limit the
+            # annotation below fails
+            if kind == "int" and toks[pos + 1].kind == ":" and self.depth < MAX_NESTING:
+                width, after = toks[pos + 2], toks[pos + 3 : pos + 5]
+                if width.kind == "ident" and width.text in ("U64", "U8") and not (
+                    after[0].kind == "[" or after[0].kind == "." and after[1].kind == "ident"
+                ):
+                    self.pos = pos + 3
+                    self.depth = depth
+                    return self.narrow(start, start.value, width.text, start.text)
+            span = Span(self.file, (start.line, start.col), (start.line, start.last))
+            if kind == "int":
+                expr = A.EInt(span, start.value, None, start.text)
+            elif kind == "string":
+                expr = A.EString(span, start.value)
+            elif kind == "float":
+                expr = A.EFloat(span, start.value)
+            elif kind == "true" or kind == "false":
+                expr = A.EBool(span, kind == "true")
+            else:
+                self.fail(f"expected an expression, found '{start.text or 'end of file'}'", span)
+            self.pos = pos + 1
+        nxt = toks[self.pos]
+        while nxt.kind == "(":
+            self.pos += 1
+            args = []
+            if toks[self.pos].kind != ")":
+                args.append(self.parse_expr())
+                while toks[self.pos].kind == ",":
+                    self.pos += 1
+                    args.append(self.parse_expr())
+                if toks[self.pos].kind != ")":
+                    self.expect(",")  # fails
+            close = toks[self.pos]
+            self.pos += 1
+            span = Span(self.file, (start.line, start.col), (close.line, close.last))
+            expr = A.EApp(span, expr, tuple(args))
+            nxt = toks[self.pos]
+        if nxt.kind == ":":
+            self.pos += 1
+            annot = self.parse_type()
+            if isinstance(expr, A.EInt) and expr.width is None and isinstance(annot, A.TName) \
+                    and annot.base in ("U64", "U8") and not annot.args and not annot.projections:
+                expr = self.narrow(start, expr.value, annot.base, expr.lexeme)
+            else:
+                expr = A.EAnnot(self.span_from(start), expr, annot)
+        self.depth = depth
         return expr
 
     def parse_lambda(self) -> A.ExprAST:
         start = self.expect("fn")
         self.expect("(")
-
-        def param():
-            pname = self.expect("ident", "parameter name").text
-            annot = None
-            if self.accept(":"):
-                annot = self.parse_type()
-            return (pname, annot)
-
-        params = self.comma_list_until(")", param)
+        params = self.comma_list_until(")", lambda: self.parse_param(typed=False))
         self.expect("=>")
         body = self.parse_expr()
         return A.ELambda(self.span_from(start), tuple(params), body)
@@ -421,10 +450,10 @@ class Parser:
         scrutinee = self.parse_expr()
         self.expect("{")
         arms: list[A.EMatchArm] = []
-        while not self.at("}"):
+        while self.tokens[self.pos].kind != "}":
             if arms:
                 self.expect(",")
-                if self.at("}"):
+                if self.tokens[self.pos].kind == "}":
                     break
             astart = self.tokens[self.pos]
             if self.accept("_"):
@@ -445,7 +474,7 @@ class Parser:
         return A.EMatch(self.span_from(start), scrutinee, tuple(arms))
 
     def parse_binder(self) -> str:
-        if self.at("_"):
+        if self.tokens[self.pos].kind == "_":
             return self.advance().text
         return self.expect("ident", "pattern binder").text
 
@@ -455,29 +484,8 @@ class Parser:
         then = self.parse_block()
         self.expect("else")
         # `else if` goes through parse_expr, so a long chain counts as nesting
-        orelse = self.parse_expr() if self.at("if") else self.parse_block()
+        orelse = self.parse_expr() if self.tokens[self.pos].kind == "if" else self.parse_block()
         return A.EIf(self.span_from(start), cond, then, orelse)
-
-    def parse_annotated(self) -> A.ExprAST:
-        toks, i = self.tokens, self.pos
-        start = toks[i]
-        # `1:U64` and `1:U8` are one node, with no node or span built for the
-        # bare literal or its type; at the nesting limit the path below fails
-        if start.kind == "int" and toks[i + 1].kind == ":" and self.depth < MAX_NESTING:
-            width, after = toks[i + 2], toks[i + 3 : i + 5]
-            if width.kind == "ident" and width.text in ("U64", "U8") and not (
-                after[0].kind == "[" or after[0].kind == "." and after[1].kind == "ident"
-            ):
-                self.pos += 3
-                return self.narrow(start, start.value, width.text, start.text)
-        expr = self.parse_app()
-        if not self.accept(":"):
-            return expr
-        annot = self.parse_type()
-        if isinstance(expr, A.EInt) and expr.width is None and isinstance(annot, A.TName):
-            if annot.base in ("U64", "U8") and not annot.args and not annot.projections:
-                return self.narrow(start, expr.value, annot.base, expr.lexeme)
-        return A.EAnnot(self.span_from(start), expr, annot)
 
     def narrow(self, start: Token, value: int, width: str, lexeme: str) -> A.EInt:
         """The literal from `start` to the last token consumed, of type `width`."""
@@ -485,43 +493,18 @@ class Parser:
             self.fail(f"literal out of range for {width}", self.span_from(start))
         return A.EInt(self.span_from(start), value, width, lexeme)
 
-    def parse_app(self) -> A.ExprAST:
-        start = self.tokens[self.pos]
-        expr = self.parse_atom()
-        while self.accept("("):
-            args = self.comma_list_until(")", self.parse_expr)
-            expr = A.EApp(self.span_from(start), expr, tuple(args))
-        return expr
-
-    def parse_atom(self) -> A.ExprAST:
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident":
-            self.advance()
-            return A.EVar(tok.span, tok.text)
-        if tok.kind == "int":
-            self.advance()
-            return A.EInt(tok.span, tok.value, None, tok.text)
-        if tok.kind == "float":
-            self.advance()
-            return A.EFloat(tok.span, tok.value)
-        if tok.kind == "string":
-            self.advance()
-            return A.EString(tok.span, tok.value)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return A.EBool(tok.span, tok.kind == "true")
-        if tok.kind == "(":
-            start = self.advance()
-            if self.accept(")"):
-                return A.EUnit(self.span_from(start))
-            items = self.comma_list(self.parse_expr)
-            self.expect(")")
-            if len(items) == 1:
-                return items[0]
-            if len(items) == 2:
-                return A.ETuple(self.span_from(start), tuple(items))
-            self.fail("tuples have exactly two components", self.span_from(start))
-        self.fail(f"expected an expression, found '{tok.text or 'end of file'}'", tok.span)
+    def parse_parens(self, start: Token) -> A.ExprAST:
+        """A unit, tuple or parenthesised expression, from its "("."""
+        self.pos += 1
+        if self.accept(")"):
+            return A.EUnit(self.span_from(start))
+        items = self.comma_list(self.parse_expr)
+        self.expect(")")
+        if len(items) == 1:
+            return items[0]
+        if len(items) == 2:
+            return A.ETuple(self.span_from(start), tuple(items))
+        self.fail("tuples have exactly two components", self.span_from(start))
 
 
 def parse_module(text: str, file: str) -> A.ModuleAST | list[Diagnostic]:
