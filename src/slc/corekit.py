@@ -629,7 +629,7 @@ class CoreChecker:
             self.fail(f"{e.ctor}: wrong number of type arguments")
         if len(e.args) != len(cdecl.fields):
             self.fail(f"{e.ctor}: wrong arity")
-        fields, data_ty = cdecl.fields, Con(data.name, len(data.params), data.module)
+        fields, data_ty = cdecl.fields, data.con
         if data.params:
             fields = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)}).apply(fields)
             data_ty = App(data_ty, tuple(e.tyargs))

@@ -113,11 +113,12 @@ class CtorDecl:
 
 
 class DataDecl:
-    __slots__ = ("module", "name", "params", "ctors", "span")
+    # con: the type constructor
+    __slots__ = ("module", "name", "params", "ctors", "span", "con")
     def __init__(self, module: str, name: str, params: list[Var], ctors: list[CtorDecl],
                  span: Span):
         self.module, self.name, self.params, self.ctors = module, name, params, ctors
-        self.span = span
+        self.span, self.con = span, Con(name, len(params), module)
 
     @property
     def id(self) -> str:
@@ -131,14 +132,25 @@ class DataDecl:
 
 
 class CheckedModule:
-    # world: the models visible here, its own last; set by sema
+    # world: the models visible here, its own last; index: the declarations of
+    # the modules it imports, std included; both set by sema
     __slots__ = (
         "name", "imports", "concepts", "models", "funs", "datas", "goal_log", "span", "world",
+        "index", "export",
     )
     def __init__(self, name: str, imports: list[str], span: Span | None = None,
                  world: ModelWorld | None = None):
         self.name, self.imports, self.concepts, self.models, self.funs = name, imports, {}, [], {}
         self.datas, self.goal_log, self.span, self.world = {}, [], span, world
+        self.index = self.export = None
+
+    def exported_index(self) -> Index:
+        """What a module importing this one sees through it: `index` plus
+        this module, built on first request and shared by every importer."""
+        if self.export is None:
+            self.export = Index(self.index)
+            self.export.add_module(self)
+        return self.export
 
     def signature_digest(self) -> str:
         """Canonical rendering used to compare re-checked modules."""
@@ -177,6 +189,51 @@ class CheckedModule:
         return "\n".join(parts)
 
 
+class Index:
+    """The declarations of a set of modules as sema looks them up: concepts
+    and data types by id, and every declaration by (kind, name), the kind
+    being "concept", "data", "fun", "ctor", "req", "assoc" or "model". A name
+    maps to a tuple, so `Index(other)` copies `other` in three dictionary
+    copies, and adding to the copy leaves `other` as it was."""
+
+    __slots__ = ("modules", "concepts", "datas", "by_name")  # modules: the names indexed
+
+    def __init__(self, base: Index | None = None):
+        self.modules = set() if base is None else set(base.modules)
+        self.concepts = {} if base is None else base.concepts.copy()
+        self.datas = {} if base is None else base.datas.copy()
+        self.by_name: dict[tuple[str, str], tuple] = {} if base is None else base.by_name.copy()
+
+    def push(self, kind: str, name: str, entry) -> None:
+        self.by_name[kind, name] = self.by_name.get((kind, name), ()) + (entry,)
+
+    def add_module(self, mod: CheckedModule):
+        self.modules.add(mod.name)
+        for concept in mod.concepts.values():
+            self.add_concept(concept)
+        for data in mod.datas.values():
+            self.add_data(data)
+        for fun in mod.funs.values():
+            self.push("fun", fun.name, fun)
+        for model in mod.models:
+            if model.name:
+                self.push("model", model.name, model)
+
+    def add_concept(self, concept: ConceptDecl):
+        self.concepts[concept.id] = concept
+        self.push("concept", concept.name, concept)
+        for member in concept.assoc_names:
+            self.push("assoc", member, concept)
+        for req in concept.requirements.values():
+            self.push("req", req.name, (concept, req))
+
+    def add_data(self, data: DataDecl):
+        self.datas[data.id] = data
+        self.push("data", data.name, data)
+        for ctor in data.ctors:
+            self.push("ctor", ctor.name, (data, ctor))
+
+
 def _sig_digest(sig: ReqSig) -> str:
     return f"({','.join(render(t) for _, t in sig.params)})->{render(sig.ret)}"
 
@@ -189,16 +246,10 @@ def bind_assocs(
     its model and is left alone."""
     if not t.has_assoc:
         return t
-
-    def go(x: TypeTerm) -> TypeTerm:
-        if not x.has_assoc:
-            return x
-        x = x.map(go)
-        if isinstance(x, Assoc) and (x.concept, x.subjects, x.model_path) == (concept, subjects, None):
-            return bindings.get(x.member, x)
-        return x
-
-    return go(t)
+    t = t.map(lambda x: bind_assocs(concept, subjects, bindings, x))
+    if isinstance(t, Assoc) and (t.concept, t.subjects, t.model_path) == (concept, subjects, None):
+        return bindings.get(t.member, t)
+    return t
 
 
 # ---------------------------------------------------------------- model world

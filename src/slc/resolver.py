@@ -129,21 +129,20 @@ def close_givens(
     """
     out: list[GivenLeaf] = []
     seen: set = set()
-
-    def push(c: ConstraintTerm, index: int, via: tuple[int, ...], passed: tuple[str, ...]):
+    # (constraint, index, via, concepts passed), popped in depth-first pre-order
+    stack = [(g, i, (), ()) for i, g in reversed(list(enumerate(givens)))]
+    while stack:
+        c, index, via, passed = stack.pop()
         if c in seen:
-            return
+            continue
         seen.add(c)
         out.append(GivenLeaf(c, index, via))
         if isinstance(c, Conf) and c.concept in concepts and c.concept not in passed:
             decl = concepts[c.concept]
             inst = decl.instantiate(c.subjects)
-            for j, sup in enumerate(decl.supers):
-                if isinstance(sup, Conf):
-                    push(inst.apply(sup), index, via + (j,), passed + (c.concept,))
-
-    for i, g in enumerate(givens):
-        push(g, i, (), ())
+            for j in reversed(range(len(decl.supers))):
+                if isinstance(decl.supers[j], Conf):
+                    stack.append((inst.apply(decl.supers[j]), index, via + (j,), passed + (c.concept,)))
     return out
 
 
@@ -168,13 +167,10 @@ def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
         match = model.match(subjects)
         if match is None:
             continue
-        found.append(
-            Candidate(
-                model=model,
-                type_args=[match.apply(v) for v in model.vars],
-                inst_context=[match.apply(c) for c in model.context],
-            )
-        )
+        if model.vars:
+            found.append(Candidate(model, match.apply(model.vars), match.apply(model.context)))
+        else:  # a ground model has nothing to instantiate
+            found.append(Candidate(model, [], model.context))
     return found
 
 
@@ -202,9 +198,12 @@ class Resolver:
         self.scope = scope
         self.policy = policy
         self.depth = depth
-        closed = close_givens(list(givens), concepts)
-        self.eq_rules = [g.constraint for g in closed if isinstance(g.constraint, Eq)]
+        self.eq_rules: list[Eq] = []
         self.givens: list[GivenLeaf] = []
+        if not givens:
+            return
+        closed = close_givens(givens, concepts)
+        self.eq_rules = [g.constraint for g in closed if isinstance(g.constraint, Eq)]
         for leaf in closed:
             try:
                 leaf.goal = self._norm_constraint(leaf.constraint)
@@ -217,6 +216,8 @@ class Resolver:
     def _norm_constraint(self, c: ConstraintTerm, trace: list | None = None) -> ConstraintTerm:
         """`c` over normal forms; the rewrites of an Eq's sides go to `trace`."""
         rules, world = self.eq_rules, self.scope
+        if not rules and not c.has_assoc:
+            return c
         if isinstance(c, Conf):
             return Conf(c.concept, tuple(normalize(s, rules, world) for s in c.subjects))
         return Eq(normalize(c.lhs, rules, world, trace), normalize(c.rhs, rules, world, trace))
@@ -231,7 +232,9 @@ class Resolver:
         depth = self.depth if depth is None else depth
         steps: list = []  # the rewrites that prove an Eq goal
         try:
-            wanted = self._norm_constraint(goal.constraint, steps)
+            wanted = goal.constraint
+            if self.eq_rules or wanted.has_assoc:
+                wanted = self._norm_constraint(wanted, steps)
         except NormDiverge as exc:
             return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
                 Diagnostic(
@@ -260,7 +263,9 @@ class Resolver:
                 )
             ]
 
-        cands = candidates(Goal(wanted, goal.rigid, goal.site), self.scope)
+        if wanted is not goal.constraint:
+            goal = Goal(wanted, goal.rigid, goal.site)
+        cands = candidates(goal, self.scope)
         chosen, diags, note = self._select(wanted, goal.site, cands)
         if chosen is None:
             return None, TraceNode(wanted, "ambiguous" if cands else "no-model", cands), diags
@@ -293,37 +298,17 @@ class Resolver:
     ) -> tuple[Candidate | None, list[Diagnostic], str]:
         """The candidate the policy commits to (None when there is none), the
         diagnostics of that choice, and the trace's note on it."""
-
-        def named() -> str:
-            subjects = ", ".join(render(s) for s in wanted.subjects)
-            return f"{wanted.concept.split('.')[-1]}[{subjects}]"
-
-        def related(among: list[Candidate]) -> tuple[Related, ...]:
-            return tuple(Related(c.model.span, f"candidate {c.model.display}") for c in among)
-
-        def ambiguous(among: list[Candidate]):
-            return None, [
-                Diagnostic(
-                    "E-AMBIGUOUS",
-                    f"ambiguous resolution for {named()}: {len(among)} candidates apply "
-                    f"({', '.join(c.model.display for c in among)})",
-                    site,
-                    related=related(among),
-                )
-            ], ""
-
+        if len(cands) == 1:
+            return cands[0], [], ""
         if not cands:
-            return None, [Diagnostic("E-NO-MODEL", f"no model found for {named()}", site)], ""
+            return None, [Diagnostic("E-NO-MODEL", f"no model found for {_named(wanted)}", site)], ""
 
         if self.policy.kind == "scoped":
             best_level = min(self.scope.scope_level(c.model) for c in cands)
             level_cands = [c for c in cands if self.scope.scope_level(c.model) == best_level]
             if len(level_cands) > 1:
-                return ambiguous(level_cands)
+                return _ambiguous(wanted, site, level_cands)
             return level_cands[0], [], ""
-
-        if len(cands) == 1:
-            return cands[0], [], ""
 
         if self.policy.prioritize_specific:
             specific = [
@@ -340,14 +325,35 @@ class Resolver:
             pick = cands[0]
             warning = Diagnostic(
                 "W-INCOHERENT",
-                f"incoherent pick for {named()}: chose {pick.model.display} "
+                f"incoherent pick for {_named(wanted)}: chose {pick.model.display} "
                 f"out of {len(cands)} candidates by declaration order",
                 site,
-                related=related(cands),
+                related=_related(cands),
             )
             return pick, [warning], "incoherent-ok picked the first candidate in declaration order"
 
-        return ambiguous(cands)
+        return _ambiguous(wanted, site, cands)
+
+
+def _named(wanted: Conf) -> str:
+    subjects = ", ".join(render(s) for s in wanted.subjects)
+    return f"{wanted.concept.split('.')[-1]}[{subjects}]"
+
+
+def _related(among: list[Candidate]) -> tuple[Related, ...]:
+    return tuple(Related(c.model.span, f"candidate {c.model.display}") for c in among)
+
+
+def _ambiguous(wanted: Conf, site: Span, among: list[Candidate]):
+    return None, [
+        Diagnostic(
+            "E-AMBIGUOUS",
+            f"ambiguous resolution for {_named(wanted)}: {len(among)} candidates apply "
+            f"({', '.join(c.model.display for c in among)})",
+            site,
+            related=_related(among),
+        )
+    ], ""
 
 
 def entails(

@@ -25,6 +25,7 @@ from .decls import (
     DataDecl,
     FunDecl,
     GoalRecord,
+    Index,
     ModelDecl,
     ModelWorld,
     ReqSig,
@@ -57,7 +58,6 @@ from .types import (
     UNIT,
     App,
     Assoc,
-    Con,
     Conf,
     ConstraintTerm,
     Eq,
@@ -111,55 +111,28 @@ class ModuleChecker:
         self.module = CheckedModule(name=ast.name, imports=list(ast.imports), span=ast.span)
         self.diags: list[Diagnostic] = []
 
-        # Name tables over everything visible (own entries added as they form).
-        self.concepts: dict[str, ConceptDecl] = {}
-        self.datas: dict[str, DataDecl] = {}
-        self.concept_names: dict[str, list[ConceptDecl]] = {}
-        self.data_names: dict[str, list[DataDecl]] = {}
-        self.fun_names: dict[str, list[FunDecl]] = {}
-        self.ctor_names: dict[str, list[tuple[DataDecl, CtorDecl]]] = {}
-        self.req_names: dict[str, list[tuple[ConceptDecl, ReqSig]]] = {}
-        self.assoc_names: dict[str, list[ConceptDecl]] = {}
-        self.model_names: dict[str, list[ModelDecl]] = {}
         self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
 
-        for mod in self.visible:
-            self._index_module(mod)
-
-    # ------------------------------------------------------------ indexing
-
-    def _index_module(self, mod: CheckedModule):
-        for concept in mod.concepts.values():
-            self._index_concept(concept)
-        for data in mod.datas.values():
-            self._index_data(data)
-        for fun in mod.funs.values():
-            self.fun_names.setdefault(fun.name, []).append(fun)
-        for model in mod.models:
-            if model.name:
-                self.model_names.setdefault(model.name, []).append(model)
-
-    def _index_concept(self, concept: ConceptDecl):
-        self.concepts[concept.id] = concept
-        self.concept_names.setdefault(concept.name, []).append(concept)
-        for member in concept.assoc_names:
-            self.assoc_names.setdefault(member, []).append(concept)
-        for req in concept.requirements.values():
-            self.req_names.setdefault(req.name, []).append((concept, req))
-
-    def _index_data(self, data: DataDecl):
-        self.datas[data.id] = data
-        self.data_names.setdefault(data.name, []).append(data)
-        for ctor in data.ctors:
-            self.ctor_names.setdefault(ctor.name, []).append((data, ctor))
+        # Everything visible: what the last import exports, which in a chain
+        # holds every other import already, plus in a copy each visible module
+        # it lacks (the other side of a diamond). `names` adds this module's
+        # own entries as they form.
+        index = (imports[-1] if imports else STD_MODULE).exported_index()
+        missing = [mod for mod in self.visible if mod.name not in index.modules]
+        if missing:
+            index = Index(index)
+            for mod in missing:
+                index.add_module(mod)
+        self.module.index = index
+        self.names = Index(index)
 
     # ------------------------------------------------------------ driver
 
     def run(self) -> tuple[CheckedModule, list[Diagnostic]]:
-        concept_asts = [d for d in self.ast.decls if isinstance(d, A.ConceptAST)]
-        data_asts = [d for d in self.ast.decls if isinstance(d, A.DataAST)]
-        model_asts = [d for d in self.ast.decls if isinstance(d, A.ModelAST)]
-        fun_asts = [d for d in self.ast.decls if isinstance(d, A.FunAST)]
+        by_class = {A.ConceptAST: [], A.DataAST: [], A.ModelAST: [], A.FunAST: []}
+        for d in self.ast.decls:
+            by_class[type(d)].append(d)
+        concept_asts, data_asts, model_asts, fun_asts = by_class.values()
 
         self._check_local_name_clashes(concept_asts, data_asts, fun_asts)
 
@@ -179,7 +152,7 @@ class ModuleChecker:
             if model is not None:
                 self.module.models.append(model)
                 if model.name:
-                    self.model_names.setdefault(model.name, []).append(model)
+                    self.names.push("model", model.name, model)
 
         world_models = [m for mod in self.visible for m in mod.models] + self.module.models
         self.module.world = ModelWorld(world_models, home=self.module.name)
@@ -188,7 +161,7 @@ class ModuleChecker:
         for decl in fun_decls:
             if decl is not None:
                 self.module.funs[decl.name] = decl
-                self.fun_names.setdefault(decl.name, []).append(decl)
+                self.names.push("fun", decl.name, decl)
 
         for model, mast in zip(list(self.module.models), model_asts):
             self._check_model_obligations_and_bodies(model, mast)
@@ -237,7 +210,7 @@ class ModuleChecker:
     def _predeclare_data(self, dast: A.DataAST) -> DataDecl:
         params = [Var(p, fresh_uid()) for p in dast.params]
         decl = DataDecl(self.module.name, dast.name, params, [], dast.span)
-        self._index_data(decl)
+        self.names.add_data(decl)
         return decl
 
     def _predeclare_concept(self, cast: A.ConceptAST) -> ConceptDecl:
@@ -252,7 +225,7 @@ class ModuleChecker:
             req_order=[],
             span=cast.span,
         )
-        self._index_concept(decl)
+        self.names.add_concept(decl)
         return decl
 
     def _fill_data(self, decl: DataDecl, dast: A.DataAST):
@@ -267,7 +240,7 @@ class ModuleChecker:
             if fields is None:
                 continue
             decl.ctors.append(CtorDecl(ctor.name, fields, ctor.span))
-            self.ctor_names.setdefault(ctor.name, []).append((decl, decl.ctors[-1]))
+            self.names.push("ctor", ctor.name, (decl, decl.ctors[-1]))
 
     def _fill_concept(self, decl: ConceptDecl, cast: A.ConceptAST):
         tyvars = {v.name: v for v in decl.params}
@@ -309,7 +282,7 @@ class ModuleChecker:
                 continue
             decl.requirements[req.name] = sig
             decl.req_order.append(req.name)
-            self.req_names.setdefault(req.name, []).append((decl, sig))
+            self.names.push("req", req.name, (decl, sig))
 
     def _req_sig(self, req: A.ReqSigAST, tyvars: dict[str, Var]) -> ReqSig:
         params = [(n, self.resolve_type(t, tyvars)) for n, t in req.params]
@@ -317,7 +290,7 @@ class ModuleChecker:
 
     def _check_refinement_cycles(self, local_concepts: list[ConceptDecl]):
         def supers_of(cid: str) -> list[str]:
-            c = self.concepts.get(cid)
+            c = self.names.concepts.get(cid)
             if c is None:
                 return []
             return [s.concept for s in c.supers if isinstance(s, Conf)]
@@ -446,13 +419,13 @@ class ModuleChecker:
     # ------------------------------------------------------------ obligations
 
     def _check_model_obligations_and_bodies(self, model: ModelDecl, mast: A.ModelAST):
-        concept = self.concepts[model.concept]
+        concept = self.names.concepts[model.concept]
         inst = concept.instantiate(model.head)
-        inst_supers = [inst.apply(s) for s in concept.supers]
+        inst_supers = inst.apply(concept.supers)
         givens = list(model.context) + inst_supers
         rigid = frozenset(v.uid for v in model.vars)
-        resolver = Resolver(self.module.world, self.concepts, self.policy, self.depth, model.context)
-
+        if inst_supers:
+            resolver = Resolver(self.module.world, self.names.concepts, self.policy, self.depth, model.context)
         for sup in inst_supers:
             res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span))
             record = GoalRecord(model.span, sup, trace, res, f"model:{model.uid}")
@@ -468,31 +441,22 @@ class ModuleChecker:
             # Inside the model's own bodies, `Self.Member` over the head as
             # written means the model's binding, even when the head is generic.
             own = tuple(model.head)
-            inst_params = [
-                (n, bind_assocs(model.concept, own, model.assoc, inst.apply(t)))
-                for n, t in sig.params
-            ]
+            inst_params = [(n, bind_assocs(model.concept, own, model.assoc, inst.apply(t))) for n, t in sig.params]
             inst_ret = bind_assocs(model.concept, own, model.assoc, inst.apply(sig.ret))
             if len(body.params) != len(inst_params):
                 msg = f"requirement '{body.name}' takes {len(inst_params)} parameters"
                 self.report("E-ARITY", msg, body.span)
                 continue
             try:
-                checker = ExprChecker(
-                    self,
-                    tyvars=tyvars,
-                    rigid=rigid,
-                    givens=givens,
-                    owner=f"model:{model.uid}.{body.name}",
-                )
+                checker = ExprChecker(self, tyvars, rigid, givens, f"model:{model.uid}.{body.name}")
                 declared = [(n, self.resolve_type(t, tyvars)) for n, t in body.params]
                 for (dn, dt), (_, st) in zip(declared, inst_params):
                     checker.require_equal(dt, st, body.span, f"parameter '{dn}'")
                 declared_ret = self.resolve_type(body.ret, tyvars)
                 checker.require_equal(declared_ret, inst_ret, body.span, "return type")
-                env = {n: t for n, t in declared}
-                checked = checker.check(body.body, declared_ret, env)
-                model.bodies[body.name] = TLam(body.span, checker.fn_type_of(declared, declared_ret), declared, checked)
+                checked = checker.check(body.body, declared_ret, dict(declared))
+                ty = fn_type([t for _, t in declared], declared_ret)
+                model.bodies[body.name] = TLam(body.span, ty, declared, checked)
                 model.body_goal_records[body.name] = checker.records
             except SemaAbort as exc:
                 self.diags.append(exc.diagnostic)
@@ -511,7 +475,7 @@ class ModuleChecker:
     # ------------------------------------------------------------ lookups
 
     def lookup_concept(self, name: str, span: Span) -> ConceptDecl:
-        hits = self.concept_names.get(name, [])
+        hits = self.names.by_name.get(("concept", name), ())
         if not hits:
             self.abort("E-NAME", f"unknown concept '{name}'", span)
         if len(hits) > 1:
@@ -519,8 +483,8 @@ class ModuleChecker:
             self.abort("E-NAME", f"concept name '{name}' is ambiguous (declared in {mods})", span)
         return hits[0]
 
-    def _unique(self, table: dict, name: str, what: str, span: Span):
-        hits = table.get(name, [])
+    def _unique(self, kind: str, name: str, what: str, span: Span):
+        hits = self.names.by_name.get((kind, name), ())
         if not hits:
             return None
         if len(hits) > 1:
@@ -539,9 +503,9 @@ class ModuleChecker:
         return sig
 
     def _callee(self, name: str, span: Span) -> CalleeSig:
-        fun = self._unique(self.fun_names, name, "function", span)
-        req = self._unique(self.req_names, name, "requirement", span)
-        ctor = self._unique(self.ctor_names, name, "constructor", span)
+        fun = self._unique("fun", name, "function", span)
+        req = self._unique("req", name, "requirement", span)
+        ctor = self._unique("ctor", name, "constructor", span)
         if (fun is not None) + (req is not None) + (ctor is not None) > 1:
             self.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
         if fun is not None:
@@ -555,8 +519,7 @@ class ModuleChecker:
                              [Conf(concept.id, tuple(concept.params))], (concept.id, name))
         if ctor is not None:
             data, cdecl = ctor
-            con = Con(data.name, len(data.params), data.module)
-            ret = App(con, tuple(data.params)) if data.params else con
+            ret = App(data.con, tuple(data.params)) if data.params else data.con
             return CalleeSig("ctor", name, data.params, cdecl.fields, ret, [], (data.id, name))
         if name in BUILTIN_SIGS:
             tyvars, params, ret = BUILTIN_SIGS[name]
@@ -571,6 +534,11 @@ class ModuleChecker:
         tyvars: dict[str, Var],
         implicit: dict[str, Var] | None = None,
     ) -> TypeTerm:
+        if type(t) is A.TName:
+            base = self._resolve_base_name(t, tyvars, implicit)
+            for member in t.projections:
+                base = self.make_assoc(base, member, t.span)
+            return base
         if isinstance(t, A.TUnit):
             return UNIT
         if isinstance(t, A.TTuple):
@@ -581,14 +549,8 @@ class ModuleChecker:
         if isinstance(t, A.TFn):
             params = [self.resolve_type(p, tyvars, implicit) for p in t.params]
             return fn_type(params, self.resolve_type(t.ret, tyvars, implicit))
-        if isinstance(t, A.TProj):
-            base = self.resolve_type(t.base, tyvars, implicit)
-            return self.make_assoc(base, t.member, t.span)
-        assert isinstance(t, A.TName)
-        base = self._resolve_base_name(t, tyvars, implicit)
-        for member in t.projections:
-            base = self.make_assoc(base, member, t.span)
-        return base
+        assert isinstance(t, A.TProj)
+        return self.make_assoc(self.resolve_type(t.base, tyvars, implicit), t.member, t.span)
 
     def _resolve_base_name(
         self, t: A.TName, tyvars: dict[str, Var], implicit: dict[str, Var] | None
@@ -601,11 +563,11 @@ class ModuleChecker:
             return tyvars[name]
         con = BUILTIN_CONS.get(name)
         if con is None:
-            data = self._unique(self.data_names, name, "data type", t.span)
+            data = self._unique("data", name, "data type", t.span)
             if data is not None:
-                con = Con(data.name, len(data.params), data.module)
+                con = data.con
         if con is not None:
-            args = [self.resolve_type(a, tyvars, implicit) for a in t.args]
+            args = [self.resolve_type(a, tyvars, implicit) for a in t.args] if t.args else ()
             if len(args) != con.arity:
                 self.abort(
                     "E-ARITY",
@@ -615,9 +577,9 @@ class ModuleChecker:
             return App(con, tuple(args)) if args else con
         # A named model as a projection path (scoped policy syntax).
         if t.projections and self.policy.kind == "scoped":
-            model = self._unique(self.model_names, name, "model", t.span)
+            model = self._unique("model", name, "model", t.span)
             if model is not None:
-                concept = self.concepts[model.concept]
+                concept = self.names.concepts[model.concept]
                 member = t.projections[0]
                 if member not in concept.assoc_names:
                     msg = f"concept {concept.name} has no associated type '{member}'"
@@ -636,7 +598,7 @@ class ModuleChecker:
 
     def make_assoc(self, subject: TypeTerm, member: str, span: Span) -> TypeTerm:
         owners = [
-            c for c in self.assoc_names.get(member, []) if len(c.params) == 1
+            c for c in self.names.by_name.get(("assoc", member), ()) if len(c.params) == 1
         ]
         if not owners:
             self.abort("E-NAME", f"no visible concept declares an associated type '{member}'", span)
@@ -704,12 +666,11 @@ class ModuleChecker:
         """Report a goal's diagnostics, blaming this module: all of them when
         the goal failed, its warnings when it resolved. Resolution failures
         on rigid subjects are missing assumptions."""
-        involves_rigid = any(v.uid in rigid for v in constraint.fvs)
         for d in diags:
             if res is not None and d.severity != "warning":
                 continue
             code, msg = d.code, d.message
-            if code == "E-NO-MODEL" and involves_rigid:
+            if code == "E-NO-MODEL" and any(v.uid in rigid for v in constraint.fvs):
                 code = "E-TYPE-MISMATCH"
                 msg += (
                     f"; the constraint {render_constraint(constraint)} is not entailed by the "
@@ -737,7 +698,10 @@ def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bo
     """Whether `t` has a flexible variable that `binding` does not bind yet.
     Bound values are not looked into: a recursive call may bind its own
     variable T to a type of the caller that mentions the rigid T."""
-    return any(v.uid in flexible and v.uid not in binding.bindings for v in t.fvs)
+    for v in t.fvs:
+        if v.uid in flexible and v.uid not in binding.bindings:
+            return True
+    return False
 
 
 class ExprChecker:
@@ -757,7 +721,9 @@ class ExprChecker:
         self.rigid = rigid
         self.owner = owner
         self.records: list[GoalRecord] = []
-        self.resolver = Resolver(mc.module.world, mc.concepts, mc.policy, mc.depth, givens)
+        self.goal_log = mc.module.goal_log
+        self.resolver = Resolver(mc.module.world, mc.names.concepts, mc.policy, mc.depth, givens)
+        self.eq_rules = self.resolver.eq_rules
 
     def synth(self, e: A.ExprAST, env: dict[str, TypeTerm]) -> TExpr:
         return RULES[type(e)](self, e, env, None)
@@ -777,12 +743,11 @@ class ExprChecker:
 
     # ------------------------------------------------------------- utilities
 
-    def fn_type_of(self, params, ret) -> TypeTerm:
-        return fn_type([t for _, t in params], ret)
-
     def norm(self, t: TypeTerm, span: Span) -> TypeTerm:
+        if not t.has_assoc and not self.eq_rules:
+            return t  # nothing can rewrite it
         try:
-            return normalize(t, self.resolver.eq_rules, self.mc.module.world)
+            return normalize(t, self.eq_rules, self.mc.module.world)
         except NormDiverge:
             self.mc.abort(
                 "E-NORM-DIVERGE",
@@ -791,6 +756,11 @@ class ExprChecker:
             )
 
     def require_equal(self, found: TypeTerm, expected: TypeTerm, span: Span, what: str):
+        """E-TYPE-MISMATCH unless the normal forms agree. One interned term is
+        equal to itself unless normalizing it diverges, which takes an
+        equality given (`T == Option[T]`) or a projection."""
+        if found is expected and not self.eq_rules and not found.has_assoc:
+            return
         found_n = self.norm(found, span)
         expected_n = self.norm(expected, span)
         if found_n != expected_n:
@@ -812,8 +782,9 @@ class ExprChecker:
         res, trace, diags = self.resolver.resolve(Goal(constraint, self.rigid, span))
         record = GoalRecord(span, constraint, trace, res, self.owner)
         self.records.append(record)
-        self.mc.module.goal_log.append(record)
-        self.mc.report_goal(res, diags, constraint, self.rigid, span, self.owner)
+        self.goal_log.append(record)
+        if diags:
+            self.mc.report_goal(res, diags, constraint, self.rigid, span, self.owner)
         return res
 
     # ------------------------------------------------------------- calls
@@ -821,14 +792,15 @@ class ExprChecker:
     def _is_deferred(self, e: A.ExprAST, env) -> bool:
         """Whether argument `e` needs its parameter's type to be checked, so
         that it waits until the other arguments have bound it."""
-        if isinstance(e, (A.ELambda, A.EMatch, A.EIf, A.ELet)):
-            return True
-        if isinstance(e, A.EInt):
-            return e.width is None
-        if isinstance(e, A.EVar) and e.name not in env:
-            sig = self.mc.callee(e.name, e.span)
+        kind = type(e)
+        if kind is A.EVar:
+            if e.name in env:
+                return False
+            sig = self.mc.callees.get(e.name) or self.mc.callee(e.name, e.span)
             return sig.kind == "ctor" and not sig.params and bool(sig.tyvars)
-        return False
+        if kind is A.EInt:
+            return e.width is None
+        return kind in (A.ELambda, A.EMatch, A.EIf, A.ELet)
 
     def _match_lenient(
         self,
@@ -891,6 +863,11 @@ class ExprChecker:
                 f"{sig.display} takes {len(sig.params)} arguments, got {len(args)}",
                 span,
             )
+        if not sig.tyvars:
+            # nothing to infer: each argument is checked against its parameter
+            checked = [self.check(arg, p, env) for arg, p in zip(args, sig.params)] if args else []
+            resolutions = [self.discharge(c, span) for c in sig.context] if sig.context else []
+            return TCall(span, sig.ret, sig.kind, sig.target, [], resolutions, checked)
         binding = Substitution()
         checked: list[TExpr | None] = [None] * len(args)
         if expected is not None and _unbound(sig.ret, binding, sig.flexible):
@@ -899,12 +876,15 @@ class ExprChecker:
             # a bare name is looked up only when it would be synthesized next
             if not _unbound(sig.params[i], binding, sig.flexible) or self._is_deferred(arg, env):
                 continue
-            checked[i] = self.synth(arg, env)
-            what = f"argument {i + 1} of {sig.display}"
-            self._absorb(sig, binding, sig.params[i], checked[i].type, arg.span, what, True)
-        unbound = [v for v in sig.tyvars if v.uid not in binding.bindings]
-        if unbound:
-            names = ", ".join(v.name for v in unbound)
+            checked[i] = tex = self.synth(arg, env)
+            if type(sig.params[i]) is Var:  # flexible and unbound: it takes the argument's type
+                binding.bind(sig.params[i].uid, tex.type)
+            else:
+                what = f"argument {i + 1} of {sig.display}"
+                self._absorb(sig, binding, sig.params[i], tex.type, arg.span, what, True)
+        bound = binding.bindings  # only ever binds the uids of `sig.tyvars`
+        if len(bound) < len(sig.tyvars):
+            names = ", ".join(v.name for v in sig.tyvars if v.uid not in bound)
             self.mc.abort(
                 "E-CANNOT-INFER",
                 f"cannot infer type parameter(s) {names} of {sig.display}; "
@@ -922,9 +902,9 @@ class ExprChecker:
                     arg.span,
                     f"argument {i + 1} of {sig.display}",
                 )
-        resolutions = [self.discharge(binding.apply(c), span) for c in sig.context]
+        resolutions = [self.discharge(binding.apply(c), span) for c in sig.context] if sig.context else []
         result = binding.apply(sig.ret)
-        tyargs = [binding.apply(v) for v in sig.tyvars]
+        tyargs = [bound[v.uid] for v in sig.tyvars]
         if sig.kind == "requirement":
             concept_id, member = sig.target
             return TReqCall(span, result, concept_id, member, tyargs, resolutions[0], checked)
@@ -937,6 +917,8 @@ class ExprChecker:
         if e.name in env:
             return TVarRef(e.span, env[e.name], e.name)
         sig = self.mc.callee(e.name, e.span)
+        if sig.kind == "ctor" and not sig.params and not sig.tyvars:
+            return TCall(e.span, sig.ret, "ctor", sig.target, [], [], [])
         if sig.kind == "ctor":
             if sig.params:
                 self.mc.abort(
@@ -989,8 +971,8 @@ class ExprChecker:
         return TLit(e.span, ty, ty.name.lower(), e.value)
 
     def _app(self, e: A.EApp, env, expected: TypeTerm | None) -> TExpr:
-        if isinstance(e.fn, A.EVar) and e.fn.name not in env:
-            sig = self.mc.callee(e.fn.name, e.fn.span)
+        if type(e.fn) is A.EVar and e.fn.name not in env:
+            sig = self.mc.callees.get(e.fn.name) or self.mc.callee(e.fn.name, e.fn.span)
             return self._apply_sig(sig, e.span, e.args, env, expected)
         x_fn = self.synth(e.fn, env)
         split = split_fn_type(self.norm(x_fn.type, e.span))
@@ -1065,7 +1047,7 @@ class ExprChecker:
         inner = dict(env)
         inner.update(params)
         x_body, t_body = self._branch(e.body, inner, want_ret)
-        ty = self.fn_type_of(params, t_body) if expected is None else expected_n
+        ty = fn_type([t for _, t in params], t_body) if expected is None else expected_n
         return TLam(e.span, ty, params, x_body)
 
     def _let(self, e: A.ELet, env, expected: TypeTerm | None) -> TExpr:
@@ -1096,7 +1078,7 @@ class ExprChecker:
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
         con = outermost_con(t_n)
-        data = None if con is None else self.mc.datas.get(f"{con.origin}.{con.name}")
+        data = None if con is None else self.mc.names.datas.get(f"{con.origin}.{con.name}")
         if data is not None:
             args = t_n.args if isinstance(t_n, App) else ()
             return data, Substitution({v.uid: a for v, a in zip(data.params, args)})

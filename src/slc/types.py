@@ -45,8 +45,7 @@ def _intern(cls, *fields):
     node = ref() if ref is not None else None
     if node is None:
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            setattr(node, name, value)
+        list(map(setattr, itertools.repeat(node), cls.__slots__, fields))
         node._cache_facts()
         _terms[key] = weakref.ref(node, partial(_forget, key))
     return node
@@ -198,7 +197,7 @@ class ConstraintTerm:
 
 
 class Conf(ConstraintTerm):
-    __slots__ = ("concept", "subjects", "fvs")
+    __slots__ = ("concept", "subjects", "fvs", "has_assoc")
 
     def __new__(cls, concept: str, subjects: tuple[TypeTerm, ...]):
         assert subjects
@@ -206,19 +205,21 @@ class Conf(ConstraintTerm):
 
     def _cache_facts(self):
         self.fvs = _union_fvs(self.subjects)
+        self.has_assoc = any(s.has_assoc for s in self.subjects)
 
     def map(self, f) -> Conf:
         return Conf(self.concept, tuple([f(s) for s in self.subjects]))
 
 
 class Eq(ConstraintTerm):
-    __slots__ = ("lhs", "rhs", "fvs")
+    __slots__ = ("lhs", "rhs", "fvs", "has_assoc")
 
     def __new__(cls, lhs: TypeTerm, rhs: TypeTerm):
         return _intern(cls, lhs, rhs)
 
     def _cache_facts(self):
         self.fvs = _union_fvs((self.lhs, self.rhs))
+        self.has_assoc = self.lhs.has_assoc or self.rhs.has_assoc
 
     def map(self, f) -> Eq:
         return Eq(f(self.lhs), f(self.rhs))
@@ -283,13 +284,16 @@ class Substitution:
     """
 
     def __init__(self, bindings: dict[int, TypeTerm] | None = None):
-        self.bindings: dict[int, TypeTerm] = dict(bindings or {})
+        self.bindings: dict[int, TypeTerm] = {} if bindings is None else bindings  # owned
 
     def apply(self, t):
         """`t` under this substitution; `t` is a term, a constraint or a list
         or tuple of them."""
-        if isinstance(t, (list, tuple)):
-            return type(t)(map(self.apply, t))
+        kind = type(t)
+        if kind is Var:
+            return self.bindings.get(t.uid, t)
+        if kind is list or kind is tuple:
+            return kind(map(self.apply, t))
         return self._subst(t) if t.fvs else t
 
     def _subst(self, t):
@@ -392,27 +396,34 @@ def match_many(pairs) -> Substitution | None:
     same target wherever it recurs.
     """
     binding: dict[int, TypeTerm] = {}
-
-    def go(p: TypeTerm, t: TypeTerm) -> bool:
-        if isinstance(p, Var):
-            bound = binding.get(p.uid)
-            if bound is None:
-                binding[p.uid] = t
-                return True
-            return bound == t
-        if isinstance(t, Var):
-            return False  # rigid; only a pattern var could have absorbed it
-        if isinstance(p, Con) and isinstance(t, Con):
-            return p == t
-        if isinstance(p, App) and isinstance(t, App) and len(p.args) == len(t.args):
-            return go(p.head, t.head) and all(go(x, y) for x, y in zip(p.args, t.args))
-        if isinstance(p, Assoc) and isinstance(t, Assoc) and _same_projection(p, t):
-            return all(go(x, y) for x, y in zip(p.subjects, t.subjects))
-        return False
-
-    if not all(go(pattern, target) for pattern, target in pairs):
-        return None
+    for pattern, target in pairs:
+        if not _match(pattern, target, binding):
+            return None
     return Substitution(binding)
+
+
+def _match(p: TypeTerm, t: TypeTerm, binding: dict[int, TypeTerm]) -> bool:
+    """`match_many` of one pair, extending `binding`."""
+    if not p.fvs:
+        return p is t  # a ground pattern matches only itself, terms being interned
+    if isinstance(p, Var):
+        bound = binding.get(p.uid)
+        if bound is None:
+            binding[p.uid] = t
+            return True
+        return bound is t
+    if isinstance(t, Var):
+        return False  # rigid; only a pattern var could have absorbed it
+    if isinstance(p, App) and isinstance(t, App) and len(p.args) == len(t.args):
+        parts = zip((p.head, *p.args), (t.head, *t.args))
+    elif isinstance(p, Assoc) and isinstance(t, Assoc) and _same_projection(p, t):
+        parts = zip(p.subjects, t.subjects)
+    else:
+        return False
+    for x, y in parts:
+        if not _match(x, y, binding):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- normalization
@@ -456,30 +467,39 @@ def normalize(
             rules.setdefault(g.lhs, g.rhs)
     if not rules and not t.has_assoc:
         return t
-    steps = 0
-
-    def pass_once(term: TypeTerm) -> TypeTerm:
-        nonlocal steps
-        if not rules and not term.has_assoc:
-            return term
-        term = term.map(pass_once)
-        replaced = rules.get(term)
-        if replaced is None and isinstance(term, Assoc) and world is not None and not term.fvs:
-            replaced = world.assoc_binding(term.concept, term.member, term.subjects, term.model_path)
-        if replaced is None or replaced is term:
-            return term
-        steps += 1
-        if steps > NORMALIZE_STEP_LIMIT:
-            raise NormDiverge(t)
-        if trace is not None:
-            trace.append((term, replaced))
-        return replaced
-
+    rewrite = _Rewrite(rules, world, trace, t)
     # A pass that rewrote nothing leaves the steps as they were; a pass that
     # rewrote back to its input did not reach a normal form.
     current = t
     while True:
-        before = steps
-        current = pass_once(current)
-        if steps == before:
+        before = rewrite.steps
+        current = rewrite.once(current)
+        if rewrite.steps == before:
             return current
+
+
+class _Rewrite:
+    """One `normalize` call: its rules, world and trace, and the rewrites so
+    far (an object, so that the recursion holds no closure cell)."""
+
+    __slots__ = ("rules", "world", "trace", "steps", "root")
+
+    def __init__(self, rules: dict, world, trace: list | None, root: TypeTerm):
+        self.rules, self.world, self.trace, self.steps, self.root = rules, world, trace, 0, root
+
+    def once(self, term: TypeTerm) -> TypeTerm:
+        """One pass over `term`, innermost first."""
+        if not self.rules and not term.has_assoc:
+            return term
+        term = term.map(self.once)
+        replaced = self.rules.get(term)
+        if replaced is None and isinstance(term, Assoc) and self.world is not None and not term.fvs:
+            replaced = self.world.assoc_binding(term.concept, term.member, term.subjects, term.model_path)
+        if replaced is None or replaced is term:
+            return term
+        self.steps += 1
+        if self.steps > NORMALIZE_STEP_LIMIT:
+            raise NormDiverge(self.root)
+        if self.trace is not None:
+            self.trace.append((term, replaced))
+        return replaced
