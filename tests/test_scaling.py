@@ -1,17 +1,20 @@
 """Scaling guard: on a wide program of sibling modules, the constructor index
 keeps coherence pair checks at the planted conflict and head matches linear
-in the number of modules, checking and the core pass each cost a fixed
-number of opcodes per module, and `run`'s core pass barely grows with modules
-its `main` does not reach."""
+in the number of modules, parsing, checking and the core pass each cost a
+fixed number of opcodes per module, and `run`'s core pass barely grows with
+modules its `main` does not reach. On a chain of imports, checking costs the
+same per module however long the chain, and no check leaves cyclic garbage."""
 
+import gc
 import sys
 
 import pytest
-from conftest import check_inline
+from conftest import CORPUS, check_inline
 
 from slc import coherence
 from slc.corekit import core_check, elaborate
 from slc.decls import ModelDecl
+from slc.parser import parse_module_bytes
 
 LOCAL_TYPES = 10
 
@@ -150,5 +153,72 @@ def test_run_core_pass_skips_unreached_modules():
 def test_check_opcodes_per_module():
     """Each sibling adds ten data types, their models and a function that
     uses each: sema checks every expression through one rule and looks each
-    global name up once per module. 166,172 opcodes per sibling when set."""
-    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 175_000
+    global name up once per module, a call of a callee without type
+    parameters checks its arguments against the parameters, and the lexer
+    and parser read each token once. 118,887 opcodes per sibling when set
+    (166,172 before that), bounded a third below 181,739."""
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 121_000
+
+
+def test_parse_opcodes_per_module():
+    """The lexer and parser alone, on the same siblings: about 125 opcodes
+    for each of a sibling's 444 tokens. 55,305 opcodes per sibling when set,
+    74,858 before the lexer's one table and the flat expression chain."""
+
+    def parse_opcodes(siblings: int) -> int:
+        sources = [(f"{name}.sl", text.encode()) for name, text in wide_program(siblings).items()]
+        return opcodes(lambda: [parse_module_bytes(data, path) for path, data in sources])
+
+    assert (parse_opcodes(12) - parse_opcodes(4)) / 8 <= 58_000
+
+
+def chain_program(modules: int) -> dict[str, str]:
+    """`modules` modules in one import chain, each with ten data types and
+    ten functions that return the constructors of the module before it."""
+    files = {}
+    for k in range(modules):
+        lines = [f"module c{k:03d}"] + ([f"import c{k - 1:03d}"] if k else [])
+        for j in range(10):
+            lines.append(f"data D{k:03d}x{j} {{ C{k:03d}x{j} }}")
+            if k:
+                lines.append(f"fn f{k:03d}x{j}() -> D{k - 1:03d}x{j} {{ C{k - 1:03d}x{j} }}")
+        files[f"c{k:03d}"] = "\n".join(lines) + "\n"
+    return files
+
+
+def test_check_opcodes_per_module_stay_flat_along_an_import_chain():
+    """Each checked module is indexed once and its importers copy that
+    index, so a module costs about the same at the end of a long chain as
+    at the end of a short one: 1.07 times as much from 40 to 80 modules as
+    from 10 to 20 when set, against 1.76 times when every module indexed
+    all its transitive imports again."""
+
+    def chain_opcodes(modules: int) -> int:
+        files = chain_program(modules)
+        result = []
+        count = opcodes(lambda: result.append(check_inline("use-site", **files)))
+        assert result[0].ok, result[0].diagnostics
+        return count
+
+    short = (chain_opcodes(20) - chain_opcodes(10)) / 10
+    long = (chain_opcodes(80) - chain_opcodes(40)) / 40
+    assert long <= 1.5 * short, (short, long)
+
+
+@pytest.mark.parametrize("program", ["wide", "corpus"])
+def test_checking_leaves_no_cyclic_garbage(program):
+    """Everything `check_sources` builds is freed by reference counting, so
+    the collector never has garbage to find after a check."""
+    if program == "wide":
+        files = wide_program(6)
+    else:
+        files = {path.stem: path.read_text() for path in sorted(CORPUS.glob("*.sl"))}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        check_inline("use-site", **files)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
