@@ -63,11 +63,6 @@ class Parser:
         self.pos += 1
         return True
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != kind:
@@ -122,7 +117,7 @@ class Parser:
         imports: list[str] = []
         import_spans: list[Span] = []
         while self.tokens[self.pos].kind == "import":
-            isp = self.advance()
+            isp = self.expect("import")
             imp = self.expect("ident", "module name").text
             if imp in imports:
                 self.fail(f"duplicate import of '{imp}'", self.span_from(isp))
@@ -165,7 +160,7 @@ class Parser:
             if self.accept("type"):
                 assoc.append(self.expect("ident", "associated type name").text)
             elif self.tokens[self.pos].kind == "fn":
-                rstart = self.advance()
+                rstart = self.expect("fn")
                 rname = self.expect("ident", "requirement name").text
                 self.expect("(")
                 rparams = self.comma_list_until(")", self.parse_param)
@@ -183,8 +178,8 @@ class Parser:
         start = self.expect("model")
         name = None
         if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].kind == ":":
-            name = self.advance().text
-            self.advance()
+            name = self.expect("ident").text
+            self.expect(":")
         concept = self.expect("ident", "concept name").text
         self.expect("[")
         head = self.comma_list(self.parse_type)
@@ -196,7 +191,7 @@ class Parser:
         toks = self.tokens
         while toks[self.pos].kind != "}":
             if toks[self.pos].kind == "type":
-                bstart = self.advance()
+                bstart = self.expect("type")
                 member = self.expect("ident", "associated type name").text
                 self.expect("=")
                 rhs = self.parse_type()
@@ -218,7 +213,7 @@ class Parser:
         if self.tokens[self.pos].kind == "[":
             if not allow_typarams:
                 self.fail("requirement bodies take no type parameters", self.tokens[self.pos].span)
-            self.advance()
+            self.pos += 1
             typarams = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("(")
@@ -345,7 +340,7 @@ class Parser:
         tail: A.ExprAST | None = None
         while self.tokens[self.pos].kind != "}":
             if self.tokens[self.pos].kind == "let":
-                lstart = self.advance()
+                lstart = self.expect("let")
                 lname = self.expect("ident", "binding name").text
                 annot = None
                 if self.accept(":"):
@@ -475,7 +470,7 @@ class Parser:
 
     def parse_binder(self) -> str:
         if self.tokens[self.pos].kind == "_":
-            return self.advance().text
+            return self.expect("_").text
         return self.expect("ident", "pattern binder").text
 
     def parse_if(self) -> A.ExprAST:

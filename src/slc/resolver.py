@@ -232,9 +232,7 @@ class Resolver:
         depth = self.depth if depth is None else depth
         steps: list = []  # the rewrites that prove an Eq goal
         try:
-            wanted = goal.constraint
-            if self.eq_rules or wanted.has_assoc:
-                wanted = self._norm_constraint(wanted, steps)
+            wanted = self._norm_constraint(goal.constraint, steps)
         except NormDiverge as exc:
             return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
                 Diagnostic(
