@@ -284,11 +284,9 @@ class Parser:
         if depth >= MAX_NESTING:
             self.too_deep(start)
         self.depth = depth + 1
-        if start.kind == "(":
+        if start.kind != "ident":
             t = self.parse_paren_type(start)
         else:
-            if start.kind != "ident":
-                self.expect("ident", "a type")  # fails
             self.pos += 1
             args: tuple[A.TypeExprAST, ...] = ()
             if toks[self.pos].kind == "[":
@@ -307,7 +305,7 @@ class Parser:
 
     def parse_paren_type(self, start: Token) -> A.TypeExprAST:
         """A unit, function, tuple or parenthesised type, from its "("."""
-        self.pos += 1
+        self.expect("(", "a type")
         if self.accept(")"):
             if self.accept("->"):
                 ret = self.parse_type()

@@ -704,6 +704,9 @@ def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bo
     return False
 
 
+_WAITS = frozenset({A.ELambda, A.EMatch, A.EIf, A.ELet})  # see ExprChecker._is_deferred
+
+
 class ExprChecker:
     """Checks one body. Each expression class has one rule in `RULES`,
     called with the type the context expects, or None to synthesize one."""
@@ -800,7 +803,7 @@ class ExprChecker:
             return sig.kind == "ctor" and not sig.params and bool(sig.tyvars)
         if kind is A.EInt:
             return e.width is None
-        return kind in (A.ELambda, A.EMatch, A.EIf, A.ELet)
+        return kind in _WAITS
 
     def _match_lenient(
         self,

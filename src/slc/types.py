@@ -299,13 +299,15 @@ class Substitution:
     def _subst(self, t):
         """`apply` of a term or constraint that has free variables. An
         application is rebuilt over its own head, a constructor, with as
-        many arguments as before, so it is interned directly, past the checks
-        of `App`."""
-        if type(t) is Var:
+        many arguments as before, and a conformance over its own concept, so
+        each is interned directly, past the checks of `App` and `Conf`."""
+        kind, subst = type(t), self._subst
+        if kind is Var:
             return self.bindings.get(t.uid, t)
-        if type(t) is App:
-            subst = self._subst
+        if kind is App:
             return _intern(App, t.head, tuple([subst(a) if a.fvs else a for a in t.args]))
+        if kind is Conf:
+            return _intern(Conf, t.concept, tuple([subst(s) if s.fvs else s for s in t.subjects]))
         return t.map(self.apply)
 
     def bind(self, uid: int, term: TypeTerm):
