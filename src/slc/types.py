@@ -336,45 +336,48 @@ def unify(t1: TypeTerm, t2: TypeTerm) -> Substitution | None:
     all unify pairwise; an Assoc never unifies with a non-Assoc term.
     """
     binding: dict[int, TypeTerm] = {}
-
-    def walk(t: TypeTerm) -> TypeTerm:
-        while isinstance(t, Var) and t.uid in binding:
-            t = binding[t.uid]
-        return t
-
-    def resolve(t: TypeTerm) -> TypeTerm:
-        t = walk(t)
-        return t.map(resolve) if t.fvs else t
-
-    def occurs(uid: int, t: TypeTerm) -> bool:
-        return any(
-            v.uid == uid or (v.uid in binding and occurs(uid, binding[v.uid])) for v in t.fvs
-        )
-
-    def go(a: TypeTerm, b: TypeTerm) -> bool:
-        a, b = walk(a), walk(b)
-        if a is b:
-            return True
-        if isinstance(a, Var):
-            if occurs(a.uid, b):
-                return False
-            binding[a.uid] = b
-            return True
-        if isinstance(b, Var):
-            if occurs(b.uid, a):
-                return False
-            binding[b.uid] = a
-            return True
-        if isinstance(a, App) and isinstance(b, App) and len(a.args) == len(b.args):
-            return go(a.head, b.head) and all(go(x, y) for x, y in zip(a.args, b.args))
-        if isinstance(a, Assoc) and isinstance(b, Assoc) and _same_projection(a, b):
-            return all(go(x, y) for x, y in zip(a.subjects, b.subjects))
-        return False
-
-    if not go(t1, t2):
+    if not _unify(t1, t2, binding):
         return None
-    resolved = {uid: resolve(term) for uid, term in binding.items()}
-    return Substitution(resolved)
+    return Substitution({uid: _resolve(term, binding) for uid, term in binding.items()})
+
+
+def _walk(t: TypeTerm, binding: dict[int, TypeTerm]) -> TypeTerm:
+    while isinstance(t, Var) and t.uid in binding:
+        t = binding[t.uid]
+    return t
+
+
+def _resolve(t: TypeTerm, binding: dict[int, TypeTerm]) -> TypeTerm:
+    t = _walk(t, binding)
+    return t.map(lambda x: _resolve(x, binding)) if t.fvs else t
+
+
+def _occurs(uid: int, t: TypeTerm, binding: dict[int, TypeTerm]) -> bool:
+    return any(v.uid == uid or (v.uid in binding and _occurs(uid, binding[v.uid], binding)) for v in t.fvs)
+
+
+def _unify(a: TypeTerm, b: TypeTerm, binding: dict[int, TypeTerm]) -> bool:
+    """`unify` of one pair, extending `binding`."""
+    a, b = _walk(a, binding), _walk(b, binding)
+    if a is b:
+        return True
+    if isinstance(a, Var):
+        if _occurs(a.uid, b, binding):
+            return False
+        binding[a.uid] = b
+        return True
+    if isinstance(b, Var):
+        if _occurs(b.uid, a, binding):
+            return False
+        binding[b.uid] = a
+        return True
+    if isinstance(a, App) and isinstance(b, App) and len(a.args) == len(b.args):
+        parts = zip((a.head, *a.args), (b.head, *b.args))
+    elif isinstance(a, Assoc) and isinstance(b, Assoc) and _same_projection(a, b):
+        parts = zip(a.subjects, b.subjects)
+    else:
+        return False
+    return all(_unify(x, y, binding) for x, y in parts)
 
 
 def unify_many(pairs) -> Substitution | None:

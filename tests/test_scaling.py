@@ -10,6 +10,7 @@ import sys
 
 import pytest
 from conftest import CORPUS, check_inline
+from test_acceptance import POLICIES, PROGRAMS
 
 from slc import coherence
 from slc.corekit import core_check, elaborate
@@ -155,14 +156,14 @@ def test_check_opcodes_per_module():
     uses each: sema checks every expression through one rule and looks each
     global name up once per module, a call of a callee without type
     parameters checks its arguments against the parameters, and the lexer
-    and parser read each token once. 118,887 opcodes per sibling when set
+    and parser read each token once. 119,198 opcodes per sibling when set
     (166,172 before that), bounded a third below 181,739."""
     assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 121_000
 
 
 def test_parse_opcodes_per_module():
     """The lexer and parser alone, on the same siblings: about 125 opcodes
-    for each of a sibling's 444 tokens. 55,305 opcodes per sibling when set,
+    for each of a sibling's 444 tokens. 55,156 opcodes per sibling when set,
     74,858 before the lexer's one table and the flat expression chain."""
 
     def parse_opcodes(siblings: int) -> int:
@@ -205,20 +206,22 @@ def test_check_opcodes_per_module_stay_flat_along_an_import_chain():
     assert long <= 1.5 * short, (short, long)
 
 
-@pytest.mark.parametrize("program", ["wide", "corpus"])
-def test_checking_leaves_no_cyclic_garbage(program):
+@pytest.mark.parametrize("policy", POLICIES)
+def test_checking_leaves_no_cyclic_garbage(policy):
     """Everything `check_sources` builds is freed by reference counting, so
-    the collector never has garbage to find after a check."""
-    if program == "wide":
-        files = wide_program(6)
-    else:
-        files = {path.stem: path.read_text() for path in sorted(CORPUS.glob("*.sl"))}
+    the collector finds no garbage after checking `wide_program` or any of
+    the corpus programs, under any policy."""
+    programs = [wide_program(6)] + [
+        {name.removesuffix(".sl"): (CORPUS / name).read_text() for name in names}
+        for names in PROGRAMS.values()
+    ]
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        check_inline("use-site", **files)
-        assert gc.collect() == 0
+        for files in programs:
+            check_inline(policy, **files)
+            assert gc.collect() == 0, sorted(files)
     finally:
         if enabled:
             gc.enable()
