@@ -280,11 +280,11 @@ class Substitution:
     A bound term may mention a bound variable (matching a model head onto
     its own variables gives `a ↦ Option[a]`); `apply` replaces each variable
     once and does not rewrite what it put in, so the map need not be
-    idempotent.
+    idempotent. It keeps the dict it is given, which its callers build for it.
     """
 
     def __init__(self, bindings: dict[int, TypeTerm] | None = None):
-        self.bindings: dict[int, TypeTerm] = {} if bindings is None else bindings  # owned
+        self.bindings: dict[int, TypeTerm] = {} if bindings is None else bindings
 
     def apply(self, t):
         """`t` under this substitution; `t` is a term, a constraint or a list
