@@ -32,10 +32,11 @@ from . import ast as A
 from .diagnostics import Diagnostic, Span
 from .lexer import LexError, Token, tokenize
 
-# The deepest nesting of expressions and types the parser accepts. One level
-# costs at most two Python frames (parse_expr -> parse_parens -> parse_expr),
-# so at this limit the parser stays far below the interpreter's recursion
-# limit; past it, E-PARSE.
+# The deepest nesting of expressions and types the parser accepts. A level
+# costs at most three Python frames (parse_expr -> parse_parens -> comma_list
+# -> parse_expr, or parse_if -> parse_block), and five from a lambda to a
+# parameter's type, so at this limit the parser stays far below the
+# interpreter's recursion limit; past it, E-PARSE.
 MAX_NESTING = 12_000
 
 
@@ -304,7 +305,8 @@ class Parser:
         return t
 
     def parse_paren_type(self, start: Token) -> A.TypeExprAST:
-        """A unit, function, tuple or parenthesised type, from its "("."""
+        """A unit, function, tuple or parenthesised type, from its "(", and
+        the projections after it."""
         self.expect("(", "a type")
         if self.accept(")"):
             if self.accept("->"):
@@ -322,9 +324,6 @@ class Parser:
             base = A.TTuple(self.span_from(start), tuple(items))
         else:
             self.fail("tuple types have exactly two components", self.span_from(start))
-        return self.parse_projections(base, start)
-
-    def parse_projections(self, base: A.TypeExprAST, start: Token) -> A.TypeExprAST:
         while self.tokens[self.pos].kind == "." and self.tokens[self.pos + 1].kind == "ident":
             self.pos += 2
             base = A.TProj(self.span_from(start), base, self.tokens[self.pos - 1].text)
