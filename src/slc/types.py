@@ -207,9 +207,6 @@ class Conf(ConstraintTerm):
         self.fvs = _union_fvs(self.subjects)
         self.has_assoc = any(s.has_assoc for s in self.subjects)
 
-    def map(self, f) -> Conf:
-        return Conf(self.concept, tuple([f(s) for s in self.subjects]))
-
 
 class Eq(ConstraintTerm):
     __slots__ = ("lhs", "rhs", "fvs", "has_assoc")
