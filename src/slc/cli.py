@@ -7,23 +7,61 @@ ordered and byte-stable across runs.
 
 from __future__ import annotations
 
-# The package's own modules come first: compiled from source, they peak
-# lower in memory while argparse, json and pathlib are not yet loaded.
+# The front end's modules come first: compiled from source, they peak lower
+# in memory while argparse, json and pathlib are not yet loaded. The back end
+# is compiled after all of these, and only for `run` (see `corekit` below).
 from .coherence import CoherencePolicy
-from .corekit import core_check, core_to_json, elaborate
 from .diagnostics import Diagnostic, Span
-from .evaluator import DEFAULT_FUEL, run_program
 from .linker import CheckResult, check_sources
-from .resolver import DEFAULT_DEPTH
+from .resolver import DEFAULT_DEPTH, DEFAULT_FUEL
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import sys
 from pathlib import Path
 
 USAGE_EXIT = 2
+
+
+def _deferred(name: str):
+    """The module `name`, put in `sys.modules` but compiled and executed only
+    when one of its attributes is first read: PEP 690's lazy import, by hand."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+# The back end. `check` and `explain` never read these, so they compile
+# neither; `main` loads both for `run` before any work starts. They are in
+# `sys.modules` from the start because code that wraps the package's
+# functions (`bench/child.py`) finds the modules there.
+corekit = _deferred(f"{__package__}.corekit")
+evaluator = _deferred(f"{__package__}.evaluator")
+
+
+def elaborate(program, roots=None):
+    return corekit.elaborate(program, roots)
+
+
+def core_check(core):
+    return corekit.core_check(core)
+
+
+def core_to_json(core) -> dict:
+    return corekit.core_to_json(core)
+
+
+def run_program(core, fuel: int):
+    return evaluator.run_program(core, fuel)
 
 
 def _color_enabled() -> bool:
@@ -260,17 +298,19 @@ def cmd_explain(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The imported modules live as long as the process. Freezing them, once
-    # per process, keeps each full collection during a command from
-    # rescanning them.
-    if not gc.get_freeze_count():
-        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
+    if args.command == "run":
+        corekit.elaborate, evaluator.run_program  # reading them loads both
+    # The loaded modules live as long as the process. Freezing them, once
+    # per process, keeps each full collection during a command from
+    # rescanning them.
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -16,6 +16,7 @@ elaborator bugs, so any failure is reported as E-CORE-ILLTYPED.
 from __future__ import annotations
 
 from .decls import (
+    CheckedModule,
     ConceptDecl,
     DataDecl,
     FunDecl,
@@ -43,6 +44,7 @@ from .std import BUILTIN_SIGS, STD_MODULE
 from .types import (
     BOOL,
     F64,
+    STD,
     STRING,
     U64,
     U8,
@@ -221,15 +223,40 @@ def concept_field_types(
 # ---------------------------------------------------------------- elaboration
 
 
+class DeclTable(dict):
+    """The declarations of one kind ("concepts" or "datas") of `modules` by
+    id, each filed when first looked up: the core pass pays only for the
+    declarations that the definitions it handles name. A declaration of a
+    module named `std` shadows the built-in one of the same name."""
+
+    def __init__(self, modules: dict[str, CheckedModule], kind: str):
+        super().__init__()
+        self.modules, self.kind = modules, kind
+
+    def __missing__(self, key: str):
+        module, _, name = key.partition(".")
+        found = self.modules.get(module)
+        decl = None if found is None else getattr(found, self.kind).get(name)
+        if decl is None and module == STD:
+            decl = getattr(STD_MODULE, self.kind).get(name)
+        if decl is None:
+            raise KeyError(key)
+        self[key] = decl
+        return decl
+
+    def get(self, key: str, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+
 class Elaborator:
     def __init__(self, program: LinkedProgram):
         self.program = program
-        self.concepts = program.concepts_table()
+        self.concepts = DeclTable(program.modules, "concepts")
+        self.datas = DeclTable(program.modules, "datas")
         self.world = program.world
-        self.datas: dict[str, DataDecl] = {}
-        for mod in [STD_MODULE] + [program.modules[n] for n in program.graph.order]:
-            for d in mod.datas.values():
-                self.datas[d.id] = d
         self.defs: dict[str, CoreDef] = {}
         self.decls: dict[str, FunDecl | ModelDecl] = {}  # every name referenced so far
         self.order: list[str] = []  # their names, in the order they are elaborated

@@ -54,11 +54,11 @@ from .corekit import (
     CVar,
 )
 from .diagnostics import Diagnostic, Record, Span
+from .resolver import DEFAULT_FUEL
 
 MASK64 = (1 << 64) - 1
 MASK8 = (1 << 8) - 1
 
-DEFAULT_FUEL = 10_000_000
 # Nested non-tail applications allowed; well inside the Python recursion
 # limit `slc` sets, so the guard trips first.
 MAX_EVAL_DEPTH = 10_000

@@ -36,6 +36,9 @@ from .types import (
 )
 
 DEFAULT_DEPTH = 64
+# The evaluator's step budget. It is set here, beside the other limit `sl`
+# takes as a flag, so that parsing the flags loads no back end.
+DEFAULT_FUEL = 10_000_000
 
 
 class Goal:

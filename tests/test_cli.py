@@ -213,6 +213,14 @@ def test_fuel_flag(tmp_path):
     assert "E-RT-FUEL" in proc.stderr
 
 
+def test_fuel_default_is_the_evaluators():
+    """`sl run` parses its `--fuel` default without the evaluator loaded; it
+    is the budget the evaluator itself defaults to."""
+    from slc import cli, evaluator
+
+    assert cli.build_parser().parse_args(["run", "x.sl"]).fuel == evaluator.DEFAULT_FUEL
+
+
 def test_negative_limits_are_usage_errors():
     """`--fuel` and `--depth` take counts: a negative one is a usage problem
     (exit 2, argparse's message, no diagnostics); 0 is a real limit."""

@@ -1,6 +1,7 @@
 """Hygiene guards: every function, class and method `src/slc/` defines is
 named somewhere else in `src/` or `tests/`, start-up imports nothing that
-only code generation needs, and every node kind has a rule in every pass."""
+only code generation needs, only `run` loads the back end, and every node
+kind has a rule in every pass."""
 
 import ast
 import re
@@ -9,10 +10,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from conftest import slc_env
+import pytest
+from conftest import CORPUS, slc_env
 
 from slc import ast as slc_ast
-from slc import corekit, decls, sema
+from slc import cli, corekit, decls, sema
 from slc.corekit import (
     CHECKERS,
     ELABORATORS,
@@ -76,19 +78,75 @@ def test_every_defined_name_is_used_somewhere():
     assert not dead, f"defined but never named elsewhere: {dead}"
 
 
+# Prints which of the named modules a probe has loaded. `slc.cli` puts the
+# back end in `sys.modules` unexecuted, as a module of a lazy subclass, and
+# reading any attribute of it would load it, so only the type is asked.
+LOADED = (
+    "import sys, types; print(sorted(n for n in {names} "
+    "if type(sys.modules.get(n)) is types.ModuleType))"
+)
+BACK_END = ("slc.corekit", "slc.evaluator")
+
+
+def loaded_after(code: str, names, cwd=None) -> str:
+    probe = code + "; " + LOADED.format(names=tuple(names))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=slc_env({"SL_COLOR": "0"}), cwd=cwd, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
 def test_startup_imports_no_code_generation_modules():
     """`import slc.cli` is what every `sl` process pays before any work.
     `dataclasses` builds each class by generating and `exec`ing code, and
     pulls in `inspect` for it; start-up needs neither, nor the pretty
-    printer, which no command uses."""
-    probe = (
-        "import sys, slc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'slc.printer'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), check=True
-    )
-    assert proc.stdout == "[]\n", proc.stdout
+    printer, which no command uses, nor the back end, which only `run`
+    uses."""
+    names = ("dataclasses", "inspect", "slc.printer") + BACK_END
+    assert loaded_after("import slc.cli", names) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["check", "iter_lib.sl", "range_iter.sl"], []),
+        (["explain", "range_iter.sl:21:26", "iter_lib.sl", "range_iter.sl"], []),
+        (["run", "iter_lib.sl", "range_iter.sl"], list(BACK_END)),
+    ],
+    ids=["check", "explain", "run"],
+)
+def test_only_run_loads_the_back_end(argv, loaded):
+    """`check` and `explain` end at the front end and compile neither
+    `corekit` nor `evaluator`; `run` loads both."""
+    code = f"import slc.cli; assert slc.cli.main({argv!r}) == 0"
+    assert loaded_after(code, BACK_END, cwd=CORPUS) == str(loaded)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("core_check", ["run", "iter_lib.sl", "range_iter.sl"]),
+        ("run_program", ["run", "iter_lib.sl", "range_iter.sl"]),
+        ("core_to_json", ["run", "--emit-core", "iter_lib.sl", "range_iter.sl"]),
+    ],
+)
+def test_run_calls_the_back_end_through_cli(name, argv, monkeypatch):
+    """`cmd_run` reaches each back-end function through its `slc.cli` name,
+    so a wrapper set there, as the benchmark's phase spans are, sees the
+    call (`test_corekit.py::test_run_without_main_elaborates_nothing` does
+    the same for `elaborate`)."""
+    calls = []
+    inner = getattr(cli, name)
+
+    def recording(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.chdir(CORPUS)
+    assert cli.main(argv) == 0
+    assert calls == [name]
 
 
 def test_every_node_kind_has_a_rule_in_every_pass():
