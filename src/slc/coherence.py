@@ -14,7 +14,8 @@ Four strategies are supported:
 
 One pair engine serves every uniqueness policy: `conflicts` enumerates each
 same-concept pair once and `pair_conflict` judges it. Definition-site checks
-run it over a module's visible world; link runs it over the union world.
+run it over a module's world, the models of its import closure and its own;
+link runs it over every model of the program's declaration index.
 
 Pairs are drawn from `ModelWorld.models_like`, which indexes models by the
 rough key of their Self head, its outermost constructor. Two models whose
@@ -199,8 +200,8 @@ def _short(concept_id: str) -> str:
 
 def check_def_site(module: CheckedModule, policy: CoherencePolicy) -> list[Diagnostic]:
     """Definition-site obligations of `module`'s models under `policy`, in
-    the world sema built for it: its own models and its imports'. The
-    scoped policy has none (sema already requires every model to be named)."""
+    the world sema gave it: its own models and those of its import closure.
+    The scoped policy has none (sema already requires every model to be named)."""
     if policy.kind == "scoped":
         return []
     diags: list[Diagnostic] = []

@@ -16,9 +16,7 @@ elaborator bugs, so any failure is reported as E-CORE-ILLTYPED.
 from __future__ import annotations
 
 from .decls import (
-    CheckedModule,
     ConceptDecl,
-    DataDecl,
     FunDecl,
     ModelDecl,
     ModelWorld,
@@ -40,11 +38,10 @@ from .decls import (
 from .diagnostics import Diagnostic, Span
 from .linker import LinkedProgram
 from .resolver import EqLeaf, GivenLeaf, ModelNode
-from .std import BUILTIN_SIGS, STD_MODULE
+from .std import BUILTIN_SIGS
 from .types import (
     BOOL,
     F64,
-    STD,
     STRING,
     U64,
     U8,
@@ -177,11 +174,11 @@ class CoreDef:
 
 
 class CoreProgram:
-    __slots__ = ("defs", "order", "entry", "concepts", "datas", "world")
+    # world: the program's; its index holds the concepts and data types by id
+    __slots__ = ("defs", "order", "entry", "world")
     def __init__(self, defs: dict[str, CoreDef], order: list[str], entry: str | None,
-                 concepts: dict[str, ConceptDecl], datas: dict[str, DataDecl], world: ModelWorld):
-        self.defs, self.order, self.entry, self.concepts = defs, order, entry, concepts
-        self.datas, self.world = datas, world
+                 world: ModelWorld):
+        self.defs, self.order, self.entry, self.world = defs, order, entry, world
 
 
 def dict_con(concept: ConceptDecl) -> Con:
@@ -223,40 +220,11 @@ def concept_field_types(
 # ---------------------------------------------------------------- elaboration
 
 
-class DeclTable(dict):
-    """The declarations of one kind ("concepts" or "datas") of `modules` by
-    id, each filed when first looked up: the core pass pays only for the
-    declarations that the definitions it handles name. A declaration of a
-    module named `std` shadows the built-in one of the same name."""
-
-    def __init__(self, modules: dict[str, CheckedModule], kind: str):
-        super().__init__()
-        self.modules, self.kind = modules, kind
-
-    def __missing__(self, key: str):
-        module, _, name = key.partition(".")
-        found = self.modules.get(module)
-        decl = None if found is None else getattr(found, self.kind).get(name)
-        if decl is None and module == STD:
-            decl = getattr(STD_MODULE, self.kind).get(name)
-        if decl is None:
-            raise KeyError(key)
-        self[key] = decl
-        return decl
-
-    def get(self, key: str, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-
 class Elaborator:
     def __init__(self, program: LinkedProgram):
         self.program = program
-        self.concepts = DeclTable(program.modules, "concepts")
-        self.datas = DeclTable(program.modules, "datas")
         self.world = program.world
+        self.concepts = program.world.index.concepts
         self.defs: dict[str, CoreDef] = {}
         self.decls: dict[str, FunDecl | ModelDecl] = {}  # every name referenced so far
         self.order: list[str] = []  # their names, in the order they are elaborated
@@ -290,7 +258,7 @@ class Elaborator:
             model = isinstance(decl, ModelDecl)
             self.defs[name] = self.elaborate_model(decl) if model else self.elaborate_fun(decl)
         entry = None if program.entry is None else fun_def_name(*program.entry)
-        return CoreProgram(self.defs, self.order, entry, self.concepts, self.datas, self.world)
+        return CoreProgram(self.defs, self.order, entry, self.world)
 
     def global_ref(self, name: str, decl: FunDecl | ModelDecl) -> CGlobal:
         """The reference to the definition of `decl`; the first one queues it."""
@@ -476,6 +444,7 @@ class CoreChecker:
 
     def __init__(self, program: CoreProgram):
         self.program = program
+        self.concepts, self.datas = program.world.index.concepts, program.world.index.datas
         self.eq_rules: list[Eq] = []  # the current definition's erased givens
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
@@ -607,11 +576,11 @@ class CoreChecker:
             if len(subjects) != len(concept.params):
                 wants = len(concept.params)
                 self.fail(f"dictionary of {concept_id} at {len(subjects)} subjects, wants {wants}")
-            fields = self.dicts[key] = concept_field_types(concept, subjects, self.program.concepts)
+            fields = self.dicts[key] = concept_field_types(concept, subjects, self.concepts)
         return fields
 
     def _dict(self, e: CDict, env) -> TypeTerm:
-        concept = self.program.concepts.get(e.concept)
+        concept = self.concepts.get(e.concept)
         if concept is None:
             self.fail(f"unknown concept {e.concept}")
         subjects = tuple(e.subjects)
@@ -637,7 +606,7 @@ class CoreChecker:
         if not (isinstance(head, Con) and head.name.startswith("Dict$")):
             self.fail(f"projection .{e.field} from non-dictionary type {render(rec_t)}")
         concept_id = head.name[len("Dict$"):]
-        concept = self.program.concepts.get(concept_id)
+        concept = self.concepts.get(concept_id)
         if concept is None:
             self.fail(f"unknown concept dictionary {concept_id}")
         ftype = self._dictionary(concept_id, concept, rec_t.args).get(e.field)
@@ -646,7 +615,7 @@ class CoreChecker:
         return ftype
 
     def _ctor(self, e: CCtor, env) -> TypeTerm:
-        data = self.program.datas.get(e.data)
+        data = self.datas.get(e.data)
         if data is None:
             self.fail(f"unknown data type {e.data}")
         cdecl = data.ctor(e.ctor)
@@ -669,7 +638,7 @@ class CoreChecker:
     def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
         con = outermost_con(scrut)
-        data = None if con is None else self.program.datas.get(f"{con.origin}.{con.name}")
+        data = None if con is None else self.datas.get(f"{con.origin}.{con.name}")
         if data is None:
             self.fail(f"match on non-data type {render(scrut)}")
         args = scrut.args if isinstance(scrut, App) else ()

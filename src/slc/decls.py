@@ -1,4 +1,5 @@
-"""Checked declarations, the typed expression IR, and model worlds."""
+"""Checked declarations, the typed expression IR, the one declaration index
+of a program, and the model worlds that see it through a module's imports."""
 
 from __future__ import annotations
 
@@ -132,25 +133,17 @@ class DataDecl:
 
 
 class CheckedModule:
-    # world: the models visible here, its own last; index: the declarations of
-    # the modules it imports, std included; both set by sema
+    # world: the models visible here, its own last; visible: the names of the
+    # modules whose declarations it sees, std and itself included; both set by sema
     __slots__ = (
         "name", "imports", "concepts", "models", "funs", "datas", "goal_log", "span", "world",
-        "index", "export",
+        "visible",
     )
     def __init__(self, name: str, imports: list[str], span: Span | None = None,
                  world: ModelWorld | None = None):
         self.name, self.imports, self.concepts, self.models, self.funs = name, imports, {}, [], {}
         self.datas, self.goal_log, self.span, self.world = {}, [], span, world
-        self.index = self.export = None
-
-    def exported_index(self) -> Index:
-        """What a module importing this one sees through it: `index` plus
-        this module, built on first request and shared by every importer."""
-        if self.export is None:
-            self.export = Index(self.index)
-            self.export.add_module(self)
-        return self.export
+        self.visible = None
 
     def signature_digest(self) -> str:
         """Canonical rendering used to compare re-checked modules."""
@@ -190,48 +183,51 @@ class CheckedModule:
 
 
 class Index:
-    """The declarations of a set of modules as sema looks them up: concepts
-    and data types by id, and every declaration by (kind, name), the kind
-    being "concept", "data", "fun", "ctor", "req", "assoc" or "model". A name
-    maps to a tuple, so `Index(other)` copies `other` in three dictionary
-    copies, and adding to the copy leaves `other` as it was."""
+    """Every declaration of one program, filed as sema checks it: std's
+    first, then each module's in topological order.
 
-    __slots__ = ("modules", "concepts", "datas", "by_name")  # modules: the names indexed
+    Concepts and data types are kept by id. Every declaration is also kept
+    by (kind, name), the kind being "concept", "data", "fun", "ctor",
+    "req", "assoc" or "model", as (module, entry) pairs, so that a module
+    looks up only what its `visible` modules filed. Models are kept in
+    filing order and in buckets: by concept, and by (concept, rough key),
+    the key being the outermost constructor of the model's Self head
+    (`outermost_con`), or None for a Self that is a variable or a projection.
+    """
 
-    def __init__(self, base: Index | None = None):
-        self.modules = set() if base is None else set(base.modules)
-        self.concepts = {} if base is None else base.concepts.copy()
-        self.datas = {} if base is None else base.datas.copy()
-        self.by_name: dict[tuple[str, str], tuple] = {} if base is None else base.by_name.copy()
+    __slots__ = ("concepts", "datas", "by_name", "models", "buckets", "position")
 
-    def push(self, kind: str, name: str, entry) -> None:
-        self.by_name[kind, name] = self.by_name.get((kind, name), ()) + (entry,)
+    def __init__(self):
+        self.concepts: dict[str, ConceptDecl] = {}
+        self.datas: dict[str, DataDecl] = {}
+        self.by_name: dict[tuple[str, str], list[tuple[str, object]]] = {}
+        self.models: list[ModelDecl] = []
+        self.buckets: dict[str | tuple[str, Con | None], list[ModelDecl]] = {}
+        self.position: dict[int, int] = {}  # id of a model -> its place in `models`
 
-    def add_module(self, mod: CheckedModule):
-        self.modules.add(mod.name)
-        for concept in mod.concepts.values():
-            self.add_concept(concept)
-        for data in mod.datas.values():
-            self.add_data(data)
-        for fun in mod.funs.values():
-            self.push("fun", fun.name, fun)
-        for model in mod.models:
-            if model.name:
-                self.push("model", model.name, model)
+    def push(self, kind: str, name: str, module: str, entry) -> None:
+        self.by_name.setdefault((kind, name), []).append((module, entry))
 
     def add_concept(self, concept: ConceptDecl):
         self.concepts[concept.id] = concept
-        self.push("concept", concept.name, concept)
+        self.push("concept", concept.name, concept.module, concept)
         for member in concept.assoc_names:
-            self.push("assoc", member, concept)
-        for req in concept.requirements.values():
-            self.push("req", req.name, (concept, req))
+            self.push("assoc", member, concept.module, concept)
 
     def add_data(self, data: DataDecl):
         self.datas[data.id] = data
-        self.push("data", data.name, data)
+        self.push("data", data.name, data.module, data)
         for ctor in data.ctors:
-            self.push("ctor", ctor.name, (data, ctor))
+            self.push("ctor", ctor.name, data.module, (data, ctor))
+
+    def add_model(self, model: ModelDecl):
+        self.position[id(model)] = len(self.models)
+        self.models.append(model)
+        self.buckets.setdefault(model.concept, []).append(model)
+        key = (model.concept, outermost_con(model.head[0]))
+        self.buckets.setdefault(key, []).append(model)
+        if model.name:
+            self.push("model", model.name, model.module, model)
 
 
 def _sig_digest(sig: ReqSig) -> str:
@@ -256,37 +252,39 @@ def bind_assocs(
 
 
 class ModelWorld:
-    """The models visible at some point, in deterministic order.
+    """The models of `index` that the modules in `visible` declare (all of
+    them when `visible` is None), in filing order: module topological
+    index, then declaration index. When `home` is set, models declared in
+    that module form the inner scope for the scoped policy; every import
+    sits in the single outer scope.
 
-    Order is (module topological index, declaration index). When `home` is
-    set, models declared in that module form the inner scope for the scoped
-    policy; every import sits in the single outer scope.
-
-    Models are also indexed by (concept, rough key), the key being the
-    outermost constructor of the model's Self head (`outermost_con`). A
-    model whose Self is a variable or a projection has no key and goes in
-    its concept's wildcard bucket, which every lookup includes.
+    Each bucket of the index is filtered the first time it is asked for,
+    and kept. A lookup by rough key includes the concept's wildcard bucket,
+    its models whose Self has no key.
     """
 
-    def __init__(self, models: list[ModelDecl], home: str | None = None):
-        self.models = list(models)
-        self.home = home
-        self._by_concept: dict[str, list[ModelDecl]] = {}
-        self._by_key: dict[tuple[str, Con], list[ModelDecl]] = {}
-        self._wildcards: dict[str, list[ModelDecl]] = {}
-        self._position: dict[int, int] = {}
-        self._like: dict[tuple[str, Con], list[ModelDecl]] = {}
-        for i, m in enumerate(self.models):
-            self._by_concept.setdefault(m.concept, []).append(m)
-            self._position[id(m)] = i
-            key = outermost_con(m.head[0])
-            if key is None:
-                self._wildcards.setdefault(m.concept, []).append(m)
-            else:
-                self._by_key.setdefault((m.concept, key), []).append(m)
+    def __init__(self, index: Index, visible: frozenset[str] | None = None,
+                 home: str | None = None):
+        self.index, self.visible, self.home = index, visible, home
+        self._buckets: dict = {}  # index bucket key -> its visible models; see models_like
+
+    @property
+    def models(self) -> list[ModelDecl]:
+        return self._visible(self.index.models)
+
+    def _visible(self, models: list[ModelDecl]) -> list[ModelDecl]:
+        if self.visible is None or not models:
+            return models
+        return [m for m in models if m.module in self.visible]
+
+    def _bucket(self, key) -> list[ModelDecl]:
+        found = self._buckets.get(key)
+        if found is None:
+            found = self._buckets[key] = self._visible(self.index.buckets.get(key, []))
+        return found
 
     def models_of(self, concept: str) -> list[ModelDecl]:
-        return self._by_concept.get(concept, [])
+        return self._bucket(concept)
 
     def models_like(self, concept: str, self_type: TypeTerm) -> list[ModelDecl]:
         """The models of `concept` whose head could match or unify with a
@@ -294,14 +292,15 @@ class ModelWorld:
         Self constructor differs from `self_type`'s are left out."""
         key = outermost_con(self_type)
         if key is None:
-            return self.models_of(concept)
-        like = self._like.get((concept, key))
+            return self._bucket(concept)
+        like = self._buckets.get((concept, key))
         if like is None:
-            like = self._by_key.get((concept, key), [])
-            wildcards = self._wildcards.get(concept)
+            like = self._visible(self.index.buckets.get((concept, key), []))
+            wildcards = self._bucket((concept, None))
             if wildcards:
-                like = sorted(like + wildcards, key=lambda m: self._position[id(m)])
-            self._like[(concept, key)] = like
+                position = self.index.position
+                like = sorted(like + wildcards, key=lambda m: position[id(m)])
+            self._buckets[(concept, key)] = like
         return like
 
     def scope_level(self, m: ModelDecl) -> int:

@@ -1,12 +1,16 @@
 """Multi-module assembly: import graphs, per-module checking, link-time
 global coherence.
 
-Per-module definition-site checks see a module's own models plus its
-transitive imports. Linking runs the same pair engine,
-`coherence.conflicts`, over the union of all models, on cross-module pairs
-only, so a conflict between sibling modules that never import each other
-still surfaces — as E-LINK-CONFLICT naming both origins. The scoped policy
-skips the global check entirely: all models coexist under their names.
+A program has one declaration index (`decls.Index`): sema files each
+module's declarations in it, in topological order, and a module sees the
+entries of its `visible` modules, std, itself and what its imports see.
+Per-module definition-site checks run in that module's world, its own
+models plus those of its transitive imports. Linking runs the same pair
+engine, `coherence.conflicts`, over every model of the index, on
+cross-module pairs only, so a conflict between sibling modules that never
+import each other still surfaces — as E-LINK-CONFLICT naming both origins.
+The scoped policy skips the global check entirely: all models coexist under
+their names.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import heapq
 
 from . import ast as A
 from .coherence import CoherencePolicy, check_def_site, conflicts
-from .decls import CheckedModule, ModelWorld
+from .decls import CheckedModule, Index, ModelWorld
 from .diagnostics import Diagnostic, Related, has_errors, sort_diagnostics
 from .parser import parse_module_bytes
 from .resolver import DEFAULT_DEPTH
 from .sema import check_module
-from .types import UNIT
+from .std import program_index
+from .types import STD, UNIT
 
 
 class ModuleGraph:
@@ -32,19 +37,12 @@ class ModuleGraph:
 
 
 class LinkedProgram:
-    # world: union world; entry: (module, function)
+    # world: every model of the program's index; entry: (module, function)
     __slots__ = ("graph", "modules", "world", "entry", "policy")
     def __init__(self, graph: ModuleGraph, modules: dict[str, CheckedModule], world: ModelWorld,
                  entry: tuple[str, str] | None, policy: CoherencePolicy):
         self.graph, self.modules, self.world, self.entry = graph, modules, world, entry
         self.policy = policy
-
-    def concepts_table(self) -> dict:
-        table = {}
-        for mod in self.modules.values():
-            for concept in mod.concepts.values():
-                table[concept.id] = concept
-        return table
 
 
 def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Diagnostic]]:
@@ -63,6 +61,15 @@ def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Di
                 )
             )
             continue
+        if m.name == STD:  # its ids would collide with the built-in module's
+            diags.append(
+                Diagnostic(
+                    "E-NAME",
+                    f"module name '{STD}' is reserved for the built-in module",
+                    m.span,
+                    module=m.name,
+                )
+            )
         asts[m.name] = m
     for m in asts.values():
         for imp, span in zip(m.imports, m.import_spans):
@@ -111,34 +118,20 @@ def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Di
     return ModuleGraph(order, asts), diags
 
 
-def transitive_imports(graph: ModuleGraph, name: str) -> list[str]:
-    """Transitive imports of `name`, in topological order, excluding itself."""
-    seen: set[str] = set()
-    stack = list(graph.asts[name].imports)
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(graph.asts[cur].imports)
-    index = graph.topo_index
-    return sorted(seen, key=lambda n: index[n])
-
-
 def link(
     graph: ModuleGraph,
     checked: dict[str, CheckedModule],
+    index: Index,
     policy: CoherencePolicy,
 ) -> tuple[LinkedProgram | None, list[Diagnostic]]:
     """Assemble checked modules; global pairwise check under uniqueness policies."""
     diags: list[Diagnostic] = []
-    union_models = [m for name in graph.order for m in checked[name].models]
-    world = ModelWorld(union_models)
+    world = ModelWorld(index)
 
     # Models come in topological order, so `later` is in the later module.
     if policy.is_uniqueness:
         for earlier, later, _, why in conflicts(
-            union_models, world, policy.kind, same_module=False
+            index.models, world, policy.kind, same_module=False
         ):
             diags.append(
                 Diagnostic(
@@ -230,11 +223,11 @@ def check_sources(
         return CheckResult(sort_diagnostics(diags, {}), None)
     topo = graph.topo_index
 
-    closure = {name: transitive_imports(graph, name) for name in graph.order}
+    index = program_index()
     checked: dict[str, CheckedModule] = {}
     for name in graph.order:
-        imports = [checked[i] for i in closure[name]]
-        module, module_diags = check_module(graph.asts[name], imports, policy, depth)
+        imports = [checked[i] for i in graph.asts[name].imports]
+        module, module_diags = check_module(graph.asts[name], imports, index, policy, depth)
         checked[name] = module
         diags.extend(module_diags)
     if has_errors(diags):
@@ -245,7 +238,7 @@ def check_sources(
     if has_errors(diags):
         return CheckResult(sort_diagnostics(diags, topo), None, checked, graph)
 
-    program, link_diags = link(graph, checked, policy)
+    program, link_diags = link(graph, checked, index, policy)
     diags.extend(link_diags)
     return CheckResult(sort_diagnostics(diags, topo), program, checked, graph)
 

@@ -185,15 +185,15 @@ def _strictly_more_specific(a: Candidate, b: Candidate) -> bool:
 
 
 class Resolver:
-    """Resolution of the goals of one declaration, whose declared
-    constraints are `givens`. They are closed under refinement, and each
-    leaf's goal is its constraint normalized, once, here; a given whose
-    normalization diverges is never chosen."""
+    """Resolution of the goals of one declaration in the world `scope`,
+    whose declared constraints are `givens`. They are closed under
+    refinement through the concepts of `scope.index`, and each leaf's goal
+    is its constraint normalized, once, here; a given whose normalization
+    diverges is never chosen."""
 
     def __init__(
         self,
         scope: ModelWorld,
-        concepts: dict[str, ConceptDecl],
         policy: CoherencePolicy,
         depth: int = DEFAULT_DEPTH,
         givens: list[ConstraintTerm] | tuple = (),
@@ -205,7 +205,7 @@ class Resolver:
         self.givens: list[GivenLeaf] = []
         if not givens:
             return
-        closed = close_givens(givens, concepts)
+        closed = close_givens(givens, scope.index.concepts)
         self.eq_rules = [g.constraint for g in closed if isinstance(g.constraint, Eq)]
         for leaf in closed:
             try:
@@ -361,7 +361,6 @@ def entails(
     givens: list[ConstraintTerm],
     wanted: ConstraintTerm,
     scope: ModelWorld,
-    concepts: dict[str, ConceptDecl],
     policy: CoherencePolicy,
     site: Span | None = None,
     rigid: frozenset[int] | None = None,
@@ -371,7 +370,7 @@ def entails(
     site = site or Span("<entails>", (1, 1), (1, 1))
     if rigid is None:
         rigid = frozenset(v.uid for v in free_vars(list(givens) + [wanted]))
-    resolver = Resolver(scope, concepts, policy, depth, givens)
+    resolver = Resolver(scope, policy, depth, givens)
     res, _, _ = resolver.resolve(Goal(wanted, rigid, site))
     return res
 
@@ -400,7 +399,6 @@ def check_stability(
     fun: FunDecl,
     assignment: dict[int, TypeTerm],
     scope: ModelWorld,
-    concepts: dict[str, ConceptDecl],
     policy: CoherencePolicy,
     depth: int = DEFAULT_DEPTH,
 ) -> StabilityReport:
@@ -412,7 +410,7 @@ def check_stability(
     fresh derivation commit to identical model trees.
     """
     subst = Substitution(dict(assignment))
-    fresh_resolver = Resolver(scope, concepts, policy.flagless(), depth)
+    fresh_resolver = Resolver(scope, policy.flagless(), depth)
 
     def fresh_of(constraint: ConstraintTerm, site: Span):
         goal = Goal(subst.apply(constraint), frozenset(), site)

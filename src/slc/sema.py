@@ -16,6 +16,8 @@ dictionary-passing elaboration.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import ast as A
 from .coherence import CoherencePolicy
 from .decls import (
@@ -47,11 +49,12 @@ from .decls import (
 )
 from .diagnostics import Diagnostic, Related, Span
 from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver
-from .std import BUILTIN_SIGS, STD_MODULE
+from .std import BUILTIN_SIGS
 from .types import (
     BOOL,
     BUILTIN_CONS,
     F64,
+    STD,
     STRING,
     U64,
     U8,
@@ -89,11 +92,13 @@ class SemaAbort(Exception):
 def check_module(
     ast: A.ModuleAST,
     imports: list[CheckedModule],
+    index: Index,
     policy: CoherencePolicy,
     depth: int = DEFAULT_DEPTH,
 ) -> tuple[CheckedModule, list[Diagnostic]]:
-    """Check one module against its (already checked) imports."""
-    return ModuleChecker(ast, imports, policy, depth).run()
+    """Check one module against its (already checked) direct imports, filing
+    its declarations in the program's `index`."""
+    return ModuleChecker(ast, imports, index, policy, depth).run()
 
 
 class ModuleChecker:
@@ -101,30 +106,19 @@ class ModuleChecker:
         self,
         ast: A.ModuleAST,
         imports: list[CheckedModule],
+        index: Index,
         policy: CoherencePolicy,
         depth: int = DEFAULT_DEPTH,
     ):
         self.ast = ast
         self.policy = policy
         self.depth = depth
-        self.visible = [STD_MODULE] + list(imports)  # topo order, std first
+        self.index = index
         self.module = CheckedModule(name=ast.name, imports=list(ast.imports), span=ast.span)
+        self.module.visible = frozenset((STD, ast.name)).union(*(m.visible for m in imports))
         self.diags: list[Diagnostic] = []
 
         self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
-
-        # Everything visible: what the last import exports, which in a chain
-        # holds every other import already, plus in a copy each visible module
-        # it lacks (the other side of a diamond). `names` adds this module's
-        # own entries as they form.
-        index = (imports[-1] if imports else STD_MODULE).exported_index()
-        missing = [mod for mod in self.visible if mod.name not in index.modules]
-        if missing:
-            index = Index(index)
-            for mod in missing:
-                index.add_module(mod)
-        self.module.index = index
-        self.names = Index(index)
 
     # ------------------------------------------------------------ driver
 
@@ -133,8 +127,9 @@ class ModuleChecker:
         for d in self.ast.decls:
             by_class[type(d)].append(d)
         concept_asts, data_asts, model_asts, fun_asts = by_class.values()
-
-        self._check_local_name_clashes(concept_asts, data_asts, fun_asts)
+        concept_asts, data_asts, fun_asts = self._first_of_each_name(
+            concept_asts, data_asts, fun_asts
+        )
 
         # Headers first so declarations may refer to each other freely.
         data_decls = [self._predeclare_data(d) for d in data_asts]
@@ -151,20 +146,18 @@ class ModuleChecker:
             model = self.attempt(self._build_model_header, mast, index)
             if model is not None:
                 self.module.models.append(model)
-                if model.name:
-                    self.names.push("model", model.name, model)
+                self.index.add_model(model)
 
-        world_models = [m for mod in self.visible for m in mod.models] + self.module.models
-        self.module.world = ModelWorld(world_models, home=self.module.name)
+        self.module.world = ModelWorld(self.index, self.module.visible, home=self.module.name)
 
         fun_decls = [self.attempt(self._build_fun_header, f) for f in fun_asts]
         for decl in fun_decls:
             if decl is not None:
                 self.module.funs[decl.name] = decl
-                self.names.push("fun", decl.name, decl)
+                self.index.push("fun", decl.name, decl.module, decl)
 
-        for model, mast in zip(list(self.module.models), model_asts):
-            self._check_model_obligations_and_bodies(model, mast)
+        for model in self.module.models:
+            self._check_model_obligations_and_bodies(model, model_asts[model.index])
 
         for decl, fast in zip(fun_decls, fun_asts):
             if decl is not None:
@@ -172,18 +165,28 @@ class ModuleChecker:
 
         return self.module, self.diags
 
-    def _check_local_name_clashes(self, concepts, datas, funs):
-        for decls, what in ((list(concepts) + list(datas), "type-level"), (funs, "function")):
-            seen: dict[str, Span] = {}
+    def _first_of_each_name(self, concepts, datas, funs):
+        """The declarations without those whose name an earlier one of the
+        same level, type or function, has taken: each of those is an E-NAME
+        and is neither filed nor checked."""
+        later = set()
+        types = sorted(concepts + datas, key=attrgetter("span.start"))  # in source order
+        for decls, what in ((types, "type-level"), (funs, "function")):
+            first: dict[str, Span] = {}
             for d in decls:
-                if d.name in seen:
+                if d.name in first:
                     self.report(
                         "E-NAME",
                         f"duplicate {what} name '{d.name}' in module {self.ast.name}",
                         d.span,
-                        related=(Related(seen[d.name], "first declaration"),),
+                        related=(Related(first[d.name], "first declaration"),),
                     )
-                seen[d.name] = d.span
+                    later.add(id(d))
+                else:
+                    first[d.name] = d.span
+        if not later:
+            return concepts, datas, funs
+        return [[d for d in decls if id(d) not in later] for decls in (concepts, datas, funs)]
 
     # ------------------------------------------------------------ diagnostics
 
@@ -210,7 +213,7 @@ class ModuleChecker:
     def _predeclare_data(self, dast: A.DataAST) -> DataDecl:
         params = [Var(p, fresh_uid()) for p in dast.params]
         decl = DataDecl(self.module.name, dast.name, params, [], dast.span)
-        self.names.add_data(decl)
+        self.index.add_data(decl)
         return decl
 
     def _predeclare_concept(self, cast: A.ConceptAST) -> ConceptDecl:
@@ -225,7 +228,7 @@ class ModuleChecker:
             req_order=[],
             span=cast.span,
         )
-        self.names.add_concept(decl)
+        self.index.add_concept(decl)
         return decl
 
     def _fill_data(self, decl: DataDecl, dast: A.DataAST):
@@ -240,7 +243,7 @@ class ModuleChecker:
             if fields is None:
                 continue
             decl.ctors.append(CtorDecl(ctor.name, fields, ctor.span))
-            self.names.push("ctor", ctor.name, (decl, decl.ctors[-1]))
+            self.index.push("ctor", ctor.name, decl.module, (decl, decl.ctors[-1]))
 
     def _fill_concept(self, decl: ConceptDecl, cast: A.ConceptAST):
         tyvars = {v.name: v for v in decl.params}
@@ -282,7 +285,7 @@ class ModuleChecker:
                 continue
             decl.requirements[req.name] = sig
             decl.req_order.append(req.name)
-            self.names.push("req", req.name, (decl, sig))
+            self.index.push("req", req.name, decl.module, (decl, sig))
 
     def _req_sig(self, req: A.ReqSigAST, tyvars: dict[str, Var]) -> ReqSig:
         params = [(n, self.resolve_type(t, tyvars)) for n, t in req.params]
@@ -290,7 +293,7 @@ class ModuleChecker:
 
     def _check_refinement_cycles(self, local_concepts: list[ConceptDecl]):
         def supers_of(cid: str) -> list[str]:
-            c = self.names.concepts.get(cid)
+            c = self.index.concepts.get(cid)
             if c is None:
                 return []
             return [s.concept for s in c.supers if isinstance(s, Conf)]
@@ -419,13 +422,13 @@ class ModuleChecker:
     # ------------------------------------------------------------ obligations
 
     def _check_model_obligations_and_bodies(self, model: ModelDecl, mast: A.ModelAST):
-        concept = self.names.concepts[model.concept]
+        concept = self.index.concepts[model.concept]
         inst = concept.instantiate(model.head)
         inst_supers = inst.apply(concept.supers)
         givens = list(model.context) + inst_supers
         rigid = frozenset(v.uid for v in model.vars)
         if inst_supers:
-            resolver = Resolver(self.module.world, self.names.concepts, self.policy, self.depth, model.context)
+            resolver = Resolver(self.module.world, self.policy, self.depth, model.context)
         for sup in inst_supers:
             res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span))
             record = GoalRecord(model.span, sup, trace, res, f"model:{model.uid}")
@@ -474,8 +477,16 @@ class ModuleChecker:
 
     # ------------------------------------------------------------ lookups
 
+    def names(self, kind: str, name: str) -> list:
+        """The declarations of `kind` named `name` that this module sees."""
+        entries = self.index.by_name.get((kind, name))
+        if entries is None:
+            return ()
+        visible = self.module.visible
+        return [entry for module, entry in entries if module in visible]
+
     def lookup_concept(self, name: str, span: Span) -> ConceptDecl:
-        hits = self.names.by_name.get(("concept", name), ())
+        hits = self.names("concept", name)
         if not hits:
             self.abort("E-NAME", f"unknown concept '{name}'", span)
         if len(hits) > 1:
@@ -484,7 +495,7 @@ class ModuleChecker:
         return hits[0]
 
     def _unique(self, kind: str, name: str, what: str, span: Span):
-        hits = self.names.by_name.get((kind, name), ())
+        hits = self.names(kind, name)
         if not hits:
             return None
         if len(hits) > 1:
@@ -579,7 +590,7 @@ class ModuleChecker:
         if t.projections and self.policy.kind == "scoped":
             model = self._unique("model", name, "model", t.span)
             if model is not None:
-                concept = self.names.concepts[model.concept]
+                concept = self.index.concepts[model.concept]
                 member = t.projections[0]
                 if member not in concept.assoc_names:
                     msg = f"concept {concept.name} has no associated type '{member}'"
@@ -598,7 +609,7 @@ class ModuleChecker:
 
     def make_assoc(self, subject: TypeTerm, member: str, span: Span) -> TypeTerm:
         owners = [
-            c for c in self.names.by_name.get(("assoc", member), ()) if len(c.params) == 1
+            c for c in self.names("assoc", member) if len(c.params) == 1
         ]
         if not owners:
             self.abort("E-NAME", f"no visible concept declares an associated type '{member}'", span)
@@ -725,7 +736,7 @@ class ExprChecker:
         self.owner = owner
         self.records: list[GoalRecord] = []
         self.goal_log = mc.module.goal_log
-        self.resolver = Resolver(mc.module.world, mc.names.concepts, mc.policy, mc.depth, givens)
+        self.resolver = Resolver(mc.module.world, mc.policy, mc.depth, givens)
         self.eq_rules = self.resolver.eq_rules
 
     def synth(self, e: A.ExprAST, env: dict[str, TypeTerm]) -> TExpr:
@@ -1081,7 +1092,7 @@ class ExprChecker:
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
         con = outermost_con(t_n)
-        data = None if con is None else self.mc.names.datas.get(f"{con.origin}.{con.name}")
+        data = None if con is None else self.mc.index.datas.get(f"{con.origin}.{con.name}")
         if data is not None:
             args = t_n.args if isinstance(t_n, App) else ()
             return data, Substitution({v.uid: a for v, a in zip(data.params, args)})

@@ -7,7 +7,7 @@ checker and the core type checker can agree on them.
 
 from __future__ import annotations
 
-from .decls import CheckedModule, CtorDecl, DataDecl
+from .decls import CheckedModule, CtorDecl, DataDecl, Index
 from .diagnostics import Span
 from .types import (
     BOOL,
@@ -59,6 +59,14 @@ def _make_std() -> CheckedModule:
 
 
 STD_MODULE = _make_std()
+
+
+def program_index() -> Index:
+    """A new declaration index for one program, holding std's data types."""
+    index = Index()
+    for data in STD_MODULE.datas.values():
+        index.add_data(data)
+    return index
 
 
 # name -> (type variables, parameter types, return type)

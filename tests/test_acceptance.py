@@ -241,7 +241,7 @@ def test_criterion_10_coherence_by_enumeration():
         universe = ground_universe(result.program)
         if policy in ("def-site-strict", "def-site-disjoint"):
             # global guarantee: every concept, every ground subject tuple
-            for concept in result.program.concepts_table().values():
+            for concept in world.index.concepts.values():
                 arity = len(concept.params)
                 if len(universe) ** arity > 10_000:
                     continue
@@ -296,7 +296,6 @@ def test_criterion_11_stability():
     for program, policy_name, result in accepted_pairs():
         policy = CoherencePolicy(policy_name)
         world = result.program.world
-        concepts = result.program.concepts_table()
         universe = ground_universe(result.program)
         for module in result.modules.values():
             for fun in _stability_subjects(module):
@@ -319,7 +318,7 @@ def test_criterion_11_stability():
                     from slc.types import Substitution
 
                     subst = Substitution(assignment)
-                    resolver = Resolver(world, concepts, policy)
+                    resolver = Resolver(world, policy)
                     satisfied = True
                     for c in fun.context:
                         goal = Goal(subst.apply(c), frozenset(), fun.span)
@@ -329,7 +328,7 @@ def test_criterion_11_stability():
                             break
                     if not satisfied:
                         continue
-                    report_obj = check_stability(fun, assignment, world, concepts, policy)
+                    report_obj = check_stability(fun, assignment, world, policy)
                     assert not report_obj.unstable, (
                         program,
                         policy_name,
@@ -347,9 +346,7 @@ def test_criterion_11_stability():
     from slc.types import U64
 
     assignment = {log_fn.typarams[0].uid: U64}
-    stability = check_stability(
-        log_fn, assignment, result.program.world, result.program.concepts_table(), flagged
-    )
+    stability = check_stability(log_fn, assignment, result.program.world, flagged)
     assert len(stability.unstable) == 1, stability.entries
     assert "StringConvertible" in stability.unstable[0].goal
     elapsed = time.perf_counter() - started

@@ -252,3 +252,22 @@ def test_superclass_obligation_warning_blames_its_module(tmp_path):
     [diag] = json.loads(proc.stdout)
     assert diag["code"] == "W-INCOHERENT"
     assert diag["module"] == "m"
+
+
+def test_a_module_named_std_is_rejected(tmp_path):
+    """A user module named `std` would share the ids of the built-in one
+    (`std.Option`), so `sl check` rejects it with one E-NAME at its header
+    and checks nothing else. A module that imports it still finds it."""
+    (tmp_path / "std.sl").write_text("module std\ndata Option[a] { Nothing, Just(a) }\n")
+    (tmp_path / "app2.sl").write_text(
+        "module app2\n"
+        "fn main() -> Unit { match Some(1:U64) { Some(x) => print(show64(x)), "
+        'None => print("none") } }\n'
+    )
+    (tmp_path / "app3.sl").write_text('module app3\nimport std\nfn main() -> Unit { print("x") }\n')
+    proc = sl("check", "--json", "std.sl", "app2.sl", "app3.sl", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    [diag] = json.loads(proc.stdout)
+    assert (diag["code"], diag["module"]) == ("E-NAME", "std")
+    assert diag["message"] == "module name 'std' is reserved for the built-in module"
+    assert (diag["span"]["file"], diag["span"]["start"]) == ("std.sl", [1, 1])

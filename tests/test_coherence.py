@@ -491,8 +491,16 @@ def test_index_two_parameter_models_sharing_self_constructor():
     assert check_inline("use-site", m=TWO_PARAM).ok
 
 
+def _world(*models):
+    from slc.decls import Index, ModelWorld
+
+    index = Index()
+    for model in models:
+        index.add_model(model)
+    return ModelWorld(index)
+
+
 def test_models_like_keeps_world_order_and_includes_wildcards():
-    from slc.decls import ModelWorld
     from slc.types import OPTION, U8, U64, Assoc, Var, fresh_uid, option_type
 
     a = Var("a", fresh_uid())
@@ -500,7 +508,7 @@ def test_models_like_keeps_world_order_and_includes_wildcards():
     keyed_opt = _model([option_type(U64)], [])
     blanket = _model([a], [a])
     keyed_opt_any = _model([option_type(a)], [a])
-    world = ModelWorld([keyed_u8, keyed_opt, blanket, keyed_opt_any])
+    world = _world(keyed_u8, keyed_opt, blanket, keyed_opt_any)
     assert world.models_like("m.C", option_type(U64)) == [keyed_opt, blanket, keyed_opt_any]
     assert world.models_like("m.C", OPTION) == [keyed_opt, blanket, keyed_opt_any]
     assert world.models_like("m.C", U8) == [keyed_u8, blanket]
@@ -509,4 +517,4 @@ def test_models_like_keeps_world_order_and_includes_wildcards():
     assert world.models_like("m.C", a) is world.models_of("m.C")
     assert world.models_like("m.C", Assoc("m.C", "K", (U64,))) is world.models_of("m.C")
     assert world.models_like("m.Other", U8) == []
-    assert ModelWorld([keyed_u8, keyed_opt]).models_like("m.C", U8) == [keyed_u8]
+    assert _world(keyed_u8, keyed_opt).models_like("m.C", U8) == [keyed_u8]

@@ -77,11 +77,10 @@ def test_entails_given_matches_directly():
     result = check_inline(m=ENTAILS_SRC)
     assert result.ok
     program = result.program
-    concepts = program.concepts_table()
     iterator = result.modules["m"].concepts["Iterator"].id
     a = Var("a", fresh_uid())
     wanted = Conf(iterator, (a,))
-    res = entails([wanted], wanted, program.world, concepts, CoherencePolicy("use-site"))
+    res = entails([wanted], wanted, program.world, CoherencePolicy("use-site"))
     assert isinstance(res, GivenLeaf)
 
 
@@ -94,10 +93,7 @@ def test_entails_rigid_variable_fails_without_given():
     program = result.program
     iterator = result.modules["m"].concepts["Iterator"].id
     a = Var("a", fresh_uid())
-    res = entails(
-        [], Conf(iterator, (a,)), program.world, program.concepts_table(),
-        CoherencePolicy("use-site"),
-    )
+    res = entails([], Conf(iterator, (a,)), program.world, CoherencePolicy("use-site"))
     assert res is None
 
 
@@ -113,23 +109,19 @@ def test_entails_symmetric_equality_via_normalization():
     el_a = Assoc(iterator, "Element", (a,))
     el_b = Assoc(iterator, "Element", (b,))
     given = Eq(el_a, el_b)
-    res = entails(
-        [given], Eq(el_b, el_a), program.world, program.concepts_table(),
-        CoherencePolicy("use-site"),
-    )
+    res = entails([given], Eq(el_b, el_a), program.world, CoherencePolicy("use-site"))
     assert isinstance(res, (EqLeaf, GivenLeaf))  # both sides normalize equal
 
     # a ground equality discharged purely by rewriting
     ground = Eq(Assoc(iterator, "Element", (program.world.models[0].head[0],)), U8)
-    res2 = entails(
-        [], ground, program.world, program.concepts_table(), CoherencePolicy("use-site")
-    )
+    res2 = entails([], ground, program.world, CoherencePolicy("use-site"))
     assert isinstance(res2, EqLeaf)
 
 
 def test_infer_expr_on_checked_module():
     from slc.parser import parse_module
     from slc.sema import ModuleChecker, infer_expr
+    from slc.std import program_index
     from slc.coherence import CoherencePolicy
     from slc.types import U8, render
 
@@ -137,7 +129,7 @@ def test_infer_expr_on_checked_module():
     assert result.ok
     # re-run a checker to host the expression (tables already proven good)
     module_ast = result.graph.asts["m"]
-    mc = ModuleChecker(module_ast, [], CoherencePolicy("use-site"))
+    mc = ModuleChecker(module_ast, [], program_index(), CoherencePolicy("use-site"))
     mc.run()
     expr = parse_module(
         "module probe\nfn probe() -> U8 { trunc8(band(7:U64, 255:U64)) }\n", "p.sl"
@@ -150,11 +142,12 @@ def test_infer_expr_on_checked_module():
 def test_infer_expr_rejects_unbound_names():
     from slc.parser import parse_module
     from slc.sema import ModuleChecker, SemaAbort, infer_expr
+    from slc.std import program_index
     from slc.coherence import CoherencePolicy
 
     result = check_inline(m=ENTAILS_SRC)
     module_ast = result.graph.asts["m"]
-    mc = ModuleChecker(module_ast, [], CoherencePolicy("use-site"))
+    mc = ModuleChecker(module_ast, [], program_index(), CoherencePolicy("use-site"))
     mc.run()
     expr = parse_module("module probe\nfn p() -> U8 { ghost }\n", "p.sl").decls[0].body
     with pytest.raises(SemaAbort):

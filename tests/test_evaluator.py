@@ -1,5 +1,6 @@
 """Evaluation: fixed-width semantics, transcripts, fuel."""
 
+import gc
 import json
 import random
 import sys
@@ -446,11 +447,16 @@ def test_python_calls_per_fold_element():
             nonlocal count
             count += event == "call"
 
+        enabled = gc.isenabled()
+        gc.collect()  # so that no collection of dead terms lands inside the count
+        gc.disable()
         sys.setprofile(profile)
         try:
             run_program(core)
         finally:
             sys.setprofile(None)
+            if enabled:
+                gc.enable()
         return count
 
     assert (calls(2000) - calls(1000)) / 1000 <= 43
@@ -471,11 +477,16 @@ def test_opcodes_per_fold_element():
             count += event == "opcode"
             return trace
 
+        enabled = gc.isenabled()
+        gc.collect()  # so that no collection of dead terms lands inside the count
+        gc.disable()
         sys.settrace(trace)
         try:
             run_program(core)
         finally:
             sys.settrace(None)
+            if enabled:
+                gc.enable()
         return count
 
     assert (opcodes(2000) - opcodes(1000)) / 1000 <= 1060

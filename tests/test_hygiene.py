@@ -174,7 +174,7 @@ def test_every_node_kind_has_a_rule_in_every_pass():
     assert kinds <= COMPILERS.keys() and kinds <= CHECKERS.keys()
     names = [f"d{i}" for i in range(len(samples))]
     defs = {name: CoreDef(name, [], U64, e) for name, e in zip(names, samples)}
-    program = CoreProgram(defs, names, None, {}, {}, None)
+    program = CoreProgram(defs, names, None, None)
     shown = core_to_json(program)["defs"]  # raises on a kind it does not know
     assert [d["name"] for d in shown] == names
     typed = {cls for cls in decls.TExpr.__subclasses__() if cls.__module__ == decls.__name__}

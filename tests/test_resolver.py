@@ -303,9 +303,7 @@ fn main() -> Unit {
     program = result.program
     log_fn = result.modules["m"].funs["log"]
     assignment = {log_fn.typarams[0].uid: U64}
-    report = check_stability(
-        log_fn, assignment, program.world, program.concepts_table(), policy
-    )
+    report = check_stability(log_fn, assignment, program.world, policy)
     assert len(report.entries) == 1
     assert len(report.unstable) == 1
     assert "StringConvertible" in report.unstable[0].goal
@@ -328,7 +326,6 @@ fn main() -> Unit { print(g(1:U64)) }
         g,
         {g.typarams[0].uid: U64},
         result.program.world,
-        result.program.concepts_table(),
         CoherencePolicy("use-site"),
     )
     assert report.entries and all(e.stable for e in report.entries)
@@ -340,10 +337,7 @@ def test_stability_empty_report_for_goalless_fn():
     from slc.resolver import check_stability
 
     fn = result.modules["m"].funs["id"]
-    report = check_stability(
-        fn, {}, result.program.world, result.program.concepts_table(),
-        CoherencePolicy("use-site"),
-    )
+    report = check_stability(fn, {}, result.program.world, CoherencePolicy("use-site"))
     assert report.entries == []
 
 

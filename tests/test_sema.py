@@ -498,3 +498,57 @@ def test_a_local_named_like_a_constructor_is_not_deferred():
         src = f"module m\n{ID}fn g({param}: U64) -> U64 {{ let z = id({param}); z }}\n"
         result = check_inline(m=src)
         assert result.ok, result.diagnostics
+
+
+def test_model_bodies_are_checked_against_their_own_model_after_a_failed_header():
+    """A model whose header fails is not checked further, and each later
+    model's bodies are checked against that model's own declaration."""
+    result = check_inline(
+        m="""\
+module m
+concept Show[Self] { fn show(x: Self) -> String }
+model Show[U8, U8] { fn show(x: U8) -> String { "bad" } }
+model Show[U64] { fn show(x: U64) -> String { show64(x) } }
+"""
+    )
+    [arity] = result.diagnostics
+    assert (arity.code, arity.span.start) == ("E-ARITY", (3, 1))
+    assert "show" in result.modules["m"].models[0].bodies
+
+
+DUPLICATES = """\
+module dups
+data D { A }
+data D { B }
+data D { C }
+fn f() -> D { A }
+fn f() -> U64 { B }
+fn g() -> D { f() }
+"""
+
+
+def test_the_first_declaration_of_a_name_wins():
+    """A later declaration of a name that a module already declares is an
+    E-NAME whose related span is the first declaration; it is neither filed
+    nor checked, so uses, in the module and in its importers, meet the first."""
+    result = check_inline(
+        dups=DUPLICATES,
+        user="module user\nimport dups\nfn h() -> D { f() }\nfn k() -> D { A }\n",
+    )
+    found = [(d.code, d.span.start, [r.span.start for r in d.related]) for d in result.diagnostics]
+    assert found == [
+        ("E-NAME", (3, 1), [(2, 1)]),
+        ("E-NAME", (4, 1), [(2, 1)]),
+        ("E-NAME", (6, 1), [(5, 1)]),
+    ]
+    dups = result.modules["dups"]
+    assert [c.name for c in dups.datas["D"].ctors] == ["A"]
+    assert dups.funs["f"].body is not None and set(dups.funs) == {"f", "g"}
+    assert set(result.modules["user"].funs) == {"h", "k"}
+
+    # Data types and concepts share one level, in source order.
+    result = check_inline(
+        m="module m\ndata D { A }\nconcept D[Self] { fn f(x: Self) -> U64 }\nfn g() -> D { A }\n"
+    )
+    [dup] = result.diagnostics
+    assert (dup.span.start, dup.related[0].span.start) == ((3, 1), (2, 1))
