@@ -24,6 +24,10 @@ import sys
 from pathlib import Path
 
 USAGE_EXIT = 2
+# Container allocations between young collections while a command runs (the
+# interpreter's default is 700): more than checking a program of a few dozen
+# modules makes, so such a check runs no collection at all.
+YOUNG_THRESHOLD = 100_000
 
 
 def _deferred(name: str):
@@ -298,6 +302,20 @@ def cmd_explain(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Checking frees what it builds by reference counting, and a run leaves
+    # the same garbage however long it loops, so young collections at the
+    # default threshold only rescan live data. The caller's settings come
+    # back when the command ends.
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(YOUNG_THRESHOLD, *thresholds[1:])
+    try:
+        return dispatch(argv)
+    finally:
+        gc.set_threshold(*thresholds)
+        (gc.enable if enabled else gc.disable)()
+
+
+def dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

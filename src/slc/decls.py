@@ -188,8 +188,8 @@ class Index:
 
     Concepts and data types are kept by id. Every declaration is also kept
     by (kind, name), the kind being "concept", "data", "fun", "ctor",
-    "req", "assoc" or "model", as (module, entry) pairs, so that a module
-    looks up only what its `visible` modules filed. Models are kept in
+    "req", "assoc" or "model", grouped by the module that filed it, so that
+    a module looks up only what its `visible` modules filed. Models are kept in
     filing order and in buckets: by concept, and by (concept, rough key),
     the key being the outermost constructor of the model's Self head
     (`outermost_con`), or None for a Self that is a variable or a projection.
@@ -200,13 +200,13 @@ class Index:
     def __init__(self):
         self.concepts: dict[str, ConceptDecl] = {}
         self.datas: dict[str, DataDecl] = {}
-        self.by_name: dict[tuple[str, str], list[tuple[str, object]]] = {}
+        self.by_name: dict[tuple[str, str], dict[str, list]] = {}  # -> module -> entries
         self.models: list[ModelDecl] = []
         self.buckets: dict[str | tuple[str, Con | None], list[ModelDecl]] = {}
         self.position: dict[int, int] = {}  # id of a model -> its place in `models`
 
     def push(self, kind: str, name: str, module: str, entry) -> None:
-        self.by_name.setdefault((kind, name), []).append((module, entry))
+        self.by_name.setdefault((kind, name), {}).setdefault(module, []).append(entry)
 
     def add_concept(self, concept: ConceptDecl):
         self.concepts[concept.id] = concept

@@ -29,10 +29,12 @@ from .types import STD, UNIT
 
 
 class ModuleGraph:
-    # order: topological, deterministic; topo_index: each name's position in it
-    __slots__ = ("order", "asts", "topo_index")
-    def __init__(self, order: list[str], asts: dict[str, A.ModuleAST]):
-        self.order, self.asts = order, asts
+    # order: topological, deterministic; topo_index: each name's position in it;
+    # imports: each module's imports of other modules of the program
+    __slots__ = ("order", "asts", "topo_index", "imports")
+    def __init__(self, order: list[str], asts: dict[str, A.ModuleAST],
+                 imports: dict[str, list[str]]):
+        self.order, self.asts, self.imports = order, asts, imports
         self.topo_index = {name: i for i, name in enumerate(order)}
 
 
@@ -71,9 +73,11 @@ def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Di
                 )
             )
         asts[m.name] = m
+    # Every module imports std implicitly, so an explicit `import std` adds nothing.
+    imports = {m.name: [imp for imp in m.imports if imp != STD] for m in asts.values()}
     for m in asts.values():
         for imp, span in zip(m.imports, m.import_spans):
-            if imp not in asts:
+            if imp not in asts and imp != STD:
                 diags.append(
                     Diagnostic(
                         "E-UNRESOLVED-IMPORT",
@@ -89,10 +93,10 @@ def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Di
     # input file order.
     indegree = {name: 0 for name in asts}
     dependents: dict[str, list[str]] = {name: [] for name in asts}
-    for m in asts.values():
-        for imp in m.imports:
-            indegree[m.name] += 1
-            dependents[imp].append(m.name)
+    for name, names in imports.items():
+        for imp in names:
+            indegree[name] += 1
+            dependents[imp].append(name)
     ready = [name for name, deg in sorted(indegree.items()) if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -115,7 +119,7 @@ def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Di
             )
         )
         return None, diags
-    return ModuleGraph(order, asts), diags
+    return ModuleGraph(order, asts, imports), diags
 
 
 def link(
@@ -226,7 +230,7 @@ def check_sources(
     index = program_index()
     checked: dict[str, CheckedModule] = {}
     for name in graph.order:
-        imports = [checked[i] for i in graph.asts[name].imports]
+        imports = [checked[i] for i in graph.imports[name]]
         module, module_diags = check_module(graph.asts[name], imports, index, policy, depth)
         checked[name] = module
         diags.extend(module_diags)

@@ -478,12 +478,24 @@ class ModuleChecker:
     # ------------------------------------------------------------ lookups
 
     def names(self, kind: str, name: str) -> list:
-        """The declarations of `kind` named `name` that this module sees."""
-        entries = self.index.by_name.get((kind, name))
-        if entries is None:
+        """The declarations of `kind` named `name` that this module sees, in
+        filing order; callers only read the list. Walks the modules that
+        filed the name or the visible ones, whichever are fewer, so that
+        siblings reusing a name add nothing to a lookup."""
+        groups = self.index.by_name.get((kind, name))
+        if groups is None:
             return ()
         visible = self.module.visible
-        return [entry for module, entry in entries if module in visible]
+        if len(groups) == 1:  # most names are filed by one module
+            for module in groups:
+                return groups[module] if module in visible else ()
+        if len(groups) <= len(visible):
+            modules = [module for module in groups if module in visible]
+        else:
+            modules = [module for module in visible if module in groups]
+            if len(modules) > 1:  # back into filing order, which `groups` keeps
+                modules.sort(key=list(groups).index)
+        return [entry for module in modules for entry in groups[module]]
 
     def lookup_concept(self, name: str, span: Span) -> ConceptDecl:
         hits = self.names("concept", name)

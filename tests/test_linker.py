@@ -77,6 +77,25 @@ def test_unresolved_import():
     assert codes(result) == ["E-UNRESOLVED-IMPORT"]
 
 
+def test_explicit_import_of_std_adds_nothing():
+    """Every module imports std implicitly, so an explicit `import std` is
+    accepted and changes neither the import order nor the verdict; it was
+    E-UNRESOLVED-IMPORT "imports unknown module 'std'" before."""
+    lib = "module lib\nimport std\nfn wrap(x: U64) -> Option[U64] { Some(x) }\n"
+    app = (
+        "module app\nimport std\nimport lib\n"
+        'fn main() -> Unit { match wrap(1:U64) { Some(x) => print(show64(x)), None => print("") } }\n'
+    )
+    result = check_inline(app=app, lib=lib)
+    assert result.diagnostics == []
+    assert result.graph.order == ["lib", "app"]
+    assert result.program.entry == ("app", "main")
+    missing = check_inline(a="module a\nimport std\nimport missing\n")
+    assert [d.message for d in missing.diagnostics] == [
+        "module 'a' imports unknown module 'missing'"
+    ]
+
+
 def test_duplicate_module_name():
     from slc.linker import check_sources
 
