@@ -16,6 +16,7 @@ from .linker import CheckResult, check_sources
 from .resolver import DEFAULT_DEPTH, DEFAULT_FUEL
 
 import argparse
+import atexit
 import gc
 import importlib.util
 import json
@@ -28,6 +29,7 @@ USAGE_EXIT = 2
 # interpreter's default is 700): more than checking a program of a few dozen
 # modules makes, so such a check runs no collection at all.
 YOUNG_THRESHOLD = 100_000
+freeze_at_exit = True  # until `main` registers the hook, once per process
 
 
 def _deferred(name: str):
@@ -308,6 +310,13 @@ def main(argv: list[str] | None = None) -> int:
     # back when the command ends.
     thresholds, enabled = gc.get_threshold(), gc.isenabled()
     gc.set_threshold(YOUNG_THRESHOLD, *thresholds[1:])
+    # The heap dies with the process. Frozen at exit, it is not rescanned by
+    # the interpreter's last collections, which otherwise scan every module
+    # loaded here.
+    global freeze_at_exit
+    if freeze_at_exit:
+        atexit.register(gc.freeze)
+        freeze_at_exit = False
     try:
         return dispatch(argv)
     finally:
@@ -324,11 +333,6 @@ def dispatch(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     if args.command == "run":
         corekit.elaborate, evaluator.run_program  # reading them loads both
-    # The loaded modules live as long as the process. Freezing them, once
-    # per process, keeps each full collection during a command from
-    # rescanning them.
-    if not gc.get_freeze_count():
-        gc.freeze()
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -13,8 +13,6 @@ from .types import (
     Var,
     match_many,
     outermost_con,
-    render,
-    render_constraint,
 )
 
 
@@ -145,42 +143,6 @@ class CheckedModule:
         self.datas, self.goal_log, self.span, self.world = {}, [], span, world
         self.visible = None
 
-    def signature_digest(self) -> str:
-        """Canonical rendering used to compare re-checked modules."""
-        parts = [f"module {self.name} imports={','.join(sorted(self.imports))}"]
-        for cid in sorted(self.concepts):
-            c = self.concepts[cid]
-            sups = ";".join(sorted(render_constraint(s) for s in c.supers))
-            reqs = ";".join(
-                f"{r}:{_sig_digest(c.requirements[r])}" for r in c.req_order
-            )
-            parts.append(
-                f"concept {c.name}[{','.join(v.name for v in c.params)}]"
-                f" supers[{sups}] assoc[{','.join(c.assoc_names)}] reqs[{reqs}]"
-            )
-        for m in self.models:
-            ctx = ";".join(render_constraint(c) for c in m.context)
-            binds = ";".join(f"{k}={render(v)}" for k, v in sorted(m.assoc.items()))
-            parts.append(
-                f"model {m.name or '_'}:{m.concept}[{','.join(render(h) for h in m.head)}]"
-                f" where[{ctx}] binds[{binds}] reqs[{','.join(sorted(m.bodies))}]"
-            )
-        for fname in sorted(self.funs):
-            f = self.funs[fname]
-            ctx = ";".join(render_constraint(c) for c in f.context)
-            params = ",".join(render(t) for _, t in f.params)
-            parts.append(
-                f"fn {f.name}[{','.join(v.name for v in f.typarams)}]({params})"
-                f"->{render(f.ret)} where[{ctx}]"
-            )
-        for dname in sorted(self.datas):
-            d = self.datas[dname]
-            ctors = ";".join(
-                f"{c.name}({','.join(render(t) for t in c.fields)})" for c in d.ctors
-            )
-            parts.append(f"data {d.name}[{','.join(v.name for v in d.params)}] {ctors}")
-        return "\n".join(parts)
-
 
 class Index:
     """Every declaration of one program, filed as sema checks it: std's
@@ -228,10 +190,6 @@ class Index:
         self.buckets.setdefault(key, []).append(model)
         if model.name:
             self.push("model", model.name, model.module, model)
-
-
-def _sig_digest(sig: ReqSig) -> str:
-    return f"({','.join(render(t) for _, t in sig.params)})->{render(sig.ret)}"
 
 
 def bind_assocs(

@@ -66,8 +66,6 @@ class Span(Record):
     __slots__ = ("file", "start", "end")
     def __init__(self, file: str, start: tuple[int, int], end: tuple[int, int]):
         self.file, self.start, self.end = file, start, end
-        assert start <= end, (start, end)
-        assert start[0] >= 1 and start[1] >= 1
 
     def contains(self, other: "Span") -> bool:
         return self.file == other.file and self.start <= other.start and other.end <= self.end

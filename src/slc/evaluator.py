@@ -626,13 +626,6 @@ COMPILERS = {
 }
 
 
-def eval_expr(e: CoreExpr, env: dict, program: CoreProgram, fuel: int = DEFAULT_FUEL):
-    """Evaluate a single core expression in an environment."""
-    interp = Interp(program, fuel)
-    value = interp.settle(lambda: interp.eval(e, env))
-    return value, interp.transcript
-
-
 def run_program(
     program: CoreProgram, fuel: int = DEFAULT_FUEL
 ) -> tuple[object, list[str]] | Diagnostic:

@@ -1,21 +1,21 @@
 """Lexer for `.sl` sources: one regular expression, matched once over the
-text, gives (gap, lexeme) pairs, the gap being the blanks and comments before
-the lexeme on its line; a newline is a lexeme of its own, so only `\\n` ends
-a line. One loop turns the pairs into tokens: a lexeme it has seen as a
-keyword, punctuation or identifier is looked up in one table, any other is
-classified by its first character, and an identifier then joins the table.
-Tokens hold plain ints, a line and the columns of their first and last
-characters; `Token.span` builds a `Span` on request, for a syntax node or a
-diagnostic. `--` starts a line comment. Identifiers start with a letter
-(`str.isalpha`) or `_` and go on with `\\w`; numbers are `\\d` digits, the
-decimal digits `int()` accepts.
+text, gives (gap, lexeme) pairs, the gap being the blanks, newlines and
+comments before the lexeme. One loop turns the pairs into tokens, moving the
+line and column past each gap: a lexeme it has seen as a keyword,
+punctuation or identifier is looked up in one table, any other is classified
+by its first character, and an identifier then joins the table.
+
+A token is the plain tuple `(kind, text, line, col, last, value, file)`, read
+through the index constants below: a line and the columns of its first and
+last characters, as ints. `token_span` builds a token's `Span` on request,
+for a syntax node or a diagnostic. `--` starts a line comment. Identifiers
+start with a letter (`str.isalpha`) or `_` and go on with `\\w`; numbers are
+`\\d` digits, the decimal digits `int()` accepts.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Span
 
@@ -31,27 +31,25 @@ _STRING = r'"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
 # A word that does not start with a digit comes first, as the commonest
 # lexeme. A lone `"` is a string that faults. `.` also takes any unexpected
 # character, so every match starts where the last one ended, and `\Z` ends the
-# text (findall reports it twice after a trailing gap). A comment runs to the
-# end of its line, so nothing follows it in a gap.
-_TOKEN = re.compile(r"""([ \t\r]*(?:--[^\n]*)?)
-    ([^\W\d]\w* | [()\[\]{},;:] | \n | ==|=>|-> | %s" | 0[xX][0-9a-fA-F]* | \d+\.\d+ | \d+ | . | \Z)
+# text (findall reports it twice after a trailing gap). A gap is blanks, then
+# any comments each with the blanks after it; it takes every newline, so `.`
+# never meets one.
+_TOKEN = re.compile(r"""([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)
+    ([^\W\d]\w* | [()\[\]{},;:] | ==|=>|-> | %s" | 0[xX][0-9a-fA-F]* | \d+\.\d+ | \d+ | . | \Z)
     """ % _STRING, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "float" | "string" | keyword | punctuation | "_" | "eof"
-    text: str
-    line: int
-    col: int  # of the first character
-    last: int  # column of the last character; no token spans lines
-    value: object
-    file: str
+# A token's fields. `kind` is "ident" | "int" | "float" | "string" | keyword |
+# punctuation | "_" | "eof"; `col` and `last` are the columns of its first and
+# last characters, on its one line.
+KIND, TEXT, LINE, COL, LAST, VALUE, FILE = range(7)
+Token = tuple  # (kind, text, line, col, last, value, file)
 
-    @property
-    def span(self) -> Span:
-        return Span(self.file, (self.line, self.col), (self.line, self.last))
+
+def token_span(tok: Token) -> Span:
+    return Span(tok[FILE], (tok[LINE], tok[COL]), (tok[LINE], tok[LAST]))
 
 
 class LexError(Exception):
@@ -65,20 +63,21 @@ def tokenize(text: str, file: str) -> list[Token]:
         raise LexError(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
 
     kinds = dict(_KINDS)
-    raw: list[tuple] = []  # the tokens' fields
-    append = raw.append
+    tokens: list[Token] = []
+    append = tokens.append
     line = col = 1
     for gap, lexeme in _TOKEN.findall(text):
         if gap:
-            col += len(gap)
+            if "\n" in gap:
+                line += gap.count("\n")
+                col = len(gap) - gap.rfind("\n")
+            else:
+                col += len(gap)
         end = col + len(lexeme)
         kind = kinds.get(lexeme)
         if kind is not None:
             append((kind, lexeme, line, col, end - 1, None, file))
             col = end
-            continue
-        if lexeme == "\n":
-            line, col = line + 1, 1
             continue
         if not lexeme:
             break
@@ -110,4 +109,4 @@ def tokenize(text: str, file: str) -> list[Token]:
         append((kind, lexeme, line, col, end - 1, value, file))
         col = end
     append(("eof", "", line, col, col, None, file))
-    return list(map(tuple.__new__, repeat(Token), raw))  # Token(...) without its __new__
+    return tokens

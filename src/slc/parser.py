@@ -22,15 +22,17 @@ Expressions are bidirectional-checker friendly: blocks are sequences of
     app      ::= atom ("(" (expr ("," expr)*)? ")")*
 
 `parse_expr` parses an `expr` in one frame, reading `self.tokens[self.pos]`
-itself, and `parse_type` a type the same way; a one-token node's span comes
-from its token's line and columns.
+itself, and `parse_type` a type the same way. Tokens are the lexer's plain
+tuples, whose fields are read through its index constants (`tok[KIND]`); a
+one-token node or diagnostic takes the token's span from `token_span`, and
+a longer node builds its span from its first and last tokens' positions.
 """
 
 from __future__ import annotations
 
 from . import ast as A
 from .diagnostics import Diagnostic, Span
-from .lexer import LexError, Token, tokenize
+from .lexer import COL, KIND, LAST, LINE, TEXT, VALUE, LexError, Token, token_span, tokenize
 
 # The deepest nesting of expressions and types the parser accepts. A level
 # costs at most three Python frames (parse_expr -> parse_parens -> comma_list
@@ -59,16 +61,16 @@ class Parser:
     # `eof` token, which no rule consumes or looks past.
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is a `kind`."""
-        if self.tokens[self.pos].kind != kind:
+        if self.tokens[self.pos][KIND] != kind:
             return False
         self.pos += 1
         return True
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[KIND] != kind:
             expected = what or f"'{kind}'"
-            self.fail(f"expected {expected}, found '{tok.text or 'end of file'}'", tok.span)
+            self.fail(f"expected {expected}, found '{tok[TEXT] or 'end of file'}'", token_span(tok))
         self.pos += 1
         return tok
 
@@ -79,12 +81,12 @@ class Parser:
         """`parse_expr` and `parse_type` each open one nesting level at their
         first token and close it on success; past MAX_NESTING this blames
         that token, and the parse ends."""
-        self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", tok.span)
+        self.fail(f"nesting exceeds the parser limit of {MAX_NESTING} levels", token_span(tok))
 
     def comma_list(self, item) -> list:
         """`item ("," item)*`: one or more items."""
         out = [item()]
-        while self.tokens[self.pos].kind == ",":
+        while self.tokens[self.pos][KIND] == ",":
             self.pos += 1
             out.append(item())
         return out
@@ -92,7 +94,7 @@ class Parser:
     def comma_list_until(self, close: str, item) -> list:
         """Zero or more comma-separated items, then the `close` token."""
         out = []
-        while self.tokens[self.pos].kind != close:
+        while self.tokens[self.pos][KIND] != close:
             if out:
                 self.expect(",")
             out.append(item())
@@ -100,76 +102,76 @@ class Parser:
         return out
 
     def type_param(self) -> str:
-        return self.expect("ident", "type parameter").text
+        return self.expect("ident", "type parameter")[TEXT]
 
     def span_from(self, start: Token) -> Span:
         """From `start` to the last token consumed, which is never before it."""
         prev = self.tokens[self.pos - 1]
-        return Span(self.file, (start.line, start.col), (prev.line, prev.last))
+        return Span(self.file, (start[LINE], start[COL]), (prev[LINE], prev[LAST]))
 
     # ------------------------------------------------------------- module
 
     def parse_module(self) -> A.ModuleAST:
         first = self.tokens[0]
-        if first.kind == "eof":
-            self.fail("expected module header", first.span)
+        if first[KIND] == "eof":
+            self.fail("expected module header", token_span(first))
         start = self.expect("module", "module header")
-        name = self.expect("ident", "module name").text
+        name = self.expect("ident", "module name")[TEXT]
         imports: list[str] = []
         import_spans: list[Span] = []
-        while self.tokens[self.pos].kind == "import":
+        while self.tokens[self.pos][KIND] == "import":
             isp = self.expect("import")
-            imp = self.expect("ident", "module name").text
+            imp = self.expect("ident", "module name")[TEXT]
             if imp in imports:
                 self.fail(f"duplicate import of '{imp}'", self.span_from(isp))
             imports.append(imp)
             import_spans.append(self.span_from(isp))
         decls: list[A.DeclAST] = []
-        while self.tokens[self.pos].kind != "eof":
+        while self.tokens[self.pos][KIND] != "eof":
             decls.append(self.parse_decl())
         return A.ModuleAST(self.span_from(start), name, tuple(imports), tuple(decls), tuple(import_spans))
 
     def parse_decl(self) -> A.DeclAST:
         tok = self.tokens[self.pos]
-        if tok.kind == "concept":
+        if tok[KIND] == "concept":
             return self.parse_concept()
-        if tok.kind == "model":
+        if tok[KIND] == "model":
             return self.parse_model()
-        if tok.kind == "fn":
+        if tok[KIND] == "fn":
             return self.parse_fun(allow_typarams=True)
-        if tok.kind == "data":
+        if tok[KIND] == "data":
             return self.parse_data()
-        self.fail(f"expected declaration, found '{tok.text or 'end of file'}'", tok.span)
+        self.fail(f"expected declaration, found '{tok[TEXT] or 'end of file'}'", token_span(tok))
 
     # ------------------------------------------------------------- concept
 
     def parse_concept(self) -> A.ConceptAST:
         start = self.expect("concept")
-        name = self.expect("ident", "concept name").text
+        name = self.expect("ident", "concept name")[TEXT]
         self.expect("[")
         first = self.tokens[self.pos]
-        if not (first.kind == "ident" and first.text == "Self"):
+        if not (first[KIND] == "ident" and first[TEXT] == "Self"):
             self.expect("ident", "'Self'")
-            self.fail("first concept parameter must be 'Self'", first.span)
+            self.fail("first concept parameter must be 'Self'", token_span(first))
         params = self.comma_list(self.type_param)
         self.expect("]")
         supers = self.parse_where_clause()
         self.expect("{")
         assoc: list[str] = []
         reqs: list[A.ReqSigAST] = []
-        while self.tokens[self.pos].kind != "}":
+        while self.tokens[self.pos][KIND] != "}":
             if self.accept("type"):
-                assoc.append(self.expect("ident", "associated type name").text)
-            elif self.tokens[self.pos].kind == "fn":
+                assoc.append(self.expect("ident", "associated type name")[TEXT])
+            elif self.tokens[self.pos][KIND] == "fn":
                 rstart = self.expect("fn")
-                rname = self.expect("ident", "requirement name").text
+                rname = self.expect("ident", "requirement name")[TEXT]
                 self.expect("(")
                 rparams = self.comma_list_until(")", self.parse_param)
                 self.expect("->")
                 ret = self.parse_type()
                 reqs.append(A.ReqSigAST(self.span_from(rstart), rname, tuple(rparams), ret))
             else:
-                self.fail("expected 'type' or 'fn' inside concept", self.tokens[self.pos].span)
+                self.fail("expected 'type' or 'fn' inside concept", token_span(self.tokens[self.pos]))
         self.expect("}")
         return A.ConceptAST(self.span_from(start), name, tuple(params), tuple(supers), tuple(assoc), tuple(reqs))
 
@@ -178,10 +180,10 @@ class Parser:
     def parse_model(self) -> A.ModelAST:
         start = self.expect("model")
         name = None
-        if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].kind == ":":
-            name = self.expect("ident").text
+        if self.tokens[self.pos][KIND] == "ident" and self.tokens[self.pos + 1][KIND] == ":":
+            name = self.expect("ident")[TEXT]
             self.expect(":")
-        concept = self.expect("ident", "concept name").text
+        concept = self.expect("ident", "concept name")[TEXT]
         self.expect("[")
         head = self.comma_list(self.parse_type)
         self.expect("]")
@@ -190,17 +192,17 @@ class Parser:
         binds: list[A.AssocBindAST] = []
         bodies: list[A.FunAST] = []
         toks = self.tokens
-        while toks[self.pos].kind != "}":
-            if toks[self.pos].kind == "type":
+        while toks[self.pos][KIND] != "}":
+            if toks[self.pos][KIND] == "type":
                 bstart = self.expect("type")
-                member = self.expect("ident", "associated type name").text
+                member = self.expect("ident", "associated type name")[TEXT]
                 self.expect("=")
                 rhs = self.parse_type()
                 binds.append(A.AssocBindAST(self.span_from(bstart), member, rhs))
-            elif toks[self.pos].kind == "fn":
+            elif toks[self.pos][KIND] == "fn":
                 bodies.append(self.parse_fun(allow_typarams=False))
             else:
-                self.fail("expected 'type' binding or 'fn' body inside model", self.tokens[self.pos].span)
+                self.fail("expected 'type' binding or 'fn' body inside model", token_span(self.tokens[self.pos]))
         self.expect("}")
         return A.ModelAST(self.span_from(start), name, concept, tuple(head), tuple(context), tuple(binds),
                           tuple(bodies))
@@ -209,11 +211,11 @@ class Parser:
 
     def parse_fun(self, allow_typarams: bool) -> A.FunAST:
         start = self.expect("fn")
-        name = self.expect("ident", "function name").text
+        name = self.expect("ident", "function name")[TEXT]
         typarams: list[str] = []
-        if self.tokens[self.pos].kind == "[":
+        if self.tokens[self.pos][KIND] == "[":
             if not allow_typarams:
-                self.fail("requirement bodies take no type parameters", self.tokens[self.pos].span)
+                self.fail("requirement bodies take no type parameters", token_span(self.tokens[self.pos]))
             self.pos += 1
             typarams = self.comma_list(self.type_param)
             self.expect("]")
@@ -227,28 +229,28 @@ class Parser:
 
     def parse_param(self, typed: bool = True) -> tuple[str, A.TypeExprAST | None]:
         """`name: T`, or in a lambda `name` with an optional `: T`."""
-        pname = self.expect("ident", "parameter name").text
-        if not typed and self.tokens[self.pos].kind != ":":
+        pname = self.expect("ident", "parameter name")[TEXT]
+        if not typed and self.tokens[self.pos][KIND] != ":":
             return (pname, None)
         self.expect(":")
         return (pname, self.parse_type())
 
     def parse_data(self) -> A.DataAST:
         start = self.expect("data")
-        name = self.expect("ident", "data type name").text
+        name = self.expect("ident", "data type name")[TEXT]
         params: list[str] = []
         if self.accept("["):
             params = self.comma_list(self.type_param)
             self.expect("]")
         self.expect("{")
         ctors: list[A.CtorAST] = []
-        while self.tokens[self.pos].kind != "}":
+        while self.tokens[self.pos][KIND] != "}":
             if ctors:
                 self.expect(",")
-                if self.tokens[self.pos].kind == "}":
+                if self.tokens[self.pos][KIND] == "}":
                     break
             cstart = self.tokens[self.pos]
-            cname = self.expect("ident", "constructor name").text
+            cname = self.expect("ident", "constructor name")[TEXT]
             fields: list[A.TypeExprAST] = []
             if self.accept("("):
                 fields = self.comma_list(self.parse_type)
@@ -262,7 +264,7 @@ class Parser:
     # ------------------------------------------------------------- constraints
 
     def parse_where_clause(self) -> list[A.ConstraintAST]:
-        if self.tokens[self.pos].kind != "where":
+        if self.tokens[self.pos][KIND] != "where":
             return []
         self.pos += 1
         return self.comma_list(self.parse_constraint)
@@ -285,22 +287,22 @@ class Parser:
         if depth >= MAX_NESTING:
             self.too_deep(start)
         self.depth = depth + 1
-        if start.kind != "ident":
+        if start[KIND] != "ident":
             t = self.parse_paren_type(start)
         else:
             self.pos += 1
             args: tuple[A.TypeExprAST, ...] = ()
-            if toks[self.pos].kind == "[":
+            if toks[self.pos][KIND] == "[":
                 self.pos += 1
                 args = tuple(self.comma_list(self.parse_type))
                 self.expect("]")
             projections: tuple[str, ...] = ()
-            while toks[self.pos].kind == "." and toks[self.pos + 1].kind == "ident":
-                projections += (toks[self.pos + 1].text,)
+            while toks[self.pos][KIND] == "." and toks[self.pos + 1][KIND] == "ident":
+                projections += (toks[self.pos + 1][TEXT],)
                 self.pos += 2
             end = toks[self.pos - 1]
-            span = Span(self.file, (start.line, start.col), (end.line, end.last))
-            t = A.TName(span, start.text, args, projections)
+            span = Span(self.file, (start[LINE], start[COL]), (end[LINE], end[LAST]))
+            t = A.TName(span, start[TEXT], args, projections)
         self.depth = depth
         return t
 
@@ -324,9 +326,9 @@ class Parser:
             base = A.TTuple(self.span_from(start), tuple(items))
         else:
             self.fail("tuple types have exactly two components", self.span_from(start))
-        while self.tokens[self.pos].kind == "." and self.tokens[self.pos + 1].kind == "ident":
+        while self.tokens[self.pos][KIND] == "." and self.tokens[self.pos + 1][KIND] == "ident":
             self.pos += 2
-            base = A.TProj(self.span_from(start), base, self.tokens[self.pos - 1].text)
+            base = A.TProj(self.span_from(start), base, self.tokens[self.pos - 1][TEXT])
         return base
 
     # ------------------------------------------------------------- expressions
@@ -335,17 +337,17 @@ class Parser:
         start = self.expect("{")
         stmts: list[tuple] = []  # (name, annot, expr, start position)
         tail: A.ExprAST | None = None
-        while self.tokens[self.pos].kind != "}":
-            if self.tokens[self.pos].kind == "let":
+        while self.tokens[self.pos][KIND] != "}":
+            if self.tokens[self.pos][KIND] == "let":
                 lstart = self.expect("let")
-                lname = self.expect("ident", "binding name").text
+                lname = self.expect("ident", "binding name")[TEXT]
                 annot = None
                 if self.accept(":"):
                     annot = self.parse_type()
                 self.expect("=")
                 bound = self.parse_expr()
                 self.expect(";")
-                stmts.append((lname, annot, bound, (lstart.line, lstart.col)))
+                stmts.append((lname, annot, bound, (lstart[LINE], lstart[COL])))
                 continue
             expr = self.parse_expr()
             if self.accept(";"):
@@ -367,9 +369,9 @@ class Parser:
         if depth >= MAX_NESTING:
             self.too_deep(start)
         self.depth = depth + 1
-        kind = start.kind
+        kind = start[KIND]
         if kind == "ident":  # the commonest start, tested first
-            expr = A.EVar(Span(self.file, (start.line, start.col), (start.line, start.last)), start.text)
+            expr = A.EVar(token_span(start), start[TEXT])
             self.pos = pos + 1
         elif kind in ("fn", "match", "if"):
             parse = self.parse_lambda if kind == "fn" else self.parse_match if kind == "match" else self.parse_if
@@ -382,43 +384,43 @@ class Parser:
             # `1:U64` and `1:U8` are one node, with no node or span built for
             # the bare literal or its type; at the nesting limit the
             # annotation below fails
-            if kind == "int" and toks[pos + 1].kind == ":" and self.depth < MAX_NESTING:
+            if kind == "int" and toks[pos + 1][KIND] == ":" and self.depth < MAX_NESTING:
                 width, after = toks[pos + 2], toks[pos + 3 : pos + 5]
-                if width.kind == "ident" and width.text in ("U64", "U8") and not (
-                    after[0].kind == "[" or after[0].kind == "." and after[1].kind == "ident"
+                if width[KIND] == "ident" and width[TEXT] in ("U64", "U8") and not (
+                    after[0][KIND] == "[" or after[0][KIND] == "." and after[1][KIND] == "ident"
                 ):
                     self.pos = pos + 3
                     self.depth = depth
-                    return self.narrow(start, start.value, width.text, start.text)
-            span = Span(self.file, (start.line, start.col), (start.line, start.last))
+                    return self.narrow(start, start[VALUE], width[TEXT], start[TEXT])
+            span = token_span(start)
             if kind == "int":
-                expr = A.EInt(span, start.value, None, start.text)
+                expr = A.EInt(span, start[VALUE], None, start[TEXT])
             elif kind == "string":
-                expr = A.EString(span, start.value)
+                expr = A.EString(span, start[VALUE])
             elif kind == "float":
-                expr = A.EFloat(span, start.value)
+                expr = A.EFloat(span, start[VALUE])
             elif kind == "true" or kind == "false":
                 expr = A.EBool(span, kind == "true")
             else:
-                self.fail(f"expected an expression, found '{start.text or 'end of file'}'", span)
+                self.fail(f"expected an expression, found '{start[TEXT] or 'end of file'}'", span)
             self.pos = pos + 1
         nxt = toks[self.pos]
-        while nxt.kind == "(":
+        while nxt[KIND] == "(":
             self.pos += 1
             args = []
-            if toks[self.pos].kind != ")":
+            if toks[self.pos][KIND] != ")":
                 args.append(self.parse_expr())
-                while toks[self.pos].kind == ",":
+                while toks[self.pos][KIND] == ",":
                     self.pos += 1
                     args.append(self.parse_expr())
-                if toks[self.pos].kind != ")":
+                if toks[self.pos][KIND] != ")":
                     self.expect(",")  # fails
             close = toks[self.pos]
             self.pos += 1
-            span = Span(self.file, (start.line, start.col), (close.line, close.last))
+            span = Span(self.file, (start[LINE], start[COL]), (close[LINE], close[LAST]))
             expr = A.EApp(span, expr, tuple(args))
             nxt = toks[self.pos]
-        if nxt.kind == ":":
+        if nxt[KIND] == ":":
             self.pos += 1
             annot = self.parse_type()
             if isinstance(expr, A.EInt) and expr.width is None and isinstance(annot, A.TName) \
@@ -442,17 +444,17 @@ class Parser:
         scrutinee = self.parse_expr()
         self.expect("{")
         arms: list[A.EMatchArm] = []
-        while self.tokens[self.pos].kind != "}":
+        while self.tokens[self.pos][KIND] != "}":
             if arms:
                 self.expect(",")
-                if self.tokens[self.pos].kind == "}":
+                if self.tokens[self.pos][KIND] == "}":
                     break
             astart = self.tokens[self.pos]
             if self.accept("_"):
                 ctor = None
                 binders: tuple[str, ...] = ()
             else:
-                ctor = self.expect("ident", "constructor pattern").text
+                ctor = self.expect("ident", "constructor pattern")[TEXT]
                 names: list[str] = []
                 if self.accept("("):
                     names = self.comma_list_until(")", self.parse_binder)
@@ -466,9 +468,9 @@ class Parser:
         return A.EMatch(self.span_from(start), scrutinee, tuple(arms))
 
     def parse_binder(self) -> str:
-        if self.tokens[self.pos].kind == "_":
-            return self.expect("_").text
-        return self.expect("ident", "pattern binder").text
+        if self.tokens[self.pos][KIND] == "_":
+            return self.expect("_")[TEXT]
+        return self.expect("ident", "pattern binder")[TEXT]
 
     def parse_if(self) -> A.ExprAST:
         start = self.expect("if")
@@ -476,7 +478,7 @@ class Parser:
         then = self.parse_block()
         self.expect("else")
         # `else if` goes through parse_expr, so a long chain counts as nesting
-        orelse = self.parse_expr() if self.tokens[self.pos].kind == "if" else self.parse_block()
+        orelse = self.parse_expr() if self.tokens[self.pos][KIND] == "if" else self.parse_block()
         return A.EIf(self.span_from(start), cond, then, orelse)
 
     def narrow(self, start: Token, value: int, width: str, lexeme: str) -> A.EInt:

@@ -70,7 +70,6 @@ from .types import (
     TypeTerm,
     Var,
     fn_type,
-    free_vars,
     fresh_uid,
     normalize,
     outermost_con,
@@ -1156,17 +1155,3 @@ RULES = {
     A.EMatch: ExprChecker._match,
 }
 
-
-def infer_expr(
-    e: A.ExprAST,
-    env: dict[str, TypeTerm],
-    givens: list[ConstraintTerm],
-    mc: ModuleChecker,
-    owner: str = "expr",
-) -> tuple[TypeTerm, TExpr]:
-    """Infer one expression inside an already-checked module context."""
-    rigid = frozenset(v.uid for v in free_vars(list(givens) + list(env.values())))
-    tyvars = {v.name: v for t in env.values() for v in t.fvs}
-    checker = ExprChecker(mc, tyvars=tyvars, rigid=rigid, givens=givens, owner=owner)
-    tex = checker.synth(e, dict(env))
-    return tex.type, tex

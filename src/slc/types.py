@@ -170,10 +170,6 @@ def pair_type(a: TypeTerm, b: TypeTerm) -> TypeTerm:
     return App(PAIR, (a, b))
 
 
-def option_type(a: TypeTerm) -> TypeTerm:
-    return App(OPTION, (a,))
-
-
 def list_type(a: TypeTerm) -> TypeTerm:
     return App(LIST, (a,))
 

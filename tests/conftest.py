@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from slc.coherence import CoherencePolicy
 from slc.linker import check_sources
+from slc.types import OPTION, App
 
 # One hypothesis profile for every property test: the same examples on each
 # run, no wall-clock deadline on a loaded machine, and a budget that keeps the
@@ -48,6 +49,10 @@ def check_inline(policy_kind: str = "use-site", /, **files: str):
 def check_inline_policy(policy: CoherencePolicy, **files: str):
     sources = [(f"{name}.sl", text.encode()) for name, text in files.items()]
     return check_sources(sources, policy)
+
+
+def option_type(a):
+    return App(OPTION, (a,))
 
 
 def codes(result) -> list[str]:

@@ -103,6 +103,31 @@ EXPECTED: dict[str, str] = {
 }
 
 
+def reachable_spans(result) -> list[Span]:
+    """Every span held by a parse result: a module's, or its diagnostics'."""
+    spans, stack = [], list(result) if isinstance(result, list) else [result]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Span):
+            spans.append(node)
+        else:
+            stack.extend(children(node))
+    return spans
+
+
+def misplaced(spans: list[Span]) -> list[Span]:
+    """The spans that do not start at a 1-based line and column, or that end
+    before they start. `Span` itself does not check this, so that building
+    one costs no more than storing its fields."""
+    return [s for s in spans if not (1 <= s.start[0] and 1 <= s.start[1] and s.start <= s.end)]
+
+
+def test_every_span_starts_in_the_text_and_not_after_its_end():
+    for name, text in sources().items():
+        spans = reachable_spans(parse_module(text, name))
+        assert spans and not misplaced(spans), name
+
+
 def test_every_ast_span_matches_the_pinned_table():
     got = table()
     assert sorted(got) == sorted(EXPECTED)

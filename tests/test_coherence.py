@@ -1,6 +1,6 @@
 """Definition-site checks: overlap, duplicates, disjointness, orphan rules."""
 
-from conftest import check_inline, codes, corpus_sources
+from conftest import check_inline, codes, corpus_sources, option_type
 
 SHOW_PLUS_OPTION_MODELS = """\
 module m
@@ -357,7 +357,7 @@ def _model(head, vars_, context=()):
 
 
 def test_match_maps_the_models_own_variables_onto_targets_mentioning_them():
-    from slc.types import PAIR, App, Conf, Var, fresh_uid, option_type
+    from slc.types import PAIR, App, Conf, Var, fresh_uid
 
     a = Var("a", fresh_uid())
     model = _model([App(PAIR, (a, a))], [a], [Conf("m.Show", (a,))])
@@ -501,7 +501,7 @@ def _world(*models):
 
 
 def test_models_like_keeps_world_order_and_includes_wildcards():
-    from slc.types import OPTION, U8, U64, Assoc, Var, fresh_uid, option_type
+    from slc.types import OPTION, U8, U64, Assoc, Var, fresh_uid
 
     a = Var("a", fresh_uid())
     keyed_u8 = _model([U8], [])

@@ -1,6 +1,7 @@
 """The collector policy of `slc.cli.main`: each command runs with a raised
-young-generation threshold, and the caller's collector settings come back
-when it ends. It is safe because checking leaves no cyclic garbage
+young-generation threshold, and the caller's collector settings and heap
+come back when it ends; the heap is frozen only as the process exits. It is
+safe because checking leaves no cyclic garbage
 (`test_scaling.py::test_checking_leaves_no_cyclic_garbage`) and a run
 leaves the same garbage however long it loops."""
 
@@ -72,6 +73,55 @@ def test_importing_slc_leaves_the_collector_as_it_was():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), check=True
     )
     assert proc.stdout == "True\n"
+
+
+# A cycle made before `sl` runs in a fresh interpreter, and whether a full
+# collection after it frees the cycle and leaves the freeze count as it was.
+CYCLE_BEFORE_MAIN = """\
+import gc, io, sys, weakref
+import slc.cli
+class Node: pass
+node = Node(); node.self = node
+alive = weakref.ref(node)
+del node
+frozen = gc.get_freeze_count()
+sys.stdout = io.StringIO()
+code = slc.cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+pending = alive() is not None
+gc.collect()
+print(code, pending, alive() is None, gc.get_freeze_count() == frozen)
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_leaves_the_callers_heap_collectable(command):
+    """`main` freezes no part of the caller's heap: a cycle the caller made
+    before the call is still there after it and goes at the next full
+    collection."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CYCLE_BEFORE_MAIN, command, "iter_lib.sl", "range_iter.sl"],
+        capture_output=True, text=True, env=slc_env(), cwd=CORPUS, check=True,
+    )
+    assert proc.stdout == "0 True True True\n", proc.stderr
+
+
+def test_the_heap_is_frozen_as_the_process_exits():
+    """An exit hook registered before `main` runs after `main`'s own, which
+    freezes the heap so that the interpreter's last collections skip it;
+    calling `main` again registers no second hook."""
+    probe = (
+        "import atexit, gc, io, sys; import slc.cli; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "sys.stdout = io.StringIO(); slc.cli.main(['check', 'iter_lib.sl']); "
+        "hooks = atexit._ncallbacks(); slc.cli.main(['check', 'iter_lib.sl']); "
+        "sys.stdout = sys.__stdout__; print(gc.get_freeze_count(), atexit._ncallbacks() - hooks)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=slc_env(), cwd=CORPUS,
+        check=True,
+    )
+    assert proc.stdout == "0 0\nTrue\n", proc.stderr
 
 
 # Counts the collections that start while `sl` runs in a fresh interpreter.

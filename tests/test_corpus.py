@@ -118,9 +118,18 @@ def test_entails_symmetric_equality_via_normalization():
     assert isinstance(res2, EqLeaf)
 
 
+def infer_expr(e, mc):
+    """Synthesize the type of one expression inside a checked module, with no
+    locals and no givens."""
+    from slc.sema import ExprChecker
+
+    tex = ExprChecker(mc, tyvars={}, rigid=frozenset(), givens=[], owner="expr").synth(e, {})
+    return tex.type, tex
+
+
 def test_infer_expr_on_checked_module():
     from slc.parser import parse_module
-    from slc.sema import ModuleChecker, infer_expr
+    from slc.sema import ModuleChecker
     from slc.std import program_index
     from slc.coherence import CoherencePolicy
     from slc.types import U8, render
@@ -134,14 +143,14 @@ def test_infer_expr_on_checked_module():
     expr = parse_module(
         "module probe\nfn probe() -> U8 { trunc8(band(7:U64, 255:U64)) }\n", "p.sl"
     ).decls[0].body
-    ty, checked = infer_expr(expr, {}, [], mc)
+    ty, checked = infer_expr(expr, mc)
     assert ty == U8
     assert render(checked.type) == "U8"
 
 
 def test_infer_expr_rejects_unbound_names():
     from slc.parser import parse_module
-    from slc.sema import ModuleChecker, SemaAbort, infer_expr
+    from slc.sema import ModuleChecker, SemaAbort
     from slc.std import program_index
     from slc.coherence import CoherencePolicy
 
@@ -151,4 +160,4 @@ def test_infer_expr_rejects_unbound_names():
     mc.run()
     expr = parse_module("module probe\nfn p() -> U8 { ghost }\n", "p.sl").decls[0].body
     with pytest.raises(SemaAbort):
-        infer_expr(expr, {}, [], mc)
+        infer_expr(expr, mc)

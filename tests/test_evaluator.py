@@ -39,10 +39,17 @@ from slc.evaluator import (
     VU8,
     VUnit,
     VU64,
-    eval_expr,
     run_program,
 )
 from slc.types import U64, render_constraint
+
+
+def eval_expr(e, env: dict, program, fuel: int = DEFAULT_FUEL):
+    """Evaluate a single core expression in an environment."""
+    interp = Interp(program, fuel)
+    value = interp.settle(lambda: interp.eval(e, env))
+    return value, interp.transcript
+
 
 ITER = """\
 module iter
@@ -289,7 +296,6 @@ def test_recursive_call_diagnostics(fun, diagnostics):
 
 def test_eval_expr_single_expression():
     from slc.corekit import CApp, CBuiltin, CLit
-    from slc.evaluator import eval_expr
 
     result = check_inline(iter=ITER)
     core = elaborate(result.program)

@@ -1,11 +1,11 @@
 """Resolution: candidates, commitment, policy arbitration, stability."""
 
-from conftest import CORPUS, check_inline, check_inline_policy, codes, corpus_sources
+from conftest import CORPUS, check_inline, check_inline_policy, codes, corpus_sources, option_type
 from oracle import children
 
 from slc.coherence import CoherencePolicy
 from slc.resolver import GivenLeaf, ModelNode, Goal, candidates
-from slc.types import Conf, U64, U8, option_type
+from slc.types import Conf, U64, U8
 
 OVERLAP = """\
 module m

@@ -169,21 +169,23 @@ def test_check_opcodes_per_module():
     global name up once per module, a call of a callee without type
     parameters checks its arguments against the parameters, and the lexer
     and parser read each token once. 119,198 opcodes per sibling when set
-    (166,172 before that; 120,889 with one declaration index per program),
-    bounded a third below 181,739."""
-    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 121_000
+    (166,172 before that; 120,889 with one declaration index per program;
+    120,485 with plain-tuple tokens and spans that check nothing)."""
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 120_600
 
 
 def test_parse_opcodes_per_module():
-    """The lexer and parser alone, on the same siblings: about 125 opcodes
-    for each of a sibling's 444 tokens. 55,156 opcodes per sibling when set,
-    74,858 before the lexer's one table and the flat expression chain."""
+    """The lexer and parser alone, on the same siblings: about 123 opcodes
+    for each of a sibling's 444 tokens. 54,739 opcodes per sibling when set;
+    55,156 while tokens were named tuples, each newline was a lexeme and
+    `Span.__init__` asserted its fields; 74,858 before the lexer's one
+    table and the flat expression chain."""
 
     def parse_opcodes(siblings: int) -> int:
         sources = [(f"{name}.sl", text.encode()) for name, text in wide_program(siblings).items()]
         return opcodes(lambda: [parse_module_bytes(data, path) for path, data in sources])
 
-    assert (parse_opcodes(12) - parse_opcodes(4)) / 8 <= 58_000
+    assert (parse_opcodes(12) - parse_opcodes(4)) / 8 <= 55_000
 
 
 def chain_program(modules: int) -> dict[str, str]:

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import check_inline, codes
 
+from slc.types import render, render_constraint
+
 ITER = """\
 module iter
 
@@ -286,6 +288,44 @@ model C[U64] { fn f(x: U64) -> U64 { x } }
     assert result2.ok
 
 
+def signature_digest(module) -> str:
+    """A canonical rendering of a checked module's declarations, to compare
+    re-checked modules."""
+
+    def sig(req) -> str:
+        return f"({','.join(render(t) for _, t in req.params)})->{render(req.ret)}"
+
+    parts = [f"module {module.name} imports={','.join(sorted(module.imports))}"]
+    for cid in sorted(module.concepts):
+        c = module.concepts[cid]
+        sups = ";".join(sorted(render_constraint(s) for s in c.supers))
+        reqs = ";".join(f"{r}:{sig(c.requirements[r])}" for r in c.req_order)
+        parts.append(
+            f"concept {c.name}[{','.join(v.name for v in c.params)}]"
+            f" supers[{sups}] assoc[{','.join(c.assoc_names)}] reqs[{reqs}]"
+        )
+    for m in module.models:
+        ctx = ";".join(render_constraint(c) for c in m.context)
+        binds = ";".join(f"{k}={render(v)}" for k, v in sorted(m.assoc.items()))
+        parts.append(
+            f"model {m.name or '_'}:{m.concept}[{','.join(render(h) for h in m.head)}]"
+            f" where[{ctx}] binds[{binds}] reqs[{','.join(sorted(m.bodies))}]"
+        )
+    for fname in sorted(module.funs):
+        f = module.funs[fname]
+        ctx = ";".join(render_constraint(c) for c in f.context)
+        params = ",".join(render(t) for _, t in f.params)
+        parts.append(
+            f"fn {f.name}[{','.join(v.name for v in f.typarams)}]({params})"
+            f"->{render(f.ret)} where[{ctx}]"
+        )
+    for dname in sorted(module.datas):
+        d = module.datas[dname]
+        ctors = ";".join(f"{c.name}({','.join(render(t) for t in c.fields)})" for c in d.ctors)
+        parts.append(f"data {d.name}[{','.join(v.name for v in d.params)}] {ctors}")
+    return "\n".join(parts)
+
+
 def test_recheck_pretty_printed_module_is_equal():
     from slc.printer import pretty_print
 
@@ -294,10 +334,7 @@ def test_recheck_pretty_printed_module_is_equal():
     printed = pretty_print(result.graph.asts["iter"])
     again = check_inline(iter=printed)
     assert again.ok
-    assert (
-        result.modules["iter"].signature_digest()
-        == again.modules["iter"].signature_digest()
-    )
+    assert signature_digest(result.modules["iter"]) == signature_digest(again.modules["iter"])
 
 
 def test_multi_param_concepts():

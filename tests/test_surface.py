@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracle import children
-from test_ast_spans import sources
+from test_ast_spans import misplaced, reachable_spans, sources
 
 from slc import ast as A
 from slc.diagnostics import Span
-from slc.lexer import LexError
+from slc.lexer import COL, KIND, LAST, LINE, TEXT, VALUE, LexError, token_span
 from slc.parser import parse_module, tokenize
 from slc.printer import ast_equal, pretty_print
 
@@ -184,7 +184,7 @@ def test_lex_errors_pin_message_and_span(src, message, start, end):
 
 def test_tokens_carry_kind_text_span_and_value():
     tokens = tokenize('\n  "x\\n\\t\\"\\\\" 3.5 0XfF ٣ _ _a', "f.sl")
-    assert [(t.kind, t.text, t.span.start, t.span.end, t.value) for t in tokens] == [
+    assert [(t[KIND], t[TEXT], token_span(t).start, token_span(t).end, t[VALUE]) for t in tokens] == [
         ("string", 'x\n\t"\\', (2, 3), (2, 13), 'x\n\t"\\'),
         ("float", "3.5", (2, 15), (2, 17), "3.5"),
         ("int", "0XfF", (2, 19), (2, 22), 255),
@@ -210,13 +210,13 @@ def test_tokenize_is_total_and_spans_cover_token_text(src):
     except LexError as exc:
         assert exc.diagnostic.code == "E-PARSE"
         return
-    assert tokens[-1].kind == "eof"
+    assert tokens[-1][KIND] == "eof"
     lines = src.split("\n")
     for tok in tokens[:-1]:
-        (line, first), (end_line, last) = tok.span.start, tok.span.end
+        (line, first), (end_line, last) = token_span(tok).start, token_span(tok).end
         assert line == end_line
-        if tok.kind != "string":
-            assert lines[line - 1][first - 1 : last] == tok.text
+        if tok[KIND] != "string":
+            assert lines[line - 1][first - 1 : last] == tok[TEXT]
 
 
 @given(st.lists(st.sampled_from(LEX_FRAGMENTS), max_size=20).map("".join))
@@ -227,14 +227,24 @@ def test_string_spans_cover_their_quotes_and_eof_follows_the_text(src):
         return
     lines = src.split("\n")
     for tok in tokens:
-        if tok.kind == "string":
-            (line, first), (end_line, last) = tok.span.start, tok.span.end
+        if tok[KIND] == "string":
+            (line, first), (end_line, last) = token_span(tok).start, token_span(tok).end
             quoted = lines[line - 1][first - 1 : last]
             assert line == end_line and len(quoted) >= 2
             assert quoted[0] == quoted[-1] == '"'
-            assert json.loads(quoted, strict=False) == tok.text  # same escapes as JSON
+            assert json.loads(quoted, strict=False) == tok[TEXT]  # same escapes as JSON
     eof = (len(lines), len(lines[-1]) + 1)
-    assert (tokens[-1].kind, tokens[-1].span.start, tokens[-1].span.end) == ("eof", eof, eof)
+    assert (tokens[-1][KIND], token_span(tokens[-1]).start, token_span(tokens[-1]).end) == ("eof", eof, eof)
+
+
+@given(st.lists(st.sampled_from(LEX_FRAGMENTS), max_size=20).map("".join))
+def test_spans_of_parses_and_their_errors_are_well_formed(src):
+    """Whether the parse succeeds or fails, at module level or inside a
+    body, every span it gives starts at a 1-based position no later than
+    its end."""
+    for text in (src, f"module m\nfn f() -> U64 {{ {src} }}\n"):
+        spans = reachable_spans(parse_module(text, "p.sl"))
+        assert spans and not misplaced(spans), text
 
 
 def test_spans_are_built_for_syntax_nodes_not_tokens(corpus_dir, monkeypatch):
@@ -389,7 +399,7 @@ def token_digest(text: str, file: str) -> str:
     line per token, `eof` included."""
     h = hashlib.sha256()
     for tok in tokenize(text, file):
-        h.update(f"{(tok.kind, tok.text, tok.line, tok.col, tok.last, tok.value)!r}\n".encode())
+        h.update(f"{(tok[KIND], tok[TEXT], tok[LINE], tok[COL], tok[LAST], tok[VALUE])!r}\n".encode())
     return h.hexdigest()
 
 

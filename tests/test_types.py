@@ -24,13 +24,13 @@ from slc.types import (
     fresh_uid,
     match_many,
     normalize,
-    option_type,
     pair_type,
     render,
     split_fn_type,
     unify,
 )
 
+from conftest import option_type
 from oracle import (
     enumerate_types,
     enumerated_unifiers,
