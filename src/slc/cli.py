@@ -233,21 +233,25 @@ def parse_locator(text: str) -> tuple[str, int, int]:
         raise SystemExit2("locator must be file:line:col") from None
 
 
-def _same_file(a: str, b: str) -> bool:
+def _resolve(file: str) -> Path | str:
+    """`file` as an absolute path, or the name itself when it will not resolve."""
     try:
-        return Path(a).resolve() == Path(b).resolve()
+        return Path(file).resolve()
     except OSError:
-        return a == b
+        return file
 
 
 def find_goal(result: CheckResult, file: str, line: int, col: int):
+    target = _resolve(file)
+    same: dict[str, bool] = {}  # a span's file -> whether it names `file`
     best = None
     for module in result.modules.values():
         for record in module.goal_log:
             span = record.site
-            if not _same_file(span.file, file):
-                continue
-            if not span.covers(line, col):
+            hit = same.get(span.file)
+            if hit is None:
+                hit = same[span.file] = _resolve(span.file) == target
+            if not hit or not span.covers(line, col):
                 continue
             if best is None or (
                 best.site.start <= span.start and span.end <= best.site.end

@@ -62,12 +62,10 @@ class CoherencePolicy:
 
 
 class OverlapWitness:
-    # models: uids; subst: over the two models' own head variables
-    __slots__ = ("models", "subst", "inst_context1", "inst_context2")
-    def __init__(self, models: tuple[str, str], subst: Substitution, inst_context1: list,
-                 inst_context2: list):
-        self.models, self.subst, self.inst_context1 = models, subst, inst_context1
-        self.inst_context2 = inst_context2
+    # subst: over the two models' own head variables
+    __slots__ = ("subst", "inst_context1", "inst_context2")
+    def __init__(self, subst: Substitution, inst_context1: list, inst_context2: list):
+        self.subst, self.inst_context1, self.inst_context2 = subst, inst_context1, inst_context2
 
 
 def is_blanket_self(m: ModelDecl) -> bool:
@@ -85,7 +83,6 @@ def heads_overlap(m1: ModelDecl, m2: ModelDecl) -> OverlapWitness | None:
     if mgu is None:
         return None
     return OverlapWitness(
-        (m1.uid, m2.uid),
         mgu,
         [mgu.apply(c) for c in m1.context],
         [mgu.apply(c) for c in m2.context],

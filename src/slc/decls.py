@@ -81,12 +81,12 @@ class ModelDecl:
 
 
 class GoalRecord:
-    # trace: resolver TraceNode; owner: "fn:name" | "model:uid.req" | None
-    __slots__ = ("site", "constraint", "trace", "resolution", "owner")
+    # trace: resolver TraceNode
+    __slots__ = ("site", "constraint", "trace", "resolution")
     def __init__(self, site: Span, constraint: ConstraintTerm, trace: object,
-                 resolution: object | None, owner: str | None):
-        self.site, self.constraint, self.trace = site, constraint, trace
-        self.resolution, self.owner = resolution, owner
+                 resolution: object | None):
+        self.site, self.constraint = site, constraint
+        self.trace, self.resolution = trace, resolution
 
 
 class FunDecl:
@@ -225,10 +225,6 @@ class ModelWorld:
                  home: str | None = None):
         self.index, self.visible, self.home = index, visible, home
         self._buckets: dict = {}  # index bucket key -> its visible models; see models_like
-
-    @property
-    def models(self) -> list[ModelDecl]:
-        return self._visible(self.index.models)
 
     def _visible(self, models: list[ModelDecl]) -> list[ModelDecl]:
         if self.visible is None or not models:

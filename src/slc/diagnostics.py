@@ -67,9 +67,6 @@ class Span(Record):
     def __init__(self, file: str, start: tuple[int, int], end: tuple[int, int]):
         self.file, self.start, self.end = file, start, end
 
-    def contains(self, other: "Span") -> bool:
-        return self.file == other.file and self.start <= other.start and other.end <= self.end
-
     def covers(self, line: int, col: int) -> bool:
         return self.start <= (line, col) <= self.end
 
@@ -130,6 +127,14 @@ class Diagnostic:
             note = f": {rel.note}" if rel.note else ""
             lines.append(f"  related: {rel.span}{note}")
         return "\n".join(lines)
+
+
+class Abort(Exception):
+    """Ends a parse, or the check of one declaration, at its diagnostic."""
+
+    def __init__(self, diag: Diagnostic):
+        self.diagnostic = diag
+        super().__init__(diag.message)
 
 
 def sort_diagnostics(diags: list[Diagnostic], topo_index: dict[str, int]) -> list[Diagnostic]:

@@ -3,12 +3,12 @@
 Machine integers wrap: U64 arithmetic is modulo 2^64, U8 modulo 2^8. `show`
 renders unsigned decimal with no padding.
 
-Each core node is compiled into a Python closure the first time it is
-evaluated (closure compilation after Feeley & Lapalme, "Using Closures for
-Code Generation", 1987); branches and lambda bodies that never run are never
-compiled. An application in tail position returns a pending `TailCall` that
-`Interp.apply` runs in its own loop, so tail recursion such as `fold` runs
-in constant Python stack.
+Each definition is compiled whole into Python closures when it is first
+forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
+Generation", 1987); a definition that never runs is never compiled. An
+application in tail position returns a pending `TailCall` that `Interp.apply`
+runs in its own loop, so tail recursion such as `fold` runs in constant
+Python stack.
 
 Variables are resolved to slots when their node is compiled (lexical
 addressing, after Cardelli, "Compiling a Functional Language", 1984). A node
@@ -128,7 +128,7 @@ class VCtor(Record):
 class VClosure:
     # body: compiled in tail mode, in the scope of `env` plus `arity` parameters
     __slots__ = ("arity", "body", "env")
-    def __init__(self, arity: int, body: Lazy, env: tuple):
+    def __init__(self, arity: int, body: Callable, env: tuple):
         self.arity, self.body, self.env = arity, body, env
 
     def __repr__(self):
@@ -254,13 +254,6 @@ class TailCall:
         self.args = args
 
 
-class Lazy:
-    """A node compiled on its first evaluation: `run` starts as a stub that
-    compiles the node, replaces itself with the result and runs it."""
-
-    __slots__ = ("run",)
-
-
 def _slot(scope: tuple, e: CoreExpr) -> int | None:
     """The frame index a variable `e` reads: the last occurrence of its name
     in `scope`. None if `e` is no variable or is unbound."""
@@ -288,8 +281,7 @@ class Interp:
     # ------------------------------------------------------------- plumbing
 
     def global_value(self, name: str):
-        if name in self.globals:
-            return self.globals[name]
+        """Force the global `name`, which is not in `globals` yet."""
         if name in self._forcing:
             raise RuntimeFailure("E-RT-FUEL", f"cyclic global initialization at {name}")
         d = self.program.defs.get(name)
@@ -344,15 +336,12 @@ class Interp:
                     raise RuntimeFailure(
                         "E-RT-MATCH", f"closure expects {fn.arity} arguments, got {len(args)}"
                     )
-                result = fn.body.run(fn.env + args)
+                result = fn.body(fn.env + args)
                 if type(result) is not TailCall:
                     return result
                 fn, args = result.fn, result.args
         finally:
             self.depth -= 1
-
-    def builtin(self, name: str, args: list):
-        return self.apply(VBuiltin(name, *self.builtins.get(name, (0, None))), *args)
 
     # ------------------------------------------------------------- compilation
     #
@@ -364,16 +353,6 @@ class Interp:
 
     def _compile(self, e: CoreExpr, scope: tuple, tail: bool = False):
         return COMPILERS[type(e)](self, e, scope, tail)
-
-    def _lazy(self, e: CoreExpr, scope: tuple, tail: bool) -> Lazy:
-        slot = Lazy()
-
-        def first(env):
-            slot.run = self._compile(e, scope, tail)
-            return slot.run(env)
-
-        slot.run = first
-        return slot
 
     def _var(self, e: CVar, scope: tuple, tail: bool):
         i = _slot(scope, e)
@@ -419,23 +398,11 @@ class Interp:
 
     def _lam(self, e: CLam, scope: tuple, tail: bool):
         arity = len(e.params)
-        body = self._lazy(e.body, scope + tuple(n for n, _ in e.params), True)
+        body = self._compile(e.body, scope + tuple(n for n, _ in e.params), True)
 
         def run(env):
             self.fuel -= 1
             return VClosure(arity, body, env)
-
-        return run
-
-    def _through(self, inner: CoreExpr, scope: tuple, tail: bool):
-        """A type abstraction or application: one step, then `inner`."""
-        if type(inner) is CGlobal:
-            return self._global(inner, scope, tail, 2)
-        code = self._compile(inner, scope, tail)
-
-        def run(env):
-            self.fuel -= 1
-            return code(env)
 
         return run
 
@@ -551,12 +518,12 @@ class Interp:
         default = None
         for ctor, binders, body in e.arms:
             if ctor is None:
-                default = (None, self._lazy(body, scope, tail))
+                default = (None, self._compile(body, scope, tail))
                 break
             if ctor not in arms:
                 names = tuple(None if b == "_" else b for b in binders)
                 binds = len(names) if any(names) else None
-                arms[ctor] = (binds, self._lazy(body, scope + names if binds else scope, tail))
+                arms[ctor] = (binds, self._compile(body, scope + names if binds else scope, tail))
 
         def run(env):
             self.fuel -= steps
@@ -570,12 +537,12 @@ class Interp:
                 )
             binds, body = arm
             if binds is None:
-                return body.run(env)
+                return body(env)
             args = scrut.args
             if len(args) != binds:
                 message = f"pattern arity: {scrut.name} has {len(args)} fields, the arm binds {binds}"
                 raise RuntimeFailure("E-RT-MATCH", message)
-            return body.run(env + args)
+            return body(env + args)
 
         return run
 
@@ -596,14 +563,14 @@ class Interp:
 
     def _if(self, e: CIf, scope: tuple, tail: bool):
         cond = self._compile(e.cond, scope)
-        then, orelse = self._lazy(e.then, scope, tail), self._lazy(e.orelse, scope, tail)
+        then, orelse = self._compile(e.then, scope, tail), self._compile(e.orelse, scope, tail)
 
         def run(env):
             self.fuel -= 1
             c = cond(env)
             if type(c) is not VBool:
                 raise RuntimeFailure("E-RT-MATCH", "if condition is not a boolean")
-            return then.run(env) if c.value else orelse.run(env)
+            return then(env) if c.value else orelse(env)
 
         return run
 
@@ -614,7 +581,8 @@ COMPILERS = {
     CBuiltin: Interp._builtin,
     CLit: Interp._lit,
     CLam: Interp._lam,
-    CTyApp: lambda self, e, scope, tail: self._through(e.fn, scope, tail),
+    # The elaborator applies types only to a global, in one step with it.
+    CTyApp: lambda self, e, scope, tail: self._global(e.fn, scope, tail, 2),
     CApp: Interp._app,
     CDict: Interp._dict,
     CProj: Interp._proj,

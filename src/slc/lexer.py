@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Diagnostic, Span
+from .diagnostics import Abort, Diagnostic, Span
 
 KEYWORDS = frozenset({
     "module", "import", "concept", "model", "fn", "type", "data",
@@ -52,15 +52,18 @@ def token_span(tok: Token) -> Span:
     return Span(tok[FILE], (tok[LINE], tok[COL]), (tok[LINE], tok[LAST]))
 
 
-class LexError(Exception):
-    def __init__(self, diag: Diagnostic):
-        self.diagnostic = diag
-        super().__init__(diag.message)
+def _long_decimal(digits: str) -> int:
+    """The value of a decimal literal of more digits than one `int()` call
+    converts (`sys.int_info`): exact when all but its last 20 digits are
+    zeros, and otherwise `1 << 64`, which like the literal lies beyond the
+    range of every integer type."""
+    head, tail = digits[:-20], digits[-20:]
+    return 1 << 64 if any(map(int, set(head))) else int(tail)
 
 
 def tokenize(text: str, file: str) -> list[Token]:
     def fail(msg: str, line: int, first: int, last: int):
-        raise LexError(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
+        raise Abort(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
 
     kinds = dict(_KINDS)
     tokens: list[Token] = []
@@ -92,7 +95,11 @@ def tokenize(text: str, file: str) -> list[Token]:
             elif "." in lexeme:
                 kind, value = "float", lexeme
             else:
-                kind, value = "int", int(lexeme)
+                kind = "int"
+                try:
+                    value = int(lexeme)
+                except ValueError:
+                    value = _long_decimal(lexeme)
         elif c == '"' and len(lexeme) > 1:
             kind = "string"
             value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])

@@ -40,11 +40,10 @@ class ModuleGraph:
 
 class LinkedProgram:
     # world: every model of the program's index; entry: (module, function)
-    __slots__ = ("graph", "modules", "world", "entry", "policy")
+    __slots__ = ("graph", "modules", "world", "entry")
     def __init__(self, graph: ModuleGraph, modules: dict[str, CheckedModule], world: ModelWorld,
-                 entry: tuple[str, str] | None, policy: CoherencePolicy):
+                 entry: tuple[str, str] | None):
         self.graph, self.modules, self.world, self.entry = graph, modules, world, entry
-        self.policy = policy
 
 
 def build_graph(modules: list[A.ModuleAST]) -> tuple[ModuleGraph | None, list[Diagnostic]]:
@@ -182,7 +181,7 @@ def link(
             entry = None
     if has_errors(diags):
         return None, diags
-    return LinkedProgram(graph, checked, world, entry, policy), diags
+    return LinkedProgram(graph, checked, world, entry), diags
 
 
 # ---------------------------------------------------------------- pipeline

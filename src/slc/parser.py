@@ -31,8 +31,8 @@ a longer node builds its span from its first and last tokens' positions.
 from __future__ import annotations
 
 from . import ast as A
-from .diagnostics import Diagnostic, Span
-from .lexer import COL, KIND, LAST, LINE, TEXT, VALUE, LexError, Token, token_span, tokenize
+from .diagnostics import Abort, Diagnostic, Span
+from .lexer import COL, KIND, LAST, LINE, TEXT, VALUE, Token, token_span, tokenize
 
 # The deepest nesting of expressions and types the parser accepts. A level
 # costs at most three Python frames (parse_expr -> parse_parens -> comma_list
@@ -40,12 +40,6 @@ from .lexer import COL, KIND, LAST, LINE, TEXT, VALUE, LexError, Token, token_sp
 # parameter's type, so at this limit the parser stays far below the
 # interpreter's recursion limit; past it, E-PARSE.
 MAX_NESTING = 12_000
-
-
-class ParseError(Exception):
-    def __init__(self, diag: Diagnostic):
-        self.diagnostic = diag
-        super().__init__(diag.message)
 
 
 class Parser:
@@ -75,7 +69,7 @@ class Parser:
         return tok
 
     def fail(self, msg: str, span: Span):
-        raise ParseError(Diagnostic("E-PARSE", msg, span, module=""))
+        raise Abort(Diagnostic("E-PARSE", msg, span, module=""))
 
     def too_deep(self, tok: Token):
         """`parse_expr` and `parse_type` each open one nesting level at their
@@ -506,7 +500,7 @@ def parse_module(text: str, file: str) -> A.ModuleAST | list[Diagnostic]:
     try:
         tokens = tokenize(text, file)
         return Parser(tokens, file).parse_module()
-    except (LexError, ParseError) as exc:
+    except Abort as exc:
         return [exc.diagnostic]
 
 

@@ -29,7 +29,6 @@ from .types import (
     NormDiverge,
     Substitution,
     TypeTerm,
-    free_vars,
     normalize,
     render,
     render_constraint,
@@ -355,24 +354,6 @@ def _ambiguous(wanted: Conf, site: Span, among: list[Candidate]):
             related=_related(among),
         )
     ], ""
-
-
-def entails(
-    givens: list[ConstraintTerm],
-    wanted: ConstraintTerm,
-    scope: ModelWorld,
-    policy: CoherencePolicy,
-    site: Span | None = None,
-    rigid: frozenset[int] | None = None,
-    depth: int = DEFAULT_DEPTH,
-) -> Resolution | None:
-    """Entailment: the wanted constraint follows from givens and the world."""
-    site = site or Span("<entails>", (1, 1), (1, 1))
-    if rigid is None:
-        rigid = frozenset(v.uid for v in free_vars(list(givens) + [wanted]))
-    resolver = Resolver(scope, policy, depth, givens)
-    res, _, _ = resolver.resolve(Goal(wanted, rigid, site))
-    return res
 
 
 # ---------------------------------------------------------------- stability

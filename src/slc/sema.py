@@ -47,7 +47,7 @@ from .decls import (
     TVarRef,
     bind_assocs,
 )
-from .diagnostics import Diagnostic, Related, Span
+from .diagnostics import Abort, Diagnostic, Related, Span
 from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver
 from .std import BUILTIN_SIGS
 from .types import (
@@ -78,14 +78,6 @@ from .types import (
     render_constraint,
     split_fn_type,
 )
-
-
-class SemaAbort(Exception):
-    """Aborts checking of one declaration after an unrecoverable diagnostic."""
-
-    def __init__(self, diag: Diagnostic):
-        self.diagnostic = diag
-        super().__init__(diag.message)
 
 
 def check_module(
@@ -197,13 +189,13 @@ class ModuleChecker:
         self.diags.append(self.diag(code, msg, span, related))
 
     def abort(self, code: str, msg: str, span: Span):
-        raise SemaAbort(self.diag(code, msg, span))
+        raise Abort(self.diag(code, msg, span))
 
     def attempt(self, build, *args):
-        """`build(*args)`, or None once its SemaAbort diagnostic is recorded."""
+        """`build(*args)`, or None once its Abort diagnostic is recorded."""
         try:
             return build(*args)
-        except SemaAbort as exc:
+        except Abort as exc:
             self.diags.append(exc.diagnostic)
             return None
 
@@ -430,9 +422,9 @@ class ModuleChecker:
             resolver = Resolver(self.module.world, self.policy, self.depth, model.context)
         for sup in inst_supers:
             res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span))
-            record = GoalRecord(model.span, sup, trace, res, f"model:{model.uid}")
+            record = GoalRecord(model.span, sup, trace, res)
             self.module.goal_log.append(record)
-            self.report_goal(res, diags, sup, rigid, model.span, concept.name)
+            self.report_goal(res, diags, sup, rigid, concept.name)
             model.superclass_resolutions.append(res)
 
         tyvars = {v.name: v for v in model.vars}
@@ -460,7 +452,7 @@ class ModuleChecker:
                 ty = fn_type([t for _, t in declared], declared_ret)
                 model.bodies[body.name] = TLam(body.span, ty, declared, checked)
                 model.body_goal_records[body.name] = checker.records
-            except SemaAbort as exc:
+            except Abort as exc:
                 self.diags.append(exc.diagnostic)
 
     def _check_fun_body(self, decl: FunDecl, fast: A.FunAST):
@@ -558,7 +550,8 @@ class ModuleChecker:
     ) -> TypeTerm:
         if type(t) is A.TName:
             base = self._resolve_base_name(t, tyvars, implicit)
-            for member in t.projections:
+            # A model path (`kb.Key`, an Assoc) comes with its first projection.
+            for member in t.projections[1:] if type(base) is Assoc else t.projections:
                 base = self.make_assoc(base, member, t.span)
             return base
         if isinstance(t, A.TUnit):
@@ -606,10 +599,7 @@ class ModuleChecker:
                 if member not in concept.assoc_names:
                     msg = f"concept {concept.name} has no associated type '{member}'"
                     self.abort("E-NAME", msg, t.span)
-                base = Assoc(concept.id, member, tuple(model.head), model.path)
-                for extra in t.projections[1:]:
-                    base = self.make_assoc(base, extra, t.span)
-                return base
+                return Assoc(concept.id, member, tuple(model.head), model.path)
         if implicit is not None:
             if t.args:
                 self.abort("E-NAME", f"unknown type constructor '{name}'", t.span)
@@ -682,7 +672,6 @@ class ModuleChecker:
         diags: list[Diagnostic],
         constraint: ConstraintTerm,
         rigid: frozenset[int],
-        span: Span,
         what: str,
     ):
         """Report a goal's diagnostics, blaming this module: all of them when
@@ -805,11 +794,11 @@ class ExprChecker:
 
     def discharge(self, constraint: ConstraintTerm, span: Span):
         res, trace, diags = self.resolver.resolve(Goal(constraint, self.rigid, span))
-        record = GoalRecord(span, constraint, trace, res, self.owner)
+        record = GoalRecord(span, constraint, trace, res)
         self.records.append(record)
         self.goal_log.append(record)
         if diags:
-            self.mc.report_goal(res, diags, constraint, self.rigid, span, self.owner)
+            self.mc.report_goal(res, diags, constraint, self.rigid, self.owner)
         return res
 
     # ------------------------------------------------------------- calls

@@ -254,12 +254,6 @@ def render_constraint(c: ConstraintTerm) -> str:
 # ---------------------------------------------------------------- term utilities
 
 
-def free_vars(t) -> list[Var]:
-    """Free variables of a term, a constraint or a sequence of them, in
-    order of first occurrence."""
-    return list(_union_fvs((t,)))
-
-
 def is_ground(t: TypeTerm) -> bool:
     return not t.fvs
 
@@ -374,9 +368,7 @@ def _unify(a: TypeTerm, b: TypeTerm, binding: dict[int, TypeTerm]) -> bool:
 
 
 def unify_many(pairs) -> Substitution | None:
-    """Simultaneous unification of a sequence of term pairs."""
-    if not pairs:
-        return Substitution()
+    """Simultaneous unification of a non-empty sequence of term pairs."""
     lhs = [p[0] for p in pairs]
     rhs = [p[1] for p in pairs]
     probe = Con("$vec", len(lhs), STD)

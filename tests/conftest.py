@@ -55,6 +55,17 @@ def option_type(a):
     return App(OPTION, (a,))
 
 
+def free_vars(t) -> list:
+    """Free variables of a term, a constraint or a list of them, in order of
+    first occurrence."""
+    return list(dict.fromkeys(v for part in (t if isinstance(t, list) else [t]) for v in part.fvs))
+
+
+def span_contains(outer, inner) -> bool:
+    """Whether the span `inner` lies within `outer`, in the same file."""
+    return outer.file == inner.file and outer.start <= inner.start and inner.end <= outer.end
+
+
 def codes(result) -> list[str]:
     return [d.code for d in result.diagnostics]
 

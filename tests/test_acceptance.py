@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from conftest import CORPUS, corpus_sources, slc_env
+from conftest import CORPUS, corpus_sources, free_vars, slc_env
 
 from oracle import enumerate_types, enumerated_unifiers, exhaustive_derivations, factors_through
 from slc.coherence import CoherencePolicy
@@ -19,7 +19,7 @@ from slc.diagnostics import Diagnostic
 from slc.evaluator import run_program
 from slc.linker import check_sources
 from slc.resolver import check_stability
-from slc.types import BUILTIN_CONS, Con, Conf, free_vars, is_ground, render
+from slc.types import BUILTIN_CONS, Con, Conf, is_ground, render
 
 POLICIES = ("use-site", "def-site-strict", "def-site-disjoint", "scoped")
 UNIQUENESS = ("use-site", "def-site-strict", "def-site-disjoint")

@@ -170,6 +170,26 @@ def test_explain_json_stable():
     assert payload["trace"]["outcome"] == "committed"
 
 
+def test_explain_finds_the_same_goal_from_relative_and_absolute_locators(monkeypatch, capsys):
+    """A locator names its file as the user wrote it; `explain` compares
+    files by resolved path, resolving the locator and each source once."""
+    from slc import cli
+
+    monkeypatch.chdir(CORPUS)
+    resolved = []
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda file: resolved.append(file) or resolve(file))
+    outputs = []
+    for locator in ("./range_iter.sl:27:16", f"{CORPUS / 'range_iter.sl'}:27:16"):
+        resolved.clear()
+        assert cli.main(["explain", "--json", locator, "iter_lib.sl", "range_iter.sl"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+        assert sorted(resolved) == sorted([locator[: -len(":27:16")], "iter_lib.sl", "range_iter.sl"])
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["trace"]["outcome"] == "committed"
+    assert outputs[0]["site"]["file"] == "range_iter.sl"
+
+
 def test_explain_no_goal():
     locator = f"{CORPUS / 'range_iter.sl'}:1:1"
     proc = sl("explain", locator, *corpus("iter_lib.sl", "range_iter.sl"))

@@ -1,5 +1,7 @@
 """Definition-site checks: overlap, duplicates, disjointness, orphan rules."""
 
+import pytest
+
 from conftest import check_inline, codes, corpus_sources, option_type
 
 SHOW_PLUS_OPTION_MODELS = """\
@@ -204,7 +206,7 @@ model c: C[U8] { fn f(x: U8) -> U8 { x } }
     )
     assert result.ok
     seen = set()
-    for model in result.program.world.models:
+    for model in result.program.world.index.models:
         from slc.coherence import outermost_con
 
         key = (model.concept, outermost_con(model.head[0]).name)
@@ -262,6 +264,50 @@ def test_disjointness_sound_under_enumeration():
                         break
             hits.append(ok)
         assert not (len(hits) == 2 and all(hits)), f"both models reach {tau}"
+
+
+BOUND_THROUGH_A_CONTEXT = """\
+module m
+data W[T] {{ MkW(T) }}
+concept C[Self] {{ fn c(x: Self) -> U64 }}
+concept D[Self] {{ }}
+concept E[Self] {{ type Key }}
+model cw: C[W[a]] where D[a] {{ fn c(x: W[a]) -> U64 {{ 0:U64 }} }}
+model cu: C[W[U64]] {{ fn c(x: W[U64]) -> U64 {{ 1:U64 }} }}
+model du: D[U64] where {bound} {{ }}
+{extra}"""
+
+
+@pytest.mark.parametrize(
+    "bound, extra, expected",
+    [
+        ("E[U64]", "", []),
+        ("E[U64]", "model eu: E[U64] { type Key = Bool }\n", ["E-OVERLAP"]),
+        ("U64.Key == U8", "model eu: E[U64] { type Key = Bool }\n", []),
+        ("U64.Key == Bool", "model eu: E[U64] { type Key = Bool }\n", ["E-OVERLAP"]),
+    ],
+)
+def test_disjointness_proves_bounds_through_model_contexts(bound, extra, expected):
+    """`C[W[a]] where D[a]` and `C[W[U64]]` overlap at a = U64. The bound
+    D[U64] holds only if `du`'s own context does: E[U64] without a model of
+    E, or an equality between distinct types, leaves the heads disjoint by
+    bounds; otherwise they overlap. The verdict agrees with a backtracking
+    search for derivations of D[U64]."""
+    from oracle import exhaustive_derivations
+
+    from slc.coherence import disjoint_by_bounds, heads_overlap
+    from slc.types import U64, Conf
+
+    src = BOUND_THROUGH_A_CONTEXT.format(bound=bound, extra=extra)
+    result = check_inline("def-site-disjoint", m=src)
+    assert codes(result) == expected
+    module = result.modules["m"]
+    models = {m.name: m for m in module.models}
+    witness = heads_overlap(models["cw"], models["cu"])
+    assert witness.inst_context1 == [Conf(module.concepts["D"].id, (U64,))]
+    derivable = exhaustive_derivations(witness.inst_context1[0], module.world)
+    assert disjoint_by_bounds(witness, models["cw"], models["cu"], module.world) == (not derivable)
+    assert bool(derivable) == bool(expected)
 
 
 def test_overlap_witness_examples():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, check_inline
+from conftest import CORPUS, check_inline, free_vars, span_contains
 from oracle import children
 
 from slc.ast import ExprAST, FunAST, ModelAST
@@ -40,7 +40,7 @@ def test_corpus_span_containment(path: Path):
 
     def check(node, parent_span):
         if hasattr(node, "span"):
-            assert parent_span.contains(node.span), (node.span, parent_span)
+            assert span_contains(parent_span, node.span), (node.span, parent_span)
             parent_span = node.span
         if isinstance(node, ExprAST):
             exprs.add(id(node))
@@ -69,9 +69,21 @@ model bytes64: Iterator[U64] {
 """
 
 
+def entails(givens, wanted, scope, policy):
+    """The resolution of `wanted` from `givens` and the models of `scope`,
+    or None; every variable of the constraints is rigid."""
+    from slc.diagnostics import Span
+    from slc.resolver import Goal, Resolver
+
+    rigid = frozenset(v.uid for v in free_vars([*givens, wanted]))
+    site = Span("<entails>", (1, 1), (1, 1))
+    res, _, _ = Resolver(scope, policy, givens=givens).resolve(Goal(wanted, rigid, site))
+    return res
+
+
 def test_entails_given_matches_directly():
     from slc.coherence import CoherencePolicy
-    from slc.resolver import GivenLeaf, entails
+    from slc.resolver import GivenLeaf
     from slc.types import Conf, Var, fresh_uid
 
     result = check_inline(m=ENTAILS_SRC)
@@ -86,7 +98,6 @@ def test_entails_given_matches_directly():
 
 def test_entails_rigid_variable_fails_without_given():
     from slc.coherence import CoherencePolicy
-    from slc.resolver import entails
     from slc.types import Conf, Var, fresh_uid
 
     result = check_inline(m=ENTAILS_SRC)
@@ -99,7 +110,7 @@ def test_entails_rigid_variable_fails_without_given():
 
 def test_entails_symmetric_equality_via_normalization():
     from slc.coherence import CoherencePolicy
-    from slc.resolver import EqLeaf, GivenLeaf, entails
+    from slc.resolver import EqLeaf, GivenLeaf
     from slc.types import U8, Assoc, Eq, Var, fresh_uid
 
     result = check_inline(m=ENTAILS_SRC)
@@ -113,7 +124,7 @@ def test_entails_symmetric_equality_via_normalization():
     assert isinstance(res, (EqLeaf, GivenLeaf))  # both sides normalize equal
 
     # a ground equality discharged purely by rewriting
-    ground = Eq(Assoc(iterator, "Element", (program.world.models[0].head[0],)), U8)
+    ground = Eq(Assoc(iterator, "Element", (program.world.index.models[0].head[0],)), U8)
     res2 = entails([], ground, program.world, CoherencePolicy("use-site"))
     assert isinstance(res2, EqLeaf)
 
@@ -150,7 +161,8 @@ def test_infer_expr_on_checked_module():
 
 def test_infer_expr_rejects_unbound_names():
     from slc.parser import parse_module
-    from slc.sema import ModuleChecker, SemaAbort
+    from slc.diagnostics import Abort
+    from slc.sema import ModuleChecker
     from slc.std import program_index
     from slc.coherence import CoherencePolicy
 
@@ -159,5 +171,5 @@ def test_infer_expr_rejects_unbound_names():
     mc = ModuleChecker(module_ast, [], program_index(), CoherencePolicy("use-site"))
     mc.run()
     expr = parse_module("module probe\nfn p() -> U8 { ghost }\n", "p.sl").decls[0].body
-    with pytest.raises(SemaAbort):
+    with pytest.raises(Abort):
         infer_expr(expr, mc)

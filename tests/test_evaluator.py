@@ -32,6 +32,7 @@ from slc.evaluator import (
     Interp,
     RuntimeFailure,
     VBool,
+    VBuiltin,
     VCtor,
     VF64,
     VStr,
@@ -49,6 +50,11 @@ def eval_expr(e, env: dict, program, fuel: int = DEFAULT_FUEL):
     interp = Interp(program, fuel)
     value = interp.settle(lambda: interp.eval(e, env))
     return value, interp.transcript
+
+
+def builtin(interp, name: str, args: list):
+    """The builtin `name` applied to `args` by `interp`."""
+    return interp.apply(VBuiltin(name, *interp.builtins.get(name, (0, None))), *args)
 
 
 ITER = """\
@@ -157,26 +163,26 @@ def test_bit_ops_against_arbitrary_precision_reference():
     for value in samples:
         other = rng.randrange(0, 2**64)
         shift = rng.randrange(0, 64)
-        assert interp.builtin("band", [VU64(value), VU64(other)]).value == (value & other) % 2**64
-        assert interp.builtin("shr", [VU64(value), VU64(shift)]).value == (value >> shift) % 2**64
-        assert interp.builtin("add64", [VU64(value), VU64(other)]).value == (value + other) % 2**64
-        assert interp.builtin("mul64", [VU64(value), VU64(other)]).value == (value * other) % 2**64
-        assert interp.builtin("sub64", [VU64(value), VU64(other)]).value == (value - other) % 2**64
+        assert builtin(interp, "band", [VU64(value), VU64(other)]).value == (value & other) % 2**64
+        assert builtin(interp, "shr", [VU64(value), VU64(shift)]).value == (value >> shift) % 2**64
+        assert builtin(interp, "add64", [VU64(value), VU64(other)]).value == (value + other) % 2**64
+        assert builtin(interp, "mul64", [VU64(value), VU64(other)]).value == (value * other) % 2**64
+        assert builtin(interp, "sub64", [VU64(value), VU64(other)]).value == (value - other) % 2**64
 
 
 def test_u8_arithmetic_wraps():
     result = check_inline(iter=ITER)
     interp = Interp(elaborate(result.program))
-    assert interp.builtin("add8", [VU8(200), VU8(100)]).value == (200 + 100) % 256
-    assert interp.builtin("mul8", [VU8(16), VU8(16)]).value == 0
-    assert interp.builtin("sub8", [VU8(0), VU8(1)]).value == 255
+    assert builtin(interp, "add8", [VU8(200), VU8(100)]).value == (200 + 100) % 256
+    assert builtin(interp, "mul8", [VU8(16), VU8(16)]).value == 0
+    assert builtin(interp, "sub8", [VU8(0), VU8(1)]).value == 255
 
 
 def test_show_renders_unsigned_decimal():
     result = check_inline(iter=ITER)
     interp = Interp(elaborate(result.program))
-    assert interp.builtin("show64", [VU64(0x2A2A)]).value == "10794"
-    assert interp.builtin("show8", [VU8(42)]).value == "42"
+    assert builtin(interp, "show64", [VU64(0x2A2A)]).value == "10794"
+    assert builtin(interp, "show8", [VU8(42)]).value == "42"
 
 
 def test_determinism():
@@ -672,18 +678,18 @@ def test_unbound_leading_variable_at_the_fuel_boundary(args, fuel, code):
 def test_builtin_failures_keep_their_messages(name, args, message):
     interp = Interp(elaborate(check_inline(iter=ITER).program))
     with pytest.raises(RuntimeFailure) as failure:
-        interp.builtin(name, args)
+        builtin(interp, name, args)
     assert (failure.value.code, failure.value.message) == ("E-RT-MATCH", message)
 
 
 def test_builtin_table_values():
     interp = Interp(elaborate(check_inline(iter=ITER).program))
-    assert interp.builtin("shl", [VU64(1), VU64(64)]) == VU64(0)
-    assert interp.builtin("shl", [VU64(MASK64), VU64(4)]) == VU64(MASK64 - 15)
-    assert interp.builtin("lt8", [VU8(1), VU8(2)]) == VBool(True)
-    assert interp.builtin("trunc8", [VU64(0x1FF)]) == VU8(0xFF)
-    assert interp.builtin("showf64", [VF64("1.5")]) == VStr("1.5")
-    assert interp.builtin("snd", [VTuple(VU8(1), VU64(2))]) == VU64(2)
-    assert interp.builtin("concat", [VStr("a"), VStr("b")]) == VStr("ab")
-    assert interp.builtin("print", [VStr("hi")]) == VUnit()
+    assert builtin(interp, "shl", [VU64(1), VU64(64)]) == VU64(0)
+    assert builtin(interp, "shl", [VU64(MASK64), VU64(4)]) == VU64(MASK64 - 15)
+    assert builtin(interp, "lt8", [VU8(1), VU8(2)]) == VBool(True)
+    assert builtin(interp, "trunc8", [VU64(0x1FF)]) == VU8(0xFF)
+    assert builtin(interp, "showf64", [VF64("1.5")]) == VStr("1.5")
+    assert builtin(interp, "snd", [VTuple(VU8(1), VU64(2))]) == VU64(2)
+    assert builtin(interp, "concat", [VStr("a"), VStr("b")]) == VStr("ab")
+    assert builtin(interp, "print", [VStr("hi")]) == VUnit()
     assert interp.transcript == ["hi"]

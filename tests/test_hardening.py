@@ -418,3 +418,37 @@ def test_every_nesting_construct_counts_towards_the_limit(construct, monkeypatch
     assert isinstance(result, list)
     assert [d.code for d in result] == ["E-PARSE"]
     assert result[0].message == "nesting exceeds the parser limit of 200 levels"
+
+
+def _literal_verdicts(body: str) -> list[tuple[str, str]]:
+    result = check_inline(m=f"module m\nfn f() -> U64 {{ {body} }}\n")
+    return [(d.code, d.message) for d in result.diagnostics]
+
+
+@pytest.mark.parametrize("digits", [4_300, 4_301, 5_000, 100_000])
+def test_long_decimal_literals_get_the_verdict_of_a_4300_digit_one(digits):
+    """Past 4,300 digits `int()` refuses to convert a decimal string; such a
+    literal once escaped `sl check` as a ValueError."""
+    number = "9" * digits
+    assert _literal_verdicts(f"{number}:U64") == [("E-PARSE", "literal out of range for U64")]
+    assert _literal_verdicts(f"{number}:U8") == [("E-PARSE", "literal out of range for U8")]
+    assert _literal_verdicts(number) == [("E-TYPE-MISMATCH", "literal out of range for U64")]
+
+
+@pytest.mark.parametrize("zero", ["0", "٠"])
+def test_leading_zeros_do_not_change_a_long_literal(zero, tmp_path, capsys):
+    from slc.cli import main
+
+    zeros = zero * 5_000
+    out_of_range = [("E-PARSE", "literal out of range for U64")]
+    assert _literal_verdicts(f"{zeros}{'9' * 20}:U64") == out_of_range
+    assert _literal_verdicts(f"{zeros}256:U8") == [("E-PARSE", "literal out of range for U8")]
+    mismatch = "type mismatch in this expression: expected U64, found U8"
+    assert _literal_verdicts(f"{zeros}255:U8") == [("E-TYPE-MISMATCH", mismatch)]
+    path = tmp_path / "zeros.sl"
+    path.write_text(
+        f"module m\nfn main() -> Unit {{ print(show64({zeros}18446744073709551615:U64)) }}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "18446744073709551615\n"

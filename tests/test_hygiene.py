@@ -1,13 +1,11 @@
 """Hygiene guards: every function, class and method `src/slc/` defines is
-named somewhere else in `src/` or `bench/`, start-up imports nothing that
-only code generation needs, only `run` loads the back end, and every node
-kind has a rule in every pass."""
+referred to by code elsewhere in `src/` or `bench/`, start-up imports
+nothing that only code generation needs, only `run` loads the back end, and
+every node kind has a rule in every pass."""
 
 import ast
-import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,25 +68,61 @@ def defined_names() -> list[tuple[str, str]]:
 TEST_ONLY = {
     ("resolver.py", "check_stability"): "README's stability analysis, an acceptance criterion",
     ("resolver.py", "unstable"): "what `check_stability` reports",
+    ("printer.py", "pretty_print"): "the round-trip property's oracle",
+    ("printer.py", "ast_equal"): "the round-trip property's oracle",
 }
 
 
-def test_every_defined_name_is_used_somewhere():
-    """What only tests call belongs in `tests/`, unless `TEST_ONLY` says why."""
+def referenced_outside_own_body() -> set[tuple[str, str]]:
+    """(file name, name) of each definition of `defined_names` that a name,
+    an attribute or an import in `src/` or `bench/` refers to outside that
+    definition's own body. Strings, docstrings and comments refer to
+    nothing; a reference is matched by name alone."""
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
-    # Each maximal run of word characters is one word-boundary match.
-    words = Counter(
-        word for path in files for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
-    )
+    by_name: dict[str, list] = {}
+    for key in defined_names():
+        by_name.setdefault(key[1], []).append(key)
+    used = set()
+
+    def visit(node, inside: frozenset):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                refs = (sub.id,)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                refs = (sub.attr,)
+            elif isinstance(sub, ast.ImportFrom):
+                refs = tuple(alias.name for alias in sub.names)
+            else:
+                continue
+            used.update(key for ref in refs for key in by_name.get(ref, ()) if key not in inside)
+
+    for path in files:
+        in_src = path.parent.name == "slc"
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = frozenset({(path.name, top.name)} if in_src and _is_def(top) else ())
+            if not isinstance(top, ast.ClassDef):
+                visit(top, own)
+                continue
+            for part in (*top.bases, *top.keywords, *top.decorator_list):
+                visit(part, own)
+            for item in top.body:
+                visit(item, own | {(path.name, item.name)} if in_src and _is_def(item) else own)
+    return used
+
+
+def test_every_defined_name_is_used_somewhere():
+    """What only tests call belongs in `tests/`, unless `TEST_ONLY` says why.
+    A definition counts as used only when code in `src/` or `bench/` refers
+    to it; a string or comment that repeats its name does not."""
+    used = referenced_outside_own_body()
     names = defined_names()
-    definitions = Counter(name for _, name in names)
     dead = sorted(
         f"{file}: {name}"
         for file, name in names
-        if words[name] <= definitions[name] and (file, name) not in TEST_ONLY
+        if (file, name) not in used and (file, name) not in TEST_ONLY
     )
-    assert not dead, f"defined but named only by tests, or nowhere: {dead}"
-    kept = [key for key in TEST_ONLY if words[key[1]] > definitions[key[1]]]
+    assert not dead, f"defined but referred to only by tests, or nowhere: {dead}"
+    kept = [key for key in TEST_ONLY if key in used]
     assert not kept, f"no longer test-only: {kept}"
 
 

@@ -94,7 +94,7 @@ def test_prioritize_specific_selects_concrete():
     res = main.goal_records[0].resolution
     assert isinstance(res, ModelNode)
     world = result.program.world
-    picked = next(m for m in world.models if m.uid == res.model)
+    picked = next(m for m in world.index.models if m.uid == res.model)
     assert picked.name == "stringU64"
 
 
@@ -106,11 +106,11 @@ def test_incoherent_ok_picks_declaration_order_and_warns():
     main = result.modules["m"].funs["main"]
     res = main.goal_records[0].resolution
     world = result.program.world
-    picked = next(m for m in world.models if m.uid == res.model)
+    picked = next(m for m in world.index.models if m.uid == res.model)
     assert picked.name == "stringIter"  # declared before stringU64
     # its children: Iterator[U64] via model, StringConvertible[U8] via stringU8
     inner = res.children[1]
-    inner_model = next(m for m in world.models if m.uid == inner.model)
+    inner_model = next(m for m in world.index.models if m.uid == inner.model)
     assert inner_model.name == "stringU8"
 
 
@@ -272,7 +272,7 @@ fn total(r: Range[U64]) -> U64 {
 
     def assert_closed(res):
         if isinstance(res, ModelNode):
-            model = next(m for m in world.models if m.uid == res.model)
+            model = next(m for m in world.index.models if m.uid == res.model)
             assert len(res.children) == len(model.context)
             for child in res.children:
                 assert_closed(child)
@@ -362,11 +362,11 @@ fn main() -> Unit { print(toText(Some(1.5:F64))) }
     record = result.modules["m"].funs["main"].goal_records[0]
     res = record.resolution
     assert isinstance(res, ModelNode)
-    picked = next(m for m in world.models if m.uid == res.model)
+    picked = next(m for m in world.index.models if m.uid == res.model)
     assert picked.name == "textShowOption"
     child = res.children[0]
     assert isinstance(child, ModelNode)
-    child_model = next(m for m in world.models if m.uid == child.model)
+    child_model = next(m for m in world.index.models if m.uid == child.model)
     assert child_model.name == "showF64"
 
 
@@ -538,3 +538,37 @@ fn text() -> String { conv(7:U64):String }
         "narrow": [("Conv[U64, U8]", "m.toU8", ["m.toU8"])],
         "text": [("Conv[U64, String]", "m.toText", ["m.toText"])],
     }
+
+
+EQ_FAILED = """\
+module m
+concept Iterator[Self] {
+  type Element
+  fn next(it: Self) -> Option[(Self.Element, Self)]
+}
+model boolIter: Iterator[Bool] {
+  type Element = Bool
+  fn next(it: Bool) -> Option[(Bool, Bool)] { None }
+}
+fn bytes[A](xs: A) -> U64 where Iterator[A], A.Element == U8 { 0:U64 }
+fn main() -> Unit { print(show64(bytes(true))) }
+"""
+
+
+def test_equality_goal_with_distinct_normal_forms_fails(tmp_path, capsys):
+    """`bytes(true)` needs Bool.Element == U8, and `boolIter` binds the
+    Element of Bool to Bool: the goal ends `eq-failed`, reported as a
+    mismatch of the normal forms and shown as such by `explain`."""
+    from slc.cli import main
+
+    result = check_inline(m=EQ_FAILED)
+    message = "cannot prove Bool.Element == U8 (normal forms Bool and U8 differ)"
+    assert [(d.code, d.message) for d in result.diagnostics] == [("E-TYPE-MISMATCH", message)]
+    path = tmp_path / "m.sl"
+    path.write_text(EQ_FAILED)
+    assert main(["explain", f"{path}:11:34", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"resolution at {path}:11:34\n"
+        "goal Bool == U8\n"
+        "  outcome: eq-failed\n"
+    )

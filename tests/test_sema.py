@@ -288,6 +288,39 @@ model C[U64] { fn f(x: U64) -> U64 { x } }
     assert result2.ok
 
 
+MODEL_PATH = """\
+module m
+concept K[Self] {{
+  type Key
+  fn key(x: Self) -> Self.Key
+}}
+model kb: K[U64] {{
+  type Key = Bool
+  fn key(x: U64) -> Bool {{ true }}
+}}
+fn f() -> {path} {{ true }}
+"""
+
+
+@pytest.mark.parametrize(
+    "policy, path, expected",
+    [
+        ("scoped", "kb.Key", []),
+        ("scoped", "kb.Nope", [("E-NAME", "concept K has no associated type 'Nope'")]),
+        ("use-site", "kb.Key", [("E-NAME", "unknown type 'kb'")]),
+    ],
+)
+def test_model_path_projects_once(policy, path, expected):
+    """Under scoped, `kb.Key` is the binding of the model `kb`, projected
+    once: it checks as Bool. Other policies have no model paths."""
+    result = check_inline(policy, m=MODEL_PATH.format(path=path))
+    assert [(d.code, d.message) for d in result.diagnostics] == expected
+    if not expected:
+        fun = result.modules["m"].funs["f"]
+        assert render(fun.ret) == "m.kb.Key"
+        assert render(fun.body.type) == "Bool"
+
+
 def signature_digest(module) -> str:
     """A canonical rendering of a checked module's declarations, to compare
     re-checked modules."""

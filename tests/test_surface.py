@@ -7,12 +7,13 @@ import sys
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import span_contains
 from oracle import children
 from test_ast_spans import misplaced, reachable_spans, sources
 
 from slc import ast as A
-from slc.diagnostics import Span
-from slc.lexer import COL, KIND, LAST, LINE, TEXT, VALUE, LexError, token_span
+from slc.diagnostics import Abort, Span
+from slc.lexer import COL, KIND, LAST, LINE, TEXT, VALUE, token_span
 from slc.parser import parse_module, tokenize
 from slc.printer import ast_equal, pretty_print
 
@@ -137,7 +138,7 @@ def test_span_containment():
 
     def check(node, parent_span):
         if hasattr(node, "span"):
-            assert parent_span.contains(node.span), (node, parent_span)
+            assert span_contains(parent_span, node.span), (node, parent_span)
             parent_span = node.span
         for child in children(node):
             check(child, parent_span)
@@ -176,7 +177,7 @@ def test_self_must_come_first():
     ],
 )
 def test_lex_errors_pin_message_and_span(src, message, start, end):
-    with pytest.raises(LexError) as caught:
+    with pytest.raises(Abort) as caught:
         tokenize(src, "f.sl")
     diag = caught.value.diagnostic
     assert (diag.code, diag.message, diag.span.start, diag.span.end) == ("E-PARSE", message, start, end)
@@ -207,7 +208,7 @@ LEX_FRAGMENTS = [
 def test_tokenize_is_total_and_spans_cover_token_text(src):
     try:
         tokens = tokenize(src, "p.sl")
-    except LexError as exc:
+    except Abort as exc:
         assert exc.diagnostic.code == "E-PARSE"
         return
     assert tokens[-1][KIND] == "eof"
@@ -223,7 +224,7 @@ def test_tokenize_is_total_and_spans_cover_token_text(src):
 def test_string_spans_cover_their_quotes_and_eof_follows_the_text(src):
     try:
         tokens = tokenize(src, "p.sl")
-    except LexError:
+    except Abort:
         return
     lines = src.split("\n")
     for tok in tokens:

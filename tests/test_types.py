@@ -20,7 +20,6 @@ from slc.types import (
     Substitution,
     Var,
     fn_type,
-    free_vars,
     fresh_uid,
     match_many,
     normalize,
@@ -30,7 +29,7 @@ from slc.types import (
     unify,
 )
 
-from conftest import option_type
+from conftest import free_vars, option_type
 from oracle import (
     enumerate_types,
     enumerated_unifiers,
