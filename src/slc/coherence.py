@@ -124,9 +124,7 @@ def _provable(goal: Conf, visible: ModelWorld, depth: int) -> bool:
     return False
 
 
-def disjoint_by_bounds(
-    w: OverlapWitness, m1: ModelDecl, m2: ModelDecl, visible: ModelWorld
-) -> bool:
+def disjoint_by_bounds(w: OverlapWitness, visible: ModelWorld) -> bool:
     """True when some instantiated ground bound is refutable in `visible`.
 
     Constraints that still contain variables after the overlap substitution
@@ -158,7 +156,7 @@ def pair_conflict(
         if is_blanket_self(m1) and is_blanket_self(m2):
             return "E-BLANKET-DUP", "more than one blanket model"
         w = heads_overlap(m1, m2)
-        if w is not None and not disjoint_by_bounds(w, m1, m2, world):
+        if w is not None and not disjoint_by_bounds(w, world):
             return "E-OVERLAP", "overlapping heads with satisfiable bounds"
     return None
 

@@ -6,8 +6,8 @@ renders unsigned decimal with no padding.
 Each definition is compiled whole into Python closures when it is first
 forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
 Generation", 1987); a definition that never runs is never compiled. An
-application in tail position returns a pending `TailCall` that `Interp.apply`
-runs in its own loop, so tail recursion such as `fold` runs in constant
+application in tail position returns its call `pending`, for `Interp.apply`
+to run in its own loop, so tail recursion such as `fold` runs in constant
 Python stack.
 
 Variables are resolved to slots when their node is compiled (lexical
@@ -19,7 +19,10 @@ arguments, a match arm with binders on the frame plus the constructor's
 fields, and a `let` body on the frame plus the bound value.
 
 Fuel counts steps, one per core node evaluated; a variable that leads the
-operands of its node is read in place, its step spent with the node's.
+operands of its node is read in place, its step spent with the node's. A
+call of a dictionary's method on variables is one node (a superoperator,
+after Proebsting, "Optimizing an ANSI C Interpreter with Superoperators",
+1995), and machine integers are `int`s, made with no Python `__init__`.
 Closures only spend fuel. The budget is compared where `Interp.apply` enters
 a function, which every loop passes, and by `Interp.settle` when a run ends.
 Each step is spent where a compare at every node would spend it, so a run
@@ -32,7 +35,7 @@ total for callers.
 from __future__ import annotations
 
 from functools import partial
-from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, or_, rshift, sub
+from operator import add, and_, attrgetter, itemgetter, mul, or_, rshift, sub
 from typing import Callable
 
 from .corekit import (
@@ -77,23 +80,39 @@ class RuntimeFailure(Exception):
         return Diagnostic(self.code, self.message, Span("<runtime>", (1, 1), (1, 1)))
 
 
-# Data values compare by value; closures, dictionaries and builtins by identity.
-class VU64(Record):
-    __slots__ = ("value",)
-    def __init__(self, value: int):
-        self.value = value
+# Data values compare by type and value; closures, dictionaries and builtins
+# by identity.
+class Word(int):
+    """A machine integer, equal only to one of its own width."""
+
+    __slots__ = ()
+    value = property(int.__int__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and int.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = int.__hash__
 
 
-class VU8(Record):
-    __slots__ = ("value",)
-    def __init__(self, value: int):
-        self.value = value
+class VU64(Word):
+    __slots__ = ()
+
+
+class VU8(Word):
+    __slots__ = ()
 
 
 class VBool(Record):
     __slots__ = ("value",)
     def __init__(self, value: bool):
         self.value = value
+
+
+# Booleans are shared: `BOOLS[b]` is the value of the Python bool `b`.
+BOOLS = (VBool(False), VBool(True))
 
 
 class VStr(Record):
@@ -156,7 +175,7 @@ class VBuiltin:
 LITERALS = {
     "u64": lambda v: VU64(v & MASK64),
     "u8": lambda v: VU8(v & MASK8),
-    "bool": VBool,
+    "bool": BOOLS.__getitem__,
     "string": VStr,
     "f64": VF64,
     "unit": lambda _v: VUnit(),
@@ -172,16 +191,14 @@ EXPECTED = {VU64: "a U64", VU8: "a U8", VBool: "a Bool", VF64: "an F64", VTuple:
 
 
 def _binary(name: str, kind: type, op, wrap=None):
-    """`op` of the payloads of two `kind` values: wrapped by `wrap`, or else
-    masked to the width of `kind`."""
-    mask = MASK64 if kind is VU64 else MASK8
+    """`op` of two `kind` values, masked to the width of `kind` and made a
+    value by `wrap`, or else by `kind`."""
+    mask, wrap = MASK64 if kind is VU64 else MASK8, wrap or kind
 
     def run(a, b):
         if type(a) is not kind or type(b) is not kind:
             raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
-        if wrap is None:
-            return kind(op(a.value, b.value) & mask)
-        return wrap(op(a.value, b.value))
+        return wrap(op(a, b) & mask)
 
     return 2, run
 
@@ -215,24 +232,25 @@ BUILTINS = {
             ("add8", VU8, add),
             ("sub8", VU8, sub),
             ("mul8", VU8, mul),
-            ("eq64", VU64, eq, VBool),
-            ("lt64", VU64, lt, VBool),
-            ("le64", VU64, le, VBool),
-            ("eq8", VU8, eq, VBool),
-            ("lt8", VU8, lt, VBool),
-            ("le8", VU8, le, VBool),
+            # `int`'s own comparisons: `==` on two words would run `Word.__eq__`.
+            ("eq64", VU64, int.__eq__, BOOLS.__getitem__),
+            ("lt64", VU64, int.__lt__, BOOLS.__getitem__),
+            ("le64", VU64, int.__le__, BOOLS.__getitem__),
+            ("eq8", VU8, int.__eq__, BOOLS.__getitem__),
+            ("lt8", VU8, int.__lt__, BOOLS.__getitem__),
+            ("le8", VU8, int.__le__, BOOLS.__getitem__),
         )
     },
     **{
         name: _unary(name, kind, op)
         for name, kind, op in (
-            ("trunc8", VU64, lambda v: VU8(v.value & MASK8)),
-            ("extend64", VU8, lambda v: VU64(v.value)),
+            ("trunc8", VU64, lambda v: VU8(v & MASK8)),
+            ("extend64", VU8, VU64),
             ("show64", VU64, lambda v: VStr(str(v.value))),
             ("show8", VU8, lambda v: VStr(str(v.value))),
             ("showbool", VBool, lambda v: VStr("true" if v.value else "false")),
             ("showf64", VF64, lambda v: VStr(v.lexeme)),
-            ("not", VBool, lambda v: VBool(not v.value)),
+            ("not", VBool, lambda v: BOOLS[not v.value]),
             ("fst", VTuple, attrgetter("first")),
             ("snd", VTuple, attrgetter("second")),
         )
@@ -244,14 +262,10 @@ BUILTINS = {
 # ---------------------------------------------------------------- compiled code
 
 
-class TailCall:
-    """An application in tail position, left for `Interp.apply` to run."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn, *args):
-        self.fn = fn
-        self.args = args
+def pending(fn, *args):
+    """An application in tail position, left for `Interp.apply` to run: the
+    plain tuple (function, arguments). No value is a plain tuple."""
+    return fn, args
 
 
 def _slot(scope: tuple, e: CoreExpr) -> int | None:
@@ -313,11 +327,13 @@ class Interp:
         return value
 
     def apply(self, fn, *args):
-        """`fn` applied to `args`; tail calls run in this loop, which compares
-        the step budget once per function it enters."""
-        if self.depth >= MAX_EVAL_DEPTH:
+        """`fn` applied to `args`; the calls that closure bodies leave
+        `pending` run in this loop, which compares the step budget once per
+        function it enters."""
+        depth = self.depth
+        if depth >= MAX_EVAL_DEPTH:
             raise RuntimeFailure("E-RT-FUEL", DEPTH_EXCEEDED)
-        self.depth += 1
+        self.depth = depth + 1
         try:
             while True:
                 if self.fuel < 0:
@@ -337,19 +353,19 @@ class Interp:
                         "E-RT-MATCH", f"closure expects {fn.arity} arguments, got {len(args)}"
                     )
                 result = fn.body(fn.env + args)
-                if type(result) is not TailCall:
+                if type(result) is not tuple:
                     return result
-                fn, args = result.fn, result.args
+                fn, args = result
         finally:
-            self.depth -= 1
+            self.depth = depth
 
     # ------------------------------------------------------------- compilation
     #
     # Every compiled closure spends its step on entry, then runs its
     # children in evaluation order. `scope` names the slots of the frame the
     # code runs on. `tail` marks a node whose value is the value of the
-    # enclosing closure body: an application there returns a TailCall
-    # instead of nesting `apply`.
+    # enclosing closure body: an application there returns its call
+    # `pending` instead of nesting `apply`.
 
     def _compile(self, e: CoreExpr, scope: tuple, tail: bool = False):
         return COMPILERS[type(e)](self, e, scope, tail)
@@ -479,7 +495,34 @@ class Interp:
                 # The builtin is known here: one step for the application, one
                 # for the builtin node, and no pending call (builtins return).
                 return self._call(op, 2, e.args, scope)
-        return self._call(TailCall if tail else self.apply, 1, [fn, *e.args], scope)
+        op = pending if tail else self.apply
+        if type(fn) is CProj and type(fn.record) is CVar:
+            return self._method(op, fn, e.args, scope)
+        return self._call(op, 1, [fn, *e.args], scope)
+
+    def _method(self, op, e: CProj, args: list[CoreExpr], scope: tuple):
+        """`e` applied to `args`, where `e` projects a field of a variable: when
+        it and one or two arguments are bound variables, one node reads them
+        in place and spends the steps of the application, the projection and
+        the variable, then the arguments' once the projection has succeeded.
+        Other shapes apply the projection's value."""
+        slots = [_slot(scope, x) for x in (e.record, *args)]
+        if None in slots or len(slots) not in (2, 3):
+            return self._call(op, 1, [e, *args], scope)
+        i, j, k = [*slots, None][:3]  # k is None for one argument
+        field, steps = e.field, 2 + len(slots)
+
+        def run(env):
+            rec = env[i]
+            if type(rec) is VDict:
+                fn = rec.fields.get(field)
+                if fn is not None:
+                    self.fuel -= steps
+                    return op(fn, env[j]) if k is None else op(fn, env[j], env[k])
+            self.fuel -= 3
+            raise RuntimeFailure("E-RT-MATCH", f"bad projection .{field}")
+
+        return run
 
     def _dict(self, e: CDict, scope: tuple, tail: bool):
         tag = e.tag

@@ -243,7 +243,7 @@ def test_disjointness_sound_under_enumeration():
     concrete = next(m for m in models if m.name == "textU64")
     witness = heads_overlap(bounded, concrete)
     assert witness is not None
-    assert disjoint_by_bounds(witness, bounded, concrete, world)
+    assert disjoint_by_bounds(witness, world)
 
     from slc.types import BUILTIN_CONS
 
@@ -306,7 +306,7 @@ def test_disjointness_proves_bounds_through_model_contexts(bound, extra, expecte
     witness = heads_overlap(models["cw"], models["cu"])
     assert witness.inst_context1 == [Conf(module.concepts["D"].id, (U64,))]
     derivable = exhaustive_derivations(witness.inst_context1[0], module.world)
-    assert disjoint_by_bounds(witness, models["cw"], models["cu"], module.world) == (not derivable)
+    assert disjoint_by_bounds(witness, module.world) == (not derivable)
     assert bool(derivable) == bool(expected)
 
 

@@ -26,6 +26,7 @@ from slc.corekit import (
 )
 from slc.diagnostics import Diagnostic
 from slc.evaluator import (
+    BUILTINS,
     DEFAULT_FUEL,
     DEPTH_EXCEEDED,
     MASK64,
@@ -34,6 +35,7 @@ from slc.evaluator import (
     VBool,
     VBuiltin,
     VCtor,
+    VDict,
     VF64,
     VStr,
     VTuple,
@@ -183,6 +185,26 @@ def test_show_renders_unsigned_decimal():
     interp = Interp(elaborate(result.program))
     assert builtin(interp, "show64", [VU64(0x2A2A)]).value == "10794"
     assert builtin(interp, "show8", [VU8(42)]).value == "42"
+
+
+def test_values_compare_by_type_and_payload():
+    """Machine integers of different widths, and a machine integer and a
+    Python int, are different values even when their payloads agree."""
+    assert VU64(1) != VU8(1) and not VU64(1) == VU8(1)
+    assert VU64(1) != 1 and 1 != VU64(1) and VU8(1) != 1
+    assert VU64(1) == VU64(1) and not VU64(1) != VU64(1) and VU8(7) == VU8(7)
+    assert VU64(1) != VU64(2) and VU8(1) != VU8(2)
+    assert hash(VU64(5)) == hash(VU64(5)) and hash(VU8(5)) == hash(VU8(5))
+    assert len({VU64(1), VU8(1), VU64(1)}) == 2
+    assert VBool(True) == VBool(True) and VBool(True) != VBool(False)
+    assert hash(VBool(False)) == hash(VBool(False))
+    assert VU64(2).value == 2 and type(VU64(2).value) is int
+    interp = Interp(elaborate(check_inline(iter=ITER).program))
+    assert builtin(interp, "show64", [VU64(MASK64)]) == VStr("18446744073709551615")
+    assert builtin(interp, "show8", [VU8(255)]) == VStr("255")
+    assert builtin(interp, "show64", [VU64(0)]) == VStr("0")
+    assert builtin(interp, "trunc8", [VU64(0x1FF)]) != VU64(0xFF)
+    assert builtin(interp, "extend64", [VU8(3)]) != VU8(3)
 
 
 def test_determinism():
@@ -447,9 +469,11 @@ def test_fuel_counts_the_steps_of_a_long_fold():
 
 def test_python_calls_per_fold_element():
     """The closures a fold runs make few Python calls per element: each
-    variable that leads its node's operands is read in place, and builtins,
+    variable that leads its node's operands is read in place, builtins,
     applications, constructors and tuples take their operands positionally,
-    so a step that costs one more call shows here."""
+    a dictionary method call is one node, and machine integers are built
+    with no Python `__init__`, so a step that costs one more call shows
+    here."""
 
     def calls(n: int) -> int:
         core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
@@ -471,7 +495,7 @@ def test_python_calls_per_fold_element():
                 gc.enable()
         return count
 
-    assert (calls(2000) - calls(1000)) / 1000 <= 43
+    assert (calls(2000) - calls(1000)) / 1000 <= 33
 
 
 def test_opcodes_per_fold_element():
@@ -501,7 +525,7 @@ def test_opcodes_per_fold_element():
                 gc.enable()
         return count
 
-    assert (opcodes(2000) - opcodes(1000)) / 1000 <= 1060
+    assert (opcodes(2000) - opcodes(1000)) / 1000 <= 920
 
 
 PICK = """\
@@ -566,6 +590,32 @@ def test_non_tail_recursion_past_the_depth_guard():
     assert failure.value.message == outcome.message
     assert DEFAULT_FUEL - interp.fuel < DEFAULT_FUEL // 10
     assert interp.depth == 0
+
+
+def test_python_frames_per_nested_call():
+    """Each nested non-tail SL call deepens the Python stack by a few frames
+    only, so the depth guard, not Python's recursion limit, bounds it."""
+
+    def deepest(n: int) -> int:
+        core = elaborate(check_inline(m=SUM.format(n=n)).program)
+        depth = top = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, top
+            if event == "call":
+                depth += 1
+                top = max(top, depth)
+            elif event == "return":
+                depth -= 1
+
+        sys.setprofile(profile)
+        try:
+            assert run_program(core)[1] == [str(n * (n + 1) // 2)]
+        finally:
+            sys.setprofile(None)
+        return top
+
+    assert (deepest(200) - deepest(100)) / 100 <= 4
 
 
 def test_branches_never_taken_are_never_run():
@@ -655,6 +705,78 @@ def test_unbound_leading_variable_at_the_fuel_boundary(args, fuel, code):
     with pytest.raises(RuntimeFailure) as failure:
         eval_expr(CApp(CBuiltin("add64"), args), {"y": VU64(1)}, core, fuel)
     assert failure.value.code == code
+
+
+ADD64 = VBuiltin("add64", *BUILTINS["add64"])
+NOT_A_DICT = VU64(9)
+NO_FIELD = VDict("m#0", {})
+HAS_FIELD = VDict("m#0", {"f": ADD64})
+
+
+def method_env(record) -> dict:
+    """An environment with a record `d`, a U64 `y` and the builtin `g`."""
+    return {"d": record, "y": VU64(1), "g": ADD64}
+
+
+@pytest.mark.parametrize(
+    "record, args, steps, message",
+    [
+        (NOT_A_DICT, [CVar("y"), CVar("y")], 3, "bad projection .f"),
+        (NOT_A_DICT, [CVar("y"), u64(1)], 3, "bad projection .f"),
+        (NOT_A_DICT, [u64(1), CVar("y")], 3, "bad projection .f"),
+        (NOT_A_DICT, [CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 3, "bad projection .f"),
+        (NO_FIELD, [CVar("y"), CVar("y")], 3, "bad projection .f"),
+        (NO_FIELD, [CVar("y"), u64(1)], 3, "bad projection .f"),
+        (NO_FIELD, [u64(1), CVar("y")], 3, "bad projection .f"),
+        (NO_FIELD, [CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 3, "bad projection .f"),
+        (HAS_FIELD, [CVar("y"), CVar("ghost")], 5, "unbound variable ghost"),
+        (HAS_FIELD, [u64(1), CVar("ghost")], 5, "unbound variable ghost"),
+        (HAS_FIELD, [CVar("y")], 4, "add64 expects 2 arguments, got 1"),
+        (HAS_FIELD, [u64(1), u64(2), CVar("y")], 6, "add64 expects 2 arguments, got 3"),
+        (HAS_FIELD, [CVar("y"), CVar("d")], 5, "add64: expected a U64"),
+        (HAS_FIELD, [CApp(CVar("g"), [CVar("y"), CVar("d")]), CVar("y")], 7, "add64: expected a U64"),
+    ],
+)
+def test_method_call_failures_at_the_fuel_boundary(record, args, steps, message):
+    """A call of a field of a dictionary variable spends three steps for the
+    application, the projection and the variable, and fails there if the
+    record is not a dictionary or lacks the field; the steps of its
+    arguments, variables or not, come after."""
+    core = elaborate(check_inline(iter=ITER).program)
+    expr = CApp(CProj(CVar("d"), "f"), args)
+    with pytest.raises(RuntimeFailure) as failure:
+        eval_expr(expr, method_env(record), core, steps)
+    assert (failure.value.code, failure.value.message) == ("E-RT-MATCH", message)
+    with pytest.raises(RuntimeFailure) as failure:
+        eval_expr(expr, method_env(record), core, steps - 1)
+    assert (failure.value.code, failure.value.message) == (
+        "E-RT-FUEL",
+        "evaluation step budget exceeded",
+    )
+
+
+@pytest.mark.parametrize(
+    "args, steps, value",
+    [
+        ([CVar("y"), CVar("y")], 5, VU64(2)),
+        ([CVar("y"), u64(2)], 5, VU64(3)),
+        ([u64(2), CVar("y")], 5, VU64(3)),
+        ([CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 8, VU64(3)),
+    ],
+)
+@pytest.mark.parametrize("tail", [False, True])
+def test_method_calls_at_the_fuel_boundary(args, steps, value, tail):
+    """A method call that succeeds, in tail position or not, needs its three
+    steps and one per node of its arguments; one step fewer reports the
+    budget. In tail position a closure entered with `d` adds three."""
+    core = elaborate(check_inline(iter=ITER).program)
+    expr = CApp(CProj(CVar("d"), "f"), args)
+    if tail:
+        expr, steps = CApp(CLam([("d", U64)], expr), [CVar("d")]), steps + 3
+    assert eval_expr(expr, method_env(HAS_FIELD), core, steps)[0] == value
+    with pytest.raises(RuntimeFailure) as failure:
+        eval_expr(expr, method_env(HAS_FIELD), core, steps - 1)
+    assert failure.value.message == "evaluation step budget exceeded"
 
 
 @pytest.mark.parametrize(
