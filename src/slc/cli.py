@@ -10,7 +10,7 @@ from __future__ import annotations
 # The front end's modules come first: compiled from source, they peak lower
 # in memory while argparse, json and pathlib are not yet loaded. The back end
 # is compiled after all of these, and only for `run` (see `corekit` below).
-from .coherence import CoherencePolicy
+from .coherence import POLICY_KINDS, CoherencePolicy
 from .diagnostics import Diagnostic, Span
 from .linker import CheckResult, check_sources
 from .resolver import DEFAULT_DEPTH, DEFAULT_FUEL
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("files", nargs="*", help="SL source files (.sl)")
         p.add_argument(
             "--policy",
-            choices=["use-site", "def-site-strict", "def-site-disjoint", "scoped"],
+            choices=POLICY_KINDS,
             default="use-site",
             help="coherence policy (default: use-site)",
         )

@@ -666,9 +666,10 @@ class CoreChecker:
         return result
 
     def _let(self, e: CLet, env) -> TypeTerm:
-        inner = dict(env)
-        inner[e.name] = self.infer(e.bound, env)
-        return self.infer(e.body, inner)
+        bound = self.infer(e.bound, env)
+        if e.name == "_":  # binds nothing, as `_` binders of match arms
+            return self.infer(e.body, env)
+        return self.infer(e.body, {**env, e.name: bound})
 
     def _if(self, e: CIf, env) -> TypeTerm:
         if not self.equal(self.infer(e.cond, env), BOOL):

@@ -332,11 +332,11 @@ class TCallExpr(TExpr):
 
 
 class TReqCall(TExpr):
-    __slots__ = ("concept", "member", "subjects", "resolution", "args")
-    def __init__(self, span: Span, type: TypeTerm, concept: str, member: str,
-                 subjects: list[TypeTerm], resolution: object, args: list[TExpr]):
-        self.span, self.type, self.concept, self.member = span, type, concept, member
-        self.subjects, self.resolution, self.args = subjects, resolution, args
+    __slots__ = ("member", "resolution", "args")
+    def __init__(self, span: Span, type: TypeTerm, member: str, resolution: object,
+                 args: list[TExpr]):
+        self.span, self.type, self.member = span, type, member
+        self.resolution, self.args = resolution, args
 
 
 class TLam(TExpr):

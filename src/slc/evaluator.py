@@ -1,7 +1,16 @@
 """Call-by-value evaluation of core programs.
 
-Machine integers wrap: U64 arithmetic is modulo 2^64, U8 modulo 2^8. `show`
-renders unsigned decimal with no padding.
+Values are Python's own wherever Python has one: a Bool is a `bool`, a
+String a `str`, Unit is `None`, a pair a plain `tuple` and a dictionary a
+plain `dict` from field names to values. Machine integers are `int`s of a
+`Word` subclass per width, made with no Python `__init__`; they wrap: U64
+arithmetic is modulo 2^64, U8 modulo 2^8. `show` renders unsigned decimal
+with no padding. Constructor values, closures and builtins have classes of
+their own.
+
+The program run must pass `core_check`: every variable, global and builtin
+it names exists, and every direct builtin application has the builtin's
+arity. Compiled code assumes so and checks none of these again.
 
 Each definition is compiled whole into Python closures when it is first
 forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
@@ -22,20 +31,19 @@ Fuel counts steps, one per core node evaluated; a variable that leads the
 operands of its node is read in place, its step spent with the node's. A
 call of a dictionary's method on variables is one node (a superoperator,
 after Proebsting, "Optimizing an ANSI C Interpreter with Superoperators",
-1995), and machine integers are `int`s, made with no Python `__init__`.
-Closures only spend fuel. The budget is compared where `Interp.apply` enters
-a function, which every loop passes, and by `Interp.settle` when a run ends.
-Each step is spent where a compare at every node would spend it, so a run
-that ends or fails overspent met that compare first and reports E-RT-FUEL.
-A separate guard counts nested non-tail applications. Exhausting either
-reports E-RT-FUEL, naming which one ran out, so divergent programs stay
-total for callers.
+1995). Closures only spend fuel. The budget is compared where
+`Interp.apply` enters a function, which every loop passes, and by
+`Interp.settle` when a run ends. Each step is spent where a compare at every
+node would spend it, so a run that ends or fails overspent met that compare
+first and reports E-RT-FUEL. A separate guard counts nested non-tail
+applications. Exhausting either reports E-RT-FUEL, naming which one ran
+out, so divergent programs stay total for callers.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import add, and_, attrgetter, itemgetter, mul, or_, rshift, sub
+from operator import add, and_, attrgetter, itemgetter, mul, not_, or_, rshift, sub
 from typing import Callable
 
 from .corekit import (
@@ -80,8 +88,7 @@ class RuntimeFailure(Exception):
         return Diagnostic(self.code, self.message, Span("<runtime>", (1, 1), (1, 1)))
 
 
-# Data values compare by type and value; closures, dictionaries and builtins
-# by identity.
+# Data values compare by type and value; closures and builtins by identity.
 class Word(int):
     """A machine integer, equal only to one of its own width."""
 
@@ -105,37 +112,11 @@ class VU8(Word):
     __slots__ = ()
 
 
-class VBool(Record):
-    __slots__ = ("value",)
-    def __init__(self, value: bool):
-        self.value = value
-
-
-# Booleans are shared: `BOOLS[b]` is the value of the Python bool `b`.
-BOOLS = (VBool(False), VBool(True))
-
-
-class VStr(Record):
-    __slots__ = ("value",)
-    def __init__(self, value: str):
-        self.value = value
-
-
 class VF64(Record):
     # lexeme: opaque; never computed with
     __slots__ = ("lexeme",)
     def __init__(self, lexeme: str):
         self.lexeme = lexeme
-
-
-class VUnit(Record):
-    __slots__ = ()
-
-
-class VTuple(Record):
-    __slots__ = ("first", "second")
-    def __init__(self, first: object, second: object):
-        self.first, self.second = first, second
 
 
 class VCtor(Record):
@@ -154,18 +135,8 @@ class VClosure:
         return f"<closure/{self.arity}>"
 
 
-class VDict:
-    # tag: originating model; distinct models yield distinct dictionaries
-    __slots__ = ("tag", "fields")
-    def __init__(self, tag: str, fields: dict):
-        self.tag, self.fields = tag, fields
-
-    def __repr__(self):
-        return f"<dict {self.tag}>"
-
-
 class VBuiltin:
-    # op: a function of `arity` values, or None for an unknown name
+    # op: a function of `arity` values
     __slots__ = ("name", "arity", "op")
     def __init__(self, name: str, arity: int, op):
         self.name, self.arity, self.op = name, arity, op
@@ -175,10 +146,10 @@ class VBuiltin:
 LITERALS = {
     "u64": lambda v: VU64(v & MASK64),
     "u8": lambda v: VU8(v & MASK8),
-    "bool": BOOLS.__getitem__,
-    "string": VStr,
+    "bool": bool,
+    "string": str,
     "f64": VF64,
-    "unit": lambda _v: VUnit(),
+    "unit": lambda _v: None,
 }
 
 
@@ -187,18 +158,18 @@ LITERALS = {
 # Each builtin is a function of its argument values, kept with its arity;
 # `print`, which appends to a transcript, is bound by each `Interp`.
 
-EXPECTED = {VU64: "a U64", VU8: "a U8", VBool: "a Bool", VF64: "an F64", VTuple: "a pair"}
+EXPECTED = {VU64: "a U64", VU8: "a U8", bool: "a Bool", VF64: "an F64", tuple: "a pair"}
 
 
-def _binary(name: str, kind: type, op, wrap=None):
-    """`op` of two `kind` values, masked to the width of `kind` and made a
-    value by `wrap`, or else by `kind`."""
-    mask, wrap = MASK64 if kind is VU64 else MASK8, wrap or kind
+def _binary(name: str, kind: type, op, compare: bool = False):
+    """`op` of two `kind` values: its Bool if `compare`, else its result
+    masked to the width of `kind`."""
+    mask = MASK64 if kind is VU64 else MASK8
 
     def run(a, b):
         if type(a) is not kind or type(b) is not kind:
             raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
-        return wrap(op(a, b) & mask)
+        return op(a, b) if compare else kind(op(a, b) & mask)
 
     return 2, run
 
@@ -213,9 +184,9 @@ def _unary(name: str, kind: type, op):
 
 
 def _concat(a, b):
-    if type(a) is not VStr or type(b) is not VStr:
+    if type(a) is not str or type(b) is not str:
         raise RuntimeFailure("E-RT-MATCH", "concat: expected strings")
-    return VStr(a.value + b.value)
+    return a + b
 
 
 BUILTINS = {
@@ -233,12 +204,12 @@ BUILTINS = {
             ("sub8", VU8, sub),
             ("mul8", VU8, mul),
             # `int`'s own comparisons: `==` on two words would run `Word.__eq__`.
-            ("eq64", VU64, int.__eq__, BOOLS.__getitem__),
-            ("lt64", VU64, int.__lt__, BOOLS.__getitem__),
-            ("le64", VU64, int.__le__, BOOLS.__getitem__),
-            ("eq8", VU8, int.__eq__, BOOLS.__getitem__),
-            ("lt8", VU8, int.__lt__, BOOLS.__getitem__),
-            ("le8", VU8, int.__le__, BOOLS.__getitem__),
+            ("eq64", VU64, int.__eq__, True),
+            ("lt64", VU64, int.__lt__, True),
+            ("le64", VU64, int.__le__, True),
+            ("eq8", VU8, int.__eq__, True),
+            ("lt8", VU8, int.__lt__, True),
+            ("le8", VU8, int.__le__, True),
         )
     },
     **{
@@ -246,13 +217,13 @@ BUILTINS = {
         for name, kind, op in (
             ("trunc8", VU64, lambda v: VU8(v & MASK8)),
             ("extend64", VU8, VU64),
-            ("show64", VU64, lambda v: VStr(str(v.value))),
-            ("show8", VU8, lambda v: VStr(str(v.value))),
-            ("showbool", VBool, lambda v: VStr("true" if v.value else "false")),
-            ("showf64", VF64, lambda v: VStr(v.lexeme)),
-            ("not", VBool, lambda v: BOOLS[not v.value]),
-            ("fst", VTuple, attrgetter("first")),
-            ("snd", VTuple, attrgetter("second")),
+            ("show64", VU64, str),
+            ("show8", VU8, str),
+            ("showbool", bool, lambda v: "true" if v else "false"),
+            ("showf64", VF64, attrgetter("lexeme")),
+            ("not", bool, not_),
+            ("fst", tuple, itemgetter(0)),
+            ("snd", tuple, itemgetter(1)),
         )
     },
     "concat": (2, _concat),
@@ -264,14 +235,18 @@ BUILTINS = {
 
 def pending(fn, *args):
     """An application in tail position, left for `Interp.apply` to run: the
-    plain tuple (function, arguments). No value is a plain tuple."""
-    return fn, args
+    list [function, arguments]. No value is a list."""
+    return [fn, args]
+
+
+def _pair(first, second):
+    return first, second
 
 
 def _slot(scope: tuple, e: CoreExpr) -> int | None:
     """The frame index a variable `e` reads: the last occurrence of its name
-    in `scope`. None if `e` is no variable or is unbound."""
-    if type(e) is CVar and e.name in scope:
+    in `scope`. None if `e` is no variable."""
+    if type(e) is CVar:
         return len(scope) - 1 - scope[::-1].index(e.name)
     return None
 
@@ -287,10 +262,9 @@ class Interp:
         self.builtins = {**BUILTINS, "print": (1, self._print)}
 
     def _print(self, s):
-        if type(s) is not VStr:
+        if type(s) is not str:
             raise RuntimeFailure("E-RT-MATCH", "print: expected a String")
-        self.transcript.append(s.value)
-        return VUnit()
+        self.transcript.append(s)
 
     # ------------------------------------------------------------- plumbing
 
@@ -298,12 +272,9 @@ class Interp:
         """Force the global `name`, which is not in `globals` yet."""
         if name in self._forcing:
             raise RuntimeFailure("E-RT-FUEL", f"cyclic global initialization at {name}")
-        d = self.program.defs.get(name)
-        if d is None:
-            raise RuntimeFailure("E-RT-MATCH", f"undefined global {name}")
         self._forcing.add(name)
         try:
-            value = self.eval(d.expr, {})
+            value = self.eval(self.program.defs[name].expr, {})
         finally:
             self._forcing.discard(name)
         self.globals[name] = value
@@ -341,8 +312,6 @@ class Interp:
                 if type(fn) is not VClosure:
                     if type(fn) is not VBuiltin:
                         raise RuntimeFailure("E-RT-MATCH", "application of a non-function value")
-                    if fn.op is None:
-                        raise RuntimeFailure("E-RT-MATCH", f"unknown builtin {fn.name}")
                     if len(args) != fn.arity:
                         raise RuntimeFailure(
                             "E-RT-MATCH", f"{fn.name} expects {fn.arity} arguments, got {len(args)}"
@@ -353,7 +322,7 @@ class Interp:
                         "E-RT-MATCH", f"closure expects {fn.arity} arguments, got {len(args)}"
                     )
                 result = fn.body(fn.env + args)
-                if type(result) is not tuple:
+                if type(result) is not list:
                     return result
                 fn, args = result
         finally:
@@ -372,18 +341,10 @@ class Interp:
 
     def _var(self, e: CVar, scope: tuple, tail: bool):
         i = _slot(scope, e)
-        if i is None:  # bound nowhere in scope: spends its step, then fails
-            message = f"unbound variable {e.name}"
 
-            def run(env):
-                self.fuel -= 1
-                raise RuntimeFailure("E-RT-MATCH", message)
-
-        else:
-
-            def run(env):
-                self.fuel -= 1
-                return env[i]
+        def run(env):
+            self.fuel -= 1
+            return env[i]
 
         return run
 
@@ -407,7 +368,7 @@ class Interp:
         return run
 
     def _builtin(self, e: CBuiltin, scope: tuple, tail: bool):
-        return self._constant(VBuiltin(e.name, *self.builtins.get(e.name, (0, None))))
+        return self._constant(VBuiltin(e.name, *self.builtins[e.name]))
 
     def _lit(self, e: CLit, scope: tuple, tail: bool):
         return self._constant(LITERALS[e.kind](e.value))
@@ -424,9 +385,8 @@ class Interp:
 
     def _call(self, op, steps: int, operands: list[CoreExpr], scope: tuple):
         """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order. Bound variables that lead the operands are read
-        in place by getters and their steps spent up front; an unbound one
-        ends the lead and spends its own step when it fails."""
+        `operands` in order. Variables that lead the operands are read in
+        place by getters and their steps spent up front."""
         codes, lead = [], 0
         for e in operands:
             i = _slot(scope, e) if lead == len(codes) else None
@@ -490,11 +450,9 @@ class Interp:
     def _app(self, e: CApp, scope: tuple, tail: bool):
         fn = e.fn
         if type(fn) is CBuiltin:
-            arity, op = self.builtins.get(fn.name, (None, None))
-            if arity == len(e.args):
-                # The builtin is known here: one step for the application, one
-                # for the builtin node, and no pending call (builtins return).
-                return self._call(op, 2, e.args, scope)
+            # The builtin is known here: one step for the application, one
+            # for the builtin node, and no pending call (builtins return).
+            return self._call(self.builtins[fn.name][1], 2, e.args, scope)
         op = pending if tail else self.apply
         if type(fn) is CProj and type(fn.record) is CVar:
             return self._method(op, fn, e.args, scope)
@@ -514,8 +472,8 @@ class Interp:
 
         def run(env):
             rec = env[i]
-            if type(rec) is VDict:
-                fn = rec.fields.get(field)
+            if type(rec) is dict:
+                fn = rec.get(field)
                 if fn is not None:
                     self.fuel -= steps
                     return op(fn, env[j]) if k is None else op(fn, env[j], env[k])
@@ -525,12 +483,11 @@ class Interp:
         return run
 
     def _dict(self, e: CDict, scope: tuple, tail: bool):
-        tag = e.tag
         fields = [(name, self._compile(x, scope)) for name, x in e.fields.items()]
 
         def run(env):
             self.fuel -= 1
-            return VDict(tag, {name: code(env) for name, code in fields})
+            return {name: code(env) for name, code in fields}
 
         return run
 
@@ -541,8 +498,8 @@ class Interp:
         def run(env):
             self.fuel -= steps
             rec = record(env)
-            if type(rec) is VDict:
-                value = rec.fields.get(field)
+            if type(rec) is dict:
+                value = rec.get(field)
                 if value is not None:
                     return value
             raise RuntimeFailure("E-RT-MATCH", f"bad projection .{field}")
@@ -602,7 +559,7 @@ class Interp:
         return run
 
     def _tuple(self, e: CTuple, scope: tuple, tail: bool):
-        return self._call(VTuple, 1, [e.first, e.second], scope)
+        return self._call(_pair, 1, [e.first, e.second], scope)
 
     def _if(self, e: CIf, scope: tuple, tail: bool):
         cond = self._compile(e.cond, scope)
@@ -611,9 +568,9 @@ class Interp:
         def run(env):
             self.fuel -= 1
             c = cond(env)
-            if type(c) is not VBool:
+            if type(c) is not bool:
                 raise RuntimeFailure("E-RT-MATCH", "if condition is not a boolean")
-            return then(env) if c.value else orelse(env)
+            return then(env) if c else orelse(env)
 
         return run
 

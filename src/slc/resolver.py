@@ -41,10 +41,9 @@ DEFAULT_FUEL = 10_000_000
 
 
 class Goal:
-    # rigid: uids of the enclosing declaration's type params
-    __slots__ = ("constraint", "rigid", "site")
-    def __init__(self, constraint: ConstraintTerm, rigid: frozenset[int], site: Span):
-        self.constraint, self.rigid, self.site = constraint, rigid, site
+    __slots__ = ("constraint", "site")
+    def __init__(self, constraint: ConstraintTerm, site: Span):
+        self.constraint, self.site = constraint, site
 
 
 class TraceNode:
@@ -264,7 +263,7 @@ class Resolver:
             ]
 
         if wanted is not goal.constraint:
-            goal = Goal(wanted, goal.rigid, goal.site)
+            goal = Goal(wanted, goal.site)
         cands = candidates(goal, self.scope)
         chosen, diags, note = self._select(wanted, goal.site, cands)
         if chosen is None:
@@ -283,7 +282,7 @@ class Resolver:
         children: list[TraceNode] = []
         for constraint in chosen.inst_context:
             child, child_node, child_diags = self.resolve(
-                Goal(constraint, goal.rigid, goal.site), depth - 1
+                Goal(constraint, goal.site), depth - 1
             )
             children.append(child_node)
             diags = diags + child_diags
@@ -394,7 +393,7 @@ def check_stability(
     fresh_resolver = Resolver(scope, policy.flagless(), depth)
 
     def fresh_of(constraint: ConstraintTerm, site: Span):
-        goal = Goal(subst.apply(constraint), frozenset(), site)
+        goal = Goal(subst.apply(constraint), site)
         res, _, diags = fresh_resolver.resolve(goal)
         return res, diags
 

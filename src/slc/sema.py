@@ -421,7 +421,7 @@ class ModuleChecker:
         if inst_supers:
             resolver = Resolver(self.module.world, self.policy, self.depth, model.context)
         for sup in inst_supers:
-            res, trace, diags = resolver.resolve(Goal(sup, rigid, model.span))
+            res, trace, diags = resolver.resolve(Goal(sup, model.span))
             record = GoalRecord(model.span, sup, trace, res)
             self.module.goal_log.append(record)
             self.report_goal(res, diags, sup, rigid, concept.name)
@@ -793,7 +793,7 @@ class ExprChecker:
         )
 
     def discharge(self, constraint: ConstraintTerm, span: Span):
-        res, trace, diags = self.resolver.resolve(Goal(constraint, self.rigid, span))
+        res, trace, diags = self.resolver.resolve(Goal(constraint, span))
         record = GoalRecord(span, constraint, trace, res)
         self.records.append(record)
         self.goal_log.append(record)
@@ -920,8 +920,8 @@ class ExprChecker:
         result = binding.apply(sig.ret)
         tyargs = [bound[v.uid] for v in sig.tyvars]
         if sig.kind == "requirement":
-            concept_id, member = sig.target
-            return TReqCall(span, result, concept_id, member, tyargs, resolutions[0], checked)
+            _, member = sig.target
+            return TReqCall(span, result, member, resolutions[0], checked)
         # constructors and builtins have no context, so no resolutions
         return TCall(span, result, sig.kind, sig.target, tyargs, resolutions, checked)
 

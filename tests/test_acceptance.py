@@ -321,7 +321,7 @@ def test_criterion_11_stability():
                     resolver = Resolver(world, policy)
                     satisfied = True
                     for c in fun.context:
-                        goal = Goal(subst.apply(c), frozenset(), fun.span)
+                        goal = Goal(subst.apply(c), fun.span)
                         res, _, _ = resolver.resolve(goal)
                         if res is None:
                             satisfied = False

@@ -14,10 +14,12 @@ from slc.corekit import (
     CGlobal,
     CIf,
     CLam,
+    CLet,
     CLit,
     CMatch,
     CoreExpr,
     CProj,
+    CTuple,
     CTyApp,
     CVar,
     core_check,
@@ -363,6 +365,21 @@ NONE = CCtor("std.Option", "None", [U64], [])
         (CMatch(NONE, [("Nope", [], CVar("x"))]), "Option has no constructor Nope"),
         (CMatch(NONE, [("Some", [], CVar("x"))]), "Some: pattern arity"),
         (CIf(CVar("x"), CVar("x"), CVar("x")), "if condition not Bool"),
+        # Names and arities the evaluator relies on `core_check` for.
+        (CApp(CBuiltin("add64"), [CVar("ghost"), CVar("x")]), "unbound core variable ghost"),
+        (CApp(CBuiltin("add64"), [CVar("x"), CVar("ghost")]), "unbound core variable ghost"),
+        (CCtor("std.Option", "Some", [U64], [CVar("ghost")]), "unbound core variable ghost"),
+        (CTuple(CVar("ghost"), CVar("x")), "unbound core variable ghost"),
+        (
+            CApp(CProj(CGlobal("dict$m.showU64"), "show"), [CVar("ghost")]),
+            "unbound core variable ghost",
+        ),
+        (CApp(CBuiltin("concat"), []), "concat: wrong arity"),
+        (CLet("_", CVar("x"), CVar("_")), "unbound core variable _"),
+        (
+            CMatch(CCtor("std.Option", "Some", [U64], [CVar("x")]), [("Some", ["_"], CVar("_"))]),
+            "unbound core variable _",
+        ),
     ],
 )
 def test_core_check_rejects(body, message):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, check_inline, free_vars, span_contains
+from conftest import CORPUS, check_inline, span_contains
 from oracle import children
 
 from slc.ast import ExprAST, FunAST, ModelAST
@@ -71,13 +71,12 @@ model bytes64: Iterator[U64] {
 
 def entails(givens, wanted, scope, policy):
     """The resolution of `wanted` from `givens` and the models of `scope`,
-    or None; every variable of the constraints is rigid."""
+    or None."""
     from slc.diagnostics import Span
     from slc.resolver import Goal, Resolver
 
-    rigid = frozenset(v.uid for v in free_vars([*givens, wanted]))
     site = Span("<entails>", (1, 1), (1, 1))
-    res, _, _ = Resolver(scope, policy, givens=givens).resolve(Goal(wanted, rigid, site))
+    res, _, _ = Resolver(scope, policy, givens=givens).resolve(Goal(wanted, site))
     return res
 
 

@@ -126,6 +126,61 @@ def test_every_defined_name_is_used_somewhere():
     assert not kept, f"no longer test-only: {kept}"
 
 
+# `__slots__` fields that no code in `src/` or `bench/` reads, each kept for
+# a reason.
+UNREAD_SLOTS = {
+    ("coherence.py", "OverlapWitness", "subst"): "the unifier that makes two model heads overlap",
+    ("resolver.py", "StabilityReport", "fun"): "README's stability analysis, an acceptance criterion",
+    ("resolver.py", "StabilityReport", "assignment"): "README's stability analysis, as above",
+    ("resolver.py", "StabilityEntry", "detail"): "README's stability analysis, as above",
+}
+
+
+def slot_fields() -> list[tuple[str, str, str]]:
+    """(file name, class name, field) of each `__slots__` field that a
+    module-level class in `src/slc/` declares; dunder slots such as
+    `__weakref__` are left out."""
+    out = []
+    for path in sorted((ROOT / "src" / "slc").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for item in top.body:
+                if isinstance(item, ast.Assign) and [
+                    t.id for t in item.targets if isinstance(t, ast.Name)
+                ] == ["__slots__"]:
+                    fields = ast.literal_eval(item.value)
+                    out.extend((path.name, top.name, f) for f in fields if not f.startswith("__"))
+    return out
+
+
+def loaded_attribute_names() -> set[str]:
+    """Each attribute name that code in `src/` or `bench/` reads."""
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    return {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_slot_field_is_read_somewhere():
+    """A field that code only stores is dead weight on every instance,
+    unless `UNREAD_SLOTS` says why it stays. A read is matched by the
+    attribute's name alone."""
+    loaded = loaded_attribute_names()
+    fields = slot_fields()
+    unread = sorted(
+        f"{file}: {cls}.{field}"
+        for file, cls, field in fields
+        if field not in loaded and (file, cls, field) not in UNREAD_SLOTS
+    )
+    assert not unread, f"slot fields no code in src/ or bench/ reads: {unread}"
+    kept = [key for key in UNREAD_SLOTS if key[2] in loaded or key not in fields]
+    assert not kept, f"no longer unread: {kept}"
+
+
 # Prints which of the named modules a probe has loaded. `slc.cli` puts the
 # back end in `sys.modules` unexecuted, as a module of a lazy subclass, and
 # reading any attribute of it would load it, so only the type is asked.

@@ -622,3 +622,151 @@ def test_the_first_declaration_of_a_name_wins():
     )
     [dup] = result.diagnostics
     assert (dup.span.start, dup.related[0].span.start) == ((3, 1), (2, 1))
+
+
+# A generic model `kb` whose `kb.T` names a type with `kb`'s own variable,
+# so that under the scoped policy a use of the path mentions a variable of
+# another declaration.
+KB_LIB = """\
+module lib
+concept K[Self] { type T
+  fn k(x: Self) -> Self }
+model kb: K[Option[a]] { type T = a
+  fn k(x: Option[a]) -> Option[a] { x } }
+concept E[Self] { fn e(x: Self) -> Self }
+"""
+C_T = "concept C[Self] { type T\n  fn g(x: Self) -> Self }\n"
+
+
+@pytest.mark.parametrize(
+    "policy, decls, code, message, start, end",
+    [
+        ("use-site", "data D { A, A }", "E-NAME", "duplicate constructor 'A'", (3, 13), (3, 13)),
+        (
+            "scoped",
+            "concept C[Self] where E[kb.T] { fn g(x: Self) -> Self }",
+            "E-NAME",
+            "superclass constraints may mention only the concept's parameters",
+            (3, 23),
+            (3, 29),
+        ),
+        (
+            "use-site",
+            "concept C[Self] { type T\n  type T\n  fn g(x: Self) -> Self }",
+            "E-NAME",
+            "duplicate associated type 'T' in concept C",
+            (3, 1),
+            (5, 25),
+        ),
+        (
+            "use-site",
+            "concept C[Self] { fn g(x: Self) -> Self\n  fn g(x: Self) -> Self }",
+            "E-NAME",
+            "duplicate requirement 'g' in concept C",
+            (4, 3),
+            (4, 23),
+        ),
+        (
+            "use-site",
+            C_T + "model c: C[U64] { type T = U8\n  type T = U8\n  fn g(x: U64) -> U64 { x } }",
+            "E-NAME",
+            "associated type 'T' bound twice",
+            (6, 3),
+            (6, 13),
+        ),
+        (
+            "scoped",
+            C_T + "model c: C[U64] { type T = kb.T\n  fn g(x: U64) -> U64 { x } }",
+            "E-NAME",
+            "binding variable 'a' does not occur in the model head",
+            (5, 19),
+            (5, 31),
+        ),
+        (
+            "use-site",
+            REQ + "model c: C[U64] { fn g(x: U64) -> U64 { x }\n  fn h(x: U64) -> U64 { x } }",
+            "E-NAME",
+            "concept C has no requirement 'h'",
+            (5, 3),
+            (5, 27),
+        ),
+        (
+            "use-site",
+            "fn f[T, T](x: T) -> U64 { 0:U64 }",
+            "E-NAME",
+            "duplicate type parameter 'T'",
+            (3, 1),
+            (3, 33),
+        ),
+        (
+            "use-site",
+            REQ + "model c: C[U64] { fn g(x: U64, y: U64) -> U64 { x } }",
+            "E-ARITY",
+            "requirement 'g' takes 1 parameters",
+            (4, 19),
+            (4, 51),
+        ),
+        (
+            "use-site",
+            "fn f[T](x: T[U64]) -> U64 { 0:U64 }",
+            "E-ARITY",
+            "type variable 'T' cannot be applied to arguments",
+            (3, 12),
+            (3, 17),
+        ),
+        (
+            "use-site",
+            "fn f(x: Option[U64, U64]) -> U64 { 0:U64 }",
+            "E-ARITY",
+            "type constructor Option expects 1 arguments, got 2",
+            (3, 9),
+            (3, 24),
+        ),
+        (
+            "use-site",
+            REQ + "model c: C[x[U64]] { fn g(x: x[U64]) -> x[U64] { x } }",
+            "E-NAME",
+            "unknown type constructor 'x'",
+            (4, 12),
+            (4, 17),
+        ),
+        (
+            "use-site",
+            "fn f[T](x: T.Nope) -> U64 { 0:U64 }",
+            "E-NAME",
+            "no visible concept declares an associated type 'Nope'",
+            (3, 12),
+            (3, 17),
+        ),
+        (
+            "use-site",
+            "fn f(x: U64) -> U64 { match x { _ => x } }",
+            "E-TYPE-MISMATCH",
+            "match scrutinee has type U64, which is not a sum type",
+            (3, 29),
+            (3, 29),
+        ),
+        (
+            "use-site",
+            "fn f(x: Option[U64]) -> U64 { match x { Some(a, b) => a, None => 0:U64 } }",
+            "E-ARITY",
+            "constructor Some has 1 fields, pattern binds 2",
+            (3, 41),
+            (3, 55),
+        ),
+        (
+            "use-site",
+            'fn main(x: U64) -> Unit { print("a") }',
+            "E-NO-ENTRY",
+            "fn main must take no parameters and return Unit",
+            (3, 1),
+            (3, 38),
+        ),
+    ],
+)
+def test_declaration_diagnostics_and_their_spans(policy, decls, code, message, start, end):
+    """Each of these checks reports one diagnostic, at the span that the
+    declaration or the type expression at fault covers."""
+    result = check_inline(policy, lib=KB_LIB, m=f"module m\nimport lib\n{decls}\n")
+    found = [(d.code, d.message, d.span.file, d.span.start, d.span.end) for d in result.diagnostics]
+    assert found == [(code, message, "m.sl", start, end)]
