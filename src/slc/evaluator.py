@@ -8,9 +8,10 @@ arithmetic is modulo 2^64, U8 modulo 2^8. `show` renders unsigned decimal
 with no padding. Constructor values, closures and builtins have classes of
 their own.
 
-The program run must pass `core_check`: every variable, global and builtin
-it names exists, and every direct builtin application has the builtin's
-arity. Compiled code assumes so and checks none of these again.
+The program run must pass `core_check`: every global and builtin it names
+exists, and every direct builtin application has the builtin's arity.
+Compiled code assumes so and checks none of these again. A variable bound
+nowhere in scope fails where it is reached, after spending its step.
 
 Each definition is compiled whole into Python closures when it is first
 forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
@@ -245,8 +246,8 @@ def _pair(first, second):
 
 def _slot(scope: tuple, e: CoreExpr) -> int | None:
     """The frame index a variable `e` reads: the last occurrence of its name
-    in `scope`. None if `e` is no variable."""
-    if type(e) is CVar:
+    in `scope`. None if `e` is no variable or is unbound."""
+    if type(e) is CVar and e.name in scope:
         return len(scope) - 1 - scope[::-1].index(e.name)
     return None
 
@@ -341,10 +342,18 @@ class Interp:
 
     def _var(self, e: CVar, scope: tuple, tail: bool):
         i = _slot(scope, e)
+        if i is None:  # bound nowhere in scope: spends its step, then fails
+            message = f"unbound variable {e.name}"
 
-        def run(env):
-            self.fuel -= 1
-            return env[i]
+            def run(env):
+                self.fuel -= 1
+                raise RuntimeFailure("E-RT-MATCH", message)
+
+        else:
+
+            def run(env):
+                self.fuel -= 1
+                return env[i]
 
         return run
 
@@ -385,8 +394,9 @@ class Interp:
 
     def _call(self, op, steps: int, operands: list[CoreExpr], scope: tuple):
         """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order. Variables that lead the operands are read in
-        place by getters and their steps spent up front."""
+        `operands` in order. Bound variables that lead the operands are read
+        in place by getters and their steps spent up front; an unbound one
+        ends the lead and spends its own step when it fails."""
         codes, lead = [], 0
         for e in operands:
             i = _slot(scope, e) if lead == len(codes) else None

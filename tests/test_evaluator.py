@@ -618,6 +618,7 @@ def test_branches_never_taken_are_never_run():
     for broken in (
         CMatch(none, [("Some", ["x"], CVar("x"))]),
         CProj(CLit("u64", 1), "missing"),
+        CVar("unbound"),
         CApp(CLit("u64", 1), []),
     ):
         value, _ = eval_expr(CIf(CLit("bool", True), CLit("u64", 7), broken), {}, core)
@@ -634,11 +635,7 @@ def test_branches_never_taken_are_never_run():
 @pytest.mark.parametrize(
     "expr, message",
     [
-        # Python's own types stand for several kinds of value, and each kind
-        # is told apart: a pair is no dictionary, function or constructor
-        # value, nor a constructor value a pair; Unit and a U8 0 are no Bool,
-        # and a Bool is no machine integer, however Python compares them.
-        (CProj(PAIR_1_2, "next"), "bad projection .next"),
+        (CVar("ghost"), "unbound variable ghost"),
         (CProj(CLit("u64", 1), "next"), "bad projection .next"),
         (CMatch(CLit("u64", 1), [(None, [], CLit("u64", 0))]), "match on a non-constructor value"),
         (
@@ -651,11 +648,13 @@ def test_branches_never_taken_are_never_run():
             "closure expects 1 arguments, got 2",
         ),
         (CApp(CLit("u64", 1), []), "application of a non-function value"),
-        # More kinds of value that share a Python type, as in the first row.
+        # A pair is no function value, though Python's tuples are what it
+        # is made of; the last rows tell apart more kinds of value that share
+        # a Python type.
         (CApp(PAIR_1_2, []), "application of a non-function value"),
-        (CMatch(PAIR_1_2, [(None, [], CLit("u64", 0))]), "match on a non-constructor value"),
-        (CIf(CLit("unit", ()), CLit("u64", 2), CLit("u64", 3)), "if condition is not a boolean"),
-        (CApp(CBuiltin("add64"), [CLit("bool", True), CLit("u64", 1)]), "add64: expected a U64"),
+        (CApp(CBuiltin("add64"), [CVar("ghost"), CLit("u64", 1)]), "unbound variable ghost"),
+        (CCtor("std.Option", "Some", [U64], [CVar("ghost")]), "unbound variable ghost"),
+        (CTuple(CVar("ghost"), CLit("u64", 1)), "unbound variable ghost"),
         # A builtin that a variable holds, applied at another arity.
         (
             CApp(CLam([("f", U64)], CApp(CVar("f"), [u64(1)])), [CBuiltin("add64")]),
@@ -665,9 +664,8 @@ def test_branches_never_taken_are_never_run():
             CApp(CLam([("f", U64)], CApp(CVar("f"), [])), [CBuiltin("concat")]),
             "concat expects 2 arguments, got 0",
         ),
-        # As in the first row.
-        (CApp(CBuiltin("fst"), [SOME_1_2]), "fst: expected a pair"),
-        (CIf(CLit("u8", 0), CLit("u64", 2), CLit("u64", 3)), "if condition is not a boolean"),
+        (CLet("_", CLit("u64", 1), CVar("_")), "unbound variable _"),
+        (CMatch(PAIR, [("Pair", ["x", "_"], CVar("_"))]), "unbound variable _"),
         # Pattern arity that `core_check` would reject: a binding arm meets
         # a value with another number of fields.
         (
@@ -686,6 +684,16 @@ def test_branches_never_taken_are_never_run():
             CMatch(SOME_1_2, [("Some", ["x"], CLet("w", u64(5), CVar("w")))]),
             "pattern arity: Some has 2 fields, the arm binds 1",
         ),
+        # Python's own types stand for several kinds of value, and each kind
+        # is told apart: a pair is no dictionary or constructor value, nor a
+        # constructor value a pair; Unit and a U8 0 are no Bool, and a Bool
+        # is no machine integer, however Python compares them.
+        (CProj(PAIR_1_2, "next"), "bad projection .next"),
+        (CMatch(PAIR_1_2, [(None, [], CLit("u64", 0))]), "match on a non-constructor value"),
+        (CApp(CBuiltin("fst"), [SOME_1_2]), "fst: expected a pair"),
+        (CIf(CLit("unit", ()), CLit("u64", 2), CLit("u64", 3)), "if condition is not a boolean"),
+        (CIf(CLit("u8", 0), CLit("u64", 2), CLit("u64", 3)), "if condition is not a boolean"),
+        (CApp(CBuiltin("add64"), [CLit("bool", True), CLit("u64", 1)]), "add64: expected a U64"),
     ],
 )
 def test_runtime_match_failures_keep_their_messages(expr, message):
@@ -693,6 +701,24 @@ def test_runtime_match_failures_keep_their_messages(expr, message):
     with pytest.raises(RuntimeFailure) as failure:
         eval_expr(expr, {}, core)
     assert (failure.value.code, failure.value.message) == ("E-RT-MATCH", message)
+
+
+@pytest.mark.parametrize(
+    "args, fuel, code",
+    [
+        ([CVar("ghost"), CVar("y")], 2, "E-RT-FUEL"),
+        ([CVar("ghost"), CVar("y")], 3, "E-RT-MATCH"),
+        ([CVar("y"), CVar("ghost")], 3, "E-RT-FUEL"),
+        ([CVar("y"), CVar("ghost")], 4, "E-RT-MATCH"),
+    ],
+)
+def test_unbound_leading_variable_at_the_fuel_boundary(args, fuel, code):
+    """An unbound variable fails after the steps of the variables before it,
+    not after those of the variables beside it."""
+    core = elaborate(check_inline(iter=ITER).program)
+    with pytest.raises(RuntimeFailure) as failure:
+        eval_expr(CApp(CBuiltin("add64"), args), {"y": VU64(1)}, core, fuel)
+    assert failure.value.code == code
 
 
 ADD64 = VBuiltin("add64", *BUILTINS["add64"])
@@ -717,12 +743,14 @@ def method_env(record) -> dict:
         (NO_FIELD, [CVar("y"), u64(1)], 3, "bad projection .f"),
         (NO_FIELD, [u64(1), CVar("y")], 3, "bad projection .f"),
         (NO_FIELD, [CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 3, "bad projection .f"),
-        (HAS_FIELD, [CVar("y"), CApp(CVar("y"), [])], 6, "application of a non-function value"),
-        (HAS_FIELD, [u64(1), CApp(CVar("y"), [])], 6, "application of a non-function value"),
+        (HAS_FIELD, [CVar("y"), CVar("ghost")], 5, "unbound variable ghost"),
+        (HAS_FIELD, [u64(1), CVar("ghost")], 5, "unbound variable ghost"),
         (HAS_FIELD, [CVar("y")], 4, "add64 expects 2 arguments, got 1"),
         (HAS_FIELD, [u64(1), u64(2), CVar("y")], 6, "add64 expects 2 arguments, got 3"),
         (HAS_FIELD, [CVar("y"), CVar("d")], 5, "add64: expected a U64"),
         (HAS_FIELD, [CApp(CVar("g"), [CVar("y"), CVar("d")]), CVar("y")], 7, "add64: expected a U64"),
+        (HAS_FIELD, [CVar("y"), CApp(CVar("y"), [])], 6, "application of a non-function value"),
+        (HAS_FIELD, [u64(1), CApp(CVar("y"), [])], 6, "application of a non-function value"),
     ],
 )
 def test_method_call_failures_at_the_fuel_boundary(record, args, steps, message):
