@@ -5,13 +5,18 @@ String a `str`, Unit is `None`, a pair a plain `tuple` and a dictionary a
 plain `dict` from field names to values. Machine integers are `int`s of a
 `Word` subclass per width, made with no Python `__init__`; they wrap: U64
 arithmetic is modulo 2^64, U8 modulo 2^8. `show` renders unsigned decimal
-with no padding. Constructor values, closures and builtins have classes of
-their own.
+with no padding. Constructor values and closures have classes of their
+own; a builtin is a Python function of its argument values.
 
-The program run must pass `core_check`: every global and builtin it names
-exists, and every direct builtin application has the builtin's arity.
-Compiled code assumes so and checks none of these again. A variable bound
-nowhere in scope fails where it is reached, after spending its step.
+The program run must pass `core_check`, the one type check between
+elaboration and evaluation, as GHC's Core Lint is between Core and code
+generation. Compiled code assumes what it rules out: every name is bound,
+every applied value is a function of the application's arity, every
+projected value is a dictionary with the field, every scrutinee a
+constructor value with the fields its arm binds, every condition a Bool and
+every builtin operand of the builtin's kind; none of it is checked again.
+The one failure a checked program can reach is a match with no arm for its
+value, E-RT-MATCH.
 
 Each definition is compiled whole into Python closures when it is first
 forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
@@ -94,7 +99,6 @@ class Word(int):
     """A machine integer, equal only to one of its own width."""
 
     __slots__ = ()
-    value = property(int.__int__)
 
     def __eq__(self, other):
         return type(other) is type(self) and int.__eq__(self, other)
@@ -127,20 +131,10 @@ class VCtor(Record):
 
 
 class VClosure:
-    # body: compiled in tail mode, in the scope of `env` plus `arity` parameters
-    __slots__ = ("arity", "body", "env")
-    def __init__(self, arity: int, body: Callable, env: tuple):
-        self.arity, self.body, self.env = arity, body, env
-
-    def __repr__(self):
-        return f"<closure/{self.arity}>"
-
-
-class VBuiltin:
-    # op: a function of `arity` values
-    __slots__ = ("name", "arity", "op")
-    def __init__(self, name: str, arity: int, op):
-        self.name, self.arity, self.op = name, arity, op
+    # body: compiled in tail mode, in the scope of `env` plus the parameters
+    __slots__ = ("body", "env")
+    def __init__(self, body: Callable, env: tuple):
+        self.body, self.env = body, env
 
 
 # Literal kind -> value of the literal's payload.
@@ -156,44 +150,20 @@ LITERALS = {
 
 # ---------------------------------------------------------------- builtins
 #
-# Each builtin is a function of its argument values, kept with its arity;
-# `print`, which appends to a transcript, is bound by each `Interp`.
-
-EXPECTED = {VU64: "a U64", VU8: "a U8", bool: "a Bool", VF64: "an F64", tuple: "a pair"}
+# Each builtin is a function of its argument values; `print`, which appends
+# to a transcript, is bound by each `Interp`.
 
 
-def _binary(name: str, kind: type, op, compare: bool = False):
-    """`op` of two `kind` values: its Bool if `compare`, else its result
-    masked to the width of `kind`."""
+def _wrapping(kind: type, op):
+    """`op` of two `kind` values, masked to the width of `kind`."""
     mask = MASK64 if kind is VU64 else MASK8
-
-    def run(a, b):
-        if type(a) is not kind or type(b) is not kind:
-            raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
-        return op(a, b) if compare else kind(op(a, b) & mask)
-
-    return 2, run
-
-
-def _unary(name: str, kind: type, op):
-    def run(v):
-        if type(v) is not kind:
-            raise RuntimeFailure("E-RT-MATCH", f"{name}: expected {EXPECTED[kind]}")
-        return op(v)
-
-    return 1, run
-
-
-def _concat(a, b):
-    if type(a) is not str or type(b) is not str:
-        raise RuntimeFailure("E-RT-MATCH", "concat: expected strings")
-    return a + b
+    return lambda a, b: kind(op(a, b) & mask)
 
 
 BUILTINS = {
     **{
-        name: _binary(name, *rest)
-        for name, *rest in (
+        name: _wrapping(kind, op)
+        for name, kind, op in (
             ("band", VU64, and_),
             ("bor", VU64, or_),
             ("shl", VU64, lambda a, b: a << b if b < 64 else 0),
@@ -204,30 +174,25 @@ BUILTINS = {
             ("add8", VU8, add),
             ("sub8", VU8, sub),
             ("mul8", VU8, mul),
-            # `int`'s own comparisons: `==` on two words would run `Word.__eq__`.
-            ("eq64", VU64, int.__eq__, True),
-            ("lt64", VU64, int.__lt__, True),
-            ("le64", VU64, int.__le__, True),
-            ("eq8", VU8, int.__eq__, True),
-            ("lt8", VU8, int.__lt__, True),
-            ("le8", VU8, int.__le__, True),
         )
     },
-    **{
-        name: _unary(name, kind, op)
-        for name, kind, op in (
-            ("trunc8", VU64, lambda v: VU8(v & MASK8)),
-            ("extend64", VU8, VU64),
-            ("show64", VU64, str),
-            ("show8", VU8, str),
-            ("showbool", bool, lambda v: "true" if v else "false"),
-            ("showf64", VF64, attrgetter("lexeme")),
-            ("not", bool, not_),
-            ("fst", tuple, itemgetter(0)),
-            ("snd", tuple, itemgetter(1)),
-        )
-    },
-    "concat": (2, _concat),
+    # `int`'s own comparisons: `==` on two words would run `Word.__eq__`.
+    "eq64": int.__eq__,
+    "lt64": int.__lt__,
+    "le64": int.__le__,
+    "eq8": int.__eq__,
+    "lt8": int.__lt__,
+    "le8": int.__le__,
+    "trunc8": lambda v: VU8(v & MASK8),
+    "extend64": VU64,
+    "show64": str,
+    "show8": str,
+    "showbool": lambda v: "true" if v else "false",
+    "showf64": attrgetter("lexeme"),
+    "not": not_,
+    "fst": itemgetter(0),
+    "snd": itemgetter(1),
+    "concat": add,
 }
 
 
@@ -246,7 +211,7 @@ def _pair(first, second):
 
 def _slot(scope: tuple, e: CoreExpr) -> int | None:
     """The frame index a variable `e` reads: the last occurrence of its name
-    in `scope`. None if `e` is no variable or is unbound."""
+    in `scope`. None if `e` is no variable of `scope`."""
     if type(e) is CVar and e.name in scope:
         return len(scope) - 1 - scope[::-1].index(e.name)
     return None
@@ -260,12 +225,7 @@ class Interp:
         self.transcript: list[str] = []
         self.globals: dict[str, object] = {}
         self._forcing: set[str] = set()
-        self.builtins = {**BUILTINS, "print": (1, self._print)}
-
-    def _print(self, s):
-        if type(s) is not str:
-            raise RuntimeFailure("E-RT-MATCH", "print: expected a String")
-        self.transcript.append(s)
+        self.builtins = {**BUILTINS, "print": self.transcript.append}
 
     # ------------------------------------------------------------- plumbing
 
@@ -310,18 +270,8 @@ class Interp:
             while True:
                 if self.fuel < 0:
                     raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-                if type(fn) is not VClosure:
-                    if type(fn) is not VBuiltin:
-                        raise RuntimeFailure("E-RT-MATCH", "application of a non-function value")
-                    if len(args) != fn.arity:
-                        raise RuntimeFailure(
-                            "E-RT-MATCH", f"{fn.name} expects {fn.arity} arguments, got {len(args)}"
-                        )
-                    return fn.op(*args)
-                if fn.arity != len(args):
-                    raise RuntimeFailure(
-                        "E-RT-MATCH", f"closure expects {fn.arity} arguments, got {len(args)}"
-                    )
+                if type(fn) is not VClosure:  # a builtin
+                    return fn(*args)
                 result = fn.body(fn.env + args)
                 if type(result) is not list:
                     return result
@@ -342,18 +292,10 @@ class Interp:
 
     def _var(self, e: CVar, scope: tuple, tail: bool):
         i = _slot(scope, e)
-        if i is None:  # bound nowhere in scope: spends its step, then fails
-            message = f"unbound variable {e.name}"
 
-            def run(env):
-                self.fuel -= 1
-                raise RuntimeFailure("E-RT-MATCH", message)
-
-        else:
-
-            def run(env):
-                self.fuel -= 1
-                return env[i]
+        def run(env):
+            self.fuel -= 1
+            return env[i]
 
         return run
 
@@ -377,26 +319,24 @@ class Interp:
         return run
 
     def _builtin(self, e: CBuiltin, scope: tuple, tail: bool):
-        return self._constant(VBuiltin(e.name, *self.builtins[e.name]))
+        return self._constant(self.builtins[e.name])
 
     def _lit(self, e: CLit, scope: tuple, tail: bool):
         return self._constant(LITERALS[e.kind](e.value))
 
     def _lam(self, e: CLam, scope: tuple, tail: bool):
-        arity = len(e.params)
         body = self._compile(e.body, scope + tuple(n for n, _ in e.params), True)
 
         def run(env):
             self.fuel -= 1
-            return VClosure(arity, body, env)
+            return VClosure(body, env)
 
         return run
 
     def _call(self, op, steps: int, operands: list[CoreExpr], scope: tuple):
         """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order. Bound variables that lead the operands are read
-        in place by getters and their steps spent up front; an unbound one
-        ends the lead and spends its own step when it fails."""
+        `operands` in order. Variables that lead the operands are read in
+        place by getters and their steps spent up front."""
         codes, lead = [], 0
         for e in operands:
             i = _slot(scope, e) if lead == len(codes) else None
@@ -462,7 +402,7 @@ class Interp:
         if type(fn) is CBuiltin:
             # The builtin is known here: one step for the application, one
             # for the builtin node, and no pending call (builtins return).
-            return self._call(self.builtins[fn.name][1], 2, e.args, scope)
+            return self._call(self.builtins[fn.name], 2, e.args, scope)
         op = pending if tail else self.apply
         if type(fn) is CProj and type(fn.record) is CVar:
             return self._method(op, fn, e.args, scope)
@@ -470,10 +410,10 @@ class Interp:
 
     def _method(self, op, e: CProj, args: list[CoreExpr], scope: tuple):
         """`e` applied to `args`, where `e` projects a field of a variable: when
-        it and one or two arguments are bound variables, one node reads them
-        in place and spends the steps of the application, the projection and
-        the variable, then the arguments' once the projection has succeeded.
-        Other shapes apply the projection's value."""
+        it and one or two arguments are variables, one node reads them in
+        place and spends the steps of the application, the projection, the
+        variable and the arguments. Other shapes apply the projection's
+        value."""
         slots = [_slot(scope, x) for x in (e.record, *args)]
         if None in slots or len(slots) not in (2, 3):
             return self._call(op, 1, [e, *args], scope)
@@ -481,14 +421,9 @@ class Interp:
         field, steps = e.field, 2 + len(slots)
 
         def run(env):
-            rec = env[i]
-            if type(rec) is dict:
-                fn = rec.get(field)
-                if fn is not None:
-                    self.fuel -= steps
-                    return op(fn, env[j]) if k is None else op(fn, env[j], env[k])
-            self.fuel -= 3
-            raise RuntimeFailure("E-RT-MATCH", f"bad projection .{field}")
+            self.fuel -= steps
+            fn = env[i][field]
+            return op(fn, env[j]) if k is None else op(fn, env[j], env[k])
 
         return run
 
@@ -507,12 +442,7 @@ class Interp:
 
         def run(env):
             self.fuel -= steps
-            rec = record(env)
-            if type(rec) is dict:
-                value = rec.get(field)
-                if value is not None:
-                    return value
-            raise RuntimeFailure("E-RT-MATCH", f"bad projection .{field}")
+            return record(env)[field]
 
         return run
 
@@ -521,38 +451,30 @@ class Interp:
 
     def _match(self, e: CMatch, scope: tuple, tail: bool):
         scrutinee, steps = self._operand(e.scrutinee, scope)
-        # Constructor -> (number of binders, or None if none binds, body) of
-        # the first arm that takes it; arms after a wildcard are unreachable.
+        # Constructor -> (whether any binder names a field, body) of the
+        # first arm that takes it; arms after a wildcard are unreachable.
         # A `_` binder takes a slot that no name reads.
         arms: dict[str, tuple] = {}
         default = None
         for ctor, binders, body in e.arms:
             if ctor is None:
-                default = (None, self._compile(body, scope, tail))
+                default = (False, self._compile(body, scope, tail))
                 break
             if ctor not in arms:
                 names = tuple(None if b == "_" else b for b in binders)
-                binds = len(names) if any(names) else None
+                binds = any(names)
                 arms[ctor] = (binds, self._compile(body, scope + names if binds else scope, tail))
 
         def run(env):
             self.fuel -= steps
             scrut = scrutinee(env)
-            if type(scrut) is not VCtor:
-                raise RuntimeFailure("E-RT-MATCH", "match on a non-constructor value")
             arm = arms.get(scrut.name, default)
-            if arm is None:
+            if arm is None:  # the one failure a checked program can reach
                 raise RuntimeFailure(
                     "E-RT-MATCH", f"non-exhaustive match: no arm for {scrut.name}"
                 )
             binds, body = arm
-            if binds is None:
-                return body(env)
-            args = scrut.args
-            if len(args) != binds:
-                message = f"pattern arity: {scrut.name} has {len(args)} fields, the arm binds {binds}"
-                raise RuntimeFailure("E-RT-MATCH", message)
-            return body(env + args)
+            return body(env + scrut.args) if binds else body(env)
 
         return run
 
@@ -577,10 +499,7 @@ class Interp:
 
         def run(env):
             self.fuel -= 1
-            c = cond(env)
-            if type(c) is not bool:
-                raise RuntimeFailure("E-RT-MATCH", "if condition is not a boolean")
-            return then(env) if c else orelse(env)
+            return then(env) if cond(env) else orelse(env)
 
         return run
 

@@ -284,3 +284,15 @@ def test_every_node_kind_has_a_rule_in_every_pass():
     assert typed == ELABORATORS.keys()
     exprs = {cls for cls in slc_ast.ExprAST.__subclasses__() if cls.__module__ == slc_ast.__name__}
     assert set(sema.RULES) == exprs
+
+
+def test_the_evaluator_fails_only_at_a_non_exhaustive_match():
+    """`core_check` is the one gate for core, so the evaluator raises
+    E-RT-MATCH at one site: a match with no arm for its value, the one
+    failure a checked program can reach. A check of what `core_check`
+    already rules out, put back in the evaluator, adds a second site."""
+    tree = ast.parse((ROOT / "src" / "slc" / "evaluator.py").read_text(encoding="utf-8"))
+    [code] = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "E-RT-MATCH"]
+    [site] = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and code in ast.walk(n)]
+    texts = [n.value for n in ast.walk(site) if isinstance(n, ast.Constant)]
+    assert texts == ["E-RT-MATCH", "non-exhaustive match: no arm for "]
