@@ -28,7 +28,7 @@ from slc.corekit import (
 )
 from slc.evaluator import run_program
 from slc.linker import check_sources
-from slc.types import STRING, U64, App, Con, fn_type
+from slc.types import U64, App, Con
 
 ITER = """\
 module iter
@@ -362,13 +362,7 @@ fn g[T](x: T) -> T { x }
 fn main() -> Unit { print(show64(f(1:U64))) }
 """
 NO_DICT = App(Con("Dict$m.Nope", 1, "m"), (U64,))
-SHOW = App(Con("Dict$m.Show", 1, "m"), (U64,))
-ADD = fn_type([U64, U64], U64)
-CONCAT = fn_type([STRING, STRING], STRING)
 NONE = CCtor("std.Option", "None", [U64], [])
-SOME = CCtor("std.Option", "Some", [U64], [CVar("x")])
-SOME_2 = CCtor("std.Option", "Some", [U64], [CVar("x"), CVar("x")])
-PAIR = CTuple(CVar("x"), CVar("x"))
 
 
 @pytest.mark.parametrize(
@@ -415,66 +409,6 @@ PAIR = CTuple(CVar("x"), CVar("x"))
             CMatch(CCtor("std.Option", "Some", [U64], [CVar("x")]), [("Some", ["_"], CVar("_"))]),
             "unbound core variable _",
         ),
-        # Terms the evaluator does not check again: applications at the
-        # wrong arity, a builtin held by a variable among them.
-        (CApp(CLam([("y", U64)], CVar("y")), [CVar("x"), CVar("x")]), "arity mismatch: 1 vs 2"),
-        (
-            CApp(CLam([("g", ADD)], CApp(CVar("g"), [CVar("x")])), [CBuiltin("add64")]),
-            "arity mismatch: 2 vs 1",
-        ),
-        (
-            CApp(CLam([("g", CONCAT)], CApp(CVar("g"), [])), [CBuiltin("concat")]),
-            "arity mismatch: 2 vs 0",
-        ),
-        # A pair is no function, dictionary or constructor value, a
-        # constructor value no pair, and Unit, a U8 and a Bool are told apart.
-        (CApp(PAIR, []), "application of non-function type (U64, U64)"),
-        (CProj(PAIR, "next"), "projection .next from non-dictionary type (U64, U64)"),
-        (CMatch(PAIR, [(None, [], CVar("x"))]), "match on non-data type (U64, U64)"),
-        (CMatch(SOME, [("Some", ["y", "z"], CVar("y"))]), "Some: pattern arity"),
-        (CMatch(SOME_2, [("Some", ["y"], CVar("y"))]), "Some: wrong arity"),
-        (CIf(CLit("unit", ()), CVar("x"), CVar("x")), "if condition not Bool"),
-        (CIf(CLit("u8", 0), CVar("x"), CVar("x")), "if condition not Bool"),
-        (CApp(CBuiltin("fst"), [SOME]), "builtin fst cannot accept (Option[U64])"),
-        (
-            CApp(CBuiltin("add64"), [CLit("bool", True), CVar("x")]),
-            "builtin add64 cannot accept (Bool, U64)",
-        ),
-        # Method calls on a variable, which the evaluator runs as one node.
-        (
-            CApp(CProj(CVar("x"), "f"), [CVar("x"), CVar("x")]),
-            "projection .f from non-dictionary type U64",
-        ),
-        (
-            CLam([("d", SHOW)], CApp(CProj(CVar("d"), "nope"), [CVar("x")])),
-            "dictionary m.Show has no field nope",
-        ),
-        (
-            CLam([("d", SHOW)], CApp(CProj(CVar("d"), "show"), [CVar("x"), CVar("x")])),
-            "arity mismatch: 1 vs 2",
-        ),
-        (
-            CLam([("d", SHOW)], CApp(CProj(CVar("d"), "show"), [CVar("d")])),
-            "argument expects U64, got Dict$m.Show[U64]",
-        ),
-        # One operand of the wrong kind per kind of builtin.
-        (CApp(CBuiltin("shl"), [CLit("u8", 1), CVar("x")]), "builtin shl cannot accept (U8, U64)"),
-        (CApp(CBuiltin("eq8"), [CVar("x"), CLit("u8", 1)]), "builtin eq8 cannot accept (U64, U8)"),
-        (CApp(CBuiltin("extend64"), [CVar("x")]), "builtin extend64 cannot accept (U64)"),
-        (
-            CApp(CBuiltin("show64"), [CLit("string", "1")]),
-            "builtin show64 cannot accept (String)",
-        ),
-        (CApp(CBuiltin("showbool"), [CVar("x")]), "builtin showbool cannot accept (U64)"),
-        (CApp(CBuiltin("showf64"), [CVar("x")]), "builtin showf64 cannot accept (U64)"),
-        (CApp(CBuiltin("not"), [CLit("u8", 1)]), "builtin not cannot accept (U8)"),
-        (
-            CApp(CBuiltin("concat"), [CLit("string", "a"), CVar("x")]),
-            "builtin concat cannot accept (String, U64)",
-        ),
-        (CApp(CBuiltin("print"), [CVar("x")]), "builtin print cannot accept (U64)"),
-        (CApp(CBuiltin("fst"), [CVar("x")]), "builtin fst cannot accept (U64)"),
-        (CApp(CBuiltin("snd"), [CLit("bool", True)]), "builtin snd cannot accept (Bool)"),
     ],
 )
 def test_core_check_rejects(body, message):

@@ -38,7 +38,7 @@ from slc.evaluator import (
     VU64,
     run_program,
 )
-from slc.types import U64, render_constraint
+from slc.types import STRING, U64, App, Con, fn_type, render_constraint
 
 
 def eval_expr(e, env: dict, program, fuel: int = DEFAULT_FUEL):
@@ -626,18 +626,266 @@ def test_branches_never_taken_are_never_run():
 # ---------------------------------------------------------------- runtime errors
 
 
-def test_runtime_match_failures_keep_their_messages():
-    """The one runtime failure a program that passes `core_check` can reach.
-    The terms that reached the checks the evaluator made before it trusted
-    `core_check` are rows of `test_corekit.py::test_core_check_rejects`."""
-    core = elaborate(check_inline(iter=ITER).program)
-    expr = CMatch(CCtor("std.Option", "None", [U64], []), [("Some", ["x"], CVar("x"))])
+GATE = """\
+module m
+data Pair { Pair(U64, U64) }
+concept Show[Self] { fn show(x: Self) -> String }
+concept Add[Self] { fn f(x: Self, y: Self) -> Self }
+model showU64: Show[U64] { fn show(x: U64) -> String { show64(x) } }
+model addU64: Add[U64] { fn f(x: U64, y: U64) -> U64 { add64(x, y) } }
+fn h(x: U64) -> U64 { x }
+fn main() -> Unit { print(show64(h(1:U64))) }
+"""
+ILLTYPED = "core program does not type check (elaborator bug): "
+SHOW = App(Con("Dict$m.Show", 1, "m"), (U64,))
+ADDS = App(Con("Dict$m.Add", 1, "m"), (U64,))
+ADD = fn_type([U64, U64], U64)
+CONCAT = fn_type([STRING, STRING], STRING)
+SOME_1 = CCtor("std.Option", "Some", [U64], [u64(1)])
+SOME_1_2 = CCtor("std.Option", "Some", [U64], [u64(1), u64(2)])
+PAIR_1_2 = CTuple(u64(1), u64(2))
+
+
+def first_failure(expr, **scope) -> tuple[str, str]:
+    """The first failure `sl run` meets in `expr`, whose free variables have
+    the types in `scope`: the refusal of `core_check`, the gate in front of
+    the evaluator, or the evaluator's own failure for a closed term that the
+    gate lets through."""
+    core = elaborate(check_inline(m=GATE).program)
+    core.defs["m.h"].expr = CLam(
+        [("x", U64)], CLet("_", CLam(list(scope.items()), expr), CVar("x"))
+    )
+    for diag in core_check(core):
+        return diag.code, diag.message.removeprefix(ILLTYPED)
     with pytest.raises(RuntimeFailure) as failure:
         eval_expr(expr, {}, core)
-    assert (failure.value.code, failure.value.message) == (
-        "E-RT-MATCH",
-        "non-exhaustive match: no arm for None",
-    )
+    return failure.value.code, failure.value.message
+
+
+def refused(message: str) -> tuple[str, str]:
+    return "E-CORE-ILLTYPED", message
+
+
+# The evaluator once refused every term of the tables below itself; the row
+# ids are the ones the rows had then, with the evaluator's message, fuel and
+# code. It now trusts `core_check`, which refuses each term before a step is
+# spent, so the fuel at which these terms failed is behaviour removed.
+
+
+@pytest.mark.parametrize(
+    "expr, failure",
+    [
+        pytest.param(
+            CVar("ghost"), refused("unbound core variable ghost"),
+            id="expr0-unbound variable ghost",
+        ),
+        pytest.param(
+            CProj(CLit("u64", 1), "next"),
+            refused("projection .next from non-dictionary type U64"),
+            id="expr1-bad projection .next",
+        ),
+        pytest.param(
+            CMatch(CLit("u64", 1), [(None, [], CLit("u64", 0))]),
+            refused("match on non-data type U64"),
+            id="expr2-match on a non-constructor value",
+        ),
+        # The one runtime failure that core `core_check` accepts can reach.
+        pytest.param(
+            CMatch(CCtor("std.Option", "None", [U64], []), [("Some", ["x"], CVar("x"))]),
+            ("E-RT-MATCH", "non-exhaustive match: no arm for None"),
+            id="expr3-non-exhaustive match: no arm for None",
+        ),
+        pytest.param(
+            CIf(CLit("u64", 1), CLit("u64", 2), CLit("u64", 3)),
+            refused("if condition not Bool"),
+            id="expr4-if condition is not a boolean",
+        ),
+        pytest.param(
+            CApp(CLam([("x", U64)], CVar("x")), [CLit("u64", 1), CLit("u64", 2)]),
+            refused("arity mismatch: 1 vs 2"),
+            id="expr5-closure expects 1 arguments, got 2",
+        ),
+        pytest.param(
+            CApp(CLit("u64", 1), []), refused("application of non-function type U64"),
+            id="expr6-application of a non-function value",
+        ),
+        # A pair is no function value, though Python's tuples are what it
+        # is made of; the last rows tell apart more kinds of value that share
+        # a Python type.
+        pytest.param(
+            CApp(PAIR_1_2, []), refused("application of non-function type (U64, U64)"),
+            id="expr7-application of a non-function value",
+        ),
+        pytest.param(
+            CApp(CBuiltin("add64"), [CVar("ghost"), CLit("u64", 1)]),
+            refused("unbound core variable ghost"),
+            id="expr8-unbound variable ghost",
+        ),
+        pytest.param(
+            CCtor("std.Option", "Some", [U64], [CVar("ghost")]),
+            refused("unbound core variable ghost"),
+            id="expr9-unbound variable ghost",
+        ),
+        pytest.param(
+            CTuple(CVar("ghost"), CLit("u64", 1)), refused("unbound core variable ghost"),
+            id="expr10-unbound variable ghost",
+        ),
+        # A builtin that a variable holds, applied at another arity.
+        pytest.param(
+            CApp(CLam([("f", ADD)], CApp(CVar("f"), [u64(1)])), [CBuiltin("add64")]),
+            refused("arity mismatch: 2 vs 1"),
+            id="expr11-add64 expects 2 arguments, got 1",
+        ),
+        pytest.param(
+            CApp(CLam([("f", CONCAT)], CApp(CVar("f"), [])), [CBuiltin("concat")]),
+            refused("arity mismatch: 2 vs 0"),
+            id="expr12-concat expects 2 arguments, got 0",
+        ),
+        pytest.param(
+            CLet("_", CLit("u64", 1), CVar("_")), refused("unbound core variable _"),
+            id="expr13-unbound variable _",
+        ),
+        pytest.param(
+            CMatch(PAIR, [("Pair", ["x", "_"], CVar("_"))]), refused("unbound core variable _"),
+            id="expr14-unbound variable _",
+        ),
+        # A binding arm that meets a value with another number of fields: a
+        # well-typed Some has one field, so only an ill-formed one does.
+        pytest.param(
+            CMatch(SOME_1, [("Some", ["x", "y"], CVar("x"))]), refused("Some: pattern arity"),
+            id="expr15-pattern arity: Some has 1 fields, the arm binds 2",
+        ),
+        pytest.param(
+            CMatch(SOME_1, [("Some", ["x", "y"], CVar("y"))]), refused("Some: pattern arity"),
+            id="expr16-pattern arity: Some has 1 fields, the arm binds 2",
+        ),
+        pytest.param(
+            CLet("z", u64(9), CMatch(SOME_1_2, [("Some", ["x"], CTuple(CVar("x"), CVar("z")))])),
+            refused("Some: wrong arity"),
+            id="expr17-pattern arity: Some has 2 fields, the arm binds 1",
+        ),
+        pytest.param(
+            CMatch(SOME_1_2, [("Some", ["x"], CLet("w", u64(5), CVar("w")))]),
+            refused("Some: wrong arity"),
+            id="expr18-pattern arity: Some has 2 fields, the arm binds 1",
+        ),
+        # Python's own types stand for several kinds of value, and each kind
+        # is told apart: a pair is no dictionary or constructor value, nor a
+        # constructor value a pair; Unit and a U8 0 are no Bool, and a Bool
+        # is no machine integer, however Python compares them.
+        pytest.param(
+            CProj(PAIR_1_2, "next"),
+            refused("projection .next from non-dictionary type (U64, U64)"),
+            id="expr19-bad projection .next",
+        ),
+        pytest.param(
+            CMatch(PAIR_1_2, [(None, [], CLit("u64", 0))]),
+            refused("match on non-data type (U64, U64)"),
+            id="expr20-match on a non-constructor value",
+        ),
+        pytest.param(
+            CApp(CBuiltin("fst"), [SOME_1]), refused("builtin fst cannot accept (Option[U64])"),
+            id="expr21-fst: expected a pair",
+        ),
+        pytest.param(
+            CIf(CLit("unit", ()), CLit("u64", 2), CLit("u64", 3)),
+            refused("if condition not Bool"),
+            id="expr22-if condition is not a boolean",
+        ),
+        pytest.param(
+            CIf(CLit("u8", 0), CLit("u64", 2), CLit("u64", 3)), refused("if condition not Bool"),
+            id="expr23-if condition is not a boolean",
+        ),
+        pytest.param(
+            CApp(CBuiltin("add64"), [CLit("bool", True), CLit("u64", 1)]),
+            refused("builtin add64 cannot accept (Bool, U64)"),
+            id="expr24-add64: expected a U64",
+        ),
+    ],
+)
+def test_runtime_match_failures_keep_their_messages(expr, failure):
+    assert first_failure(expr) == failure
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([CVar("ghost"), CVar("y")], id="args0-2-E-RT-FUEL"),
+        pytest.param([CVar("ghost"), CVar("y")], id="args1-3-E-RT-MATCH"),
+        pytest.param([CVar("y"), CVar("ghost")], id="args2-3-E-RT-FUEL"),
+        pytest.param([CVar("y"), CVar("ghost")], id="args3-4-E-RT-MATCH"),
+    ],
+)
+def test_unbound_leading_variable_at_the_fuel_boundary(args):
+    """An unbound variable, leading its call or not, is refused by the
+    gate, so no step budget reaches it."""
+    expr = CApp(CBuiltin("add64"), args)
+    assert first_failure(expr, y=U64) == refused("unbound core variable ghost")
+
+
+NOT_ADD = refused("projection .f from non-dictionary type U64")
+NO_FIELD = refused("dictionary m.Show has no field f")
+GHOST = refused("unbound core variable ghost")
+NOT_U64 = refused("argument expects U64, got Dict$m.Add[U64]")
+NOT_FN = refused("application of non-function type U64")
+
+
+@pytest.mark.parametrize(
+    "record, args, failure",
+    [
+        pytest.param(U64, [CVar("y"), CVar("y")], NOT_ADD, id="9-args0-3-bad projection .f"),
+        pytest.param(U64, [CVar("y"), u64(1)], NOT_ADD, id="9-args1-3-bad projection .f"),
+        pytest.param(U64, [u64(1), CVar("y")], NOT_ADD, id="9-args2-3-bad projection .f"),
+        pytest.param(
+            U64, [CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], NOT_ADD,
+            id="9-args3-3-bad projection .f",
+        ),
+        pytest.param(
+            SHOW, [CVar("y"), CVar("y")], NO_FIELD, id="record4-args4-3-bad projection .f"
+        ),
+        pytest.param(SHOW, [CVar("y"), u64(1)], NO_FIELD, id="record5-args5-3-bad projection .f"),
+        pytest.param(SHOW, [u64(1), CVar("y")], NO_FIELD, id="record6-args6-3-bad projection .f"),
+        pytest.param(
+            SHOW, [CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], NO_FIELD,
+            id="record7-args7-3-bad projection .f",
+        ),
+        pytest.param(
+            ADDS, [CVar("y"), CVar("ghost")], GHOST, id="record8-args8-5-unbound variable ghost"
+        ),
+        pytest.param(
+            ADDS, [u64(1), CVar("ghost")], GHOST, id="record9-args9-5-unbound variable ghost"
+        ),
+        pytest.param(
+            ADDS, [CVar("y")], refused("arity mismatch: 2 vs 1"),
+            id="record10-args10-4-add64 expects 2 arguments, got 1",
+        ),
+        pytest.param(
+            ADDS, [u64(1), u64(2), CVar("y")], refused("arity mismatch: 2 vs 3"),
+            id="record11-args11-6-add64 expects 2 arguments, got 3",
+        ),
+        pytest.param(
+            ADDS, [CVar("y"), CVar("d")], NOT_U64, id="record12-args12-5-add64: expected a U64"
+        ),
+        pytest.param(
+            ADDS, [CApp(CVar("g"), [CVar("y"), CVar("d")]), CVar("y")], NOT_U64,
+            id="record13-args13-7-add64: expected a U64",
+        ),
+        pytest.param(
+            ADDS, [CVar("y"), CApp(CVar("y"), [])], NOT_FN,
+            id="record14-args14-6-application of a non-function value",
+        ),
+        pytest.param(
+            ADDS, [u64(1), CApp(CVar("y"), [])], NOT_FN,
+            id="record15-args15-6-application of a non-function value",
+        ),
+    ],
+)
+def test_method_call_failures_at_the_fuel_boundary(record, args, failure):
+    """A call of a field of a dictionary variable `d`, which the evaluator
+    runs as one node, is refused by the gate if `d` is no dictionary, lacks
+    the field, or the call or its arguments are ill-typed."""
+    expr = CApp(CProj(CVar("d"), "f"), args)
+    assert first_failure(expr, d=record, y=U64, g=ADD) == failure
 
 
 ADD64 = BUILTINS["add64"]
@@ -671,6 +919,42 @@ def test_method_calls_at_the_fuel_boundary(args, steps, value, tail):
     with pytest.raises(RuntimeFailure) as failure:
         eval_expr(expr, method_env(HAS_FIELD), core, steps - 1)
     assert failure.value.message == "evaluation step budget exceeded"
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        pytest.param(
+            "add64", [u64(1), CLit("u8", 1)], "(U64, U8)", id="add64-args0-add64: expected a U64"
+        ),
+        pytest.param(
+            "shl", [CLit("u8", 1), u64(1)], "(U8, U64)", id="shl-args1-shl: expected a U64"
+        ),
+        pytest.param(
+            "eq8", [u64(1), CLit("u8", 1)], "(U64, U8)", id="eq8-args2-eq8: expected a U8"
+        ),
+        pytest.param("extend64", [u64(1)], "(U64)", id="extend64-args3-extend64: expected a U8"),
+        pytest.param(
+            "show64", [CLit("string", "1")], "(String)", id="show64-args4-show64: expected a U64"
+        ),
+        pytest.param("showbool", [u64(1)], "(U64)", id="showbool-args5-showbool: expected a Bool"),
+        pytest.param("showf64", [u64(1)], "(U64)", id="showf64-args6-showf64: expected an F64"),
+        pytest.param("not", [CLit("u8", 1)], "(U8)", id="not-args7-not: expected a Bool"),
+        pytest.param(
+            "concat", [CLit("string", "a"), u64(1)], "(String, U64)",
+            id="concat-args8-concat: expected strings",
+        ),
+        pytest.param("print", [u64(1)], "(U64)", id="print-args9-print: expected a String"),
+        pytest.param("fst", [u64(1)], "(U64)", id="fst-args10-fst: expected a pair"),
+        pytest.param("snd", [CLit("bool", True)], "(Bool)", id="snd-args11-snd: expected a pair"),
+    ],
+)
+def test_builtin_failures_keep_their_messages(name, args, message):
+    """One operand of the wrong kind per kind of builtin, refused by the
+    gate; the ids keep the messages the evaluator gave before it trusted
+    `core_check`."""
+    expr = CApp(CBuiltin(name), args)
+    assert first_failure(expr) == refused(f"builtin {name} cannot accept {message}")
 
 
 def test_builtin_table_values():
