@@ -289,11 +289,10 @@ def cmd_explain(args) -> int:
     result = check_sources(sources, make_policy(args), args.depth)
     record = find_goal(result, file, line, col)
     if record is None:
-        where = (max(line, 1), max(col, 1))
         diag = Diagnostic(
             "E-NO-GOAL",
             f"no constraint is discharged at {args.locator}",
-            Span(file, where, where),
+            Span.at(file, max(line, 1), max(col, 1)),
         )
         emit_diagnostics([diag], args.json, stream=sys.stderr)
         return 1

@@ -474,7 +474,7 @@ class CoreChecker:
                 Diagnostic(
                     "E-CORE-ILLTYPED",
                     f"core program does not type check (elaborator bug): {exc.msg}",
-                    Span("<core>", (1, 1), (1, 1)),
+                    Span.at("<core>"),
                 )
             ]
         return []

@@ -6,6 +6,9 @@ other codes are ever emitted and that output ordering is deterministic.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+
 
 # Every code the toolchain may emit, with its default severity.
 CATALOG = {
@@ -60,25 +63,62 @@ class Record:
         return hash((type(self), *[getattr(self, name) for name in slot_names(self)]))
 
 
-class Span(Record):
-    """A half-open source region, 1-based (line, col) endpoints inclusive."""
+class Source:
+    """A file's name and text, whose table of line starts is built when a
+    position is first read. A source whose text is not at hand is empty and
+    starts at `line`."""
 
-    __slots__ = ("file", "start", "end")
-    def __init__(self, file: str, start: tuple[int, int], end: tuple[int, int]):
-        self.file, self.start, self.end = file, start, end
+    def __init__(self, name: str, text: str, line: int = 1):
+        self.name, self.text, self.line, self.starts = name, text, line, None
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based (line, col) of the character at `offset`."""
+        if self.starts is None:
+            self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        i = bisect_right(self.starts, offset)
+        return self.line + i - 1, offset - self.starts[i - 1] + 1
+
+
+class Span:
+    """A source region: offsets into `source` of its first character and one
+    past its last. `start` and `end`, the first and last characters' 1-based
+    (line, col), are resolved when read; an empty span ends where it starts."""
+
+    __slots__ = ("source", "lo", "hi")
+    def __init__(self, source: Source, lo: int, hi: int):
+        self.source, self.lo, self.hi = source, lo, hi
+
+    @classmethod
+    def at(cls, file: str, line: int = 1, col: int = 1) -> Span:
+        """An empty span at `line`:`col` of `file`, whose text is not at hand."""
+        return cls(Source(file, "", line), col - 1, col - 1)
+
+    @property
+    def file(self) -> str:
+        return self.source.name
+
+    @property
+    def start(self) -> tuple[int, int]:
+        return self.source.position(self.lo)
+
+    @property
+    def end(self) -> tuple[int, int]:
+        return self.source.position(max(self.lo, self.hi - 1))
+
+    def __eq__(self, other):
+        return type(other) is Span and (self.file, self.lo, self.hi) == (other.file, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.file, self.lo, self.hi))
 
     def covers(self, line: int, col: int) -> bool:
         return self.start <= (line, col) <= self.end
 
     def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "start": [self.start[0], self.start[1]],
-            "end": [self.end[0], self.end[1]],
-        }
+        return {"file": self.file, "start": list(self.start), "end": list(self.end)}
 
     def __str__(self):
-        return f"{self.file}:{self.start[0]}:{self.start[1]}"
+        return "{}:{}:{}".format(self.file, *self.start)
 
 
 class Related:
@@ -138,11 +178,12 @@ class Abort(Exception):
 
 
 def sort_diagnostics(diags: list[Diagnostic], topo_index: dict[str, int]) -> list[Diagnostic]:
-    """Canonical ordering: (module topological index, span, code)."""
+    """Canonical ordering: (module topological index, span, code), a span by
+    its file and its first and last characters' offsets."""
 
     def key(d: Diagnostic):
         span = d.span
-        return (topo_index.get(d.module, -1), span.file, span.start, span.end, d.code, d.message)
+        return (topo_index.get(d.module, -1), span.file, span.lo, max(span.lo, span.hi - 1), d.code, d.message)
 
     return sorted(diags, key=key)
 

@@ -91,7 +91,7 @@ class RuntimeFailure(Exception):
         super().__init__(message)
 
     def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.code, self.message, Span("<runtime>", (1, 1), (1, 1)))
+        return Diagnostic(self.code, self.message, Span.at("<runtime>"))
 
 
 # Data values compare by type and value; closures and builtins by identity.
@@ -531,7 +531,7 @@ def run_program(
         return Diagnostic(
             "E-NO-ENTRY",
             "program has no entry point (define exactly one `fn main() -> Unit`)",
-            Span("<runtime>", (1, 1), (1, 1)),
+            Span.at("<runtime>"),
         )
     interp = Interp(program, fuel)
     try:
@@ -541,5 +541,5 @@ def run_program(
     except RecursionError:
         # Deeply nested expressions between applications can still exhaust
         # Python's own stack.
-        return Diagnostic("E-RT-FUEL", DEPTH_EXCEEDED, Span("<runtime>", (1, 1), (1, 1)))
+        return Diagnostic("E-RT-FUEL", DEPTH_EXCEEDED, Span.at("<runtime>"))
     return value, interp.transcript

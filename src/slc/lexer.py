@@ -1,13 +1,14 @@
 """Lexer for `.sl` sources: one regular expression, matched once over the
 text, gives (gap, lexeme) pairs, the gap being the blanks, newlines and
-comments before the lexeme. One loop turns the pairs into tokens, moving the
-line and column past each gap: a lexeme it has seen as a keyword,
-punctuation or identifier is looked up in one table, any other is classified
-by its first character, and an identifier then joins the table.
+comments before the lexeme. One loop turns the pairs into tokens, moving one
+character offset past each gap and lexeme: a lexeme it has seen as a
+keyword, punctuation or identifier is looked up in one table, any other is
+classified by its first character, and an identifier then joins the table.
 
-A token is the plain tuple `(kind, text, line, col, last, value, file)`, read
-through the index constants below: a line and the columns of its first and
-last characters, as ints. `token_span` builds a token's `Span` on request,
+A token is the plain tuple `(kind, text, lo, hi, value, source)`, read
+through the index constants below: the offsets of its first character and
+of one past its last, and the file's `Source`, which alone turns offsets
+into lines and columns. `token_span` builds a token's `Span` on request,
 for a syntax node or a diagnostic. `--` starts a line comment. Identifiers
 start with a letter (`str.isalpha`) or `_` and go on with `\\w`; numbers are
 `\\d` digits, the decimal digits `int()` accepts.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Abort, Diagnostic, Span
+from .diagnostics import Abort, Diagnostic, Source, Span
 
 KEYWORDS = frozenset({
     "module", "import", "concept", "model", "fn", "type", "data",
@@ -42,14 +43,13 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 # A token's fields. `kind` is "ident" | "int" | "float" | "string" | keyword |
-# punctuation | "_" | "eof"; `col` and `last` are the columns of its first and
-# last characters, on its one line.
-KIND, TEXT, LINE, COL, LAST, VALUE, FILE = range(7)
-Token = tuple  # (kind, text, line, col, last, value, file)
+# punctuation | "_" | "eof"; `text` is a string's value, not its lexeme.
+KIND, TEXT, LO, HI, VALUE, SOURCE = range(6)
+Token = tuple  # (kind, text, lo, hi, value, source)
 
 
 def token_span(tok: Token) -> Span:
-    return Span(tok[FILE], (tok[LINE], tok[COL]), (tok[LINE], tok[LAST]))
+    return Span(tok[SOURCE], tok[LO], tok[HI])
 
 
 def _long_decimal(digits: str) -> int:
@@ -62,25 +62,22 @@ def _long_decimal(digits: str) -> int:
 
 
 def tokenize(text: str, file: str) -> list[Token]:
-    def fail(msg: str, line: int, first: int, last: int):
-        raise Abort(Diagnostic("E-PARSE", msg, Span(file, (line, first), (line, last))))
+    source = Source(file, text)
+
+    def fail(msg: str, lo: int, hi: int):
+        raise Abort(Diagnostic("E-PARSE", msg, Span(source, lo, hi)))
 
     kinds = dict(_KINDS)
     tokens: list[Token] = []
     append = tokens.append
-    line = col = 1
+    pos = 0
     for gap, lexeme in _TOKEN.findall(text):
-        if gap:
-            if "\n" in gap:
-                line += gap.count("\n")
-                col = len(gap) - gap.rfind("\n")
-            else:
-                col += len(gap)
-        end = col + len(lexeme)
+        pos += len(gap)
+        end = pos + len(lexeme)
         kind = kinds.get(lexeme)
         if kind is not None:
-            append((kind, lexeme, line, col, end - 1, None, file))
-            col = end
+            append((kind, lexeme, pos, end, None, source))
+            pos = end
             continue
         if not lexeme:
             break
@@ -90,7 +87,7 @@ def tokenize(text: str, file: str) -> list[Token]:
         elif c.isdecimal():
             if lexeme[1:2] in ("x", "X"):
                 if len(lexeme) == 2:
-                    fail("malformed hexadecimal literal", line, col, end)
+                    fail("malformed hexadecimal literal", pos, end + 1)
                 kind, value = "int", int(lexeme, 16)
             elif "." in lexeme:
                 kind, value = "float", lexeme
@@ -104,16 +101,15 @@ def tokenize(text: str, file: str) -> list[Token]:
             kind = "string"
             value = lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
         elif c == '"':  # a string that faults before its closing quote
-            rest = text.split("\n", line - 1)[-1][col - 1 :]
-            n = len(re.match(_STRING, rest)[0])
-            fault, stop = rest[n : n + 2], col + n
+            stop = pos + len(re.match(_STRING, text[pos:])[0])
+            fault = text[stop : stop + 2]
             if fault[:1] != "\\":
-                fail("unterminated string literal", line, col, stop)
+                fail("unterminated string literal", pos, stop + 1)
             what = f"unknown string escape '{fault}'" if fault[1:] else "unterminated string escape"
-            fail(what, line, col, stop + 1)
+            fail(what, pos, stop + 2)
         else:
-            fail(f"unexpected character {c!r}", line, col, col)
-        append((kind, lexeme, line, col, end - 1, value, file))
-        col = end
-    append(("eof", "", line, col, col, None, file))
+            fail(f"unexpected character {c!r}", pos, end)
+        append((kind, lexeme, pos, end, value, source))
+        pos = end
+    append(("eof", "", pos, pos, None, source))
     return tokens

@@ -25,14 +25,15 @@ Expressions are bidirectional-checker friendly: blocks are sequences of
 itself, and `parse_type` a type the same way. Tokens are the lexer's plain
 tuples, whose fields are read through its index constants (`tok[KIND]`); a
 one-token node or diagnostic takes the token's span from `token_span`, and
-a longer node builds its span from its first and last tokens' positions.
+a longer node's span runs from its first token's start offset to its last
+token's end offset.
 """
 
 from __future__ import annotations
 
 from . import ast as A
 from .diagnostics import Abort, Diagnostic, Span
-from .lexer import COL, KIND, LAST, LINE, TEXT, VALUE, Token, token_span, tokenize
+from .lexer import HI, KIND, LO, SOURCE, TEXT, VALUE, Token, token_span, tokenize
 
 # The deepest nesting of expressions and types the parser accepts. A level
 # costs at most three Python frames (parse_expr -> parse_parens -> comma_list
@@ -43,9 +44,9 @@ MAX_NESTING = 12_000
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.file = file
+        self.source = tokens[0][SOURCE]
         self.pos = 0
         self.depth = 0  # open parse_expr and parse_type calls
 
@@ -100,8 +101,7 @@ class Parser:
 
     def span_from(self, start: Token) -> Span:
         """From `start` to the last token consumed, which is never before it."""
-        prev = self.tokens[self.pos - 1]
-        return Span(self.file, (start[LINE], start[COL]), (prev[LINE], prev[LAST]))
+        return Span(self.source, start[LO], self.tokens[self.pos - 1][HI])
 
     # ------------------------------------------------------------- module
 
@@ -294,8 +294,7 @@ class Parser:
             while toks[self.pos][KIND] == "." and toks[self.pos + 1][KIND] == "ident":
                 projections += (toks[self.pos + 1][TEXT],)
                 self.pos += 2
-            end = toks[self.pos - 1]
-            span = Span(self.file, (start[LINE], start[COL]), (end[LINE], end[LAST]))
+            span = Span(self.source, start[LO], toks[self.pos - 1][HI])
             t = A.TName(span, start[TEXT], args, projections)
         self.depth = depth
         return t
@@ -329,7 +328,7 @@ class Parser:
 
     def parse_block(self) -> A.ExprAST:
         start = self.expect("{")
-        stmts: list[tuple] = []  # (name, annot, expr, start position)
+        stmts: list[tuple] = []  # (name, annot, expr, start offset)
         tail: A.ExprAST | None = None
         while self.tokens[self.pos][KIND] != "}":
             if self.tokens[self.pos][KIND] == "let":
@@ -341,11 +340,11 @@ class Parser:
                 self.expect("=")
                 bound = self.parse_expr()
                 self.expect(";")
-                stmts.append((lname, annot, bound, (lstart[LINE], lstart[COL])))
+                stmts.append((lname, annot, bound, lstart[LO]))
                 continue
             expr = self.parse_expr()
             if self.accept(";"):
-                stmts.append(("_", None, expr, expr.span.start))
+                stmts.append(("_", None, expr, expr.span.lo))
                 continue
             tail = expr
             break
@@ -354,7 +353,7 @@ class Parser:
             self.fail("block must end with an expression", self.span_from(start))
         result = tail
         for name, annot, bound, first in reversed(stmts):
-            result = A.ELet(Span(self.file, first, result.span.end), name, annot, bound, result)
+            result = A.ELet(Span(self.source, first, result.span.hi), name, annot, bound, result)
         return result
 
     def parse_expr(self) -> A.ExprAST:
@@ -409,10 +408,8 @@ class Parser:
                     args.append(self.parse_expr())
                 if toks[self.pos][KIND] != ")":
                     self.expect(",")  # fails
-            close = toks[self.pos]
+            expr = A.EApp(Span(self.source, start[LO], toks[self.pos][HI]), expr, tuple(args))
             self.pos += 1
-            span = Span(self.file, (start[LINE], start[COL]), (close[LINE], close[LAST]))
-            expr = A.EApp(span, expr, tuple(args))
             nxt = toks[self.pos]
         if nxt[KIND] == ":":
             self.pos += 1
@@ -499,7 +496,7 @@ def parse_module(text: str, file: str) -> A.ModuleAST | list[Diagnostic]:
     """Parse one SL source file; diagnostics instead of an AST on failure."""
     try:
         tokens = tokenize(text, file)
-        return Parser(tokens, file).parse_module()
+        return Parser(tokens).parse_module()
     except Abort as exc:
         return [exc.diagnostic]
 
@@ -508,9 +505,5 @@ def parse_module_bytes(data: bytes, file: str) -> A.ModuleAST | list[Diagnostic]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return [
-            Diagnostic(
-             "E-ENCODING", f"source is not valid UTF-8: {exc.reason}", Span(file, (1, 1), (1, 1))
-            )
-        ]
+        return [Diagnostic("E-ENCODING", f"source is not valid UTF-8: {exc.reason}", Span.at(file))]
     return parse_module(text, file)

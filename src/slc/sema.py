@@ -161,7 +161,7 @@ class ModuleChecker:
         same level, type or function, has taken: each of those is an E-NAME
         and is neither filed nor checked."""
         later = set()
-        types = sorted(concepts + datas, key=attrgetter("span.start"))  # in source order
+        types = sorted(concepts + datas, key=attrgetter("span.lo"))  # in source order
         for decls, what in ((types, "type-level"), (funs, "function")):
             first: dict[str, Span] = {}
             for d in decls:

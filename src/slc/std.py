@@ -23,7 +23,7 @@ from .types import (
     pair_type,
 )
 
-_SPAN = Span("<std>", (1, 1), (1, 1))
+_SPAN = Span.at("<std>")
 
 
 def _var(name: str) -> Var:

@@ -195,6 +195,15 @@ def test_explain_no_goal():
     proc = sl("explain", locator, *corpus("iter_lib.sl", "range_iter.sl"))
     assert proc.returncode == 1
     assert "E-NO-GOAL" in proc.stderr
+    # The span is the locator's own line and column, clamped to 1:1 below
+    # and left as written past the end of the file.
+    for where, start in [("3:5", [3, 5]), ("999:3", [999, 3]), ("0:0", [1, 1])]:
+        proc = sl("explain", "--json", f"range_iter.sl:{where}", *corpus("iter_lib.sl", "range_iter.sl"))
+        assert proc.returncode == 1
+        [diag] = json.loads(proc.stderr)
+        assert (diag["code"], diag["span"]) == (
+            "E-NO-GOAL", {"file": "range_iter.sl", "start": start, "end": start}
+        )
 
 
 def test_color_env_toggle():

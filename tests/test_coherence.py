@@ -398,7 +398,7 @@ def _model(head, vars_, context=()):
     from slc.decls import ModelDecl
     from slc.diagnostics import Span
 
-    span = Span("m.sl", (1, 1), (1, 1))
+    span = Span.at("m.sl")
     return ModelDecl("m", 0, None, "m.C", list(head), list(vars_), list(context), {}, span)
 
 

@@ -75,7 +75,7 @@ def entails(givens, wanted, scope, policy):
     from slc.diagnostics import Span
     from slc.resolver import Goal, Resolver
 
-    site = Span("<entails>", (1, 1), (1, 1))
+    site = Span.at("<entails>")
     res, _, _ = Resolver(scope, policy, givens=givens).resolve(Goal(wanted, site))
     return res
 

@@ -61,20 +61,20 @@ def test_candidates_ordering_and_content():
     sc = result.modules["m"].concepts["StringConvertible"].id
     from slc.diagnostics import Span
 
-    goal = Goal(Conf(sc, (U64,)), Span("x", (1, 1), (1, 1)))
+    goal = Goal(Conf(sc, (U64,)), Span.at("x"))
     cands = candidates(goal, world)
     assert [c.model.name for c in cands] == ["stringIter", "stringU64"]
-    goal8 = Goal(Conf(sc, (U8,)), Span("x", (1, 1), (1, 1)))
+    goal8 = Goal(Conf(sc, (U8,)), Span.at("x"))
     cands8 = candidates(goal8, world)
     assert [c.model.name for c in cands8] == ["stringU8", "stringIter"]
-    goal_str = Goal(Conf(sc, (option_type(U64),)), Span("x", (1, 1), (1, 1)))
+    goal_str = Goal(Conf(sc, (option_type(U64),)), Span.at("x"))
     # Option[U64] only matches the blanket model
     assert [c.model.name for c in candidates(goal_str, world)] == ["stringIter"]
     # a type nothing converts: the empty candidate list is a valid answer
     from slc.types import STRING
 
     it = result.modules["m"].concepts["Iterator"].id
-    none = Goal(Conf(it, (STRING,)), Span("x", (1, 1), (1, 1)))
+    none = Goal(Conf(it, (STRING,)), Span.at("x"))
     assert candidates(none, world) == []
 
 

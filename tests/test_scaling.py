@@ -4,7 +4,8 @@ in the number of modules, parsing, checking and the core pass each cost a
 fixed number of opcodes per module, and `run`'s core pass barely grows with
 modules its `main` does not reach. On a chain of imports, or among siblings
 that reuse names, checking costs the same per module however many there are,
-and no check leaves cyclic garbage."""
+and no check leaves cyclic garbage. A clean check resolves no source
+position, and resolving them for diagnostics costs linear time."""
 
 import gc
 import sys
@@ -16,6 +17,7 @@ from test_acceptance import POLICIES, PROGRAMS
 from slc import coherence
 from slc.corekit import core_check, elaborate
 from slc.decls import ModelDecl
+from slc.diagnostics import Source
 from slc.parser import parse_module_bytes
 
 LOCAL_TYPES = 10
@@ -54,6 +56,17 @@ model Show[Option[a]] where Show[a] {
             body = f"concat({body}, concat(show(C{i}), show(Some(C{i}))))"
         lines.append(f"fn use{own}() -> String {{ {body} }}")
         files[f"s{k:02d}"] = "\n".join(lines) + "\n"
+    return files
+
+
+def linked_wide_program(siblings: int) -> dict[str, str]:
+    """`wide_program` with the second planted `Show[Shared]` model dropped,
+    so that it links."""
+    files = wide_program(siblings)
+    planted = f"s{siblings - 2:02d}"
+    files[planted] = "".join(
+        line for line in files[planted].splitlines(keepends=True) if "Shared" not in line
+    )
     return files
 
 
@@ -122,11 +135,7 @@ def core_pass_opcodes(siblings: int, app: str | None = None) -> int:
     """Opcodes `elaborate` and `core_check` run on `wide_program` with the
     second planted `Show[Shared]` model dropped, so that it links. With an
     `app` module, only what its `main` reaches is elaborated, as `run` does."""
-    files = wide_program(siblings)
-    planted = f"s{siblings - 2:02d}"
-    files[planted] = "".join(
-        line for line in files[planted].splitlines(keepends=True) if "Shared" not in line
-    )
+    files = linked_wide_program(siblings)
     if app is not None:
         files["app"] = app
     result = check_inline("use-site", **files)
@@ -170,8 +179,35 @@ def test_check_opcodes_per_module():
     parameters checks its arguments against the parameters, and the lexer
     and parser read each token once. 119,198 opcodes per sibling when set
     (166,172 before that; 120,889 with one declaration index per program;
-    120,485 with plain-tuple tokens and spans that check nothing)."""
-    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 120_600
+    120,485 with plain-tuple tokens and spans that check nothing; 120,272
+    before tokens and spans held offsets in place of lines and columns,
+    116,687 after)."""
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 117_000
+
+
+def test_a_clean_check_resolves_no_position(monkeypatch):
+    """Spans hold offsets into their file, and a check with nothing to
+    report never turns one into a line and column."""
+
+    def position(self, offset):
+        raise AssertionError(f"{self.name}: offset {offset} resolved")
+
+    monkeypatch.setattr(Source, "position", position)
+    assert check_inline("use-site", **linked_wide_program(12)).ok
+
+
+def test_diagnostic_positions_cost_linear_time():
+    """Each of `n` duplicate functions in one file is an E-NAME, and turning
+    the diagnostics into JSON resolves their positions. That costs linear
+    time: a reader that scanned the text again for each span would make it
+    quadratic."""
+
+    def to_json_opcodes(n: int) -> int:
+        diags = check_inline(dup="module dup\n" + "fn f() -> Unit { () }\n" * n).diagnostics
+        assert [d.code for d in diags] == ["E-NAME"] * (n - 1)
+        return opcodes(lambda: [d.to_json() for d in diags])
+
+    assert to_json_opcodes(2_000) <= 2.1 * to_json_opcodes(1_000)
 
 
 def test_parse_opcodes_per_module():
@@ -179,13 +215,14 @@ def test_parse_opcodes_per_module():
     for each of a sibling's 444 tokens. 54,739 opcodes per sibling when set;
     55,156 while tokens were named tuples, each newline was a lexeme and
     `Span.__init__` asserted its fields; 74,858 before the lexer's one
-    table and the flat expression chain."""
+    table and the flat expression chain; 51,154 since tokens and spans hold
+    character offsets, not lines and columns."""
 
     def parse_opcodes(siblings: int) -> int:
         sources = [(f"{name}.sl", text.encode()) for name, text in wide_program(siblings).items()]
         return opcodes(lambda: [parse_module_bytes(data, path) for path, data in sources])
 
-    assert (parse_opcodes(12) - parse_opcodes(4)) / 8 <= 55_000
+    assert (parse_opcodes(12) - parse_opcodes(4)) / 8 <= 51_400
 
 
 def chain_program(modules: int) -> dict[str, str]:

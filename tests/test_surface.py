@@ -13,7 +13,7 @@ from test_ast_spans import misplaced, reachable_spans, sources
 
 from slc import ast as A
 from slc.diagnostics import Abort, Span
-from slc.lexer import COL, KIND, LAST, LINE, TEXT, VALUE, token_span
+from slc.lexer import KIND, TEXT, VALUE, token_span
 from slc.parser import parse_module, tokenize
 from slc.printer import ast_equal, pretty_print
 
@@ -397,10 +397,12 @@ def test_first_parse_error_of_each_failure_path(src, message, start, end):
 
 def token_digest(text: str, file: str) -> str:
     """SHA-256 of the token stream, one `(kind, text, line, col, last, value)`
-    line per token, `eof` included."""
+    line per token, `eof` included: the line and columns of its first and
+    last characters, resolved from its span."""
     h = hashlib.sha256()
     for tok in tokenize(text, file):
-        h.update(f"{(tok[KIND], tok[TEXT], tok[LINE], tok[COL], tok[LAST], tok[VALUE])!r}\n".encode())
+        (line, col), (_, last) = token_span(tok).start, token_span(tok).end
+        h.update(f"{(tok[KIND], tok[TEXT], line, col, last, tok[VALUE])!r}\n".encode())
     return h.hexdigest()
 
 
