@@ -669,7 +669,16 @@ class CoreChecker:
         bound = self.infer(e.bound, env)
         if e.name == "_":  # binds nothing, as `_` binders of match arms
             return self.infer(e.body, env)
-        return self.infer(e.body, {**env, e.name: bound})
+        # Bound in `env` itself and unbound on the way out, as sema does.
+        shadowed = env.get(e.name)
+        env[e.name] = bound
+        try:
+            return self.infer(e.body, env)
+        finally:
+            if shadowed is None:
+                del env[e.name]
+            else:
+                env[e.name] = shadowed
 
     def _if(self, e: CIf, env) -> TypeTerm:
         if not self.equal(self.infer(e.cond, env), BOOL):

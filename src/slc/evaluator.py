@@ -20,35 +20,48 @@ value, E-RT-MATCH.
 
 Each definition is compiled whole into Python closures when it is first
 forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
-Generation", 1987); a definition that never runs is never compiled. An
-application in tail position returns its call `pending`, for `Interp.apply`
-to run in its own loop, so tail recursion such as `fold` runs in constant
-Python stack.
+Generation", 1987); a definition that never runs is never compiled.
+
+Applications follow an eval/apply convention (Marlow & Peyton Jones, "Making
+a fast curry", 2004): the node of an application evaluates the function and
+its arguments and enters the function in its own Python frame, so an SL call
+costs one Python call, the callee's body's, besides its operands. A
+non-tail application guards the depth, compares the step budget, calls a
+builtin or runs a closure's body on the closure's frame plus the arguments,
+then runs the call that body left pending, if any (`Interp.resume`). An
+application in tail position leaves its call pending instead, the list
+[function, arguments] (no value is a list), so tail recursion such as `fold`
+loops in constant Python stack. A call of a dictionary's method on
+variables is one node, and constructors, pairs and builtin applications take
+their operands positionally in their own node, so a `range_fold` element
+runs 18 Python calls and 653 bytecodes (`tests/test_evaluator.py`).
 
 Variables are resolved to slots when their node is compiled (lexical
 addressing, after Cardelli, "Compiling a Functional Language", 1984). A node
-is compiled in a scope, the tuple of names bound around it, and runs on a
-frame, the tuple of their values; a name reads its last slot, so inner
-bindings shadow outer ones. A closure runs on its defining frame plus its
-arguments, a match arm with binders on the frame plus the constructor's
-fields, and a `let` body on the frame plus the bound value.
+is compiled in a scope, which maps each name bound around it to the slot of
+its innermost binding, and runs on a frame, the tuple of their values; a
+variable operand is read in place by an item getter. A closure runs on its
+defining frame plus its arguments, a match arm with binders on the frame
+plus the constructor's fields, and a `let` body on the frame plus the bound
+value, so each call, arm and `let` builds one new frame.
 
-Fuel counts steps, one per core node evaluated; a variable that leads the
-operands of its node is read in place, its step spent with the node's. A
-call of a dictionary's method on variables is one node (a superoperator,
-after Proebsting, "Optimizing an ANSI C Interpreter with Superoperators",
-1995). Closures only spend fuel. The budget is compared where
-`Interp.apply` enters a function, which every loop passes, and by
-`Interp.settle` when a run ends. Each step is spent where a compare at every
-node would spend it, so a run that ends or fails overspent met that compare
-first and reports E-RT-FUEL. A separate guard counts nested non-tail
+Fuel counts steps, one per core node evaluated, but a node does not spend
+its own: the steps of the nodes a run enters are owed, counted when the code
+is compiled, and spent together where the run may fail or enters a function.
+A non-tail application spends what is owed just before its depth guard, a
+match just before it looks for an arm, a global before it may be forced, and
+the node that ends a closure body or a branch before it returns. So every
+step is spent after the last point where the run could fail before its node
+was entered and before the first one after, and the budget, compared where
+a function is entered and by `Interp.settle` when a run ends, runs out at
+the same failure as a compare at every node would: a run that ends or fails
+overspent reports E-RT-FUEL. A separate guard counts nested non-tail
 applications. Exhausting either reports E-RT-FUEL, naming which one ran
 out, so divergent programs stay total for callers.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from operator import add, and_, attrgetter, itemgetter, mul, not_, or_, rshift, sub
 from typing import Callable
 
@@ -125,9 +138,11 @@ class VF64(Record):
 
 
 class VCtor(Record):
+    # made with no Python `__init__`, by the node that evaluates its fields
     __slots__ = ("data", "name", "args")
-    def __init__(self, data: str, name: str, *args):
-        self.data, self.name, self.args = data, name, args
+
+
+_new = object.__new__
 
 
 class VClosure:
@@ -199,22 +214,30 @@ BUILTINS = {
 # ---------------------------------------------------------------- compiled code
 
 
-def pending(fn, *args):
-    """An application in tail position, left for `Interp.apply` to run: the
-    list [function, arguments]. No value is a list."""
-    return [fn, args]
+def _bind(scope: dict, names) -> dict:
+    """A copy of `scope` with `names` bound to the next slots of the frame.
+    A scope maps each name bound around a node to the slot of its innermost
+    binding in the frame the node runs on, and None to that frame's length;
+    a None name takes a slot that no name reads."""
+    inner = dict(scope)
+    for name in names:
+        if name is not None:
+            inner[name] = inner[None]
+        inner[None] += 1
+    return inner
 
 
-def _pair(first, second):
-    return first, second
+def _getter(slots: list[int]):
+    """A C function of a frame that returns the values of `slots` as a tuple."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
 
 
-def _slot(scope: tuple, e: CoreExpr) -> int | None:
-    """The frame index a variable `e` reads: the last occurrence of its name
-    in `scope`. None if `e` is no variable of `scope`."""
-    if type(e) is CVar and e.name in scope:
-        return len(scope) - 1 - scope[::-1].index(e.name)
-    return None
+def _values(codes: list, env: tuple) -> tuple:
+    """The values of `codes` on `env`, for the rarer numbers of operands.
+    (A comprehension in a node's own code would make `env` a cell there.)"""
+    return tuple([code(env) for code in codes])
 
 
 class Interp:
@@ -244,7 +267,8 @@ class Interp:
     # ------------------------------------------------------------- evaluation
 
     def eval(self, e: CoreExpr, env: dict):
-        return self._compile(e, tuple(env))(tuple(env.values()))
+        scope = _bind({None: 0}, env)
+        return self._compile(e, scope, 0, False, True)[0](tuple(env.values()))
 
     def settle(self, run: Callable[[], object]):
         """`run()`, unless it overspent the step budget: then whatever it
@@ -258,216 +282,320 @@ class Interp:
             raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
         return value
 
+    def exhausted(self) -> RuntimeFailure:
+        """The failure of entering a function past a limit: the depth guard
+        is compared before the step budget."""
+        message = DEPTH_EXCEEDED if self.depth >= MAX_EVAL_DEPTH else STEPS_EXCEEDED
+        return RuntimeFailure("E-RT-FUEL", message)
+
     def apply(self, fn, *args):
-        """`fn` applied to `args`; the calls that closure bodies leave
-        `pending` run in this loop, which compares the step budget once per
-        function it enters."""
+        """`fn` applied to `args` as a non-tail application applies them:
+        the depth guard, then one budget compare per function entered, the
+        calls left pending included."""
         depth = self.depth
-        if depth >= MAX_EVAL_DEPTH:
-            raise RuntimeFailure("E-RT-FUEL", DEPTH_EXCEEDED)
+        if depth >= MAX_EVAL_DEPTH or self.fuel < 0:
+            raise self.exhausted()
+        if type(fn) is not VClosure:  # a builtin
+            return fn(*args)
         self.depth = depth + 1
         try:
-            while True:
-                if self.fuel < 0:
-                    raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
-                if type(fn) is not VClosure:  # a builtin
-                    return fn(*args)
-                result = fn.body(fn.env + args)
-                if type(result) is not list:
-                    return result
-                fn, args = result
+            return self.resume(fn.body(fn.env + args))
         finally:
             self.depth = depth
 
+    def resume(self, result):
+        """`result`, once the call it leaves pending, if it is one, has run,
+        and each call that call leaves in turn. (CPython 3.11 counts calls
+        and unconditional backward jumps, not conditional ones, towards
+        specializing a function's bytecode; written as `while True`, a loop
+        that one call runs for a whole fold is specialized after a few
+        iterations.)"""
+        while True:
+            if type(result) is not list:
+                return result
+            if self.fuel < 0:
+                raise RuntimeFailure("E-RT-FUEL", STEPS_EXCEEDED)
+            fn, args = result
+            if type(fn) is not VClosure:
+                return fn(*args)
+            result = fn.body(fn.env + args)
+
     # ------------------------------------------------------------- compilation
     #
-    # Every compiled closure spends its step on entry, then runs its
-    # children in evaluation order. `scope` names the slots of the frame the
-    # code runs on. `tail` marks a node whose value is the value of the
-    # enclosing closure body: an application there returns its call
-    # `pending` instead of nesting `apply`.
+    # `_compile(e, scope, owed, tail, close)` returns code for `e`, to run on
+    # a frame laid out by `scope`, and the steps still owed when that code
+    # returns. `owed` counts the steps of the nodes entered before `e` that
+    # no code has spent yet, and `e` adds its own. A node spends what is
+    # owed only where the run may fail or enters a function (a non-tail
+    # application, a match, a global, which may be forced) and where it
+    # `close`s a closure body or a branch, before it returns. `tail` marks
+    # a node whose value is the value of the enclosing closure body: an
+    # application there returns its call pending instead of entering it.
 
-    def _compile(self, e: CoreExpr, scope: tuple, tail: bool = False):
-        return COMPILERS[type(e)](self, e, scope, tail)
+    def _compile(self, e: CoreExpr, scope: dict, owed: int, tail: bool, close: bool):
+        return COMPILERS[type(e)](self, e, scope, owed, tail, close)
 
-    def _var(self, e: CVar, scope: tuple, tail: bool):
-        i = _slot(scope, e)
-
-        def run(env):
-            self.fuel -= 1
-            return env[i]
-
-        return run
-
-    def _global(self, e: CGlobal, scope: tuple, tail: bool, steps: int = 1):
-        name, values = e.name, self.globals
+    def _closing(self, code, owed: int):
+        """`code`, a node that cannot fail and enters nothing, where it
+        closes a body: code that spends the `owed` steps first."""
 
         def run(env):
-            self.fuel -= steps
+            self.fuel -= owed
+            return code(env)
+
+        return run, 0
+
+    def _var(self, e: CVar, scope: dict, owed: int, tail: bool, close: bool):
+        code = itemgetter(scope.get(e.name))
+        return self._closing(code, owed + 1) if close else (code, owed + 1)
+
+    def _global(self, e: CGlobal, scope: dict, owed: int, tail: bool, close: bool, steps=1):
+        # Forcing the global may fail, so what is owed is spent first.
+        name, values, owed = e.name, self.globals, owed + steps
+
+        def run(env):
+            self.fuel -= owed
             try:
                 return values[name]
             except KeyError:  # not forced yet
                 return self.global_value(name)
 
-        return run
+        return run, 0
 
-    def _constant(self, value):
+    def _constant(self, value, owed: int, close: bool):
         def run(env):
-            self.fuel -= 1
             return value
 
-        return run
+        return self._closing(run, owed + 1) if close else (run, owed + 1)
 
-    def _builtin(self, e: CBuiltin, scope: tuple, tail: bool):
-        return self._constant(self.builtins[e.name])
+    def _builtin(self, e: CBuiltin, scope: dict, owed: int, tail: bool, close: bool):
+        return self._constant(self.builtins[e.name], owed, close)
 
-    def _lit(self, e: CLit, scope: tuple, tail: bool):
-        return self._constant(LITERALS[e.kind](e.value))
+    def _lit(self, e: CLit, scope: dict, owed: int, tail: bool, close: bool):
+        return self._constant(LITERALS[e.kind](e.value), owed, close)
 
-    def _lam(self, e: CLam, scope: tuple, tail: bool):
-        body = self._compile(e.body, scope + tuple(n for n, _ in e.params), True)
+    def _lam(self, e: CLam, scope: dict, owed: int, tail: bool, close: bool):
+        body, _ = self._compile(e.body, _bind(scope, [n for n, _ in e.params]), 0, True, True)
 
         def run(env):
-            self.fuel -= 1
             return VClosure(body, env)
 
-        return run
+        return self._closing(run, owed + 1) if close else (run, owed + 1)
 
-    def _call(self, op, steps: int, operands: list[CoreExpr], scope: tuple):
-        """Code that spends `steps`, then calls `op` on the values of
-        `operands` in order. Variables that lead the operands are read in
-        place by getters and their steps spent up front."""
-        codes, lead = [], 0
+    def _operands(self, operands: list[CoreExpr], scope: dict, owed: int) -> tuple[list, int]:
+        """Code for each of `operands`, in order, and the steps owed after
+        the last."""
+        codes = []
         for e in operands:
-            i = _slot(scope, e) if lead == len(codes) else None
-            if i is None:
-                codes.append(self._compile(e, scope))
+            code, owed = COMPILERS[type(e)](self, e, scope, owed, False, False)
+            codes.append(code)
+        return codes, owed
+
+    def _app(self, e: CApp, scope: dict, owed: int, tail: bool, close: bool):
+        callee, args, field = e.fn, e.args, None
+        if type(callee) is CBuiltin:
+            # The builtin is known here: one step for the application, one
+            # for the builtin node, and no pending call (builtins return).
+            return self._builtin_app(self.builtins[callee.name], args, scope, owed + 2, close)
+        if type(callee) is CProj:
+            if all(type(x) is CVar and x.name in scope for x in (callee.record, *args)):
+                return self._method(callee, args, scope, owed, tail)
+            # The projection's field is read by the call, its step owed.
+            callee, field, owed = callee.record, callee.field, owed + 1
+        return self._call(callee, field, args, scope, owed + 1, tail)
+
+    def _call(self, callee, field, args, scope: dict, owed: int, tail: bool):
+        """An application of the value of `callee`, or of its `field` if
+        that is not None, to `args`."""
+        (f, *codes), owed = self._operands([callee, *args], scope, owed)
+        n = len(codes)
+        a, b, c, d = [*codes, None, None, None, None][:4]
+
+        def run(env):
+            fn = f(env) if field is None else f(env)[field]
+            if n == 1:
+                args = (a(env),)
+            elif n == 2:
+                args = (a(env), b(env))
+            elif n == 3:
+                args = (a(env), b(env), c(env))
+            elif n == 4:
+                args = (a(env), b(env), c(env), d(env))
             else:
-                lead += 1
-                codes.append(itemgetter(i))
-        steps += lead
+                args = _values(codes, env)
+            self.fuel -= owed
+            if tail:
+                return [fn, args]
+            depth = self.depth
+            if depth >= MAX_EVAL_DEPTH or self.fuel < 0:
+                raise self.exhausted()
+            if type(fn) is not VClosure:  # a builtin
+                return fn(*args)
+            self.depth = depth + 1
+            try:
+                result = fn.body(fn.env + args)
+                return self.resume(result) if type(result) is list else result
+            finally:
+                self.depth = depth
+
+        return run, 0
+
+    def _method(self, e: CProj, args: list[CoreExpr], scope: dict, owed: int, tail: bool):
+        """`e` applied to `args`, where `e` projects a field of a variable and
+        every argument is a variable: one node reads them all in place (a
+        superoperator, after Proebsting, "Optimizing an ANSI C Interpreter
+        with Superoperators", 1995)."""
+        i, field, owed = scope[e.record.name], e.field, owed + 3 + len(args)
+        values = _getter([scope[x.name] for x in args])
+
+        def run(env):
+            fn, args = env[i][field], values(env)
+            self.fuel -= owed
+            if tail:
+                return [fn, args]
+            depth = self.depth
+            if depth >= MAX_EVAL_DEPTH or self.fuel < 0:
+                raise self.exhausted()
+            if type(fn) is not VClosure:  # a builtin
+                return fn(*args)
+            self.depth = depth + 1
+            try:
+                result = fn.body(fn.env + args)
+                return self.resume(result) if type(result) is list else result
+            finally:
+                self.depth = depth
+
+        return run, 0
+
+    def _builtin_app(self, op, operands: list[CoreExpr], scope: dict, owed: int, close: bool):
+        """Code that calls `op` on the values of `operands`; a builtin can
+        neither fail nor enter a function."""
+        codes, owed = self._operands(operands, scope, owed)
+        spend, owed = (owed, 0) if close else (0, owed)
         n = len(codes)
         if n == 1:
             (a,) = codes
 
             def run(env):
-                self.fuel -= steps
-                return op(a(env))
+                value = op(a(env))
+                if spend:
+                    self.fuel -= spend
+                return value
+
+        elif n == 2 and type(operands[1]) is CLit:  # read in place
+            a, b = codes[0], LITERALS[operands[1].kind](operands[1].value)
+
+            def run(env):
+                value = op(a(env), b)
+                if spend:
+                    self.fuel -= spend
+                return value
 
         elif n == 2:
             a, b = codes
 
             def run(env):
-                self.fuel -= steps
-                return op(a(env), b(env))
-
-        elif n == 3:
-            a, b, c = codes
-
-            def run(env):
-                self.fuel -= steps
-                return op(a(env), b(env), c(env))
-
-        elif n == 4:
-            a, b, c, d = codes
-
-            def run(env):
-                self.fuel -= steps
-                return op(a(env), b(env), c(env), d(env))
-
-        elif n == 5:
-            a, b, c, d, f = codes
-
-            def run(env):
-                self.fuel -= steps
-                return op(a(env), b(env), c(env), d(env), f(env))
+                value = op(a(env), b(env))
+                if spend:
+                    self.fuel -= spend
+                return value
 
         else:
-            a = codes
 
             def run(env):
-                self.fuel -= steps
-                return op(*[code(env) for code in a])
+                value = op(*_values(codes, env))
+                if spend:
+                    self.fuel -= spend
+                return value
 
-        return run
+        return run, owed
 
-    def _operand(self, e: CoreExpr, scope: tuple):
-        """Code for `e`, the one operand of a projection or match, and the
-        steps its node spends up front: two if `e` is read in place."""
-        i = _slot(scope, e)
-        return (self._compile(e, scope), 1) if i is None else (itemgetter(i), 2)
-
-    def _app(self, e: CApp, scope: tuple, tail: bool):
-        fn = e.fn
-        if type(fn) is CBuiltin:
-            # The builtin is known here: one step for the application, one
-            # for the builtin node, and no pending call (builtins return).
-            return self._call(self.builtins[fn.name], 2, e.args, scope)
-        op = pending if tail else self.apply
-        if type(fn) is CProj and type(fn.record) is CVar:
-            return self._method(op, fn, e.args, scope)
-        return self._call(op, 1, [fn, *e.args], scope)
-
-    def _method(self, op, e: CProj, args: list[CoreExpr], scope: tuple):
-        """`e` applied to `args`, where `e` projects a field of a variable: when
-        it and one or two arguments are variables, one node reads them in
-        place and spends the steps of the application, the projection, the
-        variable and the arguments. Other shapes apply the projection's
-        value."""
-        slots = [_slot(scope, x) for x in (e.record, *args)]
-        if None in slots or len(slots) not in (2, 3):
-            return self._call(op, 1, [e, *args], scope)
-        i, j, k = [*slots, None][:3]  # k is None for one argument
-        field, steps = e.field, 2 + len(slots)
+    def _dict(self, e: CDict, scope: dict, owed: int, tail: bool, close: bool):
+        codes, owed = self._operands(list(e.fields.values()), scope, owed + 1)
+        fields = list(zip(e.fields, codes))
+        spend, owed = (owed, 0) if close else (0, owed)
 
         def run(env):
-            self.fuel -= steps
-            fn = env[i][field]
-            return op(fn, env[j]) if k is None else op(fn, env[j], env[k])
+            value = {name: code(env) for name, code in fields}
+            if spend:
+                self.fuel -= spend
+            return value
 
-        return run
+        return run, owed
 
-    def _dict(self, e: CDict, scope: tuple, tail: bool):
-        fields = [(name, self._compile(x, scope)) for name, x in e.fields.items()]
-
-        def run(env):
-            self.fuel -= 1
-            return {name: code(env) for name, code in fields}
-
-        return run
-
-    def _proj(self, e: CProj, scope: tuple, tail: bool):
-        record, steps = self._operand(e.record, scope)
+    def _proj(self, e: CProj, scope: dict, owed: int, tail: bool, close: bool):
+        record, owed = self._compile(e.record, scope, owed + 1, False, False)
         field = e.field
+        spend, owed = (owed, 0) if close else (0, owed)
 
         def run(env):
-            self.fuel -= steps
-            return record(env)[field]
+            value = record(env)[field]
+            if spend:
+                self.fuel -= spend
+            return value
 
-        return run
+        return run, owed
 
-    def _ctor(self, e: CCtor, scope: tuple, tail: bool):
-        return self._call(partial(VCtor, e.data, e.ctor), 1, e.args, scope)
+    def _ctor(self, e: CCtor, scope: dict, owed: int, tail: bool, close: bool):
+        data, name = e.data, e.ctor
+        if not e.args:  # one value serves every evaluation
+            value = _new(VCtor)
+            value.data, value.name, value.args = data, name, ()
+            return self._constant(value, owed, close)
+        codes, owed = self._operands(e.args, scope, owed + 1)
+        spend, owed = (owed, 0) if close else (0, owed)
+        n = len(codes)
+        a, b = [*codes, None][:2]
 
-    def _match(self, e: CMatch, scope: tuple, tail: bool):
-        scrutinee, steps = self._operand(e.scrutinee, scope)
+        def run(env):
+            value = _new(VCtor)
+            value.data, value.name = data, name
+            if n == 1:
+                value.args = (a(env),)
+            elif n == 2:
+                value.args = (a(env), b(env))
+            else:
+                value.args = _values(codes, env)
+            if spend:
+                self.fuel -= spend
+            return value
+
+        return run, owed
+
+    def _tuple(self, e: CTuple, scope: dict, owed: int, tail: bool, close: bool):
+        (a, b), owed = self._operands([e.first, e.second], scope, owed + 1)
+        spend, owed = (owed, 0) if close else (0, owed)
+
+        def run(env):
+            value = a(env), b(env)
+            if spend:
+                self.fuel -= spend
+            return value
+
+        return run, owed
+
+    def _match(self, e: CMatch, scope: dict, owed: int, tail: bool, close: bool):
+        scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
         # Constructor -> (whether any binder names a field, body) of the
         # first arm that takes it; arms after a wildcard are unreachable.
-        # A `_` binder takes a slot that no name reads.
+        # A `_` binder takes a slot that no name reads. Each arm spends its
+        # own steps: which one runs is known only here.
         arms: dict[str, tuple] = {}
         default = None
         for ctor, binders, body in e.arms:
             if ctor is None:
-                default = (False, self._compile(body, scope, tail))
+                default = (False, self._compile(body, scope, 0, tail, True)[0])
                 break
             if ctor not in arms:
                 names = tuple(None if b == "_" else b for b in binders)
                 binds = any(names)
-                arms[ctor] = (binds, self._compile(body, scope + names if binds else scope, tail))
+                inner = _bind(scope, names) if binds else scope
+                arms[ctor] = (binds, self._compile(body, inner, 0, tail, True)[0])
 
         def run(env):
-            self.fuel -= steps
             scrut = scrutinee(env)
+            if owed:
+                self.fuel -= owed
             arm = arms.get(scrut.name, default)
             if arm is None:  # the one failure a checked program can reach
                 raise RuntimeFailure(
@@ -476,32 +604,41 @@ class Interp:
             binds, body = arm
             return body(env + scrut.args) if binds else body(env)
 
-        return run
+        return run, 0
 
-    def _let(self, e: CLet, scope: tuple, tail: bool):
-        bind = e.name != "_"
-        bound = self._compile(e.bound, scope)
-        body = self._compile(e.body, scope + (e.name,) if bind else scope, tail)
-
-        def run(env):
-            self.fuel -= 1
-            value = bound(env)
-            return body(env + (value,) if bind else env)
-
-        return run
-
-    def _tuple(self, e: CTuple, scope: tuple, tail: bool):
-        return self._call(_pair, 1, [e.first, e.second], scope)
-
-    def _if(self, e: CIf, scope: tuple, tail: bool):
-        cond = self._compile(e.cond, scope)
-        then, orelse = self._compile(e.then, scope, tail), self._compile(e.orelse, scope, tail)
+    def _let(self, e: CLet, scope: dict, owed: int, tail: bool, close: bool):
+        """A chain of lets, each the body of the one before, as one node
+        that binds in a loop."""
+        inner, lets = dict(scope), []  # bound in place, let by let
+        while type(e) is CLet:
+            bound, owed = self._compile(e.bound, inner, owed + 1, False, False)
+            bind = e.name != "_"
+            lets.append((bound, bind))
+            if bind:
+                inner[e.name] = inner[None]
+                inner[None] += 1
+            e = e.body
+        body, owed = self._compile(e, inner, owed, tail, close)
 
         def run(env):
-            self.fuel -= 1
+            for bound, bind in lets:
+                value = bound(env)
+                if bind:
+                    env += (value,)
+            return body(env)
+
+        return run, owed
+
+    def _if(self, e: CIf, scope: dict, owed: int, tail: bool, close: bool):
+        # Each branch spends what the condition leaves owed, and its own.
+        cond, owed = self._compile(e.cond, scope, owed + 1, False, False)
+        then, _ = self._compile(e.then, scope, owed, tail, True)
+        orelse, _ = self._compile(e.orelse, scope, owed, tail, True)
+
+        def run(env):
             return then(env) if cond(env) else orelse(env)
 
-        return run
+        return run, 0
 
 
 COMPILERS = {
@@ -511,7 +648,9 @@ COMPILERS = {
     CLit: Interp._lit,
     CLam: Interp._lam,
     # The elaborator applies types only to a global, in one step with it.
-    CTyApp: lambda self, e, scope, tail: self._global(e.fn, scope, tail, 2),
+    CTyApp: lambda self, e, scope, owed, tail, close: self._global(
+        e.fn, scope, owed, tail, close, 2
+    ),
     CApp: Interp._app,
     CDict: Interp._dict,
     CProj: Interp._proj,

@@ -1067,10 +1067,20 @@ class ExprChecker:
     def _let(self, e: A.ELet, env, expected: TypeTerm | None) -> TExpr:
         annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
         bound_x, bound_t = self._branch(e.bound, env, annot)
-        inner = dict(env)
-        if e.name != "_":
-            inner[e.name] = bound_t
-        x_body, expected = self._branch(e.body, inner, expected)
+        if e.name == "_":
+            x_body, expected = self._branch(e.body, env, expected)
+            return TLet(e.span, expected, e.name, bound_x, x_body)
+        # Bound in `env` itself and unbound on the way out, so a chain of
+        # lets costs one dict, not one copy per let. No type is None.
+        shadowed = env.get(e.name)
+        env[e.name] = bound_t
+        try:
+            x_body, expected = self._branch(e.body, env, expected)
+        finally:
+            if shadowed is None:
+                del env[e.name]
+            else:
+                env[e.name] = shadowed
         return TLet(e.span, expected, e.name, bound_x, x_body)
 
     def _if(self, e: A.EIf, env, expected: TypeTerm | None) -> TExpr:

@@ -5,10 +5,13 @@ fixed number of opcodes per module, and `run`'s core pass barely grows with
 modules its `main` does not reach. On a chain of imports, or among siblings
 that reuse names, checking costs the same per module however many there are,
 and no check leaves cyclic garbage. A clean check resolves no source
-position, and resolving them for diagnostics costs linear time."""
+position, and resolving them for diagnostics costs linear time. A chain of
+lets costs the same per let however long it is, in time and memory, in
+checking, in the core check and in the evaluator's compilation."""
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 from conftest import CORPUS, check_inline
@@ -18,6 +21,7 @@ from slc import coherence
 from slc.corekit import core_check, elaborate
 from slc.decls import ModelDecl
 from slc.diagnostics import Source
+from slc.evaluator import Interp
 from slc.parser import parse_module_bytes
 
 LOCAL_TYPES = 10
@@ -279,6 +283,75 @@ def test_check_opcodes_per_module_stay_flat_when_siblings_reuse_names():
 
     short, long = per_sibling(10, 20), per_sibling(40, 80)
     assert long <= 1.05 * short, (short, long)
+
+
+def let_chain(lets: int) -> str:
+    """A module whose `main` binds `lets` variables in one chain, each one
+    more than the last, and prints the last."""
+    body = "".join(f"  let x{i} = add64(x{i - 1}, 1:U64);\n" for i in range(1, lets + 1))
+    return f"module m\nfn main() -> Unit {{\n  let x0 = 0:U64;\n{body}  print(show64(x{lets}))\n}}\n"
+
+
+def let_chain_pass(phase: str, lets: int):
+    """`phase` of `sl run` on `let_chain(lets)`, as a function of nothing."""
+    source = let_chain(lets)
+    if phase == "check_sources":
+        return lambda: check_inline(m=source)
+    result = check_inline(m=source)
+    assert result.ok, result.diagnostics
+    core = elaborate(result.program, [result.program.entry])
+    if phase == "core_check":
+        return lambda: core_check(core)
+    return lambda: Interp(core).global_value(core.entry)  # compiles `main`
+
+
+def peak_bytes(run) -> int:
+    """The peak of memory that tracemalloc sees allocated while `run()` runs,
+    with the collector off as in `opcodes`."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+
+
+LET_PHASES = ["check_sources", "core_check", "compile"]
+
+
+@pytest.mark.parametrize("phase", LET_PHASES)
+def test_let_chain_opcodes_per_let_stay_flat(phase):
+    """Sema and the core check bind each `let` in the one environment dict
+    and unbind it on the way out, and the evaluator compiles a chain of lets
+    as one node, finding each variable's slot in a map: so a `let` costs the
+    same at the end of a long chain as of a short one. Opcodes per let from
+    1,000 to 4,000 lets when set: 1,774 and 1,770 in `check_sources`, 261
+    and 260 in `core_check`, 325 and 324 in compilation. Copying a dict or a
+    tuple is one opcode, so the copies each `let` once made show in the
+    memory test below, not here."""
+    short = opcodes(let_chain_pass(phase, 1_000)) / 1_000
+    long = opcodes(let_chain_pass(phase, 4_000)) / 4_000
+    assert long <= 1.1 * short, (short, long)
+
+
+@pytest.mark.parametrize("phase", LET_PHASES)
+def test_let_chain_memory_per_let_stays_flat(phase):
+    """The same passes hold memory linear in the number of lets: no `let`
+    copies the environment or the scope of the lets before it. Peak bytes
+    per let from 500 to 2,000 lets when set: 3,134 and 3,102 in
+    `check_sources`, 42 and 40 in `core_check`, 669 and 675 in compilation,
+    against 9,413 and 30,180, 7,184 and 28,393, 3,079 and 9,083 while each
+    let copied them. (tracemalloc walks the whole Python stack on each
+    allocation, and sema recurses about three frames per let, so larger
+    chains make this test slow, not its bound loose.)"""
+    short = peak_bytes(let_chain_pass(phase, 500)) / 500
+    long = peak_bytes(let_chain_pass(phase, 2_000)) / 2_000
+    assert long <= 1.1 * short, (short, long)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
