@@ -393,6 +393,17 @@ class Elaborator:
             arms.append((ctor, list(arm.binders), self.expr(arm.body)))
         return CMatch(self.expr(e.scrutinee), arms)
 
+    def _let(self, e: TLet) -> CoreExpr:
+        """A chain of lets, each the body of the one before, in one loop."""
+        lets = []
+        while type(e) is TLet:
+            lets.append((e.name, self.expr(e.bound)))
+            e = e.body
+        core = self.expr(e)
+        for name, bound in reversed(lets):
+            core = CLet(name, bound, core)
+        return core
+
 
 # Typed expression class -> the core term elaborated from one of its nodes.
 ELABORATORS = {
@@ -407,7 +418,7 @@ ELABORATORS = {
     TReqCall: Elaborator._req_call,
     TLam: lambda self, e: CLam([(n, self.ty(t)) for n, t in e.params], self.expr(e.body)),
     TMatch: Elaborator._match,
-    TLet: lambda self, e: CLet(e.name, self.expr(e.bound), self.expr(e.body)),
+    TLet: Elaborator._let,
     TTuple: lambda self, e: CTuple(self.expr(e.first), self.expr(e.second)),
     TIf: lambda self, e: CIf(self.expr(e.cond), self.expr(e.then), self.expr(e.orelse)),
 }
@@ -666,19 +677,23 @@ class CoreChecker:
         return result
 
     def _let(self, e: CLet, env) -> TypeTerm:
-        bound = self.infer(e.bound, env)
-        if e.name == "_":  # binds nothing, as `_` binders of match arms
-            return self.infer(e.body, env)
-        # Bound in `env` itself and unbound on the way out, as sema does.
-        shadowed = env.get(e.name)
-        env[e.name] = bound
+        """A chain of lets in one loop, bound in `env` itself and unbound on
+        the way out, as sema does."""
+        shadowed = []
         try:
-            return self.infer(e.body, env)
+            while type(e) is CLet:
+                bound = self.infer(e.bound, env)
+                if e.name != "_":  # binds nothing, as `_` binders of match arms
+                    shadowed.append((e.name, env.get(e.name)))
+                    env[e.name] = bound
+                e = e.body
+            return self.infer(e, env)
         finally:
-            if shadowed is None:
-                del env[e.name]
-            else:
-                env[e.name] = shadowed
+            for name, old in reversed(shadowed):
+                if old is None:
+                    del env[name]
+                else:
+                    env[name] = old
 
     def _if(self, e: CIf, env) -> TypeTerm:
         if not self.equal(self.infer(e.cond, env), BOOL):

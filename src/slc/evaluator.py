@@ -1,12 +1,12 @@
 """Call-by-value evaluation of core programs.
 
 Values are Python's own wherever Python has one: a Bool is a `bool`, a
-String a `str`, Unit is `None`, a pair a plain `tuple` and a dictionary a
-plain `dict` from field names to values. Machine integers are `int`s of a
-`Word` subclass per width, made with no Python `__init__`; they wrap: U64
-arithmetic is modulo 2^64, U8 modulo 2^8. `show` renders unsigned decimal
-with no padding. Constructor values and closures have classes of their
-own; a builtin is a Python function of its argument values.
+String a `str`, Unit is `None`, a pair a plain `tuple`, a dictionary a
+plain `dict` from field names to values and a machine integer an `int` in
+its width's range, untagged (`core_check` rules out any mix of widths). U64
+arithmetic wraps modulo 2^64, U8 modulo 2^8. `show` renders unsigned
+decimal with no padding. Constructor values and closures have classes of
+their own; a builtin is a Python function of its argument values.
 
 The program run must pass `core_check`, the one type check between
 elaboration and evaluation, as GHC's Core Lint is between Core and code
@@ -31,10 +31,17 @@ builtin or runs a closure's body on the closure's frame plus the arguments,
 then runs the call that body left pending, if any (`Interp.resume`). An
 application in tail position leaves its call pending instead, the list
 [function, arguments] (no value is a list), so tail recursion such as `fold`
-loops in constant Python stack. A call of a dictionary's method on
-variables is one node, and constructors, pairs and builtin applications take
-their operands positionally in their own node, so a `range_fold` element
-runs 18 Python calls and 653 bytecodes (`tests/test_evaluator.py`).
+loops in constant Python stack. Constructors, pairs and builtin
+applications take their operands positionally in their own node, and
+superoperators fuse the node pairs that dictionary-passing code runs most
+(Proebsting, "Optimizing an ANSI C Interpreter with Superoperators", 1995;
+Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
+2003): a call of a dictionary's method on variables, and the match or `if`
+that takes its value; a call and its global callee, read in place; a call
+and its operands that are `fst` or `snd` of a variable; a constructor and
+its pair operand; and a builtin that can leave its width and the mask. So
+a `range_fold` element runs 11 Python calls and 611 bytecodes
+(`tests/test_evaluator.py`).
 
 Variables are resolved to slots when their node is compiled (lexical
 addressing, after Cardelli, "Compiling a Functional Language", 1984). A node
@@ -62,7 +69,8 @@ out, so divergent programs stay total for callers.
 
 from __future__ import annotations
 
-from operator import add, and_, attrgetter, itemgetter, mul, not_, or_, rshift, sub
+from functools import partial
+from operator import add, and_, attrgetter, eq, itemgetter, le, lt, mul, not_, or_, rshift, sub
 from typing import Callable
 
 from .corekit import (
@@ -108,28 +116,6 @@ class RuntimeFailure(Exception):
 
 
 # Data values compare by type and value; closures and builtins by identity.
-class Word(int):
-    """A machine integer, equal only to one of its own width."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and int.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = int.__hash__
-
-
-class VU64(Word):
-    __slots__ = ()
-
-
-class VU8(Word):
-    __slots__ = ()
-
-
 class VF64(Record):
     # lexeme: opaque; never computed with
     __slots__ = ("lexeme",)
@@ -152,10 +138,23 @@ class VClosure:
         self.body, self.env = body, env
 
 
+class Arms(dict):
+    """The arms of a match: constructor name -> (whether the arm binds the
+    constructor's fields, its body). A constructor with no arm of its own
+    takes the wildcard arm, `default`."""
+
+    default = None
+
+    def __missing__(self, name: str):
+        if self.default is None:  # the one failure a checked program can reach
+            raise RuntimeFailure("E-RT-MATCH", f"non-exhaustive match: no arm for {name}")
+        return self.default
+
+
 # Literal kind -> value of the literal's payload.
 LITERALS = {
-    "u64": lambda v: VU64(v & MASK64),
-    "u8": lambda v: VU8(v & MASK8),
+    "u64": lambda v: v & MASK64,
+    "u8": lambda v: v & MASK8,
     "bool": bool,
     "string": str,
     "f64": VF64,
@@ -168,38 +167,25 @@ LITERALS = {
 # Each builtin is a function of its argument values; `print`, which appends
 # to a transcript, is bound by each `Interp`.
 
-
-def _wrapping(kind: type, op):
-    """`op` of two `kind` values, masked to the width of `kind`."""
-    mask = MASK64 if kind is VU64 else MASK8
-    return lambda a, b: kind(op(a, b) & mask)
-
+# The builtins whose results can leave their width: `operator`'s function
+# and the width's mask. A direct application computes `op(a, b) & mask` in
+# its own node.
+WRAPPING = {
+    "add64": (add, MASK64), "sub64": (sub, MASK64), "mul64": (mul, MASK64),
+    "add8": (add, MASK8), "sub8": (sub, MASK8), "mul8": (mul, MASK8),
+}
 
 BUILTINS = {
-    **{
-        name: _wrapping(kind, op)
-        for name, kind, op in (
-            ("band", VU64, and_),
-            ("bor", VU64, or_),
-            ("shl", VU64, lambda a, b: a << b if b < 64 else 0),
-            ("shr", VU64, rshift),
-            ("add64", VU64, add),
-            ("sub64", VU64, sub),
-            ("mul64", VU64, mul),
-            ("add8", VU8, add),
-            ("sub8", VU8, sub),
-            ("mul8", VU8, mul),
-        )
-    },
-    # `int`'s own comparisons: `==` on two words would run `Word.__eq__`.
-    "eq64": int.__eq__,
-    "lt64": int.__lt__,
-    "le64": int.__le__,
-    "eq8": int.__eq__,
-    "lt8": int.__lt__,
-    "le8": int.__le__,
-    "trunc8": lambda v: VU8(v & MASK8),
-    "extend64": VU64,
+    **{name: (lambda a, b, op=op, mask=mask: op(a, b) & mask)
+       for name, (op, mask) in WRAPPING.items()},
+    "band": and_,  # these three stay in range
+    "bor": or_,
+    "shr": rshift,
+    "shl": lambda a, b: a << b & MASK64 if b < 64 else 0,
+    "eq64": eq, "lt64": lt, "le64": le,
+    "eq8": eq, "lt8": lt, "le8": le,
+    "trunc8": partial(and_, MASK8),
+    "extend64": int,
     "show64": str,
     "show8": str,
     "showbool": lambda v: "true" if v else "false",
@@ -232,6 +218,21 @@ def _getter(slots: list[int]):
     if len(slots) == 1:
         return itemgetter(slice(slots[0], slots[0] + 1))
     return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
+
+
+def _method_call(e: CoreExpr, scope: dict) -> bool:
+    """Whether `e` applies a field of a variable to variables."""
+    return type(e) is CApp and type(e.fn) is CProj and all(
+        type(x) is CVar and x.name in scope for x in (e.fn.record, *e.args)
+    )
+
+
+def _pick(e: CApp, scope: dict):
+    """The index of the component that `e` reads where it is `fst` or `snd`
+    of a variable, else None."""
+    if type(e.fn) is not CBuiltin or len(e.args) != 1 or type(e.args[0]) is not CVar:
+        return None
+    return {"fst": 0, "snd": 1}.get(e.fn.name) if e.args[0].name in scope else None
 
 
 def _values(codes: list, env: tuple) -> tuple:
@@ -396,31 +397,62 @@ class Interp:
         if type(callee) is CBuiltin:
             # The builtin is known here: one step for the application, one
             # for the builtin node, and no pending call (builtins return).
-            return self._builtin_app(self.builtins[callee.name], args, scope, owed + 2, close)
+            return self._builtin_app(callee.name, args, scope, owed + 2, close)
         if type(callee) is CProj:
-            if all(type(x) is CVar and x.name in scope for x in (callee.record, *args)):
-                return self._method(callee, args, scope, owed, tail)
+            if _method_call(e, scope):
+                return self._method(e, scope, owed, tail)
             # The projection's field is read by the call, its step owed.
             callee, field, owed = callee.record, callee.field, owed + 1
         return self._call(callee, field, args, scope, owed + 1, tail)
 
     def _call(self, callee, field, args, scope: dict, owed: int, tail: bool):
         """An application of the value of `callee`, or of its `field` if
-        that is not None, to `args`."""
-        (f, *codes), owed = self._operands([callee, *args], scope, owed)
-        n = len(codes)
+        that is not None, to `args`. A global callee is read in place and
+        forced on a miss, once what is owed is spent, and an operand that is
+        `fst` or `snd` of a variable is read in place as well."""
+        name = f = None
+        if field is None and type(callee) is CTyApp:  # types apply to globals only
+            callee, owed = callee.fn, owed + 1
+        if field is None and type(callee) is CGlobal:
+            name, first, owed = callee.name, owed + 1, 0
+        else:
+            f, owed = COMPILERS[type(callee)](self, callee, scope, owed, False, False)
+        codes, picks = [], []
+        for x in args:
+            pick = _pick(x, scope) if type(x) is CApp and len(args) <= 4 else None
+            if pick is None:
+                code, owed = COMPILERS[type(x)](self, x, scope, owed, False, False)
+            else:  # the application's step, the builtin's and the variable's
+                code, owed = itemgetter(scope[x.args[0].name]), owed + 3
+            codes.append(code)
+            picks.append(pick)
+        n, values = len(codes), self.globals
         a, b, c, d = [*codes, None, None, None, None][:4]
+        ka, kb, kc, kd = [*picks, None, None, None, None][:4]
 
         def run(env):
-            fn = f(env) if field is None else f(env)[field]
+            if name is None:
+                fn = f(env) if field is None else f(env)[field]
+            else:
+                self.fuel -= first
+                fn = values[name] if name in values else self.global_value(name)
             if n == 1:
-                args = (a(env),)
+                args = (a(env) if ka is None else a(env)[ka],)
             elif n == 2:
-                args = (a(env), b(env))
+                args = (a(env) if ka is None else a(env)[ka], b(env) if kb is None else b(env)[kb])
             elif n == 3:
-                args = (a(env), b(env), c(env))
+                args = (
+                    a(env) if ka is None else a(env)[ka],
+                    b(env) if kb is None else b(env)[kb],
+                    c(env) if kc is None else c(env)[kc],
+                )
             elif n == 4:
-                args = (a(env), b(env), c(env), d(env))
+                args = (
+                    a(env) if ka is None else a(env)[ka],
+                    b(env) if kb is None else b(env)[kb],
+                    c(env) if kc is None else c(env)[kc],
+                    d(env) if kd is None else d(env)[kd],
+                )
             else:
                 args = _values(codes, env)
             self.fuel -= owed
@@ -440,13 +472,14 @@ class Interp:
 
         return run, 0
 
-    def _method(self, e: CProj, args: list[CoreExpr], scope: dict, owed: int, tail: bool):
-        """`e` applied to `args`, where `e` projects a field of a variable and
-        every argument is a variable: one node reads them all in place (a
-        superoperator, after Proebsting, "Optimizing an ANSI C Interpreter
-        with Superoperators", 1995)."""
-        i, field, owed = scope[e.record.name], e.field, owed + 3 + len(args)
-        values = _getter([scope[x.name] for x in args])
+    def _method(self, e: CApp, scope: dict, owed: int, tail: bool, arms: Arms | None = None,
+                branches: tuple | None = None):
+        """`e`, which applies a field of a variable to variables: one node
+        reads them all in place, then goes on to the match whose scrutinee
+        the call is, given its `arms`, or to the `if` whose condition it is,
+        given its else and then `branches`."""
+        i, field, owed = scope[e.fn.record.name], e.fn.field, owed + 3 + len(e.args)
+        values = _getter([scope[x.name] for x in e.args])
 
         def run(env):
             fn, args = env[i][field], values(env)
@@ -457,21 +490,30 @@ class Interp:
             if depth >= MAX_EVAL_DEPTH or self.fuel < 0:
                 raise self.exhausted()
             if type(fn) is not VClosure:  # a builtin
-                return fn(*args)
-            self.depth = depth + 1
-            try:
-                result = fn.body(fn.env + args)
-                return self.resume(result) if type(result) is list else result
-            finally:
-                self.depth = depth
+                value = fn(*args)
+            else:
+                self.depth = depth + 1
+                try:
+                    value = fn.body(fn.env + args)
+                    if type(value) is list:
+                        value = self.resume(value)
+                finally:
+                    self.depth = depth
+            if arms is not None:
+                binds, body = arms[value.name]
+                return body(env + value.args) if binds else body(env)
+            return value if branches is None else branches[value](env)
 
         return run, 0
 
-    def _builtin_app(self, op, operands: list[CoreExpr], scope: dict, owed: int, close: bool):
-        """Code that calls `op` on the values of `operands`; a builtin can
-        neither fail nor enter a function."""
+    def _builtin_app(self, name: str, operands: list[CoreExpr], scope: dict, owed: int,
+                     close: bool):
+        """Code that applies the builtin `name` to the values of `operands`; a
+        builtin can neither fail nor enter a function. One whose result can
+        leave its width is `operator`'s function, masked here."""
         codes, owed = self._operands(operands, scope, owed)
         spend, owed = (owed, 0) if close else (0, owed)
+        op, mask = WRAPPING.get(name) or (self.builtins[name], 0)
         n = len(codes)
         if n == 1:
             (a,) = codes
@@ -482,20 +524,15 @@ class Interp:
                     self.fuel -= spend
                 return value
 
-        elif n == 2 and type(operands[1]) is CLit:  # read in place
-            a, b = codes[0], LITERALS[operands[1].kind](operands[1].value)
-
-            def run(env):
-                value = op(a(env), b)
-                if spend:
-                    self.fuel -= spend
-                return value
-
         elif n == 2:
-            a, b = codes
+            (a, b), lit = codes, type(operands[1]) is CLit
+            if lit:  # read in place
+                b = LITERALS[operands[1].kind](operands[1].value)
 
             def run(env):
-                value = op(a(env), b(env))
+                value = op(a(env), b if lit else b(env))
+                if mask:
+                    value &= mask
                 if spend:
                     self.fuel -= spend
                 return value
@@ -537,12 +574,15 @@ class Interp:
         return run, owed
 
     def _ctor(self, e: CCtor, scope: dict, owed: int, tail: bool, close: bool):
-        data, name = e.data, e.ctor
-        if not e.args:  # one value serves every evaluation
+        data, name, operands = e.data, e.ctor, e.args
+        if not operands:  # one value serves every evaluation
             value = _new(VCtor)
             value.data, value.name, value.args = data, name, ()
             return self._constant(value, owed, close)
-        codes, owed = self._operands(e.args, scope, owed + 1)
+        pair = len(operands) == 1 and type(operands[0]) is CTuple  # built in place
+        if pair:
+            operands, owed = [operands[0].first, operands[0].second], owed + 1
+        codes, owed = self._operands(operands, scope, owed + 1)
         spend, owed = (owed, 0) if close else (0, owed)
         n = len(codes)
         a, b = [*codes, None][:2]
@@ -550,7 +590,9 @@ class Interp:
         def run(env):
             value = _new(VCtor)
             value.data, value.name = data, name
-            if n == 1:
+            if pair:
+                value.args = ((a(env), b(env)),)
+            elif n == 1:
                 value.args = (a(env),)
             elif n == 2:
                 value.args = (a(env), b(env))
@@ -575,33 +617,28 @@ class Interp:
         return run, owed
 
     def _match(self, e: CMatch, scope: dict, owed: int, tail: bool, close: bool):
-        scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
-        # Constructor -> (whether any binder names a field, body) of the
-        # first arm that takes it; arms after a wildcard are unreachable.
-        # A `_` binder takes a slot that no name reads. Each arm spends its
-        # own steps: which one runs is known only here.
-        arms: dict[str, tuple] = {}
-        default = None
+        # Arms after a wildcard are unreachable, and a `_` binder takes a
+        # slot that no name reads. Each arm spends its own steps: which one
+        # runs is known only here.
+        arms = Arms()
         for ctor, binders, body in e.arms:
             if ctor is None:
-                default = (False, self._compile(body, scope, 0, tail, True)[0])
+                arms.default = (False, self._compile(body, scope, 0, tail, True)[0])
                 break
             if ctor not in arms:
                 names = tuple(None if b == "_" else b for b in binders)
                 binds = any(names)
                 inner = _bind(scope, names) if binds else scope
                 arms[ctor] = (binds, self._compile(body, inner, 0, tail, True)[0])
+        if _method_call(e.scrutinee, scope):
+            return self._method(e.scrutinee, scope, owed + 1, False, arms)
+        scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
 
         def run(env):
             scrut = scrutinee(env)
             if owed:
                 self.fuel -= owed
-            arm = arms.get(scrut.name, default)
-            if arm is None:  # the one failure a checked program can reach
-                raise RuntimeFailure(
-                    "E-RT-MATCH", f"non-exhaustive match: no arm for {scrut.name}"
-                )
-            binds, body = arm
+            binds, body = arms[scrut.name]
             return body(env + scrut.args) if binds else body(env)
 
         return run, 0
@@ -631,6 +668,9 @@ class Interp:
 
     def _if(self, e: CIf, scope: dict, owed: int, tail: bool, close: bool):
         # Each branch spends what the condition leaves owed, and its own.
+        if _method_call(e.cond, scope):
+            branches = tuple(self._compile(x, scope, 0, tail, True)[0] for x in (e.orelse, e.then))
+            return self._method(e.cond, scope, owed + 1, False, None, branches)
         cond, owed = self._compile(e.cond, scope, owed + 1, False, False)
         then, _ = self._compile(e.then, scope, owed, tail, True)
         orelse, _ = self._compile(e.orelse, scope, owed, tail, True)

@@ -1065,23 +1065,31 @@ class ExprChecker:
         return TLam(e.span, ty, params, x_body)
 
     def _let(self, e: A.ELet, env, expected: TypeTerm | None) -> TExpr:
-        annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
-        bound_x, bound_t = self._branch(e.bound, env, annot)
-        if e.name == "_":
-            x_body, expected = self._branch(e.body, env, expected)
-            return TLet(e.span, expected, e.name, bound_x, x_body)
-        # Bound in `env` itself and unbound on the way out, so a chain of
-        # lets costs one dict, not one copy per let. No type is None.
-        shadowed = env.get(e.name)
-        env[e.name] = bound_t
+        """A chain of lets, each the body of the one before, in one loop.
+        Each name is bound in `env` itself and unbound on the way out, so a
+        chain costs one dict and no Python frame per let. An inner let has
+        the type of the chain's body, so it is not checked against
+        `expected` again."""
+        lets, shadowed = [], []
         try:
-            x_body, expected = self._branch(e.body, env, expected)
+            while type(e) is A.ELet:
+                annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
+                bound_x, bound_t = self._branch(e.bound, env, annot)
+                lets.append((e, bound_x))
+                if e.name != "_":  # no type is None
+                    shadowed.append((e.name, env.get(e.name)))
+                    env[e.name] = bound_t
+                e = e.body
+            x_body, expected = self._branch(e, env, expected)
         finally:
-            if shadowed is None:
-                del env[e.name]
-            else:
-                env[e.name] = shadowed
-        return TLet(e.span, expected, e.name, bound_x, x_body)
+            for name, old in reversed(shadowed):
+                if old is None:
+                    del env[name]
+                else:
+                    env[name] = old
+        for let, bound_x in reversed(lets):
+            x_body = TLet(let.span, expected, let.name, bound_x, x_body)
+        return x_body
 
     def _if(self, e: A.EIf, env, expected: TypeTerm | None) -> TExpr:
         cond = self.check(e.cond, BOOL, env)

@@ -29,13 +29,12 @@ from slc.evaluator import (
     BUILTINS,
     DEFAULT_FUEL,
     DEPTH_EXCEEDED,
+    MASK8,
     MASK64,
     Interp,
     RuntimeFailure,
     VCtor,
     VF64,
-    VU8,
-    VU64,
     run_program,
 )
 from slc.types import STRING, U64, App, Con, fn_type, render_constraint
@@ -143,9 +142,9 @@ def test_next_projection_on_zero_is_none():
     interp = Interp(core)
     dict_v = interp.global_value("dict$iter.bytes64")
     next_fn = dict_v["next"]
-    out = interp.apply(next_fn, VU64(0))
+    out = interp.apply(next_fn, 0)
     assert isinstance(out, VCtor) and out.name == "None"
-    out2 = interp.apply(next_fn, VU64(0x2A2A))
+    out2 = interp.apply(next_fn, 0x2A2A)
     assert isinstance(out2, VCtor) and out2.name == "Some"
 
 
@@ -159,44 +158,69 @@ def test_bit_ops_against_arbitrary_precision_reference():
     for value in samples:
         other = rng.randrange(0, 2**64)
         shift = rng.randrange(0, 64)
-        assert int(builtin(interp, "band", [VU64(value), VU64(other)])) == (value & other) % 2**64
-        assert int(builtin(interp, "shr", [VU64(value), VU64(shift)])) == (value >> shift) % 2**64
-        assert int(builtin(interp, "add64", [VU64(value), VU64(other)])) == (value + other) % 2**64
-        assert int(builtin(interp, "mul64", [VU64(value), VU64(other)])) == (value * other) % 2**64
-        assert int(builtin(interp, "sub64", [VU64(value), VU64(other)])) == (value - other) % 2**64
+        assert int(builtin(interp, "band", [value, other])) == (value & other) % 2**64
+        assert int(builtin(interp, "shr", [value, shift])) == (value >> shift) % 2**64
+        assert int(builtin(interp, "add64", [value, other])) == (value + other) % 2**64
+        assert int(builtin(interp, "mul64", [value, other])) == (value * other) % 2**64
+        assert int(builtin(interp, "sub64", [value, other])) == (value - other) % 2**64
 
 
 def test_u8_arithmetic_wraps():
     result = check_inline(iter=ITER)
     interp = Interp(elaborate(result.program))
-    assert int(builtin(interp, "add8", [VU8(200), VU8(100)])) == (200 + 100) % 256
-    assert int(builtin(interp, "mul8", [VU8(16), VU8(16)])) == 0
-    assert int(builtin(interp, "sub8", [VU8(0), VU8(1)])) == 255
+    assert int(builtin(interp, "add8", [200, 100])) == (200 + 100) % 256
+    assert int(builtin(interp, "mul8", [16, 16])) == 0
+    assert int(builtin(interp, "sub8", [0, 1])) == 255
 
 
 def test_show_renders_unsigned_decimal():
     result = check_inline(iter=ITER)
     interp = Interp(elaborate(result.program))
-    assert builtin(interp, "show64", [VU64(0x2A2A)]) == "10794"
-    assert builtin(interp, "show8", [VU8(42)]) == "42"
+    assert builtin(interp, "show64", [0x2A2A]) == "10794"
+    assert builtin(interp, "show8", [42]) == "42"
 
 
-def test_values_compare_by_type_and_payload():
-    """Machine integers of different widths, and a machine integer and a
-    Python int, are different values even when their payloads agree."""
-    assert VU64(1) != VU8(1) and not VU64(1) == VU8(1)
-    assert VU64(1) != 1 and 1 != VU64(1) and VU8(1) != 1
-    assert VU64(1) == VU64(1) and not VU64(1) != VU64(1) and VU8(7) == VU8(7)
-    assert VU64(1) != VU64(2) and VU8(1) != VU8(2)
-    assert hash(VU64(5)) == hash(VU64(5)) and hash(VU8(5)) == hash(VU8(5))
-    assert len({VU64(1), VU8(1), VU64(1)}) == 2
-    assert int(VU64(2)) == 2 and type(int(VU64(2))) is int
-    interp = Interp(elaborate(check_inline(iter=ITER).program))
-    assert builtin(interp, "show64", [VU64(MASK64)]) == "18446744073709551615"
-    assert builtin(interp, "show8", [VU8(255)]) == "255"
-    assert builtin(interp, "show64", [VU64(0)]) == "0"
-    assert builtin(interp, "trunc8", [VU64(0x1FF)]) != VU64(0xFF)
-    assert builtin(interp, "extend64", [VU8(3)]) != VU8(3)
+def test_machine_integers_are_plain_ints_in_range():
+    """U64 and U8 values are plain `int`s, reduced to their width by every
+    literal and builtin that makes one, wrapping included, whether a
+    builtin is applied directly, with literal or variable operands, or
+    passed as a value. No width tag is kept: `core_check` rejects every mix
+    of widths before a run (`test_corekit.py::test_core_check_rejects`, the
+    row "builtin add64 cannot accept (U64, U8)", and the `add64`, `shl`,
+    `eq8` and `extend64` rows of `test_builtin_failures_keep_their_messages`
+    here)."""
+    core = elaborate(check_inline(iter=ITER).program)
+    interp = Interp(core)
+    rows = [
+        ("add64", "u64", [MASK64, 1], 0),
+        ("sub64", "u64", [0, 1], MASK64),
+        ("mul64", "u64", [MASK64, MASK64], 1),
+        ("add8", "u8", [255, 1], 0),
+        ("sub8", "u8", [0, 1], 255),
+        ("mul8", "u8", [16, 16], 0),
+        ("shl", "u64", [1, 64], 0),
+        ("shl", "u64", [MASK64, 4], MASK64 - 15),
+        ("band", "u64", [MASK64, 0xFF], 0xFF),
+        ("bor", "u64", [MASK64, 1], MASK64),
+        ("shr", "u64", [MASK64, 60], 0xF),
+        ("trunc8", "u64", [0x1FF], 0xFF),
+        ("extend64", "u8", [0xFF], 0xFF),
+    ]
+    for name, kind, args, want in rows:
+        names = [f"x{i}" for i in range(len(args))]
+        values = [
+            eval_expr(CApp(CBuiltin(name), [CLit(kind, v) for v in args]), {}, core)[0],
+            eval_expr(CApp(CBuiltin(name), [CVar(x) for x in names]), dict(zip(names, args)), core)[0],
+            builtin(interp, name, args),
+        ]
+        assert [(type(v), v) for v in values] == [(int, want)] * 3, name
+    for kind, mask in (("u64", MASK64), ("u8", MASK8)):
+        for payload in (0, 1, mask):
+            value = eval_expr(CLit(kind, payload), {}, core)[0]
+            assert type(value) is int and value == payload
+    assert builtin(interp, "show64", [MASK64]) == "18446744073709551615"
+    assert builtin(interp, "show8", [255]) == "255"
+    assert builtin(interp, "show64", [0]) == "0"
 
 
 def test_determinism():
@@ -343,34 +367,34 @@ PAIR = CCtor("m.Pair", "Pair", [], [u64(1), u64(2)])
     [
         pytest.param(
             CApp(CLam([("x", U64)], CLet("x", u64(2), CVar("x"))), [u64(1)]),
-            VU64(2),
+            2,
             id="let-shadows-parameter",
         ),
         pytest.param(
             CLet("x", u64(1), CMatch(SOME_2, [("Some", ["x"], CVar("x"))])),
-            VU64(2),
+            2,
             id="binder-shadows-let",
         ),
         pytest.param(
             CLet("x", u64(1), CLet("y", u64(3), CApp(
                 CLam([("x", U64)], CTuple(CVar("x"), CVar("y"))), [u64(2)]
             ))),
-            (VU64(2), VU64(3)),
+            (2, 3),
             id="parameter-shadows-captured",
         ),
         pytest.param(
             CApp(CLam([("x", U64), ("x", U64)], CVar("x")), [u64(1), u64(2)]),
-            VU64(2),
+            2,
             id="duplicate-parameters-last-wins",
         ),
         pytest.param(
             CMatch(PAIR, [("Pair", ["x", "x"], CVar("x"))]),
-            VU64(2),
+            2,
             id="duplicate-binders-last-wins",
         ),
         pytest.param(
             CLet("x", u64(1), CLet("_", u64(2), CVar("x"))),
-            VU64(1),
+            1,
             id="let-underscore-binds-nothing",
         ),
     ],
@@ -382,12 +406,12 @@ def test_inner_bindings_shadow_outer_ones(expr, value):
 
 def test_eval_expr_reads_a_dict_environment():
     core = elaborate(check_inline(iter=ITER).program)
-    env = {"a": VU64(1), "b": VU64(2)}
-    assert eval_expr(CTuple(CVar("a"), CVar("b")), env, core)[0] == (VU64(1), VU64(2))
+    env = {"a": 1, "b": 2}
+    assert eval_expr(CTuple(CVar("a"), CVar("b")), env, core)[0] == (1, 2)
     body = CTuple(CVar("a"), CTuple(CVar("b"), CVar("z")))
     closure, _ = eval_expr(CLam([("z", U64)], body), env, core)
-    value = Interp(core).apply(closure, VU64(3))
-    assert value == (VU64(1), (VU64(2), VU64(3)))
+    value = Interp(core).apply(closure, 3)
+    assert value == (1, (2, 3))
 
 
 # ---------------------------------------------------------------- step accounting
@@ -459,12 +483,16 @@ def test_python_calls_per_fold_element():
     """The closures a fold runs make few Python calls per element: an
     application enters its function in its own frame and leaves a tail call
     as a list display, variables are read in place, builtins, applications,
-    constructors and tuples take their operands positionally, a dictionary
-    method call is one node, and constructors and machine integers are
-    built with no Python `__init__`, so a step that costs one more call
-    shows here. 18 calls when set; 30 while `Interp.apply` entered every
-    function and tail calls, constructors and pairs were built by Python
-    functions."""
+    constructors and tuples take their operands positionally, constructors
+    are built with no Python `__init__`, machine integers are plain `int`s,
+    and superoperators fuse a dictionary method call with the match or `if`
+    that takes its value, a call with its global callee and with its `fst`
+    and `snd` operands, a constructor with its pair operand, and `add64`
+    with its mask, so a step that costs one more call shows here. 11 calls
+    when set; 18 while a method call, a global callee, `fst`, `snd` and a
+    pair were nodes of their own and `add64` made a `VU64`; 30 while
+    `Interp.apply` entered every function and tail calls, constructors and
+    pairs were built by Python functions."""
 
     def calls(n: int) -> int:
         core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
@@ -486,16 +514,16 @@ def test_python_calls_per_fold_element():
                 gc.enable()
         return count
 
-    assert (calls(2000) - calls(1000)) / 1000 <= 18
+    assert (calls(2000) - calls(1000)) / 1000 <= 11
 
 
 def test_opcodes_per_fold_element():
     """A fold element runs few bytecodes: variables read fixed slots of
     tuple frames, so entering a closure or a match arm copies no
     environment, and steps are spent where a run may fail or enters a
-    function, ten times per element, not at every node. 653 when set; 698
-    while every node spent its own step and `Interp.apply` entered every
-    function."""
+    function, ten times per element, not at every node. 611 when set, with
+    the superoperators above; 653 without them; 698 while every node spent
+    its own step and `Interp.apply` entered every function."""
 
     def opcodes(n: int) -> int:
         core = elaborate(check_inline(iter=ITER_LIB, range_iter=range_fold(n)).program)
@@ -519,7 +547,7 @@ def test_opcodes_per_fold_element():
                 gc.enable()
         return count
 
-    assert (opcodes(2000) - opcodes(1000)) / 1000 <= 653
+    assert (opcodes(2000) - opcodes(1000)) / 1000 <= 611
 
 
 PICK = """\
@@ -614,7 +642,8 @@ def test_python_frames_per_nested_call():
     """Each nested non-tail SL call deepens the Python stack by a few frames
     only, so the depth guard, not Python's recursion limit, bounds it: in
     `sum`, the `if` of the body, the `add64` application and the call node,
-    which enters `sum` itself (4 while `Interp.apply` did)."""
+    which enters `sum` itself (3 when set and with the superoperators, 4
+    while `Interp.apply` did)."""
 
     def deepest(n: int) -> int:
         core = elaborate(check_inline(m=SUM.format(n=n)).program)
@@ -648,11 +677,11 @@ def test_branches_never_taken_are_never_run():
         CApp(CLit("u64", 1), []),
     ):
         value, _ = eval_expr(CIf(CLit("bool", True), CLit("u64", 7), broken), {}, core)
-        assert value == VU64(7)
+        assert value == 7
         value, _ = eval_expr(
             CMatch(none, [("Some", ["x"], broken), ("None", [], CLit("u64", 8))]), {}, core
         )
-        assert value == VU64(8)
+        assert value == 8
 
 
 # ---------------------------------------------------------------- runtime errors
@@ -926,16 +955,16 @@ HAS_FIELD = {"f": ADD64}
 
 def method_env(record) -> dict:
     """An environment with a record `d`, a U64 `y` and the builtin `g`."""
-    return {"d": record, "y": VU64(1), "g": ADD64}
+    return {"d": record, "y": 1, "g": ADD64}
 
 
 @pytest.mark.parametrize(
     "args, steps, value",
     [
-        ([CVar("y"), CVar("y")], 5, VU64(2)),
-        ([CVar("y"), u64(2)], 5, VU64(3)),
-        ([u64(2), CVar("y")], 5, VU64(3)),
-        ([CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 8, VU64(3)),
+        ([CVar("y"), CVar("y")], 5, 2),
+        ([CVar("y"), u64(2)], 5, 3),
+        ([u64(2), CVar("y")], 5, 3),
+        ([CApp(CVar("g"), [CVar("y"), CVar("y")]), CVar("y")], 8, 3),
     ],
 )
 @pytest.mark.parametrize("tail", [False, True])
@@ -951,6 +980,59 @@ def test_method_calls_at_the_fuel_boundary(args, steps, value, tail):
     with pytest.raises(RuntimeFailure) as failure:
         eval_expr(expr, method_env(HAS_FIELD), core, steps - 1)
     assert failure.value.message == "evaluation step budget exceeded"
+
+
+# A method call as a match scrutinee or an `if` condition, and a call of a
+# global not yet forced, each run as one node, in tail position (a body)
+# and not (bound by a `let`).
+FUSED = """\
+module m
+concept C[Self] {
+  fn pick(x: Self) -> Option[U64]
+  fn ok(x: Self) -> Bool
+}
+model c: C[U64] {
+  fn pick(x: U64) -> Option[U64] { if eq64(x, 0:U64) { None } else { Some(x) } }
+  fn ok(x: U64) -> Bool { lt64(x, 5:U64) }
+}
+fn h(x: U64) -> U64 { add64(x, 1:U64) }
+"""
+NO_ARM = ("E-RT-MATCH", "non-exhaustive match: no arm for None")
+
+
+GENERIC = "fn f[T](x: T) -> U64 where C[T]"
+PLAIN = "fn f(x: U64) -> U64"
+
+
+@pytest.mark.parametrize(
+    "f, body, x, need, outcome",
+    [
+        pytest.param(GENERIC, "match pick(x) { Some(y) => y, None => 0:U64 }", 3, 27, ["3"],
+                     id="match-tail"),
+        pytest.param(GENERIC, "let v = match pick(x) { Some(y) => y, None => 0:U64 }; v", 3, 29,
+                     ["3"], id="match-non-tail"),
+        pytest.param(GENERIC, "if ok(x) { 1:U64 } else { 2:U64 }", 3, 24, ["1"], id="if-tail"),
+        pytest.param(GENERIC, "let v = if ok(x) { 1:U64 } else { 2:U64 }; v", 3, 26, ["1"],
+                     id="if-non-tail"),
+        pytest.param(PLAIN, "h(x)", 3, 17, ["4"], id="global-tail"),
+        pytest.param(PLAIN, "add64(h(x), 1:U64)", 3, 20, ["5"], id="global-non-tail"),
+        pytest.param(GENERIC, "match pick(x) { Some(y) => y }", 0, 25, NO_ARM, id="no-arm-tail"),
+        pytest.param(GENERIC, "let v = match pick(x) { Some(y) => y }; v", 0, 26, NO_ARM,
+                     id="no-arm-non-tail"),
+    ],
+)
+def test_fused_nodes_at_the_fuel_boundary(f, body, x, need, outcome):
+    """Each superoperator spends the steps of the nodes it fuses where they
+    would spend them: a run needs the steps it needed before the fusion
+    and reaches the same outcome, a fused match with no arm for its value
+    the same E-RT-MATCH, and one step fewer reports the budget. (`h` is
+    forced on its first call, by `f`.)"""
+    source = FUSED + f"{f} {{ {body} }}\nfn main() -> Unit {{ print(show64(f({x}:U64))) }}\n"
+    core = elaborate(check_inline(m=source).program)
+    ran = run_program(core, need)
+    assert (ran[1] if isinstance(ran, tuple) else [ran.code, ran.message]) == list(outcome)
+    short = run_program(core, need - 1)
+    assert (short.code, short.message) == ("E-RT-FUEL", "evaluation step budget exceeded")
 
 
 @pytest.mark.parametrize(
@@ -991,12 +1073,12 @@ def test_builtin_failures_keep_their_messages(name, args, message):
 
 def test_builtin_table_values():
     interp = Interp(elaborate(check_inline(iter=ITER).program))
-    assert builtin(interp, "shl", [VU64(1), VU64(64)]) == VU64(0)
-    assert builtin(interp, "shl", [VU64(MASK64), VU64(4)]) == VU64(MASK64 - 15)
-    assert builtin(interp, "lt8", [VU8(1), VU8(2)]) is True
-    assert builtin(interp, "trunc8", [VU64(0x1FF)]) == VU8(0xFF)
+    assert builtin(interp, "shl", [1, 64]) == 0
+    assert builtin(interp, "shl", [MASK64, 4]) == MASK64 - 15
+    assert builtin(interp, "lt8", [1, 2]) is True
+    assert builtin(interp, "trunc8", [0x1FF]) == 0xFF
     assert builtin(interp, "showf64", [VF64("1.5")]) == "1.5"
-    assert builtin(interp, "snd", [(VU8(1), VU64(2))]) == VU64(2)
+    assert builtin(interp, "snd", [(1, 2)]) == 2
     assert builtin(interp, "concat", ["a", "b"]) == "ab"
     assert builtin(interp, "print", ["hi"]) is None
     assert interp.transcript == ["hi"]

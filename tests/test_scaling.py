@@ -7,14 +7,16 @@ that reuse names, checking costs the same per module however many there are,
 and no check leaves cyclic garbage. A clean check resolves no source
 position, and resolving them for diagnostics costs linear time. A chain of
 lets costs the same per let however long it is, in time and memory, in
-checking, in the core check and in the evaluator's compilation."""
+checking, in the core check and in the evaluator's compilation, and takes
+no Python frame per let."""
 
 import gc
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
-from conftest import CORPUS, check_inline
+from conftest import CORPUS, check_inline, slc_env
 from test_acceptance import POLICIES, PROGRAMS
 
 from slc import coherence
@@ -347,11 +349,42 @@ def test_let_chain_memory_per_let_stays_flat(phase):
     `check_sources`, 42 and 40 in `core_check`, 669 and 675 in compilation,
     against 9,413 and 30,180, 7,184 and 28,393, 3,079 and 9,083 while each
     let copied them. (tracemalloc walks the whole Python stack on each
-    allocation, and sema recurses about three frames per let, so larger
-    chains make this test slow, not its bound loose.)"""
+    allocation, so larger chains make this test slow, not its bound
+    loose.)"""
     short = peak_bytes(let_chain_pass(phase, 500)) / 500
     long = peak_bytes(let_chain_pass(phase, 2_000)) / 2_000
     assert long <= 1.1 * short, (short, long)
+
+
+# Checks and runs the program on stdin in a fresh interpreter whose
+# recursion limit is 3,000, and prints its transcript.
+LOW_LIMIT_RUN = """\
+import sys
+import slc
+sys.setrecursionlimit(3_000)
+from slc.coherence import CoherencePolicy
+from slc.corekit import core_check, elaborate
+from slc.evaluator import run_program
+from slc.linker import check_sources
+result = check_sources([("m.sl", sys.stdin.buffer.read())], CoherencePolicy("use-site"))
+assert result.ok, result.diagnostics
+core = elaborate(result.program, [result.program.entry])
+assert core_check(core) == []
+print(*run_program(core)[1])
+"""
+
+
+def test_let_chains_need_no_python_frame_per_let():
+    """Sema, the elaborator, the core check and the evaluator each walk a
+    chain of lets in one loop, so a 10,000-let `main` checks and runs at a
+    recursion limit of 3,000, far below the one `import slc` sets. (Sema
+    once recursed three frames per let, and a `main` of 40,000 lets escaped
+    `sl check` as a RecursionError.)"""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOW_LIMIT_RUN], input=let_chain(10_000).encode(),
+        capture_output=True, env=slc_env(), timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (0, b"10000\n"), proc.stderr.decode()[-2000:]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
