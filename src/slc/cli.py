@@ -175,11 +175,35 @@ def make_policy(args) -> CoherencePolicy:
     )
 
 
+def dumps(value) -> str:
+    """`json.dumps(value, indent=2)` of dicts with string keys, lists, tuples and
+    leaves, written from a stack in time linear in the nesting depth (the
+    indenting encoder passes every piece up through one generator per
+    enclosing level). Each leaf and key is `json.dumps` of it."""
+    out, todo = [], [(value, "\n")]  # (value, its newline and indent), or (text, None)
+    while todo:
+        value, indent = todo.pop()
+        if indent is None:
+            out.append(value)
+        elif value and type(value) in (dict, list, tuple):
+            keyed, inner = type(value) is dict, indent + "  "
+            todo.append((indent + ("}" if keyed else "]"), None))
+            entries = list(value.items() if keyed else enumerate(value))
+            for index in range(len(entries) - 1, -1, -1):
+                key, item = entries[index]
+                todo.append((item, inner))
+                todo.append(("," * bool(index) + inner + (json.dumps(key) + ": ") * keyed, None))
+            out.append("{" if keyed else "[")
+        else:
+            out.append(json.dumps(value))
+    return "".join(out)
+
+
 def emit_diagnostics(diags: list[Diagnostic], as_json: bool, stream=None):
     stream = stream or sys.stdout
     if as_json:
         payload = [d.to_json() for d in diags]
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(dumps(payload) + "\n")
     else:
         color = _color_enabled()
         for d in diags:
@@ -208,7 +232,7 @@ def cmd_run(args) -> int:
         emit_diagnostics(core_diags, args.json, stream=sys.stderr)
         return 1
     if args.emit_core:
-        sys.stdout.write(json.dumps(core_to_json(core), indent=2) + "\n")
+        sys.stdout.write(dumps(core_to_json(core)) + "\n")
         return 0
     outcome = run_program(core, args.fuel)
     if isinstance(outcome, Diagnostic):
@@ -216,7 +240,7 @@ def cmd_run(args) -> int:
         return 1
     _, transcript = outcome
     if args.json:
-        sys.stdout.write(json.dumps(transcript, indent=2) + "\n")
+        sys.stdout.write(dumps(transcript) + "\n")
     else:
         for line in transcript:
             sys.stdout.write(line + "\n")
@@ -299,7 +323,7 @@ def cmd_explain(args) -> int:
     trace = record.trace.to_json()
     if args.json:
         payload = {"site": record.site.to_json(), "trace": trace}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(dumps(payload) + "\n")
     else:
         sys.stdout.write(f"resolution at {record.site}\n")
         sys.stdout.write("\n".join(render_trace(trace)) + "\n")

@@ -51,10 +51,10 @@ class ModelDecl:
         "superclass_resolutions", "body_goal_records",
     )
     def __init__(self, module: str, index: int, name: str | None, concept: str,
-                 head: list[TypeTerm], vars: list[Var], context: list[ConstraintTerm],
+                 head: tuple[TypeTerm, ...], vars: list[Var], context: list[ConstraintTerm],
                  assoc: dict[str, TypeTerm], span: Span):
         self.module, self.index, self.name, self.concept = module, index, name, concept
-        self.head, self.vars, self.context, self.assoc, self.span = head, vars, context, assoc, span
+        self.head, self.vars, self.context, self.assoc, self.span = tuple(head), vars, context, assoc, span
         self.bodies, self.superclass_resolutions, self.body_goal_records = {}, [], {}
 
     @property
@@ -225,6 +225,7 @@ class ModelWorld:
                  home: str | None = None):
         self.index, self.visible, self.home = index, visible, home
         self._buckets: dict = {}  # index bucket key -> its visible models; see models_like
+        self.candidates: dict = {}  # goal -> its resolver candidates; see resolver.candidates
 
     def _visible(self, models: list[ModelDecl]) -> list[ModelDecl]:
         if self.visible is None or not models:

@@ -250,6 +250,7 @@ class Interp:
         self.globals: dict[str, object] = {}
         self._forcing: set[str] = set()
         self.builtins = {**BUILTINS, "print": self.transcript.append}
+        self.keeps = 0  # nodes compiled so far whose code keeps, extends or slices its frame
 
     # ------------------------------------------------------------- plumbing
 
@@ -377,6 +378,7 @@ class Interp:
 
     def _lam(self, e: CLam, scope: dict, owed: int, tail: bool, close: bool):
         body, _ = self._compile(e.body, _bind(scope, [n for n, _ in e.params]), 0, True, True)
+        self.keeps += 1
 
         def run(env):
             return VClosure(body, env)
@@ -480,6 +482,7 @@ class Interp:
         given its else and then `branches`."""
         i, field, owed = scope[e.fn.record.name], e.fn.field, owed + 3 + len(e.args)
         values = _getter([scope[x.name] for x in e.args])
+        self.keeps += 1
 
         def run(env):
             fn, args = env[i][field], values(env)
@@ -633,6 +636,7 @@ class Interp:
         if _method_call(e.scrutinee, scope):
             return self._method(e.scrutinee, scope, owed + 1, False, arms)
         scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
+        self.keeps += 1
 
         def run(env):
             scrut = scrutinee(env)
@@ -645,12 +649,16 @@ class Interp:
 
     def _let(self, e: CLet, scope: dict, owed: int, tail: bool, close: bool):
         """A chain of lets, each the body of the one before, as one node
-        that binds in a loop."""
+        that binds in a loop, appending each value to a list in place. A
+        bound reads that list by slot, unless its code keeps, extends or
+        slices its frame (a lambda, a match, a method call): then it runs on
+        a tuple copy, as the body does, so no frame a closure keeps changes."""
         inner, lets = dict(scope), []  # bound in place, let by let
         while type(e) is CLet:
+            keeps = self.keeps
             bound, owed = self._compile(e.bound, inner, owed + 1, False, False)
             bind = e.name != "_"
-            lets.append((bound, bind))
+            lets.append((bound, bind, self.keeps > keeps))
             if bind:
                 inner[e.name] = inner[None]
                 inner[None] += 1
@@ -658,11 +666,12 @@ class Interp:
         body, owed = self._compile(e, inner, owed, tail, close)
 
         def run(env):
-            for bound, bind in lets:
-                value = bound(env)
+            frame = [*env]
+            for bound, bind, keeps in lets:
+                value = bound(tuple(frame) if keeps else frame)
                 if bind:
-                    env += (value,)
-            return body(env)
+                    frame.append(value)
+            return body(tuple(frame))
 
         return run, owed
 

@@ -155,23 +155,26 @@ class Candidate:
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
-    """Models whose head matches the goal's subjects, by head only.
+    """Models whose head matches the goal's subjects, by head only, found
+    once per goal in `scope`; the goal is a Conf.
 
     Order is deterministic: module topological order, then declaration order
     (that is the order models were registered into the world). Models whose
     Self constructor differs from the goal's are skipped unexamined.
     """
-    assert isinstance(goal.constraint, Conf)
-    subjects = goal.constraint.subjects
-    found: list[Candidate] = []
+    found = scope.candidates.get(goal.constraint)
+    if found is not None:
+        return found
+    subjects, found = goal.constraint.subjects, []
     for model in scope.models_like(goal.constraint.concept, subjects[0]):
-        match = model.match(subjects)
-        if match is None:
+        if not model.vars:  # matches only its own head, and has nothing to instantiate
+            if model.head == subjects:
+                found.append(Candidate(model, [], model.context))
             continue
-        if model.vars:
+        match = model.match(subjects)
+        if match is not None:
             found.append(Candidate(model, match.apply(model.vars), match.apply(model.context)))
-        else:  # a ground model has nothing to instantiate
-            found.append(Candidate(model, [], model.context))
+    scope.candidates[goal.constraint] = found
     return found
 
 
@@ -201,6 +204,7 @@ class Resolver:
         self.depth = depth
         self.eq_rules: list[Eq] = []
         self.givens: list[GivenLeaf] = []
+        self.plain = not givens  # then it holds no state of its own, and may be shared
         if not givens:
             return
         closed = close_givens(givens, scope.index.concepts)
@@ -231,23 +235,24 @@ class Resolver:
         """The goal's resolution (None when it failed), its node, which is
         the resolution when there is one, and its diagnostics."""
         depth = self.depth if depth is None else depth
-        steps: list = []  # the rewrites that prove an Eq goal
-        try:
-            wanted = self._norm_constraint(goal.constraint, steps)
-        except NormDiverge as exc:
-            return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
-                Diagnostic(
-                    "E-NORM-DIVERGE",
-                    f"normalization did not terminate while solving "
-                    f"{render_constraint(goal.constraint)}",
-                    goal.site,
-                )
-            ]
-
-        # Givens shadow models under every policy.
-        for leaf in self.givens:
-            if leaf.goal == wanted:
-                return leaf, leaf, []
+        wanted, steps = goal.constraint, []  # steps: the rewrites that prove an Eq goal
+        # With no givens, a goal without a projection is its own normal form.
+        if not self.plain or wanted.has_assoc:
+            try:
+                wanted = self._norm_constraint(wanted, steps)
+            except NormDiverge as exc:
+                return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
+                    Diagnostic(
+                        "E-NORM-DIVERGE",
+                        f"normalization did not terminate while solving "
+                        f"{render_constraint(goal.constraint)}",
+                        goal.site,
+                    )
+                ]
+            # Givens shadow models under every policy.
+            for leaf in self.givens:
+                if leaf.goal == wanted:
+                    return leaf, leaf, []
 
         if isinstance(wanted, Eq):
             if wanted.lhs == wanted.rhs:
@@ -265,7 +270,10 @@ class Resolver:
         if wanted is not goal.constraint:
             goal = Goal(wanted, goal.site)
         cands = candidates(goal, self.scope)
-        chosen, diags, note = self._select(wanted, goal.site, cands)
+        if len(cands) == 1:
+            chosen, diags, note = cands[0], [], ""
+        else:
+            chosen, diags, note = self._select(wanted, goal.site, cands)
         if chosen is None:
             return None, TraceNode(wanted, "ambiguous" if cands else "no-model", cands), diags
 
@@ -295,10 +303,8 @@ class Resolver:
     def _select(
         self, wanted: Conf, site: Span, cands: list[Candidate]
     ) -> tuple[Candidate | None, list[Diagnostic], str]:
-        """The candidate the policy commits to (None when there is none), the
-        diagnostics of that choice, and the trace's note on it."""
-        if len(cands) == 1:
-            return cands[0], [], ""
+        """The candidate the policy commits to among several or none (None
+        then), the diagnostics of that choice, and the trace's note on it."""
         if not cands:
             return None, [Diagnostic("E-NO-MODEL", f"no model found for {_named(wanted)}", site)], ""
 

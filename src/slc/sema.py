@@ -16,6 +16,7 @@ dictionary-passing elaboration.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 
 from . import ast as A
@@ -61,6 +62,7 @@ from .types import (
     UNIT,
     App,
     Assoc,
+    Con,
     Conf,
     ConstraintTerm,
     Eq,
@@ -69,6 +71,7 @@ from .types import (
     Substitution,
     TypeTerm,
     Var,
+    _intern,
     fn_type,
     fresh_uid,
     normalize,
@@ -110,6 +113,7 @@ class ModuleChecker:
         self.diags: list[Diagnostic] = []
 
         self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
+        self.cons: dict[str, Con | None] = dict(BUILTIN_CONS)  # type name -> constructor, or None
 
     # ------------------------------------------------------------ driver
 
@@ -140,6 +144,8 @@ class ModuleChecker:
                 self.index.add_model(model)
 
         self.module.world = ModelWorld(self.index, self.module.visible, home=self.module.name)
+        # the one resolver of the module's bodies without givens
+        self.resolver = Resolver(self.module.world, self.policy, self.depth)
 
         fun_decls = [self.attempt(self._build_fun_header, f) for f in fun_asts]
         for decl in fun_decls:
@@ -434,7 +440,7 @@ class ModuleChecker:
                 continue  # already reported
             # Inside the model's own bodies, `Self.Member` over the head as
             # written means the model's binding, even when the head is generic.
-            own = tuple(model.head)
+            own = model.head
             inst_params = [(n, bind_assocs(model.concept, own, model.assoc, inst.apply(t))) for n, t in sig.params]
             inst_ret = bind_assocs(model.concept, own, model.assoc, inst.apply(sig.ret))
             if len(body.params) != len(inst_params):
@@ -576,11 +582,10 @@ class ModuleChecker:
                 msg = f"type variable '{name}' cannot be applied to arguments"
                 self.abort("E-ARITY", msg, t.span)
             return tyvars[name]
-        con = BUILTIN_CONS.get(name)
-        if con is None:
+        con = self.cons.get(name, name)
+        if con is name:  # first met: every data type this module sees is filed by now
             data = self._unique("data", name, "data type", t.span)
-            if data is not None:
-                con = data.con
+            con = self.cons[name] = None if data is None else data.con
         if con is not None:
             args = [self.resolve_type(a, tyvars, implicit) for a in t.args] if t.args else ()
             if len(args) != con.arity:
@@ -599,7 +604,7 @@ class ModuleChecker:
                 if member not in concept.assoc_names:
                     msg = f"concept {concept.name} has no associated type '{member}'"
                     self.abort("E-NAME", msg, t.span)
-                return Assoc(concept.id, member, tuple(model.head), model.path)
+                return Assoc(concept.id, member, model.head, model.path)
         if implicit is not None:
             if t.args:
                 self.abort("E-NAME", f"unknown type constructor '{name}'", t.span)
@@ -697,20 +702,44 @@ class CalleeSig:
     # kind: fun | builtin | ctor | requirement
     # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
     # flexible: the uids of `tyvars`, which a call binds
-    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "flexible")
+    # plans: per parameter, how a call treats its argument: GROUND (no
+    #   flexible variable: checked against it as declared), the uid of a bare
+    #   flexible variable (synthesized to bind it, unless bound already) or
+    #   PATTERN (matched leniently)
+    # ret_ground: whether `ret` has no flexible variable
+    # goals: per context constraint, its concept and its subjects' uids when
+    #   each subject is a variable of `tyvars`; else None
+    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "flexible",
+                 "plans", "ret_ground", "goals")
     def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
                  ret: TypeTerm, context: list[ConstraintTerm], target: tuple):
         self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
         self.ret, self.context, self.target = ret, context, target
-        self.flexible = frozenset(v.uid for v in tyvars)
+        self.flexible = flexible = frozenset(v.uid for v in tyvars)
+        if not tyvars:  # a call checks each argument against its parameter
+            return
+        self.plans = [_plan(p, flexible) for p in params]
+        self.ret_ground = _plan(ret, flexible) is GROUND
+        own = all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
+                  for c in context)
+        self.goals = [(c.concept, [s.uid for s in c.subjects]) for c in context] if own else None
 
 
-def _unbound(t: TypeTerm, binding: Substitution, flexible: frozenset[int]) -> bool:
-    """Whether `t` has a flexible variable that `binding` does not bind yet.
+GROUND, PATTERN = "ground", "pattern"
+
+
+def _plan(t: TypeTerm, flexible: frozenset[int]):
+    if type(t) is Var and t.uid in flexible:
+        return t.uid
+    return PATTERN if any(v.uid in flexible for v in t.fvs) else GROUND
+
+
+def _unbound(t: TypeTerm, bound: dict, flexible: frozenset[int]) -> bool:
+    """Whether `t` has a flexible variable that `bound` does not bind yet.
     Bound values are not looked into: a recursive call may bind its own
     variable T to a type of the caller that mentions the rigid T."""
     for v in t.fvs:
-        if v.uid in flexible and v.uid not in binding.bindings:
+        if v.uid in flexible and v.uid not in bound:
             return True
     return False
 
@@ -736,7 +765,7 @@ class ExprChecker:
         self.owner = owner
         self.records: list[GoalRecord] = []
         self.goal_log = mc.module.goal_log
-        self.resolver = Resolver(mc.module.world, mc.policy, mc.depth, givens)
+        self.resolver = Resolver(mc.module.world, mc.policy, mc.depth, givens) if givens else mc.resolver
         self.eq_rules = self.resolver.eq_rules
 
     def synth(self, e: A.ExprAST, env: dict[str, TypeTerm]) -> TExpr:
@@ -744,7 +773,8 @@ class ExprChecker:
 
     def check(self, e: A.ExprAST, expected: TypeTerm, env: dict[str, TypeTerm]) -> TExpr:
         tex = RULES[type(e)](self, e, env, expected)
-        self.require_equal(tex.type, expected, e.span, "this expression")
+        if tex.type is not expected or self.eq_rules or expected.has_assoc:  # as in require_equal
+            self.require_equal(tex.type, expected, e.span, "this expression")
         return tex
 
     def _branch(self, e: A.ExprAST, env, expected: TypeTerm | None) -> tuple[TExpr, TypeTerm]:
@@ -831,7 +861,7 @@ class ExprChecker:
         subjects are still undetermined yield no information yet; a later
         validation pass checks them once every type parameter is known.
         """
-        if not _unbound(pat, binding, flexible):
+        if not _unbound(pat, binding.bindings, flexible):
             return self.norm(binding.apply(pat), span) == self.norm(tgt, span)
         if isinstance(pat, Var):
             binding.bind(pat.uid, tgt)  # keep the target's original form
@@ -851,16 +881,19 @@ class ExprChecker:
                     )
         return False
 
-    def _absorb(self, sig: CalleeSig, binding: Substitution, pattern: TypeTerm,
-                target: TypeTerm, where: Span, what: str, pattern_expected: bool):
-        """Match the callee's `pattern` onto `target`, extending `binding`.
-        On a mismatch the expected side is the parameter's type against an
+    def _absorb(self, sig: CalleeSig, bound: dict, pattern: TypeTerm, target: TypeTerm,
+                where: Span, arg: int | None):
+        """Match the callee's `pattern`, the type of parameter `arg` or the
+        result when that is None, onto `target`, extending `bound`. On a
+        mismatch the expected side is the parameter's type against an
         argument and the context's type against the result."""
+        binding = Substitution(bound)
         if not self._match_lenient(pattern, target, binding, sig.flexible, where):
             pat = binding.apply(pattern)
             sides = [(pat, self.norm(pat, where)), (target, self.norm(target, where))]
-            if not pattern_expected:
+            if arg is None:
                 sides.reverse()
+            what = f"result of {sig.display}" if arg is None else f"argument {arg + 1} of {sig.display}"
             self.mismatch(what, *sides, where)
 
     def _apply_sig(
@@ -871,6 +904,10 @@ class ExprChecker:
         env: dict[str, TypeTerm],
         expected: TypeTerm | None,
     ) -> TExpr:
+        """The result absorbs `expected`; the arguments whose parameters
+        wait for flexible variables are synthesized, in order, and bind
+        them; then the others are checked, in order, and the context's
+        goals discharged. `sig.plans` says which is which."""
         if len(args) != len(sig.params):
             self.mc.abort(
                 "E-ARITY",
@@ -879,24 +916,27 @@ class ExprChecker:
             )
         if not sig.tyvars:
             # nothing to infer: each argument is checked against its parameter
-            checked = [self.check(arg, p, env) for arg, p in zip(args, sig.params)] if args else []
-            resolutions = [self.discharge(c, span) for c in sig.context] if sig.context else []
+            checked = list(map(self.check, args, sig.params, repeat(env))) if args else []
+            resolutions = list(map(self.discharge, sig.context, repeat(span))) if sig.context else []
             return TCall(span, sig.ret, sig.kind, sig.target, [], resolutions, checked)
-        binding = Substitution()
+        bound, params, plans = {}, sig.params, sig.plans  # the binding, of `sig.tyvars` only
         checked: list[TExpr | None] = [None] * len(args)
-        if expected is not None and _unbound(sig.ret, binding, sig.flexible):
-            self._absorb(sig, binding, sig.ret, expected, span, f"result of {sig.display}", False)
-        for i, arg in enumerate(args):
-            # a bare name is looked up only when it would be synthesized next
-            if not _unbound(sig.params[i], binding, sig.flexible) or self._is_deferred(arg, env):
+        settled = 0  # the arguments synthesized to bind their variable, which need no check
+        if expected is not None and not sig.ret_ground:
+            self._absorb(sig, bound, sig.ret, expected, span, None)
+        for i, plan in enumerate(plans):
+            if plan is GROUND or (plan in bound if plan is not PATTERN else
+                                  not _unbound(params[i], bound, sig.flexible)):
                 continue
-            checked[i] = tex = self.synth(arg, env)
-            if type(sig.params[i]) is Var:  # flexible and unbound: it takes the argument's type
-                binding.bind(sig.params[i].uid, tex.type)
-            else:
-                what = f"argument {i + 1} of {sig.display}"
-                self._absorb(sig, binding, sig.params[i], tex.type, arg.span, what, True)
-        bound = binding.bindings  # only ever binds the uids of `sig.tyvars`
+            # a bare name is looked up only when it would be synthesized next
+            if self._is_deferred(args[i], env):
+                continue
+            checked[i] = tex = RULES[type(args[i])](self, args[i], env, None)  # synthesized
+            if plan is PATTERN:
+                self._absorb(sig, bound, params[i], tex.type, args[i].span, i)
+            else:  # flexible and unbound: it takes the argument's type
+                bound[plan] = tex.type
+                settled += not tex.type.has_assoc
         if len(bound) < len(sig.tyvars):
             names = ", ".join(v.name for v in sig.tyvars if v.uid not in bound)
             self.mc.abort(
@@ -905,32 +945,33 @@ class ExprChecker:
                 f"add an annotation",
                 span,
             )
-        for i, arg in enumerate(args):
-            if checked[i] is None:
-                checked[i] = self.check(arg, binding.apply(sig.params[i]), env)
-            else:
+        for i, plan in enumerate(plans) if settled < len(args) or self.eq_rules else ():
+            want = params[i] if plan is GROUND else bound[plan] if plan is not PATTERN else \
+                Substitution(bound).apply(params[i])
+            tex = checked[i]
+            if tex is None:
+                checked[i] = self.check(args[i], want, env)
+            elif tex.type is not want or self.eq_rules or want.has_assoc:  # as in require_equal
                 # validates projections that were undetermined during matching
-                self.require_equal(
-                    checked[i].type,
-                    binding.apply(sig.params[i]),
-                    arg.span,
-                    f"argument {i + 1} of {sig.display}",
-                )
-        resolutions = [self.discharge(binding.apply(c), span) for c in sig.context] if sig.context else []
-        result = binding.apply(sig.ret)
-        tyargs = [bound[v.uid] for v in sig.tyvars]
+                self.require_equal(tex.type, want, args[i].span, f"argument {i + 1} of {sig.display}")
+        if sig.goals is None:
+            resolutions = [self.discharge(c, span) for c in Substitution(bound).apply(sig.context)]
+        else:
+            resolutions = [self.discharge(_intern(Conf, concept, tuple(map(bound.__getitem__, uids))), span)
+                           for concept, uids in sig.goals] if sig.goals else []
+        result = sig.ret if sig.ret_ground else Substitution(bound).apply(sig.ret)
         if sig.kind == "requirement":
-            _, member = sig.target
-            return TReqCall(span, result, member, resolutions[0], checked)
+            return TReqCall(span, result, sig.target[1], resolutions[0], checked)
         # constructors and builtins have no context, so no resolutions
-        return TCall(span, result, sig.kind, sig.target, tyargs, resolutions, checked)
+        return TCall(span, result, sig.kind, sig.target, [bound[v.uid] for v in sig.tyvars],
+                     resolutions, checked)
 
     # ------------------------------------------------------------- rules
 
     def _var(self, e: A.EVar, env, expected: TypeTerm | None) -> TExpr:
         if e.name in env:
             return TVarRef(e.span, env[e.name], e.name)
-        sig = self.mc.callee(e.name, e.span)
+        sig = self.mc.callees.get(e.name) or self.mc.callee(e.name, e.span)
         if sig.kind == "ctor" and not sig.params and not sig.tyvars:
             return TCall(e.span, sig.ret, "ctor", sig.target, [], [], [])
         if sig.kind == "ctor":
@@ -985,8 +1026,9 @@ class ExprChecker:
         return TLit(e.span, ty, ty.name.lower(), e.value)
 
     def _app(self, e: A.EApp, env, expected: TypeTerm | None) -> TExpr:
-        if type(e.fn) is A.EVar and e.fn.name not in env:
-            sig = self.mc.callees.get(e.fn.name) or self.mc.callee(e.fn.name, e.fn.span)
+        fn = e.fn
+        if type(fn) is A.EVar and fn.name not in env:
+            sig = self.mc.callees.get(fn.name) or self.mc.callee(fn.name, fn.span)
             return self._apply_sig(sig, e.span, e.args, env, expected)
         x_fn = self.synth(e.fn, env)
         split = split_fn_type(self.norm(x_fn.type, e.span))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import cache, partial
+from operator import attrgetter
 
 _uid_counter = itertools.count(1)
 
@@ -51,17 +52,19 @@ def _intern(cls, *fields):
     return node
 
 
-def _union_fvs(parts) -> tuple:
-    """The free variables of `parts` (terms, constraints or sequences of
-    them), in order of first occurrence."""
+def _union_fvs(terms) -> tuple:
+    """The free variables of `terms`, in order of first occurrence."""
     out = ()
-    for part in parts:
-        more = _union_fvs(part) if isinstance(part, (list, tuple)) else part.fvs
+    for term in terms:
+        more = term.fvs
         if not out:
             out = more
         elif more and more is not out:
             out += tuple(v for v in more if v not in out)
     return out
+
+
+_has_assoc = attrgetter("has_assoc")
 
 
 class TypeTerm:
@@ -110,7 +113,7 @@ class App(TypeTerm):
 
     def _cache_facts(self):
         self.fvs = _union_fvs(self.args)
-        self.has_assoc = any(a.has_assoc for a in self.args)
+        self.has_assoc = any(map(_has_assoc, self.args))
 
     def map(self, f) -> TypeTerm:
         return App(f(self.head), tuple([f(a) for a in self.args]))
@@ -201,7 +204,7 @@ class Conf(ConstraintTerm):
 
     def _cache_facts(self):
         self.fvs = _union_fvs(self.subjects)
-        self.has_assoc = any(s.has_assoc for s in self.subjects)
+        self.has_assoc = any(map(_has_assoc, self.subjects))
 
 
 class Eq(ConstraintTerm):
@@ -288,13 +291,13 @@ class Substitution:
         application is rebuilt over its own head, a constructor, with as
         many arguments as before, and a conformance over its own concept, so
         each is interned directly, past the checks of `App` and `Conf`."""
-        kind, subst = type(t), self._subst
+        kind = type(t)
         if kind is Var:
             return self.bindings.get(t.uid, t)
         if kind is App:
-            return _intern(App, t.head, tuple([subst(a) if a.fvs else a for a in t.args]))
+            return _intern(App, t.head, tuple(map(self.apply, t.args)))
         if kind is Conf:
-            return _intern(Conf, t.concept, tuple([subst(s) if s.fvs else s for s in t.subjects]))
+            return _intern(Conf, t.concept, tuple(map(self.apply, t.subjects)))
         return t.map(self.apply)
 
     def bind(self, uid: int, term: TypeTerm):
@@ -396,20 +399,18 @@ def _match(p: TypeTerm, t: TypeTerm, binding: dict[int, TypeTerm]) -> bool:
     """`match_many` of one pair, extending `binding`."""
     if not p.fvs:
         return p is t  # a ground pattern matches only itself, terms being interned
-    if isinstance(p, Var):
+    if type(p) is Var:
         bound = binding.get(p.uid)
         if bound is None:
             binding[p.uid] = t
             return True
         return bound is t
-    if isinstance(t, Var):
-        return False  # rigid; only a pattern var could have absorbed it
-    if isinstance(p, App) and isinstance(t, App) and len(p.args) == len(t.args):
-        parts = zip((p.head, *p.args), (t.head, *t.args))
-    elif isinstance(p, Assoc) and isinstance(t, Assoc) and _same_projection(p, t):
+    if type(p) is App and type(t) is App and p.head is t.head:  # a constructor: as many arguments
+        parts = zip(p.args, t.args)
+    elif type(p) is Assoc and type(t) is Assoc and _same_projection(p, t):
         parts = zip(p.subjects, t.subjects)
     else:
-        return False
+        return False  # a variable of the target is rigid; only a pattern var could absorb it
     for x, y in parts:
         if not _match(x, y, binding):
             return False

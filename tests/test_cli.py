@@ -215,6 +215,91 @@ def test_color_env_toggle():
     assert "\x1b[31m" in proc_color.stdout
 
 
+def test_dumps_writes_what_the_indenting_encoder_writes():
+    """`cli.dumps`, which writes every `--json` payload and `--emit-core`,
+    gives the bytes of `json.dumps(value, indent=2)` on nested dicts with
+    string keys, lists, tuples and leaves, escapes included."""
+    import random
+
+    from slc.cli import dumps
+
+    rng = random.Random(7)
+    leaves = [None, True, False, 0, -3, 2**70, 1.5, "", "x", 'q"\\\n\u00e9\u2603']
+
+    def value(depth: int):
+        roll = rng.random()
+        if depth > 4 or roll < 0.3:
+            return rng.choice(leaves)
+        if roll < 0.55:
+            return [value(depth + 1) for _ in range(rng.randrange(4))]
+        if roll < 0.65:
+            return tuple(value(depth + 1) for _ in range(rng.randrange(4)))
+        return {rng.choice(["k", "\u00e9", 'a"b', ""]) + str(i): value(depth + 1) for i in range(rng.randrange(4))}
+
+    for _ in range(2_000):
+        v = value(0)
+        assert dumps(v) == json.dumps(v, indent=2), v
+
+
+def test_depth_zero_stops_at_a_ground_goal(tmp_path):
+    """A goal without givens skips normalization, but `--depth 0` still
+    stops it where it commits to its one context-free model."""
+    src = tmp_path / "d.sl"
+    src.write_text(
+        "module d\n"
+        "concept Show[Self] { fn show(x: Self) -> String }\n"
+        "data T { C }\n"
+        'model Show[T] { fn show(x: T) -> String { "t" } }\n'
+        "fn main() -> Unit { print(show(C)) }\n"
+    )
+    proc = sl("check", "--json", "--depth", "0", str(src))
+    assert proc.returncode == 1
+    [diag] = json.loads(proc.stdout)
+    assert (diag["code"], diag["span"]["start"], diag["span"]["end"], diag["message"]) == (
+        "E-DEPTH",
+        [5, 27],
+        [5, 33],
+        "resolution depth exhausted while solving Show[T] (raise --depth to search deeper)",
+    )
+    assert sl("check", "--depth", "1", str(src)).returncode == 0
+
+
+# `explain --json` of the goals at these locators of `SHARED`, sha256 of
+# stdout, taken before the module's bodies without givens shared one resolver.
+SHARED = """\
+module m
+concept Show[Self] { fn show(x: Self) -> String }
+data T { C }
+model Show[T] { fn show(x: T) -> String { "t" } }
+model Show[Option[a]] where Show[a] { fn show(o: Option[a]) -> String { "o" } }
+fn first() -> String { show(Some(C)) }
+fn second() -> String { concat(show(C), show(Some(C))) }
+"""
+SHARED_EXPLAIN = {
+    "6:24": "e0ef8661be7d0fd41f34d23cb0ff93034d1833b8a93997a820afe26fc8fa122b",
+    "7:32": "205a1cbfc7251b984c30ff1ef26d8bd77982b9ff6a0403d961f631b2c228e953",
+    "7:41": "63fad911ca1dcfd68d185a3293eba103d6fec8f11c6c96f0b8ad651b21a73955",
+}
+
+
+def test_bodies_sharing_a_resolver_explain_as_before(tmp_path):
+    """The two functions of `SHARED` have no givens, so they share the
+    module's one resolver and its world's candidates: each goal explains
+    with the bytes it had when each body had its own, and the same goal in
+    either body gets the same trace."""
+    import hashlib
+
+    (tmp_path / "m.sl").write_text(SHARED)
+    traces = {}
+    for locator, sha in SHARED_EXPLAIN.items():
+        proc = sl("explain", "--json", f"m.sl:{locator}", "m.sl", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha, locator
+        traces[locator] = json.loads(proc.stdout)["trace"]
+    assert traces["6:24"] == traces["7:41"]
+    assert traces["7:32"] == traces["7:41"]["children"][0]
+
+
 def test_depth_flag(tmp_path):
     src = tmp_path / "data_cycle.sl"
     src.write_text(

@@ -131,6 +131,42 @@ def run(policy="use-site", fuel=10_000_000, **files):
     return outcome
 
 
+KEEPING_LETS = """\
+module k
+concept Sh[Self] { fn sh(x: Self) -> String }
+model Sh[U64] { fn sh(x: U64) -> String { show64(x) } }
+fn twice[T](x: T) -> String where Sh[T] {
+  let s = sh(x);
+  let f = fn(y: String) => concat(s, y);
+  let t = sh(x);
+  let u = f(t);
+  concat(u, s)
+}
+fn main() -> Unit {
+  let a = 1:U64;
+  let f = fn(y: U64) => add64(a, y);
+  let b = add64(a, 10:U64);
+  let g = fn(y: U64) => add64(b, f(y));
+  let o = Some(b);
+  let c = match o { Some(v) => add64(v, a), None => 0:U64 };
+  let d = f(c);
+  let e = if eq64(d, 0:U64) { 0:U64 } else { let z = add64(d, d); mul64(z, 2:U64) };
+  let p1 = print(show64(g(d)));
+  let p2 = print(twice(e));
+  print(show64(c))
+}
+"""
+
+
+def test_let_chains_keep_the_frames_their_closures_took():
+    """A let chain appends each value to one list; a bound that keeps,
+    extends or slices its frame (a lambda, a match, a method call) runs on
+    a tuple copy of it, so each closure sees the lets before it and only
+    those, wherever it is called."""
+    _, transcript = run(k=KEEPING_LETS)
+    assert transcript == ["25", "525252", "12"]
+
+
 def test_byte_fold_prints_84():
     value, transcript = run(iter=ITER)
     assert transcript == ["84"]

@@ -372,6 +372,26 @@ def test_ten_thousand_lets_run(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{lets}\n", "")
 
 
+def test_emit_core_of_a_long_let_chain_is_written_in_linear_time(tmp_path):
+    """`sl run --emit-core` writes its indented JSON from a stack, in time
+    linear in the bytes it writes. Each line is indented to its depth, so
+    those grow with the square of a let chain's length: 2,000 lets print
+    68,792,455 bytes, in about 0.6 s when set against 7.9 s while the
+    indenting encoder passed every piece up through one generator per
+    enclosing level (10,000 lets would print about 1.7 GB)."""
+    import time
+
+    lets = 2_000
+    body = "".join(f"  let x{i} = add64(x{i - 1}, 1:U64);\n" for i in range(1, lets + 1))
+    path = tmp_path / "lets.sl"
+    path.write_text(f"module m\nfn main() -> Unit {{\n  let x0 = 0:U64;\n{body}  print(show64(x{lets}))\n}}\n")
+    start = time.perf_counter()
+    proc = _check_capped(path, ("run", "--emit-core"))
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, len(proc.stdout), proc.stderr) == (0, 68_792_455, ""), proc.stderr[-2000:]
+    assert elapsed < 4, elapsed
+
+
 def _nested_parens(levels: int) -> str:
     return (
         "module deep\n"

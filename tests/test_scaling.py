@@ -13,6 +13,7 @@ no Python frame per let."""
 import gc
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,11 +21,14 @@ from conftest import CORPUS, check_inline, slc_env
 from test_acceptance import POLICIES, PROGRAMS
 
 from slc import coherence
+from slc.coherence import CoherencePolicy
 from slc.corekit import core_check, elaborate
-from slc.decls import ModelDecl
-from slc.diagnostics import Source
-from slc.evaluator import Interp
+from slc.decls import ModelDecl, ModelWorld
+from slc.diagnostics import Source, Span
+from slc.evaluator import Interp, run_program
 from slc.parser import parse_module_bytes
+from slc.resolver import Goal, Resolver
+from slc.types import Conf
 
 LOCAL_TYPES = 10
 
@@ -191,6 +195,68 @@ def test_check_opcodes_per_module():
     assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 117_000
 
 
+SHOW_MODULE = """\
+module m
+concept Show[Self] { fn show(x: Self) -> String }
+data T { C }
+model Show[T] { fn show(x: T) -> String { "t" } }
+model Show[Option[a]] where Show[a] { fn show(o: Option[a]) -> String { "o" } }
+"""
+
+
+def calls_program(call: str, calls: int) -> str:
+    """`SHOW_MODULE` with a function that concatenates `calls` copies of
+    `call`, one `concat` each."""
+    body = '""'
+    for _ in range(calls):
+        body = f"concat({body}, {call})"
+    return SHOW_MODULE + f"fn use() -> String {{ {body} }}\n"
+
+
+@pytest.mark.parametrize("call, bound", [("show(C)", 750), ("show(Some(C))", 1_310)])
+def test_check_opcodes_per_call(call, bound):
+    """Checking one more `concat(..., call)`, parsing left out: a callee's
+    signature plan says which arguments to synthesize and which variable
+    each binds, so a call builds its goal from the binding with one
+    `_intern` and substitutes nothing else, and a goal with no givens in
+    scope and no projection goes straight to its candidates, found once per
+    goal. Opcodes per call when set: 742 for `show(C)` and 1,296 for
+    `show(Some(C))`, against 1,215 and 2,348 while every call applied a
+    substitution to each parameter, goal and result and every goal was
+    normalized and its candidates found again; the `concat` holding each is
+    about 240 of them."""
+
+    def sema_opcodes(calls: int) -> int:
+        source = calls_program(call, calls)
+        return opcodes(lambda: check_inline(m=source)) - opcodes(
+            lambda: parse_module_bytes(source.encode(), "m.sl")
+        )
+
+    assert (sema_opcodes(30) - sema_opcodes(10)) / 20 <= bound
+
+
+def test_ground_goal_resolve_opcodes():
+    """One ground goal with a context-free model, resolved without givens:
+    no normalization, no givens loop, a head compared by identity and one
+    candidate, then the same goal again from the world's table. 206 and
+    119 opcodes when set, against 275 each before."""
+    result = check_inline(m=calls_program("show(C)", 1))
+    module = result.modules["m"]
+    [model] = [m for m in module.models if not m.vars]
+
+    def resolve_opcodes(again: bool) -> int:
+        world = ModelWorld(module.world.index, module.world.visible, home="m")
+        world.models_like(model.concept, model.head[0])  # its bucket, filled once per world
+        resolver = Resolver(world, CoherencePolicy("use-site"))
+        goal = Goal(Conf(model.concept, tuple(model.head)), Span.at("<goal>"))
+        if again:
+            resolver.resolve(goal)
+        return opcodes(lambda: resolver.resolve(goal))
+
+    first, again = resolve_opcodes(False), resolve_opcodes(True)
+    assert first <= 210 and again <= 120, (first, again)
+
+
 def test_a_clean_check_resolves_no_position(monkeypatch):
     """Spans hold offsets into their file, and a check with nothing to
     report never turns one into a line and column."""
@@ -354,6 +420,36 @@ def test_let_chain_memory_per_let_stays_flat(phase):
     short = peak_bytes(let_chain_pass(phase, 500)) / 500
     long = peak_bytes(let_chain_pass(phase, 2_000)) / 2_000
     assert long <= 1.1 * short, (short, long)
+
+
+def test_let_chain_runs_in_linear_time():
+    """The evaluator binds a chain of lets by appending each value to one
+    list in place, so `run_program` (compiling `main` included) of a chain
+    four times as long takes about four times as long: 4.5 to 4.9 times
+    from 5,000 to 20,000 lets when set, against 14 times while each `let`
+    copied the frame tuple. Best of three runs of each, with the collector off as
+    `sl run` nearly has it (`cli.YOUNG_THRESHOLD`), so that its passes over
+    the compiled chain do not count."""
+
+    def run_seconds(lets: int) -> float:
+        result = check_inline(m=let_chain(lets))
+        core = elaborate(result.program, [result.program.entry])
+        best = float("inf")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                _, transcript = run_program(core)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            if enabled:
+                gc.enable()
+        assert transcript == [str(lets)]
+        return best
+
+    short, long = run_seconds(5_000), run_seconds(20_000)
+    assert long <= 6 * short, (short, long)
 
 
 # Checks and runs the program on stdin in a fresh interpreter whose
