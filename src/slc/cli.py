@@ -176,10 +176,8 @@ def make_policy(args) -> CoherencePolicy:
 
 
 def dumps(value) -> str:
-    """`json.dumps(value, indent=2)` of dicts with string keys, lists, tuples and
-    leaves, written from a stack in time linear in the nesting depth (the
-    indenting encoder passes every piece up through one generator per
-    enclosing level). Each leaf and key is `json.dumps` of it."""
+    """`json.dumps(value, indent=2)` of dicts with string keys, lists, tuples and leaves, written
+    from a stack: the indenting encoder passes each piece up a generator per enclosing level."""
     out, todo = [], [(value, "\n")]  # (value, its newline and indent), or (text, None)
     while todo:
         value, indent = todo.pop()
@@ -188,11 +186,8 @@ def dumps(value) -> str:
         elif value and type(value) in (dict, list, tuple):
             keyed, inner = type(value) is dict, indent + "  "
             todo.append((indent + ("}" if keyed else "]"), None))
-            entries = list(value.items() if keyed else enumerate(value))
-            for index in range(len(entries) - 1, -1, -1):
-                key, item = entries[index]
-                todo.append((item, inner))
-                todo.append(("," * bool(index) + inner + (json.dumps(key) + ": ") * keyed, None))
+            for index, (key, item) in reversed(list(enumerate(value.items() if keyed else enumerate(value)))):
+                todo += [(item, inner), ("," * bool(index) + inner + (json.dumps(key) + ": ") * keyed, None)]
             out.append("{" if keyed else "[")
         else:
             out.append(json.dumps(value))

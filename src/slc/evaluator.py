@@ -648,11 +648,8 @@ class Interp:
         return run, 0
 
     def _let(self, e: CLet, scope: dict, owed: int, tail: bool, close: bool):
-        """A chain of lets, each the body of the one before, as one node
-        that binds in a loop, appending each value to a list in place. A
-        bound reads that list by slot, unless its code keeps, extends or
-        slices its frame (a lambda, a match, a method call): then it runs on
-        a tuple copy, as the body does, so no frame a closure keeps changes."""
+        """A chain of lets, each the body of the one before, as one node that appends each value to
+        one list. A bound whose code keeps, extends or slices its frame runs on a tuple copy of it."""
         inner, lets = dict(scope), []  # bound in place, let by let
         while type(e) is CLet:
             keeps = self.keeps

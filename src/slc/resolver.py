@@ -155,8 +155,8 @@ class Candidate:
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
-    """Models whose head matches the goal's subjects, by head only, found
-    once per goal in `scope`; the goal is a Conf.
+    """Models whose head matches the goal's (a Conf) subjects, by head only,
+    found once per goal in `scope`.
 
     Order is deterministic: module topological order, then declaration order
     (that is the order models were registered into the world). Models whose
@@ -236,19 +236,13 @@ class Resolver:
         the resolution when there is one, and its diagnostics."""
         depth = self.depth if depth is None else depth
         wanted, steps = goal.constraint, []  # steps: the rewrites that prove an Eq goal
-        # With no givens, a goal without a projection is its own normal form.
-        if not self.plain or wanted.has_assoc:
+        if not self.plain or wanted.has_assoc:  # else the goal is its own normal form
             try:
                 wanted = self._norm_constraint(wanted, steps)
             except NormDiverge as exc:
-                return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [
-                    Diagnostic(
-                        "E-NORM-DIVERGE",
-                        f"normalization did not terminate while solving "
-                        f"{render_constraint(goal.constraint)}",
-                        goal.site,
-                    )
-                ]
+                msg = f"normalization did not terminate while solving {render_constraint(goal.constraint)}"
+                diag = Diagnostic("E-NORM-DIVERGE", msg, goal.site)
+                return None, TraceNode(goal.constraint, "norm-diverge", note=str(exc)), [diag]
             # Givens shadow models under every policy.
             for leaf in self.givens:
                 if leaf.goal == wanted:
@@ -270,10 +264,7 @@ class Resolver:
         if wanted is not goal.constraint:
             goal = Goal(wanted, goal.site)
         cands = candidates(goal, self.scope)
-        if len(cands) == 1:
-            chosen, diags, note = cands[0], [], ""
-        else:
-            chosen, diags, note = self._select(wanted, goal.site, cands)
+        chosen, diags, note = (cands[0], [], "") if len(cands) == 1 else self._select(wanted, goal.site, cands)
         if chosen is None:
             return None, TraceNode(wanted, "ambiguous" if cands else "no-model", cands), diags
 
@@ -303,8 +294,8 @@ class Resolver:
     def _select(
         self, wanted: Conf, site: Span, cands: list[Candidate]
     ) -> tuple[Candidate | None, list[Diagnostic], str]:
-        """The candidate the policy commits to among several or none (None
-        then), the diagnostics of that choice, and the trace's note on it."""
+        """The candidate the policy commits to among several or none (None when
+        there is none), the diagnostics of that choice, and the trace's note."""
         if not cands:
             return None, [Diagnostic("E-NO-MODEL", f"no model found for {_named(wanted)}", site)], ""
 

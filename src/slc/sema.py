@@ -62,7 +62,6 @@ from .types import (
     UNIT,
     App,
     Assoc,
-    Con,
     Conf,
     ConstraintTerm,
     Eq,
@@ -113,7 +112,6 @@ class ModuleChecker:
         self.diags: list[Diagnostic] = []
 
         self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
-        self.cons: dict[str, Con | None] = dict(BUILTIN_CONS)  # type name -> constructor, or None
 
     # ------------------------------------------------------------ driver
 
@@ -144,8 +142,7 @@ class ModuleChecker:
                 self.index.add_model(model)
 
         self.module.world = ModelWorld(self.index, self.module.visible, home=self.module.name)
-        # the one resolver of the module's bodies without givens
-        self.resolver = Resolver(self.module.world, self.policy, self.depth)
+        self.resolver = Resolver(self.module.world, self.policy, self.depth)  # of bodies with no givens
 
         fun_decls = [self.attempt(self._build_fun_header, f) for f in fun_asts]
         for decl in fun_decls:
@@ -582,10 +579,11 @@ class ModuleChecker:
                 msg = f"type variable '{name}' cannot be applied to arguments"
                 self.abort("E-ARITY", msg, t.span)
             return tyvars[name]
-        con = self.cons.get(name, name)
-        if con is name:  # first met: every data type this module sees is filed by now
+        con = BUILTIN_CONS.get(name)
+        if con is None:
             data = self._unique("data", name, "data type", t.span)
-            con = self.cons[name] = None if data is None else data.con
+            if data is not None:
+                con = data.con
         if con is not None:
             args = [self.resolve_type(a, tyvars, implicit) for a in t.args] if t.args else ()
             if len(args) != con.arity:
@@ -701,14 +699,9 @@ class ModuleChecker:
 class CalleeSig:
     # kind: fun | builtin | ctor | requirement
     # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
-    # flexible: the uids of `tyvars`, which a call binds
-    # plans: per parameter, how a call treats its argument: GROUND (no
-    #   flexible variable: checked against it as declared), the uid of a bare
-    #   flexible variable (synthesized to bind it, unless bound already) or
-    #   PATTERN (matched leniently)
-    # ret_ground: whether `ret` has no flexible variable
-    # goals: per context constraint, its concept and its subjects' uids when
-    #   each subject is a variable of `tyvars`; else None
+    # flexible: the uids of `tyvars`, which a call binds. With any, the call's plan: `plans`, each
+    # parameter's `_plan`; `ret_ground`, whether `ret` is GROUND; `goals`, each context constraint's
+    # concept and subjects' uids if all of these are `tyvars`, else None
     __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "flexible",
                  "plans", "ret_ground", "goals")
     def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
@@ -716,19 +709,21 @@ class CalleeSig:
         self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
         self.ret, self.context, self.target = ret, context, target
         self.flexible = flexible = frozenset(v.uid for v in tyvars)
-        if not tyvars:  # a call checks each argument against its parameter
-            return
-        self.plans = [_plan(p, flexible) for p in params]
-        self.ret_ground = _plan(ret, flexible) is GROUND
-        own = all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
-                  for c in context)
-        self.goals = [(c.concept, [s.uid for s in c.subjects]) for c in context] if own else None
+        if tyvars:
+            self.plans = [_plan(p, flexible) for p in params]
+            self.ret_ground = _plan(ret, flexible) is GROUND
+            own = all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
+                      for c in context)
+            self.goals = [(c.concept, [s.uid for s in c.subjects]) for c in context] if own else None
 
 
 GROUND, PATTERN = "ground", "pattern"
 
 
 def _plan(t: TypeTerm, flexible: frozenset[int]):
+    """How a call treats an argument of parameter type `t`: GROUND (no flexible variable) checks it
+    against `t`; a bare flexible variable's uid synthesizes it to bind that, unless bound already;
+    PATTERN synthesizes it and matches `t` onto its type leniently."""
     if type(t) is Var and t.uid in flexible:
         return t.uid
     return PATTERN if any(v.uid in flexible for v in t.fvs) else GROUND
@@ -883,37 +878,21 @@ class ExprChecker:
 
     def _absorb(self, sig: CalleeSig, bound: dict, pattern: TypeTerm, target: TypeTerm,
                 where: Span, arg: int | None):
-        """Match the callee's `pattern`, the type of parameter `arg` or the
-        result when that is None, onto `target`, extending `bound`. On a
-        mismatch the expected side is the parameter's type against an
-        argument and the context's type against the result."""
+        """Match `pattern`, parameter `arg`'s type or the result's (`arg` None), onto `target`,
+        extending `bound`. On a mismatch, a parameter is expected of an argument, a result of its use."""
         binding = Substitution(bound)
         if not self._match_lenient(pattern, target, binding, sig.flexible, where):
             pat = binding.apply(pattern)
             sides = [(pat, self.norm(pat, where)), (target, self.norm(target, where))]
-            if arg is None:
-                sides.reverse()
-            what = f"result of {sig.display}" if arg is None else f"argument {arg + 1} of {sig.display}"
-            self.mismatch(what, *sides, where)
+            what = f"argument {arg + 1} of {sig.display}" if arg is not None else f"result of {sig.display}"
+            self.mismatch(what, *(sides if arg is not None else sides[::-1]), where)
 
-    def _apply_sig(
-        self,
-        sig: CalleeSig,
-        span: Span,
-        args: tuple[A.ExprAST, ...],
-        env: dict[str, TypeTerm],
-        expected: TypeTerm | None,
-    ) -> TExpr:
-        """The result absorbs `expected`; the arguments whose parameters
-        wait for flexible variables are synthesized, in order, and bind
-        them; then the others are checked, in order, and the context's
-        goals discharged. `sig.plans` says which is which."""
+    def _apply_sig(self, sig: CalleeSig, span: Span, args: tuple[A.ExprAST, ...],
+                   env: dict[str, TypeTerm], expected: TypeTerm | None) -> TExpr:
+        """`expected` binds the result's variables; then, as `sig.plans` says, the arguments that bind
+        the others are synthesized, in order, the rest checked, in order, and the goals discharged."""
         if len(args) != len(sig.params):
-            self.mc.abort(
-                "E-ARITY",
-                f"{sig.display} takes {len(sig.params)} arguments, got {len(args)}",
-                span,
-            )
+            self.mc.abort("E-ARITY", f"{sig.display} takes {len(sig.params)} arguments, got {len(args)}", span)
         if not sig.tyvars:
             # nothing to infer: each argument is checked against its parameter
             checked = list(map(self.check, args, sig.params, repeat(env))) if args else []
@@ -921,7 +900,7 @@ class ExprChecker:
             return TCall(span, sig.ret, sig.kind, sig.target, [], resolutions, checked)
         bound, params, plans = {}, sig.params, sig.plans  # the binding, of `sig.tyvars` only
         checked: list[TExpr | None] = [None] * len(args)
-        settled = 0  # the arguments synthesized to bind their variable, which need no check
+        settled = 0  # arguments synthesized to bind a variable, which need no check
         if expected is not None and not sig.ret_ground:
             self._absorb(sig, bound, sig.ret, expected, span, None)
         for i, plan in enumerate(plans):
@@ -934,17 +913,13 @@ class ExprChecker:
             checked[i] = tex = RULES[type(args[i])](self, args[i], env, None)  # synthesized
             if plan is PATTERN:
                 self._absorb(sig, bound, params[i], tex.type, args[i].span, i)
-            else:  # flexible and unbound: it takes the argument's type
+            else:
                 bound[plan] = tex.type
                 settled += not tex.type.has_assoc
         if len(bound) < len(sig.tyvars):
             names = ", ".join(v.name for v in sig.tyvars if v.uid not in bound)
-            self.mc.abort(
-                "E-CANNOT-INFER",
-                f"cannot infer type parameter(s) {names} of {sig.display}; "
-                f"add an annotation",
-                span,
-            )
+            msg = f"cannot infer type parameter(s) {names} of {sig.display}; add an annotation"
+            self.mc.abort("E-CANNOT-INFER", msg, span)
         for i, plan in enumerate(plans) if settled < len(args) or self.eq_rules else ():
             want = params[i] if plan is GROUND else bound[plan] if plan is not PATTERN else \
                 Substitution(bound).apply(params[i])
@@ -958,7 +933,7 @@ class ExprChecker:
             resolutions = [self.discharge(c, span) for c in Substitution(bound).apply(sig.context)]
         else:
             resolutions = [self.discharge(_intern(Conf, concept, tuple(map(bound.__getitem__, uids))), span)
-                           for concept, uids in sig.goals] if sig.goals else []
+                           for concept, uids in sig.goals]
         result = sig.ret if sig.ret_ground else Substitution(bound).apply(sig.ret)
         if sig.kind == "requirement":
             return TReqCall(span, result, sig.target[1], resolutions[0], checked)

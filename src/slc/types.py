@@ -14,6 +14,7 @@ from functools import cache, partial
 from operator import attrgetter
 
 _uid_counter = itertools.count(1)
+_has_assoc = attrgetter("has_assoc")  # of a term
 
 
 def fresh_uid() -> int:
@@ -62,9 +63,6 @@ def _union_fvs(terms) -> tuple:
         elif more and more is not out:
             out += tuple(v for v in more if v not in out)
     return out
-
-
-_has_assoc = attrgetter("has_assoc")
 
 
 class TypeTerm:
