@@ -41,14 +41,13 @@ def _forget(key, ref):
 
 def _intern(cls, *fields):
     """The one node of `cls` over `fields`, which fill the first slots of
-    `cls` in order; it is built, and its facts cached, on first use."""
-    key = (cls, *fields)
+    `cls` in order; it is built, and its facts cached (`_init`), on first use."""
+    key = (cls,) + fields
     ref = _terms.get(key)
     node = ref() if ref is not None else None
     if node is None:
         node = object.__new__(cls)
-        list(map(setattr, itertools.repeat(node), cls.__slots__, fields))
-        node._cache_facts()
+        node._init(*fields)
         _terms[key] = weakref.ref(node, partial(_forget, key))
     return node
 
@@ -70,8 +69,8 @@ class TypeTerm:
     fvs: tuple = ()
     has_assoc = False
 
-    def _cache_facts(self):
-        pass
+    def _init(self, *fields):  # a leaf's slots, in order; a former stores its own and its facts
+        list(map(setattr, itertools.repeat(self), type(self).__slots__, fields))
 
     def map(self, f) -> TypeTerm:
         return self
@@ -109,9 +108,9 @@ class App(TypeTerm):
         assert not isinstance(head, Con) or head.arity == len(args), (head, args)
         return _intern(cls, head, args)
 
-    def _cache_facts(self):
-        self.fvs = _union_fvs(self.args)
-        self.has_assoc = any(map(_has_assoc, self.args))
+    def _init(self, head, args):
+        self.head, self.args, self.fvs = head, args, _union_fvs(args)
+        self.has_assoc = any(map(_has_assoc, args))
 
     def map(self, f) -> TypeTerm:
         return App(f(self.head), tuple([f(a) for a in self.args]))
@@ -126,8 +125,9 @@ class Assoc(TypeTerm):
     def __new__(cls, concept: str, member: str, subjects: tuple, model_path: str | None = None):
         return _intern(cls, concept, member, subjects, model_path)
 
-    def _cache_facts(self):
-        self.fvs = _union_fvs(self.subjects)
+    def _init(self, concept, member, subjects, model_path):
+        self.concept, self.member, self.subjects, self.model_path = concept, member, subjects, model_path
+        self.fvs = _union_fvs(subjects)
 
     def map(self, f) -> TypeTerm:
         return Assoc(self.concept, self.member, tuple([f(s) for s in self.subjects]), self.model_path)
@@ -200,9 +200,9 @@ class Conf(ConstraintTerm):
         assert subjects
         return _intern(cls, concept, subjects)
 
-    def _cache_facts(self):
-        self.fvs = _union_fvs(self.subjects)
-        self.has_assoc = any(map(_has_assoc, self.subjects))
+    def _init(self, concept, subjects):
+        self.concept, self.subjects, self.fvs = concept, subjects, _union_fvs(subjects)
+        self.has_assoc = any(map(_has_assoc, subjects))
 
 
 class Eq(ConstraintTerm):
@@ -211,9 +211,9 @@ class Eq(ConstraintTerm):
     def __new__(cls, lhs: TypeTerm, rhs: TypeTerm):
         return _intern(cls, lhs, rhs)
 
-    def _cache_facts(self):
-        self.fvs = _union_fvs((self.lhs, self.rhs))
-        self.has_assoc = self.lhs.has_assoc or self.rhs.has_assoc
+    def _init(self, lhs, rhs):
+        self.lhs, self.rhs, self.fvs = lhs, rhs, _union_fvs((lhs, rhs))
+        self.has_assoc = lhs.has_assoc or rhs.has_assoc
 
     def map(self, f) -> Eq:
         return Eq(f(self.lhs), f(self.rhs))

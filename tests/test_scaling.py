@@ -429,7 +429,7 @@ def test_let_chain_runs_in_linear_time():
     list in place, so `run_program` (compiling `main` included) of a chain
     four times as long takes about four times as long: 4.5 to 4.9 times
     from 5,000 to 20,000 lets when set, against 14 times while each `let`
-    copied the frame tuple. Best of three runs of each, with the collector off as
+    copied the frame tuple. Best of five runs of each, with the collector off as
     `sl run` nearly has it (`cli.YOUNG_THRESHOLD`), so that its passes over
     the compiled chain do not count."""
 
@@ -440,7 +440,7 @@ def test_let_chain_runs_in_linear_time():
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for _ in range(3):
+            for _ in range(5):
                 start = time.perf_counter()
                 _, transcript = run_program(core)
                 best = min(best, time.perf_counter() - start)
