@@ -276,22 +276,17 @@ class Substitution:
 
     def apply(self, t):
         """`t` under this substitution; `t` is a term, a constraint or a list
-        or tuple of them."""
+        or tuple of them. An application is rebuilt over its own head, a
+        constructor, with as many arguments as before, and a conformance
+        over its own concept, so each is interned directly, past the checks
+        of `App` and `Conf`."""
         kind = type(t)
         if kind is Var:
             return self.bindings.get(t.uid, t)
         if kind is list or kind is tuple:
             return kind(map(self.apply, t))
-        return self._subst(t) if t.fvs else t
-
-    def _subst(self, t):
-        """`apply` of a term or constraint that has free variables. An
-        application is rebuilt over its own head, a constructor, with as
-        many arguments as before, and a conformance over its own concept, so
-        each is interned directly, past the checks of `App` and `Conf`."""
-        kind = type(t)
-        if kind is Var:
-            return self.bindings.get(t.uid, t)
+        if not t.fvs:
+            return t
         if kind is App:
             return _intern(App, t.head, tuple(map(self.apply, t.args)))
         if kind is Conf:

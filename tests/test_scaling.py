@@ -191,10 +191,10 @@ def test_check_opcodes_per_module():
     set (166,172 before that; 120,889 with one declaration index per
     program; 120,485 with plain-tuple tokens and spans that check nothing;
     120,272 before tokens and spans held offsets in place of lines and
-    columns, 116,687 after; 105,114 with signature plans, the direct path
+    columns, 116,687 after; 104,353 with signature plans, the direct path
     for goals without givens and one resolver for a module's bodies without
     givens)."""
-    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 105_300
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 104_600
 
 
 SHOW_MODULE = """\
@@ -215,14 +215,14 @@ def calls_program(call: str, calls: int) -> str:
     return SHOW_MODULE + f"fn use() -> String {{ {body} }}\n"
 
 
-@pytest.mark.parametrize("call, bound", [("show(C)", 750), ("show(Some(C))", 1_290)])
+@pytest.mark.parametrize("call, bound", [("show(C)", 750), ("show(Some(C))", 1_275)])
 def test_check_opcodes_per_call(call, bound):
     """Checking one more `concat(..., call)`, parsing left out: a callee's
     signature plan says which arguments to synthesize and which variable
     each binds, so a call builds its goal from the binding with one
     `_intern` and substitutes nothing else, and a goal with no givens in
     scope and no projection goes straight to its candidates, found once per
-    goal. Opcodes per call when set: 740 for `show(C)` and 1,277 for
+    goal. Opcodes per call when set: 739 for `show(C)` and 1,259 for
     `show(Some(C))`, against 1,215 and 2,348 while every call applied a
     substitution to each parameter, goal and result and every goal was
     normalized and its candidates found again; the `concat` holding each is
