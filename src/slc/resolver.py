@@ -155,8 +155,8 @@ class Candidate:
 
 
 def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
-    """Models whose head matches the goal's (a Conf) subjects, by head only,
-    found once per goal in `scope`.
+    """Models whose head matches the subjects of the goal, a Conf, by head
+    only, found once per goal in `scope`.
 
     Order is deterministic: module topological order, then declaration order
     (that is the order models were registered into the world). Models whose

@@ -1001,9 +1001,8 @@ class ExprChecker:
         return TLit(e.span, ty, ty.name.lower(), e.value)
 
     def _app(self, e: A.EApp, env, expected: TypeTerm | None) -> TExpr:
-        fn = e.fn
-        if type(fn) is A.EVar and fn.name not in env:
-            sig = self.mc.callees.get(fn.name) or self.mc.callee(fn.name, fn.span)
+        if type(e.fn) is A.EVar and e.fn.name not in env:
+            sig = self.mc.callees.get(e.fn.name) or self.mc.callee(e.fn.name, e.fn.span)
             return self._apply_sig(sig, e.span, e.args, env, expected)
         x_fn = self.synth(e.fn, env)
         split = split_fn_type(self.norm(x_fn.type, e.span))

@@ -41,7 +41,7 @@ def _forget(key, ref):
 
 def _intern(cls, *fields):
     """The one node of `cls` over `fields`, which fill the first slots of
-    `cls` in order; it is built, and its facts cached (`_init`), on first use."""
+    `cls` in order; it is built, and its facts cached, by `_init` on first use."""
     key = (cls,) + fields
     ref = _terms.get(key)
     node = ref() if ref is not None else None
