@@ -482,7 +482,8 @@ class Interp:
         given its else and then `branches`."""
         i, field, owed = scope[e.fn.record.name], e.fn.field, owed + 3 + len(e.args)
         values = _getter([scope[x.name] for x in e.args])
-        self.keeps += 1
+        # `fn.env + args` needs a tuple where the getter slices, and a binding arm extends `env`
+        self.keeps += len(e.args) < 2 or arms is not None and any(b for b, _ in arms.values())
 
         def run(env):
             fn, args = env[i][field], values(env)
@@ -636,7 +637,7 @@ class Interp:
         if _method_call(e.scrutinee, scope):
             return self._method(e.scrutinee, scope, owed + 1, False, arms)
         scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
-        self.keeps += 1
+        self.keeps += any(binds for binds, _ in arms.values())
 
         def run(env):
             scrut = scrutinee(env)
@@ -648,8 +649,10 @@ class Interp:
         return run, 0
 
     def _let(self, e: CLet, scope: dict, owed: int, tail: bool, close: bool):
-        """A chain of lets, each the body of the one before, as one node that appends each value to
-        one list. A bound whose code keeps, extends or slices its frame runs on a tuple copy of it."""
+        """A chain of lets, each the body of the one before, as one node. A chain of three or more
+        appends each value to one list, and a bound or body whose code keeps, extends or slices its
+        frame runs on a tuple copy of it; a shorter one copies its frame tuple per let, which costs
+        less than a list there."""
         inner, lets = dict(scope), []  # bound in place, let by let
         while type(e) is CLet:
             keeps = self.keeps
@@ -660,7 +663,20 @@ class Interp:
                 inner[e.name] = inner[None]
                 inner[None] += 1
             e = e.body
+        keeps = self.keeps
         body, owed = self._compile(e, inner, owed, tail, close)
+        last = self.keeps > keeps
+        if len(lets) < 3:
+            self.keeps += 1  # extends its frame
+
+            def run(env):
+                for bound, bind, _ in lets:
+                    value = bound(env)
+                    if bind:
+                        env += (value,)
+                return body(env)
+
+            return run, owed
 
         def run(env):
             frame = [*env]
@@ -668,7 +684,7 @@ class Interp:
                 value = bound(tuple(frame) if keeps else frame)
                 if bind:
                     frame.append(value)
-            return body(tuple(frame))
+            return body(tuple(frame) if last else frame)
 
         return run, owed
 

@@ -926,8 +926,7 @@ class ExprChecker:
             tex = checked[i]
             if tex is None:
                 checked[i] = self.check(args[i], want, env)
-            elif tex.type is not want or self.eq_rules or want.has_assoc:  # as in require_equal
-                # validates projections that were undetermined during matching
+            else:  # validates projections that were undetermined during matching
                 self.require_equal(tex.type, want, args[i].span, f"argument {i + 1} of {sig.display}")
         if sig.goals is None:
             resolutions = [self.discharge(c, span) for c in Substitution(bound).apply(sig.context)]

@@ -133,14 +133,27 @@ def run(policy="use-site", fuel=10_000_000, **files):
 
 KEEPING_LETS = """\
 module k
-concept Sh[Self] { fn sh(x: Self) -> String }
-model Sh[U64] { fn sh(x: U64) -> String { show64(x) } }
+concept Sh[Self] {
+  fn sh(x: Self) -> String
+  fn pick(x: Self, y: Self) -> Option[String]
+}
+model Sh[U64] {
+  fn sh(x: U64) -> String { show64(x) }
+  fn pick(x: U64, y: U64) -> Option[String] { Some(show64(add64(x, y))) }
+}
 fn twice[T](x: T) -> String where Sh[T] {
   let s = sh(x);
   let f = fn(y: String) => concat(s, y);
+  let m = match pick(x, x) { Some(v) => f(v), None => s };
   let t = sh(x);
   let u = f(t);
-  concat(u, s)
+  concat(concat(u, s), m)
+}
+fn adder(a: U64) -> (U64) -> U64 {
+  let b = add64(a, 1:U64);
+  let c = add64(b, 1:U64);
+  let d = add64(c, 1:U64);
+  fn(y: U64) => add64(d, y)
 }
 fn main() -> Unit {
   let a = 1:U64;
@@ -153,18 +166,21 @@ fn main() -> Unit {
   let e = if eq64(d, 0:U64) { 0:U64 } else { let z = add64(d, d); mul64(z, 2:U64) };
   let p1 = print(show64(g(d)));
   let p2 = print(twice(e));
-  print(show64(c))
+  let h = adder(c);
+  print(show64(h(c)))
 }
 """
 
 
 def test_let_chains_keep_the_frames_their_closures_took():
-    """A let chain appends each value to one list; a bound that keeps,
-    extends or slices its frame (a lambda, a match, a method call) runs on
-    a tuple copy of it, so each closure sees the lets before it and only
-    those, wherever it is called."""
+    """A chain of three or more lets appends each value to one list; a bound
+    that keeps, extends or slices its frame (a lambda, a match that binds, a
+    method call on one argument, a method call fused with a match whose arm
+    binds, a shorter chain, which extends its frame tuple), and a body that
+    does, runs on a tuple copy of it, so each closure sees the lets before it
+    and only those, wherever it is called."""
     _, transcript = run(k=KEEPING_LETS)
-    assert transcript == ["25", "525252", "12"]
+    assert transcript == ["25", "52525252104", "27"]
 
 
 def test_byte_fold_prints_84():
