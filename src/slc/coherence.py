@@ -176,11 +176,11 @@ def conflicts(
     pairs declared in one module are not checked. Yields
     (m, other, code, reason).
     """
-    position = {id(m): i for i, m in enumerate(models)}
-    for i, m in enumerate(models):
+    seen = set()  # ids of the models of `models` met so far, m included
+    for m in models:
+        seen.add(id(m))
         for other in world.models_like(m.concept, m.head[0]):
-            j = position.get(id(other))
-            if j is not None and j <= i:
+            if id(other) in seen:
                 continue  # m itself, or a pair already checked from the other side
             if not same_module and other.module == m.module:
                 continue
@@ -201,18 +201,13 @@ def check_def_site(module: CheckedModule, policy: CoherencePolicy) -> list[Diagn
         return []
     diags: list[Diagnostic] = []
 
-    # Per-model shape rules first.
-    for m in module.models:
-        if policy.kind == "def-site-strict" and is_blanket_self(m):
-            diags.append(
-                Diagnostic(
-                    "E-BLANKET-SELF",
-                    f"model {m.display} introduces an arbitrary Self type variable",
-                    m.span,
-                    module=module.name,
-                )
-            )
-        if policy.kind == "def-site-disjoint":
+    # Per-model shape rules first, each policy's own.
+    if policy.kind == "def-site-strict":
+        for m in filter(is_blanket_self, module.models):
+            msg = f"model {m.display} introduces an arbitrary Self type variable"
+            diags.append(Diagnostic("E-BLANKET-SELF", msg, m.span, module=module.name))
+    elif policy.kind == "def-site-disjoint":
+        for m in module.models:
             diags.extend(check_orphan(m))
 
     # Pairwise rules over the visible world, touching this module. The model

@@ -311,9 +311,9 @@ class Elaborator:
                 assert res is not None, f"unresolved superclass on {model.display}"
                 fields[f"super${j}"] = self.dict_expr(res)
         for req_name in concept.req_order:
-            body = model.bodies.get(req_name)
-            assert body is not None, f"missing body {req_name} on {model.display}"
-            fields[req_name] = self.expr(body)
+            assert req_name in model.bodies, f"missing body {req_name} on {model.display}"
+            params, body = model.bodies[req_name]
+            fields[req_name] = CLam([(n, self.ty(t)) for n, t in params], self.expr(body))
 
         record = CDict(
             concept=model.concept,
@@ -780,8 +780,13 @@ def core_to_json(program: CoreProgram) -> dict:
                     {"ctor": c, "binders": b, "body": go(x)} for c, b, x in e.arms
                 ],
             }
-        if isinstance(e, CLet):
-            return {"let": e.name, "bound": go(e.bound), "body": go(e.body)}
+        if isinstance(e, CLet):  # a chain of lets in a loop, each the body of the one before
+            top = node = {"let": e.name, "bound": go(e.bound)}
+            while isinstance(e.body, CLet):
+                e = e.body
+                node["body"] = node = {"let": e.name, "bound": go(e.bound)}
+            node["body"] = go(e.body)
+            return top
         if isinstance(e, CTuple):
             return {"tuple": [go(e.first), go(e.second)]}
         if isinstance(e, CIf):

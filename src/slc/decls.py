@@ -5,50 +5,122 @@ from __future__ import annotations
 
 from .diagnostics import Span
 from .types import (
+    App,
     Assoc,
     Con,
+    Conf,
     ConstraintTerm,
     Substitution,
     TypeTerm,
     Var,
+    _intern,
     match_many,
     outermost_con,
 )
 
 
+class CalleeSig:
+    """What a call of a global name needs of its declaration, built once per program when the
+    function, requirement or constructor is filed in the `Index`, or a builtin is first called."""
+
+    # kind: fun | builtin | ctor | requirement
+    # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
+    # with any `tyvars`: `flexible`, their uids, which a call binds, and the call's plan: `plans`,
+    # each parameter's `_plan`; `ret_ground`, whether `ret` is GROUND; `goals`, `context`'s `_goals`
+    # deferred: whether a bare use of the name, as an argument, waits for its parameter's type:
+    # a constructor with no fields and type variables (`None`)
+    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "deferred",
+                 "flexible", "plans", "ret_ground", "goals")
+    def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
+                 ret: TypeTerm, context: list[ConstraintTerm], target: tuple):
+        self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
+        self.ret, self.context, self.target = ret, context, target
+        self.deferred = kind == "ctor" and not params and bool(tyvars)
+        if tyvars:
+            self.flexible = flexible = frozenset(v.uid for v in tyvars)
+            self.plans = [_plan(p, flexible) for p in params]
+            self.ret_ground = _plan(ret, flexible) is GROUND
+            self.goals = _goals(context, flexible)
+
+
+GROUND, PATTERN = "ground", "pattern"
+
+
+def _plan(t: TypeTerm, flexible: frozenset[int]):
+    """How a call treats an argument of parameter type `t`: GROUND (no flexible variable) checks it
+    against `t`; a bare flexible variable's uid synthesizes it to bind that, unless bound already;
+    PATTERN synthesizes it and matches `t` onto its type leniently."""
+    if type(t) is Var and t.uid in flexible:
+        return t.uid
+    return PATTERN if any(v.uid in flexible for v in t.fvs) else GROUND
+
+
+def _goals(context: list[ConstraintTerm], flexible: frozenset[int]) -> list | None:
+    """Each constraint of `context` as its concept and its subjects' uids, if each is a conformance
+    over variables of `flexible` only, so that `instantiate_context` interns it from a binding of
+    them; else None."""
+    if all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
+           for c in context):
+        return [(c.concept, [s.uid for s in c.subjects]) for c in context]
+    return None
+
+
+def instantiate_context(context: list[ConstraintTerm], goals: list | None, bound: dict) -> list:
+    """`context` under `bound`, which binds every flexible variable of `goals`, its plan."""
+    if goals is None:
+        return Substitution(bound).apply(context)
+    return [_intern(Conf, concept, tuple(map(bound.__getitem__, uids))) for concept, uids in goals]
+
+
 class ReqSig:
-    __slots__ = ("name", "params", "ret", "span")
-    def __init__(self, name: str, params: list[tuple[str, TypeTerm]], ret: TypeTerm, span: Span):
+    # types: the parameters' types, then the result's, over the concept's params; plan: how a model
+    # body instantiates each, see `ConceptDecl.instantiate_req`
+    __slots__ = ("name", "params", "ret", "span", "types", "plan")
+    def __init__(self, name: str, params: list[tuple[str, TypeTerm]], ret: TypeTerm, span: Span,
+                 concept_params: list[Var]):
         self.name, self.params, self.ret, self.span = name, params, ret, span
+        self.types = [t for _, t in params] + [ret]
+        self.plan = [concept_params.index(t) if type(t) is Var else t if not t.fvs and not t.has_assoc
+                     else None for t in self.types]
 
 
 class ConceptDecl:
     # params: Self first; supers: over params
     __slots__ = (
         "module", "name", "params", "supers", "assoc_names", "requirements", "req_order", "span",
+        "id",
     )
     def __init__(self, module: str, name: str, params: list[Var], supers: list[ConstraintTerm],
                  assoc_names: list[str], requirements: dict[str, ReqSig], req_order: list[str],
                  span: Span):
         self.module, self.name, self.params, self.supers = module, name, params, supers
         self.assoc_names, self.requirements, self.req_order = assoc_names, requirements, req_order
-        self.span = span
-
-    @property
-    def id(self) -> str:
-        return f"{self.module}.{self.name}"
+        self.span, self.id = span, f"{module}.{name}"
 
     def instantiate(self, subjects) -> Substitution:
         assert len(subjects) == len(self.params)
         return Substitution({v.uid: s for v, s in zip(self.params, subjects)})
 
+    def instantiate_req(self, req: ReqSig, model: ModelDecl) -> list[TypeTerm]:
+        """`req.types` in the bodies of `model`, a model of this concept, as `req.plan` says: a
+        parameter of the concept is the head's subject at that position, a type with no parameter
+        and no projection is itself, and any other is instantiated with the head and has the
+        projections `Self.Member` over the head as written bound to the model's own bindings, even
+        when the head is generic (`bind_assocs`)."""
+        head = model.head
+        return [head[how] if type(how) is int else how if how is not None else
+                bind_assocs(model.concept, head, model.assoc, self.instantiate(head).apply(t))
+                for t, how in zip(req.types, req.plan)]
+
 
 class ModelDecl:
     # index: position among the module's models, in declaration order; concept: concept id
-    # vars: head variables, first-occurrence order
+    # vars: head variables, first-occurrence order; with any, the head plan: `uids`, theirs, and
+    # `goals`, `context`'s `_goals` over them; bodies: requirement name -> (declared parameters,
+    # checked body), as a function keeps them
     __slots__ = (
         "module", "index", "name", "concept", "head", "vars", "context", "assoc", "span", "bodies",
-        "superclass_resolutions", "body_goal_records",
+        "superclass_resolutions", "body_goal_records", "uids", "goals",
     )
     def __init__(self, module: str, index: int, name: str | None, concept: str,
                  head: tuple[TypeTerm, ...], vars: list[Var], context: list[ConstraintTerm],
@@ -56,6 +128,9 @@ class ModelDecl:
         self.module, self.index, self.name, self.concept = module, index, name, concept
         self.head, self.vars, self.context, self.assoc, self.span = tuple(head), vars, context, assoc, span
         self.bodies, self.superclass_resolutions, self.body_goal_records = {}, [], {}
+        if vars:
+            self.uids = [v.uid for v in vars]
+            self.goals = _goals(context, frozenset(self.uids))
 
     @property
     def uid(self) -> str:
@@ -78,6 +153,11 @@ class ModelDecl:
         a ↦ Option[a] stays that.
         """
         return match_many(zip(self.head, targets))
+
+    def instantiate(self, bound: dict) -> tuple[list[TypeTerm], list[ConstraintTerm]]:
+        """The type arguments and the context of a generic model under `bound`, the binding of a
+        match of its head, which binds every head variable: both read off it as the head plan says."""
+        return list(map(bound.__getitem__, self.uids)), instantiate_context(self.context, self.goals, bound)
 
 
 class GoalRecord:
@@ -113,15 +193,11 @@ class CtorDecl:
 
 class DataDecl:
     # con: the type constructor
-    __slots__ = ("module", "name", "params", "ctors", "span", "con")
+    __slots__ = ("module", "name", "params", "ctors", "span", "con", "id")
     def __init__(self, module: str, name: str, params: list[Var], ctors: list[CtorDecl],
                  span: Span):
         self.module, self.name, self.params, self.ctors = module, name, params, ctors
-        self.span, self.con = span, Con(name, len(params), module)
-
-    @property
-    def id(self) -> str:
-        return f"{self.module}.{self.name}"
+        self.span, self.con, self.id = span, Con(name, len(params), module), f"{module}.{name}"
 
     def ctor(self, name: str) -> CtorDecl | None:
         for c in self.ctors:
@@ -151,13 +227,15 @@ class Index:
     Concepts and data types are kept by id. Every declaration is also kept
     by (kind, name), the kind being "concept", "data", "fun", "ctor",
     "req", "assoc" or "model", grouped by the module that filed it, so that
-    a module looks up only what its `visible` modules filed. Models are kept in
+    a module looks up only what its `visible` modules filed. A function,
+    constructor or requirement is kept as its `CalleeSig`, built as it is
+    filed, so that every module calls it through the same one. Models are kept in
     filing order and in buckets: by concept, and by (concept, rough key),
     the key being the outermost constructor of the model's Self head
     (`outermost_con`), or None for a Self that is a variable or a projection.
     """
 
-    __slots__ = ("concepts", "datas", "by_name", "models", "buckets", "position")
+    __slots__ = ("concepts", "datas", "by_name", "models", "buckets", "position", "builtins")
 
     def __init__(self):
         self.concepts: dict[str, ConceptDecl] = {}
@@ -166,6 +244,7 @@ class Index:
         self.models: list[ModelDecl] = []
         self.buckets: dict[str | tuple[str, Con | None], list[ModelDecl]] = {}
         self.position: dict[int, int] = {}  # id of a model -> its place in `models`
+        self.builtins: dict[str, CalleeSig] = {}  # each builtin's, once it is first called
 
     def push(self, kind: str, name: str, module: str, entry) -> None:
         self.by_name.setdefault((kind, name), {}).setdefault(module, []).append(entry)
@@ -176,11 +255,26 @@ class Index:
         for member in concept.assoc_names:
             self.push("assoc", member, concept.module, concept)
 
+    def add_req(self, concept: ConceptDecl, req: ReqSig):
+        sig = CalleeSig("requirement", f"{concept.name}.{req.name}", concept.params, req.types[:-1],
+                        req.ret, [Conf(concept.id, tuple(concept.params))], (concept.id, req.name))
+        self.push("req", req.name, concept.module, sig)
+
     def add_data(self, data: DataDecl):
         self.datas[data.id] = data
         self.push("data", data.name, data.module, data)
         for ctor in data.ctors:
-            self.push("ctor", ctor.name, data.module, (data, ctor))
+            self.add_ctor(data, ctor)
+
+    def add_ctor(self, data: DataDecl, ctor: CtorDecl):
+        ret = App(data.con, tuple(data.params)) if data.params else data.con
+        self.push("ctor", ctor.name, data.module,
+                  CalleeSig("ctor", ctor.name, data.params, ctor.fields, ret, [], (data.id, ctor.name)))
+
+    def add_fun(self, fun: FunDecl):
+        sig = CalleeSig("fun", fun.name, fun.typarams, [t for _, t in fun.params], fun.ret, fun.context,
+                        (fun.module, fun.name))
+        self.push("fun", fun.name, fun.module, sig)
 
     def add_model(self, model: ModelDecl):
         self.position[id(model)] = len(self.models)
@@ -248,14 +342,15 @@ class ModelWorld:
         key = outermost_con(self_type)
         if key is None:
             return self._bucket(concept)
-        like = self._buckets.get((concept, key))
+        key = concept, key
+        like = self._buckets.get(key)
         if like is None:
-            like = self._visible(self.index.buckets.get((concept, key), []))
+            like = self._visible(self.index.buckets.get(key, []))
             wildcards = self._bucket((concept, None))
             if wildcards:
                 position = self.index.position
                 like = sorted(like + wildcards, key=lambda m: position[id(m)])
-            self._buckets[(concept, key)] = like
+            self._buckets[key] = like
         return like
 
     def scope_level(self, m: ModelDecl) -> int:

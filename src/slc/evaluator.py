@@ -528,7 +528,7 @@ class Interp:
                     self.fuel -= spend
                 return value
 
-        elif n == 2:
+        else:  # two: no builtin takes more (`std.BUILTIN_SIGS`), and `core_check` fixes the arity
             (a, b), lit = codes, type(operands[1]) is CLit
             if lit:  # read in place
                 b = LITERALS[operands[1].kind](operands[1].value)
@@ -537,14 +537,6 @@ class Interp:
                 value = op(a(env), b if lit else b(env))
                 if mask:
                     value &= mask
-                if spend:
-                    self.fuel -= spend
-                return value
-
-        else:
-
-            def run(env):
-                value = op(*_values(codes, env))
                 if spend:
                     self.fuel -= spend
                 return value

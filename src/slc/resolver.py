@@ -162,19 +162,20 @@ def candidates(goal: Goal, scope: ModelWorld) -> list[Candidate]:
     (that is the order models were registered into the world). Models whose
     Self constructor differs from the goal's are skipped unexamined.
     """
-    found = scope.candidates.get(goal.constraint)
+    constraint = goal.constraint
+    found = scope.candidates.get(constraint)
     if found is not None:
         return found
-    subjects, found = goal.constraint.subjects, []
-    for model in scope.models_like(goal.constraint.concept, subjects[0]):
+    subjects, found = constraint.subjects, []
+    for model in scope.models_like(constraint.concept, subjects[0]):
         if not model.vars:  # matches only its own head, and has nothing to instantiate
             if model.head == subjects:
                 found.append(Candidate(model, [], model.context))
             continue
         match = model.match(subjects)
         if match is not None:
-            found.append(Candidate(model, match.apply(model.vars), match.apply(model.context)))
-    scope.candidates[goal.constraint] = found
+            found.append(Candidate(model, *model.instantiate(match.bindings)))
+    scope.candidates[constraint] = found
     return found
 
 

@@ -6,8 +6,11 @@ matching of parameter types against argument types, with annotations and the
 expected result type filling the rest. Each expression class has one rule
 (`RULES`) that takes the type its context expects, or None to synthesize one;
 checking is that rule followed by one comparison with the expected type.
-A global name is looked up once per module (`ModuleChecker.callee`), the same
-way whether it is called or not.
+What a declaration says of itself is built once per program, as sema files it
+in the index: a callee's signature with its plan (`decls.CalleeSig`), a
+requirement's plan for model bodies and a generic model's head plan. A module
+looks each global name up once (`ModuleChecker.callee`), the same way whether
+it is called or not, and checks each body against those stored facts.
 
 Every constraint discharged inside a body is recorded with its resolution
 trace; the records feed the `explain` command, the stability analysis, and
@@ -22,6 +25,9 @@ from operator import attrgetter
 from . import ast as A
 from .coherence import CoherencePolicy
 from .decls import (
+    GROUND,
+    PATTERN,
+    CalleeSig,
     CheckedModule,
     ConceptDecl,
     CtorDecl,
@@ -46,7 +52,7 @@ from .decls import (
     TReqCall,
     TTuple,
     TVarRef,
-    bind_assocs,
+    instantiate_context,
 )
 from .diagnostics import Abort, Diagnostic, Related, Span
 from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver
@@ -70,7 +76,6 @@ from .types import (
     Substitution,
     TypeTerm,
     Var,
-    _intern,
     fn_type,
     fresh_uid,
     normalize,
@@ -111,7 +116,10 @@ class ModuleChecker:
         self.module.visible = frozenset((STD, ast.name)).union(*(m.visible for m in imports))
         self.diags: list[Diagnostic] = []
 
+        # Each global name is looked up once per module, the first time it is used.
         self.callees: dict[str, CalleeSig] = {}  # filled by `callee`
+        self.concepts: dict[str, ConceptDecl] = {}  # filled by `lookup_concept`
+        self.cons = dict(BUILTIN_CONS)  # type constructors; a data type's filled on first use
 
     # ------------------------------------------------------------ driver
 
@@ -148,14 +156,15 @@ class ModuleChecker:
         for decl in fun_decls:
             if decl is not None:
                 self.module.funs[decl.name] = decl
-                self.index.push("fun", decl.name, decl.module, decl)
+                self.index.add_fun(decl)
 
+        plain = ExprChecker(self, {}, frozenset(), [], "")  # see `_checker`
         for model in self.module.models:
-            self._check_model_obligations_and_bodies(model, model_asts[model.index])
+            self._check_model_obligations_and_bodies(model, model_asts[model.index], plain)
 
         for decl, fast in zip(fun_decls, fun_asts):
             if decl is not None:
-                self.attempt(self._check_fun_body, decl, fast)
+                self.attempt(self._check_fun_body, decl, fast, plain)
 
         return self.module, self.diags
 
@@ -212,16 +221,7 @@ class ModuleChecker:
 
     def _predeclare_concept(self, cast: A.ConceptAST) -> ConceptDecl:
         params = [Var(p, fresh_uid()) for p in cast.params]
-        decl = ConceptDecl(
-            module=self.module.name,
-            name=cast.name,
-            params=params,
-            supers=[],
-            assoc_names=list(cast.assoc_names),
-            requirements={},
-            req_order=[],
-            span=cast.span,
-        )
+        decl = ConceptDecl(self.module.name, cast.name, params, [], list(cast.assoc_names), {}, [], cast.span)
         self.index.add_concept(decl)
         return decl
 
@@ -233,11 +233,13 @@ class ModuleChecker:
                 self.report("E-NAME", f"duplicate constructor '{ctor.name}'", ctor.span)
                 continue
             seen.add(ctor.name)
-            fields = self.attempt(lambda: [self.resolve_type(f, tyvars) for f in ctor.fields])
-            if fields is None:
+            try:
+                fields = [self.resolve_type(f, tyvars) for f in ctor.fields]
+            except Abort as exc:
+                self.diags.append(exc.diagnostic)
                 continue
             decl.ctors.append(CtorDecl(ctor.name, fields, ctor.span))
-            self.index.push("ctor", ctor.name, decl.module, (decl, decl.ctors[-1]))
+            self.index.add_ctor(decl, decl.ctors[-1])
 
     def _fill_concept(self, decl: ConceptDecl, cast: A.ConceptAST):
         tyvars = {v.name: v for v in decl.params}
@@ -262,28 +264,24 @@ class ModuleChecker:
         seen_assoc = set()
         for member in cast.assoc_names:
             if member in seen_assoc:
-                self.report(
-                    "E-NAME",
-                    f"duplicate associated type '{member}' in concept {decl.name}",
-                    cast.span,
-                )
+                msg = f"duplicate associated type '{member}' in concept {decl.name}"
+                self.report("E-NAME", msg, cast.span)
             seen_assoc.add(member)
         for req in cast.requirements:
             if req.name in decl.requirements:
-                self.report(
-                    "E-NAME", f"duplicate requirement '{req.name}' in concept {decl.name}", req.span
-                )
+                msg = f"duplicate requirement '{req.name}' in concept {decl.name}"
+                self.report("E-NAME", msg, req.span)
                 continue
-            sig = self.attempt(self._req_sig, req, tyvars)
+            sig = self.attempt(self._req_sig, req, decl.params, tyvars)
             if sig is None:
                 continue
             decl.requirements[req.name] = sig
             decl.req_order.append(req.name)
-            self.index.push("req", req.name, decl.module, (decl, sig))
+            self.index.add_req(decl, sig)
 
-    def _req_sig(self, req: A.ReqSigAST, tyvars: dict[str, Var]) -> ReqSig:
+    def _req_sig(self, req: A.ReqSigAST, concept_params: list[Var], tyvars: dict[str, Var]) -> ReqSig:
         params = [(n, self.resolve_type(t, tyvars)) for n, t in req.params]
-        return ReqSig(req.name, params, self.resolve_type(req.ret, tyvars), req.span)
+        return ReqSig(req.name, params, self.resolve_type(req.ret, tyvars), req.span, concept_params)
 
     def _check_refinement_cycles(self, local_concepts: list[ConceptDecl]):
         def supers_of(cid: str) -> list[str]:
@@ -310,49 +308,27 @@ class ModuleChecker:
     def _build_model_header(self, mast: A.ModelAST, index: int) -> ModelDecl:
         concept = self.lookup_concept(mast.concept, mast.span)
         if len(mast.head) != len(concept.params):
-            self.abort(
-                "E-ARITY",
-                f"concept {concept.name} expects {len(concept.params)} head types, "
-                f"got {len(mast.head)}",
-                mast.span,
-            )
+            msg = f"concept {concept.name} expects {len(concept.params)} head types, got {len(mast.head)}"
+            self.abort("E-ARITY", msg, mast.span)
         implicit: dict[str, Var] = {}
         head = [self.resolve_type(t, {}, implicit) for t in mast.head]
         head_vars = list(implicit.values())
         context = [self.resolve_constraint(c, {}, implicit) for c in mast.context]
-        model = ModelDecl(
-            module=self.module.name,
-            index=index,
-            name=mast.name,
-            concept=concept.id,
-            head=head,
-            vars=head_vars,
-            context=context,
-            assoc={},
-            span=mast.span,
-        )
+        model = ModelDecl(self.module.name, index, mast.name, concept.id, head, head_vars, context, {},
+                          mast.span)
         if self.policy.kind == "scoped" and model.name is None:
-            self.report(
-                "E-NEEDS-NAME", "the scoped policy requires every model to be named", mast.span
-            )
-        head_uids = {v.uid for v in head_vars}
+            self.report("E-NEEDS-NAME", "the scoped policy requires every model to be named", mast.span)
         for c in context:
             for v in c.fvs:
-                if v.uid not in head_uids:
-                    self.report(
-                        "E-NAME",
-                        f"constraint variable '{v.name}' does not occur in the model head",
-                        mast.span,
-                    )
+                if v not in head_vars:
+                    msg = f"constraint variable '{v.name}' does not occur in the model head"
+                    self.report("E-NAME", msg, mast.span)
         # Associated-type bindings: each declared member exactly once.
         bound = set()
         for bind in mast.assoc_binds:
             if bind.member not in concept.assoc_names:
-                self.report(
-                    "E-NAME",
-                    f"concept {concept.name} has no associated type '{bind.member}'",
-                    bind.span,
-                )
+                msg = f"concept {concept.name} has no associated type '{bind.member}'"
+                self.report("E-NAME", msg, bind.span)
                 continue
             if bind.member in bound:
                 self.report("E-NAME", f"associated type '{bind.member}' bound twice", bind.span)
@@ -360,35 +336,23 @@ class ModuleChecker:
             bound.add(bind.member)
             rhs = self.resolve_type(bind.rhs, {v.name: v for v in model.vars})
             for v in rhs.fvs:
-                if v.uid not in head_uids:
-                    self.report(
-                        "E-NAME",
-                        f"binding variable '{v.name}' does not occur in the model head",
-                        bind.span,
-                    )
+                if v not in head_vars:
+                    msg = f"binding variable '{v.name}' does not occur in the model head"
+                    self.report("E-NAME", msg, bind.span)
             model.assoc[bind.member] = rhs
         for member in concept.assoc_names:
             if member not in bound:
-                self.report(
-                    "E-UNBOUND-ASSOC",
-                    f"model {model.display} leaves associated type "
-                    f"'{member}' of {concept.name} unbound",
-                    mast.span,
-                )
+                msg = f"model {model.display} leaves associated type '{member}' of {concept.name} unbound"
+                self.report("E-UNBOUND-ASSOC", msg, mast.span)
         # Requirement coverage by name.
         given = {b.name for b in mast.bodies}
         for req in concept.req_order:
             if req not in given:
-                self.report(
-                    "E-MISSING-REQ",
-                    f"model {model.display} does not implement requirement "
-                    f"'{req}' of {concept.name}",
-                    mast.span,
-                )
+                msg = f"model {model.display} does not implement requirement '{req}' of {concept.name}"
+                self.report("E-MISSING-REQ", msg, mast.span)
         for b in mast.bodies:
             if b.name not in concept.requirements:
-                msg = f"concept {concept.name} has no requirement '{b.name}'"
-                self.report("E-NAME", msg, b.span)
+                self.report("E-NAME", f"concept {concept.name} has no requirement '{b.name}'", b.span)
         return model
 
     def _build_fun_header(self, fast: A.FunAST) -> FunDecl:
@@ -415,59 +379,58 @@ class ModuleChecker:
 
     # ------------------------------------------------------------ obligations
 
-    def _check_model_obligations_and_bodies(self, model: ModelDecl, mast: A.ModelAST):
+    def _check_model_obligations_and_bodies(self, model: ModelDecl, mast: A.ModelAST,
+                                            plain: ExprChecker):
+        """The superclass obligations of `model`, then its bodies, each against its requirement's
+        types as the concept's plan instantiates them (`ConceptDecl.instantiate_req`)."""
         concept = self.index.concepts[model.concept]
-        inst = concept.instantiate(model.head)
-        inst_supers = inst.apply(concept.supers)
-        givens = list(model.context) + inst_supers
-        rigid = frozenset(v.uid for v in model.vars)
-        if inst_supers:
+        givens = model.context
+        if concept.supers:
+            inst_supers = concept.instantiate(model.head).apply(concept.supers)
+            givens = givens + inst_supers
+            rigid = frozenset(v.uid for v in model.vars)
             resolver = Resolver(self.module.world, self.policy, self.depth, model.context)
-        for sup in inst_supers:
-            res, trace, diags = resolver.resolve(Goal(sup, model.span))
-            record = GoalRecord(model.span, sup, trace, res)
-            self.module.goal_log.append(record)
-            self.report_goal(res, diags, sup, rigid, concept.name)
-            model.superclass_resolutions.append(res)
+            for sup in inst_supers:
+                res, trace, diags = resolver.resolve(Goal(sup, model.span))
+                record = GoalRecord(model.span, sup, trace, res)
+                self.module.goal_log.append(record)
+                self.report_goal(res, diags, sup, rigid, concept.name)
+                model.superclass_resolutions.append(res)
 
-        tyvars = {v.name: v for v in model.vars}
+        checker = self._checker(model.vars, givens, plain)
         for body in mast.bodies:
-            sig = concept.requirements.get(body.name)
-            if sig is None:
+            req = concept.requirements.get(body.name)
+            if req is None:
                 continue  # already reported
-            # Inside the model's own bodies, `Self.Member` over the head as
-            # written means the model's binding, even when the head is generic.
-            own = model.head
-            inst_params = [(n, bind_assocs(model.concept, own, model.assoc, inst.apply(t))) for n, t in sig.params]
-            inst_ret = bind_assocs(model.concept, own, model.assoc, inst.apply(sig.ret))
-            if len(body.params) != len(inst_params):
-                msg = f"requirement '{body.name}' takes {len(inst_params)} parameters"
+            if len(body.params) != len(req.params):
+                msg = f"requirement '{body.name}' takes {len(req.params)} parameters"
                 self.report("E-ARITY", msg, body.span)
                 continue
+            inst = concept.instantiate_req(req, model)  # the parameters' types, then the result's
+            checker.owner, checker.records = f"model:{model.uid}.{body.name}", []
             try:
-                checker = ExprChecker(self, tyvars, rigid, givens, f"model:{model.uid}.{body.name}")
-                declared = [(n, self.resolve_type(t, tyvars)) for n, t in body.params]
-                for (dn, dt), (_, st) in zip(declared, inst_params):
+                declared = [(n, self.resolve_type(t, checker.tyvars)) for n, t in body.params]
+                for (dn, dt), st in zip(declared, inst):
                     checker.require_equal(dt, st, body.span, f"parameter '{dn}'")
-                declared_ret = self.resolve_type(body.ret, tyvars)
-                checker.require_equal(declared_ret, inst_ret, body.span, "return type")
-                checked = checker.check(body.body, declared_ret, dict(declared))
-                ty = fn_type([t for _, t in declared], declared_ret)
-                model.bodies[body.name] = TLam(body.span, ty, declared, checked)
+                declared_ret = self.resolve_type(body.ret, checker.tyvars)
+                checker.require_equal(declared_ret, inst[-1], body.span, "return type")
+                model.bodies[body.name] = declared, checker.check(body.body, declared_ret, dict(declared))
                 model.body_goal_records[body.name] = checker.records
             except Abort as exc:
                 self.diags.append(exc.diagnostic)
 
-    def _check_fun_body(self, decl: FunDecl, fast: A.FunAST):
-        checker = ExprChecker(
-            self,
-            tyvars={v.name: v for v in decl.typarams},
-            rigid=frozenset(v.uid for v in decl.typarams),
-            givens=list(decl.context),
-            owner=f"fn:{decl.name}",
-        )
+    def _check_fun_body(self, decl: FunDecl, fast: A.FunAST, plain: ExprChecker):
+        checker = self._checker(decl.typarams, decl.context, plain)
+        checker.owner, checker.records = f"fn:{decl.name}", []
         decl.body = checker.check(fast.body, decl.ret, dict(decl.params))
         decl.goal_records = checker.records
+
+    def _checker(self, tyvars: list[Var], givens: list[ConstraintTerm], plain: ExprChecker):
+        """The checker of the bodies of a declaration over `tyvars`, rigid there, under `givens`:
+        `plain`, the module's one, when it has neither. Each body sets its owner and records."""
+        if not tyvars and not givens:
+            return plain
+        return ExprChecker(self, {v.name: v for v in tyvars}, frozenset(v.uid for v in tyvars), givens, "")
 
     # ------------------------------------------------------------ lookups
 
@@ -492,13 +455,16 @@ class ModuleChecker:
         return [entry for module in modules for entry in groups[module]]
 
     def lookup_concept(self, name: str, span: Span) -> ConceptDecl:
-        hits = self.names("concept", name)
-        if not hits:
-            self.abort("E-NAME", f"unknown concept '{name}'", span)
-        if len(hits) > 1:
-            mods = ", ".join(sorted(c.module for c in hits))
-            self.abort("E-NAME", f"concept name '{name}' is ambiguous (declared in {mods})", span)
-        return hits[0]
+        concept = self.concepts.get(name)
+        if concept is None:
+            hits = self.names("concept", name)
+            if not hits:
+                self.abort("E-NAME", f"unknown concept '{name}'", span)
+            if len(hits) > 1:
+                mods = ", ".join(sorted(c.module for c in hits))
+                self.abort("E-NAME", f"concept name '{name}' is ambiguous (declared in {mods})", span)
+            concept = self.concepts[name] = hits[0]
+        return concept
 
     def _unique(self, kind: str, name: str, what: str, span: Span):
         hits = self.names(kind, name)
@@ -509,53 +475,35 @@ class ModuleChecker:
         return hits[0]
 
     def callee(self, name: str, span: Span) -> CalleeSig:
-        """The signature of the global `name`, over its declared type
-        variables, built once per module. Only bodies ask, once every header
-        is indexed; an ambiguous or unknown name aborts at each use. A
-        recursive call meets its own variables in the caller's types too;
-        `ExprChecker._apply_sig` keeps those rigid."""
-        sig = self.callees.get(name)
-        if sig is None:
-            sig = self.callees[name] = self._callee(name, span)
-        return sig
-
-    def _callee(self, name: str, span: Span) -> CalleeSig:
+        """The signature of the global `name`, over its declared type variables, on a miss of
+        `callees`, which keeps it for the module's later uses: the one function, requirement or
+        constructor named `name` that this module sees, as the index filed it, else the builtin's,
+        built once per program. Only bodies ask, once every header is indexed; an ambiguous or
+        unknown name aborts at each use. A recursive call meets its own variables in the caller's
+        types too; `ExprChecker._apply_sig` keeps those rigid."""
         fun = self._unique("fun", name, "function", span)
         req = self._unique("req", name, "requirement", span)
         ctor = self._unique("ctor", name, "constructor", span)
         if (fun is not None) + (req is not None) + (ctor is not None) > 1:
             self.abort("E-NAME", f"name '{name}' is ambiguous in this scope", span)
-        if fun is not None:
-            params = [t for _, t in fun.params]
-            return CalleeSig("fun", name, fun.typarams, params, fun.ret, fun.context,
-                             (fun.module, name))
-        if req is not None:
-            concept, sig = req
-            return CalleeSig("requirement", f"{concept.name}.{name}", concept.params,
-                             [t for _, t in sig.params], sig.ret,
-                             [Conf(concept.id, tuple(concept.params))], (concept.id, name))
-        if ctor is not None:
-            data, cdecl = ctor
-            ret = App(data.con, tuple(data.params)) if data.params else data.con
-            return CalleeSig("ctor", name, data.params, cdecl.fields, ret, [], (data.id, name))
-        if name in BUILTIN_SIGS:
+        sig = fun or req or ctor or self.index.builtins.get(name)
+        if sig is None:
+            if name not in BUILTIN_SIGS:
+                self.abort("E-NAME", f"unknown name '{name}'", span)
             tyvars, params, ret = BUILTIN_SIGS[name]
-            return CalleeSig("builtin", name, tyvars, params, ret, [], (name,))
-        self.abort("E-NAME", f"unknown name '{name}'", span)
+            sig = self.index.builtins[name] = CalleeSig("builtin", name, tyvars, params, ret, [], (name,))
+        self.callees[name] = sig
+        return sig
 
     # ------------------------------------------------------------ types
 
-    def resolve_type(
-        self,
-        t: A.TypeExprAST,
-        tyvars: dict[str, Var],
-        implicit: dict[str, Var] | None = None,
-    ) -> TypeTerm:
+    def resolve_type(self, t: A.TypeExprAST, tyvars: dict[str, Var],
+                     implicit: dict[str, Var] | None = None) -> TypeTerm:
         if type(t) is A.TName:
             base = self._resolve_base_name(t, tyvars, implicit)
-            # A model path (`kb.Key`, an Assoc) comes with its first projection.
-            for member in t.projections[1:] if type(base) is Assoc else t.projections:
-                base = self.make_assoc(base, member, t.span)
+            if t.projections:  # a model path (`kb.Key`, an Assoc) comes with its first projection
+                for member in t.projections[1:] if type(base) is Assoc else t.projections:
+                    base = self.make_assoc(base, member, t.span)
             return base
         if isinstance(t, A.TUnit):
             return UNIT
@@ -579,19 +527,16 @@ class ModuleChecker:
                 msg = f"type variable '{name}' cannot be applied to arguments"
                 self.abort("E-ARITY", msg, t.span)
             return tyvars[name]
-        con = BUILTIN_CONS.get(name)
+        con = self.cons.get(name)
         if con is None:
             data = self._unique("data", name, "data type", t.span)
             if data is not None:
-                con = data.con
+                con = self.cons[name] = data.con
         if con is not None:
             args = [self.resolve_type(a, tyvars, implicit) for a in t.args] if t.args else ()
             if len(args) != con.arity:
-                self.abort(
-                    "E-ARITY",
-                    f"type constructor {con.name} expects {con.arity} arguments, got {len(args)}",
-                    t.span,
-                )
+                msg = f"type constructor {con.name} expects {con.arity} arguments, got {len(args)}"
+                self.abort("E-ARITY", msg, t.span)
             return App(con, tuple(args)) if args else con
         # A named model as a projection path (scoped policy syntax).
         if t.projections and self.policy.kind == "scoped":
@@ -696,39 +641,6 @@ class ModuleChecker:
 # ---------------------------------------------------------------- expressions
 
 
-class CalleeSig:
-    # kind: fun | builtin | ctor | requirement
-    # target: fun: (module, name); requirement: (concept id, name); as TCall otherwise
-    # flexible: the uids of `tyvars`, which a call binds. With any, the call's plan: `plans`, each
-    # parameter's `_plan`; `ret_ground`, whether `ret` is GROUND; `goals`, each context constraint's
-    # concept and subjects' uids if all of these are `tyvars`, else None
-    __slots__ = ("kind", "display", "tyvars", "params", "ret", "context", "target", "flexible",
-                 "plans", "ret_ground", "goals")
-    def __init__(self, kind: str, display: str, tyvars: list[Var], params: list[TypeTerm],
-                 ret: TypeTerm, context: list[ConstraintTerm], target: tuple):
-        self.kind, self.display, self.tyvars, self.params = kind, display, tyvars, params
-        self.ret, self.context, self.target = ret, context, target
-        self.flexible = flexible = frozenset(v.uid for v in tyvars)
-        if tyvars:
-            self.plans = [_plan(p, flexible) for p in params]
-            self.ret_ground = _plan(ret, flexible) is GROUND
-            own = all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
-                      for c in context)
-            self.goals = [(c.concept, [s.uid for s in c.subjects]) for c in context] if own else None
-
-
-GROUND, PATTERN = "ground", "pattern"
-
-
-def _plan(t: TypeTerm, flexible: frozenset[int]):
-    """How a call treats an argument of parameter type `t`: GROUND (no flexible variable) checks it
-    against `t`; a bare flexible variable's uid synthesizes it to bind that, unless bound already;
-    PATTERN synthesizes it and matches `t` onto its type leniently."""
-    if type(t) is Var and t.uid in flexible:
-        return t.uid
-    return PATTERN if any(v.uid in flexible for v in t.fvs) else GROUND
-
-
 def _unbound(t: TypeTerm, bound: dict, flexible: frozenset[int]) -> bool:
     """Whether `t` has a flexible variable that `bound` does not bind yet.
     Bound values are not looked into: a recursive call may bind its own
@@ -743,8 +655,9 @@ _WAITS = frozenset({A.ELambda, A.EMatch, A.EIf, A.ELet})  # see ExprChecker._is_
 
 
 class ExprChecker:
-    """Checks one body. Each expression class has one rule in `RULES`,
-    called with the type the context expects, or None to synthesize one."""
+    """Checks a declaration's bodies one at a time; `owner` and `records` are
+    the current body's. Each expression class has one rule in `RULES`, called
+    with the type the context expects, or None to synthesize one."""
 
     def __init__(
         self,
@@ -835,8 +748,7 @@ class ExprChecker:
         if kind is A.EVar:
             if e.name in env:
                 return False
-            sig = self.mc.callees.get(e.name) or self.mc.callee(e.name, e.span)
-            return sig.kind == "ctor" and not sig.params and bool(sig.tyvars)
+            return (self.mc.callees.get(e.name) or self.mc.callee(e.name, e.span)).deferred
         if kind is A.EInt:
             return e.width is None
         return kind in _WAITS
@@ -928,11 +840,8 @@ class ExprChecker:
                 checked[i] = self.check(args[i], want, env)
             else:  # validates projections that were undetermined during matching
                 self.require_equal(tex.type, want, args[i].span, f"argument {i + 1} of {sig.display}")
-        if sig.goals is None:
-            resolutions = [self.discharge(c, span) for c in Substitution(bound).apply(sig.context)]
-        else:
-            resolutions = [self.discharge(_intern(Conf, concept, tuple(map(bound.__getitem__, uids))), span)
-                           for concept, uids in sig.goals]
+        resolutions = list(map(self.discharge, instantiate_context(sig.context, sig.goals, bound),
+                               repeat(span))) if sig.context else []
         result = sig.ret if sig.ret_ground else Substitution(bound).apply(sig.ret)
         if sig.kind == "requirement":
             return TReqCall(span, result, sig.target[1], resolutions[0], checked)

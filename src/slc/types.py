@@ -99,6 +99,9 @@ class Con(TypeTerm):
     def __new__(cls, name: str, arity: int, origin: str):
         return _intern(cls, name, arity, origin)
 
+    def _init(self, name, arity, origin):
+        self.name, self.arity, self.origin = name, arity, origin
+
 
 class App(TypeTerm):
     __slots__ = ("head", "args", "fvs", "has_assoc")  # head: a Con in practice

@@ -37,6 +37,7 @@ from slc.evaluator import (
     VF64,
     run_program,
 )
+from slc.std import BUILTIN_SIGS
 from slc.types import STRING, U64, App, Con, fn_type, render_constraint
 
 
@@ -223,6 +224,13 @@ def test_u8_arithmetic_wraps():
     assert int(builtin(interp, "add8", [200, 100])) == (200 + 100) % 256
     assert int(builtin(interp, "mul8", [16, 16])) == 0
     assert int(builtin(interp, "sub8", [0, 1])) == 255
+
+
+def test_every_builtin_takes_one_or_two_operands():
+    """A direct builtin application is compiled for one operand or for two
+    (`Interp._builtin_app`); it has no code for more, since no builtin
+    takes more and `core_check` fixes the number at every call."""
+    assert {len(params) for _, params, _ in BUILTIN_SIGS.values()} == {1, 2}
 
 
 def test_show_renders_unsigned_decimal():
@@ -636,7 +644,18 @@ fn main() -> Unit { print(show64(fst(g(Some(1:U64), 2:U64)))); print(show64(snd(
 """
 
 
-@pytest.mark.parametrize("source, need", [(PICK, 18), (PICK_IN_A_PAIR, 50)])
+# `bump(None)` takes the wildcard arm, whose body fails in `pick`.
+WILDCARD_ARM = """\
+module m
+fn pick(o: Option[U64]) -> U64 { match o { Some(x) => x } }
+fn bump(o: Option[U64]) -> U64 { match o { Some(x) => add64(x, 1:U64), _ => add64(pick(o), 2:U64) } }
+fn main() -> Unit { print(show64(bump(Some(1:U64)))); print(show64(bump(None))) }
+"""
+
+
+@pytest.mark.parametrize(
+    "source, need", [(PICK, 18), (PICK_IN_A_PAIR, 50), (WILDCARD_ARM, 34)]
+)
 def test_every_budget_meets_the_failure_a_compare_at_every_node_would(source, need):
     """Steps are spent in batches, where a run may fail or enters a
     function, yet every budget below what the run needs to reach its match

@@ -15,15 +15,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import CORPUS, check_inline, slc_env
 from test_acceptance import POLICIES, PROGRAMS
 
+import slc
 from slc import coherence
 from slc.coherence import CoherencePolicy
 from slc.corekit import core_check, elaborate
-from slc.decls import ModelDecl, ModelWorld
+from slc.decls import CalleeSig, ModelDecl, ModelWorld
 from slc.diagnostics import Source, Span
 from slc.evaluator import Interp, run_program
 from slc.parser import parse_module_bytes
@@ -31,6 +34,7 @@ from slc.resolver import Goal, Resolver
 from slc.types import Conf
 
 LOCAL_TYPES = 10
+SRC = Path(slc.__file__).parent
 
 
 def wide_program(siblings: int, reuse_names: bool = False) -> dict[str, str]:
@@ -116,17 +120,24 @@ def test_head_matches_grow_linearly_with_modules(monkeypatch):
     assert large <= 3 * small, (small, large)
 
 
-def opcodes(run) -> int:
-    """Opcodes Python executes in `run()`, counted with `sys.settrace`. The
+def opcodes(run, modules: tuple[str, ...] | None = None) -> int:
+    """Opcodes Python executes in `run()`, counted with `sys.settrace`, or
+    only those in the functions of `modules`, names of `slc` modules. The
     collector is off while it runs, so that freeing dead interned terms,
     whose weak references run Python callbacks, lands outside the count."""
     count = 0
+    files = None if modules is None else {str(SRC / f"{name}.py") for name in modules}
 
-    def trace(frame, event, arg):
+    def count_opcodes(frame, event, arg):
         nonlocal count
-        frame.f_trace_opcodes = True
         count += event == "opcode"
-        return trace
+        return count_opcodes
+
+    def trace(frame, event, arg):  # on entering a frame
+        if files is not None and frame.f_code.co_filename not in files:
+            return None
+        frame.f_trace_opcodes = True
+        return count_opcodes
 
     enabled = gc.isenabled()
     gc.collect()
@@ -158,10 +169,11 @@ def core_pass_opcodes(siblings: int, app: str | None = None) -> int:
     return count
 
 
-def check_opcodes(siblings: int, reuse_names: bool = False) -> int:
-    """Opcodes `check_sources` runs on `wide_program`, planted conflict included."""
+def check_opcodes(siblings: int, reuse_names: bool = False, modules=None) -> int:
+    """Opcodes `check_sources` runs on `wide_program`, planted conflict
+    included, in all of it or in the functions of `modules`."""
     files = wide_program(siblings, reuse_names)
-    return opcodes(lambda: check_inline("use-site", **files))
+    return opcodes(lambda: check_inline("use-site", **files), modules)
 
 
 def test_core_pass_opcodes_per_module():
@@ -193,8 +205,50 @@ def test_check_opcodes_per_module():
     120,272 before tokens and spans held offsets in place of lines and
     columns, 116,687 after; 104,353 with signature plans, the direct path
     for goals without givens and one resolver for a module's bodies without
-    givens)."""
-    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 104_600
+    givens; 96,875 with each declaration's signature, requirement plan and
+    head plan built once per program, and the pair engine's visited set)."""
+    assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 96_900
+
+
+SEMA_MODULES = ("sema", "types", "decls", "resolver")
+
+
+def test_sema_opcodes_per_module():
+    """Of those, what sema and the modules it calls spend per sibling: a
+    model body is checked against its requirement's plan by the module's
+    one checker for bodies with no givens, a callee's signature comes from
+    the index, and a candidate's type arguments and context are read off
+    the match. 44,726 opcodes per sibling when set, against 51,822 while
+    each module planned every callee it called and each model body
+    instantiated its concept again."""
+    per_sibling = (check_opcodes(12, modules=SEMA_MODULES) - check_opcodes(4, modules=SEMA_MODULES)) / 8
+    assert per_sibling <= 44_750
+
+
+def test_callee_signatures_are_built_once_per_declaration(monkeypatch):
+    """A callee's signature and plan are built as its declaration is filed,
+    or as a builtin is first called, once per program. So each sibling adds
+    only its own: its ten constructors' and its function's. `show`, `Some`
+    and `concat`, which every sibling calls, are planned once however many
+    siblings call them (each sibling planned them again while signatures
+    were built per module)."""
+    built = []
+    init = CalleeSig.__init__
+
+    def counted(self, kind, display, *rest):
+        built.append(display)
+        init(self, kind, display, *rest)
+
+    monkeypatch.setattr(CalleeSig, "__init__", counted)
+
+    def signatures(siblings: int) -> Counter:
+        built.clear()
+        check_inline("use-site", **wide_program(siblings))
+        return Counter(built)
+
+    small, large = signatures(4), signatures(12)
+    assert large.total() - small.total() == 8 * (LOCAL_TYPES + 1)
+    assert [(small[name], large[name]) for name in ("Show.show", "Some", "concat")] == [(1, 1)] * 3
 
 
 SHOW_MODULE = """\

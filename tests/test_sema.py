@@ -276,6 +276,37 @@ def test_normalization_divergence_reported():
     assert "E-NORM-DIVERGE" in codes(result)
 
 
+def test_a_goal_whose_normalization_diverges_is_reported_by_the_resolver():
+    """A superclass obligation is resolved under the model's context, and
+    with the equality `a == Option[a]` in it, normalizing the goal never
+    ends: the resolver reports that goal, at the model, before the model's
+    body reports its own parameter type."""
+    src = (
+        "module m\n"
+        "concept Show[Self] { fn show(x: Self) -> String }\n"
+        "concept Pretty[Self] where Show[Self] { fn pretty(x: Self) -> String }\n"
+        'model Pretty[Option[a]] where a == Option[a] { fn pretty(x: Option[a]) -> String { "p" } }\n'
+    )
+    result = check_inline(m=src)
+    found = [(d.code, d.message, d.span.start, d.span.end) for d in result.diagnostics]
+    assert found == [
+        (
+            "E-NORM-DIVERGE",
+            "normalization did not terminate while solving Show[Option[a]]",
+            (4, 1),
+            (4, 90),
+        ),
+        ("E-NORM-DIVERGE", "normalization of Option[a] did not terminate", (4, 48), (4, 88)),
+    ]
+    [record] = result.modules["m"].goal_log
+    trace = record.trace.to_json()
+    assert (trace["goal"], trace["outcome"], trace["note"]) == (
+        "Show[Option[a]]",
+        "norm-diverge",
+        "normalization diverged at Option[a]",
+    )
+
+
 def test_needs_name_under_scoped():
     src = """\
 module m
@@ -673,6 +704,14 @@ C_T = "concept C[Self] { type T\n  fn g(x: Self) -> Self }\n"
             "associated type 'T' bound twice",
             (6, 3),
             (6, 13),
+        ),
+        (
+            "use-site",
+            C_T + "model c: C[U64] { type T = U8\n  type Nope = U8\n  fn g(x: U64) -> U64 { x } }",
+            "E-NAME",
+            "concept C has no associated type 'Nope'",
+            (6, 3),
+            (6, 16),
         ),
         (
             "scoped",
