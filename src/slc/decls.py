@@ -57,8 +57,7 @@ def _plan(t: TypeTerm, flexible: frozenset[int]):
 
 def _goals(context: list[ConstraintTerm], flexible: frozenset[int]) -> list | None:
     """Each constraint of `context` as its concept and its subjects' uids, if each is a conformance
-    over variables of `flexible` only, so that `instantiate_context` interns it from a binding of
-    them; else None."""
+    over variables of `flexible` only; else None."""
     if all(type(c) is Conf and all(type(s) is Var and s.uid in flexible for s in c.subjects)
            for c in context):
         return [(c.concept, [s.uid for s in c.subjects]) for c in context]
@@ -103,10 +102,9 @@ class ConceptDecl:
 
     def instantiate_req(self, req: ReqSig, model: ModelDecl) -> list[TypeTerm]:
         """`req.types` in the bodies of `model`, a model of this concept, as `req.plan` says: a
-        parameter of the concept is the head's subject at that position, a type with no parameter
-        and no projection is itself, and any other is instantiated with the head and has the
-        projections `Self.Member` over the head as written bound to the model's own bindings, even
-        when the head is generic (`bind_assocs`)."""
+        parameter is the head's subject at its position, a type with neither parameter nor
+        projection is itself, and any other is instantiated with the head, its projections
+        `Self.Member` over the head as written bound to the model's own (`bind_assocs`)."""
         head = model.head
         return [head[how] if type(how) is int else how if how is not None else
                 bind_assocs(model.concept, head, model.assoc, self.instantiate(head).apply(t))

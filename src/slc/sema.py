@@ -158,7 +158,7 @@ class ModuleChecker:
                 self.module.funs[decl.name] = decl
                 self.index.add_fun(decl)
 
-        plain = ExprChecker(self, {}, frozenset(), [], "")  # see `_checker`
+        plain = ExprChecker(self, {}, frozenset(), [])  # see `_checker`
         for model in self.module.models:
             self._check_model_obligations_and_bodies(model, model_asts[model.index], plain)
 
@@ -430,7 +430,7 @@ class ModuleChecker:
         `plain`, the module's one, when it has neither. Each body sets its owner and records."""
         if not tyvars and not givens:
             return plain
-        return ExprChecker(self, {v.name: v for v in tyvars}, frozenset(v.uid for v in tyvars), givens, "")
+        return ExprChecker(self, {v.name: v for v in tyvars}, frozenset(v.uid for v in tyvars), givens)
 
     # ------------------------------------------------------------ lookups
 
@@ -475,10 +475,9 @@ class ModuleChecker:
         return hits[0]
 
     def callee(self, name: str, span: Span) -> CalleeSig:
-        """The signature of the global `name`, over its declared type variables, on a miss of
-        `callees`, which keeps it for the module's later uses: the one function, requirement or
-        constructor named `name` that this module sees, as the index filed it, else the builtin's,
-        built once per program. Only bodies ask, once every header is indexed; an ambiguous or
+        """The signature of the global `name` on a miss of `callees`, which keeps it: the one
+        function, requirement or constructor named `name` that this module sees, as the index filed
+        it, else the builtin's. Only bodies ask, once every header is indexed; an ambiguous or
         unknown name aborts at each use. A recursive call meets its own variables in the caller's
         types too; `ExprChecker._apply_sig` keeps those rigid."""
         fun = self._unique("fun", name, "function", span)
@@ -659,18 +658,12 @@ class ExprChecker:
     the current body's. Each expression class has one rule in `RULES`, called
     with the type the context expects, or None to synthesize one."""
 
-    def __init__(
-        self,
-        mc: ModuleChecker,
-        tyvars: dict[str, Var],
-        rigid: frozenset[int],
-        givens: list[ConstraintTerm],
-        owner: str,
-    ):
+    def __init__(self, mc: ModuleChecker, tyvars: dict[str, Var], rigid: frozenset[int],
+                 givens: list[ConstraintTerm]):
         self.mc = mc
         self.tyvars = tyvars
         self.rigid = rigid
-        self.owner = owner
+        self.owner = ""
         self.records: list[GoalRecord] = []
         self.goal_log = mc.module.goal_log
         self.resolver = Resolver(mc.module.world, mc.policy, mc.depth, givens) if givens else mc.resolver

@@ -133,7 +133,7 @@ def infer_expr(e, mc):
     locals and no givens."""
     from slc.sema import ExprChecker
 
-    tex = ExprChecker(mc, tyvars={}, rigid=frozenset(), givens=[], owner="expr").synth(e, {})
+    tex = ExprChecker(mc, tyvars={}, rigid=frozenset(), givens=[]).synth(e, {})
     return tex.type, tex
 
 

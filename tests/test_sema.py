@@ -706,14 +706,6 @@ C_T = "concept C[Self] { type T\n  fn g(x: Self) -> Self }\n"
             (6, 13),
         ),
         (
-            "use-site",
-            C_T + "model c: C[U64] { type T = U8\n  type Nope = U8\n  fn g(x: U64) -> U64 { x } }",
-            "E-NAME",
-            "concept C has no associated type 'Nope'",
-            (6, 3),
-            (6, 16),
-        ),
-        (
             "scoped",
             C_T + "model c: C[U64] { type T = kb.T\n  fn g(x: U64) -> U64 { x } }",
             "E-NAME",
@@ -800,6 +792,14 @@ C_T = "concept C[Self] { type T\n  fn g(x: Self) -> Self }\n"
             "fn main must take no parameters and return Unit",
             (3, 1),
             (3, 38),
+        ),
+        (
+            "use-site",
+            C_T + "model c: C[U64] { type T = U8\n  type Nope = U8\n  fn g(x: U64) -> U64 { x } }",
+            "E-NAME",
+            "concept C has no associated type 'Nope'",
+            (6, 3),
+            (6, 16),
         ),
     ],
 )
