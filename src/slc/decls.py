@@ -79,7 +79,7 @@ class ReqSig:
                  concept_params: list[Var]):
         self.name, self.params, self.ret, self.span = name, params, ret, span
         self.types = [t for _, t in params] + [ret]
-        self.plan = [concept_params.index(t) if type(t) is Var else t if not t.fvs and not t.has_assoc
+        self.plan = [concept_params.index(t) if t in concept_params else t if not t.fvs and not t.has_assoc
                      else None for t in self.types]
 
 
