@@ -158,7 +158,7 @@ class ModuleChecker:
                 self.module.funs[decl.name] = decl
                 self.index.add_fun(decl)
 
-        plain = ExprChecker(self, {}, frozenset(), [])  # see `_checker`
+        plain = ExprChecker(self, {}, frozenset(), [])  # see `_checker`; not kept, as it refers to self
         for model in self.module.models:
             self._check_model_obligations_and_bodies(model, model_asts[model.index], plain)
 

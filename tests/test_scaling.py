@@ -205,7 +205,7 @@ def test_check_opcodes_per_module():
     120,272 before tokens and spans held offsets in place of lines and
     columns, 116,687 after; 104,353 with signature plans, the direct path
     for goals without givens and one resolver for a module's bodies without
-    givens; 96,875 with each declaration's signature, requirement plan and
+    givens; 96,874 with each declaration's signature, requirement plan and
     head plan built once per program, and the pair engine's visited set)."""
     assert (check_opcodes(12) - check_opcodes(4)) / 8 <= 96_900
 
@@ -218,7 +218,7 @@ def test_sema_opcodes_per_module():
     model body is checked against its requirement's plan by the module's
     one checker for bodies with no givens, a callee's signature comes from
     the index, and a candidate's type arguments and context are read off
-    the match. 44,726 opcodes per sibling when set, against 51,822 while
+    the match. 44,725 opcodes per sibling when set, against 51,822 while
     each module planned every callee it called and each model body
     instantiated its concept again."""
     per_sibling = (check_opcodes(12, modules=SEMA_MODULES) - check_opcodes(4, modules=SEMA_MODULES)) / 8
