@@ -457,6 +457,27 @@ PAIR = CCtor("m.Pair", "Pair", [], [u64(1), u64(2)])
             1,
             id="let-underscore-binds-nothing",
         ),
+        pytest.param(
+            CLet("p", CTuple(
+                CMatch(SOME_2, [("Some", ["x"], CLam([("y", U64)], CTuple(CVar("x"), CVar("y"))))]),
+                CMatch(CCtor("std.Option", "Some", [U64], [u64(5)]), [("Some", ["z"], CVar("z"))]),
+            ), CApp(CApp(CBuiltin("fst"), [CVar("p")]), [CApp(CBuiltin("snd"), [CVar("p")])])),
+            (2, 5),
+            id="closure-of-an-arm-called-after-its-sibling-arm",
+        ),
+        pytest.param(
+            CLet("a", CMatch(SOME_2, [("Some", ["x"], CApp(CBuiltin("add64"), [CVar("x"), u64(10)]))]),
+                 CLet("b", u64(3), CTuple(CVar("a"), CVar("b")))),
+            (12, 3),
+            id="let-after-a-binding-arm",
+        ),
+        pytest.param(
+            CLet("x", u64(1), CApp(CApp(CLam([("y", U64)], CLam([("z", U64)], CTuple(
+                CVar("x"), CTuple(CVar("y"), CVar("z"))
+            ))), [u64(2)]), [u64(3)])),
+            (1, (2, 3)),
+            id="lambda-reads-a-variable-bound-two-lambdas-out",
+        ),
     ],
 )
 def test_inner_bindings_shadow_outer_ones(expr, value):
@@ -653,8 +674,24 @@ fn main() -> Unit { print(show64(bump(Some(1:U64)))); print(show64(bump(None))) 
 """
 
 
+# `g` calls `f`, a closure that took a `let` and an arm's binder, on the
+# value of `pick`, which fails on `None`.
+CAPTURING_CLOSURES = """\
+module m
+fn pick(o: Option[U64]) -> U64 { match o { Some(x) => x } }
+fn main() -> Unit {
+  let a = 1:U64;
+  let f = match Some(2:U64) { Some(b) => fn(y: U64) => add64(add64(a, b), y) };
+  let g = fn(o: Option[U64]) => f(pick(o));
+  print(show64(g(Some(3:U64))));
+  print(show64(g(None)))
+}
+"""
+
+
 @pytest.mark.parametrize(
-    "source, need", [(PICK, 18), (PICK_IN_A_PAIR, 50), (WILDCARD_ARM, 34)]
+    "source, need",
+    [(PICK, 18), (PICK_IN_A_PAIR, 50), (WILDCARD_ARM, 34), (CAPTURING_CLOSURES, 49)],
 )
 def test_every_budget_meets_the_failure_a_compare_at_every_node_would(source, need):
     """Steps are spent in batches, where a run may fail or enters a
