@@ -10,61 +10,49 @@ their own; a builtin is a Python function of its argument values.
 
 The program run must pass `core_check`, the one type check between
 elaboration and evaluation, as GHC's Core Lint is between Core and code
-generation. Compiled code assumes what it rules out: every name is bound,
-every applied value is a function of the application's arity, every
-projected value is a dictionary with the field, every scrutinee a
-constructor value with the fields its arm binds, every condition a Bool and
-every builtin operand of the builtin's kind; none of it is checked again.
-The one failure a checked program can reach is a match with no arm for its
-value, E-RT-MATCH.
+generation, and nothing it rules out is checked again: every name is bound,
+every applied value a function of the application's arity, every projection
+finds its field and every match arm binds its constructor's fields. The one
+failure a checked program can reach is a match with no arm for its value,
+E-RT-MATCH.
 
 Each definition is compiled whole into Python closures when it is first
-forced (closure compilation after Feeley & Lapalme, "Using Closures for Code
-Generation", 1987); a definition that never runs is never compiled.
-
+forced (Feeley & Lapalme, "Using Closures for Code Generation", 1987).
 Applications follow an eval/apply convention (Marlow & Peyton Jones, "Making
 a fast curry", 2004): the node of an application evaluates the function and
-its arguments and enters the function in its own Python frame, so an SL call
-costs one Python call, the callee's body's, besides its operands. A
-non-tail application guards the depth, compares the step budget, calls a
-builtin or runs a closure's body on the closure's frame plus the arguments,
-then runs the call that body left pending, if any (`Interp.resume`). An
-application in tail position leaves its call pending instead, the list
-[function, arguments] (no value is a list), so tail recursion such as `fold`
-loops in constant Python stack. Constructors, pairs and builtin
-applications take their operands positionally in their own node, and
-superoperators fuse the node pairs that dictionary-passing code runs most
-(Proebsting, "Optimizing an ANSI C Interpreter with Superoperators", 1995;
-Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
-2003): a call of a dictionary's method on variables, and the match or `if`
-that takes its value; a call and its global callee, read in place; a call
-and its operands that are `fst` or `snd` of a variable; a constructor and
-its pair operand; and a builtin that can leave its width and the mask. So
-a `range_fold` element runs 11 Python calls and 611 bytecodes
-(`tests/test_evaluator.py`).
+its arguments and enters the function in its own Python frame, after the
+depth guard and a budget compare, then runs the call that body left pending,
+if any (`Interp.resume`). An application in tail position leaves its call
+pending instead, the list [function, arguments] (no value is a list), so
+tail recursion such as `fold` loops in constant Python stack. Superoperators
+(Proebsting, "Optimizing an ANSI C Interpreter with Superoperators", 1995)
+fuse the node pairs that dictionary-passing code runs most: a call of a
+dictionary's method on variables, and the match or `if` that takes its
+value; a call and its global callee; a call and its operands that are `fst`
+or `snd` of a variable; a constructor and its pair operand; and a builtin
+that can leave its width and the mask. So a `range_fold` element runs 11
+Python calls and 601 bytecodes (`tests/test_evaluator.py`).
 
 Variables are resolved to slots when their node is compiled (lexical
-addressing, after Cardelli, "Compiling a Functional Language", 1984). A node
+addressing, after Cardelli, "Compiling a Functional Language", 1984): a node
 is compiled in a scope, which maps each name bound around it to the slot of
-its innermost binding, and runs on a frame, the tuple of their values; a
-variable operand is read in place by an item getter. A closure runs on its
-defining frame plus its arguments, a match arm with binders on the frame
-plus the constructor's fields, and a `let` body on the frame plus the bound
-value, so each call, arm and `let` builds one new frame.
+its innermost binding, and runs on a frame, the list of their values, where
+an item getter reads a variable in place. Closures are flat (Dybvig, "Three
+Implementation Models for Scheme", 1987; Shao & Appel, "Space-Efficient
+Closure Representations", 1994): a lambda copies the values of the
+variables its body reads from around it when it is built, and each entry to
+its body builds one frame, those values plus the arguments. A `let` or a
+match stores its values into that frame from the first slot its scope
+leaves free (`frame[k:] = values`), so a later sibling reuses the slot, and
+no frame is shared or copied.
 
-Fuel counts steps, one per core node evaluated, but a node does not spend
-its own: the steps of the nodes a run enters are owed, counted when the code
-is compiled, and spent together where the run may fail or enters a function.
-A non-tail application spends what is owed just before its depth guard, a
-match just before it looks for an arm, a global before it may be forced, and
-the node that ends a closure body or a branch before it returns. So every
-step is spent after the last point where the run could fail before its node
-was entered and before the first one after, and the budget, compared where
-a function is entered and by `Interp.settle` when a run ends, runs out at
-the same failure as a compare at every node would: a run that ends or fails
-overspent reports E-RT-FUEL. A separate guard counts nested non-tail
-applications. Exhausting either reports E-RT-FUEL, naming which one ran
-out, so divergent programs stay total for callers.
+Fuel counts steps, one per core node evaluated. A node does not spend its
+own: steps are counted when the code is compiled and spent together where
+the run may fail or enters a function, so the budget, compared where a
+function is entered and when a run ends (`Interp.settle`), runs out at the
+same failure as a compare at every node would. A separate guard counts
+nested non-tail applications; exhausting either reports E-RT-FUEL, naming
+which one ran out, so divergent programs stay total for callers.
 """
 
 from __future__ import annotations
@@ -107,8 +95,7 @@ DEPTH_EXCEEDED = "evaluation depth exceeded (too many nested non-tail calls)"
 
 class RuntimeFailure(Exception):
     def __init__(self, code: str, message: str):
-        self.code = code
-        self.message = message
+        self.code, self.message = code, message
         super().__init__(message)
 
     def to_diagnostic(self) -> Diagnostic:
@@ -132,23 +119,21 @@ _new = object.__new__
 
 
 class VClosure:
-    # body: compiled in tail mode, in the scope of `env` plus the parameters
+    # body: compiled in tail mode, to run on `env` plus the arguments
+    # env: the values of the variables the body reads from around it
     __slots__ = ("body", "env")
-    def __init__(self, body: Callable, env: tuple):
+    def __init__(self, body: Callable, env: list):
         self.body, self.env = body, env
 
 
 class Arms(dict):
-    """The arms of a match: constructor name -> (whether the arm binds the
-    constructor's fields, its body). A constructor with no arm of its own
-    takes the wildcard arm, `default`."""
-
-    default = None
+    """The arms of a match: constructor name -> the arm's body, and None ->
+    the wildcard arm's, which takes each constructor with no arm of its own."""
 
     def __missing__(self, name: str):
-        if self.default is None:  # the one failure a checked program can reach
+        if None not in self:  # the one failure a checked program can reach
             raise RuntimeFailure("E-RT-MATCH", f"non-exhaustive match: no arm for {name}")
-        return self.default
+        return self[None]
 
 
 # Literal kind -> value of the literal's payload.
@@ -200,24 +185,64 @@ BUILTINS = {
 # ---------------------------------------------------------------- compiled code
 
 
-def _bind(scope: dict, names) -> dict:
-    """A copy of `scope` with `names` bound to the next slots of the frame.
-    A scope maps each name bound around a node to the slot of its innermost
-    binding in the frame the node runs on, and None to that frame's length;
-    a None name takes a slot that no name reads."""
-    inner = dict(scope)
+def _bind(scope: dict, names) -> list:
+    """Bind `names` in `scope` in place to the next slots, and return the
+    entries they replace, for `_restore`. A scope maps each name bound around
+    a node to its innermost binding's slot, None to the first free slot."""
+    replaced = [(None, scope[None])]
     for name in names:
-        if name is not None:
-            inner[name] = inner[None]
-        inner[None] += 1
-    return inner
+        if name != "_":  # takes a slot that no name reads
+            replaced.append((name, scope.get(name)))
+            scope[name] = scope[None]
+        scope[None] += 1
+    return replaced
+
+
+def _restore(scope: dict, replaced: list) -> None:
+    """Undo the `_bind`s that returned `replaced`, in order."""
+    for name, slot in reversed(replaced):
+        if slot is None:
+            del scope[name]
+        else:
+            scope[name] = slot
 
 
 def _getter(slots: list[int]):
-    """A C function of a frame that returns the values of `slots` as a tuple."""
-    if len(slots) == 1:
-        return itemgetter(slice(slots[0], slots[0] + 1))
-    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
+    """A function of a frame that returns the values of `slots` as a new
+    list: a C slice getter where they are consecutive."""
+    start = slots[0] if slots else 0
+    if slots == list(range(start, start + len(slots))):
+        return itemgetter(slice(start, start + len(slots)))
+    values = itemgetter(*slots)
+    return lambda env: [*values(env)]
+
+
+# The children of each kind of core node that has some but a variable.
+CHILDREN = {
+    CLam: lambda e: [e.body],
+    CApp: lambda e: [e.fn, *e.args],
+    CTyApp: lambda e: [e.fn],
+    CDict: lambda e: e.fields.values(),
+    CProj: lambda e: [e.record],
+    CCtor: lambda e: e.args,
+    CMatch: lambda e: [e.scrutinee, *(body for _, _, body in e.arms)],
+    CLet: lambda e: [e.bound, e.body],
+    CTuple: lambda e: [e.first, e.second],
+    CIf: lambda e: [e.cond, e.then, e.orelse],
+}
+
+
+def _free(e: CoreExpr, scope: dict) -> list:
+    """The names bound in `scope` that `e` reads, also under an inner binding
+    of the name, in the order of their slots (none in a global's scope)."""
+    reads, todo = {}, [e] if scope[None] else []
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar and e.name in scope:
+            reads[e.name] = None
+        elif type(e) in CHILDREN:
+            todo += CHILDREN[type(e)](e)
+    return sorted(reads, key=scope.get)
 
 
 def _method_call(e: CoreExpr, scope: dict) -> bool:
@@ -235,10 +260,10 @@ def _pick(e: CApp, scope: dict):
     return {"fst": 0, "snd": 1}.get(e.fn.name) if e.args[0].name in scope else None
 
 
-def _values(codes: list, env: tuple) -> tuple:
+def _values(codes: list, env: list) -> list:
     """The values of `codes` on `env`, for the rarer numbers of operands.
     (A comprehension in a node's own code would make `env` a cell there.)"""
-    return tuple([code(env) for code in codes])
+    return [code(env) for code in codes]
 
 
 class Interp:
@@ -250,7 +275,6 @@ class Interp:
         self.globals: dict[str, object] = {}
         self._forcing: set[str] = set()
         self.builtins = {**BUILTINS, "print": self.transcript.append}
-        self.keeps = 0  # nodes compiled so far whose code keeps, extends or slices its frame
 
     # ------------------------------------------------------------- plumbing
 
@@ -269,8 +293,8 @@ class Interp:
     # ------------------------------------------------------------- evaluation
 
     def eval(self, e: CoreExpr, env: dict):
-        scope = _bind({None: 0}, env)
-        return self._compile(e, scope, 0, False, True)[0](tuple(env.values()))
+        _bind(scope := {None: 0}, env)
+        return self._compile(e, scope, 0, False, True)[0](list(env.values()))
 
     def settle(self, run: Callable[[], object]):
         """`run()`, unless it overspent the step budget: then whatever it
@@ -301,7 +325,7 @@ class Interp:
             return fn(*args)
         self.depth = depth + 1
         try:
-            return self.resume(fn.body(fn.env + args))
+            return self.resume(fn.body(fn.env + [*args]))
         finally:
             self.depth = depth
 
@@ -328,10 +352,9 @@ class Interp:
     # a frame laid out by `scope`, and the steps still owed when that code
     # returns. `owed` counts the steps of the nodes entered before `e` that
     # no code has spent yet, and `e` adds its own. A node spends what is
-    # owed only where the run may fail or enters a function (a non-tail
-    # application, a match, a global, which may be forced) and where it
-    # `close`s a closure body or a branch, before it returns. `tail` marks
-    # a node whose value is the value of the enclosing closure body: an
+    # owed where the run may fail or enters a function (a non-tail call, a
+    # match, a global, which may be forced) and where it `close`s a body or
+    # a branch. `tail` marks a node whose value is its closure body's: an
     # application there returns its call pending instead of entering it.
 
     def _compile(self, e: CoreExpr, scope: dict, owed: int, tail: bool, close: bool):
@@ -377,11 +400,15 @@ class Interp:
         return self._constant(LITERALS[e.kind](e.value), owed, close)
 
     def _lam(self, e: CLam, scope: dict, owed: int, tail: bool, close: bool):
-        body, _ = self._compile(e.body, _bind(scope, [n for n, _ in e.params]), 0, True, True)
-        self.keeps += 1
+        # The closure copies the values its body reads from around it to the
+        # first slots of each frame its body runs on.
+        free = _free(e.body, scope)
+        _bind(inner := {None: 0}, [*free, *(name for name, _ in e.params)])
+        body, _ = self._compile(e.body, inner, 0, True, True)
+        values = _getter([scope[name] for name in free])
 
         def run(env):
-            return VClosure(body, env)
+            return VClosure(body, values(env))
 
         return self._closing(run, owed + 1) if close else (run, owed + 1)
 
@@ -439,22 +466,22 @@ class Interp:
                 self.fuel -= first
                 fn = values[name] if name in values else self.global_value(name)
             if n == 1:
-                args = (a(env) if ka is None else a(env)[ka],)
+                args = [a(env) if ka is None else a(env)[ka]]
             elif n == 2:
-                args = (a(env) if ka is None else a(env)[ka], b(env) if kb is None else b(env)[kb])
+                args = [a(env) if ka is None else a(env)[ka], b(env) if kb is None else b(env)[kb]]
             elif n == 3:
-                args = (
+                args = [
                     a(env) if ka is None else a(env)[ka],
                     b(env) if kb is None else b(env)[kb],
                     c(env) if kc is None else c(env)[kc],
-                )
+                ]
             elif n == 4:
-                args = (
+                args = [
                     a(env) if ka is None else a(env)[ka],
                     b(env) if kb is None else b(env)[kb],
                     c(env) if kc is None else c(env)[kc],
                     d(env) if kd is None else d(env)[kd],
-                )
+                ]
             else:
                 args = _values(codes, env)
             self.fuel -= owed
@@ -481,9 +508,7 @@ class Interp:
         the call is, given its `arms`, or to the `if` whose condition it is,
         given its else and then `branches`."""
         i, field, owed = scope[e.fn.record.name], e.fn.field, owed + 3 + len(e.args)
-        values = _getter([scope[x.name] for x in e.args])
-        # `fn.env + args` needs a tuple where the getter slices, and a binding arm extends `env`
-        self.keeps += len(e.args) < 2 or arms is not None and any(b for b, _ in arms.values())
+        values, fields = _getter([scope[x.name] for x in e.args]), slice(scope[None], None)
 
         def run(env):
             fn, args = env[i][field], values(env)
@@ -504,8 +529,8 @@ class Interp:
                 finally:
                     self.depth = depth
             if arms is not None:
-                binds, body = arms[value.name]
-                return body(env + value.args) if binds else body(env)
+                env[fields] = value.args
+                return arms[value.name](env)
             return value if branches is None else branches[value](env)
 
         return run, 0
@@ -593,7 +618,7 @@ class Interp:
             elif n == 2:
                 value.args = (a(env), b(env))
             else:
-                value.args = _values(codes, env)
+                value.args = tuple(_values(codes, env))
             if spend:
                 self.fuel -= spend
             return value
@@ -613,70 +638,44 @@ class Interp:
         return run, owed
 
     def _match(self, e: CMatch, scope: dict, owed: int, tail: bool, close: bool):
-        # Arms after a wildcard are unreachable, and a `_` binder takes a
-        # slot that no name reads. Each arm spends its own steps: which one
-        # runs is known only here.
+        # The value's fields go to the first free slot, whichever arm takes
+        # them, for its binders; only the first arm that can take a value is
+        # compiled. Each arm spends its own steps: only here is it known.
         arms = Arms()
         for ctor, binders, body in e.arms:
-            if ctor is None:
-                arms.default = (False, self._compile(body, scope, 0, tail, True)[0])
-                break
-            if ctor not in arms:
-                names = tuple(None if b == "_" else b for b in binders)
-                binds = any(names)
-                inner = _bind(scope, names) if binds else scope
-                arms[ctor] = (binds, self._compile(body, inner, 0, tail, True)[0])
+            if ctor not in arms and None not in arms:
+                replaced = _bind(scope, binders)
+                arms[ctor], _ = self._compile(body, scope, 0, tail, True)
+                _restore(scope, replaced)
         if _method_call(e.scrutinee, scope):
             return self._method(e.scrutinee, scope, owed + 1, False, arms)
         scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
-        self.keeps += any(binds for binds, _ in arms.values())
+        fields = slice(scope[None], None)
 
         def run(env):
             scrut = scrutinee(env)
             if owed:
                 self.fuel -= owed
-            binds, body = arms[scrut.name]
-            return body(env + scrut.args) if binds else body(env)
+            env[fields] = scrut.args
+            return arms[scrut.name](env)
 
         return run, 0
 
     def _let(self, e: CLet, scope: dict, owed: int, tail: bool, close: bool):
-        """A chain of lets, each the body of the one before, as one node. A chain of three or more
-        appends each value to one list, and a bound or body whose code keeps, extends or slices its
-        frame runs on a tuple copy of it; a shorter one copies its frame tuple per let, which costs
-        less than a list there."""
-        inner, lets = dict(scope), []  # bound in place, let by let
+        """A chain of lets, each the body of the one before, as one node."""
+        lets, replaced = [], []
         while type(e) is CLet:
-            keeps = self.keeps
-            bound, owed = self._compile(e.bound, inner, owed + 1, False, False)
-            bind = e.name != "_"
-            lets.append((bound, bind, self.keeps > keeps))
-            if bind:
-                inner[e.name] = inner[None]
-                inner[None] += 1
+            bound, owed = self._compile(e.bound, scope, owed + 1, False, False)
+            lets.append((bound, slice(scope[None], None)))
+            replaced += _bind(scope, [e.name])
             e = e.body
-        keeps = self.keeps
-        body, owed = self._compile(e, inner, owed, tail, close)
-        last = self.keeps > keeps
-        if len(lets) < 3:
-            self.keeps += 1  # extends its frame
-
-            def run(env):
-                for bound, bind, _ in lets:
-                    value = bound(env)
-                    if bind:
-                        env += (value,)
-                return body(env)
-
-            return run, owed
+        body, owed = self._compile(e, scope, owed, tail, close)
+        _restore(scope, replaced)
 
         def run(env):
-            frame = [*env]
-            for bound, bind, keeps in lets:
-                value = bound(tuple(frame) if keeps else frame)
-                if bind:
-                    frame.append(value)
-            return body(tuple(frame) if last else frame)
+            for bound, slot in lets:
+                env[slot] = (bound(env),)
+            return body(env)
 
         return run, owed
 

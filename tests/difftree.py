@@ -6,15 +6,18 @@ stdout or stderr differ.
 
 The invocations are those of `test_cli_bytes.invocations()`, the explain
 invocations of `test_explain_text.invocations()` in text and with `--json`,
-and one round of every `bench/workloads.py` workload at seed 1. They are
-built once, from this tree, and each tree runs all of them on the same
-inputs, in fresh interpreters of BATCH invocations each. Exits 1 when any
-invocation differs. pytest does not collect this file.
+one round of every `bench/workloads.py` workload at seed 1, and a fuel
+sweep: `run --json --fuel N` of each of FUEL_PROGRAMS for every N from 0 to
+three past the steps the program needs to end or fail. They are built once,
+from this tree, and each tree runs all of them on the same inputs, in fresh
+interpreters of BATCH invocations each. Exits 1 when any invocation
+differs. pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -25,6 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BATCH = 150
 SEED = 1
+
+# The programs of the fuel sweep: `test_evaluator`'s that keep closures or
+# fail in a match, and a 40-let chain of each shape of `test_scaling`.
+FUEL_PROGRAMS = ("KEEPING_LETS", "PICK_IN_A_PAIR", "WILDCARD_ARM", "CAPTURING_CLOSURES")
+CHAIN_LETS = 40
 
 # Runs a JSON list of [cwd, argv] from stdin through `slc.cli.main` and
 # prints one [exit, stdout, stderr] per invocation; an escaping exception
@@ -66,6 +74,35 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     for name in workloads.WORKLOADS:
         for op in workloads.build(name, SEED, ROOT, workdir / name):
             out.append((str(op.cwd), list(op.argv)))
+    return out + fuel_sweep(workdir / "fuel")
+
+
+def fuel_sweep(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(cwd, argv) of `run --json --fuel N` of each fuel program, for every
+    N from 0 to three past the fewest steps at which this tree's run of it
+    stops reporting the budget; each program is written under `workdir`."""
+    import test_evaluator
+    import test_scaling
+    from conftest import check_inline
+
+    from slc.corekit import elaborate
+    from slc.evaluator import STEPS_EXCEEDED, run_program
+
+    programs = {name: getattr(test_evaluator, name) for name in FUEL_PROGRAMS}
+    for shape in test_scaling.LET_BOUNDS:
+        programs[f"chain_{shape}"] = test_scaling.let_chain(CHAIN_LETS, shape)
+    out = []
+    for label, source in programs.items():
+        module = source.split()[1]
+        core = elaborate(check_inline(**{module: source}).program)
+        need = next(
+            fuel for fuel in itertools.count()
+            if getattr(run_program(core, fuel), "message", None) != STEPS_EXCEEDED
+        )
+        (workdir / label).mkdir(parents=True)
+        (workdir / label / f"{module}.sl").write_text(source, encoding="utf-8")
+        for fuel in range(need + 4):
+            out.append((str(workdir / label), ["run", "--json", "--fuel", str(fuel), f"{module}.sl"]))
     return out
 
 

@@ -174,12 +174,12 @@ fn main() -> Unit {
 
 
 def test_let_chains_keep_the_frames_their_closures_took():
-    """A chain of three or more lets appends each value to one list; a bound
-    that keeps, extends or slices its frame (a lambda, a match that binds, a
-    method call on one argument, a method call fused with a match whose arm
-    binds, a shorter chain, which extends its frame tuple), and a body that
-    does, runs on a tuple copy of it, so each closure sees the lets before it
-    and only those, wherever it is called."""
+    """Each let of a chain stores its value into the function's one frame,
+    at a slot that a later let or arm may reuse, and a lambda copies the
+    values it reads when it is built, so each closure sees the lets before
+    it, as they were, wherever it is called: after later lets, matches that
+    bind, method calls and a let in an `if` branch have stored into the
+    frame."""
     _, transcript = run(k=KEEPING_LETS)
     assert transcript == ["25", "52525252104", "27"]
 

@@ -7,8 +7,8 @@ that reuse names, checking costs the same per module however many there are,
 and no check leaves cyclic garbage. A clean check resolves no source
 position, and resolving them for diagnostics costs linear time. A chain of
 lets costs the same per let however long it is, in time and memory, in
-checking, in the core check and in the evaluator's compilation, and takes
-no Python frame per let."""
+checking, in the core check and in the evaluator's compilation and run,
+whatever its bounds, and takes no Python frame per let."""
 
 import gc
 import subprocess
@@ -409,16 +409,30 @@ def test_check_opcodes_per_module_stay_flat_when_siblings_reuse_names():
     assert long <= 1.05 * short, (short, long)
 
 
-def let_chain(lets: int) -> str:
-    """A module whose `main` binds `lets` variables in one chain, each one
-    more than the last, and prints the last."""
-    body = "".join(f"  let x{i} = add64(x{i - 1}, 1:U64);\n" for i in range(1, lets + 1))
-    return f"module m\nfn main() -> Unit {{\n  let x0 = 0:U64;\n{body}  print(show64(x{lets}))\n}}\n"
+# The bound of `let x{i}` in each shape of `let_chain`.
+LET_BOUNDS = {
+    "add64": "add64(x{j}, 1:U64)",
+    "lambda": "fn(y: U64) => add64(y, x0)",
+    "match": "match Some(x{j}) {{ Some(v) => add64(v, 1:U64) }}",
+}
+
+
+def let_chain(lets: int, shape: str = "add64") -> str:
+    """A module whose `main` binds `lets` variables after `x0 = 0` in one
+    chain and prints `lets`. By `shape`, each bound is one more than the
+    variable before (`add64`), the same through a match whose arm binds it
+    (`match`), or a lambda that adds `x0` to its argument (`lambda`), the
+    last of which `main` applies to `lets`."""
+    bound = LET_BOUNDS[shape]
+    body = "".join(f"  let x{i} = {bound.format(j=i - 1)};\n" for i in range(1, lets + 1))
+    last = f"x{lets}({lets}:U64)" if shape == "lambda" else f"x{lets}"
+    return f"module m\nfn main() -> Unit {{\n  let x0 = 0:U64;\n{body}  print(show64({last}))\n}}\n"
 
 
 def let_chain_pass(phase: str, lets: int):
-    """`phase` of `sl run` on `let_chain(lets)`, as a function of nothing."""
-    source = let_chain(lets)
+    """`phase` of `sl run` on `let_chain(lets)`, as a function of nothing;
+    `run`, the whole of `run_program`, runs the lambda chain."""
+    source = let_chain(lets, "lambda" if phase == "run" else "add64")
     if phase == "check_sources":
         return lambda: check_inline(m=source)
     result = check_inline(m=source)
@@ -426,6 +440,8 @@ def let_chain_pass(phase: str, lets: int):
     core = elaborate(result.program, [result.program.entry])
     if phase == "core_check":
         return lambda: core_check(core)
+    if phase == "run":
+        return lambda: run_program(core)
     return lambda: Interp(core).global_value(core.entry)  # compiles `main`
 
 
@@ -463,32 +479,37 @@ def test_let_chain_opcodes_per_let_stay_flat(phase):
     assert long <= 1.1 * short, (short, long)
 
 
-@pytest.mark.parametrize("phase", LET_PHASES)
+@pytest.mark.parametrize("phase", [*LET_PHASES, "run"])
 def test_let_chain_memory_per_let_stays_flat(phase):
-    """The same passes hold memory linear in the number of lets: no `let`
-    copies the environment or the scope of the lets before it. Peak bytes
-    per let from 500 to 2,000 lets when set: 3,134 and 3,102 in
-    `check_sources`, 42 and 40 in `core_check`, 669 and 675 in compilation,
-    against 9,413 and 30,180, 7,184 and 28,393, 3,079 and 9,083 while each
-    let copied them. (tracemalloc walks the whole Python stack on each
-    allocation, so larger chains make this test slow, not its bound
-    loose.)"""
+    """The same passes, and `run_program` on a chain of lambdas, hold memory
+    linear in the number of lets: no `let` copies the environment or the
+    scope of the lets before it, and a closure keeps the one value it reads,
+    not the frame it was made in. Peak bytes per let from 500 to 2,000 lets
+    when set: 3,134 and 3,102 in `check_sources`, 42 and 40 in `core_check`,
+    669 and 675 in compilation, against 9,413 and 30,180, 7,184 and 28,393,
+    3,079 and 9,083 while each let copied them; 1,444 and 1,391 in `run`,
+    against 3,113 and 9,109 while each closure kept a copy of its frame.
+    (tracemalloc walks the whole Python stack on each allocation, so larger
+    chains make this test slow, not its bound loose.)"""
     short = peak_bytes(let_chain_pass(phase, 500)) / 500
     long = peak_bytes(let_chain_pass(phase, 2_000)) / 2_000
     assert long <= 1.1 * short, (short, long)
 
 
 def test_let_chain_runs_in_linear_time():
-    """The evaluator binds a chain of lets by appending each value to one
-    list in place, so `run_program` (compiling `main` included) of a chain
-    four times as long takes about four times as long: 4.5 to 4.9 times
-    from 5,000 to 20,000 lets when set, against 14 times while each `let`
-    copied the frame tuple. Best of five runs of each, with the collector off as
-    `sl run` nearly has it (`cli.YOUNG_THRESHOLD`), so that its passes over
-    the compiled chain do not count."""
+    """The evaluator stores each let's value into the one frame of `main`,
+    and a lambda copies only the values it reads, so `run_program`
+    (compiling `main` included) of a chain four times as long takes about
+    four times as long, whatever the bounds: from 5,000 to 20,000 lets when
+    set, 4.5 to 4.9 times with `add64` bounds (14 times while each `let`
+    copied the frame tuple), and 4.0 and 4.4 times with lambda and binding
+    match bounds (16 to 23 times while their lets ran on tuple copies of
+    the frame). Best of five runs of each, with the collector off as `sl
+    run` nearly has it (`cli.YOUNG_THRESHOLD`), so that its passes over the
+    compiled chain do not count."""
 
-    def run_seconds(lets: int) -> float:
-        result = check_inline(m=let_chain(lets))
+    def run_seconds(lets: int, shape: str) -> float:
+        result = check_inline(m=let_chain(lets, shape))
         core = elaborate(result.program, [result.program.entry])
         best = float("inf")
         enabled = gc.isenabled()
@@ -504,8 +525,9 @@ def test_let_chain_runs_in_linear_time():
         assert transcript == [str(lets)]
         return best
 
-    short, long = run_seconds(5_000), run_seconds(20_000)
-    assert long <= 6 * short, (short, long)
+    for shape in LET_BOUNDS:
+        short, long = run_seconds(5_000, shape), run_seconds(20_000, shape)
+        assert long <= 6 * short, (shape, short, long)
 
 
 # Checks and runs the program on stdin in a fresh interpreter whose
