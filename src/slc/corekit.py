@@ -33,7 +33,9 @@ from .decls import (
     TReqCall,
     TTuple,
     TVarRef,
+    bind,
     bind_assocs,
+    restore,
 )
 from .diagnostics import Diagnostic, Span
 from .linker import LinkedProgram
@@ -57,7 +59,6 @@ from .types import (
     fn_type,
     match_many,
     normalize,
-    outermost_con,
     pair_type,
     render,
     split_fn_type,
@@ -455,7 +456,7 @@ class CoreChecker:
 
     def __init__(self, program: CoreProgram):
         self.program = program
-        self.concepts, self.datas = program.world.index.concepts, program.world.index.datas
+        self.index, self.concepts = program.world.index, program.world.index.concepts
         self.eq_rules: list[Eq] = []  # the current definition's erased givens
         self.dicts: dict[tuple, dict] = {}  # (concept, subjects) -> field types
         self.builtin_apps: dict[tuple, TypeTerm] = {}  # (builtin, *argument types) -> result
@@ -543,9 +544,9 @@ class CoreChecker:
             self.fail(f"unknown literal kind {e.kind}")
 
     def _lam(self, e: CLam, env) -> TypeTerm:
-        inner = dict(env)
-        inner.update(e.params)
-        ret = self.infer(e.body, inner)
+        replaced = bind(env, e.params)
+        ret = self.infer(e.body, env)
+        restore(env, replaced)
         return fn_type([t for _, t in e.params], ret)
 
     def _app(self, e: CApp, env) -> TypeTerm:
@@ -626,7 +627,7 @@ class CoreChecker:
         return ftype
 
     def _ctor(self, e: CCtor, env) -> TypeTerm:
-        data = self.datas.get(e.data)
+        data = self.index.datas.get(e.data)
         if data is None:
             self.fail(f"unknown data type {e.data}")
         cdecl = data.ctor(e.ctor)
@@ -638,7 +639,7 @@ class CoreChecker:
             self.fail(f"{e.ctor}: wrong arity")
         fields, data_ty = cdecl.fields, data.con
         if data.params:
-            fields = Substitution({v.uid: t for v, t in zip(data.params, e.tyargs)}).apply(fields)
+            fields = data.instantiate(e.tyargs).apply(fields)
             data_ty = App(data_ty, tuple(e.tyargs))
         for arg, want in zip(e.args, fields):
             got = self.infer(arg, env)
@@ -648,26 +649,23 @@ class CoreChecker:
 
     def _match(self, e: CMatch, env) -> TypeTerm:
         scrut = self.norm(self.infer(e.scrutinee, env))
-        con = outermost_con(scrut)
-        data = None if con is None else self.datas.get(f"{con.origin}.{con.name}")
+        data = self.index.data_of(scrut)
         if data is None:
             self.fail(f"match on non-data type {render(scrut)}")
-        args = scrut.args if isinstance(scrut, App) else ()
-        sub = Substitution({v.uid: t for v, t in zip(data.params, args)})
+        sub = data.instantiate(scrut.args if isinstance(scrut, App) else ())
         result: TypeTerm | None = None
         for ctor_name, binders, body in e.arms:
-            inner = env
+            pairs = ()
             if ctor_name is not None:
                 cdecl = data.ctor(ctor_name)
                 if cdecl is None:
                     self.fail(f"{data.name} has no constructor {ctor_name}")
                 if len(binders) != len(cdecl.fields):
                     self.fail(f"{ctor_name}: pattern arity")
-                inner = dict(env)
-                for b, ftype in zip(binders, cdecl.fields):
-                    if b != "_":
-                        inner[b] = sub.apply(ftype)
-            got = self.infer(body, inner)
+                pairs = zip(binders, sub.apply(cdecl.fields))
+            replaced = bind(env, pairs)
+            got = self.infer(body, env)
+            restore(env, replaced)
             if result is None:
                 result = got
             elif not self.equal(got, result):
@@ -677,23 +675,14 @@ class CoreChecker:
         return result
 
     def _let(self, e: CLet, env) -> TypeTerm:
-        """A chain of lets in one loop, bound in `env` itself and unbound on
-        the way out, as sema does."""
-        shadowed = []
-        try:
-            while type(e) is CLet:
-                bound = self.infer(e.bound, env)
-                if e.name != "_":  # binds nothing, as `_` binders of match arms
-                    shadowed.append((e.name, env.get(e.name)))
-                    env[e.name] = bound
-                e = e.body
-            return self.infer(e, env)
-        finally:
-            for name, old in reversed(shadowed):
-                if old is None:
-                    del env[name]
-                else:
-                    env[name] = old
+        """A chain of lets in one loop, as sema checks one."""
+        replaced = []
+        while type(e) is CLet:
+            replaced += bind(env, [(e.name, self.infer(e.bound, env))])
+            e = e.body
+        ret = self.infer(e, env)
+        restore(env, replaced)
+        return ret
 
     def _if(self, e: CIf, env) -> TypeTerm:
         if not self.equal(self.infer(e.cond, env), BOOL):

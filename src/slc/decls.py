@@ -19,6 +19,29 @@ from .types import (
 )
 
 
+def bind(env: dict, pairs) -> list:
+    """Bind each `(name, value)` of `pairs` in `env` in place, a later
+    duplicate winning and `_` binding nothing, and return what they replace
+    (None for no entry, so no value is None), for `restore`. No caller
+    restores on an exception: each body is checked on an environment of its
+    own, which an `Abort` or `CoreIllTyped` drops."""
+    replaced = []
+    for name, value in pairs:
+        if name != "_":
+            replaced.append((name, env.get(name)))
+            env[name] = value
+    return replaced
+
+
+def restore(env: dict, replaced: list) -> None:
+    """Undo the `bind` that returned `replaced`, in reverse."""
+    for name, old in reversed(replaced):
+        if old is None:
+            del env[name]
+        else:
+            env[name] = old
+
+
 class CalleeSig:
     """What a call of a global name needs of its declaration, built once per program when the
     function, requirement or constructor is filed in the `Index`, or a builtin is first called."""
@@ -197,6 +220,9 @@ class DataDecl:
         self.module, self.name, self.params, self.ctors = module, name, params, ctors
         self.span, self.con, self.id = span, Con(name, len(params), module), f"{module}.{name}"
 
+    def instantiate(self, args) -> Substitution:
+        return Substitution({v.uid: a for v, a in zip(self.params, args)})
+
     def ctor(self, name: str) -> CtorDecl | None:
         for c in self.ctors:
             if c.name == name:
@@ -263,6 +289,11 @@ class Index:
         self.push("data", data.name, data.module, data)
         for ctor in data.ctors:
             self.add_ctor(data, ctor)
+
+    def data_of(self, t: TypeTerm) -> DataDecl | None:
+        """The data type of `t`, a normal form, if its outermost constructor is one's."""
+        con = outermost_con(t)
+        return None if con is None else self.datas.get(f"{con.origin}.{con.name}")
 
     def add_ctor(self, data: DataDecl, ctor: CtorDecl):
         ret = App(data.con, tuple(data.params)) if data.params else data.con

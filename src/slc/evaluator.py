@@ -79,6 +79,7 @@ from .corekit import (
     CTyApp,
     CVar,
 )
+from .decls import bind, restore
 from .diagnostics import Diagnostic, Record, Span
 from .resolver import DEFAULT_FUEL
 
@@ -186,25 +187,11 @@ BUILTINS = {
 
 
 def _bind(scope: dict, names) -> list:
-    """Bind `names` in `scope` in place to the next slots, and return the
-    entries they replace, for `_restore`. A scope maps each name bound around
-    a node to its innermost binding's slot, None to the first free slot."""
-    replaced = [(None, scope[None])]
-    for name in names:
-        if name != "_":  # takes a slot that no name reads
-            replaced.append((name, scope.get(name)))
-            scope[name] = scope[None]
-        scope[None] += 1
-    return replaced
-
-
-def _restore(scope: dict, replaced: list) -> None:
-    """Undo the `_bind`s that returned `replaced`, in order."""
-    for name, slot in reversed(replaced):
-        if slot is None:
-            del scope[name]
-        else:
-            scope[name] = slot
+    """`bind` `names` in `scope` to the next slots (`_` takes one no name
+    reads). A scope maps each name bound around a node to its innermost
+    binding's slot, None to the first free slot."""
+    slots = range(scope[None], scope[None] + len(names))
+    return bind(scope, [(None, slots.stop), *zip(names, slots)])
 
 
 def _getter(slots: list[int]):
@@ -646,7 +633,7 @@ class Interp:
             if ctor not in arms and None not in arms:
                 replaced = _bind(scope, binders)
                 arms[ctor], _ = self._compile(body, scope, 0, tail, True)
-                _restore(scope, replaced)
+                restore(scope, replaced)
         if _method_call(e.scrutinee, scope):
             return self._method(e.scrutinee, scope, owed + 1, False, arms)
         scrutinee, owed = self._compile(e.scrutinee, scope, owed + 1, False, False)
@@ -670,7 +657,7 @@ class Interp:
             replaced += _bind(scope, [e.name])
             e = e.body
         body, owed = self._compile(e, scope, owed, tail, close)
-        _restore(scope, replaced)
+        restore(scope, replaced)
 
         def run(env):
             for bound, slot in lets:

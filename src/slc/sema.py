@@ -52,7 +52,9 @@ from .decls import (
     TReqCall,
     TTuple,
     TVarRef,
+    bind,
     instantiate_context,
+    restore,
 )
 from .diagnostics import Abort, Diagnostic, Related, Span
 from .resolver import DEFAULT_DEPTH, Goal, Resolution, Resolver
@@ -79,7 +81,6 @@ from .types import (
     fn_type,
     fresh_uid,
     normalize,
-    outermost_con,
     pair_type,
     render,
     render_constraint,
@@ -975,35 +976,25 @@ class ExprChecker:
             if want is not None:
                 self.require_equal(declared, want, e.span, f"lambda parameter '{name}'")
             params.append((name, declared))
-        inner = dict(env)
-        inner.update(params)
-        x_body, t_body = self._branch(e.body, inner, want_ret)
+        replaced = bind(env, params)
+        x_body, t_body = self._branch(e.body, env, want_ret)
+        restore(env, replaced)
         ty = fn_type([t for _, t in params], t_body) if expected is None else expected_n
         return TLam(e.span, ty, params, x_body)
 
     def _let(self, e: A.ELet, env, expected: TypeTerm | None) -> TExpr:
-        """A chain of lets, each the body of the one before, in one loop.
-        Each name is bound in `env` itself and unbound on the way out, so a
-        chain costs one dict and no Python frame per let. An inner let has
-        the type of the chain's body, so it is not checked against
-        `expected` again."""
-        lets, shadowed = [], []
-        try:
-            while type(e) is A.ELet:
-                annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
-                bound_x, bound_t = self._branch(e.bound, env, annot)
-                lets.append((e, bound_x))
-                if e.name != "_":  # no type is None
-                    shadowed.append((e.name, env.get(e.name)))
-                    env[e.name] = bound_t
-                e = e.body
-            x_body, expected = self._branch(e, env, expected)
-        finally:
-            for name, old in reversed(shadowed):
-                if old is None:
-                    del env[name]
-                else:
-                    env[name] = old
+        """A chain of lets, each the body of the one before, in one loop, so
+        a chain costs no Python frame per let. An inner let has the type of
+        the chain's body, so it is not checked against `expected` again."""
+        lets, replaced = [], []
+        while type(e) is A.ELet:
+            annot = None if e.annot is None else self.mc.resolve_type(e.annot, self.tyvars)
+            bound_x, bound_t = self._branch(e.bound, env, annot)
+            lets.append((e, bound_x))
+            replaced += bind(env, [(e.name, bound_t)])
+            e = e.body
+        x_body, expected = self._branch(e, env, expected)
+        restore(env, replaced)
         for let, bound_x in reversed(lets):
             x_body = TLet(let.span, expected, let.name, bound_x, x_body)
         return x_body
@@ -1019,27 +1010,28 @@ class ExprChecker:
         data, inst = self._scrutinee_data(x_scrut.type, e.scrutinee.span)
         arms: list[TArm] = []
         for arm in e.arms:
-            arm_env, ctor_key = self._bind_arm(arm, data, inst, env)
-            x_body, expected = self._branch(arm.body, arm_env, expected)
+            pairs, ctor_key = self._bind_arm(arm, data, inst)
+            replaced = bind(env, pairs)
+            x_body, expected = self._branch(arm.body, env, expected)
+            restore(env, replaced)
             arms.append(TArm(ctor_key, list(arm.binders), x_body))
         return TMatch(e.span, expected, x_scrut, arms)
 
     def _scrutinee_data(self, t: TypeTerm, span: Span) -> tuple[DataDecl, Substitution]:
         t_n = self.norm(t, span)
-        con = outermost_con(t_n)
-        data = None if con is None else self.mc.index.datas.get(f"{con.origin}.{con.name}")
+        data = self.mc.index.data_of(t_n)
         if data is not None:
-            args = t_n.args if isinstance(t_n, App) else ()
-            return data, Substitution({v.uid: a for v, a in zip(data.params, args)})
+            return data, data.instantiate(t_n.args if isinstance(t_n, App) else ())
         self.mc.abort(
             "E-TYPE-MISMATCH",
             f"match scrutinee has type {render(t)}, which is not a sum type",
             span,
         )
 
-    def _bind_arm(self, arm: A.EMatchArm, data: DataDecl, inst: Substitution, env):
+    def _bind_arm(self, arm: A.EMatchArm, data: DataDecl, inst: Substitution):
+        """The (binder, type) pairs of `arm` and its constructor's key."""
         if arm.ctor is None:
-            return dict(env), None
+            return [], None
         cdecl = data.ctor(arm.ctor)
         if cdecl is None:
             self.mc.abort(
@@ -1054,11 +1046,7 @@ class ExprChecker:
                 f"pattern binds {len(arm.binders)}",
                 arm.span,
             )
-        arm_env = dict(env)
-        for binder, field_t in zip(arm.binders, cdecl.fields):
-            if binder != "_":
-                arm_env[binder] = inst.apply(field_t)
-        return arm_env, (data.id, arm.ctor)
+        return zip(arm.binders, inst.apply(cdecl.fields)), (data.id, arm.ctor)
 
 
 # Expression class -> its rule: (checker, node, env, expected type or None to

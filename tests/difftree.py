@@ -6,9 +6,11 @@ stdout or stderr differ.
 
 The invocations are those of `test_cli_bytes.invocations()`, the explain
 invocations of `test_explain_text.invocations()` in text and with `--json`,
-one round of every `bench/workloads.py` workload at seed 1, and a fuel
-sweep: `run --json --fuel N` of each of FUEL_PROGRAMS for every N from 0 to
-three past the steps the program needs to end or fail. They are built once,
+one round of every `bench/workloads.py` workload at seed 1, a fuel sweep:
+`run --json --fuel N` of each of FUEL_PROGRAMS for every N from 0 to three
+past the steps the program needs to end or fail, `check --json` and `run
+--json` of each of `test_sema.SHADOWING`'s programs, and `check --json` of
+a CHAIN_LETS-let chain of each shape of `test_scaling`. They are built once,
 from this tree, and each tree runs all of them on the same inputs, in fresh
 interpreters of BATCH invocations each. Exits 1 when any invocation
 differs. pytest does not collect this file.
@@ -74,7 +76,7 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     for name in workloads.WORKLOADS:
         for op in workloads.build(name, SEED, ROOT, workdir / name):
             out.append((str(op.cwd), list(op.argv)))
-    return out + fuel_sweep(workdir / "fuel")
+    return out + fuel_sweep(workdir / "fuel") + binder_programs(workdir / "binders")
 
 
 def fuel_sweep(workdir: Path) -> list[tuple[str, list[str]]]:
@@ -103,6 +105,24 @@ def fuel_sweep(workdir: Path) -> list[tuple[str, list[str]]]:
         (workdir / label / f"{module}.sl").write_text(source, encoding="utf-8")
         for fuel in range(need + 4):
             out.append((str(workdir / label), ["run", "--json", "--fuel", str(fuel), f"{module}.sl"]))
+    return out
+
+
+def binder_programs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(cwd, argv) of `check --json` and `run --json` of each shadowing
+    program, and of `check --json` of each chain; each program is written
+    under `workdir`."""
+    import test_scaling
+    import test_sema
+
+    programs = [(p.id, p.values[0], ("check", "run")) for p in test_sema.SHADOWING]
+    programs += [(f"chain_{shape}", test_scaling.let_chain(CHAIN_LETS, shape), ("check",))
+                 for shape in test_scaling.LET_BOUNDS]
+    out = []
+    for label, source, commands in programs:
+        (workdir / label).mkdir(parents=True)
+        (workdir / label / "m.sl").write_text(source, encoding="utf-8")
+        out += [(str(workdir / label), [command, "--json", "m.sl"]) for command in commands]
     return out
 
 

@@ -28,7 +28,7 @@ from slc.corekit import (
 )
 from slc.evaluator import run_program
 from slc.linker import check_sources
-from slc.types import U64, App, Con
+from slc.types import BOOL, U64, App, Con
 
 ITER = """\
 module iter
@@ -451,6 +451,62 @@ def test_core_check_reports_what_it_cannot_type(body, message):
     assert [(d.code, d.message) for d in core_check(core)] == [
         ("E-CORE-ILLTYPED", ILLTYPED + message)
     ]
+
+
+TRUE = CLit("bool", True)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(
+            CLet("y", CVar("x"), CLet("g", CLam([("y", BOOL)], CVar("y")),
+                                      CIf(CApp(CVar("g"), [TRUE]), CVar("y"), CVar("x")))),
+            None,
+            id="lambda-parameter-shadows-a-let",
+        ),
+        pytest.param(
+            CLet("b", CMatch(CCtor("std.Option", "Some", [BOOL], [TRUE]), [
+                ("Some", ["x"], CVar("x")),
+                ("None", [], CApp(CBuiltin("eq64"), [CVar("x"), CVar("x")])),
+            ]), CIf(CVar("b"), CVar("x"), CVar("x"))),
+            None,
+            id="arm-binder-shadows-a-parameter",
+        ),
+        pytest.param(
+            CApp(CLam([("y", BOOL), ("y", U64)], CVar("y")), [TRUE, CVar("x")]),
+            None,
+            id="duplicate-lambda-parameters-last-wins",
+        ),
+        pytest.param(
+            CMatch(CCtor("std.List", "Nil", [U64], []), [
+                ("Cons", ["y", "y"], CMatch(CVar("y"), [(None, [], CVar("x"))])),
+                ("Nil", [], CVar("x")),
+            ]),
+            None,
+            id="duplicate-arm-binders-last-wins",
+        ),
+        pytest.param(
+            CApp(CLam([("_", U64)], CVar("_")), [CVar("x")]),
+            "unbound core variable _",
+            id="underscore-parameter-binds-nothing",
+        ),
+        pytest.param(
+            CLet("g", CLam([("x", BOOL)], CVar("x")),
+                 CApp(CBuiltin("add64"), [CVar("x"), CApp(CVar("g"), [CVar("x")])])),
+            "argument expects Bool, got U64",
+            id="parameter-type-after-the-lambda",
+        ),
+    ],
+)
+def test_core_check_scopes_each_binder(body, message):
+    """Each inner binder shadows an outer binding of another type, so a
+    binding that leaked out of its scope, or was not restored after it,
+    would change the verdict."""
+    core = build(m=IDENTITY)
+    core.defs["m.f"].expr = CLam([("x", U64)], body)
+    expected = [] if message is None else [("E-CORE-ILLTYPED", ILLTYPED + message)]
+    assert [(d.code, d.message) for d in core_check(core)] == expected
 
 
 # ---------------------------------------------------------------- what `run` elaborates

@@ -809,3 +809,85 @@ def test_declaration_diagnostics_and_their_spans(policy, decls, code, message, s
     result = check_inline(policy, lib=KB_LIB, m=f"module m\nimport lib\n{decls}\n")
     found = [(d.code, d.message, d.span.file, d.span.start, d.span.end) for d in result.diagnostics]
     assert found == [(code, message, "m.sl", start, end)]
+
+
+# Programs whose inner binders shadow an outer binding of another type, each
+# with its diagnostics: a binding that leaked out of its scope, or was not
+# restored after it, would change the verdict.
+SHADOWING = [
+    pytest.param(
+        """\
+module m
+fn main() -> Unit {
+  let x = true;
+  let g = fn(x: U64) => add64(x, 1:U64);
+  print(if x { show64(g(1:U64)) } else { "no" })
+}
+""",
+        [],
+        id="lambda-parameter-shadows-a-let",
+    ),
+    pytest.param(
+        """\
+module m
+fn f(x: Bool, o: Option[U64]) -> Bool {
+  let y = match o { Some(x) => eq64(x, 1:U64), None => x };
+  if x { y } else { false }
+}
+fn main() -> Unit { print(showbool(f(true, Some(1:U64)))) }
+""",
+        [],
+        id="arm-binder-shadows-a-parameter",
+    ),
+    pytest.param(
+        """\
+module m
+fn main() -> Unit {
+  let g = fn(x: U64, x: Bool) => x;
+  print(showbool(g(1:U64, true)))
+}
+""",
+        [],
+        id="duplicate-lambda-parameters-last-wins",
+    ),
+    pytest.param(
+        """\
+module m
+data P { Mk(U64, Bool) }
+fn main() -> Unit { print(showbool(match Mk(1:U64, true) { Mk(x, x) => x })) }
+""",
+        [],
+        id="duplicate-arm-binders-last-wins",
+    ),
+    pytest.param(
+        """\
+module m
+data P { Mk(U64, Bool) }
+fn main() -> Unit {
+  let x = true;
+  add64(1:U64, 2:U64);
+  print(showbool(match Mk(1:U64, false) { Mk(_, _) => x }))
+}
+""",
+        [],
+        id="underscore-binds-nothing",
+    ),
+    pytest.param(
+        """\
+module m
+fn f(x: Bool, o: Option[U64]) -> U64 {
+  let y = match o { Some(x) => x, None => 0:U64 };
+  add64(x, y)
+}
+fn main() -> Unit { print(show64(f(true, None))) }
+""",
+        [("E-TYPE-MISMATCH", "type mismatch in this expression: expected U64, found Bool")],
+        id="parameter-type-after-the-match",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, diagnostics", SHADOWING)
+def test_inner_binders_shadow_outer_bindings(source, diagnostics):
+    result = check_inline(m=source)
+    assert [(d.code, d.message) for d in result.diagnostics] == diagnostics
