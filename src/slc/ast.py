@@ -1,8 +1,8 @@
 """Surface abstract syntax. One ModuleAST per source file.
 
 Type and constraint expressions stay purely syntactic here; name resolution
-into semantic terms happens later, so the printer can reproduce the source
-shape exactly.
+into semantic terms happens later, so an AST keeps the source's shape
+exactly, and the tests' pretty-printer (`tests/printer.py`) reproduces it.
 """
 
 from __future__ import annotations

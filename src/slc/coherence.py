@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from .decls import CheckedModule, ModelDecl, ModelWorld
 from .diagnostics import Diagnostic, Related
+from .resolver import Goal, candidates
 from .types import (
     Conf,
     Eq,
@@ -56,9 +57,6 @@ class CoherencePolicy:
     @property
     def is_uniqueness(self) -> bool:
         return self.kind != "scoped"
-
-    def flagless(self) -> "CoherencePolicy":
-        return CoherencePolicy(self.kind)
 
 
 class OverlapWitness:
@@ -102,24 +100,17 @@ def _provable(goal: Conf, visible: ModelWorld, depth: int) -> bool:
     subjects = tuple(normalize(s, (), visible) for s in goal.subjects)
     if not all(is_ground(s) for s in subjects):
         return True
-    for model in visible.models_like(goal.concept, subjects[0]):
-        match = model.match(subjects)
-        if match is None:
-            continue
-        ok = True
-        for c in model.context:
-            inst = match.apply(c)
-            if isinstance(inst, Conf):
-                if not _provable(inst, visible, depth - 1):
-                    ok = False
+    for cand in candidates(Goal(Conf(goal.concept, subjects), None), visible):
+        for c in cand.inst_context:
+            if isinstance(c, Conf):
+                if not _provable(c, visible, depth - 1):
                     break
-            elif isinstance(inst, Eq):
-                lhs = normalize(inst.lhs, (), visible)
-                rhs = normalize(inst.rhs, (), visible)
+            elif isinstance(c, Eq):
+                lhs = normalize(c.lhs, (), visible)
+                rhs = normalize(c.rhs, (), visible)
                 if is_ground(lhs) and is_ground(rhs) and lhs != rhs:
-                    ok = False
                     break
-        if ok:
+        else:
             return True
     return False
 

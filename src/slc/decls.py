@@ -141,14 +141,14 @@ class ModelDecl:
     # checked body), as a function keeps them
     __slots__ = (
         "module", "index", "name", "concept", "head", "vars", "context", "assoc", "span", "bodies",
-        "superclass_resolutions", "body_goal_records", "uids", "goals",
+        "superclass_resolutions", "uids", "goals",
     )
     def __init__(self, module: str, index: int, name: str | None, concept: str,
                  head: tuple[TypeTerm, ...], vars: list[Var], context: list[ConstraintTerm],
                  assoc: dict[str, TypeTerm], span: Span):
         self.module, self.index, self.name, self.concept = module, index, name, concept
         self.head, self.vars, self.context, self.assoc, self.span = tuple(head), vars, context, assoc, span
-        self.bodies, self.superclass_resolutions, self.body_goal_records = {}, [], {}
+        self.bodies, self.superclass_resolutions = {}, []
         if vars:
             self.uids = [v.uid for v in vars]
             self.goals = _goals(context, frozenset(self.uids))
@@ -191,15 +191,12 @@ class GoalRecord:
 
 
 class FunDecl:
-    __slots__ = (
-        "module", "name", "typarams", "params", "ret", "context", "span", "body", "goal_records",
-    )
+    __slots__ = ("module", "name", "typarams", "params", "ret", "context", "span", "body")
     def __init__(self, module: str, name: str, typarams: list[Var],
                  params: list[tuple[str, TypeTerm]], ret: TypeTerm, context: list[ConstraintTerm],
                  span: Span, body: "TExpr | None" = None):
         self.module, self.name, self.typarams, self.params = module, name, typarams, params
         self.ret, self.context, self.span, self.body = ret, context, span, body
-        self.goal_records = []
 
     @property
     def id(self) -> str:

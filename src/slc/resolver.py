@@ -19,15 +19,13 @@ command and is the only place a trace is rendered.
 
 from __future__ import annotations
 
-from .coherence import CoherencePolicy
-from .decls import ConceptDecl, FunDecl, ModelDecl, ModelWorld
+from .decls import ConceptDecl, ModelDecl, ModelWorld
 from .diagnostics import Diagnostic, Related, Span
 from .types import (
     Conf,
     ConstraintTerm,
     Eq,
     NormDiverge,
-    Substitution,
     TypeTerm,
     normalize,
     render,
@@ -351,110 +349,3 @@ def _ambiguous(wanted: Conf, site: Span, among: list[Candidate]):
             related=_related(among),
         )
     ], ""
-
-
-# ---------------------------------------------------------------- stability
-
-
-class StabilityEntry:
-    __slots__ = ("site", "goal", "stable", "detail")
-    def __init__(self, site: Span, goal: str, stable: bool, detail: str):
-        self.site, self.goal, self.stable, self.detail = site, goal, stable, detail
-
-
-class StabilityReport:
-    # assignment: type param name -> rendered type
-    __slots__ = ("fun", "assignment", "entries")
-    def __init__(self, fun: str, assignment: dict[str, str], entries: list[StabilityEntry]):
-        self.fun, self.assignment, self.entries = fun, assignment, entries
-
-    @property
-    def unstable(self) -> list[StabilityEntry]:
-        return [e for e in self.entries if not e.stable]
-
-
-def check_stability(
-    fun: FunDecl,
-    assignment: dict[int, TypeTerm],
-    scope: ModelWorld,
-    policy: CoherencePolicy,
-    depth: int = DEFAULT_DEPTH,
-) -> StabilityReport:
-    """Compare generic-time resolutions against ground re-resolution.
-
-    The fresh resolutions run under the bare policy (escape flags stripped):
-    a flag that forces a pick is exactly what this analysis is meant to see
-    through. A goal is stable when the grounded generic derivation and the
-    fresh derivation commit to identical model trees.
-    """
-    subst = Substitution(dict(assignment))
-    fresh_resolver = Resolver(scope, policy.flagless(), depth)
-
-    def fresh_of(constraint: ConstraintTerm, site: Span):
-        goal = Goal(subst.apply(constraint), site)
-        res, _, diags = fresh_resolver.resolve(goal)
-        return res, diags
-
-    def shape(res: Resolution, site: Span):
-        """The models `res` commits to, as a nested tuple, each given leaf
-        replaced by its ground re-resolution; None when one of those fails."""
-        if isinstance(res, GivenLeaf):
-            res, _ = fresh_of(res.constraint, site)
-            if res is None:
-                return None
-        if isinstance(res, EqLeaf):
-            return ("eq",)
-        kids = []
-        for child in res.children:
-            kid = shape(child, site)
-            if kid is None:
-                return None
-            kids.append(kid)
-        return ("model", res.model, tuple(kids))
-
-    entries: list[StabilityEntry] = []
-    for record in fun.goal_records:
-        if not isinstance(record.constraint, Conf):
-            continue
-        goal_str = render_constraint(subst.apply(record.constraint))
-        if record.resolution is None:
-            entries.append(
-                StabilityEntry(record.site, goal_str, False, "generic resolution failed")
-            )
-            continue
-        fresh, diags = fresh_of(record.constraint, record.site)
-        if fresh is None:
-            reason = diags[0].code if diags else "unresolved"
-            entries.append(
-                StabilityEntry(
-                    record.site,
-                    goal_str,
-                    False,
-                    f"ground re-resolution failed ({reason})",
-                )
-            )
-            continue
-        grounded = shape(record.resolution, record.site)
-        if grounded is None:
-            entries.append(
-                StabilityEntry(
-                    record.site, goal_str, False, "a grounded given became unresolvable"
-                )
-            )
-            continue
-        if grounded == shape(fresh, record.site):
-            entries.append(StabilityEntry(record.site, goal_str, True, "identical model trees"))
-        else:
-            entries.append(
-                StabilityEntry(
-                    record.site,
-                    goal_str,
-                    False,
-                    "generic and ground resolutions commit to different models",
-                )
-            )
-    names = {}
-    for v in fun.typarams:
-        if v.uid in assignment:
-            names[v.name] = render(assignment[v.uid])
-    return StabilityReport(fun.id, names, entries)

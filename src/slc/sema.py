@@ -12,9 +12,11 @@ requirement's plan for model bodies and a generic model's head plan. A module
 looks each global name up once (`ModuleChecker.callee`), the same way whether
 it is called or not, and checks each body against those stored facts.
 
-Every constraint discharged inside a body is recorded with its resolution
-trace; the records feed the `explain` command, the stability analysis, and
-dictionary-passing elaboration.
+Every constraint discharged, in a body or as a model's superclass obligation,
+is appended once to its module's `goal_log` with its resolution trace, which
+the `explain` command reads. Elaboration reads resolutions from the checked
+tree (`TCall.dict_args`, `TReqCall.resolution`) and from
+`ModelDecl.superclass_resolutions`, never from the log.
 """
 
 from __future__ import annotations
@@ -393,8 +395,7 @@ class ModuleChecker:
             resolver = Resolver(self.module.world, self.policy, self.depth, model.context)
             for sup in inst_supers:
                 res, trace, diags = resolver.resolve(Goal(sup, model.span))
-                record = GoalRecord(model.span, sup, trace, res)
-                self.module.goal_log.append(record)
+                self.module.goal_log.append(GoalRecord(model.span, sup, trace, res))
                 self.report_goal(res, diags, sup, rigid, concept.name)
                 model.superclass_resolutions.append(res)
 
@@ -408,7 +409,7 @@ class ModuleChecker:
                 self.report("E-ARITY", msg, body.span)
                 continue
             inst = concept.instantiate_req(req, model)  # the parameters' types, then the result's
-            checker.owner, checker.records = f"model:{model.uid}.{body.name}", []
+            checker.owner = f"model:{model.uid}.{body.name}"
             try:
                 declared = [(n, self.resolve_type(t, checker.tyvars)) for n, t in body.params]
                 for (dn, dt), st in zip(declared, inst):
@@ -416,19 +417,17 @@ class ModuleChecker:
                 declared_ret = self.resolve_type(body.ret, checker.tyvars)
                 checker.require_equal(declared_ret, inst[-1], body.span, "return type")
                 model.bodies[body.name] = declared, checker.check(body.body, declared_ret, dict(declared))
-                model.body_goal_records[body.name] = checker.records
             except Abort as exc:
                 self.diags.append(exc.diagnostic)
 
     def _check_fun_body(self, decl: FunDecl, fast: A.FunAST, plain: ExprChecker):
         checker = self._checker(decl.typarams, decl.context, plain)
-        checker.owner, checker.records = f"fn:{decl.name}", []
+        checker.owner = f"fn:{decl.name}"
         decl.body = checker.check(fast.body, decl.ret, dict(decl.params))
-        decl.goal_records = checker.records
 
     def _checker(self, tyvars: list[Var], givens: list[ConstraintTerm], plain: ExprChecker):
         """The checker of the bodies of a declaration over `tyvars`, rigid there, under `givens`:
-        `plain`, the module's one, when it has neither. Each body sets its owner and records."""
+        `plain`, the module's one, when it has neither. Each body sets its owner."""
         if not tyvars and not givens:
             return plain
         return ExprChecker(self, {v.name: v for v in tyvars}, frozenset(v.uid for v in tyvars), givens)
@@ -655,9 +654,9 @@ _WAITS = frozenset({A.ELambda, A.EMatch, A.EIf, A.ELet})  # see ExprChecker._is_
 
 
 class ExprChecker:
-    """Checks a declaration's bodies one at a time; `owner` and `records` are
-    the current body's. Each expression class has one rule in `RULES`, called
-    with the type the context expects, or None to synthesize one."""
+    """Checks a declaration's bodies one at a time; `owner` is the current
+    body's. Each expression class has one rule in `RULES`, called with the
+    type the context expects, or None to synthesize one."""
 
     def __init__(self, mc: ModuleChecker, tyvars: dict[str, Var], rigid: frozenset[int],
                  givens: list[ConstraintTerm]):
@@ -665,7 +664,6 @@ class ExprChecker:
         self.tyvars = tyvars
         self.rigid = rigid
         self.owner = ""
-        self.records: list[GoalRecord] = []
         self.goal_log = mc.module.goal_log
         self.resolver = Resolver(mc.module.world, mc.policy, mc.depth, givens) if givens else mc.resolver
         self.eq_rules = self.resolver.eq_rules
@@ -726,9 +724,7 @@ class ExprChecker:
 
     def discharge(self, constraint: ConstraintTerm, span: Span):
         res, trace, diags = self.resolver.resolve(Goal(constraint, span))
-        record = GoalRecord(span, constraint, trace, res)
-        self.records.append(record)
-        self.goal_log.append(record)
+        self.goal_log.append(GoalRecord(span, constraint, trace, res))
         if diags:
             self.mc.report_goal(res, diags, constraint, self.rigid, self.owner)
         return res

@@ -1,13 +1,14 @@
-"""Pretty-printer for surface ASTs.
+"""Pretty-printer for surface ASTs, the round-trip property's oracle.
 
 `parse_module(pretty_print(m))` must be structurally equal to `m` modulo
-spans; `ast_equal` implements that comparison.
+spans; `ast_equal` implements that comparison. No `sl` command prints an
+AST, so this lives with the tests that check the property.
 """
 
 from __future__ import annotations
 
-from . import ast as A
-from .diagnostics import Record, Span, slot_names
+from slc import ast as A
+from slc.diagnostics import Record, Span, slot_names
 
 INDENT = "  "
 

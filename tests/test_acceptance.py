@@ -12,13 +12,13 @@ import time
 from conftest import CORPUS, corpus_sources, free_vars, slc_env
 
 from oracle import enumerate_types, enumerated_unifiers, exhaustive_derivations, factors_through
+from stability import check_stability, fun_records, goal_records
 from slc.coherence import CoherencePolicy
 from slc.corekit import core_check, elaborate
 from slc.decls import FunDecl
 from slc.diagnostics import Diagnostic
 from slc.evaluator import run_program
 from slc.linker import check_sources
-from slc.resolver import check_stability
 from slc.types import BUILTIN_CONS, Con, Conf, is_ground, render
 
 POLICIES = ("use-site", "def-site-strict", "def-site-disjoint", "scoped")
@@ -110,7 +110,7 @@ def test_criterion_03_use_site_unique_vs_ambiguous():
     ok = check("option_show_defs", "use-site")
     assert ok.ok, ok.diagnostics
     # the F64 goal resolves uniquely: its trace lists exactly one candidate
-    main_records = ok.modules["option_show_ok"].funs["main"].goal_records
+    main_records = fun_records(ok.modules["option_show_ok"], "main")
     f64_goals = [r for r in main_records if "F64" in render(r.constraint.subjects[0])]
     assert len(f64_goals) == 1
     assert len(f64_goals[0].trace.candidates) == 1
@@ -270,10 +270,12 @@ def test_criterion_10_coherence_by_enumeration():
 
 
 def _stability_subjects(module):
-    """Functions plus model requirement bodies, as analyzable declarations."""
-    out = list(module.funs.values())
+    """Functions plus model requirement bodies, as analyzable declarations,
+    each with the records of the goals it discharged."""
+    out = [(fun, goal_records(module, fun.span)) for fun in module.funs.values()]
     for model in module.models:
-        for req, records in model.body_goal_records.items():
+        for req, (_, body) in model.bodies.items():
+            records = goal_records(module, body.span)
             if not records:
                 continue
             pseudo = FunDecl(
@@ -285,8 +287,7 @@ def _stability_subjects(module):
                 context=list(model.context),
                 span=model.span,
             )
-            pseudo.goal_records = records
-            out.append(pseudo)
+            out.append((pseudo, records))
     return out
 
 
@@ -298,13 +299,13 @@ def test_criterion_11_stability():
         world = result.program.world
         universe = ground_universe(result.program)
         for module in result.modules.values():
-            for fun in _stability_subjects(module):
-                if not fun.typarams or not fun.goal_records:
+            for fun, records in _stability_subjects(module):
+                if not fun.typarams or not records:
                     continue
                 # variables not mentioned by any goal cannot affect resolution
                 goal_vars = {
                     v.uid
-                    for r in fun.goal_records
+                    for r in records
                     for v in free_vars(r.constraint)
                 }
                 domains = []
@@ -328,7 +329,7 @@ def test_criterion_11_stability():
                             break
                     if not satisfied:
                         continue
-                    report_obj = check_stability(fun, assignment, world, policy)
+                    report_obj = check_stability(fun, records, assignment, world, policy)
                     assert not report_obj.unstable, (
                         program,
                         policy_name,
@@ -346,7 +347,8 @@ def test_criterion_11_stability():
     from slc.types import U64
 
     assignment = {log_fn.typarams[0].uid: U64}
-    stability = check_stability(log_fn, assignment, result.program.world, flagged)
+    records = fun_records(result.modules["unstable_log"], "log")
+    stability = check_stability(log_fn, records, assignment, result.program.world, flagged)
     assert len(stability.unstable) == 1, stability.entries
     assert "StringConvertible" in stability.unstable[0].goal
     elapsed = time.perf_counter() - started

@@ -1,15 +1,20 @@
-"""Corpus-wide properties: round-trips, span health, entailment, inference."""
+"""Corpus-wide properties: round-trips, span health, the goal log's
+declarations, entailment, inference."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, check_inline, span_contains
+from conftest import CORPUS, check_inline, corpus_sources, span_contains
 from oracle import children
+from printer import ast_equal, pretty_print
+from test_acceptance import POLICIES, PROGRAMS
 
 from slc.ast import ExprAST, FunAST, ModelAST
+from slc.coherence import CoherencePolicy
+from slc.linker import check_sources
 from slc.parser import parse_module
-from slc.printer import ast_equal, pretty_print
 
 ALL_SL = sorted(CORPUS.glob("*.sl"))
 
@@ -52,6 +57,27 @@ def test_corpus_span_containment(path: Path):
     funs = [d for d in module.decls if isinstance(d, FunAST)]
     funs += [f for d in module.decls if isinstance(d, ModelAST) for f in d.bodies]
     assert all(id(f.body) in exprs for f in funs), "a function body was never checked"
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_each_logged_goal_lies_in_at_most_one_body(program, policy):
+    """A declaration's goals are the goal-log records inside its span
+    (`stability.goal_records`): a function's, or a model body's checked
+    expression's. That view loses and doubles no goal: each record lies in
+    at most one such span, and the records in none are exactly the models'
+    superclass obligations, each posed at its model's span."""
+    result = check_sources(corpus_sources(*PROGRAMS[program]), CoherencePolicy(policy))
+    for module in result.modules.values():
+        spans = [f.span for f in module.funs.values()]
+        spans += [body.span for m in module.models for _, body in m.bodies.values()]
+        outside = Counter()
+        for record in module.goal_log:
+            inside = sum(span_contains(s, record.site) for s in spans)
+            assert inside <= 1, (module.name, record.site)
+            outside[record.site] += not inside
+        obligations = Counter({m.span: len(m.superclass_resolutions) for m in module.models})
+        assert +outside == +obligations, module.name
 
 
 ENTAILS_SRC = """\

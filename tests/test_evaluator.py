@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from conftest import check_inline
+from stability import fun_records
 
 from slc import cli
 from slc.corekit import (
@@ -371,7 +372,7 @@ def test_polymorphic_recursion_checks_and_runs():
     binding T ↦ Option[T] mentions the caller's rigid T."""
     value, transcript = run(deep=DEEPEN)
     assert transcript == ["Some(Some(Some(7)))"]
-    goals = check_inline(deep=DEEPEN).modules["deep"].funs["deepen"].goal_records
+    goals = fun_records(check_inline(deep=DEEPEN).modules["deep"], "deepen")
     assert [render_constraint(g.constraint) for g in goals] == ["Show[T]", "Show[Option[T]]"]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import check_inline, codes
+from stability import fun_records
 
 from slc import ast as A
 from slc.parser import parse_module
@@ -69,8 +70,8 @@ fn main() -> Unit { print(useAll(1:U64)) }
     assert result.ok, result.diagnostics
     from slc.resolver import GivenLeaf
 
-    use_all = result.modules["m"].funs["useAll"]
-    leaves = {r.constraint.concept.split(".")[-1]: r.resolution for r in use_all.goal_records}
+    use_all = fun_records(result.modules["m"], "useAll")
+    leaves = {r.constraint.concept.split(".")[-1]: r.resolution for r in use_all}
     assert isinstance(leaves["A"], GivenLeaf) and leaves["A"].via == (0, 0)
     assert isinstance(leaves["B"], GivenLeaf) and leaves["B"].via == (0,)
     assert isinstance(leaves["C"], GivenLeaf) and leaves["C"].via == ()

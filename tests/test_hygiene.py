@@ -1,7 +1,7 @@
 """Hygiene guards: every function, class and method `src/slc/` defines is
 referred to by code elsewhere in `src/` or `bench/`, start-up imports
-nothing that only code generation needs, only `run` loads the back end, and
-every node kind has a rule in every pass."""
+nothing that only code generation needs, only `run` loads the back end and
+`run` loads every module, and every node kind has a rule in every pass."""
 
 import ast
 import subprocess
@@ -64,15 +64,6 @@ def defined_names() -> list[tuple[str, str]]:
     return out
 
 
-# Names that only tests call, each kept in `src/` for a reason.
-TEST_ONLY = {
-    ("resolver.py", "check_stability"): "README's stability analysis, an acceptance criterion",
-    ("resolver.py", "unstable"): "what `check_stability` reports",
-    ("printer.py", "pretty_print"): "the round-trip property's oracle",
-    ("printer.py", "ast_equal"): "the round-trip property's oracle",
-}
-
-
 def referenced_outside_own_body() -> set[tuple[str, str]]:
     """(file name, name) of each definition of `defined_names` that a name,
     an attribute or an import in `src/` or `bench/` refers to outside that
@@ -111,28 +102,18 @@ def referenced_outside_own_body() -> set[tuple[str, str]]:
 
 
 def test_every_defined_name_is_used_somewhere():
-    """What only tests call belongs in `tests/`, unless `TEST_ONLY` says why.
-    A definition counts as used only when code in `src/` or `bench/` refers
-    to it; a string or comment that repeats its name does not."""
+    """What only tests call belongs in `tests/`. A definition counts as used
+    only when code in `src/` or `bench/` refers to it; a string or comment
+    that repeats its name does not."""
     used = referenced_outside_own_body()
-    names = defined_names()
-    dead = sorted(
-        f"{file}: {name}"
-        for file, name in names
-        if (file, name) not in used and (file, name) not in TEST_ONLY
-    )
+    dead = sorted(f"{file}: {name}" for file, name in defined_names() if (file, name) not in used)
     assert not dead, f"defined but referred to only by tests, or nowhere: {dead}"
-    kept = [key for key in TEST_ONLY if key in used]
-    assert not kept, f"no longer test-only: {kept}"
 
 
 # `__slots__` fields that no code in `src/` or `bench/` reads, each kept for
 # a reason.
 UNREAD_SLOTS = {
     ("coherence.py", "OverlapWitness", "subst"): "the unifier that makes two model heads overlap",
-    ("resolver.py", "StabilityReport", "fun"): "README's stability analysis, an acceptance criterion",
-    ("resolver.py", "StabilityReport", "assignment"): "README's stability analysis, as above",
-    ("resolver.py", "StabilityEntry", "detail"): "README's stability analysis, as above",
 }
 
 
@@ -203,11 +184,23 @@ def loaded_after(code: str, names, cwd=None) -> str:
 def test_startup_imports_no_code_generation_modules():
     """`import slc.cli` is what every `sl` process pays before any work.
     `dataclasses` builds each class by generating and `exec`ing code, and
-    pulls in `inspect` for it; start-up needs neither, nor the pretty
-    printer, which no command uses, nor the back end, which only `run`
-    uses."""
-    names = ("dataclasses", "inspect", "slc.printer") + BACK_END
+    pulls in `inspect` for it; start-up needs neither, nor the back end,
+    which only `run` uses."""
+    names = ("dataclasses", "inspect") + BACK_END
     assert loaded_after("import slc.cli", names) == "[]"
+
+
+def test_run_loads_every_module_of_src():
+    """`src/slc` holds only what `sl` runs: a `run` loads each of its
+    modules but `__main__`. An oracle that no command reaches, such as the
+    pretty-printer or the stability analysis, lives in `tests/`."""
+    names = sorted(
+        "slc" if path.stem == "__init__" else f"slc.{path.stem}"
+        for path in (ROOT / "src" / "slc").glob("*.py")
+        if path.stem != "__main__"
+    )
+    code = 'import slc.cli; assert slc.cli.main(["run", "iter_lib.sl", "range_iter.sl"]) == 0'
+    assert loaded_after(code, names, cwd=CORPUS) == str(names)
 
 
 @pytest.mark.parametrize(

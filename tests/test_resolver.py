@@ -2,6 +2,7 @@
 
 from conftest import CORPUS, check_inline, check_inline_policy, codes, corpus_sources, option_type
 from oracle import children
+from stability import check_stability, fun_records
 
 from slc.coherence import CoherencePolicy
 from slc.resolver import GivenLeaf, ModelNode, Goal, candidates
@@ -90,8 +91,7 @@ def test_prioritize_specific_selects_concrete():
     policy = CoherencePolicy("use-site", prioritize_specific=True)
     result = check_inline_policy(policy, m=OVERLAP)
     assert result.ok, result.diagnostics
-    main = result.modules["m"].funs["main"]
-    res = main.goal_records[0].resolution
+    res = fun_records(result.modules["m"], "main")[0].resolution
     assert isinstance(res, ModelNode)
     world = result.program.world
     picked = next(m for m in world.index.models if m.uid == res.model)
@@ -103,8 +103,7 @@ def test_incoherent_ok_picks_declaration_order_and_warns():
     result = check_inline_policy(policy, m=OVERLAP)
     assert result.ok, result.diagnostics
     assert "W-INCOHERENT" in codes(result)
-    main = result.modules["m"].funs["main"]
-    res = main.goal_records[0].resolution
+    res = fun_records(result.modules["m"], "main")[0].resolution
     world = result.program.world
     picked = next(m for m in world.index.models if m.uid == res.model)
     assert picked.name == "stringIter"  # declared before stringU64
@@ -156,8 +155,7 @@ fn main() -> Unit { let y = g(1:U64); print("ok") }
 """
     result = check_inline(m=src)
     assert result.ok
-    g = result.modules["m"].funs["g"]
-    assert isinstance(g.goal_records[0].resolution, GivenLeaf)
+    assert isinstance(fun_records(result.modules["m"], "g")[0].resolution, GivenLeaf)
 
 
 def test_scoped_policy_inner_scope_shadows_imports():
@@ -175,8 +173,8 @@ fn useApp() -> String { f(2:U64) }
 """
     result = check_inline("scoped", lib=lib, app=app)
     assert result.ok, result.diagnostics
-    lib_goal = result.modules["lib"].funs["useLib"].goal_records[0]
-    app_goal = result.modules["app"].funs["useApp"].goal_records[0]
+    lib_goal = fun_records(result.modules["lib"], "useLib")[0]
+    app_goal = fun_records(result.modules["app"], "useApp")[0]
     assert lib_goal.resolution.model == "lib#0"
     assert app_goal.resolution.model == "app#0"  # own model shadows the import
 
@@ -298,12 +296,11 @@ fn main() -> Unit {
     policy = CoherencePolicy("use-site", incoherent_ok=True)
     result = check_inline_policy(policy, m=log_module)
     assert result.ok, result.diagnostics
-    from slc.resolver import check_stability
-
     program = result.program
     log_fn = result.modules["m"].funs["log"]
     assignment = {log_fn.typarams[0].uid: U64}
-    report = check_stability(log_fn, assignment, program.world, policy)
+    records = fun_records(result.modules["m"], "log")
+    report = check_stability(log_fn, records, assignment, program.world, policy)
     assert len(report.entries) == 1
     assert len(report.unstable) == 1
     assert "StringConvertible" in report.unstable[0].goal
@@ -319,11 +316,10 @@ fn main() -> Unit { print(g(1:U64)) }
 """
     result = check_inline(m=src)
     assert result.ok
-    from slc.resolver import check_stability
-
     g = result.modules["m"].funs["g"]
     report = check_stability(
         g,
+        fun_records(result.modules["m"], "g"),
         {g.typarams[0].uid: U64},
         result.program.world,
         CoherencePolicy("use-site"),
@@ -334,10 +330,9 @@ fn main() -> Unit { print(g(1:U64)) }
 def test_stability_empty_report_for_goalless_fn():
     src = "module m\nfn id(x: U64) -> U64 { x }\n"
     result = check_inline(m=src)
-    from slc.resolver import check_stability
-
     fn = result.modules["m"].funs["id"]
-    report = check_stability(fn, {}, result.program.world, CoherencePolicy("use-site"))
+    records = fun_records(result.modules["m"], "id")
+    report = check_stability(fn, records, {}, result.program.world, CoherencePolicy("use-site"))
     assert report.entries == []
 
 
@@ -359,7 +354,7 @@ fn main() -> Unit { print(toText(Some(1.5:F64))) }
     result = check_inline(m=src)
     assert result.ok, result.diagnostics
     world = result.program.world
-    record = result.modules["m"].funs["main"].goal_records[0]
+    record = fun_records(result.modules["m"], "main")[0]
     res = record.resolution
     assert isinstance(res, ModelNode)
     picked = next(m for m in world.index.models if m.uid == res.model)
@@ -425,7 +420,7 @@ fn viaProjection[I](it: I) -> String where Iter[I], D[I.Element] { c(first(it)) 
 
 
 def _c_goals(result, fun):
-    traces = [r.trace.to_json() for r in result.modules["m"].funs[fun].goal_records]
+    traces = [r.trace.to_json() for r in fun_records(result.modules["m"], fun)]
     return [
         (t["goal"], t["outcome"], t["picked"], [c["model"] for c in t["candidates"]])
         for t in traces
@@ -527,7 +522,7 @@ fn text() -> String { conv(7:U64):String }
     result = check_inline("use-site", m=src)
     assert result.ok, result.diagnostics
     traces = {
-        name: [r.trace.to_json() for r in result.modules["m"].funs[name].goal_records]
+        name: [r.trace.to_json() for r in fun_records(result.modules["m"], name)]
         for name in ("narrow", "text")
     }
     picks = {

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import check_inline, codes
+from stability import fun_records
 
 from slc.types import render, render_constraint
 
@@ -58,9 +59,8 @@ fn f(x: Fn1[U64, U64]) -> U64 { x(1) }
 
 def test_fold_call_instantiates_type_params():
     result = check_inline(iter=ITER)
-    main = result.modules["iter"].funs["main"]
     # main discharges Iterator[U64] at the fold call
-    goals = [r for r in main.goal_records]
+    goals = [r for r in fun_records(result.modules["iter"], "main")]
     assert len(goals) == 1
     assert "Iterator" in str(goals[0].constraint.concept)
     from slc.resolver import ModelNode
@@ -173,8 +173,8 @@ fn main() -> Unit { print(showbool(nondecreasing(1:U64, 2:U64))) }
     assert result.ok, result.diagnostics
     from slc.resolver import GivenLeaf
 
-    nd = result.modules["m"].funs["nondecreasing"]
-    eq_goal = [r for r in nd.goal_records if "Equatable" in r.constraint.concept]
+    nd = fun_records(result.modules["m"], "nondecreasing")
+    eq_goal = [r for r in nd if "Equatable" in r.constraint.concept]
     assert len(eq_goal) == 1
     leaf = eq_goal[0].resolution
     assert isinstance(leaf, GivenLeaf)
@@ -213,8 +213,7 @@ fn sum(r: Range[U64]) -> U64 {
     assert result.ok, result.diagnostics
     from slc.resolver import ModelNode
 
-    sum_fn = result.modules["m"].funs["sum"]
-    res = sum_fn.goal_records[0].resolution
+    res = fun_records(result.modules["m"], "sum")[0].resolution
     assert isinstance(res, ModelNode)
     assert res.model == "m#1"  # the ranges model
     assert len(res.children) == 1
@@ -391,7 +390,7 @@ def signature_digest(module) -> str:
 
 
 def test_recheck_pretty_printed_module_is_equal():
-    from slc.printer import pretty_print
+    from printer import pretty_print
 
     result = check_inline(iter=ITER)
     assert result.ok

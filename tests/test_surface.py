@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from conftest import span_contains
 from oracle import children
+from printer import ast_equal, pretty_print
 from test_ast_spans import misplaced, reachable_spans, sources
 
 from slc import ast as A
 from slc.diagnostics import Abort, Span
 from slc.lexer import KIND, TEXT, VALUE, token_span
 from slc.parser import parse_module, tokenize
-from slc.printer import ast_equal, pretty_print
 
 ITER_SRC = """\
 -- iterator demo
